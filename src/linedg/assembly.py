@@ -77,18 +77,21 @@ class SparseSystem:
         mmwrite(str(path), self.matrix)
 
 
-def _volume_grad_gram(mesh, basis, exactness=None):
+# faces per batch of the face loop; bounds the trace arrays, not the result
+_FACE_CHUNK = 16384
+
+
+def _volume_grad_gram(mesh, basis):
     """COO data of the broken gradient term, sum_E (grad u, grad v)_E."""
-    if exactness is None:
-        exactness = 2 * basis.degree
-    rule = _basis.tet_quadrature(exactness)
+    rule = _basis.tet_quadrature(2 * basis.degree)
     g = basis.grad(rule.points)  # (q, nb, 3)
     # S[m, n, i, j] = sum_q w_q dphi_i/dxi_m dphi_j/dxi_n
     S = np.einsum("q,qim,qjn->mnij", rule.weights, g, g)
     jinv = mesh.jac_invs
     C = np.einsum("emd,end->emn", jinv, jinv)
     blocks = np.einsum("emn,mnij->eij", C, S) * mesh.det_jacobians[:, None, None]
-    return blocks  # (nt, nb, nb)
+    e = np.arange(mesh.n_elements, dtype=np.int64)
+    return _block_coo(e, e, blocks, basis.dim)
 
 
 def _block_coo(elem_rows, elem_cols, blocks, nb):
@@ -104,122 +107,94 @@ def _block_coo(elem_rows, elem_cols, blocks, nb):
     return rows, cols, blocks.reshape(-1)
 
 
-class _FaceBatch:
-    """Per-face basis traces used by all face terms.
+def _coo_to_csr(parts, ndof):
+    """Sum an iterable of COO triplets (rows, cols, vals) into one CSR matrix."""
+    rows, cols, vals = zip(*parts)
+    # the concatenated int64 indices are not kept: scipy narrows them to its
+    # own index type, and holding both would raise the assembly memory peak
+    coo = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(ndof, ndof)
+    )
+    return coo.tocsr()
 
-    For each face and adjacent side: values V (f, q, nb) and normal
-    derivatives Gn (f, q, nb) at the face quadrature points, plus physical
-    weights w (f, q) absorbing the face area.
+
+def _face_traces(mesh, basis, exactness, boundary=False, sel=slice(None)):
+    """Basis traces on the selected interior (or boundary) faces.
+
+    Returns (x, w, sides): quadrature points x (f, q, 3), physical weights
+    w (f, q) absorbing the face area, and per adjacent side (first and
+    second element of an interior face, the owner of a boundary face) a
+    tuple (elements, V, Gn) of basis values V (f, q, nb) and normal
+    derivatives Gn (f, q, nb) along the stored face normal.
+
+    On affine elements a trace depends only on which local vertices of the
+    element the face's vertices are, so the reference basis is evaluated
+    once per distinct ordered vertex triple (at most 24) and indexed.
     """
+    if boundary:
+        verts, normals, areas = mesh.bface_verts[sel], mesh.bface_normals[sel], mesh.bface_areas[sel]
+        elems = (mesh.bface_elem[sel],)
+    else:
+        verts, normals, areas = mesh.iface_verts[sel], mesh.iface_normals[sel], mesh.iface_areas[sel]
+        elems = (mesh.iface_elems[sel, 0], mesh.iface_elems[sel, 1])
+    rule = _basis.tri_quadrature(exactness)
+    bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])  # (q, 3)
+    x = np.einsum("qk,fkd->fqd", bary, mesh.vertices[verts])
+    w = rule.weights[None, :] * (2.0 * areas)[:, None]
+    nb = basis.dim
+    sides = []
+    for e in elems:
+        local = np.argmax(mesh.tets[e][:, None, :] == verts[:, :, None], axis=2)  # (f, 3)
+        triples, inv = np.unique(local, axis=0, return_inverse=True)
+        inv = inv.reshape(-1)
+        ref = np.einsum("qk,tkd->tqd", bary, _basis.REF_TET_VERTICES[triples]).reshape(-1, 3)
+        V = basis.eval(ref).reshape(len(triples), rule.n, nb)[inv]
+        G = basis.grad(ref).reshape(len(triples), rule.n, nb, 3)
+        # grad_x . n = grad_ref . (Jinv n)
+        jn = np.einsum("fmd,fd->fm", mesh.jac_invs[e], normals)
+        Gn = sum(G[..., m][inv] * jn[:, m, None, None] for m in range(3))
+        sides.append((e, V, Gn))
+    return x, w, sides
 
-    def __init__(self, mesh, basis, face_verts, elems, normals, areas, exactness):
-        rule = _basis.tri_quadrature(exactness)
-        A = mesh.vertices[face_verts[:, 0]]
-        B = mesh.vertices[face_verts[:, 1]]
-        C = mesh.vertices[face_verts[:, 2]]
-        u = rule.points[:, 0][None, :, None]
-        v = rule.points[:, 1][None, :, None]
-        self.x = A[:, None, :] + u * (B - A)[:, None, :] + v * (C - A)[:, None, :]
-        self.w = rule.weights[None, :] * (2.0 * areas)[:, None]
-        self.normals = normals
-        self.sides = []
-        for e in elems:
-            a0 = mesh.vertices[mesh.tets[e, 0]]
-            jinv = mesh.jac_invs[e]
-            ref = np.einsum("fmd,fqd->fqm", jinv, self.x - a0[:, None, :])
-            flat = ref.reshape(-1, 3)
-            vals = basis.eval(flat).reshape(ref.shape[0], ref.shape[1], basis.dim)
-            grads = basis.grad(flat).reshape(ref.shape[0], ref.shape[1], basis.dim, 3)
-            phys_g = np.einsum("fqim,fmd->fqid", grads, jinv)
-            gn = np.einsum("fqid,fd->fqi", phys_g, normals)
-            self.sides.append((vals, gn))
 
+def _face_term_blocks(mesh, basis, consistency, epsilon, penalty):
+    """COO triplets of the face part of a penalized bilinear form, all faces.
 
-def _face_term_blocks(batch, signs, factors, epsilon, penalty_weight):
-    """All element-pair blocks of the face part of the bilinear form.
-
-    Yields (side_test, side_trial, block) with block[f, i, j] adding into
-    rows of the test side and columns of the trial side:
-      - consistency  -({grad u}.n) [v]
-      - symmetrizing +eps ({grad v}.n) [u]
-      - penalty      +pen [u][v]
+    Each element-pair block adds into rows of the test side and columns of
+    the trial side:
+      - consistency  -consistency ({grad u}.n) [v]
+      - symmetrizing +epsilon ({grad v}.n) [u]
+      - penalty      +penalty [u][v]
+    Boundary faces use one-sided traces.
     """
-    w = batch.w
-    for b, (Vb, Gnb) in enumerate(batch.sides):
-        for a, (Va, Gna) in enumerate(batch.sides):
-            blk = -signs[b] * factors[a] * np.einsum("fq,fqi,fqj->fij", w, Vb, Gna)
-            blk += epsilon * signs[a] * factors[b] * np.einsum(
-                "fq,fqi,fqj->fij", w, Gnb, Va
-            )
-            blk += (penalty_weight * signs[a] * signs[b]) * np.einsum(
-                "fq,fqi,fqj->fij", w, Vb, Va
-            )
-            yield b, a, blk
+    nb = basis.dim
+    exactness = 2 * basis.degree + 1
+    for boundary, signs, factors, nf in (
+        (False, (1.0, -1.0), (0.5, 0.5), mesh.iface_elems.shape[0]),
+        (True, (1.0,), (1.0,), mesh.bface_elem.shape[0]),
+    ):
+        for start in range(0, nf, _FACE_CHUNK):
+            sl = slice(start, min(start + _FACE_CHUNK, nf))
+            _, w, sides = _face_traces(mesh, basis, exactness, boundary, sl)
+            weighted = [(w[:, :, None] * V).transpose(0, 2, 1) for _, V, _ in sides]
+            weighted_n = [(w[:, :, None] * Gn).transpose(0, 2, 1) for _, _, Gn in sides]
+            for b, (eb, _, _) in enumerate(sides):
+                for a, (ea, Va, Gna) in enumerate(sides):
+                    blk = (-consistency * signs[b] * factors[a]) * (weighted[b] @ Gna)
+                    blk += (epsilon * signs[a] * factors[b]) * (weighted_n[b] @ Va)
+                    blk += (penalty * signs[a] * signs[b]) * (weighted[b] @ Va)
+                    yield _block_coo(eb, ea, blk, nb)
 
 
-def assemble_stiffness(mesh, spec, basis, face_chunk=16384):
+def assemble_stiffness(mesh, spec, basis):
     """Assemble the penalized broken Laplacian for the given parameters."""
     if basis.degree != spec.k:
         raise ValueError("basis degree and spec.k disagree")
-    nb = basis.dim
-    ndof = mesh.n_elements * nb
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
-    face_exactness = 2 * spec.k + 1
-
-    rows_parts, cols_parts, vals_parts = [], [], []
-
-    vol_blocks = _volume_grad_gram(mesh, basis)
-    r, c, v = _block_coo(
-        np.arange(mesh.n_elements, dtype=np.int64),
-        np.arange(mesh.n_elements, dtype=np.int64),
-        vol_blocks,
-        nb,
-    )
-    rows_parts.append(r)
-    cols_parts.append(c)
-    vals_parts.append(v)
-
-    ni = mesh.iface_elems.shape[0]
-    for start in range(0, ni, face_chunk):
-        sl = slice(start, min(start + face_chunk, ni))
-        e1 = mesh.iface_elems[sl, 0]
-        e2 = mesh.iface_elems[sl, 1]
-        batch = _FaceBatch(
-            mesh, basis, mesh.iface_verts[sl], (e1, e2),
-            mesh.iface_normals[sl], mesh.iface_areas[sl], face_exactness,
-        )
-        elems = (e1, e2)
-        for b, a, blk in _face_term_blocks(
-            batch, signs=(1.0, -1.0), factors=(0.5, 0.5),
-            epsilon=spec.epsilon, penalty_weight=penalty,
-        ):
-            r, c, v = _block_coo(elems[b], elems[a], blk, nb)
-            rows_parts.append(r)
-            cols_parts.append(c)
-            vals_parts.append(v)
-
-    nbf = mesh.bface_elem.shape[0]
-    for start in range(0, nbf, face_chunk):
-        sl = slice(start, min(start + face_chunk, nbf))
-        e = mesh.bface_elem[sl]
-        batch = _FaceBatch(
-            mesh, basis, mesh.bface_verts[sl], (e,),
-            mesh.bface_normals[sl], mesh.bface_areas[sl], face_exactness,
-        )
-        for b, a, blk in _face_term_blocks(
-            batch, signs=(1.0,), factors=(1.0,),
-            epsilon=spec.epsilon, penalty_weight=penalty,
-        ):
-            r, c, v = _block_coo(e, e, blk, nb)
-            rows_parts.append(r)
-            cols_parts.append(c)
-            vals_parts.append(v)
-
-    mat = sp.coo_matrix(
-        (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-        shape=(ndof, ndof),
-    ).tocsr()
-    return SparseSystem(matrix=mat, block_size=nb, symmetric=(spec.epsilon == -1))
+    parts = [_volume_grad_gram(mesh, basis)]
+    parts += _face_term_blocks(mesh, basis, 1.0, spec.epsilon, penalty)
+    mat = _coo_to_csr(parts, mesh.n_elements * basis.dim)
+    return SparseSystem(matrix=mat, block_size=basis.dim, symmetric=(spec.epsilon == -1))
 
 
 def reference_mass(basis):
@@ -232,67 +207,24 @@ def reference_mass(basis):
 def assemble_mass(mesh, basis):
     """Block-diagonal broken mass matrix (affine elements share one block)."""
     nb = basis.dim
-    mref = reference_mass(basis)
-    blocks = mref[None, :, :] * mesh.det_jacobians[:, None, None]
+    blocks = reference_mass(basis)[None, :, :] * mesh.det_jacobians[:, None, None]
     e = np.arange(mesh.n_elements, dtype=np.int64)
-    r, c, v = _block_coo(e, e, blocks, nb)
-    mat = sp.coo_matrix((v, (r, c)), shape=(mesh.n_elements * nb,) * 2).tocsr()
+    mat = _coo_to_csr([_block_coo(e, e, blocks, nb)], mesh.n_elements * nb)
     return SparseSystem(matrix=mat, block_size=nb, symmetric=True)
 
 
-def assemble_jump_penalty(mesh, basis, weight, face_exactness=None):
+def assemble_jump_penalty(mesh, basis, weight):
     """Jump bilinear form weight * sum_faces (jump u, jump v), boundary included."""
-    nb = basis.dim
-    ndof = mesh.n_elements * nb
-    if face_exactness is None:
-        face_exactness = 2 * basis.degree + 1
-    rows_parts, cols_parts, vals_parts = [], [], []
-    e1 = mesh.iface_elems[:, 0]
-    e2 = mesh.iface_elems[:, 1]
-    batch = _FaceBatch(
-        mesh, basis, mesh.iface_verts, (e1, e2),
-        mesh.iface_normals, mesh.iface_areas, face_exactness,
-    )
-    elems = (e1, e2)
-    signs = (1.0, -1.0)
-    for b in range(2):
-        Vb = batch.sides[b][0]
-        for a in range(2):
-            Va = batch.sides[a][0]
-            blk = (weight * signs[a] * signs[b]) * np.einsum(
-                "fq,fqi,fqj->fij", batch.w, Vb, Va
-            )
-            r, c, v = _block_coo(elems[b], elems[a], blk, nb)
-            rows_parts.append(r)
-            cols_parts.append(c)
-            vals_parts.append(v)
-    e = mesh.bface_elem
-    batch = _FaceBatch(
-        mesh, basis, mesh.bface_verts, (e,),
-        mesh.bface_normals, mesh.bface_areas, face_exactness,
-    )
-    V = batch.sides[0][0]
-    blk = weight * np.einsum("fq,fqi,fqj->fij", batch.w, V, V)
-    r, c, v = _block_coo(e, e, blk, nb)
-    rows_parts.append(r)
-    cols_parts.append(c)
-    vals_parts.append(v)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-        shape=(ndof, ndof),
-    ).tocsr()
-    return SparseSystem(matrix=mat, block_size=nb, symmetric=True)
+    mat = _coo_to_csr(_face_term_blocks(mesh, basis, 0.0, 0.0, weight), mesh.n_elements * basis.dim)
+    return SparseSystem(matrix=mat, block_size=basis.dim, symmetric=True)
 
 
 def assemble_dg_norm_gram(mesh, basis, sigma):
     """Gram matrix of the broken energy norm: v^T G v = ||v||_DG^2."""
-    nb = basis.dim
-    vol_blocks = _volume_grad_gram(mesh, basis)
-    e = np.arange(mesh.n_elements, dtype=np.int64)
-    r, c, v = _block_coo(e, e, vol_blocks, nb)
-    vol = sp.coo_matrix((v, (r, c)), shape=(mesh.n_elements * nb,) * 2).tocsr()
-    pen = assemble_jump_penalty(mesh, basis, sigma / mesh.grid_spacing)
-    return SparseSystem(matrix=(vol + pen.matrix).tocsr(), block_size=nb, symmetric=True)
+    parts = [_volume_grad_gram(mesh, basis)]
+    parts += _face_term_blocks(mesh, basis, 0.0, 0.0, sigma / mesh.grid_spacing)
+    mat = _coo_to_csr(parts, mesh.n_elements * basis.dim)
+    return SparseSystem(matrix=mat, block_size=basis.dim, symmetric=True)
 
 
 def assemble_dirichlet_rhs(mesh, spec, basis, g, exactness=None):
@@ -312,15 +244,10 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g, exactness=None):
     if exactness is None:
         exactness = 2 * basis.degree + 2
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
-    e = mesh.bface_elem
-    batch = _FaceBatch(
-        mesh, basis, mesh.bface_verts, (e,),
-        mesh.bface_normals, mesh.bface_areas, exactness,
-    )
-    V, Gn = batch.sides[0]
-    gv = np.asarray(g(batch.x.reshape(-1, 3)), dtype=float).reshape(batch.w.shape)
-    contrib = spec.epsilon * np.einsum("fq,fq,fqi->fi", batch.w, gv, Gn)
-    contrib += penalty * np.einsum("fq,fq,fqi->fi", batch.w, gv, V)
+    x, w, [(e, V, Gn)] = _face_traces(mesh, basis, exactness, boundary=True)
+    wg = w * np.asarray(g(x.reshape(-1, 3)), dtype=float).reshape(w.shape)
+    contrib = spec.epsilon * np.einsum("fq,fqi->fi", wg, Gn)
+    contrib += penalty * np.einsum("fq,fqi->fi", wg, V)
     np.add.at(b.reshape(mesh.n_elements, nb), e, contrib)
     return b
 

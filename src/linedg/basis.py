@@ -7,6 +7,7 @@ Vandermonde matrix; conditioning is fine for the low degrees used here.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -121,6 +122,11 @@ class QuadRule:
     weights: np.ndarray  # (n,)
     exactness: int
 
+    def __post_init__(self):
+        # rules are cached and shared, so their arrays refuse writes
+        self.points.setflags(write=False)
+        self.weights.setflags(write=False)
+
     @property
     def n(self):
         return self.points.shape[0]
@@ -151,6 +157,7 @@ def _check_exactness(min_exactness):
     return max(int(min_exactness), 0)
 
 
+@lru_cache(maxsize=None)
 def segment_quadrature(min_exactness):
     """Gauss rule on [0,1] exact for polynomials of the given degree."""
     d = _check_exactness(min_exactness)
@@ -159,6 +166,7 @@ def segment_quadrature(min_exactness):
     return QuadRule(points=x[:, None], weights=w, exactness=2 * m - 1)
 
 
+@lru_cache(maxsize=None)
 def tri_quadrature(min_exactness):
     """Conical-product rule on the reference triangle (weights sum to 1/2)."""
     d = _check_exactness(min_exactness)
@@ -172,6 +180,7 @@ def tri_quadrature(min_exactness):
     return QuadRule(points=np.column_stack([x, y]), weights=w, exactness=d)
 
 
+@lru_cache(maxsize=None)
 def tet_quadrature(min_exactness):
     """Conical-product rule on the reference tetrahedron (weights sum to 1/6)."""
     d = _check_exactness(min_exactness)
@@ -246,11 +255,3 @@ def push_gradients(ref_grads, Jinv):
     ``ref_grads``: (..., nb, 3); ``Jinv``: broadcastable (..., 3, 3).
     """
     return np.einsum("...im,...md->...id", ref_grads, Jinv)
-
-
-def tet_volume(tet_coords):
-    """Signed-volume magnitude |(b-a).((c-a)x(d-a))| / 6 for (..., 4, 3)."""
-    tc = np.asarray(tet_coords, dtype=float)
-    a = tc[..., 0, :]
-    m = np.stack([tc[..., 1, :] - a, tc[..., 2, :] - a, tc[..., 3, :] - a], axis=-2)
-    return np.abs(np.linalg.det(m)) / 6.0

@@ -4,7 +4,9 @@ The schema is strict: unknown keys are rejected, and every semantic error
 reports the file line it came from.
 """
 
+import ast
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +24,46 @@ _EXPR_NAMES = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
     "sqrt": np.sqrt, "abs": np.abs, "pi": math.pi, "e": math.e,
 }
+
+
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _compile_expr(text, variables):
+    """Evaluator env -> value of an arithmetic expression, and the names it uses.
+
+    Only numbers, + - * / **, the given variables, the constants of
+    ``_EXPR_NAMES`` and calls to its functions are accepted, so an
+    expression reaches no other Python object; anything else raises
+    ConfigError.
+    """
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as err:
+        raise ConfigError(f"invalid expression {text!r}: {err.msg}") from None
+    names = set(variables) | {k for k, v in _EXPR_NAMES.items() if not callable(v)}
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return lambda env: node.value
+        if isinstance(node, ast.Name) and node.id in names:
+            return lambda env: env[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            op, left, right = _BINOPS[type(node.op)], build(node.left), build(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNOPS:
+            op, arg = _UNOPS[type(node.op)], build(node.operand)
+            return lambda env: op(arg(env))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and callable(_EXPR_NAMES.get(node.func.id)) and not node.keywords):
+            fn, args = _EXPR_NAMES[node.func.id], [build(a) for a in node.args]
+            return lambda env: fn(*(a(env) for a in args))
+        raise ConfigError(f"{ast.unparse(node)!r} is not allowed in expression {text!r}")
+
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return build(tree.body), used
 
 
 class _Node:
@@ -69,14 +111,19 @@ def _expect_map(node, source, allowed, context):
     return node.value
 
 
-def _get(mapping, key):
-    return mapping.get(key)
-
-
 def _scalar(node, source, types, context):
     if not isinstance(node.value, types):
         _err(node, source, f"{context} has wrong type (got {type(node.value).__name__})")
     return node.value
+
+
+def _expression(node, source, variables, context):
+    text = _scalar(node, source, str, context)
+    try:
+        _compile_expr(text, variables)
+    except ConfigError as err:
+        _err(node, source, f"{context}: {err}")
+    return text
 
 
 def _triple(node, source, context):
@@ -121,16 +168,14 @@ class SourceSpec:
         if self.kind == "constant":
             v = float(self.value)
             return (lambda t, s: np.full_like(np.asarray(s, dtype=float), v)), False
-        code = compile(self.expr, "<source expr>", "eval")
-        depends_on_t = "t" in code.co_names
+        expr, used = _compile_expr(self.expr, ("s", "t"))
 
         def fn(t, s):
             s = np.asarray(s, dtype=float)
-            env = dict(_EXPR_NAMES, s=s, t=t)
-            out = eval(code, {"__builtins__": {}}, env)
+            out = expr(dict(_EXPR_NAMES, s=s, t=t))
             return np.broadcast_to(np.asarray(out, dtype=float), s.shape).copy()
 
-        return fn, depends_on_t
+        return fn, "t" in used
 
 
 @dataclass(frozen=True)
@@ -141,12 +186,11 @@ class InitialSpec:
     def build(self):
         if self.kind == "zero":
             return lambda p: np.zeros(p.shape[0])
-        code = compile(self.expr, "<initial expr>", "eval")
+        expr, _ = _compile_expr(self.expr, ("x", "y", "z"))
 
         def fn(p):
             p = np.asarray(p, dtype=float)
-            env = dict(_EXPR_NAMES, x=p[:, 0], y=p[:, 1], z=p[:, 2])
-            out = eval(code, {"__builtins__": {}}, env)
+            out = expr(dict(_EXPR_NAMES, x=p[:, 0], y=p[:, 1], z=p[:, 2]))
             return np.broadcast_to(np.asarray(out, dtype=float), (p.shape[0],)).copy()
 
         return fn
@@ -257,7 +301,7 @@ def parse_config(text, source="<config>", base_dir=None):
                 _err(src_node, source, "source.expr required for expressions")
             source_spec = SourceSpec(
                 kind="expression",
-                expr=_scalar(src_map["expr"], source, str, "source.expr"),
+                expr=_expression(src_map["expr"], source, ("s", "t"), "source.expr"),
             )
         else:
             _err(src_node, source, f"source.kind must be constant or expression (got {skind!r})")
@@ -368,7 +412,10 @@ def parse_config(text, source="<config>", base_dir=None):
         elif ikind == "expression":
             if "expr" not in i_map:
                 _err(i_node, source, "initial.expr required for expressions")
-            initial = InitialSpec(kind="expression", expr=_scalar(i_map["expr"], source, str, "initial.expr"))
+            initial = InitialSpec(
+                kind="expression",
+                expr=_expression(i_map["expr"], source, ("x", "y", "z"), "initial.expr"),
+            )
         else:
             _err(i_node, source, f"initial.kind must be zero or expression (got {ikind!r})")
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis as _basis
+from .assembly import reference_mass
 from .errors import AssemblyError
 from .fields import FieldFunction
 
@@ -84,10 +85,7 @@ def clip_segment_tet(p0, p1, tet_coords):
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    _, _, jinv = _basis.tet_jacobian(tet_coords)
-    a = np.asarray(tet_coords, dtype=float)[0]
-    r0 = jinv @ (p0 - a)
-    r1 = jinv @ (p1 - a)
+    r0, r1 = _basis.to_reference(tet_coords, np.stack([p0, p1]))
     # barycentric coordinates affine in t: lam_i(t) = alpha_i + beta_i t >= 0
     alpha = np.concatenate([r0, [1.0 - r0.sum()]])
     beta = np.concatenate([r1 - r0, [-(r1 - r0).sum()]])
@@ -188,25 +186,34 @@ def build_restrictions(curve, mesh, length_tol_rel=1e-12):
     return out
 
 
-def distance_to_curve(points, curve):
-    """Exact distance from points to the polyline.
-
-    Accepts one point (3,) or many (n, 3); returns a float or an (n,) array.
-    """
-    arr = np.asarray(points, dtype=float)
-    pts = np.atleast_2d(arr)
+def nearest_segments(points, curve):
+    """Distance from points (n, 3) to the polyline and the nearest segment index."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     a = curve.points[:-1]
     d = curve.points[1:] - a
     dd = (d * d).sum(axis=1)
-    best = np.full(pts.shape[0], np.inf)
+    best = np.empty(pts.shape[0])
+    seg = np.empty(pts.shape[0], dtype=np.int64)
     chunk = max(1, int(2e7) // max(curve.n_segments, 1))
     for start in range(0, pts.shape[0], chunk):
         p = pts[start : start + chunk]
         diff = p[:, None, :] - a[None, :, :]
         t = np.clip(np.einsum("nsd,sd->ns", diff, d) / dd[None, :], 0.0, 1.0)
         proj = diff - t[:, :, None] * d[None, :, :]
-        best[start : start + chunk] = np.sqrt((proj ** 2).sum(-1)).min(axis=1)
-    return best if arr.ndim > 1 else float(best[0])
+        dist2 = (proj ** 2).sum(-1)
+        near = dist2.argmin(axis=1)
+        seg[start : start + chunk] = near
+        best[start : start + chunk] = np.sqrt(np.take_along_axis(dist2, near[:, None], axis=1)[:, 0])
+    return best, seg
+
+
+def distance_to_curve(points, curve):
+    """Exact distance from points to the polyline.
+
+    Accepts one point (3,) or many (n, 3); returns a float or an (n,) array.
+    """
+    best, _ = nearest_segments(points, curve)
+    return best if np.ndim(points) > 1 else float(best[0])
 
 
 def _as_arclength_fn(f):
@@ -231,16 +238,13 @@ def assemble_line_rhs(curve, f, mesh, basis, restrictions=None, exactness=None):
     tq = rule.points[:, 0]
     b = np.zeros(mesh.n_elements * basis.dim)
     for r in restrictions:
-        tc = mesh.tet_coords(r.element)
-        a = tc[0]
-        jinv = mesh.jac_invs[r.element]
         # quadrature points on every sub-segment at once
         x = r.starts[:, None, :] + tq[None, :, None] * (r.ends - r.starts)[:, None, :]
         s = r.arclengths[:, 0][:, None] + tq[None, :] * (
             r.arclengths[:, 1] - r.arclengths[:, 0]
         )[:, None]
-        ref = (x - a) @ jinv.T
-        vals = basis.eval(ref.reshape(-1, 3)).reshape(x.shape[0], tq.size, basis.dim)
+        ref = _basis.to_reference(mesh.tet_coords(r.element), x.reshape(-1, 3))
+        vals = basis.eval(ref).reshape(x.shape[0], tq.size, basis.dim)
         fw = np.asarray(f(s), dtype=float) * rule.weights[None, :] * r.lengths[:, None]
         b[r.element * basis.dim : (r.element + 1) * basis.dim] += np.einsum(
             "sq,sqi->i", fw, vals
@@ -251,22 +255,19 @@ def assemble_line_rhs(curve, f, mesh, basis, restrictions=None, exactness=None):
 def compute_fh_field(curve, f, mesh, basis, restrictions=None, exactness=None):
     """Elementwise L2 representative of the line functional.
 
-    On each crossed element the block mass matrix is solved against the
-    local line moments; all other elements are zero.
+    On each crossed element the block mass matrix (the reference mass
+    scaled by det J) is solved against the local line moments; all other
+    elements are zero.
     """
     if restrictions is None:
         restrictions = build_restrictions(curve, mesh)
     b = assemble_line_rhs(curve, f, mesh, basis, restrictions=restrictions, exactness=exactness)
-    rule = _basis.tet_quadrature(2 * basis.degree)
-    vals = basis.eval(rule.points)
-    mass_ref = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
+    elems = np.array([r.element for r in restrictions], dtype=np.int64)
+    moments = b.reshape(mesh.n_elements, basis.dim)[elems]
+    try:
+        local = np.linalg.solve(reference_mass(basis), moments.T).T
+    except np.linalg.LinAlgError as err:
+        raise AssemblyError("singular reference mass matrix") from err
     coeffs = np.zeros((mesh.n_elements, basis.dim))
-    for r in restrictions:
-        e = r.element
-        local = mass_ref * mesh.det_jacobians[e]
-        rhs = b[e * basis.dim : (e + 1) * basis.dim]
-        try:
-            coeffs[e] = np.linalg.solve(local, rhs)
-        except np.linalg.LinAlgError as err:
-            raise AssemblyError(f"singular local mass matrix on element {e}") from err
+    coeffs[elems] = local / mesh.det_jacobians[elems, None]
     return FieldFunction(mesh, basis, coeffs)

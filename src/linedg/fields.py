@@ -55,8 +55,7 @@ class FieldFunction:
     def grad_in_elements(self, elements, ref_points):
         """Physical gradients, shape (len(elements), q, 3)."""
         g = self.basis.grad(ref_points)  # (q, nb, 3)
-        jinv = self.mesh.jac_invs[elements]  # (n, 3, 3)
-        phys = np.einsum("qim,nmd->nqid", g, jinv)
+        phys = _basis.push_gradients(g[None], self.mesh.jac_invs[elements][:, None])
         return np.einsum("ni,nqid->nqd", self.coeffs[elements], phys)
 
     def evaluate(self, points):

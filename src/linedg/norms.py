@@ -9,7 +9,8 @@ one-sided jumps).
 import numpy as np
 
 from . import basis as _basis
-from .curve import distance_to_curve
+from .assembly import _face_traces
+from .curve import distance_to_curve, nearest_segments
 from .fields import WholeDomain, region_element_mask
 
 _SINGULAR_SNAP = 1e-12
@@ -24,26 +25,28 @@ def _element_quad_points(mesh, elements, rule):
 def _guard_points(points, curve, h):
     """Nudge quadrature points off the curve so singular integrands stay finite.
 
-    Points within 1e-12 of the curve move radially (against the nearest
-    curve direction) by 1e-10 * h, far below reported precision.
+    Points within 1e-12 of the curve move by 1e-10 * h orthogonally to their
+    nearest segment, far below reported precision.  The direction does not
+    depend on the curve's orientation: the coordinate axis least aligned with
+    the segment, projected onto the segment's normal plane.  Returns the
+    guarded points and their distances to the curve.
     """
     flat = points.reshape(-1, 3)
-    d = distance_to_curve(flat, curve)
-    close = d < _SINGULAR_SNAP
-    if not np.any(close):
-        return points
+    d, seg = nearest_segments(flat, curve)
+    close = np.flatnonzero(d < _SINGULAR_SNAP)
+    if close.size == 0:
+        return points, d.reshape(points.shape[:-1])
+    s = np.diff(curve.points, axis=0)[seg[close]]
+    s /= np.linalg.norm(s, axis=1)[:, None]
+    rows = np.arange(close.size)
+    axis = np.abs(s).argmin(axis=1)
+    radial = -s[rows, axis][:, None] * s
+    radial[rows, axis] += 1.0
+    radial /= np.linalg.norm(radial, axis=1)[:, None]
     flat = flat.copy()
-    for i in np.flatnonzero(close):
-        p = flat[i]
-        # a radial direction orthogonal to the nearest segment
-        seg = curve.points[1] - curve.points[0]
-        ref = np.array([1.0, 0.0, 0.0])
-        if abs(seg @ ref) > 0.9 * np.linalg.norm(seg):
-            ref = np.array([0.0, 1.0, 0.0])
-        radial = np.cross(seg, ref)
-        radial /= np.linalg.norm(radial)
-        flat[i] = p + _SINGULAR_PUSH * h * radial
-    return flat.reshape(points.shape)
+    flat[close] += _SINGULAR_PUSH * h * radial
+    d[close] = distance_to_curve(flat[close], curve)
+    return flat.reshape(points.shape), d.reshape(points.shape[:-1])
 
 
 def l2_error(field, exact, region=None, exactness=None, singular_curve=None):
@@ -63,7 +66,7 @@ def l2_error(field, exact, region=None, exactness=None, singular_curve=None):
     uh = field.eval_in_elements(elements, rule.points)  # (n, q)
     pts = _element_quad_points(mesh, elements, rule)
     if singular_curve is not None:
-        pts = _guard_points(pts, singular_curve, mesh.h)
+        pts, _ = _guard_points(pts, singular_curve, mesh.h)
     if callable(exact):
         ue = np.asarray(exact(pts.reshape(-1, 3)), dtype=float).reshape(uh.shape)
     else:
@@ -78,23 +81,14 @@ def _region_interior_faces(mesh, mask):
     return np.flatnonzero(both)
 
 
-def _face_quad_values(mesh, field, face_verts, elems, exactness):
-    """Face quadrature points, physical weights, and field traces per side."""
-    rule = _basis.tri_quadrature(exactness)
-    A = mesh.vertices[face_verts[:, 0]]
-    B = mesh.vertices[face_verts[:, 1]]
-    C = mesh.vertices[face_verts[:, 2]]
-    u = rule.points[:, 0][None, :, None]
-    v = rule.points[:, 1][None, :, None]
-    x = A[:, None, :] + u * (B - A)[:, None, :] + v * (C - A)[:, None, :]
-    traces = []
-    for e in elems:
-        a0 = mesh.vertices[mesh.tets[e, 0]]
-        jinv = mesh.jac_invs[e]
-        ref = np.einsum("fmd,fqd->fqm", jinv, x - a0[:, None, :])
-        vals = field.basis.eval(ref.reshape(-1, 3)).reshape(ref.shape[0], ref.shape[1], -1)
-        traces.append(np.einsum("fi,fqi->fq", field.coeffs[e], vals))
-    return x, rule.weights, traces
+def _face_jumps(field, exactness, boundary=False, sel=slice(None)):
+    """Face points, physical weights and the field's jump at face quadrature points.
+
+    On boundary faces the jump is the one-sided trace.
+    """
+    x, w, sides = _face_traces(field.mesh, field.basis, exactness, boundary, sel)
+    traces = [np.einsum("fi,fqi->fq", field.coeffs[e], V) for e, V, _ in sides]
+    return x, w, traces[0] - traces[1] if len(traces) == 2 else traces[0]
 
 
 def dg_energy_error(field, exact, exact_grad, sigma, region=None, exactness=None):
@@ -126,23 +120,15 @@ def dg_energy_error(field, exact, exact_grad, sigma, region=None, exactness=None
     w_jump = sigma / mesh.grid_spacing
     fsel = _region_interior_faces(mesh, mask)
     if fsel.size:
-        verts = mesh.iface_verts[fsel]
-        e1 = mesh.iface_elems[fsel, 0]
-        e2 = mesh.iface_elems[fsel, 1]
-        _, wq, traces = _face_quad_values(mesh, field, verts, (e1, e2), face_exactness)
-        jump = traces[0] - traces[1]
-        areas = mesh.iface_areas[fsel]
-        total += w_jump * np.einsum("fq,q,f->", jump ** 2, wq, 2.0 * areas)
+        _, w, jump = _face_jumps(field, face_exactness, sel=fsel)
+        total += w_jump * np.einsum("fq,fq->", jump ** 2, w)
     if region is None or isinstance(region, WholeDomain):
-        verts = mesh.bface_verts
-        e = mesh.bface_elem
-        x, wq, traces = _face_quad_values(mesh, field, verts, (e,), face_exactness)
-        jump = traces[0]
+        x, w, jump = _face_jumps(field, face_exactness, boundary=True)
         if callable(exact):
             jump = jump - np.asarray(exact(x.reshape(-1, 3)), dtype=float).reshape(jump.shape)
         elif exact:
             jump = jump - float(exact)
-        total += w_jump * np.einsum("fq,q,f->", jump ** 2, wq, 2.0 * mesh.bface_areas)
+        total += w_jump * np.einsum("fq,fq->", jump ** 2, w)
     return float(np.sqrt(total))
 
 
@@ -166,11 +152,10 @@ def weighted_l2_norm(field, curve, alpha, exact=None, region=None, exactness=Non
     rule = _basis.tet_quadrature(exactness)
     uh = field.eval_in_elements(elements, rule.points)
     pts = _element_quad_points(mesh, elements, rule)
-    pts = _guard_points(pts, curve, mesh.h)
+    pts, d = _guard_points(pts, curve, mesh.h)
     if exact is not None:
         ue = np.asarray(exact(pts.reshape(-1, 3)), dtype=float).reshape(uh.shape)
         uh = uh - ue
-    d = distance_to_curve(pts.reshape(-1, 3), curve).reshape(uh.shape)
     total = np.einsum(
         "nq,nq,q,n->", uh ** 2, d ** (2.0 * alpha), rule.weights,
         mesh.det_jacobians[elements],
@@ -195,11 +180,10 @@ def weighted_dg_norm(field, curve, alpha, sigma, exact=None, exact_grad=None, ex
     elements = np.arange(mesh.n_elements)
     gh = field.grad_in_elements(elements, rule.points)
     pts = _element_quad_points(mesh, elements, rule)
-    pts = _guard_points(pts, curve, mesh.h)
+    pts, d = _guard_points(pts, curve, mesh.h)
     if exact_grad is not None:
         ge = np.asarray(exact_grad(pts.reshape(-1, 3)), dtype=float).reshape(gh.shape)
         gh = gh - ge
-    d = distance_to_curve(pts.reshape(-1, 3), curve).reshape(gh.shape[:2])
     total = np.einsum(
         "nq,nq,q,n->", (gh ** 2).sum(-1), d ** (2.0 * alpha), rule.weights,
         mesh.det_jacobians,
@@ -207,23 +191,12 @@ def weighted_dg_norm(field, curve, alpha, sigma, exact=None, exact_grad=None, ex
 
     face_exactness = 2 * field.degree + 2
     w_jump = sigma / mesh.grid_spacing
-    verts = mesh.iface_verts
-    e1 = mesh.iface_elems[:, 0]
-    e2 = mesh.iface_elems[:, 1]
-    x, wq, traces = _face_quad_values(mesh, field, verts, (e1, e2), face_exactness)
-    jump = traces[0] - traces[1]
-    dfa = distance_to_curve(x.reshape(-1, 3), curve).reshape(jump.shape)
-    total += w_jump * np.einsum(
-        "fq,fq,q,f->", jump ** 2, dfa ** (2.0 * alpha), wq, 2.0 * mesh.iface_areas
-    )
-    x, wq, traces = _face_quad_values(mesh, field, mesh.bface_verts, (mesh.bface_elem,), face_exactness)
-    jump = traces[0]
-    if exact is not None:
-        jump = jump - np.asarray(exact(x.reshape(-1, 3)), dtype=float).reshape(jump.shape)
-    dfa = distance_to_curve(x.reshape(-1, 3), curve).reshape(jump.shape)
-    total += w_jump * np.einsum(
-        "fq,fq,q,f->", jump ** 2, dfa ** (2.0 * alpha), wq, 2.0 * mesh.bface_areas
-    )
+    for boundary in (False, True):
+        x, w, jump = _face_jumps(field, face_exactness, boundary)
+        if boundary and exact is not None:
+            jump = jump - np.asarray(exact(x.reshape(-1, 3)), dtype=float).reshape(jump.shape)
+        dfa = distance_to_curve(x.reshape(-1, 3), curve).reshape(jump.shape)
+        total += w_jump * np.einsum("fq,fq,fq->", jump ** 2, dfa ** (2.0 * alpha), w)
     return float(np.sqrt(total))
 
 

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis as _basis
-from .assembly import SparseSystem, assemble_mass, assemble_stiffness, assemble_volume_rhs
+from .assembly import (
+    SparseSystem, assemble_mass, assemble_stiffness, assemble_volume_rhs, reference_mass,
+)
 from .curve import assemble_line_rhs, build_restrictions
 from .fields import FieldFunction
 from .solver import SolverConfig, solve
@@ -93,12 +95,11 @@ def project_initial(u0, mesh, basis, exactness=None):
         exactness = 2 * basis.degree + 2
     rule = _basis.tet_quadrature(exactness)
     vals = basis.eval(rule.points)  # (q, nb)
-    mass_ref = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
     phys = _basis.map_to_physical(mesh.tet_coords(), rule.points)
     u0v = np.asarray(u0(phys.reshape(-1, 3)), dtype=float).reshape(mesh.n_elements, rule.n)
     rhs = np.einsum("q,eq,qi->ei", rule.weights, u0v, vals)
     # the affine scaling cancels: det_J * M_ref c = det_J * rhs_ref
-    coeffs = np.linalg.solve(mass_ref, rhs.T).T
+    coeffs = np.linalg.solve(reference_mass(basis), rhs.T).T
     return FieldFunction(mesh, basis, coeffs)
 
 

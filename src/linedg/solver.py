@@ -35,6 +35,7 @@ class SolveResult(NamedTuple):
     x: np.ndarray
     iterations: int
     residual: float
+    monitor: tuple = ()  # CG energy values per iteration, filled with ``debug``
 
 
 def make_preconditioner(system, kind):
@@ -80,11 +81,13 @@ def _check_symmetric(A, rng):
 def solve(system, b, config=None, x0=None, debug=False):
     """Solve system.matrix x = b.
 
-    Returns SolveResult(x, iterations, residual) with the true residual
-    ||Ax - b||_2 <= rel_tol * ||b||_2, or raises NonconvergenceError carrying
-    the best iterate.  With ``debug`` (CG only) the quadratic-form values
-    0.5 x^T A x - b^T x are recorded per iteration on ``solve.last_monitor``;
-    they decrease monotonically exactly when the energy-norm error does.
+    Returns SolveResult(x, iterations, residual, monitor) with the true
+    residual ||Ax - b||_2 <= rel_tol * ||b||_2, or raises NonconvergenceError
+    carrying the iterate with the smallest residual norm seen (judged by the
+    recurrence residual; the error's ``residual`` is its true residual).
+    With ``debug`` (CG only) ``monitor`` holds the quadratic-form values
+    0.5 x^T A x - b^T x per iteration; they decrease monotonically exactly
+    when the energy-norm error does.
     """
     config = config or SolverConfig()
     A = system.matrix
@@ -96,7 +99,6 @@ def solve(system, b, config=None, x0=None, debug=False):
 
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        solve.last_monitor = []
         return SolveResult(np.zeros_like(b), 0, 0.0)
     tol = config.rel_tol * bnorm
 
@@ -116,9 +118,9 @@ def _pcg(A, b, precond, tol, max_iter, x0, debug):
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
     monitor = []
-    if np.linalg.norm(r) <= tol:
-        solve.last_monitor = monitor
-        return SolveResult(x, 0, float(np.linalg.norm(r)))
+    best_x, best_res = x.copy(), float(np.linalg.norm(r))
+    if best_res <= tol:
+        return SolveResult(x, 0, best_res)
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)
@@ -126,8 +128,8 @@ def _pcg(A, b, precond, tol, max_iter, x0, debug):
         q = A @ p
         pq = float(p @ q)
         if not np.isfinite(pq) or pq <= 0.0:
-            _fail(x, A, b, it, "cg breakdown: non-positive curvature "
-                               "(matrix indefinite or penalty too small)")
+            _fail(best_x, A, b, it, "cg breakdown: non-positive curvature "
+                                    "(matrix indefinite or penalty too small)")
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
@@ -137,23 +139,27 @@ def _pcg(A, b, precond, tol, max_iter, x0, debug):
         if rnorm <= tol:
             true_res = float(np.linalg.norm(b - A @ x))
             if true_res <= tol:
-                solve.last_monitor = monitor
-                return SolveResult(x, it, true_res)
+                return SolveResult(x, it, true_res, tuple(monitor))
             r = b - A @ x  # recurrence drifted; refresh and continue
+            rnorm = true_res
+        if rnorm < best_res:
+            best_x[:] = x
+            best_res = rnorm
         z = precond(r)
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
-            _fail(x, A, b, it, "cg breakdown: NaN in inner product")
+            _fail(best_x, A, b, it, "cg breakdown: NaN in inner product")
         p = z + (rz_new / rz) * p
         rz = rz_new
-    _fail(x, A, b, max_iter, f"cg did not converge in {max_iter} iterations")
+    _fail(best_x, A, b, max_iter, f"cg did not converge in {max_iter} iterations")
 
 
 def _bicgstab(A, b, precond, tol, max_iter, x0):
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
-    if np.linalg.norm(r) <= tol:
-        return SolveResult(x, 0, float(np.linalg.norm(r)))
+    best_x, best_res = x.copy(), float(np.linalg.norm(r))
+    if best_res <= tol:
+        return SolveResult(x, 0, best_res)
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
@@ -161,39 +167,37 @@ def _bicgstab(A, b, precond, tol, max_iter, x0):
     for it in range(1, max_iter + 1):
         rho_new = float(r_hat @ r)
         if abs(rho_new) < 1e-300 or not np.isfinite(rho_new):
-            _fail(x, A, b, it, "bicgstab breakdown (rho ~ 0)")
+            _fail(best_x, A, b, it, "bicgstab breakdown (rho ~ 0)")
         beta = (rho_new / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
         ph = precond(p)
         v = A @ ph
         denom = float(r_hat @ v)
         if abs(denom) < 1e-300:
-            _fail(x, A, b, it, "bicgstab breakdown (r_hat . v ~ 0)")
+            _fail(best_x, A, b, it, "bicgstab breakdown (r_hat . v ~ 0)")
         alpha = rho_new / denom
         s = r - alpha * v
         if np.linalg.norm(s) <= tol:
             x = x + alpha * ph
-            true_res = float(np.linalg.norm(b - A @ x))
-            if true_res <= tol:
-                return SolveResult(x, it, true_res)
-            r = b - A @ x
-            rho = rho_new
-            continue
-        sh = precond(s)
-        t = A @ sh
-        tt = float(t @ t)
-        if tt == 0.0 or not np.isfinite(tt):
-            _fail(x, A, b, it, "bicgstab breakdown (t = 0)")
-        omega = float(t @ s) / tt
-        x = x + alpha * ph + omega * sh
-        r = s - omega * t
+            r = s
+        else:
+            sh = precond(s)
+            t = A @ sh
+            tt = float(t @ t)
+            if tt == 0.0 or not np.isfinite(tt):
+                _fail(best_x, A, b, it, "bicgstab breakdown (t = 0)")
+            omega = float(t @ s) / tt
+            x = x + alpha * ph + omega * sh
+            r = s - omega * t
         rho = rho_new
-        if np.linalg.norm(r) <= tol:
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= tol:
             true_res = float(np.linalg.norm(b - A @ x))
             if true_res <= tol:
                 return SolveResult(x, it, true_res)
             r = b - A @ x
-    _fail(x, A, b, max_iter, f"bicgstab did not converge in {max_iter} iterations")
-
-
-solve.last_monitor = []
+            rnorm = true_res
+        if rnorm < best_res:
+            best_x[:] = x
+            best_res = rnorm
+    _fail(best_x, A, b, max_iter, f"bicgstab did not converge in {max_iter} iterations")

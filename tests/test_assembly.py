@@ -4,6 +4,7 @@ import pytest
 from linedg import basis as fb
 from linedg.assembly import (
     DGSpec,
+    _face_traces,
     assemble_dg_norm_gram,
     assemble_dirichlet_rhs,
     assemble_jump_penalty,
@@ -183,3 +184,19 @@ def test_matrix_market_export(tmp_path):
 
     back = scipy.io.mmread(str(path))
     assert abs(back - sys_.matrix).max() < 1e-15
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_face_traces_match_pointwise_evaluation(k):
+    """Reference-table traces equal the basis mapped back from each face point."""
+    mesh = build_box_mesh(SLAB, (2, 2, 1))
+    basis = fb.make_basis(k)
+    for boundary, normals in ((False, mesh.iface_normals), (True, mesh.bface_normals)):
+        x, w, sides = _face_traces(mesh, basis, 2 * k + 2, boundary)
+        assert len(sides) == (1 if boundary else 2)
+        for elems, V, Gn in sides:
+            for f, e in enumerate(elems):
+                ref = fb.to_reference(mesh.tet_coords(e), x[f])
+                grads = fb.push_gradients(basis.grad(ref), mesh.jac_invs[e])
+                assert np.allclose(V[f], basis.eval(ref), rtol=0, atol=1e-12)
+                assert np.allclose(Gn[f], grads @ normals[f], rtol=0, atol=1e-12)

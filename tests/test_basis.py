@@ -88,6 +88,14 @@ def test_tri_quadrature_monomials():
             assert abs(approx - exact) < 1e-13 * max(abs(exact), 1e-30)
 
 
+def test_cached_rules_are_read_only():
+    for rule in (fb.segment_quadrature(5), fb.tri_quadrature(5), fb.tet_quadrature(5)):
+        for arr in (rule.points, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    assert fb.tet_quadrature(5) is fb.tet_quadrature(5)
+
+
 def test_segment_quadrature():
     rule = fb.segment_quadrature(2)
     assert abs(rule.weights.sum() - 1.0) < 1e-14

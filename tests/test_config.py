@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -134,3 +136,29 @@ def test_load_config_reports_path(tmp_path):
     path.write_text(MINIMAL + "degree: [what]\n")
     with pytest.raises(ConfigError, match="bad.yaml"):
         load_config(path)
+
+
+@pytest.mark.parametrize("expr", ["().__class__", "__import__('os')", "sin.__name__"])
+def test_expression_outside_whitelist_rejected_with_line(expr):
+    text = MINIMAL + f'source: {{kind: expression, expr: "{expr}"}}\n'
+    with pytest.raises(ConfigError, match=r"<config>:9: .*not allowed"):
+        parse_config(text)
+
+
+def test_expression_syntax_error_reported_at_load(tmp_path):
+    path = tmp_path / "heat.yaml"
+    path.write_text(
+        MINIMAL + "mode: parabolic\ntime: {final: 1.0, steps: 2}\n"
+        "initial:\n  kind: expression\n  expr: 'sin(x +'\n"
+    )
+    with pytest.raises(ConfigError, match=r"heat.yaml:13: initial.expr: invalid expression"):
+        load_config(path)
+
+
+def test_shipped_configs_load():
+    for path in sorted((Path(__file__).parent.parent / "configs").glob("*.yaml")):
+        cfg = load_config(path)
+        if cfg.source.kind == "expression":
+            cfg.source.build()
+        if cfg.initial.kind == "expression":
+            cfg.initial.build()

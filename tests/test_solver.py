@@ -75,6 +75,25 @@ def test_nonconvergence_carries_best_iterate():
     assert err.residual is not None and err.residual > 0
 
 
+@pytest.mark.parametrize("method", ["cg", "bicgstab"])
+def test_nonconvergence_returns_best_iterate(method):
+    """With a non-monotone residual, the failure carries the best iterate so far."""
+    rng = np.random.default_rng(8)
+    M = rng.standard_normal((30, 30))
+    D = np.diag(np.logspace(0, 3, 30))
+    A = D @ (M @ M.T + 0.1 * np.eye(30)) @ D
+    b = rng.standard_normal(30)
+    residuals = []
+    for n in range(1, 25):
+        with pytest.raises(NonconvergenceError) as info:
+            solve(as_system(A), b, SolverConfig(method=method, rel_tol=1e-14, max_iter=n,
+                                                preconditioner="jacobi"))
+        err = info.value
+        assert np.isclose(err.residual, np.linalg.norm(b - A @ err.best_x), rtol=1e-12)
+        residuals.append(err.residual)
+    assert np.all(np.array(residuals) <= np.minimum.accumulate(residuals))
+
+
 def test_indefinite_matrix_reports_breakdown():
     A = np.diag([1.0, -1.0, 2.0])
     with pytest.raises(NonconvergenceError):
@@ -101,8 +120,8 @@ def test_debug_monitor_energy_monotone():
     system = assemble_stiffness(mesh, DGSpec.default(1), basis)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(system.ndof)
-    solve(system, b, SolverConfig(rel_tol=1e-11), debug=True)
-    phi = np.array(solve.last_monitor)
+    res = solve(system, b, SolverConfig(rel_tol=1e-11), debug=True)
+    phi = np.array(res.monitor)
     assert phi.size > 2
     assert np.all(np.diff(phi) <= 1e-9 * np.abs(phi[:-1]).max())
 
