@@ -1,9 +1,11 @@
 """Interior penalty DG assembly: stiffness, mass, and boundary lifting.
 
 Degrees of freedom are blocked per element (block size = dim of the local
-polynomial space); ``dof = element * block_size + local_index``.  The jump
-penalty uses the global mesh size h, which matches the quasi-uniform grids
-built here.
+polynomial space); ``dof = element * block_size + local_index``.  Every
+operator is a BSR matrix on one block pattern: per element its diagonal
+block and one block per interior face.  The jump penalty scales with the
+smallest grid pitch ``mesh.grid_spacing``, which matches the quasi-uniform
+grids built here.
 """
 
 from dataclasses import dataclass
@@ -57,9 +59,9 @@ class DGSpec:
 
 @dataclass
 class SparseSystem:
-    """CSR operator over element-blocked DoFs."""
+    """BSR operator over element-blocked DoFs, one (nb, nb) block per element pair."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.bsr_matrix
     block_size: int
     symmetric: bool = False
 
@@ -82,40 +84,14 @@ _FACE_CHUNK = 16384
 
 
 def _volume_grad_gram(mesh, basis):
-    """COO data of the broken gradient term, sum_E (grad u, grad v)_E."""
+    """Element blocks (ne, nb, nb) of the broken gradient term, sum_E (grad u, grad v)_E."""
     rule = _basis.tet_quadrature(2 * basis.degree)
     g = basis.grad(rule.points)  # (q, nb, 3)
     # S[m, n, i, j] = sum_q w_q dphi_i/dxi_m dphi_j/dxi_n
     S = np.einsum("q,qim,qjn->mnij", rule.weights, g, g)
     jinv = mesh.jac_invs
     C = np.einsum("emd,end->emn", jinv, jinv)
-    blocks = np.einsum("emn,mnij->eij", C, S) * mesh.det_jacobians[:, None, None]
-    e = np.arange(mesh.n_elements, dtype=np.int64)
-    return _block_coo(e, e, blocks, basis.dim)
-
-
-def _block_coo(elem_rows, elem_cols, blocks, nb):
-    """COO triplets for dense (nb, nb) blocks between element pairs."""
-    n = elem_rows.shape[0]
-    i = np.arange(nb, dtype=np.int64)
-    rows = np.broadcast_to(
-        (elem_rows[:, None, None] * nb + i[None, :, None]), (n, nb, nb)
-    ).ravel()
-    cols = np.broadcast_to(
-        (elem_cols[:, None, None] * nb + i[None, None, :]), (n, nb, nb)
-    ).ravel()
-    return rows, cols, blocks.reshape(-1)
-
-
-def _coo_to_csr(parts, ndof):
-    """Sum an iterable of COO triplets (rows, cols, vals) into one CSR matrix."""
-    rows, cols, vals = zip(*parts)
-    # the concatenated int64 indices are not kept: scipy narrows them to its
-    # own index type, and holding both would raise the assembly memory peak
-    coo = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(ndof, ndof)
-    )
-    return coo.tocsr()
+    return np.einsum("emn,mnij->eij", C, S) * mesh.det_jacobians[:, None, None]
 
 
 def _face_traces(mesh, basis, exactness, boundary=False, sel=slice(None)):
@@ -158,16 +134,17 @@ def _face_traces(mesh, basis, exactness, boundary=False, sel=slice(None)):
 
 
 def _face_term_blocks(mesh, basis, consistency, epsilon, penalty):
-    """COO triplets of the face part of a penalized bilinear form, all faces.
+    """Element blocks of the face part of a penalized bilinear form, all faces.
 
-    Each element-pair block adds into rows of the test side and columns of
-    the trial side:
+    Yields (faces, b, a, elements, blk) per face chunk and pair of sides:
+    blk (f, nb, nb) couples test functions of side b, on ``elements``, with
+    trial functions of side a.  Interior faces have sides 0 and 1 (first and
+    second element), boundary faces side 0 only.
       - consistency  -consistency ({grad u}.n) [v]
       - symmetrizing +epsilon ({grad v}.n) [u]
       - penalty      +penalty [u][v]
     Boundary faces use one-sided traces.
     """
-    nb = basis.dim
     exactness = 2 * basis.degree + 1
     for boundary, signs, factors, nf in (
         (False, (1.0, -1.0), (0.5, 0.5), mesh.iface_elems.shape[0]),
@@ -179,11 +156,40 @@ def _face_term_blocks(mesh, basis, consistency, epsilon, penalty):
             weighted = [(w[:, :, None] * V).transpose(0, 2, 1) for _, V, _ in sides]
             weighted_n = [(w[:, :, None] * Gn).transpose(0, 2, 1) for _, _, Gn in sides]
             for b, (eb, _, _) in enumerate(sides):
-                for a, (ea, Va, Gna) in enumerate(sides):
+                for a, (_, Va, Gna) in enumerate(sides):
                     blk = (-consistency * signs[b] * factors[a]) * (weighted[b] @ Gna)
                     blk += (epsilon * signs[a] * factors[b]) * (weighted_n[b] @ Va)
                     blk += (penalty * signs[a] * signs[b]) * (weighted[b] @ Va)
-                    yield _block_coo(eb, ea, blk, nb)
+                    yield sl, b, a, eb, blk
+
+
+def _blocked_system(mesh, basis, volume, face_form=None, symmetric=True):
+    """SparseSystem of diagonal ``volume`` blocks plus the face part of a form.
+
+    ``volume`` is (ne, nb, nb) or 0.0; ``face_form`` is (consistency,
+    epsilon, penalty) of ``_face_term_blocks`` or None.  Block row e holds the diagonal block and one block per interior
+    face of e, columns sorted; ``slot[j]`` is the data position of pair j of
+    [(e, e) per element, (e0, e1) per interior face, (e1, e0) per interior
+    face].  Diagonal blocks collect several faces and are summed with
+    ``np.add.at``; each interior face owns its two off-diagonal blocks.
+    """
+    ne, nf, nb = mesh.n_elements, mesh.iface_elems.shape[0], basis.dim
+    e, (e0, e1) = np.arange(ne), mesh.iface_elems.T
+    rows, cols = np.concatenate([e, e0, e1]), np.concatenate([e, e1, e0])
+    order = np.lexsort((cols, rows))
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    data = np.zeros((order.size, nb, nb))
+    data[slot[:ne]] = volume
+    if face_form is not None:
+        for faces, b, a, eb, blk in _face_term_blocks(mesh, basis, *face_form):
+            if a == b:
+                np.add.at(data, slot[eb], blk)
+            else:
+                data[slot[ne + b * nf + np.arange(faces.start, faces.stop)]] = blk
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ne))])
+    mat = sp.bsr_matrix((data, cols[order], indptr), shape=(ne * nb, ne * nb))
+    return SparseSystem(matrix=mat, block_size=nb, symmetric=symmetric)
 
 
 def assemble_stiffness(mesh, spec, basis):
@@ -191,10 +197,10 @@ def assemble_stiffness(mesh, spec, basis):
     if basis.degree != spec.k:
         raise ValueError("basis degree and spec.k disagree")
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
-    parts = [_volume_grad_gram(mesh, basis)]
-    parts += _face_term_blocks(mesh, basis, 1.0, spec.epsilon, penalty)
-    mat = _coo_to_csr(parts, mesh.n_elements * basis.dim)
-    return SparseSystem(matrix=mat, block_size=basis.dim, symmetric=(spec.epsilon == -1))
+    return _blocked_system(
+        mesh, basis, _volume_grad_gram(mesh, basis), (1.0, spec.epsilon, penalty),
+        symmetric=(spec.epsilon == -1),
+    )
 
 
 def reference_mass(basis):
@@ -205,26 +211,21 @@ def reference_mass(basis):
 
 
 def assemble_mass(mesh, basis):
-    """Block-diagonal broken mass matrix (affine elements share one block)."""
-    nb = basis.dim
+    """Broken mass matrix: det J times the reference block; face blocks stay zero."""
     blocks = reference_mass(basis)[None, :, :] * mesh.det_jacobians[:, None, None]
-    e = np.arange(mesh.n_elements, dtype=np.int64)
-    mat = _coo_to_csr([_block_coo(e, e, blocks, nb)], mesh.n_elements * nb)
-    return SparseSystem(matrix=mat, block_size=nb, symmetric=True)
+    return _blocked_system(mesh, basis, blocks)
 
 
 def assemble_jump_penalty(mesh, basis, weight):
     """Jump bilinear form weight * sum_faces (jump u, jump v), boundary included."""
-    mat = _coo_to_csr(_face_term_blocks(mesh, basis, 0.0, 0.0, weight), mesh.n_elements * basis.dim)
-    return SparseSystem(matrix=mat, block_size=basis.dim, symmetric=True)
+    return _blocked_system(mesh, basis, 0.0, (0.0, 0.0, weight))
 
 
 def assemble_dg_norm_gram(mesh, basis, sigma):
     """Gram matrix of the broken energy norm: v^T G v = ||v||_DG^2."""
-    parts = [_volume_grad_gram(mesh, basis)]
-    parts += _face_term_blocks(mesh, basis, 0.0, 0.0, sigma / mesh.grid_spacing)
-    mat = _coo_to_csr(parts, mesh.n_elements * basis.dim)
-    return SparseSystem(matrix=mat, block_size=basis.dim, symmetric=True)
+    return _blocked_system(
+        mesh, basis, _volume_grad_gram(mesh, basis), (0.0, 0.0, sigma / mesh.grid_spacing)
+    )
 
 
 def assemble_dirichlet_rhs(mesh, spec, basis, g, exactness=None):

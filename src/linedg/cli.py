@@ -75,7 +75,7 @@ def _solve_level(cfg, n, curve, exact):
         "assembly_seconds": round(t_assembly, 3),
         "solve_seconds": round(t_solve, 3),
     }
-    return mesh, basis, spec, field, info
+    return mesh, basis, field, info
 
 
 def _error_columns(cfg, mesh, field, curve, exact, exact_grad):
@@ -122,7 +122,7 @@ def run_elliptic(cfg, out_dir, vtk=True):
     curve = cfg.build_curve()
     exact, exact_grad = _exact_pair(cfg, curve)
     n = cfg.levels[0]
-    mesh, basis, spec, field, info = _solve_level(cfg, n, curve, exact)
+    mesh, basis, field, info = _solve_level(cfg, n, curve, exact)
     cols = _error_columns(cfg, mesh, field, curve, exact, exact_grad)
     header = ["k", "h", "n_dof"] + [name for name, _ in cols]
     row = [cfg.degree, mesh.h, info["n_dof"]] + [v for _, v in cols]
@@ -148,7 +148,7 @@ def run_study(cfg, out_dir, vtk=False):
 
     hs, level_cols, infos = [], [], []
     for n in cfg.levels:
-        mesh, basis, spec, field, info = _solve_level(cfg, n, curve, exact)
+        mesh, basis, field, info = _solve_level(cfg, n, curve, exact)
         hs.append(mesh.h)
         level_cols.append(_error_columns(cfg, mesh, field, curve, exact, exact_grad))
         infos.append(info)
@@ -197,9 +197,7 @@ def run_study(cfg, out_dir, vtk=False):
 def _check_rate_assertions(cfg, names, rates):
     violations = []
     for a in cfg.assert_rates:
-        col = {
-            ("l2", "global"): "err_L2_global",
-        }.get((a.norm, a.region), f"err_{'L2' if a.norm == 'l2' else 'DG'}_{a.region}")
+        col = f"err_{'L2' if a.norm == 'l2' else 'DG'}_{a.region}"
         if col not in names:
             violations.append(f"{col}: column not measured (exact solution off?)")
             continue

@@ -7,12 +7,13 @@ reports the file line it came from.
 import ast
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from .assembly import DGSpec
 from .curve import Curve
 from .errors import ConfigError
 from .fields import Box
@@ -306,18 +307,20 @@ def parse_config(text, source="<config>", base_dir=None):
         else:
             _err(src_node, source, f"source.kind must be constant or expression (got {skind!r})")
 
-    degree = int(_scalar(require("degree"), source, int, "degree"))
+    degree_node = require("degree")
+    degree = int(_scalar(degree_node, source, int, "degree"))
 
     scheme_node = top.get("scheme")
-    epsilon, sigma, beta = -1, {1: 5.0, 2: 12.0}.get(degree, 12.0), 1.0
+    scheme = {}
     if scheme_node is not None:
         scheme = _expect_map(scheme_node, source, ("epsilon", "sigma", "beta"), "scheme")
-        if "epsilon" in scheme:
-            epsilon = int(_scalar(scheme["epsilon"], source, int, "scheme.epsilon"))
-        if "sigma" in scheme:
-            sigma = float(_scalar(scheme["sigma"], source, (int, float), "scheme.sigma"))
-        if "beta" in scheme:
-            beta = float(_scalar(scheme["beta"], source, (int, float), "scheme.beta"))
+    given = {key: _scalar(node, source, int if key == "epsilon" else (int, float), f"scheme.{key}")
+             for key, node in scheme.items()}
+    try:
+        spec = DGSpec.default(degree, given.pop("epsilon", -1))
+        spec = replace(spec, **{key: float(value) for key, value in given.items()})
+    except ValueError as err:
+        _err(scheme_node or degree_node, source, str(err))
 
     levels = []
     if "levels" in top:
@@ -455,7 +458,7 @@ def parse_config(text, source="<config>", base_dir=None):
 
     return StudyConfig(
         domain=domain, curve=curve, source=source_spec, degree=degree,
-        epsilon=epsilon, sigma=sigma, beta=beta, levels=tuple(levels),
+        epsilon=spec.epsilon, sigma=spec.sigma, beta=spec.beta, levels=tuple(levels),
         regions=regions, exact=exact, solver=solver, mode=mode,
         final_time=final_time, steps=steps, initial=initial,
         snapshot_every=snapshot_every, assert_rates=tuple(assertions),

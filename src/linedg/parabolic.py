@@ -13,7 +13,8 @@ import numpy as np
 
 from . import basis as _basis
 from .assembly import (
-    SparseSystem, assemble_mass, assemble_stiffness, assemble_volume_rhs, reference_mass,
+    SparseSystem, assemble_dg_norm_gram, assemble_mass, assemble_stiffness, assemble_volume_rhs,
+    reference_mass,
 )
 from .curve import assemble_line_rhs, build_restrictions
 from .fields import FieldFunction
@@ -139,11 +140,7 @@ def run_backward_euler(
 
     A = assemble_stiffness(mesh, spec, basis)
     M = assemble_mass(mesh, basis)
-    S = SparseSystem(
-        matrix=(M.matrix + tau * A.matrix).tocsr(),
-        block_size=A.block_size,
-        symmetric=A.symmetric,
-    )
+    S = SparseSystem(M.matrix + tau * A.matrix, A.block_size, A.symmetric)
 
     fn, f_dep = _canonical_source(f, f_time_dependent)
     restrictions = None
@@ -185,8 +182,6 @@ def step_diagnostics(series, sigma):
     Returns a list of dict rows (n, t, l2, dg, increment_sq_sum) where the
     accumulator is sum_{m<=n} ||u^m - u^{m-1}||_{L2}^2.
     """
-    from .assembly import assemble_dg_norm_gram, assemble_mass
-
     mesh, basis = series.mesh, series.basis
     M = assemble_mass(mesh, basis).matrix
     G = assemble_dg_norm_gram(mesh, basis, sigma).matrix

@@ -2,7 +2,7 @@
 
 Hand-rolled CG / BiCGStab so the result contract (best iterate on failure,
 iteration count, achieved residual) and the debug energy monitor are under
-our control; matrix-vector products go through scipy CSR.
+our control; matrix-vector products go through scipy BSR.
 """
 
 from dataclasses import dataclass
@@ -51,14 +51,11 @@ def make_preconditioner(system, kind):
         return lambda x: dinv * x
     nb = system.block_size
     nblocks = system.n_blocks
-    bsr = A.tobsr(blocksize=(nb, nb))
+    bsr = A.tobsr(blocksize=(nb, nb))  # no copy for the assembled operators
+    rows = np.repeat(np.arange(nblocks), np.diff(bsr.indptr))
+    on_diag = bsr.indices == rows
     blocks = np.zeros((nblocks, nb, nb))
-    indptr, indices, data = bsr.indptr, bsr.indices, bsr.data
-    for row in range(nblocks):
-        sl = slice(indptr[row], indptr[row + 1])
-        hit = np.flatnonzero(indices[sl] == row)
-        if hit.size:
-            blocks[row] = data[sl][hit[0]]
+    blocks[rows[on_diag]] = bsr.data[on_diag]
     try:
         inv = np.linalg.inv(blocks)
     except np.linalg.LinAlgError as err:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from linedg import basis as fb
 from linedg.assembly import (
@@ -92,6 +93,30 @@ def test_penalty_scaling_isolated():
     assert abs((A2 - A1) - P).max() < 1e-12 * abs(A1).max()
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_operators_are_element_blocked_bsr(k):
+    """Each block row holds its diagonal block and one block per interior face."""
+    mesh = build_box_mesh(SLAB, (2, 2, 1))
+    basis = fb.make_basis(k)
+    systems = [assemble_stiffness(mesh, DGSpec.default(k, eps), basis) for eps in (-1, 0, 1)]
+    systems += [
+        assemble_jump_penalty(mesh, basis, 1.0),
+        assemble_dg_norm_gram(mesh, basis, 12.0),
+        assemble_mass(mesh, basis),
+    ]
+    columns = [[e] for e in range(mesh.n_elements)]
+    for e0, e1 in mesh.iface_elems:
+        columns[e0].append(e1)
+        columns[e1].append(e0)
+    for system in systems:
+        A = system.matrix
+        assert isinstance(A, sp.bsr_matrix)
+        assert A.blocksize == (basis.dim, basis.dim)
+        assert A.has_canonical_format
+        for e, cols in enumerate(columns):
+            assert A.indices[A.indptr[e] : A.indptr[e + 1]].tolist() == sorted(cols)
+
+
 def test_mass_matrix_closed_form():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
@@ -100,7 +125,7 @@ def test_mass_matrix_closed_form():
     assert abs(ones @ (M.matrix @ ones) - SLAB.volume) < 1e-12
     # first element block against the classical P1 tet mass matrix
     vol = mesh.volumes[0]
-    block = M.matrix[:4, :4].toarray()
+    block = M.matrix.tocsr()[:4, :4].toarray()
     expected = (vol / 20.0) * (np.ones((4, 4)) + np.eye(4))
     assert np.allclose(block, expected, atol=1e-14)
 
@@ -110,7 +135,7 @@ def test_mass_blocks_spd():
     basis = fb.make_basis(2)
     M = assemble_mass(mesh, basis)
     for e in range(0, mesh.n_elements, 7):
-        block = M.matrix[e * 10 : (e + 1) * 10, e * 10 : (e + 1) * 10].toarray()
+        block = M.matrix.tocsr()[e * 10 : (e + 1) * 10, e * 10 : (e + 1) * 10].toarray()
         np.linalg.cholesky(block)  # raises if not SPD
 
 

@@ -99,6 +99,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["epsilon: 2", "sigma: 0.5"])
+def test_study_invalid_scheme_is_config_error(tmp_path, capsys, scheme):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(SMALL_STUDY + f"scheme:\n  {scheme}\n")
+    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    line = SMALL_STUDY.count("\n") + 2  # the scheme mapping starts below "scheme:"
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+
+
 def test_deterministic_study_csv(tmp_path):
     cfg = parse_config(SMALL_STUDY)
     run_study(cfg, tmp_path / "a")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from linedg.assembly import DGSpec
 from linedg.config import config_to_dict, load_config, parse_config
 from linedg.errors import ConfigError
 
@@ -27,6 +28,16 @@ def test_minimal_config():
     assert cfg.exact == "none"
     curve = cfg.build_curve()
     assert abs(curve.length - 0.25) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "degree,scheme", [(3, ""), (1, "scheme: {epsilon: 0}"), (2, "scheme: {epsilon: 1, sigma: 30}")]
+)
+def test_omitted_scheme_values_follow_dgspec_default(degree, scheme):
+    cfg = parse_config(MINIMAL.replace("degree: 1", f"degree: {degree}") + scheme)
+    default = DGSpec.default(degree, cfg.epsilon)
+    assert cfg.sigma == (30.0 if "sigma" in scheme else default.sigma)
+    assert cfg.beta == default.beta
 
 
 def test_unknown_keys_rejected_with_line():

@@ -7,7 +7,7 @@ from linedg.assembly import DGSpec, SparseSystem, assemble_stiffness
 from linedg.curve import Curve, assemble_line_rhs
 from linedg.errors import NonconvergenceError
 from linedg.mesh import BoxDomain, build_box_mesh
-from linedg.solver import SolverConfig, solve
+from linedg.solver import SolverConfig, make_preconditioner, solve
 
 SLAB = BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25])
 
@@ -190,6 +190,27 @@ def test_block_jacobi_speeds_up():
     plain = solve(system, b, SolverConfig(rel_tol=1e-10, preconditioner="none"))
     prec = solve(system, b, SolverConfig(rel_tol=1e-10, preconditioner="block_jacobi"))
     assert prec.iterations < plain.iterations
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_block_jacobi_same_on_bsr_and_csr(k):
+    """Block-Jacobi on the assembled BSR, on its CSR copy and from dense blocks agree."""
+    mesh = build_box_mesh(SLAB, (2, 2, 1))
+    system = assemble_stiffness(mesh, DGSpec.default(k), fb.make_basis(k))
+    nb = system.block_size
+    csr = SparseSystem(system.matrix.tocsr(), nb, system.symmetric)
+    on_bsr = make_preconditioner(system, "block_jacobi")
+    on_csr = make_preconditioner(csr, "block_jacobi")
+    dense = system.matrix.toarray()
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        x = rng.standard_normal(system.ndof)
+        ref = np.concatenate([
+            np.linalg.solve(dense[s : s + nb, s : s + nb], x[s : s + nb])
+            for s in range(0, system.ndof, nb)
+        ])
+        assert np.array_equal(on_bsr(x), on_csr(x))
+        assert np.allclose(on_bsr(x), ref, rtol=1e-12, atol=0)
 
 
 def test_dimension_mismatch():
