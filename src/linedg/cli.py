@@ -16,7 +16,7 @@ import yaml
 
 from . import __version__
 from . import basis as _basis
-from .assembly import DGSpec, assemble_dirichlet_rhs, assemble_stiffness
+from .assembly import assemble_dirichlet_rhs, assemble_stiffness
 from .config import config_to_dict, load_config
 from .curve import assemble_line_rhs, build_restrictions
 from .errors import ConfigError
@@ -55,14 +55,13 @@ def _solve_level(cfg, n, curve, exact):
     """Assemble and solve one elliptic level; returns (mesh, basis, field, info)."""
     mesh = build_box_mesh(cfg.domain, n)
     basis = _basis.make_basis(cfg.degree)
-    spec = DGSpec(k=cfg.degree, epsilon=cfg.epsilon, sigma=cfg.sigma, beta=cfg.beta)
     t0 = time.perf_counter()
-    system = assemble_stiffness(mesh, spec, basis)
+    system = assemble_stiffness(mesh, cfg.scheme, basis)
     f_fn, _ = cfg.source.build()
     restrictions = build_restrictions(curve, mesh)
     rhs = assemble_line_rhs(curve, lambda s: f_fn(0.0, s), mesh, basis, restrictions=restrictions)
     if exact is not None:
-        rhs = rhs + assemble_dirichlet_rhs(mesh, spec, basis, exact)
+        rhs = rhs + assemble_dirichlet_rhs(mesh, cfg.scheme, basis, exact)
     t_assembly = time.perf_counter() - t0
     t0 = time.perf_counter()
     res = solve(system, rhs, cfg.solver)
@@ -89,7 +88,7 @@ def _error_columns(cfg, mesh, field, curve, exact, exact_grad):
     for name, box in cfg.regions.items():
         cols.append(
             (f"err_DG_{name}",
-             dg_energy_error(field, exact, exact_grad, sigma=cfg.sigma, region=box))
+             dg_energy_error(field, exact, exact_grad, sigma=cfg.scheme.sigma, region=box))
         )
     return cols
 
@@ -231,17 +230,16 @@ def run_parabolic(cfg, out_dir, vtk=True):
     n = cfg.levels[0]
     mesh = build_box_mesh(cfg.domain, n)
     basis = _basis.make_basis(cfg.degree)
-    spec = DGSpec(k=cfg.degree, epsilon=cfg.epsilon, sigma=cfg.sigma, beta=cfg.beta)
     grid = TimeGrid(final_time=cfg.final_time, steps=cfg.steps)
     f_fn, f_dep = cfg.source.build()
     u0 = cfg.initial.build()
     t0 = time.perf_counter()
     series = run_backward_euler(
-        mesh, spec, curve, f_fn, u0, grid, cfg.solver, basis=basis,
+        mesh, cfg.scheme, curve, f_fn, u0, grid, cfg.solver, basis=basis,
         f_time_dependent=f_dep,
     )
     wall = time.perf_counter() - t0
-    rows = step_diagnostics(series, sigma=cfg.sigma)
+    rows = step_diagnostics(series, sigma=cfg.scheme.sigma)
     _write_csv(
         out / "history.csv",
         ["n", "t", "l2_norm", "dg_norm", "increment_sq_sum"],

@@ -113,7 +113,8 @@ def _expect_map(node, source, allowed, context):
 
 
 def _scalar(node, source, types, context):
-    if not isinstance(node.value, types):
+    # YAML booleans are ints to Python, but no key of the schema takes one
+    if isinstance(node.value, bool) or not isinstance(node.value, types):
         _err(node, source, f"{context} has wrong type (got {type(node.value).__name__})")
     return node.value
 
@@ -210,10 +211,7 @@ class StudyConfig:
     domain: BoxDomain
     curve: CurveSpec
     source: SourceSpec
-    degree: int
-    epsilon: int
-    sigma: float
-    beta: float
+    scheme: DGSpec
     levels: tuple
     regions: dict              # name -> Box
     exact: str                 # log_line | none
@@ -225,6 +223,10 @@ class StudyConfig:
     snapshot_every: int = 0
     assert_rates: tuple = ()
     base_dir: Path | None = None
+
+    @property
+    def degree(self):
+        return self.scheme.k
 
     def build_curve(self):
         return self.curve.build(self.base_dir)
@@ -457,8 +459,7 @@ def parse_config(text, source="<config>", base_dir=None):
         )
 
     return StudyConfig(
-        domain=domain, curve=curve, source=source_spec, degree=degree,
-        epsilon=spec.epsilon, sigma=spec.sigma, beta=spec.beta, levels=tuple(levels),
+        domain=domain, curve=curve, source=source_spec, scheme=spec, levels=tuple(levels),
         regions=regions, exact=exact, solver=solver, mode=mode,
         final_time=final_time, steps=steps, initial=initial,
         snapshot_every=snapshot_every, assert_rates=tuple(assertions),
@@ -477,7 +478,7 @@ def config_to_dict(cfg):
         "domain": {"lo": [float(v) for v in cfg.domain.lo], "hi": [float(v) for v in cfg.domain.hi]},
         "curve": {"kind": cfg.curve.kind, **_jsonify(cfg.curve.params)},
         "degree": cfg.degree,
-        "scheme": {"epsilon": cfg.epsilon, "sigma": cfg.sigma, "beta": cfg.beta},
+        "scheme": {"epsilon": cfg.scheme.epsilon, "sigma": cfg.scheme.sigma, "beta": cfg.scheme.beta},
         "levels": [list(l) for l in cfg.levels],
         "exact": cfg.exact,
         "solver": {

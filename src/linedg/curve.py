@@ -14,6 +14,9 @@ from .assembly import reference_mass
 from .errors import AssemblyError
 from .fields import FieldFunction
 
+# point-segment pairs per chunk of the distance field: bounds its (n, s, 3) temporaries
+_DISTANCE_PAIRS = 1 << 18
+
 
 class Curve:
     """Ordered polyline with arclength bookkeeping."""
@@ -61,8 +64,9 @@ class Curve:
 class LineRestriction:
     """Sub-segments of the curve inside one element.
 
-    ``segments`` rows: start (3), end (3); ``lengths``; ``arclengths`` rows
-    give the (s0, s1) arclength window on the original curve.
+    ``starts``, ``ends`` (m, 3): end points of the m sub-segments;
+    ``lengths`` (m,); ``arclengths`` (m, 2) rows give the (s0, s1) arclength
+    window on the original curve.
     """
 
     element: int
@@ -76,35 +80,30 @@ class LineRestriction:
         return float(self.lengths.sum())
 
 
-def clip_segment_tet(p0, p1, tet_coords):
-    """Parameter interval of segment p0->p1 inside a closed tetrahedron.
+def clip_segment_tets(p0, p1, origins, jac_invs):
+    """Parameter intervals of segment p0->p1 inside many closed tetrahedra.
 
-    Returns (t0, t1) in [0, 1] or None when the intersection is empty or has
-    zero length.  Constraints are the four barycentric inequalities, so the
-    clip is exact up to roundoff.
+    Each tetrahedron is given by its first vertex (``origins``, (n, 3)) and
+    the inverse of its affine map (``jac_invs``, (n, 3, 3), as stored in
+    ``Mesh.jac_invs``).  Returns (t0, t1, hit): ``hit`` marks the tets whose
+    intersection with the segment has positive parameter length, and for
+    those 0 <= t0 < t1 <= 1.  Constraints are the four barycentric
+    inequalities, so the clip is exact up to roundoff.
     """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    r0, r1 = _basis.to_reference(tet_coords, np.stack([p0, p1]))
+    ends = np.stack([np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)])
+    ref = (ends[None] - origins[:, None, :]) @ np.swapaxes(jac_invs, 1, 2)
+    r0, r1 = ref[:, 0], ref[:, 1]
     # barycentric coordinates affine in t: lam_i(t) = alpha_i + beta_i t >= 0
-    alpha = np.concatenate([r0, [1.0 - r0.sum()]])
-    beta = np.concatenate([r1 - r0, [-(r1 - r0).sum()]])
-    lo, hi = 0.0, 1.0
-    for al, be in zip(alpha, beta):
-        if abs(be) < 1e-300:
-            if al < -1e-12:
-                return None
-            continue
-        t_cross = -al / be
-        if be > 0:
-            lo = max(lo, t_cross)
-        else:
-            hi = min(hi, t_cross)
-        if lo >= hi:
-            return None
-    if hi <= lo:
-        return None
-    return lo, hi
+    alpha = np.column_stack([r0, 1.0 - r0.sum(axis=1)])
+    beta = np.column_stack([r1 - r0, -(r1 - r0).sum(axis=1)])
+    enter = beta >= 1e-300
+    leave = beta <= -1e-300
+    # |beta| < 1e-300: the segment is parallel to that face
+    parallel_outside = ~(enter | leave) & (alpha < -1e-12)
+    t_cross = -alpha / np.where(enter | leave, beta, 1.0)
+    t0 = np.where(enter, t_cross, 0.0).max(axis=1)
+    t1 = np.where(leave, t_cross, 1.0).min(axis=1)
+    return t0, t1, (t0 < t1) & ~parallel_outside.any(axis=1)
 
 
 def _candidate_elements(mesh, p0, p1):
@@ -139,19 +138,16 @@ def build_restrictions(curve, mesh, length_tol_rel=1e-12):
         p1 = curve.points[si + 1]
         seg_len = curve.seg_lengths[si]
         s_off = curve.cum_lengths[si]
-        found = []
-        for e in np.unique(_candidate_elements(mesh, p0, p1)):
-            res = clip_segment_tet(p0, p1, mesh.tet_coords(int(e)))
-            if res is None:
-                continue
-            t0, t1 = res
-            if (t1 - t0) * seg_len < drop:
-                continue
-            found.append((t0, t1, int(e)))
-        # deterministic overlap resolution: sweep by (t0, element)
-        found.sort()
+        cand = np.unique(_candidate_elements(mesh, p0, p1))
+        t0s, t1s, hit = clip_segment_tets(
+            p0, p1, mesh.vertices[mesh.tets[cand, 0]], mesh.jac_invs[cand]
+        )
+        keep = hit & ((t1s - t0s) * seg_len >= drop)
+        t0s, t1s, cand = t0s[keep], t1s[keep], cand[keep]
+        # deterministic overlap resolution: sweep by (t0, t1, element)
+        order = np.lexsort((cand, t1s, t0s))
         cursor = 0.0
-        for t0, t1, e in found:
+        for t0, t1, e in zip(t0s[order].tolist(), t1s[order].tolist(), cand[order].tolist()):
             t0 = max(t0, cursor)
             if (t1 - t0) * seg_len < drop:
                 continue
@@ -194,7 +190,7 @@ def nearest_segments(points, curve):
     dd = (d * d).sum(axis=1)
     best = np.empty(pts.shape[0])
     seg = np.empty(pts.shape[0], dtype=np.int64)
-    chunk = max(1, int(2e7) // max(curve.n_segments, 1))
+    chunk = max(1, _DISTANCE_PAIRS // curve.n_segments)
     for start in range(0, pts.shape[0], chunk):
         p = pts[start : start + chunk]
         diff = p[:, None, :] - a[None, :, :]
@@ -236,20 +232,22 @@ def assemble_line_rhs(curve, f, mesh, basis, restrictions=None, exactness=None):
         exactness = 2 * basis.degree + 2
     rule = _basis.segment_quadrature(exactness)
     tq = rule.points[:, 0]
-    b = np.zeros(mesh.n_elements * basis.dim)
-    for r in restrictions:
-        # quadrature points on every sub-segment at once
-        x = r.starts[:, None, :] + tq[None, :, None] * (r.ends - r.starts)[:, None, :]
-        s = r.arclengths[:, 0][:, None] + tq[None, :] * (
-            r.arclengths[:, 1] - r.arclengths[:, 0]
-        )[:, None]
-        ref = _basis.to_reference(mesh.tet_coords(r.element), x.reshape(-1, 3))
-        vals = basis.eval(ref).reshape(x.shape[0], tq.size, basis.dim)
-        fw = np.asarray(f(s), dtype=float) * rule.weights[None, :] * r.lengths[:, None]
-        b[r.element * basis.dim : (r.element + 1) * basis.dim] += np.einsum(
-            "sq,sqi->i", fw, vals
-        )
-    return b
+    # every sub-segment of every restriction, with its element
+    elems = np.concatenate([np.full(r.lengths.size, r.element) for r in restrictions])
+    starts = np.concatenate([r.starts for r in restrictions])
+    ends = np.concatenate([r.ends for r in restrictions])
+    lengths = np.concatenate([r.lengths for r in restrictions])
+    arcs = np.concatenate([r.arclengths for r in restrictions])
+    x = starts[:, None, :] + tq[None, :, None] * (ends - starts)[:, None, :]
+    s = arcs[:, :1] + tq[None, :] * (arcs[:, 1] - arcs[:, 0])[:, None]
+    rel = x - mesh.vertices[mesh.tets[elems, 0]][:, None, :]
+    ref = rel @ np.swapaxes(mesh.jac_invs[elems], 1, 2)
+    vals = basis.eval(ref.reshape(-1, 3)).reshape(*s.shape, basis.dim)
+    fw = np.asarray(f(s), dtype=float) * rule.weights[None, :] * lengths[:, None]
+    # one quadrature term at a time: each element sums its terms in (sub-segment, point) order
+    b = np.zeros((mesh.n_elements, basis.dim))
+    np.add.at(b, np.repeat(elems, tq.size), (fw[:, :, None] * vals).reshape(-1, basis.dim))
+    return b.ravel()
 
 
 def compute_fh_field(curve, f, mesh, basis, restrictions=None, exactness=None):

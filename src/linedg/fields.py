@@ -104,9 +104,6 @@ class WholeDomain:
         return "WholeDomain()"
 
 
-WHOLE_DOMAIN = WholeDomain()
-
-
 @dataclass(frozen=True)
 class Box:
     """Open axis-aligned sub-box used for local error measurement."""

@@ -73,6 +73,8 @@ class Mesh:
       pointing from the first to the second element, ``iface_areas``
     - ``boundary_faces``: ``bface_verts``, ``bface_elem``, ``bface_normals``
       (outward), ``bface_areas``
+    - ``det_jacobians``, ``jac_invs``: determinant and inverse of each
+      element's affine map x = vertices[tets[e, 0]] + J r
     - ``h``: max element diameter
     """
 
@@ -105,9 +107,8 @@ class Mesh:
 
     def _build_geometry(self):
         tc = self.tet_coords()
-        self.jacobians, det, self.jac_invs = _basis.tet_jacobian(tc)
-        self.det_jacobians = det
-        self.volumes = det / 6.0
+        _, self.det_jacobians, self.jac_invs = _basis.tet_jacobian(tc)
+        self.volumes = self.det_jacobians / 6.0
         self.centroids = tc.mean(axis=1)
         # diameter = max pairwise vertex distance
         diff = tc[:, :, None, :] - tc[:, None, :, :]

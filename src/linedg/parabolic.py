@@ -44,12 +44,16 @@ class TimeGrid:
 
 
 class TimeSeries:
-    """Snapshots u^0..u^N plus the piecewise-constant-in-time reconstruction."""
+    """Snapshots u^0..u^N plus the piecewise-constant-in-time reconstruction.
 
-    def __init__(self, mesh, basis, grid, snapshots):
+    ``mass`` is the stepper's mass matrix (a ``SparseSystem``) on ``mesh``.
+    """
+
+    def __init__(self, mesh, basis, grid, snapshots, mass):
         self.mesh = mesh
         self.basis = basis
         self.grid = grid
+        self.mass = mass
         self.snapshots = np.asarray(snapshots, dtype=float)  # (N+1, ndof)
         if self.snapshots.shape[0] != grid.steps + 1:
             raise ValueError("snapshot count must be steps + 1")
@@ -173,7 +177,7 @@ def run_backward_euler(
         except Exception as err:
             raise type(err)(f"time step {n} (t = {t_n:.6g}): {err}") from err
         snapshots[n] = u
-    return TimeSeries(mesh, basis, grid, snapshots)
+    return TimeSeries(mesh, basis, grid, snapshots, M)
 
 
 def step_diagnostics(series, sigma):
@@ -182,9 +186,8 @@ def step_diagnostics(series, sigma):
     Returns a list of dict rows (n, t, l2, dg, increment_sq_sum) where the
     accumulator is sum_{m<=n} ||u^m - u^{m-1}||_{L2}^2.
     """
-    mesh, basis = series.mesh, series.basis
-    M = assemble_mass(mesh, basis).matrix
-    G = assemble_dg_norm_gram(mesh, basis, sigma).matrix
+    M = series.mass.matrix
+    G = assemble_dg_norm_gram(series.mesh, series.basis, sigma).matrix
     rows = []
     acc = 0.0
     prev = None

@@ -109,6 +109,22 @@ def test_study_invalid_scheme_is_config_error(tmp_path, capsys, scheme):
     assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
 
 
+@pytest.mark.parametrize("old,new", [
+    ("degree: 1", "degree: true"),
+    ("mode: elliptic", "mode: elliptic\nscheme: {epsilon: true}"),
+    ("mode: elliptic", "mode: elliptic\nn: [true, 8, 2]"),
+])
+def test_yaml_boolean_for_number_is_config_error(tmp_path, capsys, old, new):
+    path = tmp_path / "cfg.yaml"
+    text = SMALL_STUDY.replace(old, new)
+    path.write_text(text)
+    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    line = text[: text.index(new.splitlines()[-1])].count("\n") + 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ") and "has wrong type" in err
+
+
 def test_deterministic_study_csv(tmp_path):
     cfg = parse_config(SMALL_STUDY)
     run_study(cfg, tmp_path / "a")

@@ -23,7 +23,7 @@ def test_minimal_config():
     cfg = parse_config(MINIMAL)
     assert cfg.degree == 1
     assert cfg.levels == ((4, 4, 1),)
-    assert cfg.epsilon == -1 and cfg.sigma == 5.0 and cfg.beta == 1.0
+    assert cfg.scheme.epsilon == -1 and cfg.scheme.sigma == 5.0 and cfg.scheme.beta == 1.0
     assert cfg.mode == "elliptic"
     assert cfg.exact == "none"
     curve = cfg.build_curve()
@@ -35,9 +35,9 @@ def test_minimal_config():
 )
 def test_omitted_scheme_values_follow_dgspec_default(degree, scheme):
     cfg = parse_config(MINIMAL.replace("degree: 1", f"degree: {degree}") + scheme)
-    default = DGSpec.default(degree, cfg.epsilon)
-    assert cfg.sigma == (30.0 if "sigma" in scheme else default.sigma)
-    assert cfg.beta == default.beta
+    default = DGSpec.default(degree, cfg.scheme.epsilon)
+    assert cfg.scheme.sigma == (30.0 if "sigma" in scheme else default.sigma)
+    assert cfg.scheme.beta == default.beta
 
 
 def test_unknown_keys_rejected_with_line():

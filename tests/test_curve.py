@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from linedg import basis as fb
 from linedg.curve import (
+    _DISTANCE_PAIRS,
     Curve,
     assemble_line_rhs,
     build_restrictions,
-    clip_segment_tet,
+    clip_segment_tets,
     compute_fh_field,
     distance_to_curve,
+    nearest_segments,
 )
 from linedg.mesh import BoxDomain, build_box_mesh
 
@@ -40,29 +42,35 @@ def test_curve_validation():
         Curve([[0.2, 0.2, 0.1], [0.8, 0.8, 0.3]]).check_inside(SLAB)
 
 
+def clip_reference(p0, p1):
+    """(t0, t1) of segment p0->p1 inside the reference tet, or None."""
+    tet = fb.REF_TET_VERTICES
+    _, _, jinv = fb.tet_jacobian(tet)
+    t0, t1, hit = clip_segment_tets(p0, p1, tet[None, 0], jinv[None])
+    return (t0[0], t1[0]) if hit[0] else None
+
+
 def test_clip_interior_segment():
     tet = fb.REF_TET_VERTICES
     centroid = tet.mean(axis=0)
     p0 = centroid - 0.05
     p1 = centroid + 0.05
-    res = clip_segment_tet(p0, p1, tet)
+    res = clip_reference(p0, p1)
     assert res is not None
     assert abs(res[0]) < 1e-12 and abs(res[1] - 1.0) < 1e-12
 
 
 def test_clip_outside_segment():
-    tet = fb.REF_TET_VERTICES
-    assert clip_segment_tet([2, 2, 2], [3, 3, 3], tet) is None
+    assert clip_reference([2, 2, 2], [3, 3, 3]) is None
 
 
 def test_clip_against_monte_carlo():
     rng = np.random.default_rng(123)
-    tet = fb.REF_TET_VERTICES
     hits = 0
     for _ in range(12):
         p0 = rng.uniform(-0.4, 1.0, 3)
         p1 = rng.uniform(-0.4, 1.0, 3)
-        res = clip_segment_tet(p0, p1, tet)
+        res = clip_reference(p0, p1)
         clipped = 0.0 if res is None else res[1] - res[0]
         n = 1_000_000
         t = (np.arange(n) + 0.5) / n
@@ -141,10 +149,51 @@ def test_clip_interval_inside_unit_range(vals):
     p1 = np.array(vals[3:])
     if np.linalg.norm(p1 - p0) < 1e-9:
         return
-    res = clip_segment_tet(p0, p1, fb.REF_TET_VERTICES)
+    res = clip_reference(p0, p1)
     if res is not None:
         t0, t1 = res
         assert 0.0 <= t0 < t1 <= 1.0
+
+
+LATTICE_MESH = build_box_mesh(SLAB, (4, 4, 1))
+
+
+def _per_element_lengths(curve, mesh):
+    out = np.zeros(mesh.n_elements)
+    for r in build_restrictions(curve, mesh):
+        out[r.element] = r.total_length
+    return out
+
+
+# folded lattice polylines can put more than 2h of curve in one element
+@pytest.mark.filterwarnings("ignore:an element carries")
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2)),
+                min_size=2, max_size=5))
+def test_lattice_polyline_partition_and_reversal(vertices):
+    """Vertices on the 1/8 lattice: segments lie in faces, run along edges,
+    pass through vertices and touch the boundary of the 4x4x1 mesh."""
+    assume(all(a != b for a, b in zip(vertices, vertices[1:])))
+    pts = np.array(vertices, dtype=float) / 8.0
+    mesh = LATTICE_MESH
+    curve, reverse = Curve(pts), Curve(pts[::-1])
+    lengths = _per_element_lengths(curve, mesh)
+    assert abs(lengths.sum() - curve.length) <= 1e-12 * curve.length
+    tol = 1e-12 * curve.length
+    assert np.abs(_per_element_lengths(reverse, mesh) - lengths).max() <= tol
+    basis = fb.make_basis(2)
+    b = assemble_line_rhs(curve, 1.0, mesh, basis)
+    assert np.abs(assemble_line_rhs(reverse, 1.0, mesh, basis) - b).max() <= tol
+
+
+def test_nearest_segments_chunks_match_pointwise():
+    curve = sine_curve(samples=4097)
+    chunk = _DISTANCE_PAIRS // curve.n_segments
+    pts = np.random.default_rng(5).uniform([0, 0, 0], [1, 1, 0.25], size=(3 * chunk + 7, 3))
+    d, seg = nearest_segments(pts, curve)
+    for i, p in enumerate(pts):
+        di, si = nearest_segments(p[None], curve)
+        assert di[0] == d[i] and si[0] == seg[i]
 
 
 @settings(max_examples=60, deadline=None)
