@@ -59,11 +59,17 @@ class DGSpec:
 
 @dataclass
 class SparseSystem:
-    """BSR operator over element-blocked DoFs, one (nb, nb) block per element pair."""
+    """BSR operator over element-blocked DoFs, one (nb, nb) block per element pair.
+
+    ``discretization`` is the (mesh, spec, basis) an assembled stiffness
+    operator came from, which the multigrid preconditioner rediscretises on
+    coarser meshes; None for every other operator.
+    """
 
     matrix: sp.bsr_matrix
     block_size: int
     symmetric: bool = False
+    discretization: tuple | None = None
 
     @property
     def ndof(self):
@@ -72,6 +78,16 @@ class SparseSystem:
     @property
     def n_blocks(self):
         return self.ndof // self.block_size
+
+    def diagonal_blocks(self):
+        """The (n_blocks, nb, nb) diagonal element blocks of the operator."""
+        nb = self.block_size
+        bsr = self.matrix.tobsr(blocksize=(nb, nb))  # no copy for the assembled operators
+        rows = np.repeat(np.arange(self.n_blocks), np.diff(bsr.indptr))
+        on_diag = bsr.indices == rows
+        blocks = np.zeros((self.n_blocks, nb, nb))
+        blocks[rows[on_diag]] = bsr.data[on_diag]
+        return blocks
 
     def export_matrix_market(self, path):
         from scipy.io import mmwrite
@@ -181,6 +197,7 @@ def _blocked_system(mesh, basis, volume, face_form=None, symmetric=True):
     slot[order] = np.arange(order.size)
     data = np.zeros((order.size, nb, nb))
     data[slot[:ne]] = volume
+    del volume  # the caller passes a temporary; free it before the face loop
     if face_form is not None:
         for faces, b, a, eb, blk in _face_term_blocks(mesh, basis, *face_form):
             if a == b:
@@ -197,10 +214,12 @@ def assemble_stiffness(mesh, spec, basis):
     if basis.degree != spec.k:
         raise ValueError("basis degree and spec.k disagree")
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
-    return _blocked_system(
+    system = _blocked_system(
         mesh, basis, _volume_grad_gram(mesh, basis), (1.0, spec.epsilon, penalty),
         symmetric=(spec.epsilon == -1),
     )
+    system.discretization = (mesh, spec, basis)
+    return system
 
 
 def reference_mass(basis):

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -22,6 +23,7 @@ from .curve import assemble_line_rhs, build_restrictions
 from .errors import ConfigError
 from .fields import FieldFunction
 from .mesh import build_box_mesh
+from .multigrid import level_grids
 from .norms import convergence_rates, dg_energy_error, l2_error
 from .parabolic import TimeGrid, run_backward_euler, step_diagnostics
 from .problems import LogLineSolution
@@ -73,7 +75,12 @@ def _solve_level(cfg, n, curve, exact):
         "residual": res.residual,
         "assembly_seconds": round(t_assembly, 3),
         "solve_seconds": round(t_solve, 3),
+        "preconditioner": cfg.solver.preconditioner,
     }
+    if cfg.solver.preconditioner == "multigrid":
+        grids = level_grids(n)
+        info["multigrid_levels"] = len(grids)
+        info["coarsest_grid"] = list(grids[-1])
     return mesh, basis, field, info
 
 
@@ -140,6 +147,9 @@ def run_study(cfg, out_dir, vtk=False):
     """Refinement study over all configured levels with pairwise rates."""
     if len(cfg.levels) < 2:
         raise ConfigError("a study needs at least two refinement levels")
+    diagonals = [np.linalg.norm(cfg.domain.extent / np.asarray(n, dtype=float)) for n in cfg.levels]
+    if any(b >= a for a, b in zip(diagonals, diagonals[1:])):
+        raise ConfigError("refinement levels must strictly decrease the mesh size")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curve = cfg.build_curve()
@@ -157,8 +167,6 @@ def run_study(cfg, out_dir, vtk=False):
                 mesh,
                 cell_data={"u": field_cell_values(field)},
             )
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ConfigError("refinement levels must strictly decrease the mesh size")
 
     names = [name for name, _ in level_cols[0]]
     rates = {}
@@ -255,7 +263,8 @@ def run_parabolic(cfg, out_dir, vtk=True):
     _write_metadata(
         out / "metadata.yaml", cfg,
         {"mode": "parabolic", "run": {"n_dof": mesh.n_elements * basis.dim,
-                                      "wall_seconds": round(wall, 3)}},
+                                      "wall_seconds": round(wall, 3),
+                                      "preconditioner": cfg.solver.preconditioner}},
     )
     return {"series": series, "history": rows}
 

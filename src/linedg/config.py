@@ -18,6 +18,7 @@ from .curve import Curve
 from .errors import ConfigError
 from .fields import Box
 from .mesh import BoxDomain
+from .multigrid import level_grids
 from .problems import line_curve, sine_curve
 from .solver import SolverConfig
 
@@ -381,6 +382,17 @@ def parse_config(text, source="<config>", base_dir=None):
         mode = _scalar(top["mode"], source, str, "mode")
         if mode not in ("elliptic", "parabolic"):
             _err(top["mode"], source, f"mode must be elliptic or parabolic (got {mode!r})")
+
+    if solver.preconditioner == "multigrid":
+        pc_node = top["solver"].value["preconditioner"]
+        if mode == "parabolic":
+            _err(pc_node, source, "preconditioner multigrid needs the elliptic stiffness "
+                                  "operator; M + tau A of parabolic mode has no coarse hierarchy")
+        for n in levels:
+            try:
+                level_grids(n)
+            except ValueError as err:
+                _err(pc_node, source, str(err))
 
     final_time = steps = None
     if mode == "parabolic":

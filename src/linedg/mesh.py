@@ -227,8 +227,8 @@ class Mesh:
             if not np.any(todo):
                 break
             elems = cand[todo, local]
-            tc = self.tet_coords(elems)
-            ref = _basis.to_reference(tc, pts[todo][:, None, :])[:, 0, :]
+            origin = self.vertices[self.tets[elems, 0]]
+            ref = np.einsum("nde,ne->nd", self.jac_invs[elems], pts[todo] - origin)
             ok = np.all(ref >= -eps, axis=1) & (ref.sum(axis=1) <= 1.0 + eps)
             idx = np.flatnonzero(todo)[ok]
             out[idx] = elems[ok]
@@ -237,6 +237,16 @@ class Mesh:
     def refine(self):
         """Uniformly refined mesh: every grid count doubled (h exactly halved)."""
         return build_box_mesh(self.domain, tuple(2 * v for v in self.n))
+
+    def coarsen(self):
+        """Inverse of ``refine``: every grid count halved (h exactly doubled).
+
+        Every fine element then lies inside one element of the result.
+        Raises ValueError unless every count is even.
+        """
+        if any(v % 2 for v in self.n):
+            raise ValueError(f"cannot coarsen grid {self.n}: every cell count must be even")
+        return build_box_mesh(self.domain, tuple(v // 2 for v in self.n))
 
 
 def face_area_and_normal(face_coords):

@@ -2,8 +2,8 @@
 
 Each step solves (M + tau A) u^n = M u^{n-1} + tau b(t^n) with the
 homogeneous weak Dirichlet condition built into A; the system matrix is
-assembled once per run and the line load is rebuilt per step only when the
-source depends on time.
+assembled and its preconditioner built once per run, and the line load is
+rebuilt per step only when the source depends on time.
 """
 
 import inspect
@@ -18,7 +18,7 @@ from .assembly import (
 )
 from .curve import assemble_line_rhs, build_restrictions
 from .fields import FieldFunction
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, make_preconditioner, solve
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,7 @@ def run_backward_euler(
     A = assemble_stiffness(mesh, spec, basis)
     M = assemble_mass(mesh, basis)
     S = SparseSystem(M.matrix + tau * A.matrix, A.block_size, A.symmetric)
+    precond = make_preconditioner(S, solver_config.preconditioner)
 
     fn, f_dep = _canonical_source(f, f_time_dependent)
     restrictions = None
@@ -173,7 +174,7 @@ def run_backward_euler(
                 mesh, basis, lambda p: volume_source(t_n, p)
             )
         try:
-            u = solve(S, rhs, solver_config, x0=u).x
+            u = solve(S, rhs, solver_config, x0=u, precond=precond).x
         except Exception as err:
             raise type(err)(f"time step {n} (t = {t_n:.6g}): {err}") from err
         snapshots[n] = u

@@ -27,7 +27,7 @@ class SolverConfig:
             raise ValueError("rel_tol must be in (0, 1)")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.preconditioner not in ("none", "jacobi", "block_jacobi"):
+        if self.preconditioner not in ("none", "jacobi", "block_jacobi", "multigrid"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
@@ -39,7 +39,11 @@ class SolveResult(NamedTuple):
 
 
 def make_preconditioner(system, kind):
-    """Return y = M^{-1} x as a callable for the requested preconditioner."""
+    """Return y = M^{-1} x as a callable for the requested preconditioner.
+
+    ``multigrid`` needs an assembled stiffness operator (see
+    ``multigrid.VCycle``); any other operator raises ValueError.
+    """
     A = system.matrix
     if kind == "none":
         return lambda x: x
@@ -49,22 +53,26 @@ def make_preconditioner(system, kind):
             raise ValueError("zero diagonal entry; Jacobi preconditioner unusable")
         dinv = 1.0 / d
         return lambda x: dinv * x
-    nb = system.block_size
-    nblocks = system.n_blocks
-    bsr = A.tobsr(blocksize=(nb, nb))  # no copy for the assembled operators
-    rows = np.repeat(np.arange(nblocks), np.diff(bsr.indptr))
-    on_diag = bsr.indices == rows
-    blocks = np.zeros((nblocks, nb, nb))
-    blocks[rows[on_diag]] = bsr.data[on_diag]
+    if kind == "multigrid":
+        from .multigrid import VCycle  # multigrid imports this module's block helpers
+
+        return VCycle(system)
+    inv = block_jacobi_inverse(system)
+    return lambda x: block_apply(inv, x)
+
+
+def block_jacobi_inverse(system):
+    """Inverses (n_blocks, nb, nb) of the diagonal element blocks."""
     try:
-        inv = np.linalg.inv(blocks)
+        return np.linalg.inv(system.diagonal_blocks())
     except np.linalg.LinAlgError as err:
         raise ValueError("singular diagonal block; cannot form block-Jacobi") from err
 
-    def apply(x):
-        return np.einsum("bij,bj->bi", inv, x.reshape(nblocks, nb)).ravel()
 
-    return apply
+def block_apply(blocks, x):
+    """Block-diagonal product: ``blocks[e] @ x[e]`` per element block e."""
+    nblocks, nb, _ = blocks.shape
+    return np.einsum("bij,bj->bi", blocks, x.reshape(nblocks, nb)).ravel()
 
 
 def _check_symmetric(A, rng):
@@ -75,7 +83,7 @@ def _check_symmetric(A, rng):
     return np.linalg.norm(av - atv) <= 1e-8 * scale
 
 
-def solve(system, b, config=None, x0=None, debug=False):
+def solve(system, b, config=None, x0=None, debug=False, precond=None):
     """Solve system.matrix x = b.
 
     Returns SolveResult(x, iterations, residual, monitor) with the true
@@ -84,7 +92,10 @@ def solve(system, b, config=None, x0=None, debug=False):
     recurrence residual; the error's ``residual`` is its true residual).
     With ``debug`` (CG only) ``monitor`` holds the quadratic-form values
     0.5 x^T A x - b^T x per iteration; they decrease monotonically exactly
-    when the energy-norm error does.
+    when the energy-norm error does.  ``precond`` is a prebuilt
+    ``make_preconditioner`` callable for this operator, so that repeated
+    solves with one operator build it once; by default it is built from
+    ``config.preconditioner``.
     """
     config = config or SolverConfig()
     A = system.matrix
@@ -92,7 +103,8 @@ def solve(system, b, config=None, x0=None, debug=False):
     if b.shape[0] != A.shape[0]:
         raise ValueError("dimension mismatch between matrix and right-hand side")
     max_iter = config.max_iter or max(10 * A.shape[0], 50)
-    precond = make_preconditioner(system, config.preconditioner)
+    if precond is None:
+        precond = make_preconditioner(system, config.preconditioner)
 
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:

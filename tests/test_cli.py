@@ -75,7 +75,13 @@ def test_study_needs_two_levels(tmp_path):
         run_study(cfg, tmp_path)
 
 
-def test_study_rejects_non_decreasing_levels(tmp_path):
+def test_study_rejects_non_decreasing_levels(tmp_path, monkeypatch):
+    import linedg.cli as cli
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a level was assembled before the level order was checked")
+
+    monkeypatch.setattr(cli, "assemble_stiffness", no_assembly)
     cfg = parse_config(SMALL_STUDY.replace("[8, 8, 2]", "[4, 4, 1]"))
     with pytest.raises(Exception, match="strictly decrease"):
         run_study(cfg, tmp_path)
@@ -143,6 +149,36 @@ def test_metadata_round_trip(tmp_path):
     emitted = yaml.safe_dump(meta["config"])
     cfg2 = reparse(emitted)
     assert config_to_dict(cfg2) == config_to_dict(cfg)
+
+
+@pytest.mark.parametrize("preconditioner", ["block_jacobi", "multigrid"])
+def test_metadata_records_the_preconditioner(tmp_path, preconditioner):
+    import yaml
+
+    text = SMALL_STUDY.replace("solver: {rel_tol: 1.0e-10}",
+                               f"solver: {{rel_tol: 1.0e-10, preconditioner: {preconditioner}}}")
+    run_study(parse_config(text), tmp_path)
+    runs = yaml.safe_load((tmp_path / "metadata.yaml").read_text())["runs"]
+    assert [r["preconditioner"] for r in runs] == [preconditioner] * 2
+    if preconditioner == "multigrid":
+        assert [r["multigrid_levels"] for r in runs] == [1, 2]
+        assert [r["coarsest_grid"] for r in runs] == [[4, 4, 1], [4, 4, 1]]
+    else:
+        assert all("multigrid_levels" not in r for r in runs)
+
+
+def test_multigrid_parabolic_config_exits_1(tmp_path, capsys):
+    text = SMALL_STUDY.replace("mode: elliptic", "mode: parabolic") + (
+        "time: {final: 0.1, steps: 4}\n"
+    )
+    text = text.replace("solver: {rel_tol: 1.0e-10}",
+                        "solver:\n  rel_tol: 1.0e-10\n  preconditioner: multigrid")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    code = main(["solve-parabolic", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    line = text.splitlines().index("  preconditioner: multigrid") + 1
+    assert f"error: {path}:{line}: preconditioner multigrid" in capsys.readouterr().err
 
 
 def test_shipped_sine_demo_runs(tmp_path):

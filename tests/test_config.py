@@ -166,6 +166,15 @@ def test_expression_syntax_error_reported_at_load(tmp_path):
         load_config(path)
 
 
+def test_multigrid_grid_too_large_rejected_at_load():
+    text = MINIMAL.rstrip() + "\nsolver: {preconditioner: multigrid}\n"
+    parse_config(text)
+    bad = text.replace("[4, 4, 1]", "[13, 13, 3]")
+    assert bad != text
+    with pytest.raises(ConfigError, match=r":\d+: multigrid: grid \(13, 13, 3\)"):
+        parse_config(bad)
+
+
 def test_shipped_configs_load():
     for path in sorted((Path(__file__).parent.parent / "configs").glob("*.yaml")):
         cfg = load_config(path)

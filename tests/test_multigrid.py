@@ -1,0 +1,137 @@
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from linedg import basis as fb
+from linedg import multigrid
+from linedg.assembly import DGSpec, SparseSystem, assemble_mass, assemble_stiffness
+from linedg.fields import FieldFunction
+from linedg.mesh import BoxDomain, build_box_mesh
+from linedg.multigrid import Transfer, VCycle, level_grids
+from linedg.solver import SolverConfig, make_preconditioner, solve
+
+SLAB = BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25])
+
+
+def stiffness(n, k):
+    return assemble_stiffness(build_box_mesh(SLAB, n), DGSpec.default(k), fb.make_basis(k))
+
+
+def test_coarsen_inverts_refine():
+    mesh = build_box_mesh(SLAB, (4, 6, 2))
+    coarse = mesh.coarsen()
+    assert coarse.n == (2, 3, 1)
+    again = coarse.refine()
+    assert again.n == mesh.n
+    assert np.array_equal(again.tets, mesh.tets)
+    assert np.allclose(again.vertices, mesh.vertices, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="even"):
+        coarse.coarsen()
+
+
+def test_level_grids_halve_down_to_an_odd_count():
+    assert level_grids((32, 32, 8)) == [(32, 32, 8), (16, 16, 4), (8, 8, 2), (4, 4, 1)]
+    assert level_grids((3, 3, 1)) == [(3, 3, 1)]
+    with pytest.raises(ValueError, match=r"\(33, 33, 9\)"):
+        level_grids((33, 33, 9))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_prolongation_reproduces_coarse_field(k):
+    basis = fb.make_basis(k)
+    fine = build_box_mesh(SLAB, (4, 4, 2))
+    coarse = fine.coarsen()
+    transfer = Transfer(fine, coarse, basis)
+    coarse_field = FieldFunction(
+        coarse, basis, np.random.default_rng(k).standard_normal((coarse.n_elements, basis.dim))
+    )
+    fine_field = FieldFunction.from_vector(fine, basis, transfer.prolong(coarse_field.as_vector()))
+    rule = fb.tet_quadrature(2 * k)
+    points = fb.map_to_physical(fine.tet_coords(), rule.points)  # (nf, q, 3)
+    on_fine = fine_field.eval_in_elements(np.arange(fine.n_elements), rule.points)
+    on_coarse = coarse_field.evaluate(points.reshape(-1, 3)).reshape(on_fine.shape)
+    assert np.max(np.abs(on_fine - on_coarse)) <= 1e-12 * np.max(np.abs(on_coarse))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_restriction_is_transpose_of_prolongation(k):
+    basis = fb.make_basis(k)
+    fine = build_box_mesh(SLAB, (8, 8, 2))
+    transfer = Transfer(fine, fine.coarsen(), basis)
+    rng = np.random.default_rng(5)
+    xf = rng.standard_normal(fine.n_elements * basis.dim)
+    yc = rng.standard_normal(fine.n_elements // 8 * basis.dim)
+    lhs, rhs = xf @ transfer.prolong(yc), transfer.restrict(xf) @ yc
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_vcycle_symmetric_positive(k):
+    A = stiffness((8, 8, 2), k)
+    B = VCycle(A)
+    assert B.grids == [(8, 8, 2), (4, 4, 1)]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, A.ndof))
+        xby, ybx = x @ B(y), y @ B(x)
+        assert abs(xby - ybx) <= 1e-12 * abs(xby)
+        assert x @ B(x) > 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [(8, 8, 2), (16, 16, 4)])
+def test_multigrid_cg_iterations_bounded(n, k):
+    A = stiffness(n, k)
+    b = np.random.default_rng(2).standard_normal(A.ndof)
+    rel_tol = 1e-11
+    mg = solve(A, b, SolverConfig(rel_tol=rel_tol, preconditioner="multigrid"))
+    bj = solve(A, b, SolverConfig(rel_tol=rel_tol, preconditioner="block_jacobi"))
+    assert mg.iterations <= 25
+    assert mg.iterations < bj.iterations
+    # both residuals are below rel_tol * |b|; so the solutions differ by at
+    # most 2 rel_tol |b| / lambda_min(A) in norm
+    diff = A.matrix @ (mg.x - bj.x)
+    assert np.linalg.norm(diff) <= 2 * rel_tol * np.linalg.norm(b)
+
+
+def test_multigrid_needs_a_stiffness_hierarchy():
+    A = stiffness((4, 4, 2), 1)
+    mass = assemble_mass(A.discretization[0], A.discretization[2])
+    copy = SparseSystem(A.matrix.tocsr(), A.block_size, A.symmetric)
+    for system in (mass, copy):
+        with pytest.raises(ValueError, match="assemble_stiffness"):
+            make_preconditioner(system, "multigrid")
+
+
+def test_multigrid_refuses_large_coarsest_grid(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("the coarse LU must not be attempted")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_lu)
+    A = stiffness((13, 13, 3), 1)
+    with pytest.raises(ValueError, match=r"\(13, 13, 3\)"):
+        make_preconditioner(A, "multigrid")
+
+
+def test_hierarchy_freed_when_solve_returns(monkeypatch):
+    refs = []
+
+    class Recording(VCycle):
+        def __init__(self, system):
+            super().__init__(system)
+            refs.append(weakref.ref(self.levels[0].dinv))
+
+    monkeypatch.setattr(multigrid, "VCycle", Recording)
+    A = stiffness((8, 8, 2), 1)
+    b = np.ones(A.ndof)
+    gc.disable()
+    try:
+        solve(A, b, SolverConfig(preconditioner="multigrid"))
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        gc.enable()

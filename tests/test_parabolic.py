@@ -276,3 +276,32 @@ def test_solver_failure_reports_step():
             mesh, spec, vertical_line(), 1.0, None, grid,
             SolverConfig(rel_tol=1e-14, max_iter=1),
         )
+
+
+def test_preconditioner_built_once_per_run(monkeypatch):
+    import linedg.parabolic as parabolic
+    import linedg.solver as solver
+
+    calls = []
+    real = solver.make_preconditioner
+
+    def counting(system, kind):
+        calls.append(kind)
+        return real(system, kind)
+
+    monkeypatch.setattr(parabolic, "make_preconditioner", counting)
+    monkeypatch.setattr(solver, "make_preconditioner", counting)
+    mesh = build_box_mesh(SLAB, (4, 4, 1))
+    grid = TimeGrid(final_time=0.1, steps=5)
+    series = run_backward_euler(mesh, DGSpec.default(1), vertical_line(), 1.0, None, grid,
+                                SolverConfig(rel_tol=1e-10))
+    assert calls == ["block_jacobi"]
+    assert np.all(np.isfinite(series.snapshots)) and np.any(series.snapshots[-1] != 0)
+
+
+def test_multigrid_rejected_for_parabolic_operator():
+    mesh = build_box_mesh(SLAB, (4, 4, 2))
+    grid = TimeGrid(final_time=0.1, steps=2)
+    with pytest.raises(ValueError, match="assemble_stiffness"):
+        run_backward_euler(mesh, DGSpec.default(1), vertical_line(), 1.0, None, grid,
+                           SolverConfig(preconditioner="multigrid"))
