@@ -6,6 +6,11 @@ operator is a BSR matrix on one block pattern: per element its diagonal
 block and one block per interior face.  The jump penalty scales with the
 smallest grid pitch ``mesh.grid_spacing``, which matches the quasi-uniform
 grids built here.
+
+The operators need a box mesh from ``build_box_mesh``: each is assembled on
+a replica grid of at most 3 cells per axis and gathered from there into the
+full block pattern (``_blocked_system``); any other mesh raises
+AssemblyError.  The Nitsche and volume loads vary in space and use all faces.
 """
 
 from dataclasses import dataclass
@@ -14,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import basis as _basis
+from .errors import AssemblyError
 
 # configurations with a minus/zero symmetrizing term are only coercive for a
 # large enough penalty; this floor rejects obviously unusable values and the
@@ -89,15 +95,6 @@ class SparseSystem:
         blocks[rows[on_diag]] = bsr.data[on_diag]
         return blocks
 
-    def export_matrix_market(self, path):
-        from scipy.io import mmwrite
-
-        mmwrite(str(path), self.matrix)
-
-
-# faces per batch of the face loop; bounds the trace arrays, not the result
-_FACE_CHUNK = 16384
-
 
 def _volume_grad_gram(mesh, basis):
     """Element blocks (ne, nb, nb) of the broken gradient term, sum_E (grad u, grad v)_E."""
@@ -152,7 +149,7 @@ def _face_traces(mesh, basis, exactness, boundary=False, sel=slice(None)):
 def _face_term_blocks(mesh, basis, consistency, epsilon, penalty):
     """Element blocks of the face part of a penalized bilinear form, all faces.
 
-    Yields (faces, b, a, elements, blk) per face chunk and pair of sides:
+    Yields (b, a, elements, blk) per face kind and pair of sides:
     blk (f, nb, nb) couples test functions of side b, on ``elements``, with
     trial functions of side a.  Interior faces have sides 0 and 1 (first and
     second element), boundary faces side 0 only.
@@ -162,50 +159,80 @@ def _face_term_blocks(mesh, basis, consistency, epsilon, penalty):
     Boundary faces use one-sided traces.
     """
     exactness = 2 * basis.degree + 1
-    for boundary, signs, factors, nf in (
-        (False, (1.0, -1.0), (0.5, 0.5), mesh.iface_elems.shape[0]),
-        (True, (1.0,), (1.0,), mesh.bface_elem.shape[0]),
-    ):
-        for start in range(0, nf, _FACE_CHUNK):
-            sl = slice(start, min(start + _FACE_CHUNK, nf))
-            _, w, sides = _face_traces(mesh, basis, exactness, boundary, sl)
-            weighted = [(w[:, :, None] * V).transpose(0, 2, 1) for _, V, _ in sides]
-            weighted_n = [(w[:, :, None] * Gn).transpose(0, 2, 1) for _, _, Gn in sides]
-            for b, (eb, _, _) in enumerate(sides):
-                for a, (_, Va, Gna) in enumerate(sides):
-                    blk = (-consistency * signs[b] * factors[a]) * (weighted[b] @ Gna)
-                    blk += (epsilon * signs[a] * factors[b]) * (weighted_n[b] @ Va)
-                    blk += (penalty * signs[a] * signs[b]) * (weighted[b] @ Va)
-                    yield sl, b, a, eb, blk
+    for boundary, signs, factors in ((False, (1.0, -1.0), (0.5, 0.5)), (True, (1.0,), (1.0,))):
+        _, w, sides = _face_traces(mesh, basis, exactness, boundary)
+        weighted = [(w[:, :, None] * V).transpose(0, 2, 1) for _, V, _ in sides]
+        weighted_n = [(w[:, :, None] * Gn).transpose(0, 2, 1) for _, _, Gn in sides]
+        for b, (eb, _, _) in enumerate(sides):
+            for a, (_, Va, Gna) in enumerate(sides):
+                blk = (-consistency * signs[b] * factors[a]) * (weighted[b] @ Gna)
+                blk += (epsilon * signs[a] * factors[b]) * (weighted_n[b] @ Va)
+                blk += (penalty * signs[a] * signs[b]) * (weighted[b] @ Va)
+                yield b, a, eb, blk
 
 
-def _blocked_system(mesh, basis, volume, face_form=None, symmetric=True):
-    """SparseSystem of diagonal ``volume`` blocks plus the face part of a form.
+def _block_pattern(mesh):
+    """(rows, cols, slot) of the one block pattern of every operator.
 
-    ``volume`` is (ne, nb, nb) or 0.0; ``face_form`` is (consistency,
-    epsilon, penalty) of ``_face_term_blocks`` or None.  Block row e holds the diagonal block and one block per interior
-    face of e, columns sorted; ``slot[j]`` is the data position of pair j of
-    [(e, e) per element, (e0, e1) per interior face, (e1, e0) per interior
-    face].  Diagonal blocks collect several faces and are summed with
-    ``np.add.at``; each interior face owns its two off-diagonal blocks.
+    Block row e holds the diagonal block and one block per interior face of
+    e, columns sorted; rows/cols list the pattern in that order, and
+    ``slot[j]`` is the position of pair j of [(e, e) per element, (e0, e1)
+    per interior face, (e1, e0) per interior face].
     """
-    ne, nf, nb = mesh.n_elements, mesh.iface_elems.shape[0], basis.dim
-    e, (e0, e1) = np.arange(ne), mesh.iface_elems.T
+    e, (e0, e1) = np.arange(mesh.n_elements), mesh.iface_elems.T
     rows, cols = np.concatenate([e, e0, e1]), np.concatenate([e, e1, e0])
     order = np.lexsort((cols, rows))
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
-    data = np.zeros((order.size, nb, nb))
-    data[slot[:ne]] = volume
-    del volume  # the caller passes a temporary; free it before the face loop
+    return rows[order], cols[order], slot
+
+
+def _blocked_system(mesh, basis, volume=None, face_form=None, symmetric=True):
+    """SparseSystem of a form with constant coefficients on a box mesh.
+
+    ``volume(mesh, basis)`` gives the (ne, nb, nb) diagonal blocks, or is None;
+    ``face_form`` is (consistency, epsilon, penalty) of ``_face_term_blocks``
+    or None.  On the Kuhn grid of ``build_box_mesh`` a block depends only on
+    the Kuhn types and cell offset of its two elements and on the boundary
+    planes the row element's cell touches, so the form is scattered once on
+    ``mesh.replica()`` (diagonal blocks summed over faces with ``np.add.at``,
+    each interior face owning its two off-diagonal blocks) and block (e, c)
+    is gathered from the block of e's replica and c shifted by the same cell
+    offset.  A mesh without that layout (an element unlike its replica, a
+    block without a replica slot) raises AssemblyError.
+    """
+    ne, nb = mesh.n_elements, basis.dim
+    rep, shift = mesh.replica()
+    rep_rows, rep_cols, slot = _block_pattern(rep)
+    rep_data = np.zeros((rep_rows.size, nb, nb))
+    if volume is not None:
+        rep_data[slot[: rep.n_elements]] = volume(rep, basis)
     if face_form is not None:
-        for faces, b, a, eb, blk in _face_term_blocks(mesh, basis, *face_form):
+        start, nf = rep.n_elements, len(rep.iface_elems)
+        for b, a, eb, blk in _face_term_blocks(rep, basis, *face_form):
             if a == b:
-                np.add.at(data, slot[eb], blk)
+                np.add.at(rep_data, slot[eb], blk)
             else:
-                data[slot[ne + b * nf + np.arange(faces.start, faces.stop)]] = blk
+                rep_data[slot[start + b * nf : start + (b + 1) * nf]] = blk
+    table = np.full((rep.n_elements, rep.n_elements), -1)
+    table[rep_rows, rep_cols] = np.arange(rep_rows.size)
+
+    cells, kind = mesh.element_cells()
+    rep_elem = rep.cell_flat_index(cells + shift) * 6 + kind
+    same = np.all(mesh.cell_flat_index(mesh.cell_index(mesh.centroids)) == np.arange(ne) // 6)
+    for ours, theirs in ((mesh.det_jacobians, rep.det_jacobians), (mesh.jac_invs, rep.jac_invs)):
+        ours, theirs = ours.reshape(ne, -1), theirs[rep_elem].reshape(ne, -1)
+        same &= np.all(np.abs(ours - theirs).max(axis=1) <= 1e-12 * np.abs(theirs).max(axis=1))
+    rows, cols, _ = _block_pattern(mesh)
+    col_cells = cells[cols] + shift[rows]
+    inside = np.all((col_cells >= 0) & (col_cells < rep.n), axis=1)
+    rep_col = rep.cell_flat_index(np.where(inside[:, None], col_cells, 0)) * 6 + kind[cols]
+    slots = np.where(inside, table[rep_elem[rows], rep_col], -1)
+    if not same or np.any(slots < 0):
+        raise AssemblyError("mesh is not a Kuhn box grid from build_box_mesh; cannot assemble")
+
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ne))])
-    mat = sp.bsr_matrix((data, cols[order], indptr), shape=(ne * nb, ne * nb))
+    mat = sp.bsr_matrix((rep_data[slots], cols, indptr), shape=(ne * nb, ne * nb))
     return SparseSystem(matrix=mat, block_size=nb, symmetric=symmetric)
 
 
@@ -215,8 +242,7 @@ def assemble_stiffness(mesh, spec, basis):
         raise ValueError("basis degree and spec.k disagree")
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
     system = _blocked_system(
-        mesh, basis, _volume_grad_gram(mesh, basis), (1.0, spec.epsilon, penalty),
-        symmetric=(spec.epsilon == -1),
+        mesh, basis, _volume_grad_gram, (1.0, spec.epsilon, penalty), spec.epsilon == -1
     )
     system.discretization = (mesh, spec, basis)
     return system
@@ -231,20 +257,19 @@ def reference_mass(basis):
 
 def assemble_mass(mesh, basis):
     """Broken mass matrix: det J times the reference block; face blocks stay zero."""
-    blocks = reference_mass(basis)[None, :, :] * mesh.det_jacobians[:, None, None]
-    return _blocked_system(mesh, basis, blocks)
+    return _blocked_system(
+        mesh, basis, lambda m, b: reference_mass(b)[None] * m.det_jacobians[:, None, None]
+    )
 
 
 def assemble_jump_penalty(mesh, basis, weight):
     """Jump bilinear form weight * sum_faces (jump u, jump v), boundary included."""
-    return _blocked_system(mesh, basis, 0.0, (0.0, 0.0, weight))
+    return _blocked_system(mesh, basis, face_form=(0.0, 0.0, weight))
 
 
 def assemble_dg_norm_gram(mesh, basis, sigma):
     """Gram matrix of the broken energy norm: v^T G v = ||v||_DG^2."""
-    return _blocked_system(
-        mesh, basis, _volume_grad_gram(mesh, basis), (0.0, 0.0, sigma / mesh.grid_spacing)
-    )
+    return _blocked_system(mesh, basis, _volume_grad_gram, (0.0, 0.0, sigma / mesh.grid_spacing))
 
 
 def assemble_dirichlet_rhs(mesh, spec, basis, g, exactness=None):

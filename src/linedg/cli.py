@@ -7,7 +7,6 @@ sidecar whose ``config`` block reparses to the original configuration.
 
 import argparse
 import csv
-import os
 import sys
 import time
 from pathlib import Path
@@ -31,19 +30,6 @@ from .solver import solve
 from .vtk_io import field_cell_values, write_vtk
 
 FLOAT_FMT = "%.12e"
-
-
-def _limit_threads(n):
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        pass
 
 
 def _exact_pair(cfg, curve):
@@ -283,12 +269,10 @@ def main(argv=None):
         p = sub.add_parser(name, help=help_)
         p.add_argument("config", help="YAML configuration file")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="cap BLAS threads")
         vtk = p.add_mutually_exclusive_group()
         vtk.add_argument("--vtk", dest="vtk", action="store_true", default=None)
         vtk.add_argument("--no-vtk", dest="vtk", action="store_false")
     args = parser.parse_args(argv)
-    _limit_threads(args.threads)
     try:
         cfg = load_config(args.config)
         if args.command == "solve-elliptic":

@@ -212,6 +212,31 @@ class Mesh:
         base = np.asarray(flat_cells, dtype=np.int64)[:, None] * 6
         return base + np.arange(6, dtype=np.int64)[None, :]
 
+    def element_cells(self):
+        """Grid cell (ne, 3) and Kuhn type (ne,) of every element, read from
+        the box layout (the 6 tets of flat cell c are elements 6c .. 6c + 5)."""
+        nx, ny, _ = self.n
+        flat, kind = np.divmod(np.arange(self.n_elements, dtype=np.int64), 6)
+        return np.column_stack([flat % nx, flat // nx % ny, flat // (nx * ny)]), kind
+
+    def replica(self):
+        """Box mesh with min(n, 3) cells per axis, this grid's lo and cell size.
+
+        Returns (replica, shift): the element in cell c has as replica the
+        element of the same Kuhn type in cell c + shift[e], where the clamp
+        maps per axis the first cell to 0, the last to m - 1 and any other
+        to 1.  So each replica cell touches the same boundary planes as the
+        cells it stands for, and every face neighbour of an element, shifted
+        by the same offset, is a face neighbour of its replica.
+        """
+        n = np.asarray(self.n)
+        m = np.minimum(n, 3)
+        cells, _ = self.element_cells()
+        target = np.where(cells == 0, 0, np.where(cells == n - 1, m - 1, 1))
+        lo = self.domain.lo
+        rep = build_box_mesh(BoxDomain(lo, lo + m * self.cell_size), tuple(m))
+        return rep, target - cells
+
     def find_elements(self, points, tol=1e-10):
         """Containing element per point (first match, deterministic).
 

@@ -95,10 +95,10 @@ def dg_energy_error(field, exact, exact_grad, sigma, region=None, exactness=None
     """Broken energy norm of (u_h - u) over a region.
 
     ``exact`` / ``exact_grad`` are callables over points (pass 0 / 0 for the
-    plain energy norm); the jump weight is sigma / h.  Since the exact
-    solution is continuous inside the region, interior-face jumps use the
-    discrete field only; for the whole domain, boundary faces add the
-    one-sided trace (u_h - u).
+    plain energy norm); the jump weight is sigma / ``mesh.grid_spacing``.
+    Since the exact solution is continuous inside the region, interior-face
+    jumps use the discrete field only; for the whole domain, boundary faces
+    add the one-sided trace (u_h - u).
     """
     mesh = field.mesh
     mask = region_element_mask(mesh, region)
@@ -167,9 +167,10 @@ def weighted_dg_norm(field, curve, alpha, sigma, exact=None, exact_grad=None, ex
     """Distance-weighted energy norm; alpha in (0, 1).
 
     Volume part weights the broken gradient by d^(2 alpha); the jump part is
-    (sigma / h) * ||d^alpha [v]||^2 over all faces.  For an error field,
-    pass ``exact``/``exact_grad``: interior jumps of a continuous exact
-    solution vanish, but its boundary trace must be subtracted.
+    (sigma / ``mesh.grid_spacing``) * ||d^alpha [v]||^2 over all faces.  For
+    an error field, pass ``exact``/``exact_grad``: interior jumps of a
+    continuous exact solution vanish, but its boundary trace must be
+    subtracted.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")

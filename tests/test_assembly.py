@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,16 +7,20 @@ import scipy.sparse as sp
 from linedg import basis as fb
 from linedg.assembly import (
     DGSpec,
+    _face_term_blocks,
     _face_traces,
+    _volume_grad_gram,
     assemble_dg_norm_gram,
     assemble_dirichlet_rhs,
     assemble_jump_penalty,
     assemble_mass,
     assemble_stiffness,
     assemble_volume_rhs,
+    reference_mass,
 )
+from linedg.errors import AssemblyError
 from linedg.fields import FieldFunction
-from linedg.mesh import BoxDomain, build_box_mesh
+from linedg.mesh import BoxDomain, Mesh, build_box_mesh
 from linedg.norms import dg_norm
 from linedg.solver import SolverConfig, solve
 
@@ -200,17 +206,6 @@ def test_dg_norm_gram_matches_quadrature_norm():
     assert abs(np.sqrt(v @ (G.matrix @ v)) - dg_norm(field, sigma=12.0)) < 1e-10
 
 
-def test_matrix_market_export(tmp_path):
-    mesh = build_box_mesh(SLAB, (1, 1, 1))
-    sys_ = assemble_mass(mesh, fb.make_basis(1))
-    path = tmp_path / "mass.mtx"
-    sys_.export_matrix_market(path)
-    import scipy.io
-
-    back = scipy.io.mmread(str(path))
-    assert abs(back - sys_.matrix).max() < 1e-15
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_face_traces_match_pointwise_evaluation(k):
     """Reference-table traces equal the basis mapped back from each face point."""
@@ -225,3 +220,84 @@ def test_face_traces_match_pointwise_evaluation(k):
                 grads = fb.push_gradients(basis.grad(ref), mesh.jac_invs[e])
                 assert np.allclose(V[f], basis.eval(ref), rtol=0, atol=1e-12)
                 assert np.allclose(Gn[f], grads @ normals[f], rtol=0, atol=1e-12)
+
+
+def _full_mesh_reference(mesh, basis, volume, face_form):
+    """(indptr, indices, data) of a form scattered directly on every face of the mesh."""
+    ne, nf, nb = mesh.n_elements, mesh.iface_elems.shape[0], basis.dim
+    e, (e0, e1) = np.arange(ne), mesh.iface_elems.T
+    rows, cols = np.concatenate([e, e0, e1]), np.concatenate([e, e1, e0])
+    order = np.lexsort((cols, rows))
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    data = np.zeros((order.size, nb, nb))
+    if volume is not None:
+        data[slot[:ne]] = volume
+    if face_form is not None:
+        for b, a, eb, blk in _face_term_blocks(mesh, basis, *face_form):
+            if a == b:
+                np.add.at(data, slot[eb], blk)
+            else:
+                data[slot[ne + b * nf : ne + (b + 1) * nf]] = blk
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ne))])
+    return indptr, cols[order], data
+
+
+REPLICA_GRIDS = [
+    (SLAB, (1, 1, 1)),
+    (SLAB, (2, 3, 1)),
+    (BoxDomain(lo=[0, 0, 0], hi=[1, 1, 1]), (3, 3, 3)),
+    (SLAB, (4, 4, 1)),
+    (BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.3]), (8, 6, 3)),
+    (BoxDomain(lo=[-0.5, 0.2, 0.1], hi=[0.5, 1.5, 0.5]), (5, 7, 2)),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("domain,n", REPLICA_GRIDS)
+def test_replica_gather_matches_full_mesh_scatter(domain, n, k):
+    """Every operator gathered from the replica grid equals the direct scatter."""
+    mesh = build_box_mesh(domain, n)
+    basis = fb.make_basis(k)
+    h = mesh.grid_spacing
+    grad = _volume_grad_gram(mesh, basis)
+    cases = []
+    for eps in (-1, 0, 1):
+        spec = DGSpec.default(k, eps)
+        penalty = spec.sigma / h ** spec.beta
+        cases.append((assemble_stiffness(mesh, spec, basis), grad, (1.0, eps, penalty)))
+    mass = reference_mass(basis)[None] * mesh.det_jacobians[:, None, None]
+    cases.append((assemble_mass(mesh, basis), mass, None))
+    cases.append((assemble_jump_penalty(mesh, basis, 3.0), None, (0.0, 0.0, 3.0)))
+    cases.append((assemble_dg_norm_gram(mesh, basis, 7.0), grad, (0.0, 0.0, 7.0 / h)))
+    for system, volume, face_form in cases:
+        A = system.matrix
+        indptr, indices, data = _full_mesh_reference(mesh, basis, volume, face_form)
+        assert np.array_equal(A.indptr, indptr)
+        assert np.array_equal(A.indices, indices)
+        assert np.abs(A.data - data).max() <= 1e-12 * np.abs(data).max()
+
+
+def test_replica_gather_rejects_a_moved_vertex():
+    """A mesh whose elements differ from their replicas raises, never gathers."""
+    box = build_box_mesh(SLAB, (4, 4, 2))
+    vertices = box.vertices.copy()
+    inner = np.flatnonzero(np.all((vertices > SLAB.lo) & (vertices < SLAB.hi), axis=1))[0]
+    vertices[inner] += 0.1 * box.cell_size
+    mesh = Mesh(SLAB, box.n, vertices, box.tets.copy())
+    with pytest.raises(AssemblyError):
+        assemble_stiffness(mesh, DGSpec.default(1), fb.make_basis(1))
+
+
+def test_stiffness_allocation_peak_near_matrix_size():
+    """Assembly allocates at most 1.25x the bytes of the matrix it returns."""
+    mesh = build_box_mesh(SLAB, (16, 16, 4))
+    basis = fb.make_basis(2)
+    spec = DGSpec.default(2)
+    tracemalloc.start()
+    try:
+        A = assemble_stiffness(mesh, spec, basis).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
