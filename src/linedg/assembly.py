@@ -107,8 +107,9 @@ def _volume_grad_gram(mesh, basis):
     return np.einsum("emn,mnij->eij", C, S) * mesh.det_jacobians[:, None, None]
 
 
-def _face_traces(mesh, basis, exactness, boundary=False, sel=slice(None)):
-    """Basis traces on the selected interior (or boundary) faces.
+def _face_traces(mesh, basis, rule, boundary=False, sel=slice(None)):
+    """Basis traces at the points of a triangle rule on the selected interior
+    (or boundary) faces.
 
     Returns (x, w, sides): quadrature points x (f, q, 3), physical weights
     w (f, q) absorbing the face area, and per adjacent side (first and
@@ -126,7 +127,6 @@ def _face_traces(mesh, basis, exactness, boundary=False, sel=slice(None)):
     else:
         verts, normals, areas = mesh.iface_verts[sel], mesh.iface_normals[sel], mesh.iface_areas[sel]
         elems = (mesh.iface_elems[sel, 0], mesh.iface_elems[sel, 1])
-    rule = _basis.tri_quadrature(exactness)
     bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])  # (q, 3)
     x = np.einsum("qk,fkd->fqd", bary, mesh.vertices[verts])
     w = rule.weights[None, :] * (2.0 * areas)[:, None]
@@ -158,9 +158,9 @@ def _face_term_blocks(mesh, basis, consistency, epsilon, penalty):
       - penalty      +penalty [u][v]
     Boundary faces use one-sided traces.
     """
-    exactness = 2 * basis.degree + 1
+    rule = _basis.tri_quadrature(2 * basis.degree + 1)
     for boundary, signs, factors in ((False, (1.0, -1.0), (0.5, 0.5)), (True, (1.0,), (1.0,))):
-        _, w, sides = _face_traces(mesh, basis, exactness, boundary)
+        _, w, sides = _face_traces(mesh, basis, rule, boundary)
         weighted = [(w[:, :, None] * V).transpose(0, 2, 1) for _, V, _ in sides]
         weighted_n = [(w[:, :, None] * Gn).transpose(0, 2, 1) for _, _, Gn in sides]
         for b, (eb, _, _) in enumerate(sides):
@@ -272,7 +272,7 @@ def assemble_dg_norm_gram(mesh, basis, sigma):
     return _blocked_system(mesh, basis, _volume_grad_gram, (0.0, 0.0, sigma / mesh.grid_spacing))
 
 
-def assemble_dirichlet_rhs(mesh, spec, basis, g, exactness=None):
+def assemble_dirichlet_rhs(mesh, spec, basis, g):
     """Weak (Nitsche) lifting of Dirichlet data g on the boundary faces.
 
     r_i = eps * int_e g grad(phi_i).n + sigma/h^beta * int_e g phi_i.
@@ -286,10 +286,9 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g, exactness=None):
             return b
         g_val = float(g)
         g = lambda pts: np.full(pts.shape[0], g_val)
-    if exactness is None:
-        exactness = 2 * basis.degree + 2
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
-    x, w, [(e, V, Gn)] = _face_traces(mesh, basis, exactness, boundary=True)
+    rule = _basis.tri_quadrature(2 * basis.degree + 2)
+    x, w, [(e, V, Gn)] = _face_traces(mesh, basis, rule, boundary=True)
     wg = w * np.asarray(g(x.reshape(-1, 3)), dtype=float).reshape(w.shape)
     contrib = spec.epsilon * np.einsum("fq,fqi->fi", wg, Gn)
     contrib += penalty * np.einsum("fq,fqi->fi", wg, V)
@@ -297,13 +296,12 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g, exactness=None):
     return b
 
 
-def assemble_volume_rhs(mesh, basis, F, exactness=None):
-    """Volume load vector (F, phi_i) for a callable F over points (n, 3)."""
-    if exactness is None:
-        exactness = 2 * basis.degree + 2
-    rule = _basis.tet_quadrature(exactness)
+def assemble_volume_rhs(mesh, basis, F):
+    """Volume load vector (F, phi_i) for a callable F over points (n, 3),
+    by the 2k+2 rule."""
+    rule = _basis.tet_quadrature(2 * basis.degree + 2)
     vals = basis.eval(rule.points)  # (q, nb)
-    phys = _basis.map_to_physical(mesh.tet_coords(), rule.points)  # (nt, q, 3)
+    phys = mesh.map_points(rule.points)  # (nt, q, 3)
     Fv = np.asarray(F(phys.reshape(-1, 3)), dtype=float).reshape(mesh.n_elements, rule.n)
     contrib = np.einsum("q,eq,qi->ei", rule.weights, Fv, vals) * mesh.det_jacobians[:, None]
     return contrib.ravel()

@@ -35,7 +35,7 @@ FLOAT_FMT = "%.12e"
 def _exact_pair(cfg, curve):
     if cfg.exact == "none":
         return None, None
-    sol = LogLineSolution.from_curve(curve)
+    sol = LogLineSolution.from_curve(curve, cfg.domain)
     return sol, sol.gradient
 
 

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .fields import Box
 from .mesh import BoxDomain
 from .multigrid import level_grids
-from .problems import line_curve, sine_curve
+from .problems import LogLineSolution, line_curve, sine_curve
 from .solver import SolverConfig
 
 _EXPR_NAMES = {
@@ -465,10 +465,11 @@ def parse_config(text, source="<config>", base_dir=None):
                 )
             )
 
-    if exact == "log_line" and curve.kind not in ("line", "file"):
-        raise ConfigError(
-            f"{source}: the built-in reference solution requires a straight vertical line curve"
-        )
+    if exact == "log_line":
+        try:
+            LogLineSolution.from_curve(curve.build(base_dir), domain)
+        except (OSError, ValueError) as err:
+            _err(curve_node, source, f"exact: log_line: {err}")
 
     return StudyConfig(
         domain=domain, curve=curve, source=source_spec, scheme=spec, levels=tuple(levels),

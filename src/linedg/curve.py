@@ -219,18 +219,16 @@ def _as_arclength_fn(f):
     return lambda s: np.full_like(np.asarray(s, dtype=float), value)
 
 
-def assemble_line_rhs(curve, f, mesh, basis, restrictions=None, exactness=None):
+def assemble_line_rhs(curve, f, mesh, basis, restrictions=None):
     """Global vector b_i = integral over the curve of f(s) * phi_i ds.
 
     Only elements crossed by the curve receive entries.  ``f`` is a constant
-    or a callable of arclength.
+    or a callable of arclength; each sub-segment uses the 2k+2 Gauss rule.
     """
     if restrictions is None:
         restrictions = build_restrictions(curve, mesh)
     f = _as_arclength_fn(f)
-    if exactness is None:
-        exactness = 2 * basis.degree + 2
-    rule = _basis.segment_quadrature(exactness)
+    rule = _basis.segment_quadrature(2 * basis.degree + 2)
     tq = rule.points[:, 0]
     # every sub-segment of every restriction, with its element
     elems = np.concatenate([np.full(r.lengths.size, r.element) for r in restrictions])
@@ -250,7 +248,7 @@ def assemble_line_rhs(curve, f, mesh, basis, restrictions=None, exactness=None):
     return b.ravel()
 
 
-def compute_fh_field(curve, f, mesh, basis, restrictions=None, exactness=None):
+def compute_fh_field(curve, f, mesh, basis, restrictions=None):
     """Elementwise L2 representative of the line functional.
 
     On each crossed element the block mass matrix (the reference mass
@@ -259,7 +257,7 @@ def compute_fh_field(curve, f, mesh, basis, restrictions=None, exactness=None):
     """
     if restrictions is None:
         restrictions = build_restrictions(curve, mesh)
-    b = assemble_line_rhs(curve, f, mesh, basis, restrictions=restrictions, exactness=exactness)
+    b = assemble_line_rhs(curve, f, mesh, basis, restrictions=restrictions)
     elems = np.array([r.element for r in restrictions], dtype=np.int64)
     moments = b.reshape(mesh.n_elements, basis.dim)[elems]
     try:

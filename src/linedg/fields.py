@@ -64,12 +64,9 @@ class FieldFunction:
         elems = self.mesh.find_elements(pts)
         if np.any(elems < 0):
             raise ValueError("point outside the mesh")
-        out = np.empty(pts.shape[0])
-        tc = self.mesh.tet_coords(elems)
-        ref = _basis.to_reference(tc, pts[:, None, :])[:, 0, :]
-        vals = self.basis.eval(ref)  # (n, nb)
-        out[:] = np.einsum("ni,ni->n", self.coeffs[elems], vals)
-        return out
+        origin = self.mesh.vertices[self.mesh.tets[elems, 0]]
+        ref = np.einsum("nde,ne->nd", self.mesh.jac_invs[elems], pts - origin)
+        return np.einsum("ni,ni->n", self.coeffs[elems], self.basis.eval(ref))
 
     def _check_compatible(self, other):
         if other.mesh is not self.mesh or other.basis is not self.basis:
@@ -91,17 +88,9 @@ class FieldFunction:
 
 def interpolate(fn, mesh, basis):
     """Nodal interpolant of a point function into the broken space."""
-    ref_nodes = basis.nodes
-    phys = _basis.map_to_physical(mesh.tet_coords(), ref_nodes)  # (nt, nb, 3)
+    phys = mesh.map_points(basis.nodes)  # (nt, nb, 3)
     vals = np.asarray(fn(phys.reshape(-1, 3)), dtype=float).reshape(mesh.n_elements, basis.dim)
     return FieldFunction(mesh, basis, vals)
-
-
-class WholeDomain:
-    """Marker region covering all of the domain (boundary faces included)."""
-
-    def __repr__(self):
-        return "WholeDomain()"
 
 
 @dataclass(frozen=True)
@@ -122,7 +111,7 @@ class Box:
 
 def check_region_aligned(mesh, region, tol=1e-9):
     """Validate that a Box region's faces coincide with mesh planes."""
-    if region is None or isinstance(region, WholeDomain):
+    if region is None:
         return
     cell = mesh.cell_size
     for name, vals in (("lo", region.lo), ("hi", region.hi)):
@@ -139,8 +128,9 @@ def check_region_aligned(mesh, region, tol=1e-9):
 
 
 def region_element_mask(mesh, region):
-    """Boolean element mask; membership decided by the barycenter."""
-    if region is None or isinstance(region, WholeDomain):
+    """Boolean element mask of a Box region, or of the whole domain for None;
+    membership decided by the barycenter."""
+    if region is None:
         return np.ones(mesh.n_elements, dtype=bool)
     check_region_aligned(mesh, region)
     c = mesh.centroids

@@ -181,6 +181,13 @@ class Mesh:
             return self.vertices[self.tets]
         return self.vertices[self.tets[elements]]
 
+    def map_points(self, ref_points, elements=slice(None)):
+        """Physical images (n, q, 3) of reference points (q, 3) in the given
+        elements, as barycentric combinations of their vertices."""
+        rp = np.asarray(ref_points, dtype=float)
+        bary = np.column_stack([1.0 - rp.sum(axis=1), rp])  # (q, 4)
+        return np.einsum("qk,nkd->nqd", bary, self.vertices[self.tets[elements]])
+
     @property
     def cell_size(self):
         return self.domain.extent / np.asarray(self.n, dtype=float)

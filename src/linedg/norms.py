@@ -11,15 +11,10 @@ import numpy as np
 from . import basis as _basis
 from .assembly import _face_traces
 from .curve import distance_to_curve, nearest_segments
-from .fields import WholeDomain, region_element_mask
+from .fields import region_element_mask
 
 _SINGULAR_SNAP = 1e-12
 _SINGULAR_PUSH = 1e-10
-
-
-def _element_quad_points(mesh, elements, rule):
-    tc = mesh.tet_coords(elements)
-    return _basis.map_to_physical(tc, rule.points)  # (n, q, 3)
 
 
 def _guard_points(points, curve, h):
@@ -49,50 +44,78 @@ def _guard_points(points, curve, h):
     return flat.reshape(points.shape), d.reshape(points.shape[:-1])
 
 
-def l2_error(field, exact, region=None, exactness=None, singular_curve=None):
-    """sqrt(sum over region elements of (u_h - u)^2) by quadrature.
+def _minus(values, exact, points):
+    """values - exact at the points; ``exact`` is a callable over points, a number or None."""
+    if callable(exact):
+        return values - np.asarray(exact(points.reshape(-1, 3)), dtype=float).reshape(values.shape)
+    return values - float(exact) if exact else values
 
-    ``exact`` is a callable over points (n, 3) (pass ``0`` for the plain
-    norm of the field).
+
+def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
+    """Integral over ``elements`` of |v - exact|^2, with v the field, or its
+    broken gradient when ``grad``, at the fixed 2k+2 rule.
+
+    Given a ``curve``, the points are guarded off it (``_guard_points``);
+    given also ``alpha``, the integrand is weighted by dist(x, curve)^(2 alpha).
     """
-    mesh = field.mesh
-    mask = region_element_mask(mesh, region)
-    elements = np.flatnonzero(mask)
     if elements.size == 0:
         return 0.0
-    if exactness is None:
-        exactness = 2 * field.degree + 2
-    rule = _basis.tet_quadrature(exactness)
-    uh = field.eval_in_elements(elements, rule.points)  # (n, q)
-    pts = _element_quad_points(mesh, elements, rule)
-    if singular_curve is not None:
-        pts, _ = _guard_points(pts, singular_curve, mesh.h)
-    if callable(exact):
-        ue = np.asarray(exact(pts.reshape(-1, 3)), dtype=float).reshape(uh.shape)
-    else:
-        ue = float(exact)
-    diff2 = (uh - ue) ** 2
-    total = np.einsum("nq,q,n->", diff2, rule.weights, mesh.det_jacobians[elements])
-    return float(np.sqrt(total))
+    mesh = field.mesh
+    rule = _basis.tet_quadrature(2 * field.degree + 2)
+    v = (field.grad_in_elements if grad else field.eval_in_elements)(elements, rule.points)
+    pts = mesh.map_points(rule.points, elements) if curve is not None or callable(exact) else None
+    if curve is not None:
+        pts, d = _guard_points(pts, curve, mesh.h)
+    v2 = _minus(v, exact, pts) ** 2  # (n, q) or (n, q, 3)
+    v2 = v2.sum(-1) if grad else v2
+    det = mesh.det_jacobians[elements]
+    if alpha is None:
+        return float(np.einsum("nq,q,n->", v2, rule.weights, det))
+    return float(np.einsum("nq,nq,q,n->", v2, d ** (2.0 * alpha), rule.weights, det))
 
 
-def _region_interior_faces(mesh, mask):
-    both = mask[mesh.iface_elems[:, 0]] & mask[mesh.iface_elems[:, 1]]
-    return np.flatnonzero(both)
-
-
-def _face_jumps(field, exactness, boundary=False, sel=slice(None)):
-    """Face points, physical weights and the field's jump at face quadrature points.
-
-    On boundary faces the jump is the one-sided trace.
+def _face_sq(field, sel, boundary=False, exact=None, curve=None, alpha=None):
+    """Integral over the selected faces of the squared interior jump of the
+    field, or on boundary faces of its trace minus ``exact``, at the fixed
+    2k+2 rule; weighted by dist(x, curve)^(2 alpha) given ``curve`` and ``alpha``.
     """
-    x, w, sides = _face_traces(field.mesh, field.basis, exactness, boundary, sel)
+    rule = _basis.tri_quadrature(2 * field.degree + 2)
+    x, w, sides = _face_traces(field.mesh, field.basis, rule, boundary, sel)
     traces = [np.einsum("fi,fqi->fq", field.coeffs[e], V) for e, V, _ in sides]
-    return x, w, traces[0] - traces[1] if len(traces) == 2 else traces[0]
+    jump2 = _minus(traces[0] - traces[1] if len(traces) == 2 else traces[0], exact, x) ** 2
+    if alpha is None:
+        return float(np.einsum("fq,fq->", jump2, w))
+    d = distance_to_curve(x.reshape(-1, 3), curve).reshape(w.shape)
+    return float(np.einsum("fq,fq,fq->", jump2, d ** (2.0 * alpha), w))
 
 
-def dg_energy_error(field, exact, exact_grad, sigma, region=None, exactness=None):
-    """Broken energy norm of (u_h - u) over a region.
+def _dg_sq(field, exact, exact_grad, sigma, region, curve=None, alpha=None):
+    """Squared broken energy norm of field - exact; see ``dg_energy_error``."""
+    mesh = field.mesh
+    mask = region_element_mask(mesh, region)
+    total = _volume_sq(field, np.flatnonzero(mask), exact_grad, grad=True, curve=curve, alpha=alpha)
+    w_jump = sigma / mesh.grid_spacing
+    faces = np.flatnonzero(mask[mesh.iface_elems[:, 0]] & mask[mesh.iface_elems[:, 1]])
+    if faces.size:
+        total += w_jump * _face_sq(field, faces, curve=curve, alpha=alpha)
+    if region is None:
+        total += w_jump * _face_sq(field, slice(None), True, exact, curve=curve, alpha=alpha)
+    return total
+
+
+def l2_error(field, exact, region=None, singular_curve=None):
+    """sqrt(sum over region elements of (u_h - u)^2) by quadrature.
+
+    ``exact`` is a callable over points (n, 3) or a number (pass ``0`` for
+    the plain norm of the field); ``region`` None is the whole domain.
+    Given ``singular_curve``, quadrature points on it are guarded off it.
+    """
+    elements = np.flatnonzero(region_element_mask(field.mesh, region))
+    return float(np.sqrt(_volume_sq(field, elements, exact, curve=singular_curve)))
+
+
+def dg_energy_error(field, exact, exact_grad, sigma, region=None):
+    """Broken energy norm of (u_h - u) over a region (None: the whole domain).
 
     ``exact`` / ``exact_grad`` are callables over points (pass 0 / 0 for the
     plain energy norm); the jump weight is sigma / ``mesh.grid_spacing``.
@@ -100,36 +123,7 @@ def dg_energy_error(field, exact, exact_grad, sigma, region=None, exactness=None
     jumps use the discrete field only; for the whole domain, boundary faces
     add the one-sided trace (u_h - u).
     """
-    mesh = field.mesh
-    mask = region_element_mask(mesh, region)
-    elements = np.flatnonzero(mask)
-    if elements.size == 0:
-        return 0.0
-    if exactness is None:
-        exactness = 2 * field.degree + 2
-    rule = _basis.tet_quadrature(exactness)
-    gh = field.grad_in_elements(elements, rule.points)  # (n, q, 3)
-    if callable(exact_grad):
-        pts = _element_quad_points(mesh, elements, rule)
-        ge = np.asarray(exact_grad(pts.reshape(-1, 3)), dtype=float).reshape(gh.shape)
-        gh = gh - ge
-    diff2 = (gh ** 2).sum(-1)
-    total = np.einsum("nq,q,n->", diff2, rule.weights, mesh.det_jacobians[elements])
-
-    face_exactness = 2 * field.degree + 2
-    w_jump = sigma / mesh.grid_spacing
-    fsel = _region_interior_faces(mesh, mask)
-    if fsel.size:
-        _, w, jump = _face_jumps(field, face_exactness, sel=fsel)
-        total += w_jump * np.einsum("fq,fq->", jump ** 2, w)
-    if region is None or isinstance(region, WholeDomain):
-        x, w, jump = _face_jumps(field, face_exactness, boundary=True)
-        if callable(exact):
-            jump = jump - np.asarray(exact(x.reshape(-1, 3)), dtype=float).reshape(jump.shape)
-        elif exact:
-            jump = jump - float(exact)
-        total += w_jump * np.einsum("fq,fq->", jump ** 2, w)
-    return float(np.sqrt(total))
+    return float(np.sqrt(_dg_sq(field, exact, exact_grad, sigma, region)))
 
 
 def dg_norm(field, sigma, region=None):
@@ -137,34 +131,19 @@ def dg_norm(field, sigma, region=None):
     return dg_energy_error(field, 0, 0, sigma, region=region)
 
 
-def weighted_l2_norm(field, curve, alpha, exact=None, region=None, exactness=None):
+def weighted_l2_norm(field, curve, alpha, exact=None, region=None):
     """L2 norm weighted by dist(x, curve)^(2 alpha); alpha in (-1, 1).
 
     Measures ``field - exact`` when ``exact`` is given.
     """
     if not -1.0 < alpha < 1.0:
         raise ValueError("alpha must be in (-1, 1)")
-    mesh = field.mesh
-    mask = region_element_mask(mesh, region)
-    elements = np.flatnonzero(mask)
-    if exactness is None:
-        exactness = 2 * field.degree + 2
-    rule = _basis.tet_quadrature(exactness)
-    uh = field.eval_in_elements(elements, rule.points)
-    pts = _element_quad_points(mesh, elements, rule)
-    pts, d = _guard_points(pts, curve, mesh.h)
-    if exact is not None:
-        ue = np.asarray(exact(pts.reshape(-1, 3)), dtype=float).reshape(uh.shape)
-        uh = uh - ue
-    total = np.einsum(
-        "nq,nq,q,n->", uh ** 2, d ** (2.0 * alpha), rule.weights,
-        mesh.det_jacobians[elements],
-    )
-    return float(np.sqrt(total))
+    elements = np.flatnonzero(region_element_mask(field.mesh, region))
+    return float(np.sqrt(_volume_sq(field, elements, exact, curve=curve, alpha=alpha)))
 
 
-def weighted_dg_norm(field, curve, alpha, sigma, exact=None, exact_grad=None, exactness=None):
-    """Distance-weighted energy norm; alpha in (0, 1).
+def weighted_dg_norm(field, curve, alpha, sigma, exact=None, exact_grad=None):
+    """Distance-weighted energy norm over the whole domain; alpha in (0, 1).
 
     Volume part weights the broken gradient by d^(2 alpha); the jump part is
     (sigma / ``mesh.grid_spacing``) * ||d^alpha [v]||^2 over all faces.  For
@@ -174,31 +153,7 @@ def weighted_dg_norm(field, curve, alpha, sigma, exact=None, exact_grad=None, ex
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    mesh = field.mesh
-    if exactness is None:
-        exactness = 2 * field.degree + 2
-    rule = _basis.tet_quadrature(exactness)
-    elements = np.arange(mesh.n_elements)
-    gh = field.grad_in_elements(elements, rule.points)
-    pts = _element_quad_points(mesh, elements, rule)
-    pts, d = _guard_points(pts, curve, mesh.h)
-    if exact_grad is not None:
-        ge = np.asarray(exact_grad(pts.reshape(-1, 3)), dtype=float).reshape(gh.shape)
-        gh = gh - ge
-    total = np.einsum(
-        "nq,nq,q,n->", (gh ** 2).sum(-1), d ** (2.0 * alpha), rule.weights,
-        mesh.det_jacobians,
-    )
-
-    face_exactness = 2 * field.degree + 2
-    w_jump = sigma / mesh.grid_spacing
-    for boundary in (False, True):
-        x, w, jump = _face_jumps(field, face_exactness, boundary)
-        if boundary and exact is not None:
-            jump = jump - np.asarray(exact(x.reshape(-1, 3)), dtype=float).reshape(jump.shape)
-        dfa = distance_to_curve(x.reshape(-1, 3), curve).reshape(jump.shape)
-        total += w_jump * np.einsum("fq,fq,fq->", jump ** 2, dfa ** (2.0 * alpha), w)
-    return float(np.sqrt(total))
+    return float(np.sqrt(_dg_sq(field, exact, exact_grad, sigma, None, curve, alpha)))
 
 
 def convergence_rates(errors, hs):

@@ -61,15 +61,6 @@ class TimeSeries:
     def field(self, n):
         return FieldFunction.from_vector(self.mesh, self.basis, self.snapshots[n])
 
-    def step_of(self, t):
-        """Index n with t in (t^{n-1}, t^n]; 0 at t = 0."""
-        if t <= 0.0:
-            return 0
-        return min(int(np.ceil(t / self.grid.tau - 1e-12)), self.grid.steps)
-
-    def at_time(self, t):
-        return self.field(self.step_of(t))
-
 
 def _canonical_source(f, time_dependent=None):
     """Normalize the line density to (fn(t, s), depends_on_time)."""
@@ -94,13 +85,12 @@ def _canonical_source(f, time_dependent=None):
     return fn, dep
 
 
-def project_initial(u0, mesh, basis, exactness=None):
-    """Elementwise L2 projection of a point function into the broken space."""
-    if exactness is None:
-        exactness = 2 * basis.degree + 2
-    rule = _basis.tet_quadrature(exactness)
+def project_initial(u0, mesh, basis):
+    """Elementwise L2 projection of a point function into the broken space,
+    with the moments taken by the 2k+2 rule."""
+    rule = _basis.tet_quadrature(2 * basis.degree + 2)
     vals = basis.eval(rule.points)  # (q, nb)
-    phys = _basis.map_to_physical(mesh.tet_coords(), rule.points)
+    phys = mesh.map_points(rule.points)
     u0v = np.asarray(u0(phys.reshape(-1, 3)), dtype=float).reshape(mesh.n_elements, rule.n)
     rhs = np.einsum("q,eq,qi->ei", rule.weights, u0v, vals)
     # the affine scaling cancels: det_J * M_ref c = det_J * rhs_ref
@@ -210,21 +200,18 @@ def step_diagnostics(series, sigma):
     return rows
 
 
-def spacetime_l2_error(series, exact, grid=None, exactness=None):
+def spacetime_l2_error(series, exact, grid=None):
     """L2(0,T; L2) distance between the reconstruction and ``exact(t, points)``.
 
-    Two-point Gauss rule per time interval; the reconstruction is the
-    right-endpoint snapshot on each interval.
+    Two-point Gauss rule per time interval and the 2k+2 rule in space; the
+    reconstruction is the right-endpoint snapshot on each interval.
     """
     grid = grid or series.grid
     rule_t = _basis.segment_quadrature(3)
     mesh, basis = series.mesh, series.basis
-    rule_x = _basis.tet_quadrature(
-        exactness if exactness is not None else 2 * basis.degree + 2
-    )
+    rule_x = _basis.tet_quadrature(2 * basis.degree + 2)
     vals = basis.eval(rule_x.points)  # (q, nb)
-    phys = _basis.map_to_physical(mesh.tet_coords(), rule_x.points)
-    flat = phys.reshape(-1, 3)
+    flat = mesh.map_points(rule_x.points).reshape(-1, 3)
     total = 0.0
     tau = grid.tau
     for n in range(1, grid.steps + 1):

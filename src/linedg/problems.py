@@ -34,15 +34,18 @@ class LogLineSolution:
         return g
 
     @classmethod
-    def from_curve(cls, curve, tol=1e-9):
-        """Build from a vertical straight curve; rejects anything else."""
+    def from_curve(cls, curve, domain, tol=1e-9):
+        """Build from a vertical straight curve that runs once from the
+        domain's bottom to its top face, the only curve for which u solves
+        the problem there; rejects anything else."""
         p = curve.points
-        if not (
-            np.allclose(p[:, 0], p[0, 0], atol=tol)
-            and np.allclose(p[:, 1], p[0, 1], atol=tol)
-        ):
+        z, lo, hi = p[:, 2], domain.lo[2], domain.hi[2]
+        ok = np.allclose(p[:, 0], p[0, 0], atol=tol) and np.allclose(p[:, 1], p[0, 1], atol=tol)
+        ok = ok and np.all(np.diff(z) * (z[-1] - z[0]) > 0)
+        if not (ok and np.allclose(sorted((z[0], z[-1])), (lo, hi), atol=tol)):
             raise ValueError(
-                "the built-in reference solution needs a vertical straight line"
+                f"the built-in reference solution needs a vertical straight line "
+                f"from z = {lo:g} to z = {hi:g}"
             )
         return cls(p[0, 0], p[0, 1])
 

@@ -212,7 +212,7 @@ def test_face_traces_match_pointwise_evaluation(k):
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(k)
     for boundary, normals in ((False, mesh.iface_normals), (True, mesh.bface_normals)):
-        x, w, sides = _face_traces(mesh, basis, 2 * k + 2, boundary)
+        x, w, sides = _face_traces(mesh, basis, fb.tri_quadrature(2 * k + 2), boundary)
         assert len(sides) == (1 if boundary else 2)
         for elems, V, Gn in sides:
             for f, e in enumerate(elems):

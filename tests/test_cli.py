@@ -115,6 +115,32 @@ def test_study_invalid_scheme_is_config_error(tmp_path, capsys, scheme):
     assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
 
 
+def test_log_line_rejects_oblique_line_at_load(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(SMALL_STUDY.replace("end: [0.6666666666666666", "end: [0.5"))
+    code = main(["solve-elliptic", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:4: ") and "vertical straight line" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_log_line_rejects_line_through_part_of_slab_at_load(tmp_path, capsys):
+    """A vertical file curve from z = 0 to 0.1 in a 0.25 slab is not the source of u."""
+    (tmp_path / "line.txt").write_text("0.6666666666666666 0.3333333333333333 0.0\n"
+                                      "0.6666666666666666 0.3333333333333333 0.1\n")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(SMALL_STUDY.replace(
+        SMALL_STUDY[SMALL_STUDY.index("  kind: line"):SMALL_STUDY.index("degree:")],
+        "  kind: file\n  path: line.txt\n",
+    ))
+    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:4: ") and "from z = 0 to z = 0.25" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("old,new", [
     ("degree: 1", "degree: true"),
     ("mode: elliptic", "mode: elliptic\nscheme: {epsilon: true}"),

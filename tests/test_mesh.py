@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linedg import basis as fb
 from linedg.mesh import BoxDomain, build_box_mesh, face_area_and_normal
 from linedg.errors import GeometryError
 
@@ -133,3 +134,13 @@ def test_shape_regularity_constant_across_refinement():
     assert abs(rc.max() - rf.max()) < 1e-10
     # quasi-uniformity: every diameter equals the global h on these grids
     assert np.allclose(fine.diameters, fine.h, rtol=1e-12)
+
+
+def test_map_points_matches_pointwise_affine_map():
+    """The barycentric map of every element equals x0 + J r from basis."""
+    m = build_box_mesh(BoxDomain(lo=[-0.5, 0.2, 0.1], hi=[0.5, 1.5, 0.5]), (5, 7, 2))
+    ref = np.vstack([fb.tet_quadrature(6).points, fb.make_basis(2).nodes])
+    expected = fb.map_to_physical(m.tet_coords(), ref)
+    assert np.abs(m.map_points(ref) - expected).max() <= 1e-14
+    some = np.array([0, 17, m.n_elements - 1])
+    assert np.array_equal(m.map_points(ref, some), m.map_points(ref)[some])

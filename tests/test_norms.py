@@ -31,7 +31,7 @@ def solve_reference_problem(n, k, sigma=None, rel_tol=1e-11):
     basis = fb.make_basis(k)
     spec = DGSpec.default(k) if sigma is None else DGSpec(k=k, sigma=sigma)
     curve = vertical_line()
-    exact = LogLineSolution.from_curve(curve)
+    exact = LogLineSolution.from_curve(curve, SLAB)
     system = assemble_stiffness(mesh, spec, basis)
     rhs = assemble_line_rhs(curve, 1.0, mesh, basis)
     rhs += assemble_dirichlet_rhs(mesh, spec, basis, exact)
@@ -90,6 +90,29 @@ def test_weighted_norm_alpha_zero_matches_plain():
     rng = np.random.default_rng(3)
     f = FieldFunction.from_vector(mesh, basis, rng.standard_normal(mesh.n_elements * 4))
     assert abs(weighted_l2_norm(f, vertical_line(), 0.0) - l2_error(f, 0.0)) < 1e-12
+
+
+def test_weighted_dg_norm_small_alpha_matches_plain():
+    mesh = build_box_mesh(SLAB, (2, 2, 1))
+    basis = fb.make_basis(2)
+    rng = np.random.default_rng(4)
+    f = FieldFunction.from_vector(mesh, basis, rng.standard_normal(mesh.n_elements * basis.dim))
+    plain = dg_norm(f, sigma=12.0)
+    assert abs(weighted_dg_norm(f, vertical_line(), 1e-6, sigma=12.0) - plain) <= 1e-5 * plain
+
+
+def test_norms_vanish_on_box_without_element_centroids():
+    """A box on a mesh plane, thinner than the alignment tolerance, holds no element."""
+    mesh = build_box_mesh(SLAB, (4, 4, 1))
+    basis = fb.make_basis(1)
+    rng = np.random.default_rng(8)
+    f = FieldFunction.from_vector(mesh, basis, rng.standard_normal(mesh.n_elements * 4))
+    thin = Box(lo=[0.25, 0.0, 0.0], hi=[0.25 + 1e-12, 1.0, 0.25])
+    exact = lambda p: 1.0 + p[:, 0]
+    grad = lambda p: np.tile([1.0, 0.0, 0.0], (len(p), 1))
+    assert l2_error(f, exact, region=thin) == 0.0
+    assert dg_energy_error(f, exact, grad, sigma=5.0, region=thin) == 0.0
+    assert l2_error(f, exact, region=C1) > 0.0
 
 
 def test_weighted_norm_monte_carlo_oracle():

@@ -23,6 +23,18 @@ def vertical_line():
     return Curve([[2 / 3, 1 / 3, 0.0], [2 / 3, 1 / 3, 0.25]])
 
 
+def step_of(grid, t):
+    """Index n with t in (t^{n-1}, t^n]; 0 at t = 0."""
+    if t <= 0.0:
+        return 0
+    return min(int(np.ceil(t / grid.tau - 1e-12)), grid.steps)
+
+
+def at_time(series, t):
+    """The piecewise-constant reconstruction: the right-endpoint snapshot."""
+    return series.field(step_of(series.grid, t))
+
+
 def elliptic_solution(mesh, basis, spec, curve, rel_tol=1e-12):
     system = assemble_stiffness(mesh, spec, basis)
     b = assemble_line_rhs(curve, 1.0, mesh, basis)
@@ -53,9 +65,13 @@ def test_projection_identities():
     u0 = lambda p: np.sin(np.pi * p[:, 0])
     proj = project_initial(u0, mesh, basis)
     M = assemble_mass(mesh, basis).matrix
-    from linedg.assembly import assemble_volume_rhs
-
-    load = assemble_volume_rhs(mesh, basis, u0, exactness=2 * basis.degree + 4)
+    # the load (u0, phi_i) by a rule two degrees above the projection's
+    rule = fb.tet_quadrature(2 * basis.degree + 4)
+    u0q = u0(fb.map_to_physical(mesh.tet_coords(), rule.points).reshape(-1, 3))
+    load = np.einsum(
+        "q,eq,qi,e->ei", rule.weights, u0q.reshape(mesh.n_elements, rule.n),
+        basis.eval(rule.points), mesh.det_jacobians,
+    ).ravel()
     residual = M @ proj.as_vector() - load
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -77,10 +93,10 @@ def test_reconstruction_indexing():
     spec = DGSpec.default(1)
     grid = TimeGrid(final_time=1.0, steps=4)
     series = run_backward_euler(mesh, spec, vertical_line(), 1.0, None, grid)
-    assert series.step_of(0.0) == 0
-    assert series.step_of(0.25) == 1
-    assert series.step_of(0.2500001) == 2
-    assert series.step_of(1.0) == 4
+    assert step_of(series.grid, 0.0) == 0
+    assert step_of(series.grid, 0.25) == 1
+    assert step_of(series.grid, 0.2500001) == 2
+    assert step_of(series.grid, 1.0) == 4
 
 
 def test_decay_toward_elliptic_steady_state():
@@ -193,7 +209,7 @@ def test_spacetime_error_zero_cases():
     series2 = run_backward_euler(mesh, spec, vertical_line(), 1.0, None, grid, basis=basis)
 
     def reconstruct(t, pts):
-        return series2.at_time(t).evaluate(pts)
+        return at_time(series2, t).evaluate(pts)
 
     assert spacetime_l2_error(series2, reconstruct) < 1e-12
 
@@ -253,7 +269,7 @@ def test_tau_h2_coupling_dominated_by_spatial_error():
     coarse, fine = runs[h2], runs[h2 / 4]
 
     def reconstruct(t, pts):
-        return fine.at_time(t).evaluate(pts)
+        return at_time(fine, t).evaluate(pts)
 
     temporal_gap = spacetime_l2_error(coarse, reconstruct)
 
