@@ -9,7 +9,7 @@ from .fields import Box, FieldFunction, interpolate
 from .mesh import BoxDomain, Mesh, build_box_mesh
 from .norms import convergence_rates, dg_energy_error, dg_norm, l2_error, weighted_dg_norm, weighted_l2_norm
 from .parabolic import TimeGrid, TimeSeries, project_initial, run_backward_euler, spacetime_l2_error
-from .problems import LogLineSolution, line_curve, sine_curve
+from .problems import LogLineSolution, sine_curve
 from .solver import SolverConfig, SolveResult, solve
 
 __all__ = [
@@ -20,5 +20,5 @@ __all__ = [
     "FieldFunction", "Box", "interpolate",
     "l2_error", "dg_energy_error", "dg_norm", "weighted_l2_norm", "weighted_dg_norm", "convergence_rates",
     "TimeGrid", "TimeSeries", "project_initial", "run_backward_euler", "spacetime_l2_error",
-    "LogLineSolution", "line_curve", "sine_curve",
+    "LogLineSolution", "sine_curve",
 ]

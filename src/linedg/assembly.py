@@ -67,7 +67,9 @@ class DGSpec:
 class SparseSystem:
     """BSR operator over element-blocked DoFs, one (nb, nb) block per element pair.
 
-    ``discretization`` is the (mesh, spec, basis) an assembled stiffness
+    ``symmetric`` selects CG in ``solver.solve`` (BiCGStab otherwise); the
+    assembly sets it for the epsilon = -1 stiffness and for the mass, jump
+    and Gram operators.  ``discretization`` is the (mesh, spec, basis) an assembled stiffness
     operator came from, which the multigrid preconditioner rediscretises on
     coarser meshes; None for every other operator.
     """

@@ -255,17 +255,21 @@ def run_parabolic(cfg, out_dir, vtk=True):
     return {"series": series, "history": rows}
 
 
+# subcommand -> (help, required mode, runner, VTK output by default)
+_COMMANDS = {
+    "solve-elliptic": ("single steady solve", "elliptic", run_elliptic, True),
+    "solve-parabolic": ("backward Euler time stepping", "parabolic", run_parabolic, True),
+    "study": ("refinement study with rate table", "elliptic", run_study, False),
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="linedg",
         description="Interior penalty DG solver for problems with a line source",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("solve-elliptic", "single steady solve"),
-        ("solve-parabolic", "backward Euler time stepping"),
-        ("study", "refinement study with rate table"),
-    ):
+    for name, (help_, _, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("config", help="YAML configuration file")
         p.add_argument("--out-dir", default="out", help="output directory")
@@ -273,20 +277,14 @@ def main(argv=None):
         vtk.add_argument("--vtk", dest="vtk", action="store_true", default=None)
         vtk.add_argument("--no-vtk", dest="vtk", action="store_false")
     args = parser.parse_args(argv)
+    _, mode, run, vtk_default = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        if args.command == "solve-elliptic":
-            if cfg.mode != "elliptic":
-                raise ConfigError("solve-elliptic needs mode: elliptic")
-            run_elliptic(cfg, args.out_dir, vtk=args.vtk if args.vtk is not None else True)
-        elif args.command == "solve-parabolic":
-            if cfg.mode != "parabolic":
-                raise ConfigError("solve-parabolic needs mode: parabolic")
-            run_parabolic(cfg, args.out_dir, vtk=args.vtk if args.vtk is not None else True)
-        else:
-            result = run_study(cfg, args.out_dir, vtk=bool(args.vtk))
-            if result["violations"]:
-                return 2
+        if cfg.mode != mode:
+            raise ConfigError(f"{args.command} needs mode: {mode}")
+        result = run(cfg, args.out_dir, vtk=vtk_default if args.vtk is None else args.vtk)
+        if result.get("violations"):
+            return 2
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

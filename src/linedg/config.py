@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .fields import Box
 from .mesh import BoxDomain
 from .multigrid import level_grids
-from .problems import LogLineSolution, line_curve, sine_curve
+from .problems import LogLineSolution, sine_curve
 from .solver import SolverConfig
 
 _EXPR_NAMES = {
@@ -145,7 +145,7 @@ class CurveSpec:
 
     def build(self, base_dir=None):
         if self.kind == "line":
-            return line_curve(self.params["start"], self.params["end"])
+            return Curve([self.params["start"], self.params["end"]])
         if self.kind == "sine":
             return sine_curve(
                 self.params["start"], self.params["end"], self.params["amplitude"],
@@ -362,10 +362,8 @@ def parse_config(text, source="<config>", base_dir=None):
     solver = SolverConfig()
     if "solver" in top:
         s_node = top["solver"]
-        s_map = _expect_map(s_node, source, ("method", "rel_tol", "max_iter", "preconditioner"), "solver")
+        s_map = _expect_map(s_node, source, ("rel_tol", "max_iter", "preconditioner"), "solver")
         kwargs = {}
-        if "method" in s_map:
-            kwargs["method"] = _scalar(s_map["method"], source, str, "solver.method")
         if "rel_tol" in s_map:
             kwargs["rel_tol"] = float(_scalar(s_map["rel_tol"], source, (int, float), "solver.rel_tol"))
         if "max_iter" in s_map and s_map["max_iter"].value is not None:
@@ -495,7 +493,6 @@ def config_to_dict(cfg):
         "levels": [list(l) for l in cfg.levels],
         "exact": cfg.exact,
         "solver": {
-            "method": cfg.solver.method,
             "rel_tol": cfg.solver.rel_tol,
             "max_iter": cfg.solver.max_iter,
             "preconditioner": cfg.solver.preconditioner,

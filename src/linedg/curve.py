@@ -38,26 +38,11 @@ class Curve:
     def n_segments(self):
         return self.points.shape[0] - 1
 
-    def check_inside(self, domain, margin=0.0):
-        """Require every curve point at distance >= margin from the boundary.
-
-        margin 0 admits points on the closed boundary; positive margins
-        enforce strict interior placement.
-        """
-        ok = domain.contains(self.points, margin=margin)
+    def check_inside(self, domain):
+        """Require every curve point in the closed domain box."""
+        ok = domain.contains(self.points)
         if not np.all(ok):
-            bad = self.points[~ok][0]
-            raise ValueError(
-                f"curve point {bad} is outside the domain (margin {margin})"
-            )
-
-    def point_at(self, s):
-        """Point(s) at arclength s (scalar or array)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        s = np.clip(s, 0.0, self.length)
-        idx = np.clip(np.searchsorted(self.cum_lengths, s, side="right") - 1, 0, self.n_segments - 1)
-        t = (s - self.cum_lengths[idx]) / self.seg_lengths[idx]
-        return self.points[idx] + t[:, None] * (self.points[idx + 1] - self.points[idx])
+            raise ValueError(f"curve point {self.points[~ok][0]} is outside the domain")
 
 
 @dataclass
@@ -121,17 +106,18 @@ def _candidate_elements(mesh, p0, p1):
     return mesh.cell_tets(mesh.cell_flat_index(cells)).ravel()
 
 
-def build_restrictions(curve, mesh, length_tol_rel=1e-12):
+def build_restrictions(curve, mesh):
     """Clip the curve against every element it crosses.
 
     Intervals are normalized per segment so overlaps at shared faces are
     assigned once (lower element index wins), which makes the per-element
-    lengths an exact partition of the curve length.  Warns if an element
-    carries more than 2h of curve, which breaks the short-intersection
-    assumption behind the load scaling.
+    lengths an exact partition of the curve length; pieces shorter than
+    1e-12 h are dropped.  Warns if an element carries more than 2h of
+    curve, which breaks the short-intersection assumption behind the load
+    scaling.
     """
-    curve.check_inside(mesh.domain, margin=0.0)
-    drop = length_tol_rel * mesh.h
+    curve.check_inside(mesh.domain)
+    drop = 1e-12 * mesh.h
     per_element = {}
     for si in range(curve.n_segments):
         p0 = curve.points[si]

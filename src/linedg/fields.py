@@ -4,15 +4,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis as _basis
-
 
 class FieldFunction:
     """Piecewise polynomial on a mesh: one coefficient block per element.
 
     Coefficients are nodal values of the element basis, stored as
-    ``coeffs[element, local_dof]``.  Fields support +, -, scalar * for
-    error-field arithmetic on a shared mesh/basis.
+    ``coeffs[element, local_dof]``.
     """
 
     def __init__(self, mesh, basis, coeffs):
@@ -29,20 +26,9 @@ class FieldFunction:
     def degree(self):
         return self.basis.degree
 
-    @property
-    def n_dof(self):
-        return self.coeffs.size
-
-    def as_vector(self):
-        return self.coeffs.ravel().copy()
-
     @classmethod
     def from_vector(cls, mesh, basis, vec):
         return cls(mesh, basis, np.asarray(vec, dtype=float).reshape(mesh.n_elements, basis.dim))
-
-    @classmethod
-    def zero(cls, mesh, basis):
-        return cls(mesh, basis, np.zeros((mesh.n_elements, basis.dim)))
 
     def eval_in_elements(self, elements, ref_points):
         """Values at shared reference points inside the given elements.
@@ -53,10 +39,15 @@ class FieldFunction:
         return self.coeffs[elements] @ vals.T
 
     def grad_in_elements(self, elements, ref_points):
-        """Physical gradients, shape (len(elements), q, 3)."""
+        """Physical gradients, shape (len(elements), q, 3).
+
+        The coefficients meet the reference gradients first, so only the
+        field's gradient, not every basis gradient, is pushed by J^{-T}.
+        """
         g = self.basis.grad(ref_points)  # (q, nb, 3)
-        phys = _basis.push_gradients(g[None], self.mesh.jac_invs[elements][:, None])
-        return np.einsum("ni,nqid->nqd", self.coeffs[elements], phys)
+        q, nb, _ = g.shape
+        ref = (self.coeffs[elements] @ g.transpose(1, 0, 2).reshape(nb, 3 * q)).reshape(-1, q, 3)
+        return ref @ self.mesh.jac_invs[elements]
 
     def evaluate(self, points):
         """Point evaluation; each point uses its containing element's block."""
@@ -67,23 +58,6 @@ class FieldFunction:
         origin = self.mesh.vertices[self.mesh.tets[elems, 0]]
         ref = np.einsum("nde,ne->nd", self.mesh.jac_invs[elems], pts - origin)
         return np.einsum("ni,ni->n", self.coeffs[elems], self.basis.eval(ref))
-
-    def _check_compatible(self, other):
-        if other.mesh is not self.mesh or other.basis is not self.basis:
-            raise ValueError("fields must share mesh and basis")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return FieldFunction(self.mesh, self.basis, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return FieldFunction(self.mesh, self.basis, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return FieldFunction(self.mesh, self.basis, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def interpolate(fn, mesh, basis):
@@ -109,10 +83,12 @@ class Box:
         object.__setattr__(self, "hi", hi)
 
 
-def check_region_aligned(mesh, region, tol=1e-9):
-    """Validate that a Box region's faces coincide with mesh planes."""
+def check_region_aligned(mesh, region):
+    """Validate that a Box region's faces coincide with mesh planes (to 1e-9
+    of a cell)."""
     if region is None:
         return
+    tol = 1e-9
     cell = mesh.cell_size
     for name, vals in (("lo", region.lo), ("hi", region.hi)):
         steps = (vals - mesh.domain.lo) / cell

@@ -37,29 +37,19 @@ class BoxDomain:
     def volume(self):
         return float(np.prod(self.extent))
 
-    def contains(self, points, margin=0.0):
+    def contains(self, points):
+        """Mask of the points inside the closed box."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lo + margin) & (pts <= self.hi - margin), axis=1)
+        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
 
 
-# The 6 tets of the Kuhn split of the unit cube, as corner offsets.  Each tet
-# walks from (0,0,0) to (1,1,1) adding one unit step per axis permutation.
-_AXIS_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-
-
-def _kuhn_corner_offsets():
-    tets = []
-    for perm in _AXIS_PERMS:
-        corners = [np.zeros(3, dtype=np.int64)]
-        for axis in perm:
-            step = corners[-1].copy()
-            step[axis] += 1
-            corners.append(step)
-        tets.append(np.stack(corners))
-    return np.stack(tets)  # (6, 4, 3)
-
-
-_KUHN_OFFSETS = _kuhn_corner_offsets()
+# The 6 tets of the Kuhn split of the unit cube, positively oriented, as cube
+# corners: bit d of a corner is set on the far side along axis d.  Each tet
+# walks from corner 0 to corner 7 with one unit step per axis.
+_KUHN_CORNERS = np.array(
+    [[0, 1, 3, 7], [0, 1, 7, 5], [0, 2, 7, 3], [0, 2, 6, 7], [0, 4, 5, 7], [0, 4, 7, 6]]
+)
+_KUHN_OFFSETS = (_KUHN_CORNERS[..., None] >> np.arange(3)) & 1  # (6, 4, 3)
 
 
 class Mesh:
@@ -83,27 +73,11 @@ class Mesh:
         self.n = tuple(int(v) for v in n)
         self.vertices = vertices
         self.tets = tets
-        self._orient_positively()
         self._build_geometry()
         self._build_faces()
         self._validate()
 
     # -- construction helpers -------------------------------------------------
-
-    def _orient_positively(self):
-        tc = self.vertices[self.tets]
-        a = tc[:, 0]
-        vol6 = np.einsum(
-            "ij,ij->i",
-            tc[:, 1] - a,
-            np.cross(tc[:, 2] - a, tc[:, 3] - a),
-        )
-        flip = vol6 < 0
-        if np.any(flip):
-            self.tets[flip, 2], self.tets[flip, 3] = (
-                self.tets[flip, 3].copy(),
-                self.tets[flip, 2].copy(),
-            )
 
     def _build_geometry(self):
         tc = self.tet_coords()
@@ -163,7 +137,7 @@ class Mesh:
 
     def _validate(self):
         if np.any(self.volumes <= 0):
-            raise GeometryError("non-positive tetrahedron volume")
+            raise GeometryError("non-positive tetrahedron volume (tets must be positively oriented)")
         total = self.volumes.sum()
         if abs(total - self.domain.volume) > 1e-12 * self.domain.volume:
             raise GeometryError(
@@ -244,16 +218,16 @@ class Mesh:
         rep = build_box_mesh(BoxDomain(lo, lo + m * self.cell_size), tuple(m))
         return rep, target - cells
 
-    def find_elements(self, points, tol=1e-10):
+    def find_elements(self, points):
         """Containing element per point (first match, deterministic).
 
-        Points outside the domain (beyond ``tol`` relative to h) get -1.
+        Points outside the domain (beyond 1e-10 relative to h) get -1.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         cells = self.cell_index(pts)
         cand = self.cell_tets(self.cell_flat_index(cells))  # (m, 6)
         out = np.full(pts.shape[0], -1, dtype=np.int64)
-        eps = tol * max(self.h, 1.0)
+        eps = 1e-10 * max(self.h, 1.0)
         for local in range(6):
             todo = out < 0
             if not np.any(todo):
@@ -282,15 +256,12 @@ class Mesh:
 
 
 def face_area_and_normal(face_coords):
-    """Area and unit normal of triangles given as (..., 3, 3) coordinates.
+    """Areas and unit normals of triangles given as (n, 3, 3) coordinates.
 
     The normal sign is the right-hand orientation of the stored vertex order;
     callers fix the direction convention.  Degenerate triangles raise.
     """
     fc = np.asarray(face_coords, dtype=float)
-    single = fc.ndim == 2
-    if single:
-        fc = fc[None]
     cross = np.cross(fc[:, 1] - fc[:, 0], fc[:, 2] - fc[:, 0])
     norms = np.linalg.norm(cross, axis=1)
     scale = np.maximum(
@@ -299,11 +270,7 @@ def face_area_and_normal(face_coords):
     )
     if np.any(norms <= 1e-12 * scale):
         raise GeometryError("degenerate face (collinear vertices)")
-    areas = 0.5 * norms
-    normals = cross / norms[:, None]
-    if single:
-        return float(areas[0]), normals[0]
-    return areas, normals
+    return 0.5 * norms, cross / norms[:, None]
 
 
 def build_box_mesh(domain, n):

@@ -6,7 +6,6 @@ assembled and its preconditioner built once per run, and the line load is
 rebuilt per step only when the source depends on time.
 """
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,29 +61,6 @@ class TimeSeries:
         return FieldFunction.from_vector(self.mesh, self.basis, self.snapshots[n])
 
 
-def _canonical_source(f, time_dependent=None):
-    """Normalize the line density to (fn(t, s), depends_on_time)."""
-    if f is None:
-        return None, False
-    if not callable(f):
-        val = float(f)
-        return (lambda t, s: np.full_like(np.asarray(s, dtype=float), val)), False
-    params = None
-    try:
-        params = len(inspect.signature(f).parameters)
-    except (TypeError, ValueError):
-        pass
-    if params == 1:
-        fn = lambda t, s: f(s)
-        dep = False
-    else:
-        fn = f
-        dep = True
-    if time_dependent is not None:
-        dep = bool(time_dependent)
-    return fn, dep
-
-
 def project_initial(u0, mesh, basis):
     """Elementwise L2 projection of a point function into the broken space,
     with the moments taken by the 2k+2 rule."""
@@ -101,11 +77,9 @@ def project_initial(u0, mesh, basis):
 def _initial_vector(u0, mesh, basis):
     if u0 is None:
         return np.zeros(mesh.n_elements * basis.dim)
-    if isinstance(u0, FieldFunction):
-        return u0.as_vector()
-    if isinstance(u0, np.ndarray):
-        return np.asarray(u0, dtype=float).ravel().copy()
-    return project_initial(u0, mesh, basis).as_vector()
+    if callable(u0):
+        return project_initial(u0, mesh, basis).coeffs.ravel()
+    return np.array(u0, dtype=float).ravel()
 
 
 def run_backward_euler(
@@ -118,14 +92,17 @@ def run_backward_euler(
     solver_config=None,
     basis=None,
     volume_source=None,
-    f_time_dependent=None,
+    f_time_dependent=True,
 ):
     """March the implicit Euler scheme and return the snapshot series.
 
-    ``f`` is the line density: constant, f(s), or f(t, s) over arclength;
-    ``u0`` is a point function, FieldFunction, coefficient vector, or None
-    (zero).  ``volume_source(t, points)`` adds a distributed load, used by
-    manufactured smooth tests.  Solver failures abort with the step index.
+    ``f`` is the line density: None, a number, or f(t, s) of time and
+    arclength.  A callable ``f`` is evaluated at every step's time when
+    ``f_time_dependent`` is set, else once at t = 0.  ``u0`` is None (zero),
+    a coefficient vector, or a point function, projected by
+    ``project_initial``.  ``volume_source(t, points)`` adds a distributed
+    load, used by manufactured smooth tests.  Solver failures abort with the
+    step index.
     """
     if basis is None:
         basis = _basis.make_basis(spec.k)
@@ -137,15 +114,19 @@ def run_backward_euler(
     S = SparseSystem(M.matrix + tau * A.matrix, A.block_size, A.symmetric)
     precond = make_preconditioner(S, solver_config.preconditioner)
 
-    fn, f_dep = _canonical_source(f, f_time_dependent)
-    restrictions = None
-    b_line = None
-    if fn is not None and curve is not None:
+    if isinstance(f, np.ufunc) and f.nin == 1:  # f(t, s) would pass s as ``out``
+        raise TypeError(f"line density {f.__name__} takes one argument; f must be f(t, s)")
+    line = f is not None and curve is not None
+    if line:
         restrictions = build_restrictions(curve, mesh)
-        if not f_dep:
-            b_line = assemble_line_rhs(
-                curve, lambda s: fn(0.0, s), mesh, basis, restrictions=restrictions
-            )
+
+        def line_load(t):
+            density = (lambda s: f(t, s)) if callable(f) else f
+            return assemble_line_rhs(curve, density, mesh, basis, restrictions=restrictions)
+
+        rebuild = f_time_dependent and callable(f)
+        if not rebuild:
+            b_line = line_load(0.0)
 
     u = _initial_vector(u0, mesh, basis)
     snapshots = np.empty((grid.steps + 1, u.size))
@@ -153,11 +134,9 @@ def run_backward_euler(
     for n in range(1, grid.steps + 1):
         t_n = n * tau
         rhs = M.matrix @ u
-        if fn is not None and curve is not None:
-            if f_dep:
-                b_line = assemble_line_rhs(
-                    curve, lambda s: fn(t_n, s), mesh, basis, restrictions=restrictions
-                )
+        if line:
+            if rebuild:
+                b_line = line_load(t_n)
             rhs = rhs + tau * b_line
         if volume_source is not None:
             rhs = rhs + tau * assemble_volume_rhs(

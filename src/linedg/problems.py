@@ -34,10 +34,11 @@ class LogLineSolution:
         return g
 
     @classmethod
-    def from_curve(cls, curve, domain, tol=1e-9):
+    def from_curve(cls, curve, domain):
         """Build from a vertical straight curve that runs once from the
-        domain's bottom to its top face, the only curve for which u solves
-        the problem there; rejects anything else."""
+        domain's bottom to its top face (to 1e-9), the only curve for which
+        u solves the problem there; rejects anything else."""
+        tol = 1e-9
         p = curve.points
         z, lo, hi = p[:, 2], domain.lo[2], domain.hi[2]
         ok = np.allclose(p[:, 0], p[0, 0], atol=tol) and np.allclose(p[:, 1], p[0, 1], atol=tol)
@@ -48,11 +49,6 @@ class LogLineSolution:
                 f"from z = {lo:g} to z = {hi:g}"
             )
         return cls(p[0, 0], p[0, 1])
-
-
-def line_curve(start, end):
-    """Straight segment between two points."""
-    return Curve([start, end])
 
 
 def sine_curve(start, end, amplitude, periods, axis, samples=48):

@@ -15,14 +15,11 @@ from .errors import NonconvergenceError
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "cg"
     rel_tol: float = 1e-10
     max_iter: int | None = None
     preconditioner: str = "block_jacobi"
 
     def __post_init__(self):
-        if self.method not in ("cg", "bicgstab"):
-            raise ValueError(f"unknown method {self.method!r}")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must be in (0, 1)")
         if self.max_iter is not None and self.max_iter < 1:
@@ -75,27 +72,20 @@ def block_apply(blocks, x):
     return np.einsum("bij,bj->bi", blocks, x.reshape(nblocks, nb)).ravel()
 
 
-def _check_symmetric(A, rng):
-    v = rng.standard_normal(A.shape[0])
-    av = A @ v
-    atv = A.T @ v
-    scale = np.linalg.norm(av) + 1e-300
-    return np.linalg.norm(av - atv) <= 1e-8 * scale
-
-
 def solve(system, b, config=None, x0=None, debug=False, precond=None):
-    """Solve system.matrix x = b.
+    """Solve system.matrix x = b: by CG when ``system.symmetric`` is set,
+    by BiCGStab otherwise.
 
     Returns SolveResult(x, iterations, residual, monitor) with the true
     residual ||Ax - b||_2 <= rel_tol * ||b||_2, or raises NonconvergenceError
     carrying the iterate with the smallest residual norm seen (judged by the
     recurrence residual; the error's ``residual`` is its true residual).
-    With ``debug`` (CG only) ``monitor`` holds the quadratic-form values
+    With ``debug``, CG fills ``monitor`` with the quadratic-form values
     0.5 x^T A x - b^T x per iteration; they decrease monotonically exactly
-    when the energy-norm error does.  ``precond`` is a prebuilt
-    ``make_preconditioner`` callable for this operator, so that repeated
-    solves with one operator build it once; by default it is built from
-    ``config.preconditioner``.
+    when the energy-norm error does (BiCGStab leaves ``monitor`` empty).
+    ``precond`` is a prebuilt ``make_preconditioner`` callable for this
+    operator, so that repeated solves with one operator build it once; by
+    default it is built from ``config.preconditioner``.
     """
     config = config or SolverConfig()
     A = system.matrix
@@ -111,9 +101,7 @@ def solve(system, b, config=None, x0=None, debug=False, precond=None):
         return SolveResult(np.zeros_like(b), 0, 0.0)
     tol = config.rel_tol * bnorm
 
-    if config.method == "cg":
-        if not system.symmetric and not _check_symmetric(A, np.random.default_rng(0)):
-            raise ValueError("cg requires a symmetric matrix; use bicgstab")
+    if system.symmetric:
         return _pcg(A, b, precond, tol, max_iter, x0, debug)
     return _bicgstab(A, b, precond, tol, max_iter, x0)
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 
-def write_vtk(path, mesh, cell_data=None, point_data=None, title="linedg output"):
+def write_vtk(path, mesh, cell_data=None, point_data=None):
     """Write the mesh and optional scalar fields as a legacy VTK file.
 
     ``cell_data`` / ``point_data``: dicts name -> array of per-element /
@@ -15,7 +15,7 @@ def write_vtk(path, mesh, cell_data=None, point_data=None, title="linedg output"
     nv = mesh.vertices.shape[0]
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "linedg output",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from linedg.cli import main, run_elliptic, run_parabolic, run_study
 from linedg.config import parse_config
@@ -113,6 +114,27 @@ def test_study_invalid_scheme_is_config_error(tmp_path, capsys, scheme):
     assert code == 1
     line = SMALL_STUDY.count("\n") + 2  # the scheme mapping starts below "scheme:"
     assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+
+
+def test_incomplete_variant_solves_with_bicgstab(tmp_path):
+    """epsilon = 0 gives a nonsymmetric operator; the solve picks BiCGStab itself."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(SMALL_STUDY + "scheme: {epsilon: 0, sigma: 10, beta: 2}\n")
+    code = main(["solve-elliptic", str(path), "--out-dir", str(tmp_path / "out"), "--no-vtk"])
+    assert code == 0
+    run = yaml.safe_load((tmp_path / "out" / "metadata.yaml").read_text())["run"]
+    assert run["iterations"] > 0
+    assert float(read_csv(tmp_path / "out" / "errors.csv")[1][3]) > 0
+
+
+def test_study_rejects_parabolic_mode(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(SMALL_STUDY.replace("mode: elliptic", "mode: parabolic")
+                    + "time: {final: 0.1, steps: 4}\n")
+    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: study needs mode: elliptic\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_log_line_rejects_oblique_line_at_load(tmp_path, capsys):

@@ -56,6 +56,14 @@ def test_unknown_keys_rejected_with_line():
         )
 
 
+def test_solver_method_key_rejected_with_line():
+    """The Krylov method follows from the operator's symmetry; it is no option."""
+    text = MINIMAL + "solver:\n  method: cg\n"
+    line = text.splitlines().index("  method: cg") + 1
+    with pytest.raises(ConfigError, match=rf":{line}: unknown key\(s\) in solver: \['method'\]"):
+        parse_config(text)
+
+
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="degree"):
         parse_config("domain: {lo: [0,0,0], hi: [1,1,1]}\ncurve: {kind: line, start: [0.5,0.5,0.2], end: [0.5,0.5,0.8]}\nn: [2,2,2]")

@@ -21,25 +21,13 @@ def test_interpolate_and_evaluate():
     assert np.allclose(field.evaluate(pts), f(pts), atol=1e-12)
 
 
-def test_field_arithmetic():
-    mesh = build_box_mesh(SLAB, (2, 2, 1))
-    basis = fb.make_basis(1)
-    a = interpolate(lambda p: p[:, 0], mesh, basis)
-    b = interpolate(lambda p: p[:, 1], mesh, basis)
-    s = a + 2.0 * b
-    pts = np.array([[0.3, 0.7, 0.1]])
-    assert abs(s.evaluate(pts)[0] - (0.3 + 1.4)) < 1e-13
-    d = a - a
-    assert np.all(d.coeffs == 0)
-
-
 def test_vector_round_trip():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(mesh.n_elements * basis.dim)
     f = FieldFunction.from_vector(mesh, basis, vec)
-    assert np.allclose(f.as_vector(), vec)
+    assert np.allclose(f.coeffs.ravel(), vec)
 
 
 def test_region_masks():
@@ -69,3 +57,17 @@ def test_gradients_of_field():
     phys = fb.map_to_physical(mesh.tet_coords(), ref)[:, 0, :]
     expected = np.column_stack([2 * phys[:, 0], np.full(len(elems), 3.0), -np.ones(len(elems))])
     assert np.allclose(grads[:, 0, :], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_grad_in_elements_matches_pushed_basis_gradients(k):
+    mesh = build_box_mesh(BoxDomain(lo=[-0.3, 1.1, 2.0], hi=[0.7, 1.6, 2.25]), (5, 7, 2))
+    basis = fb.make_basis(k)
+    rng = np.random.default_rng(k)
+    field = FieldFunction.from_vector(mesh, basis, rng.standard_normal(mesh.n_elements * basis.dim))
+    ref = fb.tet_quadrature(2 * k).points
+    elems = rng.permutation(mesh.n_elements)
+    phys = fb.push_gradients(basis.grad(ref)[None], mesh.jac_invs[elems][:, None])
+    expected = np.einsum("ni,nqid->nqd", field.coeffs[elems], phys)
+    got = field.grad_in_elements(elems, ref)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linedg import basis as fb
-from linedg.mesh import BoxDomain, build_box_mesh, face_area_and_normal
+from linedg.mesh import BoxDomain, Mesh, build_box_mesh, face_area_and_normal
 from linedg.errors import GeometryError
 
 
@@ -25,6 +25,21 @@ def test_single_cell_counts():
     assert abs(m.volumes.sum() - 1.0) < 1e-12
     assert m.bface_verts.shape[0] == 12
     assert m.iface_verts.shape[0] == 6
+
+
+def test_unit_cell_is_the_kuhn_table():
+    """Vertex ids of a 1x1x1 grid are cube corners: bit d set on the far side along axis d."""
+    m = build_box_mesh(unit_cube(), (1, 1, 1))
+    expected = [[0, 1, 3, 7], [0, 1, 7, 5], [0, 2, 7, 3], [0, 2, 6, 7], [0, 4, 5, 7], [0, 4, 7, 6]]
+    assert np.array_equal(m.tets, expected)
+
+
+def test_negatively_oriented_tet_rejected():
+    m = build_box_mesh(unit_cube(), (1, 1, 1))
+    tets = m.tets.copy()
+    tets[2, [2, 3]] = tets[2, [3, 2]]
+    with pytest.raises(GeometryError):
+        Mesh(m.domain, m.n, m.vertices, tets)
 
 
 def test_zero_cells_rejected():
@@ -63,18 +78,18 @@ def test_conformity_face_counts():
 
 def test_face_area_and_normal():
     area, normal = face_area_and_normal(
-        np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+        np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=float)
     )
-    assert abs(area - 0.5) < 1e-15
-    assert abs(abs(normal[2]) - 1.0) < 1e-15
+    assert abs(area[0] - 0.5) < 1e-15
+    assert abs(abs(normal[0, 2]) - 1.0) < 1e-15
 
     area2, _ = face_area_and_normal(
-        2.0 * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+        2.0 * np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0]]], dtype=float)
     )
-    assert abs(area2 - 2.0) < 1e-14
+    assert abs(area2[0] - 2.0) < 1e-14
 
     with pytest.raises(GeometryError):
-        face_area_and_normal(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float))
+        face_area_and_normal(np.array([[[0, 0, 0], [1, 0, 0], [2, 0, 0]]], dtype=float))
 
 
 def test_interior_normal_orientation():

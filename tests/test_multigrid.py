@@ -47,7 +47,7 @@ def test_prolongation_reproduces_coarse_field(k):
     coarse_field = FieldFunction(
         coarse, basis, np.random.default_rng(k).standard_normal((coarse.n_elements, basis.dim))
     )
-    fine_field = FieldFunction.from_vector(fine, basis, transfer.prolong(coarse_field.as_vector()))
+    fine_field = FieldFunction.from_vector(fine, basis, transfer.prolong(coarse_field.coeffs.ravel()))
     rule = fb.tet_quadrature(2 * k)
     points = fb.map_to_physical(fine.tet_coords(), rule.points)  # (nf, q, 3)
     on_fine = fine_field.eval_in_elements(np.arange(fine.n_elements), rule.points)

@@ -72,7 +72,7 @@ def test_projection_identities():
         "q,eq,qi,e->ei", rule.weights, u0q.reshape(mesh.n_elements, rule.n),
         basis.eval(rule.points), mesh.det_jacobians,
     ).ravel()
-    residual = M @ proj.as_vector() - load
+    residual = M @ proj.coeffs.ravel() - load
     rng = np.random.default_rng(1)
     for _ in range(10):
         v = rng.standard_normal(residual.size)
@@ -313,6 +313,38 @@ def test_preconditioner_built_once_per_run(monkeypatch):
                                 SolverConfig(rel_tol=1e-10))
     assert calls == ["block_jacobi"]
     assert np.all(np.isfinite(series.snapshots)) and np.any(series.snapshots[-1] != 0)
+
+
+@pytest.mark.parametrize("dependent,builds", [(True, 4), (False, 1)])
+def test_time_dependent_line_density(monkeypatch, dependent, builds):
+    """f(t, s) is evaluated at each step's time when time-dependent, else once at t = 0."""
+    import linedg.parabolic as parabolic
+
+    loads = []
+    real = parabolic.assemble_line_rhs
+
+    def counting(*args, **kwargs):
+        loads.append(real(*args, **kwargs))
+        return loads[-1]
+
+    monkeypatch.setattr(parabolic, "assemble_line_rhs", counting)
+    mesh = build_box_mesh(SLAB, (2, 2, 1))
+    basis = fb.make_basis(1)
+    grid = TimeGrid(final_time=0.2, steps=4)
+    run_backward_euler(mesh, DGSpec.default(1), vertical_line(), lambda t, s: (1 + t) * np.cos(s),
+                       None, grid, basis=basis, f_time_dependent=dependent)
+    assert len(loads) == builds
+    t_last = grid.final_time if dependent else 0.0
+    expected = assemble_line_rhs(vertical_line(), lambda s: (1 + t_last) * np.cos(s), mesh, basis)
+    assert np.array_equal(loads[-1], expected)
+
+
+def test_one_argument_ufunc_density_rejected():
+    """np.cos(t, s) would write cos(t) into s; a one-argument ufunc is no f(t, s)."""
+    mesh = build_box_mesh(SLAB, (2, 2, 1))
+    with pytest.raises(TypeError, match="f must be f\\(t, s\\)"):
+        run_backward_euler(mesh, DGSpec.default(1), vertical_line(), np.cos, None,
+                           TimeGrid(final_time=0.1, steps=2))
 
 
 def test_multigrid_rejected_for_parabolic_operator():
