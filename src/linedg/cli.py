@@ -24,7 +24,7 @@ from .fields import FieldFunction
 from .mesh import build_box_mesh
 from .multigrid import level_grids
 from .norms import convergence_rates, dg_energy_error, l2_error
-from .parabolic import TimeGrid, run_backward_euler, step_diagnostics
+from .parabolic import run_backward_euler, step_diagnostics
 from .problems import LogLineSolution
 from .solver import solve
 from .vtk_io import field_cell_values, write_vtk
@@ -224,7 +224,7 @@ def run_parabolic(cfg, out_dir, vtk=True):
     n = cfg.levels[0]
     mesh = build_box_mesh(cfg.domain, n)
     basis = _basis.make_basis(cfg.degree)
-    grid = TimeGrid(final_time=cfg.final_time, steps=cfg.steps)
+    grid = cfg.time
     f_fn, f_dep = cfg.source.build()
     u0 = cfg.initial.build()
     t0 = time.perf_counter()

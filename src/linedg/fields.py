@@ -83,23 +83,19 @@ class Box:
         object.__setattr__(self, "hi", hi)
 
 
-def check_region_aligned(mesh, region):
-    """Validate that a Box region's faces coincide with mesh planes (to 1e-9
-    of a cell)."""
-    if region is None:
-        return
+def check_region_aligned(domain, n, region):
+    """Validate that a Box region lies in ``domain`` with its faces on the
+    planes of the (nx, ny, nz) grid ``n`` (to 1e-9 of a cell)."""
     tol = 1e-9
-    cell = mesh.cell_size
+    cell = domain.extent / np.asarray(n, dtype=float)
     for name, vals in (("lo", region.lo), ("hi", region.hi)):
-        steps = (vals - mesh.domain.lo) / cell
+        steps = (vals - domain.lo) / cell
         if np.any(np.abs(steps - np.round(steps)) > tol):
             raise ValueError(
                 f"region {name}={vals} is not aligned with the mesh planes "
                 f"(cell size {cell})"
             )
-    if np.any(region.lo < mesh.domain.lo - tol * cell) or np.any(
-        region.hi > mesh.domain.hi + tol * cell
-    ):
+    if np.any(region.lo < domain.lo - tol * cell) or np.any(region.hi > domain.hi + tol * cell):
         raise ValueError("region box must lie inside the domain")
 
 
@@ -108,6 +104,6 @@ def region_element_mask(mesh, region):
     membership decided by the barycenter."""
     if region is None:
         return np.ones(mesh.n_elements, dtype=bool)
-    check_region_aligned(mesh, region)
+    check_region_aligned(mesh.domain, mesh.n, region)
     c = mesh.centroids
     return np.all((c > region.lo) & (c < region.hi), axis=1)

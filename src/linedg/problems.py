@@ -51,7 +51,7 @@ class LogLineSolution:
         return cls(p[0, 0], p[0, 1])
 
 
-def sine_curve(start, end, amplitude, periods, axis, samples=48):
+def sine_curve(start, end, amplitude, periods, axis, samples):
     """Sinusoidal polyline: a straight run plus a sine displacement.
 
     ``axis`` is the displacement direction (0/1/2 or 'x'/'y'/'z');

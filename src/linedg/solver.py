@@ -24,7 +24,7 @@ class SolverConfig:
             raise ValueError("rel_tol must be in (0, 1)")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.preconditioner not in ("none", "jacobi", "block_jacobi", "multigrid"):
+        if self.preconditioner not in ("none", "block_jacobi", "multigrid"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
@@ -41,19 +41,14 @@ def make_preconditioner(system, kind):
     ``multigrid`` needs an assembled stiffness operator (see
     ``multigrid.VCycle``); any other operator raises ValueError.
     """
-    A = system.matrix
     if kind == "none":
         return lambda x: x
-    if kind == "jacobi":
-        d = A.diagonal()
-        if np.any(d == 0):
-            raise ValueError("zero diagonal entry; Jacobi preconditioner unusable")
-        dinv = 1.0 / d
-        return lambda x: dinv * x
     if kind == "multigrid":
         from .multigrid import VCycle  # multigrid imports this module's block helpers
 
         return VCycle(system)
+    if kind != "block_jacobi":
+        raise ValueError(f"unknown preconditioner {kind!r}")
     inv = block_jacobi_inverse(system)
     return lambda x: block_apply(inv, x)
 

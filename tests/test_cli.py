@@ -179,6 +179,35 @@ def test_yaml_boolean_for_number_is_config_error(tmp_path, capsys, old, new):
     assert err.startswith(f"error: {path}:{line}: ") and "has wrong type" in err
 
 
+NO_EXACT = SMALL_STUDY.replace("exact: log_line", "exact: none")
+LINE = SMALL_STUDY[SMALL_STUDY.index("  kind: line"):SMALL_STUDY.index("degree:")]
+SINE = "  kind: sine\n  amplitude: 0.05\n  periods: 1\n"
+
+
+@pytest.mark.parametrize("text,at", [
+    (NO_EXACT.replace("levels:\n  - [4, 4, 1]\n  - [8, 8, 2]", "n: [4.7, 4, 1]"), "n:"),
+    (NO_EXACT.replace("levels:\n  - [4, 4, 1]\n  - [8, 8, 2]", "n: [0, 4, 1]"), "n:"),
+    (NO_EXACT.replace("  kind: line\n", SINE + "  axis: w\n"), "  axis:"),
+    (NO_EXACT.replace("  kind: line\n", SINE + "  axis: 5\n"), "  axis:"),
+    (NO_EXACT.replace("  kind: line\n", SINE + "  samples: 1\n"), "  samples:"),
+    (NO_EXACT.replace(LINE, "  kind: file\n  path: missing.txt\n"), "  kind:"),
+    (NO_EXACT.replace("0.3333333333333333, 0.25]", "0.3333333333333333, 0.3]"), "  kind:"),
+    (SMALL_STUDY.replace("lo: [0.25, 0.5", "lo: [0.3, 0.5"), "  boxA:"),
+    (NO_EXACT.replace("lo: [0.25, 0.5", "lo: [0.3, 0.5"), "  boxA:"),
+], ids=["n_not_integer", "n_zero", "sine_axis_w", "sine_axis_5", "sine_one_sample",
+        "curve_file_missing", "curve_outside_domain", "region_unaligned_log_line",
+        "region_unaligned_no_exact"])
+def test_bad_value_fails_at_load(tmp_path, capsys, text, at):
+    """Values no run can use stop the run when the configuration loads."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    code = main(["solve-elliptic", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    line = next(i for i, l in enumerate(text.splitlines(), 1) if l.startswith(at))
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_deterministic_study_csv(tmp_path):
     cfg = parse_config(SMALL_STUDY)
     run_study(cfg, tmp_path / "a")

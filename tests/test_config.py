@@ -64,6 +64,12 @@ def test_solver_method_key_rejected_with_line():
         parse_config(text)
 
 
+def test_jacobi_preconditioner_rejected_with_line():
+    text = MINIMAL + "solver:\n  rel_tol: 1.0e-10\n  preconditioner: jacobi\n"
+    with pytest.raises(ConfigError, match=r"<config>:10: unknown preconditioner 'jacobi'"):
+        parse_config(text)
+
+
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="degree"):
         parse_config("domain: {lo: [0,0,0], hi: [1,1,1]}\ncurve: {kind: line, start: [0.5,0.5,0.2], end: [0.5,0.5,0.8]}\nn: [2,2,2]")
@@ -85,7 +91,7 @@ def test_time_section_validation():
     with pytest.raises(ConfigError, match="exactly one"):
         parse_config(base + "time: {final: 1.0, tau: 0.1, steps: 5}\n")
     cfg = parse_config(base + "time: {final: 1.0, tau: 0.25}\n")
-    assert cfg.steps == 4
+    assert cfg.time.steps == 4
     with pytest.raises(ConfigError, match="only valid in parabolic"):
         parse_config(MINIMAL + "time: {final: 1.0, steps: 2}\n")
 
@@ -190,3 +196,35 @@ def test_shipped_configs_load():
             cfg.source.build()
         if cfg.initial.kind == "expression":
             cfg.initial.build()
+
+
+def test_quoted_number_is_a_string_expression():
+    cfg = parse_config(MINIMAL + 'source: {kind: expression, expr: "2"}\n')
+    fn, dependent = cfg.source.build()
+    assert np.array_equal(fn(0.0, np.array([0.0, 0.1])), [2.0, 2.0]) and not dependent
+
+
+def test_quoted_degree_rejected_with_line():
+    with pytest.raises(ConfigError, match=r"<config>:7: degree has wrong type \(got str\)"):
+        parse_config(MINIMAL.replace("degree: 1", 'degree: "1"'))
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ("kind: line", "kind: line\n  amplitude: 0.1", "amplitude"),
+    ("kind: line\n  start: [0.5, 0.5, 0.0]", "kind: file\n  path: c.txt\n  start: [0.5, 0.5, 0.0]",
+     "start"),
+    ("n: [4, 4, 1]", "n: [4, 4, 1]\nsource: {kind: constant, expr: s}", "expr"),
+    ("n: [4, 4, 1]", "n: [4, 4, 1]\nsource: {kind: expression, expr: s, value: 2}", "value"),
+], ids=["line_amplitude", "file_start_end", "constant_expr", "expression_value"])
+def test_keys_of_another_kind_rejected(old, new, key):
+    text = MINIMAL.replace(old, new)
+    assert text != MINIMAL
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) in (curve|source): \[.*'{key}'"):
+        parse_config(text)
+
+
+def test_sine_curve_records_its_sample_count():
+    text = MINIMAL.replace("kind: line", "kind: sine\n  amplitude: 0.1\n  periods: 2")
+    record = config_to_dict(parse_config(text))["curve"]
+    assert record == {"kind": "sine", "start": [0.5, 0.5, 0.0], "end": [0.5, 0.5, 0.25],
+                      "amplitude": 0.1, "periods": 2.0, "axis": "y", "samples": 48}

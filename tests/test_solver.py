@@ -39,6 +39,14 @@ def test_config_validation():
         SolverConfig(preconditioner="ilu")
 
 
+def test_jacobi_is_no_preconditioner():
+    """Point Jacobi is block-Jacobi with block size 1; the name is unknown."""
+    with pytest.raises(ValueError, match="unknown preconditioner 'jacobi'"):
+        SolverConfig(preconditioner="jacobi")
+    with pytest.raises(ValueError, match="unknown preconditioner 'jacobi'"):
+        make_preconditioner(as_system(np.eye(3)), "jacobi")
+
+
 def test_zero_rhs():
     res = solve(as_system(np.eye(5)), np.zeros(5))
     assert res.iterations == 0 and np.all(res.x == 0)
@@ -58,7 +66,7 @@ def test_bicgstab_on_nonsymmetric():
     x_true = rng.standard_normal(30)
     b = A @ x_true
     res = solve(as_system(A, symmetric=False), b,
-                SolverConfig(preconditioner="jacobi", rel_tol=1e-12))
+                SolverConfig(preconditioner="block_jacobi", rel_tol=1e-12))
     assert np.allclose(res.x, x_true, atol=1e-8)
     assert res.residual <= 1e-12 * np.linalg.norm(b)
 
@@ -75,28 +83,55 @@ def test_nonconvergence_carries_best_iterate():
     assert err.residual is not None and err.residual > 0
 
 
-@pytest.mark.parametrize("skew", [0.0, 1e-6], ids=["cg", "bicgstab"])
-def test_nonconvergence_returns_best_iterate(skew):
-    """With a non-monotone residual, the failure carries the best iterate so far.
+def jacobi_cg_residuals(A, b, steps):
+    """||b - A x_k|| for k = 0..steps: textbook Jacobi-preconditioned CG from x_0 = 0."""
+    d = np.diag(A)
+    x, r = np.zeros_like(b), b.copy()
+    p = r / d
+    rz = r @ p
+    out = [np.linalg.norm(b)]
+    for _ in range(steps):
+        q = A @ p
+        alpha = rz / (p @ q)
+        x, r = x + alpha * p, r - alpha * q
+        out.append(np.linalg.norm(b - A @ x))
+        z = r / d
+        p, rz = z + (r @ z) / rz * p, r @ z
+    return np.array(out)
 
-    The symmetric matrix runs CG; its skew-perturbed copy runs BiCGStab.
+
+@pytest.mark.parametrize("n,decades,seed,skew,caps", [(6, 2, 17, 0.0, 5), (30, 3, 8, 1e-6, 24)],
+                         ids=["cg", "bicgstab"])
+def test_nonconvergence_returns_best_iterate(n, decades, seed, skew, caps):
+    """With a non-monotone residual, each failure carries the best iterate so far.
+
+    The symmetric 6 x 6 matrix runs CG, whose residual falls below ||b||,
+    rises and falls again: each failure must report the running minimum of
+    the residuals of a textbook CG.  The skew-perturbed 30 x 30 matrix runs
+    BiCGStab, whose best iterate moves at the 24th cap.
     """
-    rng = np.random.default_rng(8)
-    M = rng.standard_normal((30, 30))
-    D = np.diag(np.logspace(0, 3, 30))
-    A = D @ (M @ M.T + 0.1 * np.eye(30)) @ D
-    b = rng.standard_normal(30)
-    K = rng.standard_normal((30, 30))
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    D = np.diag(np.logspace(0, decades, n))
+    A = D @ (M @ M.T + 0.1 * np.eye(n)) @ D
+    b = rng.standard_normal(n)
+    K = rng.standard_normal((n, n))
     A = A + skew * np.abs(A).max() * (K - K.T)
     residuals = []
-    for n in range(1, 25):
+    for cap in range(1, caps + 1):
         with pytest.raises(NonconvergenceError) as info:
             solve(as_system(A, symmetric=skew == 0), b,
-                  SolverConfig(rel_tol=1e-14, max_iter=n, preconditioner="jacobi"))
+                  SolverConfig(rel_tol=1e-14, max_iter=cap, preconditioner="block_jacobi"))
         err = info.value
         assert np.isclose(err.residual, np.linalg.norm(b - A @ err.best_x), rtol=1e-12)
         residuals.append(err.residual)
     assert np.all(np.array(residuals) <= np.minimum.accumulate(residuals))
+    assert residuals[-1] < np.linalg.norm(b)
+    if skew == 0:
+        raw = jacobi_cg_residuals(A, b, caps)
+        best = np.minimum.accumulate(raw)[1:]
+        assert np.any(raw[1:] > best) and best[0] < raw[0]  # it dips, then rises
+        assert np.allclose(residuals, best, rtol=1e-9, atol=0)
 
 
 def test_indefinite_matrix_reports_breakdown():
@@ -138,8 +173,8 @@ def test_permutation_equivariance():
     system = assemble_stiffness(mesh, DGSpec.default(1), basis)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(system.ndof)
-    cfg = SolverConfig(rel_tol=1e-12, preconditioner="jacobi")
-    x = solve(system, b, cfg).x
+    cfg = SolverConfig(rel_tol=1e-12, preconditioner="block_jacobi")  # 1 x 1 blocks: point Jacobi
+    x = solve(SparseSystem(system.matrix.tocsr(), 1, True), b, cfg).x
 
     perm = rng.permutation(system.ndof)
     P = sp.coo_matrix(
@@ -180,7 +215,7 @@ def test_preconditioners_agree():
     b = rng.standard_normal(system.ndof)
     sols = [
         solve(system, b, SolverConfig(rel_tol=1e-12, preconditioner=p)).x
-        for p in ("none", "jacobi", "block_jacobi")
+        for p in ("none", "block_jacobi", "multigrid")
     ]
     assert np.allclose(sols[0], sols[1], atol=1e-8)
     assert np.allclose(sols[0], sols[2], atol=1e-8)
