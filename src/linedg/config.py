@@ -24,7 +24,7 @@ from .fields import Box, check_region_aligned
 from .mesh import BoxDomain
 from .multigrid import level_grids
 from .parabolic import TimeGrid
-from .problems import LogLineSolution, sine_curve
+from .problems import SINE_AXES, LogLineSolution, sine_curve
 from .solver import SolverConfig
 
 _EXPR_NAMES = {
@@ -241,7 +241,7 @@ _CURVES = {
     "line": {"start": (_point, ...), "end": (_point, ...)},
     "sine": {"start": (_point, ...), "end": (_point, ...),
              "amplitude": (_float, ...), "periods": (_float, ...),
-             "axis": (_choice("x", "y", "z", 0, 1, 2), "y"), "samples": (_at_least(2), 48)},
+             "axis": (_choice(*SINE_AXES), "y"), "samples": (_at_least(2), 48)},
     "file": {"path": (_str, ...)},
 }
 _SOURCES = {"constant": {"value": (_float, 1.0)},

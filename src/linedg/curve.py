@@ -14,8 +14,8 @@ from .assembly import reference_mass
 from .errors import AssemblyError
 from .fields import FieldFunction
 
-# point-segment pairs per chunk of the distance field: bounds its (n, s, 3) temporaries
-_DISTANCE_PAIRS = 1 << 18
+# points per block of the distance field: a few (3, block) rows stay in cache
+_DISTANCE_BLOCK = 1 << 14
 
 
 class Curve:
@@ -25,6 +25,8 @@ class Curve:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
             raise ValueError("curve needs an (m, 3) array with m >= 2")
+        if not np.isfinite(pts).all():
+            raise ValueError("curve points must be finite")
         seg = np.diff(pts, axis=0)
         lengths = np.linalg.norm(seg, axis=1)
         if np.any(lengths <= 0):
@@ -169,23 +171,54 @@ def build_restrictions(curve, mesh):
 
 
 def nearest_segments(points, curve):
-    """Distance from points (n, 3) to the polyline and the nearest segment index."""
+    """Distance from points (n, 3) to the polyline and the nearest segment index.
+
+    Points are taken in blocks of ``_DISTANCE_BLOCK``, each held as three
+    contiguous coordinate rows.  Per block, with c the centre and r the
+    half-diagonal of its bounding box, every point lies within r of c, so a
+    segment at distance dist_c from c is at least dist_c - r and at most
+    dist_c + r from every point of the block.  A segment whose lower bound
+    exceeds the smallest upper bound (plus 1e-9 of it and of the coordinate
+    scale, far above rounding) is nearest to no point and is skipped; the
+    others are measured one at a time, in ascending index order, and a point
+    moves to a later segment only when it is strictly closer, so a tie goes
+    to the lowest index.  Non-finite points raise ``ValueError``.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     a = curve.points[:-1]
     d = curve.points[1:] - a
     dd = (d * d).sum(axis=1)
+    scale = np.abs(curve.points).max()
     best = np.empty(pts.shape[0])
     seg = np.empty(pts.shape[0], dtype=np.int64)
-    chunk = max(1, _DISTANCE_PAIRS // curve.n_segments)
-    for start in range(0, pts.shape[0], chunk):
-        p = pts[start : start + chunk]
-        diff = p[:, None, :] - a[None, :, :]
-        t = np.clip(np.einsum("nsd,sd->ns", diff, d) / dd[None, :], 0.0, 1.0)
-        proj = diff - t[:, :, None] * d[None, :, :]
-        dist2 = (proj ** 2).sum(-1)
-        near = dist2.argmin(axis=1)
-        seg[start : start + chunk] = near
-        best[start : start + chunk] = np.sqrt(np.take_along_axis(dist2, near[:, None], axis=1)[:, 0])
+    for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
+        xyz = np.array(pts[start : start + _DISTANCE_BLOCK].T, order="C")
+        lo, hi = xyz.min(axis=1), xyz.max(axis=1)
+        if not np.isfinite([lo, hi]).all():
+            raise ValueError("distance to the curve needs finite points")
+        c = 0.5 * (lo + hi)
+        r = 0.5 * np.sqrt(((hi - lo) ** 2).sum())
+        dc = c - a
+        tc = np.clip((dc * d).sum(axis=1) / dd, 0.0, 1.0)
+        dist_c = np.sqrt(((dc - tc[:, None] * d) ** 2).sum(axis=1))
+        ub = (dist_c + r).min()
+        slack = 1e-9 * (ub + max(scale, np.abs(lo).max(), np.abs(hi).max()))
+        block_d2 = best[start : start + _DISTANCE_BLOCK]
+        block_seg = seg[start : start + _DISTANCE_BLOCK]
+        block_d2.fill(np.inf)
+        x, y, z = xyz
+        for s in np.flatnonzero(dist_c - r <= ub + slack).tolist():
+            (a0, a1, a2), (d0, d1, d2) = a[s], d[s]
+            dx, dy, dz = x - a0, y - a1, z - a2
+            t = np.clip((dx * d0 + dy * d1 + dz * d2) / dd[s], 0.0, 1.0)
+            dx -= t * d0
+            dy -= t * d1
+            dz -= t * d2
+            dist2 = dx * dx + dy * dy + dz * dz
+            closer = dist2 < block_d2
+            np.copyto(block_d2, dist2, where=closer)
+            np.copyto(block_seg, s, where=closer)
+        np.sqrt(block_d2, out=block_d2)
     return best, seg
 
 

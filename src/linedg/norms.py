@@ -21,10 +21,11 @@ def _guard_points(points, curve, h):
     """Nudge quadrature points off the curve so singular integrands stay finite.
 
     Points within 1e-12 of the curve move by 1e-10 * h orthogonally to their
-    nearest segment, far below reported precision.  The direction does not
-    depend on the curve's orientation: the coordinate axis least aligned with
-    the segment, projected onto the segment's normal plane.  Returns the
-    guarded points and their distances to the curve.
+    nearest segment (the lowest index on a tie, such as a shared vertex),
+    far below reported precision.  The direction does not depend on the
+    curve's orientation: the coordinate axis least aligned with the segment,
+    projected onto the segment's normal plane.  Returns the guarded points
+    and their distances to the curve.
     """
     flat = points.reshape(-1, 3)
     d, seg = nearest_segments(flat, curve)

@@ -51,14 +51,19 @@ class LogLineSolution:
         return cls(p[0, 0], p[0, 1])
 
 
+# displacement directions of ``sine_curve``, compared with their type: not True, 1.0 or "Y"
+SINE_AXES = ("x", "y", "z", 0, 1, 2)
+
+
 def sine_curve(start, end, amplitude, periods, axis, samples):
     """Sinusoidal polyline: a straight run plus a sine displacement.
 
-    ``axis`` is the displacement direction (0/1/2 or 'x'/'y'/'z');
+    ``axis`` is the displacement direction, one of ``SINE_AXES``;
     ``samples`` is the number of polyline points.
     """
-    if isinstance(axis, str):
-        axis = {"x": 0, "y": 1, "z": 2}[axis.lower()]
+    if (type(axis), axis) not in [(type(a), a) for a in SINE_AXES]:
+        raise ValueError(f"axis must be one of {', '.join(map(str, SINE_AXES))} (got {axis!r})")
+    axis = SINE_AXES.index(axis) % 3
     if samples < 2:
         raise ValueError("need at least 2 samples")
     start = np.asarray(start, dtype=float)

@@ -7,6 +7,7 @@ import yaml
 from linedg.assembly import DGSpec
 from linedg.config import config_to_dict, load_config, parse_config
 from linedg.errors import ConfigError
+from linedg.problems import sine_curve
 
 MINIMAL = """
 domain: {lo: [0, 0, 0], hi: [1, 1, 0.25]}
@@ -118,6 +119,23 @@ def test_sine_curve_config():
     cfg = parse_config(text)
     curve = cfg.build_curve()
     assert curve.n_segments == 15
+
+
+def test_sine_axis_accepted_by_library_and_config_alike():
+    """sine_curve and the config take exactly x, y, z, 0, 1, 2; both refuse
+    the rest with a ValueError (the config's carries its line)."""
+    args = ([0.1, 0.5, 0.1], [0.9, 0.5, 0.1], 0.05, 1.0)
+    straight = sine_curve(*args[:2], 0.0, 1.0, "x", 9).points
+    text = MINIMAL.replace("kind: line", "kind: sine\n  amplitude: 0.05\n  periods: 1\n  axis: AXIS")
+    for good, axis in (("x", 0), ("y", 1), ("z", 2), (0, 0), (1, 1), (2, 2)):
+        moved = sine_curve(*args, good, 9).points != straight
+        assert moved[:, axis].any() and not np.delete(moved, axis, axis=1).any()
+        parse_config(text.replace("AXIS", str(good)))
+    for bad, yaml_text in (("w", "w"), (5, "5"), ("Y", "Y"), (True, "true"), (1.0, "1.0"), (-1, "-1")):
+        with pytest.raises(ValueError):
+            sine_curve(*args, bad, 9)
+        with pytest.raises(ConfigError):
+            parse_config(text.replace("AXIS", yaml_text))
 
 
 def test_curve_file_loading(tmp_path):

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from linedg import basis as fb
 from linedg.curve import (
-    _DISTANCE_PAIRS,
+    _DISTANCE_BLOCK,
     Curve,
     assemble_line_rhs,
     build_restrictions,
@@ -32,10 +32,10 @@ def sine_curve(samples=40):
 
 
 def test_curve_validation():
-    with pytest.raises(ValueError):
-        Curve([[0, 0, 0]])
-    with pytest.raises(ValueError):
-        Curve([[0, 0, 0], [0, 0, 0]])
+    for bad in ([[0, 0, 0]], [[0, 0, 0], [0, 0, 0]],
+                [[np.nan, 0, 0], [1, 0, 0]], [[np.inf, 0, 0], [1, 0, 0]]):
+        with pytest.raises(ValueError):
+            Curve(bad)
     c = Curve([[0.2, 0.2, 0.1], [0.8, 0.8, 0.2]])
     c.check_inside(SLAB)
     with pytest.raises(ValueError):
@@ -186,14 +186,87 @@ def test_lattice_polyline_partition_and_reversal(vertices):
     assert np.abs(assemble_line_rhs(reverse, 1.0, mesh, basis) - b).max() <= tol
 
 
+def nearest_reference(points, curve):
+    """All pairs at once: project each point on each segment, then argmin."""
+    a = curve.points[:-1]
+    d = curve.points[1:] - a
+    diff = points[:, None, :] - a[None, :, :]
+    t = np.clip((diff * d[None]).sum(-1) / (d * d).sum(axis=1)[None, :], 0.0, 1.0)
+    dist2 = ((diff - t[:, :, None] * d[None]) ** 2).sum(-1)
+    near = dist2.argmin(axis=1)
+    return np.sqrt(dist2[np.arange(points.shape[0]), near]), near
+
+
+def _assert_matches_reference(points, curve):
+    d, seg = nearest_segments(points, curve)
+    ref_d, ref_seg = nearest_reference(points, curve)
+    assert d.shape == seg.shape == (points.shape[0],)
+    np.testing.assert_array_equal(seg, ref_seg)
+    assert np.abs(d - ref_d).max(initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("segments", [1, 2, 5, 17, 64])
+def test_nearest_segments_match_all_pairs_reference(segments):
+    """Random polylines; points at random, in clusters of three sizes (where
+    culling skips segments), on segments, on shared vertices and outside the box."""
+    rng = np.random.default_rng(segments)
+    curve = Curve(np.cumsum(rng.uniform(-0.3, 0.3, size=(segments + 1, 3)), axis=0))
+    a, b = curve.points[:-1], curve.points[1:]
+    t = rng.uniform(0.0, 1.0, size=(segments, 1))
+    clouds = [rng.uniform(-1.0, 1.0, size=(300, 3))] + [
+        rng.uniform(-1.0, 1.0, size=3) + rng.uniform(-size, size, size=(300, 3))
+        for size in (1e-3, 0.03, 0.3) for _ in range(4)
+    ] + [
+        a + t * (b - a),
+        curve.points,
+        rng.uniform(-1.0, 1.0, size=(50, 3)) + rng.choice([-4.0, 4.0], size=(50, 3)),
+    ]
+    for points in clouds:
+        _assert_matches_reference(points, curve)
+
+
+def test_nearest_segments_culling_keeps_a_segment_near_part_of_the_block():
+    """The block's box centre is 0.95 from segment 0 and 1.05 from segment 2,
+    its half-diagonal 0.052: segment 2 is nearest only to its lowest point, so
+    a bound 10% tighter than dist - r would drop it."""
+    curve = Curve([[-1, 1, 0], [1, 1, 0], [1, -1, 0], [-1, -1, 0]])
+    y = np.linspace(-0.002, 0.102, 27)
+    points = np.column_stack([np.full_like(y, -0.5), y, np.zeros_like(y)])
+    _assert_matches_reference(points, curve)
+    assert set(nearest_segments(points, curve)[1]) == {0, 2}
+
+
+@pytest.mark.parametrize("n", [0, 1, _DISTANCE_BLOCK - 1, _DISTANCE_BLOCK, _DISTANCE_BLOCK + 1])
+def test_nearest_segments_point_counts_around_a_block(n):
+    points = np.random.default_rng(n).uniform([0, 0, 0], [1, 1, 0.25], size=(n, 3))
+    _assert_matches_reference(points, sine_curve(samples=9))
+
+
+def test_nearest_segments_many_segments_few_points():
+    points = np.random.default_rng(5).uniform([0, 0, 0], [1, 1, 0.25], size=(199, 3))
+    _assert_matches_reference(points, sine_curve(samples=4097))
+
+
 def test_nearest_segments_chunks_match_pointwise():
-    curve = sine_curve(samples=4097)
-    chunk = _DISTANCE_PAIRS // curve.n_segments
-    pts = np.random.default_rng(5).uniform([0, 0, 0], [1, 1, 0.25], size=(3 * chunk + 7, 3))
+    curve = sine_curve(samples=65)
+    pts = np.random.default_rng(5).uniform([0, 0, 0], [1, 1, 0.25], size=(2 * _DISTANCE_BLOCK + 7, 3))
     d, seg = nearest_segments(pts, curve)
-    for i, p in enumerate(pts):
-        di, si = nearest_segments(p[None], curve)
+    edges = np.arange(-2, 2)
+    probe = np.concatenate([_DISTANCE_BLOCK + edges, 2 * _DISTANCE_BLOCK + edges, [0, pts.shape[0] - 1],
+                            np.random.default_rng(6).integers(0, pts.shape[0], 100)])
+    for i in probe:
+        di, si = nearest_segments(pts[i][None], curve)
         assert di[0] == d[i] and si[0] == seg[i]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nearest_segments_reject_non_finite_points(bad):
+    points = np.random.default_rng(0).uniform(0.0, 1.0, size=(2 * _DISTANCE_BLOCK, 3))
+    points[_DISTANCE_BLOCK + 3, 1] = bad
+    with pytest.raises(ValueError):
+        nearest_segments(points, sine_curve())
+    with pytest.raises(ValueError):
+        distance_to_curve([0.5, bad, 0.1], sine_curve())
 
 
 @settings(max_examples=60, deadline=None)

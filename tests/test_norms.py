@@ -7,6 +7,7 @@ from linedg.curve import Curve, assemble_line_rhs, distance_to_curve
 from linedg.fields import Box, FieldFunction, interpolate
 from linedg.mesh import BoxDomain, build_box_mesh
 from linedg.norms import (
+    _guard_points,
     convergence_rates,
     dg_energy_error,
     dg_norm,
@@ -152,6 +153,27 @@ def test_weighted_norm_invariant_under_curve_reversal():
     forward = weighted_l2_norm(one, Curve(pts), -0.5)
     backward = weighted_l2_norm(one, Curve(pts[::-1]), -0.5)
     assert abs(forward - backward) <= 1e-10 * forward
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_guard_on_shared_vertex_pushes_off_lower_index_segment(reverse):
+    """A point on the vertex of two segments is equally near both; it moves
+    orthogonally to the lower-index one (up to the rounding of q, about
+    1e-16 against a step of 1e-10 h)."""
+    mesh = build_box_mesh(SLAB, (2, 2, 1))
+    q = mesh.map_points(fb.tet_quadrature(4).points, np.array([0]))[0, 0]
+    u = np.array([1.0, 0.2, 0.1])
+    w = np.array([0.1, 1.0, 0.3])
+    pts = [q - 0.1 * u, q, q + 0.1 * w]
+    curve = Curve(pts[::-1] if reverse else pts)
+    first = np.diff(curve.points[:2], axis=0)[0]
+    second = np.diff(curve.points[1:], axis=0)[0]
+    moved, d = _guard_points(q[None, None, :], curve, mesh.h)
+    step = moved[0, 0] - q
+    assert abs(np.linalg.norm(step) - 1e-10 * mesh.h) <= 1e-6 * 1e-10 * mesh.h
+    assert abs(step @ first) <= 1e-4 * np.linalg.norm(step) * np.linalg.norm(first)
+    assert abs(step @ second) > 0.1 * np.linalg.norm(step) * np.linalg.norm(second)
+    assert d[0, 0] > 0.0
 
 
 def test_alpha_range_validation():
