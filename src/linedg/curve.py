@@ -174,40 +174,26 @@ def nearest_segments(points, curve):
     """Distance from points (n, 3) to the polyline and the nearest segment index.
 
     Points are taken in blocks of ``_DISTANCE_BLOCK``, each held as three
-    contiguous coordinate rows.  Per block, with c the centre and r the
-    half-diagonal of its bounding box, every point lies within r of c, so a
-    segment at distance dist_c from c is at least dist_c - r and at most
-    dist_c + r from every point of the block.  A segment whose lower bound
-    exceeds the smallest upper bound (plus 1e-9 of it and of the coordinate
-    scale, far above rounding) is nearest to no point and is skipped; the
-    others are measured one at a time, in ascending index order, and a point
-    moves to a later segment only when it is strictly closer, so a tie goes
-    to the lowest index.  Non-finite points raise ``ValueError``.
+    contiguous coordinate rows, and measured against one segment at a time
+    in ascending index order; a point moves to a later segment only when it
+    is strictly closer, so a tie goes to the lowest index.  Non-finite points
+    raise ``ValueError``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     a = curve.points[:-1]
     d = curve.points[1:] - a
     dd = (d * d).sum(axis=1)
-    scale = np.abs(curve.points).max()
     best = np.empty(pts.shape[0])
     seg = np.empty(pts.shape[0], dtype=np.int64)
     for start in range(0, pts.shape[0], _DISTANCE_BLOCK):
         xyz = np.array(pts[start : start + _DISTANCE_BLOCK].T, order="C")
-        lo, hi = xyz.min(axis=1), xyz.max(axis=1)
-        if not np.isfinite([lo, hi]).all():
+        if not np.isfinite(xyz).all():
             raise ValueError("distance to the curve needs finite points")
-        c = 0.5 * (lo + hi)
-        r = 0.5 * np.sqrt(((hi - lo) ** 2).sum())
-        dc = c - a
-        tc = np.clip((dc * d).sum(axis=1) / dd, 0.0, 1.0)
-        dist_c = np.sqrt(((dc - tc[:, None] * d) ** 2).sum(axis=1))
-        ub = (dist_c + r).min()
-        slack = 1e-9 * (ub + max(scale, np.abs(lo).max(), np.abs(hi).max()))
+        x, y, z = xyz
         block_d2 = best[start : start + _DISTANCE_BLOCK]
         block_seg = seg[start : start + _DISTANCE_BLOCK]
         block_d2.fill(np.inf)
-        x, y, z = xyz
-        for s in np.flatnonzero(dist_c - r <= ub + slack).tolist():
+        for s in range(a.shape[0]):
             (a0, a1, a2), (d0, d1, d2) = a[s], d[s]
             dx, dy, dz = x - a0, y - a1, z - a2
             t = np.clip((dx * d0 + dy * d1 + dz * d2) / dd[s], 0.0, 1.0)

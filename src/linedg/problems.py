@@ -1,6 +1,8 @@
 """Built-in problem ingredients: the log-potential reference solution and
 curve generators used by the command-line studies."""
 
+import numbers
+
 import numpy as np
 
 from .curve import Curve
@@ -58,9 +60,12 @@ SINE_AXES = ("x", "y", "z", 0, 1, 2)
 def sine_curve(start, end, amplitude, periods, axis, samples):
     """Sinusoidal polyline: a straight run plus a sine displacement.
 
-    ``axis`` is the displacement direction, one of ``SINE_AXES``;
+    ``axis`` is the displacement direction, one of ``SINE_AXES``; a NumPy
+    integer counts as the int it holds, a bool does not;
     ``samples`` is the number of polyline points.
     """
+    if isinstance(axis, numbers.Integral) and not isinstance(axis, bool):
+        axis = int(axis)
     if (type(axis), axis) not in [(type(a), a) for a in SINE_AXES]:
         raise ValueError(f"axis must be one of {', '.join(map(str, SINE_AXES))} (got {axis!r})")
     axis = SINE_AXES.index(axis) % 3

@@ -122,8 +122,9 @@ def test_sine_curve_config():
 
 
 def test_sine_axis_accepted_by_library_and_config_alike():
-    """sine_curve and the config take exactly x, y, z, 0, 1, 2; both refuse
-    the rest with a ValueError (the config's carries its line)."""
+    """sine_curve and the config take exactly x, y, z, 0, 1, 2 (the library
+    also a NumPy integer 0-2); both refuse the rest with a ValueError (the
+    config's carries its line)."""
     args = ([0.1, 0.5, 0.1], [0.9, 0.5, 0.1], 0.05, 1.0)
     straight = sine_curve(*args[:2], 0.0, 1.0, "x", 9).points
     text = MINIMAL.replace("kind: line", "kind: sine\n  amplitude: 0.05\n  periods: 1\n  axis: AXIS")
@@ -131,6 +132,11 @@ def test_sine_axis_accepted_by_library_and_config_alike():
         moved = sine_curve(*args, good, 9).points != straight
         assert moved[:, axis].any() and not np.delete(moved, axis, axis=1).any()
         parse_config(text.replace("AXIS", str(good)))
+    # library callers may pass an axis read from an array
+    assert np.array_equal(sine_curve(*args, np.int64(1), 9).points, sine_curve(*args, 1, 9).points)
+    for bad in (np.int64(3), np.bool_(True)):
+        with pytest.raises(ValueError):
+            sine_curve(*args, bad, 9)
     for bad, yaml_text in (("w", "w"), (5, "5"), ("Y", "Y"), (True, "true"), (1.0, "1.0"), (-1, "-1")):
         with pytest.raises(ValueError):
             sine_curve(*args, bad, 9)

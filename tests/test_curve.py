@@ -207,8 +207,8 @@ def _assert_matches_reference(points, curve):
 
 @pytest.mark.parametrize("segments", [1, 2, 5, 17, 64])
 def test_nearest_segments_match_all_pairs_reference(segments):
-    """Random polylines; points at random, in clusters of three sizes (where
-    culling skips segments), on segments, on shared vertices and outside the box."""
+    """Random polylines; points at random, in clusters of three sizes, on
+    segments, on shared vertices and outside the box."""
     rng = np.random.default_rng(segments)
     curve = Curve(np.cumsum(rng.uniform(-0.3, 0.3, size=(segments + 1, 3)), axis=0))
     a, b = curve.points[:-1], curve.points[1:]
@@ -223,17 +223,6 @@ def test_nearest_segments_match_all_pairs_reference(segments):
     ]
     for points in clouds:
         _assert_matches_reference(points, curve)
-
-
-def test_nearest_segments_culling_keeps_a_segment_near_part_of_the_block():
-    """The block's box centre is 0.95 from segment 0 and 1.05 from segment 2,
-    its half-diagonal 0.052: segment 2 is nearest only to its lowest point, so
-    a bound 10% tighter than dist - r would drop it."""
-    curve = Curve([[-1, 1, 0], [1, 1, 0], [1, -1, 0], [-1, -1, 0]])
-    y = np.linspace(-0.002, 0.102, 27)
-    points = np.column_stack([np.full_like(y, -0.5), y, np.zeros_like(y)])
-    _assert_matches_reference(points, curve)
-    assert set(nearest_segments(points, curve)[1]) == {0, 2}
 
 
 @pytest.mark.parametrize("n", [0, 1, _DISTANCE_BLOCK - 1, _DISTANCE_BLOCK, _DISTANCE_BLOCK + 1])
