@@ -2,18 +2,22 @@
 
 Degrees of freedom are blocked per element (block size = dim of the local
 polynomial space); ``dof = element * block_size + local_index``.  Every
-operator is a BSR matrix on one block pattern: per element its diagonal
-block and one block per interior face.  The jump penalty scales with the
-smallest grid pitch ``mesh.grid_spacing``, which matches the quasi-uniform
-grids built here.
+operator is a Kuhn-stencil ``SparseSystem``: per Kuhn type one weight
+block (its diagonal block and the blocks of its 4 face neighbours), the
+(ne, 5) neighbour table, and corrections to the diagonal blocks of the
+elements near the boundary that differ from their type's.  No matrix is
+stored; ``SparseSystem.matrix`` builds the BSR form on demand.  The jump
+penalty scales with the smallest grid pitch ``mesh.grid_spacing``, which
+matches the quasi-uniform grids built here.
 
 The operators need a box mesh from ``build_box_mesh``: each is assembled on
-a replica grid of at most 3 cells per axis and gathered from there into the
-full block pattern (``_blocked_system``); any other mesh raises
-AssemblyError.  The Nitsche and volume loads vary in space and use all faces.
+a replica grid of at most 3 cells per axis and read from there into the
+stencil (``_blocked_system``); any other mesh raises AssemblyError.  The
+Nitsche and volume loads vary in space and use all faces.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,39 +67,118 @@ class DGSpec:
         return cls(k=k, epsilon=epsilon, sigma=sigma, beta=beta)
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseSystem:
-    """BSR operator over element-blocked DoFs, one (nb, nb) block per element pair.
+    """Kuhn-stencil operator over element-blocked DoFs (block size nb).
+
+    Element e = 6 c + t, of grid cell c and Kuhn type t, couples with the 5
+    elements ``neighbours[e]``: itself, then the element across the face
+    opposite each of its 4 local vertices, or ``n_blocks`` (a zero ghost
+    row) for a boundary face.  On the Kuhn grid these blocks depend only on
+    t, so ``weights[t]`` (5 nb, nb) stacks the 5 transposed blocks once per
+    type; ``system @ x`` gathers x per element neighbourhood and multiplies
+    by its type's weights.  Only the diagonal blocks of some elements near
+    the boundary differ from their type's: element ``fixed[i]`` adds
+    ``corrections[i]`` (nb, nb), and ``fixed_class[i]`` labels it so that
+    equal labels mean equal diagonal blocks.  ``matrix`` builds the same
+    operator as a BSR matrix, on first access and at its full size.
 
     ``symmetric`` selects CG in ``solver.solve`` (BiCGStab otherwise); the
-    assembly sets it for the epsilon = -1 stiffness and for the mass, jump
-    and Gram operators.  ``discretization`` is the (mesh, spec, basis) an assembled stiffness
-    operator came from, which the multigrid preconditioner rediscretises on
-    coarser meshes; None for every other operator.
+    assembly sets it for the epsilon = -1 stiffness and for the mass and
+    Gram operators.  ``discretization`` is the (mesh, spec, basis) an
+    assembled stiffness operator came from, which the multigrid
+    preconditioner rediscretises on coarser meshes; None for every other
+    operator.
     """
 
-    matrix: sp.bsr_matrix
-    block_size: int
+    weights: np.ndarray
+    neighbours: np.ndarray
+    fixed: np.ndarray
+    corrections: np.ndarray
+    fixed_class: np.ndarray
     symmetric: bool = False
     discretization: tuple | None = None
 
     @property
-    def ndof(self):
-        return self.matrix.shape[0]
+    def block_size(self):
+        return self.weights.shape[2]
 
     @property
     def n_blocks(self):
-        return self.ndof // self.block_size
+        return self.neighbours.shape[0]
 
-    def diagonal_blocks(self):
-        """The (n_blocks, nb, nb) diagonal element blocks of the operator."""
-        nb = self.block_size
-        bsr = self.matrix.tobsr(blocksize=(nb, nb))  # no copy for the assembled operators
-        rows = np.repeat(np.arange(self.n_blocks), np.diff(bsr.indptr))
-        on_diag = bsr.indices == rows
-        blocks = np.zeros((self.n_blocks, nb, nb))
-        blocks[rows[on_diag]] = bsr.data[on_diag]
-        return blocks
+    @property
+    def ndof(self):
+        return self.n_blocks * self.block_size
+
+    def __matmul__(self, x):
+        ne, nb = self.n_blocks, self.block_size
+        xe = np.empty((ne + 1, nb))
+        xe[:ne] = np.reshape(x, (ne, nb))
+        xe[ne] = 0.0
+        gathered = np.take(xe, self.neighbours, axis=0).reshape(ne // 6, 6, 5 * nb)
+        y = np.empty((ne // 6, 6, nb))
+        np.matmul(gathered.transpose(1, 0, 2), self.weights, out=y.transpose(1, 0, 2))
+        y = y.reshape(ne, nb)
+        y[self.fixed] += np.einsum("mij,mj->mi", self.corrections, xe[self.fixed])
+        return y.ravel()
+
+    def __add__(self, other):
+        """Sum of two operators on one mesh."""
+        if not (np.array_equal(self.neighbours, other.neighbours)
+                and np.array_equal(self.fixed_class, other.fixed_class)):
+            raise ValueError("operators on different meshes cannot be added")
+        return SparseSystem(self.weights + other.weights, self.neighbours, self.fixed,
+                            self.corrections + other.corrections, self.fixed_class,
+                            self.symmetric and other.symmetric)
+
+    def __rmul__(self, scale):
+        return SparseSystem(scale * self.weights, self.neighbours, self.fixed,
+                            scale * self.corrections, self.fixed_class, self.symmetric)
+
+    def block_jacobi(self):
+        """y = D^{-1} x for the block diagonal D of the operator, as a callable.
+
+        Inverts one block per Kuhn type and one per class of ``fixed``
+        elements, applies them per type and overwrites the fixed elements;
+        raises ValueError on a singular block.
+        """
+        nb, fixed = self.block_size, self.fixed
+        diagonal = self.weights[:, :nb].transpose(0, 2, 1)
+        _, first, members = np.unique(self.fixed_class, return_index=True, return_inverse=True)
+        try:
+            inverse = np.linalg.inv(diagonal).transpose(0, 2, 1)
+            fixed_inverse = np.linalg.inv(diagonal[fixed[first] % 6] + self.corrections[first])
+        except np.linalg.LinAlgError as err:
+            raise ValueError("singular diagonal block; cannot form block-Jacobi") from err
+        fixed_inverse = fixed_inverse[members]
+
+        def apply(x):
+            xb = np.reshape(x, (-1, 6, nb))
+            y = np.empty_like(xb)
+            np.matmul(xb.transpose(1, 0, 2), inverse, out=y.transpose(1, 0, 2))
+            y = y.reshape(-1, nb)
+            y[fixed] = np.einsum("mij,mj->mi", fixed_inverse, xb.reshape(-1, nb)[fixed])
+            return y.ravel()
+
+        return apply
+
+    @cached_property
+    def matrix(self):
+        """The operator as a canonical ``scipy.sparse.bsr_matrix``, built on first
+        access at the full size of the matrix: block row e holds its diagonal
+        block and one block per interior face, columns sorted."""
+        ne, nb = self.n_blocks, self.block_size
+        order = np.argsort(self.neighbours, axis=1)
+        cols = np.take_along_axis(self.neighbours, order, axis=1)
+        inner = cols < ne  # the ghost sorts last
+        order += (np.arange(ne) % 6)[:, None] * 5
+        blocks = np.ascontiguousarray(self.weights.reshape(30, nb, nb).transpose(0, 2, 1))
+        data = blocks[order[inner]]
+        indptr = np.concatenate([[0], np.cumsum(inner.sum(axis=1))])
+        at = indptr[self.fixed] + (self.neighbours[self.fixed] < self.fixed[:, None]).sum(axis=1)
+        data[at] += self.corrections
+        return sp.bsr_matrix((data, cols[inner], indptr), shape=(ne * nb, ne * nb))
 
 
 def _volume_grad_gram(mesh, basis):
@@ -163,79 +246,113 @@ def _face_term_blocks(mesh, basis, consistency, epsilon, penalty):
     rule = _basis.tri_quadrature(2 * basis.degree + 1)
     for boundary, signs, factors in ((False, (1.0, -1.0), (0.5, 0.5)), (True, (1.0,), (1.0,))):
         _, w, sides = _face_traces(mesh, basis, rule, boundary)
-        weighted = [(w[:, :, None] * V).transpose(0, 2, 1) for _, V, _ in sides]
-        weighted_n = [(w[:, :, None] * Gn).transpose(0, 2, 1) for _, _, Gn in sides]
-        for b, (eb, _, _) in enumerate(sides):
+        root = np.sqrt(w)[:, :, None]  # the weights are positive; each product carries one
+        for _, V, Gn in sides:
+            V *= root
+            Gn *= root
+        for b, (eb, Vb, Gnb) in enumerate(sides):
+            Vb, Gnb = Vb.transpose(0, 2, 1), Gnb.transpose(0, 2, 1)
             for a, (_, Va, Gna) in enumerate(sides):
-                blk = (-consistency * signs[b] * factors[a]) * (weighted[b] @ Gna)
-                blk += (epsilon * signs[a] * factors[b]) * (weighted_n[b] @ Va)
-                blk += (penalty * signs[a] * signs[b]) * (weighted[b] @ Va)
+                blk = (-consistency * signs[b] * factors[a]) * (Vb @ Gna)
+                blk += (epsilon * signs[a] * factors[b]) * (Gnb @ Va)
+                blk += (penalty * signs[a] * signs[b]) * (Vb @ Va)
                 yield b, a, eb, blk
 
 
-def _block_pattern(mesh):
-    """(rows, cols, slot) of the one block pattern of every operator.
+def _local_faces(mesh, elements, face_verts):
+    """Per face, the local vertex of its element that the face misses (0..3)."""
+    on_face = (mesh.tets[elements][:, :, None] == face_verts[:, None, :]).any(axis=2)
+    return np.argmin(on_face, axis=1)
 
-    Block row e holds the diagonal block and one block per interior face of
-    e, columns sorted; rows/cols list the pattern in that order, and
-    ``slot[j]`` is the position of pair j of [(e, e) per element, (e0, e1)
-    per interior face, (e1, e0) per interior face].
+
+def _neighbour_table(mesh):
+    """(ne, 5) table of element e, then its neighbour across the face opposite
+    each local vertex, from the mesh's faces; ne stands for a boundary face."""
+    ne = mesh.n_elements
+    table = np.full((ne, 5), ne)
+    table[:, 0] = np.arange(ne)
+    for side in (0, 1):
+        e = mesh.iface_elems[:, side]
+        table[e, 1 + _local_faces(mesh, e, mesh.iface_verts)] = mesh.iface_elems[:, 1 - side]
+    return table
+
+
+def _kuhn_layout(mesh, rep, shift, rep_table):
+    """Relate a Kuhn box grid of ``build_box_mesh`` to its replica.
+
+    ``rep, shift`` is ``mesh.replica()`` and ``rep_table`` the replica's
+    neighbour table.  Returns (rep_elem, table): each element's replica
+    element (same Kuhn type, in the cell shifted by ``shift``) and the mesh's
+    neighbour table.  A mesh without that layout (an element unlike its
+    replica, or neighbours unlike its replica's shifted back by the same
+    offset) raises AssemblyError.
     """
-    e, (e0, e1) = np.arange(mesh.n_elements), mesh.iface_elems.T
-    rows, cols = np.concatenate([e, e0, e1]), np.concatenate([e, e1, e0])
-    order = np.lexsort((cols, rows))
-    slot = np.empty_like(order)
-    slot[order] = np.arange(order.size)
-    return rows[order], cols[order], slot
+    ne, rep_ne = mesh.n_elements, rep.n_elements
+    cells, kind = mesh.element_cells()
+    rep_elem = rep.cell_flat_index(cells + shift) * 6 + kind
+    same = np.all(mesh.cell_flat_index(mesh.cell_index(mesh.centroids)) == np.arange(ne) // 6)
+    for ours, theirs in ((mesh.det_jacobians, rep.det_jacobians), (mesh.jac_invs, rep.jac_invs)):
+        theirs = theirs.reshape(rep_ne, -1)
+        diff = theirs[rep_elem]
+        np.abs(np.subtract(ours.reshape(ne, -1), diff, out=diff), out=diff)
+        same &= np.all(diff.max(axis=1) <= 1e-12 * np.abs(theirs).max(axis=1)[rep_elem])
+    del diff  # not kept through the table build, which sets the assembly's allocation peak
+    table = _neighbour_table(mesh)
+    rep_cells, _ = rep.element_cells()
+    for s in range(1, 5):
+        r = rep_table[rep_elem, s]
+        inner = r < rep_ne
+        c = rep_cells[r[inner]] - shift[inner]
+        same &= np.all((c >= 0) & (c < mesh.n)) and np.array_equal(
+            table[inner, s], mesh.cell_flat_index(c) * 6 + r[inner] % 6
+        ) and np.all(table[~inner, s] == ne)
+    if not same:
+        raise AssemblyError("mesh is not a Kuhn box grid from build_box_mesh; cannot assemble")
+    return rep_elem, table
 
 
 def _blocked_system(mesh, basis, volume=None, face_form=None, symmetric=True):
-    """SparseSystem of a form with constant coefficients on a box mesh.
+    """Stencil ``SparseSystem`` of a form with constant coefficients on a box mesh.
 
     ``volume(mesh, basis)`` gives the (ne, nb, nb) diagonal blocks, or is None;
     ``face_form`` is (consistency, epsilon, penalty) of ``_face_term_blocks``
     or None.  On the Kuhn grid of ``build_box_mesh`` a block depends only on
     the Kuhn types and cell offset of its two elements and on the boundary
     planes the row element's cell touches, so the form is scattered once on
-    ``mesh.replica()`` (diagonal blocks summed over faces with ``np.add.at``,
-    each interior face owning its two off-diagonal blocks) and block (e, c)
-    is gathered from the block of e's replica and c shifted by the same cell
-    offset.  A mesh without that layout (an element unlike its replica, a
-    block without a replica slot) raises AssemblyError.
+    ``mesh.replica()``: the diagonal block of every replica element, summed
+    over its faces with ``np.add.at``, and the off-diagonal block of each
+    Kuhn type and local face, the same on every interior face of that type
+    and side.  Type t takes its diagonal block from its replica element in
+    the replica's middle cell.  An element whose boundary faces differ from
+    that middle element's is ``fixed``: it keeps the excess of its
+    replica's diagonal block over its type's as a correction.
+    ``_kuhn_layout`` checks the mesh.
     """
-    ne, nb = mesh.n_elements, basis.dim
+    nb = basis.dim
     rep, shift = mesh.replica()
-    rep_rows, rep_cols, slot = _block_pattern(rep)
-    rep_data = np.zeros((rep_rows.size, nb, nb))
+    rep_ne, rep_table = rep.n_elements, _neighbour_table(rep)
+    kind = np.arange(rep_ne) % 6
+    diagonal = np.zeros((rep_ne, nb, nb))
+    faces = np.zeros((6, 4, nb, nb))
     if volume is not None:
-        rep_data[slot[: rep.n_elements]] = volume(rep, basis)
+        diagonal[:] = volume(rep, basis)
     if face_form is not None:
-        start, nf = rep.n_elements, len(rep.iface_elems)
+        slots = [_local_faces(rep, rep.iface_elems[:, s], rep.iface_verts) for s in (0, 1)]
         for b, a, eb, blk in _face_term_blocks(rep, basis, *face_form):
             if a == b:
-                np.add.at(rep_data, slot[eb], blk)
+                np.add.at(diagonal, eb, blk)
             else:
-                rep_data[slot[start + b * nf : start + (b + 1) * nf]] = blk
-    table = np.full((rep.n_elements, rep.n_elements), -1)
-    table[rep_rows, rep_cols] = np.arange(rep_rows.size)
+                faces[kind[eb], slots[b]] = blk
+    middle = rep.cell_flat_index(np.minimum(1, np.asarray(rep.n) - 1)[None]) * 6 + np.arange(6)
+    stencil = np.concatenate([diagonal[middle, None], faces], axis=1)
+    diagonal -= stencil[kind, 0]  # now the excess of each block over its type's
 
-    cells, kind = mesh.element_cells()
-    rep_elem = rep.cell_flat_index(cells + shift) * 6 + kind
-    same = np.all(mesh.cell_flat_index(mesh.cell_index(mesh.centroids)) == np.arange(ne) // 6)
-    for ours, theirs in ((mesh.det_jacobians, rep.det_jacobians), (mesh.jac_invs, rep.jac_invs)):
-        ours, theirs = ours.reshape(ne, -1), theirs[rep_elem].reshape(ne, -1)
-        same &= np.all(np.abs(ours - theirs).max(axis=1) <= 1e-12 * np.abs(theirs).max(axis=1))
-    rows, cols, _ = _block_pattern(mesh)
-    col_cells = cells[cols] + shift[rows]
-    inside = np.all((col_cells >= 0) & (col_cells < rep.n), axis=1)
-    rep_col = rep.cell_flat_index(np.where(inside[:, None], col_cells, 0)) * 6 + kind[cols]
-    slots = np.where(inside, table[rep_elem[rows], rep_col], -1)
-    if not same or np.any(slots < 0):
-        raise AssemblyError("mesh is not a Kuhn box grid from build_box_mesh; cannot assemble")
-
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ne))])
-    mat = sp.bsr_matrix((rep_data[slots], cols, indptr), shape=(ne * nb, ne * nb))
-    return SparseSystem(matrix=mat, block_size=nb, symmetric=symmetric)
+    rep_elem, table = _kuhn_layout(mesh, rep, shift, rep_table)
+    ghosts = (rep_table[:, 1:] == rep_ne) @ (1 << np.arange(4))
+    fixed = np.flatnonzero(ghosts[rep_elem] != ghosts[middle[rep_elem % 6]])
+    fixed_class = rep_elem[fixed]
+    weights = stencil.transpose(0, 1, 3, 2).reshape(6, 5 * nb, nb)
+    return SparseSystem(weights, table, fixed, diagonal[fixed_class], fixed_class, symmetric)
 
 
 def assemble_stiffness(mesh, spec, basis):
@@ -262,11 +379,6 @@ def assemble_mass(mesh, basis):
     return _blocked_system(
         mesh, basis, lambda m, b: reference_mass(b)[None] * m.det_jacobians[:, None, None]
     )
-
-
-def assemble_jump_penalty(mesh, basis, weight):
-    """Jump bilinear form weight * sum_faces (jump u, jump v), boundary included."""
-    return _blocked_system(mesh, basis, face_form=(0.0, 0.0, weight))
 
 
 def assemble_dg_norm_gram(mesh, basis, sigma):

@@ -160,7 +160,7 @@ class Mesh:
         elements, as barycentric combinations of their vertices."""
         rp = np.asarray(ref_points, dtype=float)
         bary = np.column_stack([1.0 - rp.sum(axis=1), rp])  # (q, 4)
-        return np.einsum("qk,nkd->nqd", bary, self.vertices[self.tets[elements]])
+        return bary @ self.vertices[self.tets[elements]]
 
     @property
     def cell_size(self):
@@ -240,12 +240,8 @@ class Mesh:
             out[idx] = elems[ok]
         return out
 
-    def refine(self):
-        """Uniformly refined mesh: every grid count doubled (h exactly halved)."""
-        return build_box_mesh(self.domain, tuple(2 * v for v in self.n))
-
     def coarsen(self):
-        """Inverse of ``refine``: every grid count halved (h exactly doubled).
+        """Coarser mesh of the same box: every grid count halved (h exactly doubled).
 
         Every fine element then lies inside one element of the result.
         Raises ValueError unless every count is even.

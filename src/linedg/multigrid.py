@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .assembly import assemble_stiffness
-from .solver import block_apply, block_jacobi_inverse
 
 CHEBYSHEV_DEGREE = 3
 CHEBYSHEV_RATIO = 8.0  # smoothing interval [lam / ratio, lam]
@@ -92,22 +91,22 @@ def _max_eigenvalue(A, dinv):
     The last value is the Rayleigh quotient in the A inner product, a lower
     bound for symmetric A.
     """
-    v = np.random.default_rng(0).standard_normal(A.shape[0])
+    v = np.random.default_rng(0).standard_normal(A.ndof)
     lam = 0.0
     for _ in range(POWER_STEPS):
         av = A @ v
-        z = block_apply(dinv, av)
+        z = dinv(av)
         lam = float(z @ av) / float(v @ av)
         v = z / np.linalg.norm(z)
     return lam
 
 
 class Level(NamedTuple):
-    """One smoothing level: operator, block-Jacobi inverse, Chebyshev bound,
-    and the transfer from the next coarser level."""
+    """One smoothing level: operator, block-Jacobi inverse (a callable),
+    Chebyshev bound, and the transfer from the next coarser level."""
 
     A: object
-    dinv: np.ndarray
+    dinv: object
     lam: float
     transfer: Transfer
 
@@ -118,12 +117,12 @@ class Level(NamedTuple):
         sigma = theta / delta
         rho = 1.0 / sigma
         r = b if x is None else b - self.A @ x
-        d = block_apply(self.dinv, r) / theta
+        d = self.dinv(r) / theta
         x = d if x is None else x + d
         for _ in range(CHEBYSHEV_DEGREE - 1):
             r = r - self.A @ d
             rho_new = 1.0 / (2.0 * sigma - rho)
-            d = (rho_new * rho) * d + (2.0 * rho_new / delta) * block_apply(self.dinv, r)
+            d = (rho_new * rho) * d + (2.0 * rho_new / delta) * self.dinv(r)
             x = x + d
             rho = rho_new
         return x
@@ -148,9 +147,9 @@ class VCycle:
         self.levels = []
         for _ in self.grids[1:]:
             coarse = mesh.coarsen()
-            dinv = block_jacobi_inverse(system)
-            lam = POWER_SAFETY * _max_eigenvalue(system.matrix, dinv)
-            self.levels.append(Level(system.matrix, dinv, lam, Transfer(mesh, coarse, basis)))
+            dinv = system.block_jacobi()
+            lam = POWER_SAFETY * _max_eigenvalue(system, dinv)
+            self.levels.append(Level(system, dinv, lam, Transfer(mesh, coarse, basis)))
             mesh, system = coarse, assemble_stiffness(coarse, spec, basis)
         self.coarse_lu = splu(system.matrix.tocsc())
 

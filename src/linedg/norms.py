@@ -15,6 +15,7 @@ from .fields import region_element_mask
 
 _SINGULAR_SNAP = 1e-12
 _SINGULAR_PUSH = 1e-10
+_VOLUME_BLOCK = 4096  # elements per block of a volume integral
 
 
 def _guard_points(points, curve, h):
@@ -58,21 +59,26 @@ def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
 
     Given a ``curve``, the points are guarded off it (``_guard_points``);
     given also ``alpha``, the integrand is weighted by dist(x, curve)^(2 alpha).
+    The elements are taken in blocks of ``_VOLUME_BLOCK``, so the temporaries
+    do not grow with the mesh.
     """
-    if elements.size == 0:
-        return 0.0
     mesh = field.mesh
     rule = _basis.tet_quadrature(2 * field.degree + 2)
-    v = (field.grad_in_elements if grad else field.eval_in_elements)(elements, rule.points)
-    pts = mesh.map_points(rule.points, elements) if curve is not None or callable(exact) else None
-    if curve is not None:
-        pts, d = _guard_points(pts, curve, mesh.h)
-    v2 = _minus(v, exact, pts) ** 2  # (n, q) or (n, q, 3)
-    v2 = v2.sum(-1) if grad else v2
-    det = mesh.det_jacobians[elements]
-    if alpha is None:
-        return float(np.einsum("nq,q,n->", v2, rule.weights, det))
-    return float(np.einsum("nq,nq,q,n->", v2, d ** (2.0 * alpha), rule.weights, det))
+    values = field.grad_in_elements if grad else field.eval_in_elements
+    at_points = curve is not None or callable(exact)
+    total = 0.0
+    for start in range(0, elements.size, _VOLUME_BLOCK):
+        block = elements[start : start + _VOLUME_BLOCK]
+        v = values(block, rule.points)
+        pts = mesh.map_points(rule.points, block) if at_points else None
+        if curve is not None:
+            pts, d = _guard_points(pts, curve, mesh.h)
+        v2 = _minus(v, exact, pts) ** 2  # (n, q) or (n, q, 3)
+        v2 = v2.sum(-1) if grad else v2
+        if alpha is not None:
+            v2 *= d ** (2.0 * alpha)
+        total += float(mesh.det_jacobians[block] @ (v2 @ rule.weights))
+    return total
 
 
 def _face_sq(field, sel, boundary=False, exact=None, curve=None, alpha=None):

@@ -1,9 +1,9 @@
 """Backward Euler time stepping for the line-source heat problem.
 
 Each step solves (M + tau A) u^n = M u^{n-1} + tau b(t^n) with the
-homogeneous weak Dirichlet condition built into A; the system matrix is
-assembled and its preconditioner built once per run, and the line load is
-rebuilt per step only when the source depends on time.
+homogeneous weak Dirichlet condition built into A; the operator M + tau A
+is formed once per run as one stencil, its preconditioner built once, and
+the line load rebuilt per step only when the source depends on time.
 """
 
 from dataclasses import dataclass
@@ -12,8 +12,7 @@ import numpy as np
 
 from . import basis as _basis
 from .assembly import (
-    SparseSystem, assemble_dg_norm_gram, assemble_mass, assemble_stiffness, assemble_volume_rhs,
-    reference_mass,
+    assemble_dg_norm_gram, assemble_mass, assemble_stiffness, assemble_volume_rhs, reference_mass,
 )
 from .curve import assemble_line_rhs, build_restrictions
 from .fields import FieldFunction
@@ -45,7 +44,7 @@ class TimeGrid:
 class TimeSeries:
     """Snapshots u^0..u^N plus the piecewise-constant-in-time reconstruction.
 
-    ``mass`` is the stepper's mass matrix (a ``SparseSystem``) on ``mesh``.
+    ``mass`` is the stepper's mass operator (a ``SparseSystem``) on ``mesh``.
     """
 
     def __init__(self, mesh, basis, grid, snapshots, mass):
@@ -111,7 +110,7 @@ def run_backward_euler(
 
     A = assemble_stiffness(mesh, spec, basis)
     M = assemble_mass(mesh, basis)
-    S = SparseSystem(M.matrix + tau * A.matrix, A.block_size, A.symmetric)
+    S = M + tau * A
     precond = make_preconditioner(S, solver_config.preconditioner)
 
     if isinstance(f, np.ufunc) and f.nin == 1:  # f(t, s) would pass s as ``out``
@@ -133,7 +132,7 @@ def run_backward_euler(
     snapshots[0] = u
     for n in range(1, grid.steps + 1):
         t_n = n * tau
-        rhs = M.matrix @ u
+        rhs = M @ u
         if line:
             if rebuild:
                 b_line = line_load(t_n)
@@ -156,8 +155,8 @@ def step_diagnostics(series, sigma):
     Returns a list of dict rows (n, t, l2, dg, increment_sq_sum) where the
     accumulator is sum_{m<=n} ||u^m - u^{m-1}||_{L2}^2.
     """
-    M = series.mass.matrix
-    G = assemble_dg_norm_gram(series.mesh, series.basis, sigma).matrix
+    M = series.mass
+    G = assemble_dg_norm_gram(series.mesh, series.basis, sigma)
     rows = []
     acc = 0.0
     prev = None

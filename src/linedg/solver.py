@@ -2,7 +2,8 @@
 
 Hand-rolled CG / BiCGStab so the result contract (best iterate on failure,
 iteration count, achieved residual) and the debug energy monitor are under
-our control; matrix-vector products go through scipy BSR.
+our control; matrix-vector products are ``system @ x`` with the Kuhn-stencil
+``assembly.SparseSystem``, and block-Jacobi is its ``block_jacobi()``.
 """
 
 from dataclasses import dataclass
@@ -10,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import multigrid
 from .errors import NonconvergenceError
 
 
@@ -38,37 +40,21 @@ class SolveResult(NamedTuple):
 def make_preconditioner(system, kind):
     """Return y = M^{-1} x as a callable for the requested preconditioner.
 
-    ``multigrid`` needs an assembled stiffness operator (see
-    ``multigrid.VCycle``); any other operator raises ValueError.
+    ``block_jacobi`` is ``system.block_jacobi()``; ``multigrid`` needs an
+    assembled stiffness operator (see ``multigrid.VCycle``); any other
+    operator raises ValueError.
     """
     if kind == "none":
         return lambda x: x
     if kind == "multigrid":
-        from .multigrid import VCycle  # multigrid imports this module's block helpers
-
-        return VCycle(system)
+        return multigrid.VCycle(system)
     if kind != "block_jacobi":
         raise ValueError(f"unknown preconditioner {kind!r}")
-    inv = block_jacobi_inverse(system)
-    return lambda x: block_apply(inv, x)
-
-
-def block_jacobi_inverse(system):
-    """Inverses (n_blocks, nb, nb) of the diagonal element blocks."""
-    try:
-        return np.linalg.inv(system.diagonal_blocks())
-    except np.linalg.LinAlgError as err:
-        raise ValueError("singular diagonal block; cannot form block-Jacobi") from err
-
-
-def block_apply(blocks, x):
-    """Block-diagonal product: ``blocks[e] @ x[e]`` per element block e."""
-    nblocks, nb, _ = blocks.shape
-    return np.einsum("bij,bj->bi", blocks, x.reshape(nblocks, nb)).ravel()
+    return system.block_jacobi()
 
 
 def solve(system, b, config=None, x0=None, debug=False, precond=None):
-    """Solve system.matrix x = b: by CG when ``system.symmetric`` is set,
+    """Solve system @ x = b: by CG when ``system.symmetric`` is set,
     by BiCGStab otherwise.
 
     Returns SolveResult(x, iterations, residual, monitor) with the true
@@ -83,11 +69,10 @@ def solve(system, b, config=None, x0=None, debug=False, precond=None):
     default it is built from ``config.preconditioner``.
     """
     config = config or SolverConfig()
-    A = system.matrix
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != A.shape[0]:
+    if b.shape[0] != system.ndof:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    max_iter = config.max_iter or max(10 * A.shape[0], 50)
+    max_iter = config.max_iter or max(10 * system.ndof, 50)
     if precond is None:
         precond = make_preconditioner(system, config.preconditioner)
 
@@ -97,8 +82,8 @@ def solve(system, b, config=None, x0=None, debug=False, precond=None):
     tol = config.rel_tol * bnorm
 
     if system.symmetric:
-        return _pcg(A, b, precond, tol, max_iter, x0, debug)
-    return _bicgstab(A, b, precond, tol, max_iter, x0)
+        return _pcg(system, b, precond, tol, max_iter, x0, debug)
+    return _bicgstab(system, b, precond, tol, max_iter, x0)
 
 
 def _fail(best_x, A, b, it, message):

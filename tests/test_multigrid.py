@@ -12,6 +12,8 @@ from linedg.mesh import BoxDomain, build_box_mesh
 from linedg.multigrid import Transfer, VCycle, level_grids
 from linedg.solver import SolverConfig, make_preconditioner, solve
 
+from csr_system import CsrSystem
+
 SLAB = BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25])
 
 
@@ -23,7 +25,7 @@ def test_coarsen_inverts_refine():
     mesh = build_box_mesh(SLAB, (4, 6, 2))
     coarse = mesh.coarsen()
     assert coarse.n == (2, 3, 1)
-    again = coarse.refine()
+    again = build_box_mesh(SLAB, tuple(2 * v for v in coarse.n))
     assert again.n == mesh.n
     assert np.array_equal(again.tets, mesh.tets)
     assert np.allclose(again.vertices, mesh.vertices, rtol=0, atol=1e-15)
@@ -99,10 +101,28 @@ def test_multigrid_cg_iterations_bounded(n, k):
 def test_multigrid_needs_a_stiffness_hierarchy():
     A = stiffness((4, 4, 2), 1)
     mass = assemble_mass(A.discretization[0], A.discretization[2])
-    copy = SparseSystem(A.matrix.tocsr(), A.block_size, A.symmetric)
+    copy = CsrSystem(A.matrix, A.block_size, A.symmetric)
     for system in (mass, copy):
         with pytest.raises(ValueError, match="assemble_stiffness"):
             make_preconditioner(system, "multigrid")
+
+
+def test_multigrid_builds_a_matrix_on_the_coarsest_level_only(monkeypatch):
+    """Smoothing, residuals and the power iteration use the stencil; only the
+    coarse LU reads ``SparseSystem.matrix``."""
+    built = []
+    build = SparseSystem.matrix.func
+
+    def recording(system):
+        built.append(system.n_blocks)
+        return build(system)
+
+    monkeypatch.setattr(SparseSystem, "matrix", property(recording))
+    A = stiffness((8, 8, 2), 1)
+    b = np.random.default_rng(3).standard_normal(A.ndof)
+    res = solve(A, b, SolverConfig(rel_tol=1e-10, preconditioner="multigrid"))
+    assert res.residual <= 1e-10 * np.linalg.norm(b)
+    assert built == [6 * 4 * 4 * 1]
 
 
 def test_multigrid_refuses_large_coarsest_grid(monkeypatch):

@@ -275,7 +275,7 @@ def test_tau_h2_coupling_dominated_by_spatial_error():
 
     # spatial error proxy: elliptic solutions on this and the refined mesh
     u_c = elliptic_solution(mesh, basis, spec, curve)
-    mesh_f = mesh.refine()
+    mesh_f = build_box_mesh(mesh.domain, tuple(2 * v for v in mesh.n))
     u_f = elliptic_solution(mesh_f, basis, spec, curve)
     fc = FieldFunction.from_vector(mesh, basis, u_c)
     ff = FieldFunction.from_vector(mesh_f, basis, u_f)
