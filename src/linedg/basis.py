@@ -196,15 +196,8 @@ def tet_quadrature(min_exactness):
     return QuadRule(points=np.column_stack([x, y, z]), weights=wts, exactness=d)
 
 
-def reference_tet_monomial_integral(a, b, c):
-    """Exact integral of x^a y^b z^c over the reference tetrahedron."""
-    from math import factorial
-
-    return factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 3)
-
-
 # ---------------------------------------------------------------------------
-# Affine reference-to-physical maps
+# Affine reference-to-physical map
 
 
 def tet_jacobian(tet_coords):
@@ -223,35 +216,3 @@ def tet_jacobian(tet_coords):
     if np.any(detJ <= 1e-14 * np.maximum(scale, 1e-300)):
         raise GeometryError("degenerate or negatively oriented tetrahedron")
     return J, detJ, np.linalg.inv(J)
-
-
-def map_to_physical(tet_coords, ref_points):
-    """Map reference points into physical tetrahedra.
-
-    ``tet_coords``: (4, 3) or (n, 4, 3); ``ref_points``: (q, 3).
-    Returns (q, 3) or (n, q, 3).
-    """
-    tc = np.asarray(tet_coords, dtype=float)
-    rp = np.atleast_2d(np.asarray(ref_points, dtype=float))
-    J, _, _ = tet_jacobian(tc)
-    if tc.ndim == 2:
-        return tc[0] + rp @ J.T
-    return tc[:, None, 0, :] + np.einsum("nde,qe->nqd", J, rp)
-
-
-def to_reference(tet_coords, phys_points):
-    """Inverse affine map: physical points to reference coordinates."""
-    tc = np.asarray(tet_coords, dtype=float)
-    pp = np.atleast_2d(np.asarray(phys_points, dtype=float))
-    _, _, Jinv = tet_jacobian(tc)
-    if tc.ndim == 2:
-        return (pp - tc[0]) @ Jinv.T
-    return np.einsum("nde,nqe->nqd", Jinv, pp - tc[:, None, 0, :])
-
-
-def push_gradients(ref_grads, Jinv):
-    """Physical gradients from reference gradients: grad_x = Jinv^T grad_ref.
-
-    ``ref_grads``: (..., nb, 3); ``Jinv``: broadcastable (..., 3, 3).
-    """
-    return np.einsum("...im,...md->...id", ref_grads, Jinv)

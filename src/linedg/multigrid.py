@@ -10,6 +10,17 @@ coefficients are its values at the fine nodes.  Restriction is the exact
 transpose.  Pre- and post-smoothing apply the same Chebyshev polynomial in
 D^{-1} A, D the block-Jacobi diagonal (Adams, Brezina, Hu & Tuminaro, JCP
 2003), so the cycle is symmetric; the coarsest level is solved by sparse LU.
+
+The smoothing interval needs an upper bound for the spectrum of D^{-1} A,
+and on the Kuhn grid 2 is one, for every degree and epsilon.  Colour element
+6c + t of cell (i, j, k) by i + j + k plus the parity of the axis order of
+Kuhn type t, mod 2.  Two types in one cell differ by one transposition, and
+across a cell face the axis order shifts cyclically while the cell parity
+flips, so every face joins opposite colours (Young's property A).  Only
+face neighbours couple, so with S = +-1 by colour S A S = 2D - A: D^{-1} A
+and 2 - D^{-1} A are similar, and the eigenvalues pair as lambda, 2 - lambda.
+For the symmetric form A and D are positive definite, so 0 < lambda, hence
+lambda < 2.  The nonsymmetric spectra are symmetric about 1 the same way.
 """
 
 from typing import NamedTuple
@@ -19,9 +30,7 @@ import numpy as np
 from .assembly import assemble_stiffness
 
 CHEBYSHEV_DEGREE = 3
-CHEBYSHEV_RATIO = 8.0  # smoothing interval [lam / ratio, lam]
-POWER_STEPS = 15
-POWER_SAFETY = 1.1  # lam = safety * power-iteration estimate of max eig(D^{-1} A)
+CHEBYSHEV_RATIO = 8.0  # upper over lower end of the smoothing interval
 COARSEST_MAX_ELEMENTS = 1536  # largest grid the coarse LU factorises
 
 
@@ -85,34 +94,19 @@ class Transfer:
         return out.ravel()
 
 
-def _max_eigenvalue(A, dinv):
-    """Power-iteration estimate of the largest eigenvalue of D^{-1} A.
-
-    The last value is the Rayleigh quotient in the A inner product, a lower
-    bound for symmetric A.
-    """
-    v = np.random.default_rng(0).standard_normal(A.ndof)
-    lam = 0.0
-    for _ in range(POWER_STEPS):
-        av = A @ v
-        z = dinv(av)
-        lam = float(z @ av) / float(v @ av)
-        v = z / np.linalg.norm(z)
-    return lam
-
-
 class Level(NamedTuple):
     """One smoothing level: operator, block-Jacobi inverse (a callable),
-    Chebyshev bound, and the transfer from the next coarser level."""
+    and the transfer from the next coarser level."""
 
     A: object
     dinv: object
-    lam: float
     transfer: Transfer
 
     def smooth(self, b, x=None):
-        """Chebyshev iteration of degree ``CHEBYSHEV_DEGREE`` on [lam / ratio, lam], from x or zero."""
-        upper, lower = self.lam, self.lam / CHEBYSHEV_RATIO
+        """Chebyshev iteration of degree ``CHEBYSHEV_DEGREE`` from x or zero, on
+        the interval up to the bound of the module docstring."""
+        upper = 2.0
+        lower = upper / CHEBYSHEV_RATIO
         theta, delta = 0.5 * (upper + lower), 0.5 * (upper - lower)
         sigma = theta / delta
         rho = 1.0 / sigma
@@ -147,9 +141,7 @@ class VCycle:
         self.levels = []
         for _ in self.grids[1:]:
             coarse = mesh.coarsen()
-            dinv = system.block_jacobi()
-            lam = POWER_SAFETY * _max_eigenvalue(system, dinv)
-            self.levels.append(Level(system, dinv, lam, Transfer(mesh, coarse, basis)))
+            self.levels.append(Level(system, system.block_jacobi(), Transfer(mesh, coarse, basis)))
             mesh, system = coarse, assemble_stiffness(coarse, spec, basis)
         self.coarse_lu = splu(system.matrix.tocsc())
 

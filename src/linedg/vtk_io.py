@@ -3,14 +3,12 @@
 import numpy as np
 
 
-def write_vtk(path, mesh, cell_data=None, point_data=None):
+def write_vtk(path, mesh, cell_data=None):
     """Write the mesh and optional scalar fields as a legacy VTK file.
 
-    ``cell_data`` / ``point_data``: dicts name -> array of per-element /
-    per-vertex scalars.
+    ``cell_data``: dict name -> array of per-element scalars.
     """
     cell_data = cell_data or {}
-    point_data = point_data or {}
     nt = mesh.n_elements
     nv = mesh.vertices.shape[0]
     lines = [
@@ -33,15 +31,6 @@ def write_vtk(path, mesh, cell_data=None, point_data=None):
             values = np.asarray(values, dtype=float)
             if values.shape != (nt,):
                 raise ValueError(f"cell data {name!r} must have shape ({nt},)")
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.12e}" for v in values)
-    if point_data:
-        lines.append(f"POINT_DATA {nv}")
-        for name, values in point_data.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != (nv,):
-                raise ValueError(f"point data {name!r} must have shape ({nv},)")
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
             lines.extend(f"{v:.12e}" for v in values)

@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -72,14 +74,13 @@ def test_tet_quadrature_monomials():
                     * rule.points[:, 1] ** b
                     * rule.points[:, 2] ** c
                 )
-                exact = fb.reference_tet_monomial_integral(a, b, c)
+                exact = factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 3)
                 assert abs(approx - exact) < 1e-13 * max(abs(exact), 1e-30), (a, b, c)
 
 
 def test_tri_quadrature_monomials():
     rule = fb.tri_quadrature(7)
     assert abs(rule.weights.sum() - 0.5) < 1e-14
-    from math import factorial
 
     for a in range(8):
         for b in range(8 - a):
@@ -147,10 +148,10 @@ def test_gradient_pushforward_vs_finite_differences():
     rng = np.random.default_rng(42)
     tc = np.array([[0.1, 0.0, 0.2], [1.1, 0.2, 0.1], [0.3, 0.9, 0.0], [0.2, 0.1, 1.2]])
     b = fb.make_basis(2)
-    _, _, Jinv = fb.tet_jacobian(tc)
+    J, _, Jinv = fb.tet_jacobian(tc)
     ref_pt = np.array([[0.2, 0.3, 0.1]])
-    phys_pt = fb.map_to_physical(tc, ref_pt)[0]
-    grads = fb.push_gradients(b.grad(ref_pt), Jinv)[0]  # (nb, 3)
+    phys_pt = tc[0] + J @ ref_pt[0]
+    grads = b.grad(ref_pt)[0] @ Jinv  # (nb, 3)
 
     step = 1e-6
     for d in range(3):
@@ -158,7 +159,7 @@ def test_gradient_pushforward_vs_finite_differences():
         minus = phys_pt.copy()
         plus[d] += step
         minus[d] -= step
-        vp = b.eval(fb.to_reference(tc, plus[None, :]))[0]
-        vm = b.eval(fb.to_reference(tc, minus[None, :]))[0]
+        vp = b.eval(Jinv @ (plus - tc[0]))[0]
+        vm = b.eval(Jinv @ (minus - tc[0]))[0]
         fd = (vp - vm) / (2 * step)
         assert np.allclose(grads[:, d], fd, atol=1e-6)

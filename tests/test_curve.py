@@ -103,7 +103,7 @@ def test_restriction_segments_short():
         assert np.all(r.lengths <= mesh.diameters[r.element] + 1e-12)
         # each sub-segment lies inside the closed element
         for pt in np.concatenate([r.starts, r.ends]):
-            ref = fb.to_reference(mesh.tet_coords(r.element), pt[None, :])[0]
+            ref = mesh.jac_invs[r.element] @ (pt - mesh.vertices[mesh.tets[r.element, 0]])
             assert np.all(ref >= -1e-10) and ref.sum() <= 1 + 1e-10
 
 
@@ -295,7 +295,7 @@ def test_line_rhs_zero_and_affine_oracle():
         expected = np.zeros(4)
         for start, end, length in zip(r.starts, r.ends, r.lengths):
             mid = 0.5 * (start + end)
-            ref = fb.to_reference(mesh.tet_coords(e), mid[None])[0:1]
+            ref = (mesh.jac_invs[e] @ (mid - mesh.vertices[mesh.tets[e, 0]]))[None]
             expected += length * basis.eval(ref)[0]
         assert np.allclose(block, expected, atol=1e-12)
 

@@ -3,12 +3,13 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from linedg import basis as fb
 from linedg import multigrid
 from linedg.assembly import DGSpec, SparseSystem, assemble_mass, assemble_stiffness
 from linedg.fields import FieldFunction
-from linedg.mesh import BoxDomain, build_box_mesh
+from linedg.mesh import _KUHN_CORNERS, BoxDomain, build_box_mesh
 from linedg.multigrid import Transfer, VCycle, level_grids
 from linedg.solver import SolverConfig, make_preconditioner, solve
 
@@ -51,7 +52,7 @@ def test_prolongation_reproduces_coarse_field(k):
     )
     fine_field = FieldFunction.from_vector(fine, basis, transfer.prolong(coarse_field.coeffs.ravel()))
     rule = fb.tet_quadrature(2 * k)
-    points = fb.map_to_physical(fine.tet_coords(), rule.points)  # (nf, q, 3)
+    points = fine.map_points(rule.points)  # (nf, q, 3)
     on_fine = fine_field.eval_in_elements(np.arange(fine.n_elements), rule.points)
     on_coarse = coarse_field.evaluate(points.reshape(-1, 3)).reshape(on_fine.shape)
     assert np.max(np.abs(on_fine - on_coarse)) <= 1e-12 * np.max(np.abs(on_coarse))
@@ -69,6 +70,50 @@ def test_restriction_is_transpose_of_prolongation(k):
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
+def kuhn_colours(mesh):
+    """Per element, the parity of its cell's index sum plus that of the axis
+    order of its Kuhn type, the walk from corner 0 to 7 in ``_KUHN_CORNERS``."""
+    walk = np.sort(_KUHN_CORNERS, axis=1)
+    axes = np.log2(np.diff(walk, axis=1)).astype(int)
+    assert np.all(walk[:, 0] == 0)
+    assert np.array_equal(np.sort(axes, axis=1), np.tile(np.arange(3), (6, 1)))
+    parity = (axes[:, [0, 0, 1]] > axes[:, [1, 2, 2]]).sum(axis=1) % 2
+    cells, kind = mesh.element_cells()
+    return (cells.sum(axis=1) + parity[kind]) % 2
+
+
+FORMS = [(k, epsilon) for k in (1, 2) for epsilon in (-1, 0, 1)] + ["heat"]
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f if f == "heat" else "k%d-eps%+d" % f)
+@pytest.mark.parametrize("n", [(3, 2, 1), (4, 4, 2)], ids=["3x2x1", "4x4x2"])
+def test_face_graph_two_coloured(n, form):
+    """Every interior face joins opposite colours, so with S = +-1 by colour
+    S A S = 2D - A, D the block diagonal: the eigenvalues of D^{-1} A pair as
+    lambda, 2 - lambda, and 2 bounds them for a positive definite A."""
+    mesh = build_box_mesh(SLAB, n)
+    if form == "heat":  # the backward Euler operator M + tau A
+        basis = fb.make_basis(1)
+        system = assemble_mass(mesh, basis) + 0.01 * assemble_stiffness(mesh, DGSpec.default(1), basis)
+    else:
+        k, epsilon = form
+        system = assemble_stiffness(mesh, DGSpec.default(k, epsilon), fb.make_basis(k))
+    colour = kuhn_colours(mesh)
+    faces = system.neighbours[:, 1:]
+    rows, slots = np.nonzero(faces < mesh.n_elements)
+    assert len(rows) == 2 * len(mesh.iface_elems)
+    assert np.all(colour[rows] != colour[faces[rows, slots]])
+
+    A = system.matrix.toarray()
+    element = np.arange(system.ndof) // system.block_size
+    D = np.where(element[:, None] == element[None, :], A, 0.0)
+    s = np.where(colour[element] == 0, 1.0, -1.0)
+    assert np.array_equal(s[:, None] * A * s[None, :], 2 * D - A)
+    if system.symmetric:
+        top = eigh(A, D, eigvals_only=True, subset_by_index=[system.ndof - 1] * 2)
+        assert top[0] < 2.0
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_vcycle_symmetric_positive(k):
     A = stiffness((8, 8, 2), k)
@@ -82,7 +127,7 @@ def test_vcycle_symmetric_positive(k):
         assert x @ B(x) > 0.0
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [(8, 8, 2), (16, 16, 4)])
 def test_multigrid_cg_iterations_bounded(n, k):
     A = stiffness(n, k)
@@ -108,8 +153,8 @@ def test_multigrid_needs_a_stiffness_hierarchy():
 
 
 def test_multigrid_builds_a_matrix_on_the_coarsest_level_only(monkeypatch):
-    """Smoothing, residuals and the power iteration use the stencil; only the
-    coarse LU reads ``SparseSystem.matrix``."""
+    """Smoothing and residuals use the stencil; only the coarse LU reads
+    ``SparseSystem.matrix``."""
     built = []
     build = SparseSystem.matrix.func
 

@@ -148,7 +148,7 @@ def test_weighted_norm_invariant_under_curve_reversal():
     mesh = build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[1, 1, 1]), (2, 2, 2))
     basis = fb.make_basis(1)
     one = interpolate(lambda p: np.ones(len(p)), mesh, basis)
-    q = fb.map_to_physical(mesh.tet_coords(0), fb.tet_quadrature(4).points)[0]
+    q = mesh.map_points(fb.tet_quadrature(4).points, 0)[0]
     pts = [[0.9, 0.9, 0.9], [0.6, 0.8, 0.3], [q[0], 0.02, q[2]], [q[0], 0.98, q[2]]]
     forward = weighted_l2_norm(one, Curve(pts), -0.5)
     backward = weighted_l2_norm(one, Curve(pts[::-1]), -0.5)

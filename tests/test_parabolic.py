@@ -67,7 +67,7 @@ def test_projection_identities():
     M = assemble_mass(mesh, basis).matrix
     # the load (u0, phi_i) by a rule two degrees above the projection's
     rule = fb.tet_quadrature(2 * basis.degree + 4)
-    u0q = u0(fb.map_to_physical(mesh.tet_coords(), rule.points).reshape(-1, 3))
+    u0q = u0(mesh.map_points(rule.points).reshape(-1, 3))
     load = np.einsum(
         "q,eq,qi,e->ei", rule.weights, u0q.reshape(mesh.n_elements, rule.n),
         basis.eval(rule.points), mesh.det_jacobians,

@@ -11,12 +11,7 @@ def test_vtk_file_structure(tmp_path):
     mesh = build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[1, 1, 1]), (2, 2, 2))
     field = interpolate(lambda p: p[:, 0], mesh, fb.make_basis(1))
     path = tmp_path / "mesh.vtk"
-    write_vtk(
-        path,
-        mesh,
-        cell_data={"u": field_cell_values(field)},
-        point_data={"x": mesh.vertices[:, 0]},
-    )
+    write_vtk(path, mesh, cell_data={"u": field_cell_values(field)})
     text = path.read_text().splitlines()
     assert text[0].startswith("# vtk DataFile")
     assert "ASCII" in text[2]
@@ -28,7 +23,6 @@ def test_vtk_file_structure(tmp_path):
     assert text[types_at + 1] == "10"
     assert f"CELL_DATA {mesh.n_elements}" in text
     assert "SCALARS u double 1" in text
-    assert f"POINT_DATA {mesh.vertices.shape[0]}" in text
 
     # cell connectivity references valid vertices
     row = text[cells_at + 1].split()
