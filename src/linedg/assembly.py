@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import basis as _basis
 from .errors import AssemblyError
@@ -168,6 +167,8 @@ class SparseSystem:
         """The operator as a canonical ``scipy.sparse.bsr_matrix``, built on first
         access at the full size of the matrix: block row e holds its diagonal
         block and one block per interior face, columns sorted."""
+        import scipy.sparse as sp
+
         ne, nb = self.n_blocks, self.block_size
         order = np.argsort(self.neighbours, axis=1)
         cols = np.take_along_axis(self.neighbours, order, axis=1)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import CapabilityError, GeometryError
 
@@ -120,7 +119,6 @@ class QuadRule:
 
     points: np.ndarray   # (n, dim)
     weights: np.ndarray  # (n,)
-    exactness: int
 
     def __post_init__(self):
         # rules are cached and shared, so their arrays refuse writes
@@ -141,9 +139,21 @@ def _gauss_01(m):
 
 
 def _jacobi_01(m, alpha):
-    # nodes/weights on [0,1] for weight (1-u)^alpha
-    x, w = roots_jacobi(m, alpha, 0.0)
-    return 0.5 * (x + 1.0), w * 0.5 ** (alpha + 1.0)
+    """m-point Gauss rule on [0,1] for the weight (1-u)^alpha, alpha > 0.
+
+    Golub & Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the weight, and each weight is
+    the weight's mass 1/(alpha+1) times the squared first component of the
+    node's unit eigenvector.  The matrix is the one of (1-x)^alpha on [-1,1]
+    mapped to [0,1], so that nodes near 0 keep their relative accuracy.
+    """
+    n = np.arange(m, dtype=float)
+    s = 2.0 * n + alpha
+    diag = 0.5 * (s * (s + 2.0) - alpha ** 2) / (s * (s + 2.0))
+    n, s = n[1:], s[1:]
+    off = n * (n + alpha) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, v[0] ** 2 / (alpha + 1.0)
 
 
 def _check_exactness(min_exactness):
@@ -163,7 +173,7 @@ def segment_quadrature(min_exactness):
     d = _check_exactness(min_exactness)
     m = d // 2 + 1
     x, w = _gauss_01(m)
-    return QuadRule(points=x[:, None], weights=w, exactness=2 * m - 1)
+    return QuadRule(points=x[:, None], weights=w)
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +187,7 @@ def tri_quadrature(min_exactness):
     x = U.ravel()
     y = (V * (1.0 - U)).ravel()
     w = np.outer(wu, wv).ravel()
-    return QuadRule(points=np.column_stack([x, y]), weights=w, exactness=d)
+    return QuadRule(points=np.column_stack([x, y]), weights=w)
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +203,7 @@ def tet_quadrature(min_exactness):
     y = (V * (1.0 - U)).ravel()
     z = (W * (1.0 - U) * (1.0 - V)).ravel()
     wts = (wu[:, None, None] * wv[None, :, None] * ww[None, None, :]).ravel()
-    return QuadRule(points=np.column_stack([x, y, z]), weights=wts, exactness=d)
+    return QuadRule(points=np.column_stack([x, y, z]), weights=wts)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +218,13 @@ def tet_jacobian(tet_coords):
     non-positive ``detJ`` (degenerate or inverted element).
     """
     tc = np.asarray(tet_coords, dtype=float)
-    J = np.stack([tc[..., 1, :] - tc[..., 0, :],
-                  tc[..., 2, :] - tc[..., 0, :],
-                  tc[..., 3, :] - tc[..., 0, :]], axis=-1)
-    detJ = np.linalg.det(J)
-    scale = np.max(np.abs(J), axis=(-1, -2)) ** 3
+    edges = tc[..., 1:, :] - tc[..., :1, :]  # (..., 3, 3), row d = column d of J
+    J = np.swapaxes(edges, -1, -2)
+    # adjugate: row d of the inverse is the cross product of the other two
+    # columns, in cyclic order, over detJ
+    adj = np.cross(edges[..., [1, 2, 0], :], edges[..., [2, 0, 1], :])
+    detJ = np.einsum("...i,...i->...", edges[..., 0, :], adj[..., 0, :])
+    scale = np.max(np.abs(edges), axis=(-1, -2)) ** 3
     if np.any(detJ <= 1e-14 * np.maximum(scale, 1e-300)):
         raise GeometryError("degenerate or negatively oriented tetrahedron")
-    return J, detJ, np.linalg.inv(J)
+    return J, detJ, adj / detJ[..., None, None]

@@ -84,9 +84,10 @@ class Mesh:
         _, self.det_jacobians, self.jac_invs = _basis.tet_jacobian(tc)
         self.volumes = self.det_jacobians / 6.0
         self.centroids = tc.mean(axis=1)
-        # diameter = max pairwise vertex distance
-        diff = tc[:, :, None, :] - tc[:, None, :, :]
-        self.diameters = np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
+        # diameter = longest of the 6 edges
+        a, b = np.triu_indices(4, 1)
+        diff = tc[:, a] - tc[:, b]
+        self.diameters = np.sqrt((diff ** 2).sum(-1)).max(axis=1)
         self.h = float(self.diameters.max())
 
     def _build_faces(self):

@@ -18,11 +18,9 @@ def write_vtk(path, mesh, cell_data=None):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",
     ]
-    for p in mesh.vertices:
-        lines.append(f"{p[0]:.12g} {p[1]:.12g} {p[2]:.12g}")
+    lines.extend(map("{:.12g} {:.12g} {:.12g}".format, *mesh.vertices.T.tolist()))
     lines.append(f"CELLS {nt} {5 * nt}")
-    for t in mesh.tets:
-        lines.append(f"4 {t[0]} {t[1]} {t[2]} {t[3]}")
+    lines.extend(map("4 {} {} {} {}".format, *mesh.tets.T.tolist()))
     lines.append(f"CELL_TYPES {nt}")
     lines.extend(["10"] * nt)
     if cell_data:
@@ -33,7 +31,7 @@ def write_vtk(path, mesh, cell_data=None):
                 raise ValueError(f"cell data {name!r} must have shape ({nt},)")
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.12e}" for v in values)
+            lines.extend(map("{:.12e}".format, values.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

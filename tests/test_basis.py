@@ -1,7 +1,9 @@
-from math import factorial
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from linedg import basis as fb
 from linedg.errors import CapabilityError, GeometryError
@@ -60,33 +62,57 @@ def test_polynomial_reproduction(k):
     assert np.allclose(reproduced, poly(pts), atol=1e-12)
 
 
+# every exactness the code requests: 2k and 2k + 2 on tets, 2k + 1 and
+# 2k + 2 on triangles, for k up to MAX_DEGREE
+RULE_EXACTNESS = range(2 * fb.MAX_DEGREE + 3)
+
+
 def test_tet_quadrature_monomials():
-    rule = fb.tet_quadrature(6)
-    assert abs(rule.weights.sum() - 1.0 / 6.0) < 1e-14
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                if a + b + c > 6:
-                    continue
-                approx = np.sum(
-                    rule.weights
-                    * rule.points[:, 0] ** a
-                    * rule.points[:, 1] ** b
-                    * rule.points[:, 2] ** c
-                )
-                exact = factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 3)
-                assert abs(approx - exact) < 1e-13 * max(abs(exact), 1e-30), (a, b, c)
+    for d in RULE_EXACTNESS:
+        rule = fb.tet_quadrature(d)
+        assert abs(rule.weights.sum() - 1.0 / 6.0) < 1e-14, d
+        for a in range(d + 1):
+            for b in range(d + 1 - a):
+                for c in range(d + 1 - a - b):
+                    approx = np.sum(
+                        rule.weights
+                        * rule.points[:, 0] ** a
+                        * rule.points[:, 1] ** b
+                        * rule.points[:, 2] ** c
+                    )
+                    exact = factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 3)
+                    assert abs(approx - exact) < 1e-13 * exact, (d, a, b, c)
 
 
 def test_tri_quadrature_monomials():
-    rule = fb.tri_quadrature(7)
-    assert abs(rule.weights.sum() - 0.5) < 1e-14
+    for d in RULE_EXACTNESS:
+        rule = fb.tri_quadrature(d)
+        assert abs(rule.weights.sum() - 0.5) < 1e-14, d
+        for a in range(d + 1):
+            for b in range(d + 1 - a):
+                approx = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
+                exact = factorial(a) * factorial(b) / factorial(a + b + 2)
+                assert abs(approx - exact) < 1e-13 * exact, (d, a, b)
 
-    for a in range(8):
-        for b in range(8 - a):
-            approx = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
-            exact = factorial(a) * factorial(b) / factorial(a + b + 2)
-            assert abs(approx - exact) < 1e-13 * max(abs(exact), 1e-30)
+
+def _jacobi_moment(alpha, j):
+    """Exact int_{-1}^{1} (1-x)^alpha x^j dx, from x^j = (1 - (1-x))^j."""
+    return sum(
+        Fraction(comb(j, i) * (-1) ** i * 2 ** (alpha + i + 1), alpha + i + 1)
+        for i in range(j + 1)
+    )
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_jacobi_rules_are_gauss_rules(alpha):
+    for m in range(1, 17):
+        u, w = fb._jacobi_01(m, float(alpha))
+        # the same rule on [-1, 1] for the weight (1-x)^alpha
+        x, wx = 2.0 * u - 1.0, w * 2.0 ** (alpha + 1)
+        for j in range(2 * m):
+            exact = _jacobi_moment(alpha, j)
+            assert abs(np.sum(wx * x ** j) - float(exact)) <= 5e-14 * abs(exact), (m, j)
+        assert np.allclose(x, roots_jacobi(m, alpha, 0.0)[0], rtol=0.0, atol=1e-15), m
 
 
 def test_cached_rules_are_read_only():
@@ -136,6 +162,16 @@ def test_map_volume_oracle():
     rule = fb.tet_quadrature(2)
     _, det, _ = fb.tet_jacobian(tc)
     assert abs(np.sum(rule.weights) * det - vol) < 1e-13 * vol
+
+
+def test_jacobian_matches_linalg():
+    rng = np.random.default_rng(11)
+    tc = fb.REF_TET_VERTICES + 0.2 * rng.standard_normal((2, 5, 4, 3))
+    J, det, Jinv = fb.tet_jacobian(tc)
+    assert J.shape == Jinv.shape == (2, 5, 3, 3) and det.shape == (2, 5)
+    assert np.allclose(J[..., :, 1], tc[..., 2, :] - tc[..., 0, :], rtol=0.0, atol=0.0)
+    assert np.allclose(det, np.linalg.det(J), rtol=1e-13, atol=0.0)
+    assert np.allclose(Jinv, np.linalg.inv(J), rtol=1e-12, atol=1e-13)
 
 
 def test_degenerate_tet_raises():

@@ -42,3 +42,33 @@ def test_cell_values_are_barycenter_values():
     vals = field_cell_values(field)
     expected = 2 * mesh.centroids[:, 0] + mesh.centroids[:, 2]
     assert np.allclose(vals, expected, atol=1e-12)
+
+
+def _write_vtk_rowwise(path, mesh, cell_data):
+    """The file format spelled out one numpy row at a time, as a reference."""
+    nt, nv = mesh.n_elements, mesh.vertices.shape[0]
+    lines = ["# vtk DataFile Version 3.0", "linedg output", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
+    for p in mesh.vertices:
+        lines.append(f"{p[0]:.12g} {p[1]:.12g} {p[2]:.12g}")
+    lines.append(f"CELLS {nt} {5 * nt}")
+    for t in mesh.tets:
+        lines.append(f"4 {t[0]} {t[1]} {t[2]} {t[3]}")
+    lines.append(f"CELL_TYPES {nt}")
+    lines.extend(["10"] * nt)
+    lines.append(f"CELL_DATA {nt}")
+    for name, values in cell_data.items():
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines.extend(f"{v:.12e}" for v in values)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_vtk_bytes_match_rowwise_format(tmp_path):
+    mesh = build_box_mesh(BoxDomain(lo=[-0.3, 0, 1e-3], hi=[1, 1.0 / 3.0, 7]), (2, 2, 1))
+    rng = np.random.default_rng(5)
+    cell_data = {"u": rng.standard_normal(mesh.n_elements) * 1e5,
+                 "rank": np.arange(mesh.n_elements, dtype=float)}
+    write_vtk(tmp_path / "fast.vtk", mesh, cell_data=cell_data)
+    _write_vtk_rowwise(tmp_path / "rows.vtk", mesh, cell_data)
+    assert (tmp_path / "fast.vtk").read_bytes() == (tmp_path / "rows.vtk").read_bytes()
