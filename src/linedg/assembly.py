@@ -5,15 +5,17 @@ polynomial space); ``dof = element * block_size + local_index``.  Every
 operator is a Kuhn-stencil ``SparseSystem``: per Kuhn type one weight
 block (its diagonal block and the blocks of its 4 face neighbours), the
 (ne, 5) neighbour table, and corrections to the diagonal blocks of the
-elements near the boundary that differ from their type's.  No matrix is
-stored; ``SparseSystem.matrix`` builds the BSR form on demand.  The jump
-penalty scales with the smallest grid pitch ``mesh.grid_spacing``, which
-matches the quasi-uniform grids built here.
+elements with a boundary face.  No matrix is stored;
+``SparseSystem.matrix`` builds the BSR form on demand.  The jump penalty
+scales with the smallest grid pitch ``mesh.grid_spacing``, which matches
+the quasi-uniform grids built here.
 
-The operators need a box mesh from ``build_box_mesh``: each is assembled on
-a replica grid of at most 3 cells per axis and read from there into the
-stencil (``_blocked_system``); any other mesh raises AssemblyError.  The
-Nitsche and volume loads vary in space and use all faces.
+The operators need a box mesh from ``build_box_mesh``: there a volume block
+depends only on the Kuhn type of its element, and a face block only on the
+type, the local face and whether the face is interior, so each operator
+evaluates one element per type and one interior and one boundary face per
+(type, local face) (``_blocked_system``); any other mesh raises
+AssemblyError.  The Nitsche and volume loads vary in space and use all faces.
 """
 
 from dataclasses import dataclass
@@ -76,11 +78,12 @@ class SparseSystem:
     row) for a boundary face.  On the Kuhn grid these blocks depend only on
     t, so ``weights[t]`` (5 nb, nb) stacks the 5 transposed blocks once per
     type; ``system @ x`` gathers x per element neighbourhood and multiplies
-    by its type's weights.  Only the diagonal blocks of some elements near
-    the boundary differ from their type's: element ``fixed[i]`` adds
-    ``corrections[i]`` (nb, nb), and ``fixed_class[i]`` labels it so that
-    equal labels mean equal diagonal blocks.  ``matrix`` builds the same
-    operator as a BSR matrix, on first access and at its full size.
+    by its type's weights.  Only the diagonal blocks of the elements with a
+    boundary face differ from their type's: element ``fixed[i]`` adds
+    ``corrections[i]`` (nb, nb), which depends only on its type and on which
+    of its faces are on the boundary (``_ghost_classes``).  ``matrix``
+    builds the same operator as a BSR matrix, on first access and at its
+    full size.
 
     ``symmetric`` selects CG in ``solver.solve`` (BiCGStab otherwise); the
     assembly sets it for the epsilon = -1 stiffness and for the mass and
@@ -94,7 +97,6 @@ class SparseSystem:
     neighbours: np.ndarray
     fixed: np.ndarray
     corrections: np.ndarray
-    fixed_class: np.ndarray
     symmetric: bool = False
     discretization: tuple | None = None
 
@@ -124,27 +126,27 @@ class SparseSystem:
 
     def __add__(self, other):
         """Sum of two operators on one mesh."""
-        if not (np.array_equal(self.neighbours, other.neighbours)
-                and np.array_equal(self.fixed_class, other.fixed_class)):
+        if not np.array_equal(self.neighbours, other.neighbours):
             raise ValueError("operators on different meshes cannot be added")
         return SparseSystem(self.weights + other.weights, self.neighbours, self.fixed,
-                            self.corrections + other.corrections, self.fixed_class,
+                            self.corrections + other.corrections,
                             self.symmetric and other.symmetric)
 
     def __rmul__(self, scale):
         return SparseSystem(scale * self.weights, self.neighbours, self.fixed,
-                            scale * self.corrections, self.fixed_class, self.symmetric)
+                            scale * self.corrections, self.symmetric)
 
     def block_jacobi(self):
         """y = D^{-1} x for the block diagonal D of the operator, as a callable.
 
-        Inverts one block per Kuhn type and one per class of ``fixed``
-        elements, applies them per type and overwrites the fixed elements;
-        raises ValueError on a singular block.
+        Inverts one block per Kuhn type and one per (type, boundary faces)
+        class of ``fixed`` elements, applies them per type and overwrites the
+        fixed elements; raises ValueError on a singular block.
         """
         nb, fixed = self.block_size, self.fixed
         diagonal = self.weights[:, :nb].transpose(0, 2, 1)
-        _, first, members = np.unique(self.fixed_class, return_index=True, return_inverse=True)
+        _, first, members = np.unique(_ghost_classes(self.neighbours, fixed),
+                                      return_index=True, return_inverse=True)
         try:
             inverse = np.linalg.inv(diagonal).transpose(0, 2, 1)
             fixed_inverse = np.linalg.inv(diagonal[fixed[first] % 6] + self.corrections[first])
@@ -182,15 +184,22 @@ class SparseSystem:
         return sp.bsr_matrix((data, cols[inner], indptr), shape=(ne * nb, ne * nb))
 
 
-def _volume_grad_gram(mesh, basis):
-    """Element blocks (ne, nb, nb) of the broken gradient term, sum_E (grad u, grad v)_E."""
+def _ghost_classes(neighbours, elements):
+    """16 t + m per element: its Kuhn type t and the mask m with bit f set
+    where its face opposite local vertex f is a boundary face."""
+    ghost = neighbours[elements, 1:] == neighbours.shape[0]
+    return elements % 6 * 16 + ghost @ (1 << np.arange(4))
+
+
+def _volume_grad_gram(mesh, basis, elements=slice(None)):
+    """Element blocks (n, nb, nb) of the broken gradient term, sum_E (grad u, grad v)_E."""
     rule = _basis.tet_quadrature(2 * basis.degree)
     g = basis.grad(rule.points)  # (q, nb, 3)
     # S[m, n, i, j] = sum_q w_q dphi_i/dxi_m dphi_j/dxi_n
     S = np.einsum("q,qim,qjn->mnij", rule.weights, g, g)
-    jinv = mesh.jac_invs
+    jinv = mesh.jac_invs[elements]
     C = np.einsum("emd,end->emn", jinv, jinv)
-    return np.einsum("emn,mnij->eij", C, S) * mesh.det_jacobians[:, None, None]
+    return np.einsum("emn,mnij->eij", C, S) * mesh.det_jacobians[elements, None, None]
 
 
 def _face_traces(mesh, basis, rule, boundary=False, sel=slice(None)):
@@ -232,128 +241,89 @@ def _face_traces(mesh, basis, rule, boundary=False, sel=slice(None)):
     return x, w, sides
 
 
-def _face_term_blocks(mesh, basis, consistency, epsilon, penalty):
-    """Element blocks of the face part of a penalized bilinear form, all faces.
+def _face_term_blocks(mesh, basis, face_form, boundary=False, sel=slice(None)):
+    """Element blocks of the face part of a penalized bilinear form on the
+    selected interior (or boundary) faces.
 
-    Yields (b, a, elements, blk) per face kind and pair of sides:
-    blk (f, nb, nb) couples test functions of side b, on ``elements``, with
-    trial functions of side a.  Interior faces have sides 0 and 1 (first and
-    second element), boundary faces side 0 only.
+    ``face_form`` is (consistency, epsilon, penalty):
       - consistency  -consistency ({grad u}.n) [v]
       - symmetrizing +epsilon ({grad v}.n) [u]
       - penalty      +penalty [u][v]
-    Boundary faces use one-sided traces.
+    Returns blocks[b][a] (f, nb, nb), coupling test functions of side b with
+    trial functions of side a.  Interior faces have sides 0 and 1 (first and
+    second element), boundary faces side 0 only, with one-sided traces.
     """
+    consistency, epsilon, penalty = face_form
+    signs, factors = ((1.0,), (1.0,)) if boundary else ((1.0, -1.0), (0.5, 0.5))
     rule = _basis.tri_quadrature(2 * basis.degree + 1)
-    for boundary, signs, factors in ((False, (1.0, -1.0), (0.5, 0.5)), (True, (1.0,), (1.0,))):
-        _, w, sides = _face_traces(mesh, basis, rule, boundary)
-        root = np.sqrt(w)[:, :, None]  # the weights are positive; each product carries one
-        for _, V, Gn in sides:
-            V *= root
-            Gn *= root
-        for b, (eb, Vb, Gnb) in enumerate(sides):
-            Vb, Gnb = Vb.transpose(0, 2, 1), Gnb.transpose(0, 2, 1)
-            for a, (_, Va, Gna) in enumerate(sides):
-                blk = (-consistency * signs[b] * factors[a]) * (Vb @ Gna)
-                blk += (epsilon * signs[a] * factors[b]) * (Gnb @ Va)
-                blk += (penalty * signs[a] * signs[b]) * (Vb @ Va)
-                yield b, a, eb, blk
-
-
-def _local_faces(mesh, elements, face_verts):
-    """Per face, the local vertex of its element that the face misses (0..3)."""
-    on_face = (mesh.tets[elements][:, :, None] == face_verts[:, None, :]).any(axis=2)
-    return np.argmin(on_face, axis=1)
-
-
-def _neighbour_table(mesh):
-    """(ne, 5) table of element e, then its neighbour across the face opposite
-    each local vertex, from the mesh's faces; ne stands for a boundary face."""
-    ne = mesh.n_elements
-    table = np.full((ne, 5), ne)
-    table[:, 0] = np.arange(ne)
-    for side in (0, 1):
-        e = mesh.iface_elems[:, side]
-        table[e, 1 + _local_faces(mesh, e, mesh.iface_verts)] = mesh.iface_elems[:, 1 - side]
-    return table
-
-
-def _kuhn_layout(mesh, rep, shift, rep_table):
-    """Relate a Kuhn box grid of ``build_box_mesh`` to its replica.
-
-    ``rep, shift`` is ``mesh.replica()`` and ``rep_table`` the replica's
-    neighbour table.  Returns (rep_elem, table): each element's replica
-    element (same Kuhn type, in the cell shifted by ``shift``) and the mesh's
-    neighbour table.  A mesh without that layout (an element unlike its
-    replica, or neighbours unlike its replica's shifted back by the same
-    offset) raises AssemblyError.
-    """
-    ne, rep_ne = mesh.n_elements, rep.n_elements
-    cells, kind = mesh.element_cells()
-    rep_elem = rep.cell_flat_index(cells + shift) * 6 + kind
-    same = np.all(mesh.cell_flat_index(mesh.cell_index(mesh.centroids)) == np.arange(ne) // 6)
-    for ours, theirs in ((mesh.det_jacobians, rep.det_jacobians), (mesh.jac_invs, rep.jac_invs)):
-        theirs = theirs.reshape(rep_ne, -1)
-        diff = theirs[rep_elem]
-        np.abs(np.subtract(ours.reshape(ne, -1), diff, out=diff), out=diff)
-        same &= np.all(diff.max(axis=1) <= 1e-12 * np.abs(theirs).max(axis=1)[rep_elem])
-    del diff  # not kept through the table build, which sets the assembly's allocation peak
-    table = _neighbour_table(mesh)
-    rep_cells, _ = rep.element_cells()
-    for s in range(1, 5):
-        r = rep_table[rep_elem, s]
-        inner = r < rep_ne
-        c = rep_cells[r[inner]] - shift[inner]
-        same &= np.all((c >= 0) & (c < mesh.n)) and np.array_equal(
-            table[inner, s], mesh.cell_flat_index(c) * 6 + r[inner] % 6
-        ) and np.all(table[~inner, s] == ne)
-    if not same:
-        raise AssemblyError("mesh is not a Kuhn box grid from build_box_mesh; cannot assemble")
-    return rep_elem, table
+    _, w, sides = _face_traces(mesh, basis, rule, boundary, sel)
+    root = np.sqrt(w)[:, :, None]  # the weights are positive; each product carries one
+    for _, V, Gn in sides:
+        V *= root
+        Gn *= root
+    blocks = []
+    for b, (_, Vb, Gnb) in enumerate(sides):
+        Vb, Gnb = Vb.transpose(0, 2, 1), Gnb.transpose(0, 2, 1)
+        blocks.append([])
+        for a, (_, Va, Gna) in enumerate(sides):
+            blk = (-consistency * signs[b] * factors[a]) * (Vb @ Gna)
+            blk += (epsilon * signs[a] * factors[b]) * (Gnb @ Va)
+            blk += (penalty * signs[a] * signs[b]) * (Vb @ Va)
+            blocks[b].append(blk)
+    return blocks
 
 
 def _blocked_system(mesh, basis, volume=None, face_form=None, symmetric=True):
     """Stencil ``SparseSystem`` of a form with constant coefficients on a box mesh.
 
-    ``volume(mesh, basis)`` gives the (ne, nb, nb) diagonal blocks, or is None;
-    ``face_form`` is (consistency, epsilon, penalty) of ``_face_term_blocks``
-    or None.  On the Kuhn grid of ``build_box_mesh`` a block depends only on
-    the Kuhn types and cell offset of its two elements and on the boundary
-    planes the row element's cell touches, so the form is scattered once on
-    ``mesh.replica()``: the diagonal block of every replica element, summed
-    over its faces with ``np.add.at``, and the off-diagonal block of each
-    Kuhn type and local face, the same on every interior face of that type
-    and side.  Type t takes its diagonal block from its replica element in
-    the replica's middle cell.  An element whose boundary faces differ from
-    that middle element's is ``fixed``: it keeps the excess of its
-    replica's diagonal block over its type's as a correction.
-    ``_kuhn_layout`` checks the mesh.
+    ``volume(mesh, basis, elements)`` gives the (n, nb, nb) diagonal blocks
+    of the given elements, or is None; ``face_form`` is the (consistency,
+    epsilon, penalty) of ``_face_term_blocks`` or None.  On the Kuhn grid of
+    ``build_box_mesh`` (``mesh.is_box_grid()``, else AssemblyError) a volume
+    block depends only on the Kuhn type t of its element, and a face block
+    only on t, the local face f and whether the face is interior.  So the
+    volume form is evaluated on the 6 elements of the first cell, and the
+    face form on one interior and one boundary face per (t, f), taken from
+    the mesh.  Type t's diagonal block is its volume block plus its 4
+    interior-face terms; a local face that is interior nowhere (on a grid
+    one cell thick) adds its boundary term instead, so the block is always
+    that of some element.  Every element with a boundary face is ``fixed``:
+    its correction is the sum, over its boundary faces, of the boundary term
+    minus the interior term, computed once per ``_ghost_classes`` class.
     """
-    nb = basis.dim
-    rep, shift = mesh.replica()
-    rep_ne, rep_table = rep.n_elements, _neighbour_table(rep)
-    kind = np.arange(rep_ne) % 6
-    diagonal = np.zeros((rep_ne, nb, nb))
-    faces = np.zeros((6, 4, nb, nb))
+    if not mesh.is_box_grid():
+        raise AssemblyError("mesh is not a Kuhn box grid from build_box_mesh; cannot assemble")
+    ne, nb = mesh.n_elements, basis.dim
+    table = np.full((ne, 5), ne)
+    table[:, 0] = np.arange(ne)
+    for s in (0, 1):
+        table[mesh.iface_elems[:, s], 1 + mesh.iface_local[:, s]] = mesh.iface_elems[:, 1 - s]
+    stencil = np.zeros((6, 5, nb, nb))
+    excess = np.zeros((24, nb, nb))  # per 4 t + f: the boundary minus the interior face term
     if volume is not None:
-        diagonal[:] = volume(rep, basis)
+        stencil[:, 0] = volume(mesh, basis, np.arange(6))
     if face_form is not None:
-        slots = [_local_faces(rep, rep.iface_elems[:, s], rep.iface_verts) for s in (0, 1)]
-        for b, a, eb, blk in _face_term_blocks(rep, basis, *face_form):
-            if a == b:
-                np.add.at(diagonal, eb, blk)
-            else:
-                faces[kind[eb], slots[b]] = blk
-    middle = rep.cell_flat_index(np.minimum(1, np.asarray(rep.n) - 1)[None]) * 6 + np.arange(6)
-    stencil = np.concatenate([diagonal[middle, None], faces], axis=1)
-    diagonal -= stencil[kind, 0]  # now the excess of each block over its type's
-
-    rep_elem, table = _kuhn_layout(mesh, rep, shift, rep_table)
-    ghosts = (rep_table[:, 1:] == rep_ne) @ (1 << np.arange(4))
-    fixed = np.flatnonzero(ghosts[rep_elem] != ghosts[middle[rep_elem % 6]])
-    fixed_class = rep_elem[fixed]
+        outer, first = np.unique(mesh.bface_elem % 6 * 4 + mesh.bface_local, return_index=True)
+        boundary = _face_term_blocks(mesh, basis, face_form, True, first)[0][0]
+        inner = np.zeros((24, nb, nb))
+        inner[outer] = boundary
+        key = (mesh.iface_elems % 6 * 4 + mesh.iface_local).T.ravel()  # side 0, then side 1
+        tf, first = np.unique(key, return_index=True)
+        side, face = np.divmod(first, len(mesh.iface_elems))
+        blocks = _face_term_blocks(mesh, basis, face_form, sel=face)
+        for s in (0, 1):
+            at = side == s
+            inner[tf[at]] = blocks[s][s][at]
+            stencil[tf[at] // 4, 1 + tf[at] % 4] = blocks[s][1 - s][at]
+        stencil[:, 0] += inner.reshape(6, 4, nb, nb).sum(axis=1)
+        excess[outer] = boundary - inner[outer]
+    classes = _ghost_classes(table, np.arange(ne))
+    fixed = np.flatnonzero(classes % 16)
+    classes, members = np.unique(classes[fixed], return_inverse=True)
+    bits = (classes[:, None] >> np.arange(4)) & 1
+    corrections = np.einsum("cf,cfij->cij", bits, excess.reshape(6, 4, nb, nb)[classes // 16])
     weights = stencil.transpose(0, 1, 3, 2).reshape(6, 5 * nb, nb)
-    return SparseSystem(weights, table, fixed, diagonal[fixed_class], fixed_class, symmetric)
+    return SparseSystem(weights, table, fixed, corrections[members], symmetric)
 
 
 def assemble_stiffness(mesh, spec, basis):
@@ -378,7 +348,7 @@ def reference_mass(basis):
 def assemble_mass(mesh, basis):
     """Broken mass matrix: det J times the reference block; face blocks stay zero."""
     return _blocked_system(
-        mesh, basis, lambda m, b: reference_mass(b)[None] * m.det_jacobians[:, None, None]
+        mesh, basis, lambda m, b, e: reference_mass(b)[None] * m.det_jacobians[e, None, None]
     )
 
 

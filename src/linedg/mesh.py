@@ -59,10 +59,12 @@ class Mesh:
 
     - ``vertices`` (nv, 3), ``tets`` (nt, 4) positively oriented
     - ``interior_faces``: ``iface_verts`` (ni, 3), ``iface_elems`` (ni, 2)
-      with the smaller element index first, ``iface_normals`` unit vectors
-      pointing from the first to the second element, ``iface_areas``
-    - ``boundary_faces``: ``bface_verts``, ``bface_elem``, ``bface_normals``
-      (outward), ``bface_areas``
+      with the smaller element index first, ``iface_local`` (ni, 2) int8 the
+      local vertex of each element that the face is opposite,
+      ``iface_normals`` unit vectors pointing from the first to the second
+      element, ``iface_areas``
+    - ``boundary_faces``: ``bface_verts``, ``bface_elem``, ``bface_local``,
+      ``bface_normals`` (outward), ``bface_areas``
     - ``det_jacobians``, ``jac_invs``: determinant and inverse of each
       element's affine map x = vertices[tets[e, 0]] + J r
     - ``h``: max element diameter
@@ -91,15 +93,14 @@ class Mesh:
         self.h = float(self.diameters.max())
 
     def _build_faces(self):
-        nt = self.tets.shape[0]
-        # local faces opposite each vertex
+        # row 4e + f is the face of element e opposite its local vertex f
         local = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
         all_faces = self.tets[:, local].reshape(-1, 3)
-        owners = np.repeat(np.arange(nt, dtype=np.int64), 4)
         key = np.sort(all_faces, axis=1)
         order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
         key_sorted = key[order]
-        owners_sorted = owners[order]
+        owners_sorted, local_sorted = np.divmod(order, 4)
+        local_sorted = local_sorted.astype(np.int8)
         faces_sorted = all_faces[order]
         new_group = np.any(np.diff(key_sorted, axis=0) != 0, axis=1)
         group_id = np.concatenate([[0], np.cumsum(new_group)])
@@ -111,14 +112,16 @@ class Mesh:
         bnd = first[counts == 1]
         self.bface_verts = faces_sorted[bnd]
         self.bface_elem = owners_sorted[bnd]
+        self.bface_local = local_sorted[bnd]
 
         ints = first[counts == 2]
-        e1 = owners_sorted[ints]
-        e2 = owners_sorted[ints + 1]
-        swap = e1 > e2
-        e1[swap], e2[swap] = e2[swap], e1[swap].copy()
+        pair = np.column_stack([ints, ints + 1])
+        swap = owners_sorted[ints] > owners_sorted[ints + 1]
+        pair[swap] = pair[swap, ::-1]
         self.iface_verts = faces_sorted[ints]
-        self.iface_elems = np.column_stack([e1, e2])
+        self.iface_elems = owners_sorted[pair]
+        self.iface_local = local_sorted[pair]
+        e1, e2 = self.iface_elems.T
 
         self.iface_areas, self.iface_normals = self._face_geometry(
             self.iface_verts, toward=self.centroids[e2] - self.centroids[e1]
@@ -194,30 +197,12 @@ class Mesh:
         base = np.asarray(flat_cells, dtype=np.int64)[:, None] * 6
         return base + np.arange(6, dtype=np.int64)[None, :]
 
-    def element_cells(self):
-        """Grid cell (ne, 3) and Kuhn type (ne,) of every element, read from
-        the box layout (the 6 tets of flat cell c are elements 6c .. 6c + 5)."""
-        nx, ny, _ = self.n
-        flat, kind = np.divmod(np.arange(self.n_elements, dtype=np.int64), 6)
-        return np.column_stack([flat % nx, flat // nx % ny, flat // (nx * ny)]), kind
-
-    def replica(self):
-        """Box mesh with min(n, 3) cells per axis, this grid's lo and cell size.
-
-        Returns (replica, shift): the element in cell c has as replica the
-        element of the same Kuhn type in cell c + shift[e], where the clamp
-        maps per axis the first cell to 0, the last to m - 1 and any other
-        to 1.  So each replica cell touches the same boundary planes as the
-        cells it stands for, and every face neighbour of an element, shifted
-        by the same offset, is a face neighbour of its replica.
-        """
-        n = np.asarray(self.n)
-        m = np.minimum(n, 3)
-        cells, _ = self.element_cells()
-        target = np.where(cells == 0, 0, np.where(cells == n - 1, m - 1, 1))
-        lo = self.domain.lo
-        rep = build_box_mesh(BoxDomain(lo, lo + m * self.cell_size), tuple(m))
-        return rep, target - cells
+    def is_box_grid(self):
+        """Whether the vertices and tets are exactly those ``build_box_mesh``
+        makes for this domain and grid: element 6c + t is Kuhn type t of flat
+        cell c, every cell the same shape."""
+        vertices, tets = _box_lattice(self.domain, self.n)
+        return np.array_equal(self.tets, tets) and np.array_equal(self.vertices, vertices)
 
     def find_elements(self, points):
         """Containing element per point (first match, deterministic).
@@ -279,26 +264,19 @@ def build_box_mesh(domain, n):
     n = tuple(int(v) for v in n)
     if len(n) != 3 or any(v < 1 for v in n):
         raise ValueError(f"cell counts must be three integers >= 1, got {n}")
-    nx, ny, nz = n
-    xs = np.linspace(domain.lo[0], domain.hi[0], nx + 1)
-    ys = np.linspace(domain.lo[1], domain.hi[1], ny + 1)
-    zs = np.linspace(domain.lo[2], domain.hi[2], nz + 1)
-    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-    vertices = np.column_stack([X.ravel(order="F"), Y.ravel(order="F"), Z.ravel(order="F")])
-    # vertex id (i, j, k) -> i + (nx+1) * (j + (ny+1) * k)
+    return Mesh(domain, n, *_box_lattice(domain, n))
 
-    def vid(i, j, k):
-        return i + (nx + 1) * (j + (ny + 1) * k)
 
-    I, J, K = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    ci = I.ravel(order="F")
-    cj = J.ravel(order="F")
-    ck = K.ravel(order="F")
-    ncell = ci.size
-    tets = np.empty((ncell, 6, 4), dtype=np.int64)
-    for t in range(6):
-        for v in range(4):
-            off = _KUHN_OFFSETS[t, v]
-            tets[:, t, v] = vid(ci + off[0], cj + off[1], ck + off[2])
-    tets = tets.reshape(ncell * 6, 4)
-    return Mesh(domain, n, vertices, tets)
+def _box_lattice(domain, n):
+    """Vertices and tets of the Kuhn grid of the box with n cells per axis.
+
+    Vertex (i, j, k) is i + (nx+1) * (j + (ny+1) * k), and element 6c + t is
+    Kuhn type t of the cell (i, j, k) with flat index c = i + nx * (j + ny * k).
+    """
+    def lattice(*axes):  # every point of the tensor grid, the first axis fastest
+        return np.column_stack([g.ravel(order="F") for g in np.meshgrid(*axes, indexing="ij")])
+
+    nx, ny, _ = n
+    vertices = lattice(*(np.linspace(domain.lo[d], domain.hi[d], n[d] + 1) for d in range(3)))
+    corners = lattice(*map(np.arange, n))[:, None, None, :] + _KUHN_OFFSETS  # (cells, 6, 4, 3)
+    return vertices, (corners @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])).reshape(-1, 4)

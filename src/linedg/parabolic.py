@@ -16,6 +16,7 @@ from .assembly import (
 )
 from .curve import assemble_line_rhs, build_restrictions
 from .fields import FieldFunction
+from .norms import l2_error
 from .solver import SolverConfig, make_preconditioner, solve
 
 
@@ -62,14 +63,11 @@ class TimeSeries:
 
 def project_initial(u0, mesh, basis):
     """Elementwise L2 projection of a point function into the broken space,
-    with the moments taken by the 2k+2 rule."""
-    rule = _basis.tet_quadrature(2 * basis.degree + 2)
-    vals = basis.eval(rule.points)  # (q, nb)
-    phys = mesh.map_points(rule.points)
-    u0v = np.asarray(u0(phys.reshape(-1, 3)), dtype=float).reshape(mesh.n_elements, rule.n)
-    rhs = np.einsum("q,eq,qi->ei", rule.weights, u0v, vals)
+    with the moments of ``assemble_volume_rhs`` (the 2k+2 rule)."""
+    moments = assemble_volume_rhs(mesh, basis, u0).reshape(mesh.n_elements, basis.dim)
     # the affine scaling cancels: det_J * M_ref c = det_J * rhs_ref
-    coeffs = np.linalg.solve(reference_mass(basis), rhs.T).T
+    moments /= mesh.det_jacobians[:, None]
+    coeffs = np.linalg.solve(reference_mass(basis), moments.T).T
     return FieldFunction(mesh, basis, coeffs)
 
 
@@ -178,26 +176,18 @@ def step_diagnostics(series, sigma):
     return rows
 
 
-def spacetime_l2_error(series, exact, grid=None):
+def spacetime_l2_error(series, exact):
     """L2(0,T; L2) distance between the reconstruction and ``exact(t, points)``.
 
-    Two-point Gauss rule per time interval and the 2k+2 rule in space; the
-    reconstruction is the right-endpoint snapshot on each interval.
+    Two-point Gauss rule per time interval and ``norms.l2_error`` in space;
+    the reconstruction is the right-endpoint snapshot on each interval.
     """
-    grid = grid or series.grid
     rule_t = _basis.segment_quadrature(3)
-    mesh, basis = series.mesh, series.basis
-    rule_x = _basis.tet_quadrature(2 * basis.degree + 2)
-    vals = basis.eval(rule_x.points)  # (q, nb)
-    flat = mesh.map_points(rule_x.points).reshape(-1, 3)
+    tau = series.grid.tau
     total = 0.0
-    tau = grid.tau
-    for n in range(1, grid.steps + 1):
-        coeff = series.snapshots[n].reshape(mesh.n_elements, basis.dim)
-        uh = coeff @ vals.T  # (nt, q)
+    for n in range(1, series.grid.steps + 1):
+        uh = series.field(n)
         for tq, wq in zip(rule_t.points[:, 0], rule_t.weights):
             t = (n - 1 + tq) * tau
-            ue = np.asarray(exact(t, flat), dtype=float).reshape(uh.shape)
-            sq = np.einsum("nq,q,n->", (uh - ue) ** 2, rule_x.weights, mesh.det_jacobians)
-            total += wq * tau * sq
+            total += wq * tau * l2_error(uh, lambda p: exact(t, p)) ** 2
     return float(np.sqrt(total))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from linedg import assembly
 from linedg import basis as fb
 from linedg.assembly import (
     DGSpec,
@@ -233,16 +234,17 @@ def _full_mesh_reference(mesh, basis, volume, face_form):
     if volume is not None:
         data[slot[:ne]] = volume
     if face_form is not None:
-        for b, a, eb, blk in _face_term_blocks(mesh, basis, *face_form):
-            if a == b:
-                np.add.at(data, slot[eb], blk)
-            else:
-                data[slot[ne + b * nf : ne + (b + 1) * nf]] = blk
+        for boundary, sides in ((False, mesh.iface_elems.T), (True, [mesh.bface_elem])):
+            blocks = _face_term_blocks(mesh, basis, face_form, boundary)
+            for b, eb in enumerate(sides):
+                np.add.at(data, slot[eb], blocks[b][b])
+                if not boundary:
+                    data[slot[ne + b * nf : ne + (b + 1) * nf]] = blocks[b][1 - b]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ne))])
     return indptr, cols[order], data
 
 
-REPLICA_GRIDS = [
+BOX_GRIDS = [
     (SLAB, (1, 1, 1)),
     (SLAB, (2, 3, 1)),
     (BoxDomain(lo=[0, 0, 0], hi=[1, 1, 1]), (3, 3, 3)),
@@ -253,9 +255,10 @@ REPLICA_GRIDS = [
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("domain,n", REPLICA_GRIDS)
+@pytest.mark.parametrize("domain,n", BOX_GRIDS)
 def test_replica_gather_matches_full_mesh_scatter(domain, n, k):
-    """Every operator gathered from the replica grid equals the direct scatter."""
+    """Every operator, assembled from one face per (Kuhn type, local face),
+    equals the form scattered directly on every face of the mesh."""
     mesh = build_box_mesh(domain, n)
     basis = fb.make_basis(k)
     h = mesh.grid_spacing
@@ -278,10 +281,11 @@ def test_replica_gather_matches_full_mesh_scatter(domain, n, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("domain,n", REPLICA_GRIDS)
+@pytest.mark.parametrize("domain,n", BOX_GRIDS)
 def test_stencil_apply_matches_full_mesh_scatter(domain, n, k):
     """``system @ x`` and the block-Jacobi apply equal the product with, and the
-    diagonal block solves of, the directly scattered matrix; M + tau A too."""
+    diagonal block solves of, the directly scattered matrix; M + tau A and
+    the jump penalty alone too."""
     mesh = build_box_mesh(domain, n)
     basis = fb.make_basis(k)
     ne, nb, h = mesh.n_elements, basis.dim, mesh.grid_spacing
@@ -298,6 +302,8 @@ def test_stencil_apply_matches_full_mesh_scatter(domain, n, k):
         cases.append((assemble_stiffness(mesh, spec, basis), data))
     tau = 0.01
     cases.append((cases[0][0] + tau * cases[2][0], data_m + tau * cases[2][1]))
+    jumps = _full_mesh_reference(mesh, basis, None, (0.0, 0.0, 3.0))[2]
+    cases.append((_blocked_system(mesh, basis, face_form=(0.0, 0.0, 3.0)), jumps))
     on_diagonal = indices == np.repeat(np.arange(ne), np.diff(indptr))
     rng = np.random.default_rng(k)
     for system, data in cases:
@@ -308,15 +314,37 @@ def test_stencil_apply_matches_full_mesh_scatter(domain, n, k):
         assert np.abs(system.block_jacobi()(x) - z).max() <= 1e-10 * np.abs(z).max()
 
 
-def test_replica_gather_rejects_a_moved_vertex():
-    """A mesh whose elements differ from their replicas raises, never gathers."""
+def test_assembly_rejects_a_mesh_off_the_box_lattice():
+    """A moved vertex or permuted elements raise; the mesh is never assembled."""
     box = build_box_mesh(SLAB, (4, 4, 2))
     vertices = box.vertices.copy()
     inner = np.flatnonzero(np.all((vertices > SLAB.lo) & (vertices < SLAB.hi), axis=1))[0]
     vertices[inner] += 0.1 * box.cell_size
-    mesh = Mesh(SLAB, box.n, vertices, box.tets.copy())
-    with pytest.raises(AssemblyError):
-        assemble_stiffness(mesh, DGSpec.default(1), fb.make_basis(1))
+    permuted = np.random.default_rng(3).permutation(box.n_elements)
+    for mesh in (Mesh(SLAB, box.n, vertices, box.tets.copy()),
+                 Mesh(SLAB, box.n, box.vertices.copy(), box.tets[permuted])):
+        assert not mesh.is_box_grid()
+        with pytest.raises(AssemblyError):
+            assemble_stiffness(mesh, DGSpec.default(1), fb.make_basis(1))
+
+
+def test_stiffness_evaluates_few_faces(monkeypatch):
+    """On 8x6x3 the stiffness evaluates its face form on a few faces per
+    (Kuhn type, local face) pair, of which there are 24: at most 48 of the
+    mesh's 1,548 interior faces and 24 of its 360 boundary faces."""
+    counts = {False: 0, True: 0}
+    traces = assembly._face_traces
+
+    def counting(mesh, basis, rule, boundary=False, sel=slice(None)):
+        out = traces(mesh, basis, rule, boundary, sel)
+        counts[boundary] += len(out[1])
+        return out
+
+    monkeypatch.setattr(assembly, "_face_traces", counting)
+    mesh = build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.3]), (8, 6, 3))
+    assemble_stiffness(mesh, DGSpec.default(2), fb.make_basis(2))
+    assert 0 < counts[False] <= 48
+    assert 0 < counts[True] <= 24
 
 
 def test_stiffness_allocation_peak_near_matrix_size():
