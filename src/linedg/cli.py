@@ -250,7 +250,9 @@ def run_parabolic(cfg, out_dir, vtk=True):
         out / "metadata.yaml", cfg,
         {"mode": "parabolic", "run": {"n_dof": mesh.n_elements * basis.dim,
                                       "wall_seconds": round(wall, 3),
-                                      "preconditioner": cfg.solver.preconditioner}},
+                                      "preconditioner": cfg.solver.preconditioner,
+                                      "cg_iterations": list(series.step_iterations),
+                                      "cg_iterations_total": sum(series.step_iterations)}},
     )
     return {"series": series, "history": rows}
 

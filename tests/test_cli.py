@@ -318,3 +318,16 @@ def test_snapshot_cadence(tmp_path):
     run_parabolic(cfg, tmp_path, vtk=True)
     snaps = sorted(p.name for p in tmp_path.glob("snapshot_*.vtk"))
     assert snaps == ["snapshot_00000.vtk", "snapshot_00002.vtk", "snapshot_00004.vtk"]
+
+
+def test_parabolic_metadata_records_iterations(tmp_path):
+    text = SMALL_STUDY.replace("mode: elliptic", "mode: parabolic") + (
+        "time: {final: 0.1, steps: 4}\n"
+    )
+    cfg = parse_config(text.replace("exact: log_line", "exact: none"))
+    result = run_parabolic(cfg, tmp_path, vtk=False)
+    run = yaml.safe_load((tmp_path / "metadata.yaml").read_text())["run"]
+    assert len(run["cg_iterations"]) == cfg.time.steps
+    assert run["cg_iterations"] == list(result["series"].step_iterations)
+    assert all(isinstance(i, int) and i >= 0 for i in run["cg_iterations"])
+    assert run["cg_iterations_total"] == sum(run["cg_iterations"]) > 0

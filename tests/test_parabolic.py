@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from linedg import basis as fb
 from linedg.assembly import DGSpec, assemble_mass, assemble_stiffness
+from linedg.config import load_config
 from linedg.curve import Curve, assemble_line_rhs
+from linedg.errors import NonconvergenceError
 from linedg.fields import FieldFunction
 from linedg.mesh import BoxDomain, build_box_mesh
 from linedg.norms import l2_error
@@ -16,6 +20,7 @@ from linedg.parabolic import (
 )
 from linedg.solver import SolverConfig, solve
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SLAB = BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25])
 
 
@@ -284,14 +289,100 @@ def test_tau_h2_coupling_dominated_by_spatial_error():
 
 
 def test_solver_failure_reports_step():
+    """The step label is added and the failed solve's best iterate kept."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     spec = DGSpec.default(1)
     grid = TimeGrid(final_time=1.0, steps=3)
-    with pytest.raises(Exception, match="time step 1"):
+    with pytest.raises(NonconvergenceError, match="time step 1") as info:
         run_backward_euler(
             mesh, spec, vertical_line(), 1.0, None, grid,
             SolverConfig(rel_tol=1e-14, max_iter=1),
         )
+    err = info.value
+    assert err.best_x.shape == (mesh.n_elements * 4,)
+    assert err.iterations == 1
+    assert err.residual > 0.0
+
+
+def warm_start_loop(mesh, spec, basis, curve, f, grid, config):
+    """Backward Euler by hand: each solve starts from the previous step."""
+    A = assemble_stiffness(mesh, spec, basis)
+    M = assemble_mass(mesh, basis)
+    S = M + grid.tau * A
+    u = np.zeros(M.ndof)
+    snapshots, iterations = [u], []
+    for n in range(1, grid.steps + 1):
+        t_n = n * grid.tau
+        b_line = assemble_line_rhs(curve, lambda s: f(t_n, s), mesh, basis)
+        result = solve(S, M @ u + grid.tau * b_line, config, x0=u)
+        u = result.x
+        snapshots.append(u)
+        iterations.append(result.iterations)
+    return np.array(snapshots), iterations
+
+
+def relative_gap(a, b):
+    return max(np.linalg.norm(x - y) / np.linalg.norm(y) for x, y in zip(a[1:], b[1:]))
+
+
+def test_projected_start_halves_demo_iterations():
+    """The demo config at 8x8x2: the start projected on the span of the
+    earlier solutions needs at most 400 CG iterations over the 40 steps
+    (759 from the plain warm start), and the snapshots stay those of the
+    plain warm start to within the solver tolerance."""
+    cfg = load_config(CONFIG_DIR / "parabolic_demo.yaml")
+    mesh = build_box_mesh(cfg.domain, (8, 8, 2))
+    basis = fb.make_basis(cfg.degree)
+    curve = cfg.build_curve()
+    f, _ = cfg.source.build()
+    series = run_backward_euler(mesh, cfg.scheme, curve, f, None, cfg.time, cfg.solver,
+                                basis=basis)
+    assert len(series.step_iterations) == cfg.time.steps
+    assert sum(series.step_iterations) <= 400
+    plain, plain_iterations = warm_start_loop(mesh, cfg.scheme, basis, curve, f, cfg.time,
+                                              cfg.solver)
+    assert sum(plain_iterations) > 700
+    assert relative_gap(series.snapshots, plain) <= 1e-9
+
+
+def test_nonsymmetric_variant_keeps_the_warm_start():
+    """BiCGStab (epsilon = +1) starts each step from the previous solution:
+    the same per-step iteration counts as the plain loop."""
+    mesh = build_box_mesh(SLAB, (4, 4, 1))
+    basis = fb.make_basis(1)
+    spec = DGSpec.default(1, epsilon=1)
+    grid = TimeGrid(final_time=0.05, steps=8)
+    config = SolverConfig(rel_tol=1e-10)
+    f = lambda t, s: 1.0 + 0 * s
+    series = run_backward_euler(mesh, spec, vertical_line(), f, None, grid, config, basis=basis)
+    plain, plain_iterations = warm_start_loop(mesh, spec, basis, vertical_line(), f, grid,
+                                              config)
+    assert list(series.step_iterations) == plain_iterations
+    assert relative_gap(series.snapshots, plain) <= 1e-12
+
+
+def test_projected_start_with_a_time_dependent_source():
+    """With f(t, s) the right-hand sides leave the span of the earlier
+    solutions; every snapshot still solves its step to the solver tolerance
+    and matches the plain loop."""
+    mesh = build_box_mesh(SLAB, (4, 4, 1))
+    basis = fb.make_basis(1)
+    spec = DGSpec.default(1)
+    curve = vertical_line()
+    grid = TimeGrid(final_time=0.1, steps=12)
+    config = SolverConfig(rel_tol=1e-10)
+    f = lambda t, s: np.cos(30 * t) * (1 + 4 * s)
+    series = run_backward_euler(mesh, spec, curve, f, None, grid, config, basis=basis)
+    plain, _ = warm_start_loop(mesh, spec, basis, curve, f, grid, config)
+    assert relative_gap(series.snapshots, plain) <= 1e-9
+
+    M = assemble_mass(mesh, basis)
+    S = M + grid.tau * assemble_stiffness(mesh, spec, basis)
+    for n in range(1, grid.steps + 1):
+        b_line = assemble_line_rhs(curve, lambda s: f(n * grid.tau, s), mesh, basis)
+        rhs = M @ series.snapshots[n - 1] + grid.tau * b_line
+        residual = np.linalg.norm(S @ series.snapshots[n] - rhs)
+        assert residual <= 1.01 * config.rel_tol * np.linalg.norm(rhs)
 
 
 def test_preconditioner_built_once_per_run(monkeypatch):
