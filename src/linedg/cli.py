@@ -22,7 +22,7 @@ from .curve import assemble_line_rhs, build_restrictions
 from .errors import ConfigError
 from .fields import FieldFunction
 from .mesh import build_box_mesh
-from .multigrid import level_grids
+from .multigrid import VCycle
 from .norms import convergence_rates, dg_energy_error, l2_error
 from .parabolic import run_backward_euler, step_diagnostics
 from .problems import LogLineSolution
@@ -39,8 +39,12 @@ def _exact_pair(cfg, curve):
     return sol, sol.gradient
 
 
-def _solve_level(cfg, n, curve, exact):
-    """Assemble and solve one elliptic level; returns (mesh, basis, field, info)."""
+def _solve_level(cfg, n, curve, exact, previous=None):
+    """Assemble and solve one elliptic level; returns (mesh, field, info, V-cycle).
+
+    ``previous`` is the (V-cycle, field) of the study's last level; on this grid
+    halved, the V-cycle is built on it and CG starts from the prolonged field.
+    """
     mesh = build_box_mesh(cfg.domain, n)
     basis = _basis.make_basis(cfg.degree)
     t0 = time.perf_counter()
@@ -52,7 +56,13 @@ def _solve_level(cfg, n, curve, exact):
         rhs = rhs + assemble_dirichlet_rhs(mesh, cfg.scheme, basis, exact)
     t_assembly = time.perf_counter() - t0
     t0 = time.perf_counter()
-    res = solve(system, rhs, cfg.solver)
+    vcycle = x0 = None
+    if cfg.solver.preconditioner == "multigrid":
+        nested = previous is not None and tuple(2 * v for v in previous[1].mesh.n) == mesh.n
+        vcycle = VCycle(system, previous[0] if nested else None)
+        if nested:
+            x0 = vcycle.transfer.prolong(previous[1].coeffs.ravel())
+    res = solve(system, rhs, cfg.solver, x0=x0, precond=vcycle)
     t_solve = time.perf_counter() - t0
     field = FieldFunction.from_vector(mesh, basis, res.x)
     info = {
@@ -63,11 +73,10 @@ def _solve_level(cfg, n, curve, exact):
         "solve_seconds": round(t_solve, 3),
         "preconditioner": cfg.solver.preconditioner,
     }
-    if cfg.solver.preconditioner == "multigrid":
-        grids = level_grids(n)
-        info["multigrid_levels"] = len(grids)
-        info["coarsest_grid"] = list(grids[-1])
-    return mesh, basis, field, info
+    if vcycle is not None:
+        info["multigrid_levels"] = len(vcycle.grids)
+        info["coarsest_grid"] = list(vcycle.grids[-1])
+    return mesh, field, info, vcycle
 
 
 def _error_columns(cfg, mesh, field, curve, exact, exact_grad):
@@ -114,7 +123,7 @@ def run_elliptic(cfg, out_dir, vtk=True):
     curve = cfg.build_curve()
     exact, exact_grad = _exact_pair(cfg, curve)
     n = cfg.levels[0]
-    mesh, basis, field, info = _solve_level(cfg, n, curve, exact)
+    mesh, field, info, _ = _solve_level(cfg, n, curve, exact)
     cols = _error_columns(cfg, mesh, field, curve, exact, exact_grad)
     header = ["k", "h", "n_dof"] + [name for name, _ in cols]
     row = [cfg.degree, mesh.h, info["n_dof"]] + [v for _, v in cols]
@@ -141,9 +150,10 @@ def run_study(cfg, out_dir, vtk=False):
     curve = cfg.build_curve()
     exact, exact_grad = _exact_pair(cfg, curve)
 
-    hs, level_cols, infos = [], [], []
+    hs, level_cols, infos, previous = [], [], [], None
     for n in cfg.levels:
-        mesh, basis, field, info = _solve_level(cfg, n, curve, exact)
+        mesh, field, info, vcycle = _solve_level(cfg, n, curve, exact, previous)
+        previous = vcycle, field
         hs.append(mesh.h)
         level_cols.append(_error_columns(cfg, mesh, field, curve, exact, exact_grad))
         infos.append(info)

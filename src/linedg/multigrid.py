@@ -3,10 +3,13 @@
 The hierarchy halves the box grid (``Mesh.coarsen``) while every cell count
 is even and assembles the same ``DGSpec`` on each level, i.e. non-inherited
 coarse forms, which give h-uniform V-cycles for interior-penalty dG
-(Gopalakrishnan & Kanschat, Numer. Math. 2003).  Prolongation is exact dG
-injection: a coarse polynomial restricted to a fine element lies in the fine
-space, so its L2 projection there is itself, and on the nodal basis its
-coefficients are its values at the fine nodes.  Restriction is the exact
+(Gopalakrishnan & Kanschat, Numer. Math. 2003).  A ``VCycle`` is one level
+holding the next coarser one, so a study can build each level on the last.
+Prolongation is exact dG injection: a coarse polynomial restricted to a fine
+element lies in the fine space, so its L2 projection there is itself, and on
+the nodal basis its coefficients are its values at the fine nodes.  Every
+coarse cell is refined alike, so one matrix from the 6 elements of a coarse
+cell to its 48 fine ones serves all cells.  Restriction is the exact
 transpose.  Pre- and post-smoothing apply the same Chebyshev polynomial in
 D^{-1} A, D the block-Jacobi diagonal (Adams, Brezina, Hu & Tuminaro, JCP
 2003), so the cycle is symmetric; the coarsest level is solved by sparse LU.
@@ -22,8 +25,6 @@ and 2 - D^{-1} A are similar, and the eigenvalues pair as lambda, 2 - lambda.
 For the symmetric form A and D are positive definite, so 0 < lambda, hence
 lambda < 2.  The nonsymmetric spectra are symmetric about 1 the same way.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,54 +54,68 @@ def level_grids(n):
 
 
 class Transfer:
-    """Injection of coarse dG fields into a nested fine mesh, and its transpose.
+    """Injection of coarse dG fields into the nested fine mesh, and its transpose.
 
-    In its parent's reference coordinates a fine element's vertices are
-    multiples of 1/2; elements with the same vertex images share one
-    (nb, nb) injection block.  Per block the fine elements (``members``) and
-    their parents (``parents``) are stored; no two members share a parent.
+    Coarse cell (I, J, K) holds the fine cells (2I + a, 2J + b, 2K + c), child
+    a + 2b + 4c.  ``matrix`` (48 nb, 6 nb) injects the 6 coarse elements of a
+    cell into its 48 fine ones, by child and Kuhn type, alike in every cell.
     """
 
     def __init__(self, fine, coarse, basis):
-        parent = coarse.find_elements(fine.centroids)
-        origin = coarse.vertices[coarse.tets[parent, 0]]
-        ref = np.einsum("emd,evd->evm", coarse.jac_invs[parent], fine.tet_coords() - origin[:, None])
-        keys = np.rint(2.0 * ref)
-        if np.any(parent < 0) or not np.allclose(2.0 * ref, keys, atol=1e-8):
+        boxes = (fine.domain.lo, fine.domain.hi), (coarse.domain.lo, coarse.domain.hi)
+        if not all(map(np.array_equal, *boxes)) or fine.n != tuple(2 * v for v in coarse.n):
             raise ValueError(f"grid {fine.n} is not nested in grid {coarse.n}")
-        # inside the parent every key is 0, 1 or 2: one base-3 code per element
-        code = keys.reshape(len(parent), 12).astype(np.int64) @ 3 ** np.arange(12)
-        _, first, cls = np.unique(code, return_index=True, return_inverse=True)
+        nx, ny, _ = fine.n
+        a, b, c = np.arange(8) >> np.arange(3)[:, None] & 1  # child a + 2b + 4c
+        children = fine.cell_tets(a + nx * (b + ny * c)).ravel()
+        parent = coarse.find_elements(fine.centroids[children])  # one of 0..5, coarse cell 0
+        origin = coarse.vertices[coarse.tets[parent, 0]]
+        ref = np.einsum("emd,evd->evm", coarse.jac_invs[parent],
+                        fine.tet_coords(children) - origin[:, None])
+        # in its parent's reference coordinates a fine vertex is a multiple of 1/2
         bary = np.column_stack([1.0 - basis.nodes.sum(axis=1), basis.nodes])  # (nb, 4)
-        self.blocks = [basis.eval(bary @ (keys[e] / 2.0)) for e in first]
-        self.members = [np.flatnonzero(cls == c) for c in range(len(first))]
-        self.parents = [parent[m] for m in self.members]
-        self.shape = (fine.n_elements, coarse.n_elements, basis.dim)
+        nodes = bary @ (np.rint(2.0 * ref) / 2.0)  # (48, nb, 3): fine nodes in the parent
+        nb = basis.dim
+        matrix = np.zeros((48, nb, 6, nb))
+        matrix[np.arange(48), :, parent] = basis.eval(nodes.reshape(-1, 3)).reshape(48, nb, nb)
+        self.matrix = matrix.reshape(48 * nb, 6 * nb)
+        self.cells = coarse.n[::-1]  # flat cell I + NX (J + NY K) is index (K, J, I)
 
     def prolong(self, x):
-        nf, nc, nb = self.shape
-        xc = x.reshape(nc, nb)
-        out = np.empty((nf, nb))
-        for P, m, p in zip(self.blocks, self.members, self.parents):
-            out[m] = xc[p] @ P.T
-        return out.ravel()
+        y = x.reshape(-1, self.matrix.shape[1]) @ self.matrix.T  # (cells, (c, b, a), 6 nb)
+        return y.reshape(*self.cells, 2, 2, 2, -1).transpose(0, 3, 1, 4, 2, 5, 6).ravel()
 
     def restrict(self, x):
-        nf, nc, nb = self.shape
-        xf = x.reshape(nf, nb)
-        out = np.zeros((nc, nb))
-        for P, m, p in zip(self.blocks, self.members, self.parents):
-            out[p] += xf[m] @ P
-        return out.ravel()
+        nz, ny, nx = self.cells
+        xf = x.reshape(nz, 2, ny, 2, nx, 2, -1).transpose(0, 2, 4, 1, 3, 5, 6)
+        return (xf.reshape(nz * ny * nx, -1) @ self.matrix).ravel()
 
 
-class Level(NamedTuple):
-    """One smoothing level: operator, block-Jacobi inverse (a callable),
-    and the transfer from the next coarser level."""
+class VCycle:
+    """Symmetric V-cycle y = B r for an operator built by ``assemble_stiffness``.
 
-    A: object
-    dinv: object
-    transfer: Transfer
+    A level smooths with ``A`` and corrects by ``coarse``, the V-cycle of the
+    halved grid (coarsened and assembled here unless given; ValueError unless
+    nested); the coarsest level, ``coarse`` None, is an LU factorisation.
+    ``grids`` lists the cell counts of the levels, finest first.
+    """
+
+    def __init__(self, system, coarse=None):
+        if system.discretization is None:
+            raise ValueError(
+                "multigrid needs an operator built by assemble_stiffness; "
+                "this one carries no mesh to coarsen"
+            )
+        mesh, spec, basis = system.discretization
+        self.A, self.grids, self.coarse = system, level_grids(mesh.n), coarse
+        if coarse is None and len(self.grids) == 1:
+            from scipy.sparse.linalg import splu
+
+            self.coarse_lu = splu(system.matrix.tocsc())
+            return
+        self.coarse = coarse or VCycle(assemble_stiffness(mesh.coarsen(), spec, basis))
+        self.transfer = Transfer(mesh, self.coarse.A.discretization[0], basis)
+        self.dinv = system.block_jacobi()
 
     def smooth(self, b, x=None):
         """Chebyshev iteration of degree ``CHEBYSHEV_DEGREE`` from x or zero, on
@@ -121,36 +136,9 @@ class Level(NamedTuple):
             rho = rho_new
         return x
 
-
-class VCycle:
-    """Symmetric V-cycle y = B r for an operator built by ``assemble_stiffness``.
-
-    ``grids`` lists the cell counts of the levels, finest first.
-    """
-
-    def __init__(self, system):
-        if system.discretization is None:
-            raise ValueError(
-                "multigrid needs an operator built by assemble_stiffness; "
-                "this one carries no mesh to coarsen"
-            )
-        from scipy.sparse.linalg import splu
-
-        mesh, spec, basis = system.discretization
-        self.grids = level_grids(mesh.n)
-        self.levels = []
-        for _ in self.grids[1:]:
-            coarse = mesh.coarsen()
-            self.levels.append(Level(system, system.block_jacobi(), Transfer(mesh, coarse, basis)))
-            mesh, system = coarse, assemble_stiffness(coarse, spec, basis)
-        self.coarse_lu = splu(system.matrix.tocsc())
-
     def __call__(self, r):
-        rhs, pre = [r], []
-        for level in self.levels:
-            pre.append(level.smooth(rhs[-1]))
-            rhs.append(level.transfer.restrict(rhs[-1] - level.A @ pre[-1]))
-        y = self.coarse_lu.solve(rhs[-1])
-        for level, b, x in zip(self.levels[::-1], rhs[-2::-1], pre[::-1]):
-            y = level.smooth(b, x + level.transfer.prolong(y))
-        return y
+        if self.coarse is None:
+            return self.coarse_lu.solve(r)
+        x = self.smooth(r)
+        y = self.coarse(self.transfer.restrict(r - self.A @ x))
+        return self.smooth(r, x + self.transfer.prolong(y))

@@ -47,6 +47,22 @@ def test_entry_points_bind():
     inspect.signature(cli.run_parabolic).bind(None, None, vtk=True)
 
 
+def test_multigrid_preconditioner_builds_on_its_own():
+    """``operator_counts`` times ``make_preconditioner`` on the finest operator
+    alone, outside any study, so the V-cycle must build its own hierarchy."""
+    from linedg import basis
+    from linedg.assembly import DGSpec, assemble_stiffness
+    from linedg.mesh import BoxDomain, build_box_mesh
+
+    child = load_child()
+    mesh = build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25]), (8, 8, 2))
+    system = assemble_stiffness(mesh, DGSpec.default(1), basis.make_basis(1))
+    precond = child.make_preconditioner(system, "multigrid")
+    r = np.random.default_rng(0).standard_normal(system.ndof)
+    y = precond(r)
+    assert y.shape == r.shape and r @ y > 0.0
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_bench_config_loads_and_round_trips(tmp_path, workload):
     """Each workload's config loads, offers what ``bench/child.py`` reads, and

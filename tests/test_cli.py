@@ -244,6 +244,46 @@ def test_metadata_records_the_preconditioner(tmp_path, preconditioner):
         assert all("multigrid_levels" not in r for r in runs)
 
 
+def test_nested_study_shares_one_hierarchy(tmp_path, monkeypatch):
+    """A multigrid study builds each level's V-cycle on the previous level's:
+    no stiffness is assembled inside ``multigrid`` and the coarse LU is
+    factorised once.  Starting from the prolonged coarser solution takes no
+    more CG iterations than a solve from zero with a fresh hierarchy."""
+    import scipy.sparse.linalg
+
+    from linedg import cli, multigrid
+    from linedg.solver import solve
+
+    calls = {"assemble": 0, "splu": 0}
+    assemble, splu = multigrid.assemble_stiffness, scipy.sparse.linalg.splu
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(multigrid, "assemble_stiffness", counting("assemble", assemble))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting("splu", splu))
+    solved = []
+
+    def recording(system, b, config, **kwargs):
+        solved.append((system, b))
+        return solve(system, b, config, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", recording)
+    text = SMALL_STUDY.replace("  - [8, 8, 2]\n", "  - [8, 8, 2]\n  - [16, 16, 4]\n").replace(
+        "solver: {rel_tol: 1.0e-10}", "solver: {rel_tol: 1.0e-10, preconditioner: multigrid}")
+    cfg = parse_config(text)
+    run_study(cfg, tmp_path)
+    assert calls == {"assemble": 0, "splu": 1}
+    runs = yaml.safe_load((tmp_path / "metadata.yaml").read_text())["runs"]
+    assert [r["multigrid_levels"] for r in runs] == [1, 2, 3]
+    from_zero = [solve(system, b, cfg.solver).iterations for system, b in solved]
+    assert len(from_zero) == 3
+    assert all(r["iterations"] <= i for r, i in zip(runs, from_zero))
+
+
 def test_multigrid_parabolic_config_exits_1(tmp_path, capsys):
     text = SMALL_STUDY.replace("mode: elliptic", "mode: parabolic") + (
         "time: {final: 0.1, steps: 4}\n"

@@ -44,30 +44,42 @@ def test_level_grids_halve_down_to_an_odd_count():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_prolongation_reproduces_coarse_field(k):
     basis = fb.make_basis(k)
-    fine = build_box_mesh(SLAB, (4, 4, 2))
-    coarse = fine.coarsen()
-    transfer = Transfer(fine, coarse, basis)
-    coarse_field = FieldFunction(
-        coarse, basis, np.random.default_rng(k).standard_normal((coarse.n_elements, basis.dim))
-    )
-    fine_field = FieldFunction.from_vector(fine, basis, transfer.prolong(coarse_field.coeffs.ravel()))
-    rule = fb.tet_quadrature(2 * k)
-    points = fine.map_points(rule.points)  # (nf, q, 3)
-    on_fine = fine_field.eval_in_elements(np.arange(fine.n_elements), rule.points)
-    on_coarse = coarse_field.evaluate(points.reshape(-1, 3)).reshape(on_fine.shape)
-    assert np.max(np.abs(on_fine - on_coarse)) <= 1e-12 * np.max(np.abs(on_coarse))
+    for n in [(4, 4, 2), (6, 4, 2)]:  # nx != ny catches an axis-order slip
+        fine = build_box_mesh(SLAB, n)
+        coarse = fine.coarsen()
+        transfer = Transfer(fine, coarse, basis)
+        coarse_field = FieldFunction(
+            coarse, basis, np.random.default_rng(k).standard_normal((coarse.n_elements, basis.dim))
+        )
+        fine_field = FieldFunction.from_vector(fine, basis, transfer.prolong(coarse_field.coeffs.ravel()))
+        rule = fb.tet_quadrature(2 * k)
+        points = fine.map_points(rule.points)  # (nf, q, 3)
+        on_fine = fine_field.eval_in_elements(np.arange(fine.n_elements), rule.points)
+        on_coarse = coarse_field.evaluate(points.reshape(-1, 3)).reshape(on_fine.shape)
+        assert np.max(np.abs(on_fine - on_coarse)) <= 1e-12 * np.max(np.abs(on_coarse)), n
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_restriction_is_transpose_of_prolongation(k):
     basis = fb.make_basis(k)
-    fine = build_box_mesh(SLAB, (8, 8, 2))
-    transfer = Transfer(fine, fine.coarsen(), basis)
     rng = np.random.default_rng(5)
-    xf = rng.standard_normal(fine.n_elements * basis.dim)
-    yc = rng.standard_normal(fine.n_elements // 8 * basis.dim)
-    lhs, rhs = xf @ transfer.prolong(yc), transfer.restrict(xf) @ yc
-    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    for n in [(8, 8, 2), (6, 4, 2)]:
+        fine = build_box_mesh(SLAB, n)
+        transfer = Transfer(fine, fine.coarsen(), basis)
+        xf = rng.standard_normal(fine.n_elements * basis.dim)
+        yc = rng.standard_normal(fine.n_elements // 8 * basis.dim)
+        lhs, rhs = xf @ transfer.prolong(yc), transfer.restrict(xf) @ yc
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs), n
+
+
+def test_transfer_rejects_a_pair_that_is_not_nested():
+    basis = fb.make_basis(1)
+    fine = build_box_mesh(SLAB, (4, 4, 2))
+    other_box = BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.5])
+    for coarse in (build_box_mesh(SLAB, (2, 2, 2)), build_box_mesh(SLAB, (4, 4, 2)),
+                   build_box_mesh(other_box, (2, 2, 1))):
+        with pytest.raises(ValueError, match="not nested"):
+            Transfer(fine, coarse, basis)
 
 
 def kuhn_colours(mesh):
@@ -187,9 +199,10 @@ def test_hierarchy_freed_when_solve_returns(monkeypatch):
     refs = []
 
     class Recording(VCycle):
-        def __init__(self, system):
-            super().__init__(system)
-            refs.append(weakref.ref(self.levels[0].dinv))
+        def __init__(self, system, coarse=None):
+            super().__init__(system, coarse)
+            if self.coarse is not None:  # the finest level; the coarsest has no dinv
+                refs.append(weakref.ref(self.dinv))
 
     monkeypatch.setattr(multigrid, "VCycle", Recording)
     A = stiffness((8, 8, 2), 1)
