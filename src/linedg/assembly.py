@@ -112,16 +112,23 @@ class SparseSystem:
     def ndof(self):
         return self.n_blocks * self.block_size
 
-    def __matmul__(self, x):
+    def _stencil(self, weights, x):
+        """x with its zero ghost row (ne + 1, nb), and the (ne, nb) product of
+        each element neighbourhood of x with its type's ``weights`` (m nb, nb):
+        the element and its neighbours, or with m = 1 the element alone."""
         ne, nb = self.n_blocks, self.block_size
         xe = np.empty((ne + 1, nb))
         xe[:ne] = np.reshape(x, (ne, nb))
         xe[ne] = 0.0
-        gathered = np.take(xe, self.neighbours, axis=0).reshape(ne // 6, 6, 5 * nb)
+        gathered = np.take(xe, self.neighbours[:, :len(weights[0]) // nb], 0).reshape(ne // 6, 6, -1)
         y = np.empty((ne // 6, 6, nb))
-        np.matmul(gathered.transpose(1, 0, 2), self.weights, out=y.transpose(1, 0, 2))
-        y = y.reshape(ne, nb)
-        y[self.fixed] += np.einsum("mij,mj->mi", self.corrections, xe[self.fixed])
+        np.matmul(gathered.transpose(1, 0, 2), weights, out=y.transpose(1, 0, 2))
+        return xe, y.reshape(ne, nb)
+
+    def __matmul__(self, x):
+        xe, y = self._stencil(self.weights, x)
+        correction = np.einsum("mij,mj->mi", self.corrections, np.take(xe, self.fixed, 0))
+        y[self.fixed] = np.take(y, self.fixed, 0) + correction  # take: faster than y[fixed]
         return y.ravel()
 
     def __add__(self, other):
@@ -137,38 +144,14 @@ class SparseSystem:
                             scale * self.corrections, self.symmetric)
 
     def block_jacobi(self):
-        """y = D^{-1} x for the block diagonal D of the operator, as a callable.
-
-        Inverts one block per Kuhn type and one per (type, boundary faces)
-        class of ``fixed`` elements, applies them per type and overwrites the
-        fixed elements; raises ValueError on a singular block.
-        """
-        nb, fixed = self.block_size, self.fixed
-        diagonal = self.weights[:, :nb].transpose(0, 2, 1)
-        _, first, members = np.unique(_ghost_classes(self.neighbours, fixed),
-                                      return_index=True, return_inverse=True)
-        try:
-            inverse = np.linalg.inv(diagonal).transpose(0, 2, 1)
-            fixed_inverse = np.linalg.inv(diagonal[fixed[first] % 6] + self.corrections[first])
-        except np.linalg.LinAlgError as err:
-            raise ValueError("singular diagonal block; cannot form block-Jacobi") from err
-        fixed_inverse = fixed_inverse[members]
-
-        def apply(x):
-            xb = np.reshape(x, (-1, 6, nb))
-            y = np.empty_like(xb)
-            np.matmul(xb.transpose(1, 0, 2), inverse, out=y.transpose(1, 0, 2))
-            y = y.reshape(-1, nb)
-            y[fixed] = np.einsum("mij,mj->mi", fixed_inverse, xb.reshape(-1, nb)[fixed])
-            return y.ravel()
-
-        return apply
+        """y = D^{-1} x, D the block diagonal, as a ``BlockJacobi`` callable."""
+        return BlockJacobi(self)
 
     @cached_property
     def matrix(self):
-        """The operator as a canonical ``scipy.sparse.bsr_matrix``, built on first
-        access at the full size of the matrix: block row e holds its diagonal
-        block and one block per interior face, columns sorted."""
+        """The operator as a canonical ``scipy.sparse.bsr_matrix`` at full size, built
+        on first access for the tests and the benchmark (no solve reads it): block
+        row e holds its diagonal block and one per interior face, columns sorted."""
         import scipy.sparse as sp
 
         ne, nb = self.n_blocks, self.block_size
@@ -182,6 +165,46 @@ class SparseSystem:
         at = indptr[self.fixed] + (self.neighbours[self.fixed] < self.fixed[:, None]).sum(axis=1)
         data[at] += self.corrections
         return sp.bsr_matrix((data, cols[inner], indptr), shape=(ne * nb, ne * nb))
+
+
+class BlockJacobi:
+    """y = D^{-1} x for the block diagonal D of a ``SparseSystem``, and ``scaled(x)``
+    = D^{-1} A x; ValueError on a singular block.  Inverts D_t per Kuhn type and
+    D_e = D_t + C_e per class of the fixed elements, C_e the correction.  ``scaled``
+    is one stencil product with the weights W_t D_t^{-T}, y' = D_t^{-1} (A x - C_e x_e),
+    then on fixed elements D_e^{-1} (D_t y' + C_e x_e) = y' + D_e^{-1} C_e (x_e - y')."""
+
+    def __init__(self, system):
+        classes = _ghost_classes(system.neighbours, system.fixed)
+        order = np.argsort(classes, kind="stable")
+        _, first, counts = np.unique(classes[order], return_index=True, return_counts=True)
+        self.system, self.fixed, self.bounds = system, system.fixed[order], np.cumsum([0, *counts])
+        corrections = system.corrections[order[first]]
+        diagonal = system.weights[:, :system.block_size].transpose(0, 2, 1)
+        try:
+            self.inverse = np.linalg.inv(diagonal).transpose(0, 2, 1)
+            self.fixed_inverse = np.linalg.inv(diagonal[self.fixed[first] % 6] + corrections)
+        except np.linalg.LinAlgError as err:
+            raise ValueError("singular diagonal block; cannot form block-Jacobi") from err
+        self.scaled_weights = system.weights @ self.inverse
+        self.fixups = self.fixed_inverse @ corrections  # D_e^{-1} C_e
+
+    def _per_class(self, blocks, v):
+        """Rows of v, in the order of ``self.fixed``, times their class's block, in place."""
+        for block, start, end in zip(blocks, self.bounds, self.bounds[1:]):
+            v[start:end] = v[start:end] @ block.T
+        return v
+
+    def __call__(self, x):
+        xe, y = self.system._stencil(self.inverse, x)
+        y[self.fixed] = self._per_class(self.fixed_inverse, np.take(xe, self.fixed, 0))
+        return y.ravel()
+
+    def scaled(self, x):
+        xe, y = self.system._stencil(self.scaled_weights, x)
+        yf = np.take(y, self.fixed, 0)
+        y[self.fixed] = yf + self._per_class(self.fixups, np.take(xe, self.fixed, 0) - yf)
+        return y.ravel()
 
 
 def _ghost_classes(neighbours, elements):

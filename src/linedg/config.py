@@ -392,7 +392,7 @@ def _parse(tree, base_dir):
             _fail(pc_node, "preconditioner multigrid needs the elliptic stiffness "
                            "operator; M + tau A of parabolic mode has no coarse hierarchy")
         for n in levels:
-            _make(pc_node, level_grids, n)
+            _make(pc_node, level_grids, n, math.comb(values["degree"] + 3, 3))
 
     if ("time" in values) != (values["mode"] == "parabolic"):
         _fail(nodes.get("time", tree), "a 'time' section is required in parabolic mode, "

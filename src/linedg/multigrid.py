@@ -8,11 +8,13 @@ holding the next coarser one, so a study can build each level on the last.
 Prolongation is exact dG injection: a coarse polynomial restricted to a fine
 element lies in the fine space, so its L2 projection there is itself, and on
 the nodal basis its coefficients are its values at the fine nodes.  Every
-coarse cell is refined alike, so one matrix from the 6 elements of a coarse
-cell to its 48 fine ones serves all cells.  Restriction is the exact
+coarse cell is refined alike, so one block per Kuhn type, from a coarse
+element to its 8 fine ones, serves all cells.  Restriction is the exact
 transpose.  Pre- and post-smoothing apply the same Chebyshev polynomial in
 D^{-1} A, D the block-Jacobi diagonal (Adams, Brezina, Hu & Tuminaro, JCP
-2003), so the cycle is symmetric; the coarsest level is solved by sparse LU.
+2003), so the cycle is symmetric; it carries D^{-1} r and applies D^{-1} A
+as one stencil product (``BlockJacobi.scaled``).  The coarsest level applies
+the dense inverse of its matrix, scattered from the stencil, not scipy.
 
 The smoothing interval needs an upper bound for the spectrum of D^{-1} A,
 and on the Kuhn grid 2 is one, for every degree and epsilon.  Colour element
@@ -32,33 +34,43 @@ from .assembly import assemble_stiffness
 
 CHEBYSHEV_DEGREE = 3
 CHEBYSHEV_RATIO = 8.0  # upper over lower end of the smoothing interval
-COARSEST_MAX_ELEMENTS = 1536  # largest grid the coarse LU factorises
+COARSEST_MAX_DOF = 2048  # largest coarse matrix inverted densely (32 MiB)
 
 
-def level_grids(n):
+def level_grids(n, block_size=4):
     """Cell counts of the hierarchy, finest first: halved while all are even.
 
-    Raises ValueError when the coarsest grid exceeds the element cap of the
-    coarse LU solve.
+    Raises ValueError when the coarsest grid, at ``block_size`` DoF per
+    element (4: degree 1), exceeds the DoF cap of the dense coarse solve.
     """
     grids = [tuple(int(v) for v in n)]
     while all(v % 2 == 0 for v in grids[-1]):
         grids.append(tuple(v // 2 for v in grids[-1]))
-    elements = 6 * int(np.prod(grids[-1]))
-    if elements > COARSEST_MAX_ELEMENTS:
-        raise ValueError(
-            f"multigrid: grid {grids[0]} coarsens only to {grids[-1]} ({elements} elements), "
-            f"above the {COARSEST_MAX_ELEMENTS}-element cap of the coarse LU solve"
-        )
+    dof = 6 * int(np.prod(grids[-1])) * block_size
+    if dof > COARSEST_MAX_DOF:
+        raise ValueError(f"multigrid: grid {grids[0]} coarsens only to {grids[-1]} ({dof} DoF), "
+                         f"above the {COARSEST_MAX_DOF}-DoF cap of the dense coarse solve")
     return grids
+
+
+def dense_matrix(system):
+    """A ``SparseSystem`` as a dense (ndof, ndof) array: its type blocks by the
+    neighbour table (the ghost column dropped), plus the corrections."""
+    ne, nb = system.n_blocks, system.block_size
+    dense, rows = np.zeros((ne, nb, ne + 1, nb)), np.arange(ne)
+    blocks = system.weights.reshape(6, 5, nb, nb).transpose(0, 1, 3, 2)
+    dense[rows[:, None], :, system.neighbours] = blocks[rows % 6]
+    dense[system.fixed, :, system.fixed] += system.corrections
+    return dense[:, :, :ne].reshape(ne * nb, ne * nb)
 
 
 class Transfer:
     """Injection of coarse dG fields into the nested fine mesh, and its transpose.
 
     Coarse cell (I, J, K) holds the fine cells (2I + a, 2J + b, 2K + c), child
-    a + 2b + 4c.  ``matrix`` (48 nb, 6 nb) injects the 6 coarse elements of a
-    cell into its 48 fine ones, by child and Kuhn type, alike in every cell.
+    a + 2b + 4c.  ``blocks[t]`` (nb, 8 nb) injects a coarse element of Kuhn
+    type t into its 8 fine ones, alike in every cell; ``order`` reads the fine
+    elements, in mesh order, off the products of all cells grouped by type.
     """
 
     def __init__(self, fine, coarse, basis):
@@ -75,20 +87,26 @@ class Transfer:
         # in its parent's reference coordinates a fine vertex is a multiple of 1/2
         bary = np.column_stack([1.0 - basis.nodes.sum(axis=1), basis.nodes])  # (nb, 4)
         nodes = bary @ (np.rint(2.0 * ref) / 2.0)  # (48, nb, 3): fine nodes in the parent
-        nb = basis.dim
-        matrix = np.zeros((48, nb, 6, nb))
-        matrix[np.arange(48), :, parent] = basis.eval(nodes.reshape(-1, 3)).reshape(48, nb, nb)
-        self.matrix = matrix.reshape(48 * nb, 6 * nb)
-        self.cells = coarse.n[::-1]  # flat cell I + NX (J + NY K) is index (K, J, I)
+        nb, cells = basis.dim, int(np.prod(coarse.n))
+        inside = np.argsort(parent, kind="stable")  # the 48 fine elements by coarse type
+        values = basis.eval(nodes[inside].reshape(-1, 3)).reshape(6, 8, nb, nb)
+        self.blocks = values.transpose(0, 3, 1, 2).reshape(6, nb, 8 * nb)
+        slot = np.argsort(inside)  # fine element r is child slot % 8 of coarse type slot // 8
+        rows = (slot // 8 * cells + np.arange(cells)[:, None]) * 8 + slot % 8  # (cells, 48)
+        # flat cell I + NX (J + NY K) is index (K, J, I); child a + 2b + 4c is (c, b, a)
+        self.order = rows.reshape(*coarse.n[::-1], 2, 2, 2, 6).transpose(0, 3, 1, 4, 2, 5, 6).ravel()
 
     def prolong(self, x):
-        y = x.reshape(-1, self.matrix.shape[1]) @ self.matrix.T  # (cells, (c, b, a), 6 nb)
-        return y.reshape(*self.cells, 2, 2, 2, -1).transpose(0, 3, 1, 4, 2, 5, 6).ravel()
+        nb = self.blocks.shape[1]
+        y = np.matmul(np.reshape(x, (-1, 6, nb)).transpose(1, 0, 2), self.blocks)
+        return np.take(y.reshape(-1, nb), self.order, axis=0).ravel()
 
     def restrict(self, x):
-        nz, ny, nx = self.cells
-        xf = x.reshape(nz, 2, ny, 2, nx, 2, -1).transpose(0, 2, 4, 1, 3, 5, 6)
-        return (xf.reshape(nz * ny * nx, -1) @ self.matrix).ravel()
+        nb = self.blocks.shape[1]
+        grouped = np.empty((len(self.order), nb))
+        grouped[self.order] = np.reshape(x, (-1, nb))
+        y = np.matmul(grouped.reshape(6, -1, 8 * nb), self.blocks.transpose(0, 2, 1))
+        return y.transpose(1, 0, 2).ravel()
 
 
 class VCycle:
@@ -96,8 +114,9 @@ class VCycle:
 
     A level smooths with ``A`` and corrects by ``coarse``, the V-cycle of the
     halved grid (coarsened and assembled here unless given; ValueError unless
-    nested); the coarsest level, ``coarse`` None, is an LU factorisation.
-    ``grids`` lists the cell counts of the levels, finest first.
+    nested); the coarsest level, ``coarse`` None, applies the dense inverse
+    of its matrix.  ``grids`` lists the cell counts of the levels, finest
+    first.  It keeps no work vectors, so it may run in several threads.
     """
 
     def __init__(self, system, coarse=None):
@@ -107,38 +126,35 @@ class VCycle:
                 "this one carries no mesh to coarsen"
             )
         mesh, spec, basis = system.discretization
-        self.A, self.grids, self.coarse = system, level_grids(mesh.n), coarse
+        self.A, self.grids, self.coarse = system, level_grids(mesh.n, basis.dim), coarse
         if coarse is None and len(self.grids) == 1:
-            from scipy.sparse.linalg import splu
-
-            self.coarse_lu = splu(system.matrix.tocsc())
+            self.coarse_inverse = np.linalg.inv(dense_matrix(system))
             return
         self.coarse = coarse or VCycle(assemble_stiffness(mesh.coarsen(), spec, basis))
         self.transfer = Transfer(mesh, self.coarse.A.discretization[0], basis)
         self.dinv = system.block_jacobi()
 
-    def smooth(self, b, x=None):
-        """Chebyshev iteration of degree ``CHEBYSHEV_DEGREE`` from x or zero, on
-        the interval up to the bound of the module docstring."""
-        upper = 2.0
-        lower = upper / CHEBYSHEV_RATIO
-        theta, delta = 0.5 * (upper + lower), 0.5 * (upper - lower)
-        sigma = theta / delta
-        rho = 1.0 / sigma
-        r = b if x is None else b - self.A @ x
-        d = self.dinv(r) / theta
-        x = d if x is None else x + d
+    def smooth(self, z, x=None):
+        """Chebyshev iteration of degree ``CHEBYSHEV_DEGREE`` for A x = b, z = D^{-1} b,
+        from x (updated in place) or zero, on the interval of the module docstring."""
+        theta, delta = 1.0 + 1.0 / CHEBYSHEV_RATIO, 1.0 - 1.0 / CHEBYSHEV_RATIO  # [2/ratio, 2]
+        sigma, rho = theta / delta, delta / theta
+        z = z if x is None else z - self.dinv.scaled(x)
+        d = z / theta
+        x = d.copy() if x is None else np.add(x, d, out=x)
         for _ in range(CHEBYSHEV_DEGREE - 1):
-            r = r - self.A @ d
+            z = z - self.dinv.scaled(d)
             rho_new = 1.0 / (2.0 * sigma - rho)
-            d = (rho_new * rho) * d + (2.0 * rho_new / delta) * self.dinv(r)
-            x = x + d
+            d *= rho_new * rho
+            d += (2.0 * rho_new / delta) * z
+            x += d
             rho = rho_new
         return x
 
     def __call__(self, r):
         if self.coarse is None:
-            return self.coarse_lu.solve(r)
-        x = self.smooth(r)
-        y = self.coarse(self.transfer.restrict(r - self.A @ x))
-        return self.smooth(r, x + self.transfer.prolong(y))
+            return self.coarse_inverse @ r
+        z = self.dinv(r)
+        x = self.smooth(z)
+        x += self.transfer.prolong(self.coarse(self.transfer.restrict(r - self.A @ x)))
+        return self.smooth(z, x)

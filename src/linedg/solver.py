@@ -3,7 +3,8 @@
 Hand-rolled CG / BiCGStab so the result contract (best iterate on failure,
 iteration count, achieved residual) and the debug energy monitor are under
 our control; matrix-vector products are ``system @ x`` with the Kuhn-stencil
-``assembly.SparseSystem``, and block-Jacobi is its ``block_jacobi()``.
+``assembly.SparseSystem``, block-Jacobi is its ``block_jacobi()`` and multigrid
+a ``multigrid.VCycle``: numpy only, no solve imports scipy.
 """
 
 from dataclasses import dataclass

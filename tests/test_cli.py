@@ -246,16 +246,14 @@ def test_metadata_records_the_preconditioner(tmp_path, preconditioner):
 
 def test_nested_study_shares_one_hierarchy(tmp_path, monkeypatch):
     """A multigrid study builds each level's V-cycle on the previous level's:
-    no stiffness is assembled inside ``multigrid`` and the coarse LU is
-    factorised once.  Starting from the prolonged coarser solution takes no
-    more CG iterations than a solve from zero with a fresh hierarchy."""
-    import scipy.sparse.linalg
-
+    no stiffness is assembled inside ``multigrid`` and the coarse matrix is
+    built and inverted once.  Starting from the prolonged coarser solution
+    takes no more CG iterations than a solve from zero with a fresh hierarchy."""
     from linedg import cli, multigrid
     from linedg.solver import solve
 
-    calls = {"assemble": 0, "splu": 0}
-    assemble, splu = multigrid.assemble_stiffness, scipy.sparse.linalg.splu
+    calls = {"assemble": 0, "dense": 0}
+    assemble, dense = multigrid.assemble_stiffness, multigrid.dense_matrix
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -264,7 +262,7 @@ def test_nested_study_shares_one_hierarchy(tmp_path, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(multigrid, "assemble_stiffness", counting("assemble", assemble))
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting("splu", splu))
+    monkeypatch.setattr(multigrid, "dense_matrix", counting("dense", dense))
     solved = []
 
     def recording(system, b, config, **kwargs):
@@ -276,7 +274,7 @@ def test_nested_study_shares_one_hierarchy(tmp_path, monkeypatch):
         "solver: {rel_tol: 1.0e-10}", "solver: {rel_tol: 1.0e-10, preconditioner: multigrid}")
     cfg = parse_config(text)
     run_study(cfg, tmp_path)
-    assert calls == {"assemble": 0, "splu": 1}
+    assert calls == {"assemble": 0, "dense": 1}
     runs = yaml.safe_load((tmp_path / "metadata.yaml").read_text())["runs"]
     assert [r["multigrid_levels"] for r in runs] == [1, 2, 3]
     from_zero = [solve(system, b, cfg.solver).iterations for system, b in solved]

@@ -5,10 +5,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs in a fresh interpreter: every path below except the multigrid solve
-# must finish without loading scipy; the multigrid solve must load it (its
-# coarse LU), so the check cannot pass on a process that never could.
+# Runs in a fresh interpreter: every path below, multigrid solves and a
+# multigrid study included, must finish without loading scipy; reading
+# ``SparseSystem.matrix`` at the end must load it, so the check cannot pass
+# on a process that never could.
 GUARD = """
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -54,12 +57,25 @@ system = assemble_stiffness(mesh, cfg.scheme, k1)
 b = np.ones(mesh.n_elements * k1.dim)
 result = solve(system, b, SolverConfig(preconditioner="multigrid"))
 assert result.residual <= 1e-10 * np.linalg.norm(b)
-assert "scipy.sparse.linalg" in scipy_modules(), scipy_modules()
+
+study = Path("configs/study_k2.yaml")
+text = study.read_text()
+finer = "  - [16, 16, 4]\\n  - [32, 32, 8]\\n"
+assert finer in text
+text = text.replace(finer, "")
+cfg = parse_config(text, source=str(study), base_dir=study.parent)
+assert cfg.solver.preconditioner == "multigrid" and cfg.levels == ((4, 4, 1), (8, 8, 2))
+with contextlib.redirect_stdout(io.StringIO()):  # the study prints its table
+    linedg.cli.run_study(cfg, Path(sys.argv[1]) / "study")
+assert scipy_modules() == [], scipy_modules()
+
+system.matrix
+assert "scipy.sparse" in scipy_modules(), scipy_modules()
 print("ok")
 """
 
 
-def test_scipy_loads_only_for_the_coarse_lu(tmp_path):
+def test_multigrid_solve_loads_no_scipy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -69,3 +85,4 @@ def test_scipy_loads_only_for_the_coarse_lu(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["ok"]
     assert (tmp_path / "history.csv").exists()
+    assert (tmp_path / "study" / "study.csv").exists()

@@ -140,6 +140,65 @@ def test_vcycle_symmetric_positive(k):
         assert x @ B(x) > 0.0
 
 
+@pytest.mark.parametrize("epsilon", [-1, 0, 1])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [(3, 2, 1), (4, 4, 2)], ids=["3x2x1", "4x4x2"])
+def test_scaled_block_jacobi_is_dinv_of_the_product(n, k, epsilon):
+    """``scaled(x)`` = D^{-1} (A x) on every element.  4x4x2 holds all 18
+    (type, boundary faces) classes; on 3x2x1 some local faces are interior
+    nowhere, so the type blocks themselves carry boundary terms."""
+    A = assemble_stiffness(build_box_mesh(SLAB, n), DGSpec.default(k, epsilon), fb.make_basis(k))
+    dinv = A.block_jacobi()
+    x = np.random.default_rng(k).standard_normal(A.ndof)
+    expected = dinv(A @ x)
+    assert np.max(np.abs(dinv.scaled(x) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dense_coarse_matrix_is_the_operator(k):
+    for n, epsilon in (((4, 4, 1), -1), ((3, 2, 1), 1)):
+        A = assemble_stiffness(build_box_mesh(SLAB, n), DGSpec.default(k, epsilon), fb.make_basis(k))
+        assert np.array_equal(multigrid.dense_matrix(A), A.matrix.toarray())
+
+
+def reference_vcycle(level, r):
+    """The V-cycle with the smoother written on the residual: D^{-1} by
+    ``dinv`` and each product by ``A @``, the coarsest level by a dense solve."""
+    if level.coarse is None:
+        return np.linalg.solve(level.A.matrix.toarray(), r)
+    upper = 2.0
+    lower = upper / multigrid.CHEBYSHEV_RATIO
+    theta, delta = 0.5 * (upper + lower), 0.5 * (upper - lower)
+    sigma = theta / delta
+
+    def smooth(b, x=None):
+        rho = 1.0 / sigma
+        r = b if x is None else b - level.A @ x
+        d = level.dinv(r) / theta
+        x = d if x is None else x + d
+        for _ in range(multigrid.CHEBYSHEV_DEGREE - 1):
+            r = r - level.A @ d
+            rho_new = 1.0 / (2.0 * sigma - rho)
+            d = (rho_new * rho) * d + (2.0 * rho_new / delta) * level.dinv(r)
+            x = x + d
+            rho = rho_new
+        return x
+
+    x = smooth(r)
+    y = reference_vcycle(level.coarse, level.transfer.restrict(r - level.A @ x))
+    return smooth(r, x + level.transfer.prolong(y))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_vcycle_matches_the_residual_smoother(k):
+    A = stiffness((16, 16, 4), k)
+    B = VCycle(A)
+    assert len(B.grids) == 3
+    r = np.random.default_rng(7).standard_normal(A.ndof)
+    expected = reference_vcycle(B, r)
+    assert np.linalg.norm(B(r) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [(8, 8, 2), (16, 16, 4)])
 def test_multigrid_cg_iterations_bounded(n, k):
@@ -165,9 +224,9 @@ def test_multigrid_needs_a_stiffness_hierarchy():
             make_preconditioner(system, "multigrid")
 
 
-def test_multigrid_builds_a_matrix_on_the_coarsest_level_only(monkeypatch):
-    """Smoothing and residuals use the stencil; only the coarse LU reads
-    ``SparseSystem.matrix``."""
+def test_no_solve_reads_the_bsr_matrix(monkeypatch):
+    """Smoothing, residuals and the dense coarse solve all use the stencil;
+    no level reads ``SparseSystem.matrix``."""
     built = []
     build = SparseSystem.matrix.func
 
@@ -178,21 +237,30 @@ def test_multigrid_builds_a_matrix_on_the_coarsest_level_only(monkeypatch):
     monkeypatch.setattr(SparseSystem, "matrix", property(recording))
     A = stiffness((8, 8, 2), 1)
     b = np.random.default_rng(3).standard_normal(A.ndof)
-    res = solve(A, b, SolverConfig(rel_tol=1e-10, preconditioner="multigrid"))
-    assert res.residual <= 1e-10 * np.linalg.norm(b)
-    assert built == [6 * 4 * 4 * 1]
+    for preconditioner in ("multigrid", "block_jacobi"):
+        res = solve(A, b, SolverConfig(rel_tol=1e-10, preconditioner=preconditioner))
+        assert res.residual <= 1e-10 * np.linalg.norm(b)
+    assert built == []
 
 
 def test_multigrid_refuses_large_coarsest_grid(monkeypatch):
-    import scipy.sparse.linalg
+    def no_dense(*args, **kwargs):
+        raise AssertionError("the dense coarse matrix must not be built")
 
-    def no_lu(*args, **kwargs):
-        raise AssertionError("the coarse LU must not be attempted")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_lu)
+    monkeypatch.setattr(multigrid, "dense_matrix", no_dense)
     A = stiffness((13, 13, 3), 1)
     with pytest.raises(ValueError, match=r"\(13, 13, 3\)"):
         make_preconditioner(A, "multigrid")
+
+
+def test_coarse_dof_cap_admits_the_shipped_hierarchies():
+    """Every degree up to 3 coarsens the shipped 32x32x8 grid to 4x4x1, at
+    most 1,920 DoF; a coarsest grid one cell wider passes the cap at degree 3."""
+    for block_size in (4, 10, 20):
+        assert level_grids((32, 32, 8), block_size)[-1] == (4, 4, 1)
+    assert level_grids((5, 4, 1), 10) == [(5, 4, 1)]
+    with pytest.raises(ValueError, match=r"\(5, 4, 1\) \(2400 DoF\)"):
+        level_grids((5, 4, 1), 20)
 
 
 def test_hierarchy_freed_when_solve_returns(monkeypatch):
