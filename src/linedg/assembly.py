@@ -3,19 +3,20 @@
 Degrees of freedom are blocked per element (block size = dim of the local
 polynomial space); ``dof = element * block_size + local_index``.  Every
 operator is a Kuhn-stencil ``SparseSystem``: per Kuhn type one weight
-block (its diagonal block and the blocks of its 4 face neighbours), the
-(ne, 5) neighbour table, and corrections to the diagonal blocks of the
-elements with a boundary face.  No matrix is stored;
+block (its diagonal block and the blocks of its 4 face neighbours), and per
+ghost class (a Kuhn type with the set of its faces on the boundary) one
+correction to the diagonal block, over the neighbour table and class layout
+that the mesh holds and every operator on it shares.  No matrix is stored;
 ``SparseSystem.matrix`` builds the BSR form on demand.  The jump penalty
 scales with the smallest grid pitch ``mesh.grid_spacing``, which matches
 the quasi-uniform grids built here.
 
-The operators need a box mesh from ``build_box_mesh``: there a volume block
-depends only on the Kuhn type of its element, and a face block only on the
-type, the local face and whether the face is interior, so each operator
-evaluates one element per type and one interior and one boundary face per
-(type, local face) (``_blocked_system``); any other mesh raises
-AssemblyError.  The Nitsche and volume loads vary in space and use all faces.
+On the Kuhn grid of a ``Mesh`` a volume block depends only on the Kuhn type
+of its element, and a face block only on the type, the local face and
+whether the face is interior, so each operator evaluates one element per
+type and one interior and one boundary face per (type, local face)
+(``_blocked_system``).  The Nitsche and volume loads vary in space and use
+all faces.
 """
 
 from dataclasses import dataclass
@@ -73,15 +74,18 @@ class SparseSystem:
     """Kuhn-stencil operator over element-blocked DoFs (block size nb).
 
     Element e = 6 c + t, of grid cell c and Kuhn type t, couples with the 5
-    elements ``neighbours[e]``: itself, then the element across the face
-    opposite each of its 4 local vertices, or ``n_blocks`` (a zero ghost
-    row) for a boundary face.  On the Kuhn grid these blocks depend only on
-    t, so ``weights[t]`` (5 nb, nb) stacks the 5 transposed blocks once per
-    type; ``system @ x`` gathers x per element neighbourhood and multiplies
-    by its type's weights.  Only the diagonal blocks of the elements with a
-    boundary face differ from their type's: element ``fixed[i]`` adds
-    ``corrections[i]`` (nb, nb), which depends only on its type and on which
-    of its faces are on the boundary (``_ghost_classes``).  ``matrix``
+    elements ``neighbours[e]`` (the mesh's table): itself, then the element
+    across the face opposite each of its 4 local vertices, or ``n_blocks``
+    (a zero ghost row) for a boundary face.  On the Kuhn grid these blocks
+    depend only on t, so ``weights[t]`` (5 nb, nb) stacks the 5 transposed
+    blocks once per type; ``system @ x`` gathers x per element neighbourhood
+    and multiplies by its type's weights.  Only the diagonal blocks of the
+    elements with a boundary face differ from their type's, by a block that
+    depends only on the element's ghost class (its type and which of its
+    faces are on the boundary): ``fixed`` lists those elements in class
+    order, class i taking rows ``bounds[i]:bounds[i + 1]``, and adds
+    ``corrections[i]`` (nb, nb).  ``neighbours``, ``fixed`` and ``bounds``
+    are the mesh's arrays, shared by every operator on it.  ``matrix``
     builds the same operator as a BSR matrix, on first access and at its
     full size.
 
@@ -96,6 +100,7 @@ class SparseSystem:
     weights: np.ndarray
     neighbours: np.ndarray
     fixed: np.ndarray
+    bounds: np.ndarray
     corrections: np.ndarray
     symmetric: bool = False
     discretization: tuple | None = None
@@ -125,23 +130,33 @@ class SparseSystem:
         np.matmul(gathered.transpose(1, 0, 2), weights, out=y.transpose(1, 0, 2))
         return xe, y.reshape(ne, nb)
 
+    def _per_class(self, blocks, v):
+        """Rows of v, one per element of ``fixed``, times their class's block
+        of ``blocks`` (one per ghost class), in place."""
+        for block, start, end in zip(blocks, self.bounds, self.bounds[1:]):
+            v[start:end] = v[start:end] @ block.T
+        return v
+
     def __matmul__(self, x):
         xe, y = self._stencil(self.weights, x)
-        correction = np.einsum("mij,mj->mi", self.corrections, np.take(xe, self.fixed, 0))
+        correction = self._per_class(self.corrections, np.take(xe, self.fixed, 0))
         y[self.fixed] = np.take(y, self.fixed, 0) + correction  # take: faster than y[fixed]
         return y.ravel()
+
+    def _with(self, weights, corrections, symmetric):
+        """Another operator on the same mesh: same layout, other blocks."""
+        return SparseSystem(weights, self.neighbours, self.fixed, self.bounds, corrections,
+                            symmetric)
 
     def __add__(self, other):
         """Sum of two operators on one mesh."""
         if not np.array_equal(self.neighbours, other.neighbours):
             raise ValueError("operators on different meshes cannot be added")
-        return SparseSystem(self.weights + other.weights, self.neighbours, self.fixed,
-                            self.corrections + other.corrections,
-                            self.symmetric and other.symmetric)
+        return self._with(self.weights + other.weights, self.corrections + other.corrections,
+                          self.symmetric and other.symmetric)
 
     def __rmul__(self, scale):
-        return SparseSystem(scale * self.weights, self.neighbours, self.fixed,
-                            scale * self.corrections, self.symmetric)
+        return self._with(scale * self.weights, scale * self.corrections, self.symmetric)
 
     def block_jacobi(self):
         """y = D^{-1} x, D the block diagonal, as a ``BlockJacobi`` callable."""
@@ -163,55 +178,41 @@ class SparseSystem:
         data = blocks[order[inner]]
         indptr = np.concatenate([[0], np.cumsum(inner.sum(axis=1))])
         at = indptr[self.fixed] + (self.neighbours[self.fixed] < self.fixed[:, None]).sum(axis=1)
-        data[at] += self.corrections
+        data[at] += np.repeat(self.corrections, np.diff(self.bounds), axis=0)
         return sp.bsr_matrix((data, cols[inner], indptr), shape=(ne * nb, ne * nb))
 
 
 class BlockJacobi:
     """y = D^{-1} x for the block diagonal D of a ``SparseSystem``, and ``scaled(x)``
     = D^{-1} A x; ValueError on a singular block.  Inverts D_t per Kuhn type and
-    D_e = D_t + C_e per class of the fixed elements, C_e the correction.  ``scaled``
-    is one stencil product with the weights W_t D_t^{-T}, y' = D_t^{-1} (A x - C_e x_e),
-    then on fixed elements D_e^{-1} (D_t y' + C_e x_e) = y' + D_e^{-1} C_e (x_e - y')."""
+    D_c = D_t + C_c per ghost class c, C_c its correction.  ``scaled`` is one
+    stencil product with the weights W_t D_t^{-T}, y' = D_t^{-1} (A x - C_c x_e),
+    then on fixed elements D_c^{-1} (D_t y' + C_c x_e) = y' + D_c^{-1} C_c (x_e - y')."""
 
     def __init__(self, system):
-        classes = _ghost_classes(system.neighbours, system.fixed)
-        order = np.argsort(classes, kind="stable")
-        _, first, counts = np.unique(classes[order], return_index=True, return_counts=True)
-        self.system, self.fixed, self.bounds = system, system.fixed[order], np.cumsum([0, *counts])
-        corrections = system.corrections[order[first]]
+        self.system = system
         diagonal = system.weights[:, :system.block_size].transpose(0, 2, 1)
+        types = system.fixed[system.bounds[:-1]] % 6  # of each ghost class
         try:
             self.inverse = np.linalg.inv(diagonal).transpose(0, 2, 1)
-            self.fixed_inverse = np.linalg.inv(diagonal[self.fixed[first] % 6] + corrections)
+            self.fixed_inverse = np.linalg.inv(diagonal[types] + system.corrections)
         except np.linalg.LinAlgError as err:
             raise ValueError("singular diagonal block; cannot form block-Jacobi") from err
         self.scaled_weights = system.weights @ self.inverse
-        self.fixups = self.fixed_inverse @ corrections  # D_e^{-1} C_e
-
-    def _per_class(self, blocks, v):
-        """Rows of v, in the order of ``self.fixed``, times their class's block, in place."""
-        for block, start, end in zip(blocks, self.bounds, self.bounds[1:]):
-            v[start:end] = v[start:end] @ block.T
-        return v
+        self.fixups = self.fixed_inverse @ system.corrections  # D_c^{-1} C_c
 
     def __call__(self, x):
-        xe, y = self.system._stencil(self.inverse, x)
-        y[self.fixed] = self._per_class(self.fixed_inverse, np.take(xe, self.fixed, 0))
+        A = self.system
+        xe, y = A._stencil(self.inverse, x)
+        y[A.fixed] = A._per_class(self.fixed_inverse, np.take(xe, A.fixed, 0))
         return y.ravel()
 
     def scaled(self, x):
-        xe, y = self.system._stencil(self.scaled_weights, x)
-        yf = np.take(y, self.fixed, 0)
-        y[self.fixed] = yf + self._per_class(self.fixups, np.take(xe, self.fixed, 0) - yf)
+        A = self.system
+        xe, y = A._stencil(self.scaled_weights, x)
+        yf = np.take(y, A.fixed, 0)
+        y[A.fixed] = yf + A._per_class(self.fixups, np.take(xe, A.fixed, 0) - yf)
         return y.ravel()
-
-
-def _ghost_classes(neighbours, elements):
-    """16 t + m per element: its Kuhn type t and the mask m with bit f set
-    where its face opposite local vertex f is a boundary face."""
-    ghost = neighbours[elements, 1:] == neighbours.shape[0]
-    return elements % 6 * 16 + ghost @ (1 << np.arange(4))
 
 
 def _volume_grad_gram(mesh, basis, elements=slice(None)):
@@ -297,30 +298,23 @@ def _face_term_blocks(mesh, basis, face_form, boundary=False, sel=slice(None)):
 
 
 def _blocked_system(mesh, basis, volume=None, face_form=None, symmetric=True):
-    """Stencil ``SparseSystem`` of a form with constant coefficients on a box mesh.
+    """Stencil ``SparseSystem`` of a form with constant coefficients on a Kuhn mesh.
 
     ``volume(mesh, basis, elements)`` gives the (n, nb, nb) diagonal blocks
     of the given elements, or is None; ``face_form`` is the (consistency,
-    epsilon, penalty) of ``_face_term_blocks`` or None.  On the Kuhn grid of
-    ``build_box_mesh`` (``mesh.is_box_grid()``, else AssemblyError) a volume
-    block depends only on the Kuhn type t of its element, and a face block
-    only on t, the local face f and whether the face is interior.  So the
-    volume form is evaluated on the 6 elements of the first cell, and the
-    face form on one interior and one boundary face per (t, f), taken from
-    the mesh.  Type t's diagonal block is its volume block plus its 4
+    epsilon, penalty) of ``_face_term_blocks`` or None.  On the Kuhn grid a
+    volume block depends only on the Kuhn type t of its element, and a face
+    block only on t, the local face f and whether the face is interior.  So
+    the volume form is evaluated on the 6 elements of the first cell, and
+    the face form on one interior and one boundary face per (t, f), taken
+    from the mesh.  Type t's diagonal block is its volume block plus its 4
     interior-face terms; a local face that is interior nowhere (on a grid
     one cell thick) adds its boundary term instead, so the block is always
-    that of some element.  Every element with a boundary face is ``fixed``:
-    its correction is the sum, over its boundary faces, of the boundary term
-    minus the interior term, computed once per ``_ghost_classes`` class.
+    that of some element.  The correction of a ghost class (``Mesh.ghost_classes``)
+    is the sum, over its boundary faces, of the boundary term minus the
+    interior term; the system stores one per class.
     """
-    if not mesh.is_box_grid():
-        raise AssemblyError("mesh is not a Kuhn box grid from build_box_mesh; cannot assemble")
-    ne, nb = mesh.n_elements, basis.dim
-    table = np.full((ne, 5), ne)
-    table[:, 0] = np.arange(ne)
-    for s in (0, 1):
-        table[mesh.iface_elems[:, s], 1 + mesh.iface_local[:, s]] = mesh.iface_elems[:, 1 - s]
+    nb = basis.dim
     stencil = np.zeros((6, 5, nb, nb))
     excess = np.zeros((24, nb, nb))  # per 4 t + f: the boundary minus the interior face term
     if volume is not None:
@@ -340,13 +334,12 @@ def _blocked_system(mesh, basis, volume=None, face_form=None, symmetric=True):
             stencil[tf[at] // 4, 1 + tf[at] % 4] = blocks[s][1 - s][at]
         stencil[:, 0] += inner.reshape(6, 4, nb, nb).sum(axis=1)
         excess[outer] = boundary - inner[outer]
-    classes = _ghost_classes(table, np.arange(ne))
-    fixed = np.flatnonzero(classes % 16)
-    classes, members = np.unique(classes[fixed], return_inverse=True)
+    classes = mesh.ghost_classes
     bits = (classes[:, None] >> np.arange(4)) & 1
     corrections = np.einsum("cf,cfij->cij", bits, excess.reshape(6, 4, nb, nb)[classes // 16])
     weights = stencil.transpose(0, 1, 3, 2).reshape(6, 5 * nb, nb)
-    return SparseSystem(weights, table, fixed, corrections[members], symmetric)
+    return SparseSystem(weights, mesh.neighbours, mesh.boundary_elements, mesh.class_bounds,
+                        corrections, symmetric)
 
 
 def assemble_stiffness(mesh, spec, basis):
@@ -366,6 +359,18 @@ def reference_mass(basis):
     rule = _basis.tet_quadrature(2 * basis.degree)
     vals = basis.eval(rule.points)
     return np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
+
+
+def local_projection(mesh, basis, moments, elements=slice(None)):
+    """Coefficients (n, nb) of the element-local L2 projection with the given
+    moments (n, nb) against the basis on ``elements``: the block mass matrix
+    det J times ``reference_mass`` solved per element.  AssemblyError when the
+    reference mass is singular."""
+    scaled = moments / mesh.det_jacobians[elements, None]
+    try:
+        return np.linalg.solve(reference_mass(basis), scaled.T).T
+    except np.linalg.LinAlgError as err:
+        raise AssemblyError("singular reference mass matrix") from err
 
 
 def assemble_mass(mesh, basis):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis as _basis
-from .assembly import reference_mass
+from .assembly import local_projection
 from .errors import AssemblyError
 from .fields import FieldFunction
 
@@ -256,19 +256,15 @@ def assemble_line_rhs(curve, f, mesh, basis, restrictions=None):
 def compute_fh_field(curve, f, mesh, basis, restrictions=None):
     """Elementwise L2 representative of the line functional.
 
-    On each crossed element the block mass matrix (the reference mass
-    scaled by det J) is solved against the local line moments; all other
-    elements are zero.
+    On each crossed element the local L2 projection of the line moments
+    (``assembly.local_projection``); all other elements are zero.
+    AssemblyError when the reference mass is singular.
     """
     if restrictions is None:
         restrictions = build_restrictions(curve, mesh)
     b = assemble_line_rhs(curve, f, mesh, basis, restrictions=restrictions)
     elems = np.array([r.element for r in restrictions], dtype=np.int64)
     moments = b.reshape(mesh.n_elements, basis.dim)[elems]
-    try:
-        local = np.linalg.solve(reference_mass(basis), moments.T).T
-    except np.linalg.LinAlgError as err:
-        raise AssemblyError("singular reference mass matrix") from err
     coeffs = np.zeros((mesh.n_elements, basis.dim))
-    coeffs[elems] = local / mesh.det_jacobians[elems, None]
+    coeffs[elems] = local_projection(mesh, basis, moments, elems)
     return FieldFunction(mesh, basis, coeffs)

@@ -53,9 +53,12 @@ _KUHN_OFFSETS = (_KUHN_CORNERS[..., None] >> np.arange(3)) & 1  # (6, 4, 3)
 
 
 class Mesh:
-    """Conforming tetrahedral mesh with full face connectivity.
+    """Kuhn grid of a box with n = (nx, ny, nz) cells and full face connectivity.
 
-    Immutable after construction.  Attributes:
+    Vertex (i, j, k) is i + (nx+1) * (j + (ny+1) * k), and element 6c + t is
+    Kuhn type t of the cell (i, j, k) with flat index c = i + nx * (j + ny * k).
+    Immutable after construction, so operators may share its arrays.
+    Attributes:
 
     - ``vertices`` (nv, 3), ``tets`` (nt, 4) positively oriented
     - ``interior_faces``: ``iface_verts`` (ni, 3), ``iface_elems`` (ni, 2)
@@ -65,21 +68,39 @@ class Mesh:
       element, ``iface_areas``
     - ``boundary_faces``: ``bface_verts``, ``bface_elem``, ``bface_local``,
       ``bface_normals`` (outward), ``bface_areas``
+    - ``neighbours`` (nt, 5): each element, then the element across its face
+      opposite local vertex 0..3, or the ghost index nt for a boundary face
+    - ``ghost_classes`` (nc,): the sorted codes 16 t + m of the elements with
+      a boundary face, t the Kuhn type and m the mask with bit f set where
+      the face opposite local vertex f is on the boundary;
+      ``boundary_elements`` those elements in class order, class i taking
+      rows ``class_bounds[i]:class_bounds[i + 1]``
     - ``det_jacobians``, ``jac_invs``: determinant and inverse of each
       element's affine map x = vertices[tets[e, 0]] + J r
     - ``h``: max element diameter
     """
 
-    def __init__(self, domain, n, vertices, tets):
-        self.domain = domain
-        self.n = tuple(int(v) for v in n)
-        self.vertices = vertices
-        self.tets = tets
+    def __init__(self, domain, n):
+        n = tuple(int(v) for v in n)
+        if len(n) != 3 or any(v < 1 for v in n):
+            raise ValueError(f"cell counts must be three integers >= 1, got {n}")
+        self.domain, self.n = domain, n
+        self._build_lattice()
         self._build_geometry()
         self._build_faces()
-        self._validate()
+        self._build_neighbours()
 
     # -- construction helpers -------------------------------------------------
+
+    def _build_lattice(self):
+        def lattice(*axes):  # every point of the tensor grid, the first axis fastest
+            return np.column_stack([g.ravel(order="F") for g in np.meshgrid(*axes, indexing="ij")])
+
+        (nx, ny, _), domain = self.n, self.domain
+        self.vertices = lattice(*(np.linspace(domain.lo[d], domain.hi[d], self.n[d] + 1)
+                                  for d in range(3)))
+        corners = lattice(*map(np.arange, self.n))[:, None, None, :] + _KUHN_OFFSETS  # (c, 6, 4, 3)
+        self.tets = (corners @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])).reshape(-1, 4)
 
     def _build_geometry(self):
         tc = self.tet_coords()
@@ -104,9 +125,7 @@ class Mesh:
         faces_sorted = all_faces[order]
         new_group = np.any(np.diff(key_sorted, axis=0) != 0, axis=1)
         group_id = np.concatenate([[0], np.cumsum(new_group)])
-        counts = np.bincount(group_id)
-        if counts.max(initial=0) > 2:
-            raise GeometryError("non-conforming mesh: a face is shared by > 2 elements")
+        counts = np.bincount(group_id)  # 1 or 2: the Kuhn grid is conforming
         first = np.searchsorted(group_id, np.arange(counts.size))
 
         bnd = first[counts == 1]
@@ -134,19 +153,19 @@ class Mesh:
     def _face_geometry(self, face_verts, toward):
         coords = self.vertices[face_verts]
         areas, normals = face_area_and_normal(coords)
-        sign = np.sign(np.einsum("ij,ij->i", normals, toward))
-        if np.any(sign == 0):
-            raise GeometryError("face normal orthogonal to element offset")
-        return areas, normals * sign[:, None]
+        return areas, normals * np.sign(np.einsum("ij,ij->i", normals, toward))[:, None]
 
-    def _validate(self):
-        if np.any(self.volumes <= 0):
-            raise GeometryError("non-positive tetrahedron volume (tets must be positively oriented)")
-        total = self.volumes.sum()
-        if abs(total - self.domain.volume) > 1e-12 * self.domain.volume:
-            raise GeometryError(
-                f"tet volumes sum to {total}, expected {self.domain.volume}"
-            )
+    def _build_neighbours(self):
+        ne = self.n_elements
+        table = np.full((ne, 5), ne)
+        table[:, 0] = np.arange(ne)
+        for s in (0, 1):
+            table[self.iface_elems[:, s], 1 + self.iface_local[:, s]] = self.iface_elems[:, 1 - s]
+        codes = np.arange(ne) % 6 * 16 + (table[:, 1:] == ne) @ (1 << np.arange(4))
+        order = np.argsort(codes, kind="stable")
+        self.neighbours, self.boundary_elements = table, order[codes[order] % 16 > 0]
+        self.ghost_classes, counts = np.unique(codes[self.boundary_elements], return_counts=True)
+        self.class_bounds = np.cumsum([0, *counts])
 
     # -- queries ---------------------------------------------------------------
 
@@ -197,13 +216,6 @@ class Mesh:
         base = np.asarray(flat_cells, dtype=np.int64)[:, None] * 6
         return base + np.arange(6, dtype=np.int64)[None, :]
 
-    def is_box_grid(self):
-        """Whether the vertices and tets are exactly those ``build_box_mesh``
-        makes for this domain and grid: element 6c + t is Kuhn type t of flat
-        cell c, every cell the same shape."""
-        vertices, tets = _box_lattice(self.domain, self.n)
-        return np.array_equal(self.tets, tets) and np.array_equal(self.vertices, vertices)
-
     def find_elements(self, points):
         """Containing element per point (first match, deterministic).
 
@@ -234,7 +246,7 @@ class Mesh:
         """
         if any(v % 2 for v in self.n):
             raise ValueError(f"cannot coarsen grid {self.n}: every cell count must be even")
-        return build_box_mesh(self.domain, tuple(v // 2 for v in self.n))
+        return Mesh(self.domain, tuple(v // 2 for v in self.n))
 
 
 def face_area_and_normal(face_coords):
@@ -256,27 +268,9 @@ def face_area_and_normal(face_coords):
 
 
 def build_box_mesh(domain, n):
-    """Mesh the box with an (nx, ny, nz) grid, 6 tets per cell.
+    """``Mesh(domain, n)``: the box meshed by an (nx, ny, nz) grid, 6 tets per cell.
 
     All cells use the same corner-anchored diagonal, so the triangulation is
     conforming and h equals the cell diagonal length.
     """
-    n = tuple(int(v) for v in n)
-    if len(n) != 3 or any(v < 1 for v in n):
-        raise ValueError(f"cell counts must be three integers >= 1, got {n}")
-    return Mesh(domain, n, *_box_lattice(domain, n))
-
-
-def _box_lattice(domain, n):
-    """Vertices and tets of the Kuhn grid of the box with n cells per axis.
-
-    Vertex (i, j, k) is i + (nx+1) * (j + (ny+1) * k), and element 6c + t is
-    Kuhn type t of the cell (i, j, k) with flat index c = i + nx * (j + ny * k).
-    """
-    def lattice(*axes):  # every point of the tensor grid, the first axis fastest
-        return np.column_stack([g.ravel(order="F") for g in np.meshgrid(*axes, indexing="ij")])
-
-    nx, ny, _ = n
-    vertices = lattice(*(np.linspace(domain.lo[d], domain.hi[d], n[d] + 1) for d in range(3)))
-    corners = lattice(*map(np.arange, n))[:, None, None, :] + _KUHN_OFFSETS  # (cells, 6, 4, 3)
-    return vertices, (corners @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])).reshape(-1, 4)
+    return Mesh(domain, n)

@@ -55,12 +55,13 @@ def level_grids(n, block_size=4):
 
 def dense_matrix(system):
     """A ``SparseSystem`` as a dense (ndof, ndof) array: its type blocks by the
-    neighbour table (the ghost column dropped), plus the corrections."""
+    neighbour table (the ghost column dropped), plus each ghost class's correction."""
     ne, nb = system.n_blocks, system.block_size
     dense, rows = np.zeros((ne, nb, ne + 1, nb)), np.arange(ne)
     blocks = system.weights.reshape(6, 5, nb, nb).transpose(0, 1, 3, 2)
     dense[rows[:, None], :, system.neighbours] = blocks[rows % 6]
-    dense[system.fixed, :, system.fixed] += system.corrections
+    fixed = system.fixed
+    dense[fixed, :, fixed] += np.repeat(system.corrections, np.diff(system.bounds), axis=0)
     return dense[:, :, :ne].reshape(ne * nb, ne * nb)
 
 

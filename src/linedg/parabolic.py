@@ -24,7 +24,7 @@ import numpy as np
 
 from . import basis as _basis
 from .assembly import (
-    assemble_dg_norm_gram, assemble_mass, assemble_stiffness, assemble_volume_rhs, reference_mass,
+    assemble_dg_norm_gram, assemble_mass, assemble_stiffness, assemble_volume_rhs, local_projection,
 )
 from .curve import assemble_line_rhs, build_restrictions
 from .errors import NonconvergenceError
@@ -81,10 +81,7 @@ def project_initial(u0, mesh, basis):
     """Elementwise L2 projection of a point function into the broken space,
     with the moments of ``assemble_volume_rhs`` (the 2k+2 rule)."""
     moments = assemble_volume_rhs(mesh, basis, u0).reshape(mesh.n_elements, basis.dim)
-    # the affine scaling cancels: det_J * M_ref c = det_J * rhs_ref
-    moments /= mesh.det_jacobians[:, None]
-    coeffs = np.linalg.solve(reference_mass(basis), moments.T).T
-    return FieldFunction(mesh, basis, coeffs)
+    return FieldFunction(mesh, basis, local_projection(mesh, basis, moments))
 
 
 def _initial_vector(u0, mesh, basis):

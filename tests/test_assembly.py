@@ -19,9 +19,8 @@ from linedg.assembly import (
     assemble_volume_rhs,
     reference_mass,
 )
-from linedg.errors import AssemblyError
 from linedg.fields import FieldFunction
-from linedg.mesh import BoxDomain, Mesh, build_box_mesh
+from linedg.mesh import BoxDomain, build_box_mesh
 from linedg.norms import dg_norm
 from linedg.solver import SolverConfig, solve
 
@@ -314,18 +313,24 @@ def test_stencil_apply_matches_full_mesh_scatter(domain, n, k):
         assert np.abs(system.block_jacobi()(x) - z).max() <= 1e-10 * np.abs(z).max()
 
 
-def test_assembly_rejects_a_mesh_off_the_box_lattice():
-    """A moved vertex or permuted elements raise; the mesh is never assembled."""
-    box = build_box_mesh(SLAB, (4, 4, 2))
-    vertices = box.vertices.copy()
-    inner = np.flatnonzero(np.all((vertices > SLAB.lo) & (vertices < SLAB.hi), axis=1))[0]
-    vertices[inner] += 0.1 * box.cell_size
-    permuted = np.random.default_rng(3).permutation(box.n_elements)
-    for mesh in (Mesh(SLAB, box.n, vertices, box.tets.copy()),
-                 Mesh(SLAB, box.n, box.vertices.copy(), box.tets[permuted])):
-        assert not mesh.is_box_grid()
-        with pytest.raises(AssemblyError):
-            assemble_stiffness(mesh, DGSpec.default(1), fb.make_basis(1))
+def test_operators_store_blocks_per_type_and_per_class_only():
+    """Stiffness, mass and Gram operators on 4x4x2 and 8x8x4 hold arrays of the
+    same shapes, apart from the mesh's neighbour table and boundary elements,
+    which every operator shares with the mesh: one correction per ghost class."""
+    basis = fb.make_basis(2)
+    shapes = []
+    for n in ((4, 4, 2), (8, 8, 4)):
+        mesh = build_box_mesh(SLAB, n)
+        A = assemble_stiffness(mesh, DGSpec.default(2), basis)
+        M, G = assemble_mass(mesh, basis), assemble_dg_norm_gram(mesh, basis, 7.0)
+        assert A.neighbours is M.neighbours is G.neighbours is mesh.neighbours
+        assert A.fixed is M.fixed is G.fixed is mesh.boundary_elements
+        assert A.corrections.shape == (18, basis.dim, basis.dim)
+        shapes.append([{name: np.shape(value) for name, value in vars(S).items()
+                        if isinstance(value, np.ndarray) and name not in ("neighbours", "fixed")}
+                       for S in (A, M, G)])
+    assert shapes[0] == shapes[1]
+    assert set(shapes[0][0]) == {"weights", "bounds", "corrections"}
 
 
 def test_stiffness_evaluates_few_faces(monkeypatch):

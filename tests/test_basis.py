@@ -180,6 +180,16 @@ def test_degenerate_tet_raises():
         fb.tet_jacobian(flat)
 
 
+def test_negatively_oriented_tet_raises():
+    """A Kuhn tet with two vertices swapped is inverted and raises."""
+    cube = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
+                     [0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float)
+    tet = cube[[0, 2, 7, 3]]
+    assert fb.tet_jacobian(tet)[1] > 0
+    with pytest.raises(GeometryError):
+        fb.tet_jacobian(tet[[0, 1, 3, 2]])
+
+
 def test_gradient_pushforward_vs_finite_differences():
     rng = np.random.default_rng(42)
     tc = np.array([[0.1, 0.0, 0.2], [1.1, 0.2, 0.1], [0.3, 0.9, 0.0], [0.2, 0.1, 1.2]])

@@ -42,6 +42,7 @@ def test_every_traced_layer_is_callable():
 def test_entry_points_bind():
     child = load_child()
     inspect.signature(child.make_preconditioner).bind(object(), "block_jacobi")
+    inspect.signature(child.build_box_mesh).bind(object(), (4, 4, 1))  # (cfg.domain, n)
     cli = importlib.import_module("linedg.cli")
     inspect.signature(cli.run_study).bind(None, None, vtk=False)
     inspect.signature(cli.run_parabolic).bind(None, None, vtk=True)

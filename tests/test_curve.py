@@ -306,6 +306,15 @@ def test_fh_zero_for_zero_f():
     assert np.all(fh.coeffs == 0)
 
 
+def test_fh_raises_assembly_error_on_a_singular_mass(monkeypatch):
+    from linedg import assembly
+    from linedg.errors import AssemblyError
+
+    monkeypatch.setattr(assembly, "reference_mass", lambda basis: np.zeros((basis.dim,) * 2))
+    with pytest.raises(AssemblyError):
+        compute_fh_field(vertical_line(), 1.0, build_box_mesh(SLAB, (4, 4, 1)), fb.make_basis(1))
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_fh_defining_identity(k):
     """Master identity: (f_h, v)_E = line integral of f * v over E."""

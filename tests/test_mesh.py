@@ -34,14 +34,6 @@ def test_unit_cell_is_the_kuhn_table():
     assert np.array_equal(m.tets, expected)
 
 
-def test_negatively_oriented_tet_rejected():
-    m = build_box_mesh(unit_cube(), (1, 1, 1))
-    tets = m.tets.copy()
-    tets[2, [2, 3]] = tets[2, [3, 2]]
-    with pytest.raises(GeometryError):
-        Mesh(m.domain, m.n, m.vertices, tets)
-
-
 def test_zero_cells_rejected():
     with pytest.raises(ValueError):
         build_box_mesh(unit_cube(), (0, 1, 1))
@@ -74,6 +66,33 @@ def test_conformity_face_counts():
     assert set(counts.tolist()) <= {1, 2}
     assert (counts == 1).sum() == m.bface_verts.shape[0]
     assert (counts == 2).sum() == m.iface_verts.shape[0]
+
+
+@pytest.mark.parametrize("n", [(3, 2, 1), (4, 4, 2)], ids=["3x2x1", "4x4x2"])
+def test_neighbour_table_matches_the_faces(n):
+    """Across each interior face the table names the other element, each
+    boundary face maps to the ghost index ne, and each (element, local face)
+    pair is one face exactly once."""
+    m = Mesh(slab_domain(), n)
+    ne, table = m.n_elements, m.neighbours
+    assert table.shape == (ne, 5) and np.array_equal(table[:, 0], np.arange(ne))
+    (e0, e1), (f0, f1) = m.iface_elems.T, m.iface_local.T
+    assert np.array_equal(table[e0, 1 + f0], e1) and np.array_equal(table[e1, 1 + f1], e0)
+    assert np.all(table[m.bface_elem, 1 + m.bface_local] == ne)
+    pairs = np.concatenate([4 * e0 + f0, 4 * e1 + f1, 4 * m.bface_elem + m.bface_local])
+    assert np.array_equal(np.sort(pairs), np.arange(4 * ne))
+
+
+def test_ghost_classes_group_the_boundary_elements():
+    """``boundary_elements`` holds each element with a boundary face once, in
+    class order, and every element of class i has code ``ghost_classes[i]``."""
+    m = build_box_mesh(slab_domain(), (4, 4, 2))
+    ghost = m.neighbours[:, 1:] == m.n_elements
+    assert np.array_equal(np.sort(m.boundary_elements), np.flatnonzero(ghost.any(axis=1)))
+    codes = m.boundary_elements % 6 * 16 + ghost[m.boundary_elements] @ (1 << np.arange(4))
+    per_row = np.repeat(m.ghost_classes, np.diff(m.class_bounds))
+    assert np.array_equal(codes, per_row) and np.all(np.diff(m.ghost_classes) > 0)
+    assert len(m.ghost_classes) == 18
 
 
 def test_face_area_and_normal():
