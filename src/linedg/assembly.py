@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import basis as _basis
+from . import mesh as _mesh
 from .errors import AssemblyError
 
 # configurations with a minus/zero symmetrizing term are only coercive for a
@@ -215,15 +216,16 @@ class BlockJacobi:
         return y.ravel()
 
 
-def _volume_grad_gram(mesh, basis, elements=slice(None)):
-    """Element blocks (n, nb, nb) of the broken gradient term, sum_E (grad u, grad v)_E."""
+def _volume_grad_gram(mesh, basis):
+    """Blocks (6, nb, nb) of the broken gradient term, sum_E (grad u, grad v)_E,
+    of an element of each Kuhn type."""
     rule = _basis.tet_quadrature(2 * basis.degree)
     g = basis.grad(rule.points)  # (q, nb, 3)
     # S[m, n, i, j] = sum_q w_q dphi_i/dxi_m dphi_j/dxi_n
     S = np.einsum("q,qim,qjn->mnij", rule.weights, g, g)
-    jinv = mesh.jac_invs[elements]
+    jinv = mesh.type_jac_invs
     C = np.einsum("emd,end->emn", jinv, jinv)
-    return np.einsum("emn,mnij->eij", C, S) * mesh.det_jacobians[elements, None, None]
+    return np.einsum("emn,mnij->eij", C, S) * mesh.type_det_jacobians[:, None, None]
 
 
 def _face_traces(mesh, basis, rule, boundary=False, sel=slice(None)):
@@ -234,34 +236,33 @@ def _face_traces(mesh, basis, rule, boundary=False, sel=slice(None)):
     w (f, q) absorbing the face area, and per adjacent side (first and
     second element of an interior face, the owner of a boundary face) a
     tuple (elements, V, Gn) of basis values V (f, q, nb) and normal
-    derivatives Gn (f, q, nb) along the stored face normal.
+    derivatives Gn (f, q, nb) along the normal of the first side, which
+    points from the first element to the second (outward on the boundary).
 
-    On affine elements a trace depends only on which local vertices of the
-    element the face's vertices are, so the reference basis is evaluated
-    once per distinct ordered vertex triple (at most 24) and indexed.
+    Every trace depends only on the row 4 t + f of the first side (Kuhn type
+    t, local face f): it fixes the second side's row and the face's local
+    vertices in both elements (``FACE_ACROSS``, ``FACE_MATCH`` of ``mesh``).
+    So the basis and J_t^{-1} n are evaluated once per row and side.
     """
     if boundary:
-        verts, normals, areas = mesh.bface_verts[sel], mesh.bface_normals[sel], mesh.bface_areas[sel]
-        elems = (mesh.bface_elem[sel],)
+        elems, local = mesh.bface_elem[sel][None], mesh.bface_local[sel][None]
     else:
-        verts, normals, areas = mesh.iface_verts[sel], mesh.iface_normals[sel], mesh.iface_areas[sel]
-        elems = (mesh.iface_elems[sel, 0], mesh.iface_elems[sel, 1])
+        elems, local = mesh.iface_elems[sel].T, mesh.iface_local[sel].T
+    rows = 4 * (elems[0] % 6) + local[0]
     bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])  # (q, 3)
-    x = np.einsum("qk,fkd->fqd", bary, mesh.vertices[verts])
-    w = rule.weights[None, :] * (2.0 * areas)[:, None]
-    nb = basis.dim
+    corners = mesh.tets[elems[0][:, None], _mesh.FACE_VERTICES[local[0]]]  # (f, 3)
+    x = np.einsum("qk,fkd->fqd", bary, mesh.vertices[corners])
+    w = rule.weights[None, :] * (2.0 * mesh.face_areas[rows])[:, None]
+    nb, own = basis.dim, np.arange(24)
     sides = []
-    for e in elems:
-        local = np.argmax(mesh.tets[e][:, None, :] == verts[:, :, None], axis=2)  # (f, 3)
-        triples, inv = np.unique(local, axis=0, return_inverse=True)
-        inv = inv.reshape(-1)
-        ref = np.einsum("qk,tkd->tqd", bary, _basis.REF_TET_VERTICES[triples]).reshape(-1, 3)
-        V = basis.eval(ref).reshape(len(triples), rule.n, nb)[inv]
-        G = basis.grad(ref).reshape(len(triples), rule.n, nb, 3)
+    for e, triples, types in zip(elems, (_mesh.FACE_VERTICES[own % 4], _mesh.FACE_MATCH),
+                                 (own // 4, _mesh.FACE_ACROSS // 4)):
+        ref = np.einsum("qk,rkd->rqd", bary, _basis.REF_TET_VERTICES[triples]).reshape(-1, 3)
+        V = basis.eval(ref).reshape(24, rule.n, nb)
+        G = basis.grad(ref).reshape(24, rule.n, nb, 3)
         # grad_x . n = grad_ref . (Jinv n)
-        jn = np.einsum("fmd,fd->fm", mesh.jac_invs[e], normals)
-        Gn = sum(G[..., m][inv] * jn[:, m, None, None] for m in range(3))
-        sides.append((e, V, Gn))
+        jn = np.einsum("rmd,rd->rm", mesh.type_jac_invs[types], mesh.face_normals)
+        sides.append((e, V[rows], np.einsum("rqim,rm->rqi", G, jn)[rows]))
     return x, w, sides
 
 
@@ -300,25 +301,25 @@ def _face_term_blocks(mesh, basis, face_form, boundary=False, sel=slice(None)):
 def _blocked_system(mesh, basis, volume=None, face_form=None, symmetric=True):
     """Stencil ``SparseSystem`` of a form with constant coefficients on a Kuhn mesh.
 
-    ``volume(mesh, basis, elements)`` gives the (n, nb, nb) diagonal blocks
-    of the given elements, or is None; ``face_form`` is the (consistency,
-    epsilon, penalty) of ``_face_term_blocks`` or None.  On the Kuhn grid a
-    volume block depends only on the Kuhn type t of its element, and a face
-    block only on t, the local face f and whether the face is interior.  So
-    the volume form is evaluated on the 6 elements of the first cell, and
-    the face form on one interior and one boundary face per (t, f), taken
-    from the mesh.  Type t's diagonal block is its volume block plus its 4
-    interior-face terms; a local face that is interior nowhere (on a grid
-    one cell thick) adds its boundary term instead, so the block is always
-    that of some element.  The correction of a ghost class (``Mesh.ghost_classes``)
-    is the sum, over its boundary faces, of the boundary term minus the
-    interior term; the system stores one per class.
+    ``volume(mesh, basis)`` gives the (6, nb, nb) diagonal blocks of the
+    Kuhn types, or is None; ``face_form`` is the (consistency, epsilon,
+    penalty) of ``_face_term_blocks`` or None.  On the Kuhn grid a volume
+    block depends only on the Kuhn type t of its element, and a face block
+    only on t, the local face f and whether the face is interior.  So the
+    volume form is evaluated once per type, and the face form on one
+    interior and one boundary face per (t, f), taken from the mesh.  Type
+    t's diagonal block is its volume block plus its 4 interior-face terms;
+    a local face that is interior nowhere (on a grid one cell thick) adds
+    its boundary term instead, so the block is always that of some element.
+    The correction of a ghost class (``Mesh.ghost_classes``) is the sum,
+    over its boundary faces, of the boundary term minus the interior term;
+    the system stores one per class.
     """
     nb = basis.dim
     stencil = np.zeros((6, 5, nb, nb))
     excess = np.zeros((24, nb, nb))  # per 4 t + f: the boundary minus the interior face term
     if volume is not None:
-        stencil[:, 0] = volume(mesh, basis, np.arange(6))
+        stencil[:, 0] = volume(mesh, basis)
     if face_form is not None:
         outer, first = np.unique(mesh.bface_elem % 6 * 4 + mesh.bface_local, return_index=True)
         boundary = _face_term_blocks(mesh, basis, face_form, True, first)[0][0]
@@ -366,7 +367,7 @@ def local_projection(mesh, basis, moments, elements=slice(None)):
     moments (n, nb) against the basis on ``elements``: the block mass matrix
     det J times ``reference_mass`` solved per element.  AssemblyError when the
     reference mass is singular."""
-    scaled = moments / mesh.det_jacobians[elements, None]
+    scaled = moments / mesh.type_det_jacobians[np.arange(mesh.n_elements)[elements] % 6, None]
     try:
         return np.linalg.solve(reference_mass(basis), scaled.T).T
     except np.linalg.LinAlgError as err:
@@ -376,7 +377,7 @@ def local_projection(mesh, basis, moments, elements=slice(None)):
 def assemble_mass(mesh, basis):
     """Broken mass matrix: det J times the reference block; face blocks stay zero."""
     return _blocked_system(
-        mesh, basis, lambda m, b, e: reference_mass(b)[None] * m.det_jacobians[e, None, None]
+        mesh, basis, lambda m, b: reference_mass(b)[None] * m.type_det_jacobians[:, None, None]
     )
 
 
@@ -416,5 +417,5 @@ def assemble_volume_rhs(mesh, basis, F):
     vals = basis.eval(rule.points)  # (q, nb)
     phys = mesh.map_points(rule.points)  # (nt, q, 3)
     Fv = np.asarray(F(phys.reshape(-1, 3)), dtype=float).reshape(mesh.n_elements, rule.n)
-    contrib = np.einsum("q,eq,qi->ei", rule.weights, Fv, vals) * mesh.det_jacobians[:, None]
-    return contrib.ravel()
+    contrib = np.einsum("q,eq,qi->ei", rule.weights, Fv, vals).reshape(-1, 6, basis.dim)
+    return (contrib * mesh.type_det_jacobians[:, None]).ravel()

@@ -71,11 +71,11 @@ def clip_segment_tets(p0, p1, origins, jac_invs):
     """Parameter intervals of segment p0->p1 inside many closed tetrahedra.
 
     Each tetrahedron is given by its first vertex (``origins``, (n, 3)) and
-    the inverse of its affine map (``jac_invs``, (n, 3, 3), as stored in
-    ``Mesh.jac_invs``).  Returns (t0, t1, hit): ``hit`` marks the tets whose
-    intersection with the segment has positive parameter length, and for
-    those 0 <= t0 < t1 <= 1.  Constraints are the four barycentric
-    inequalities, so the clip is exact up to roundoff.
+    the inverse of its affine map (``jac_invs``, (n, 3, 3), as stored per
+    Kuhn type in ``Mesh.type_jac_invs``).  Returns (t0, t1, hit): ``hit``
+    marks the tets whose intersection with the segment has positive
+    parameter length, and for those 0 <= t0 < t1 <= 1.  Constraints are the
+    four barycentric inequalities, so the clip is exact up to roundoff.
     """
     ends = np.stack([np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)])
     ref = (ends[None] - origins[:, None, :]) @ np.swapaxes(jac_invs, 1, 2)
@@ -128,7 +128,7 @@ def build_restrictions(curve, mesh):
         s_off = curve.cum_lengths[si]
         cand = np.unique(_candidate_elements(mesh, p0, p1))
         t0s, t1s, hit = clip_segment_tets(
-            p0, p1, mesh.vertices[mesh.tets[cand, 0]], mesh.jac_invs[cand]
+            p0, p1, mesh.vertices[mesh.tets[cand, 0]], mesh.type_jac_invs[cand % 6]
         )
         keep = hit & ((t1s - t0s) * seg_len >= drop)
         t0s, t1s, cand = t0s[keep], t1s[keep], cand[keep]
@@ -244,7 +244,7 @@ def assemble_line_rhs(curve, f, mesh, basis, restrictions=None):
     x = starts[:, None, :] + tq[None, :, None] * (ends - starts)[:, None, :]
     s = arcs[:, :1] + tq[None, :] * (arcs[:, 1] - arcs[:, 0])[:, None]
     rel = x - mesh.vertices[mesh.tets[elems, 0]][:, None, :]
-    ref = rel @ np.swapaxes(mesh.jac_invs[elems], 1, 2)
+    ref = rel @ np.swapaxes(mesh.type_jac_invs[elems % 6], 1, 2)
     vals = basis.eval(ref.reshape(-1, 3)).reshape(*s.shape, basis.dim)
     fw = np.asarray(f(s), dtype=float) * rule.weights[None, :] * lengths[:, None]
     # one quadrature term at a time: each element sums its terms in (sub-segment, point) order

@@ -47,7 +47,7 @@ class FieldFunction:
         g = self.basis.grad(ref_points)  # (q, nb, 3)
         q, nb, _ = g.shape
         ref = (self.coeffs[elements] @ g.transpose(1, 0, 2).reshape(nb, 3 * q)).reshape(-1, q, 3)
-        return ref @ self.mesh.jac_invs[elements]
+        return ref @ self.mesh.type_jac_invs[elements % 6]
 
     def evaluate(self, points):
         """Point evaluation; each point uses its containing element's block."""
@@ -56,7 +56,7 @@ class FieldFunction:
         if np.any(elems < 0):
             raise ValueError("point outside the mesh")
         origin = self.mesh.vertices[self.mesh.tets[elems, 0]]
-        ref = np.einsum("nde,ne->nd", self.mesh.jac_invs[elems], pts - origin)
+        ref = np.einsum("nde,ne->nd", self.mesh.type_jac_invs[elems % 6], pts - origin)
         return np.einsum("ni,ni->n", self.coeffs[elems], self.basis.eval(ref))
 
 

@@ -50,6 +50,39 @@ _KUHN_CORNERS = np.array(
     [[0, 1, 3, 7], [0, 1, 7, 5], [0, 2, 7, 3], [0, 2, 6, 7], [0, 4, 5, 7], [0, 4, 7, 6]]
 )
 _KUHN_OFFSETS = (_KUHN_CORNERS[..., None] >> np.arange(3)) & 1  # (6, 4, 3)
+FACE_VERTICES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])  # of the face opposite f
+
+
+def _kuhn_face_table():
+    """The neighbour across each of the 24 faces of the Kuhn cell, row 4 t + f
+    being the face of type t opposite its local vertex f: the cell offset
+    (24, 3), the neighbour's row 4 t' + f' (24,), and its local vertices (24, 3)
+    in the order of the face's own ``FACE_VERTICES[f]``.
+
+    A face lies on a cube face exactly when its three corner codes share a
+    bit d: its neighbour is in the cell at +e_d (bit set) or -e_d (bit clear)
+    and holds the same corners with bit d flipped.  Otherwise the face holds
+    corners 0 and 7, and so does the other tet of the cell across it.
+    """
+    corners = _KUHN_CORNERS.tolist()
+    triples = _KUHN_CORNERS[:, FACE_VERTICES].reshape(24, 3).tolist()
+    rows = {}
+    for row, triple in enumerate(triples):
+        rows.setdefault(frozenset(triple), set()).add(row)
+    shifts, across, match = np.zeros((24, 3), dtype=np.int64), [], []
+    for row, triple in enumerate(triples):
+        for d in range(3):  # three distinct corners share at most one bit
+            bits = {c >> d & 1 for c in triple}
+            if len(bits) == 1:
+                shifts[row, d] = 2 * bits.pop() - 1
+                triple = [c ^ (1 << d) for c in triple]
+        (other,) = rows[frozenset(triple)] - {row}
+        across.append(other)
+        match.append([corners[other // 4].index(c) for c in triple])
+    return shifts, np.array(across), np.array(match)
+
+
+FACE_SHIFTS, FACE_ACROSS, FACE_MATCH = _kuhn_face_table()
 
 
 class Mesh:
@@ -57,27 +90,28 @@ class Mesh:
 
     Vertex (i, j, k) is i + (nx+1) * (j + (ny+1) * k), and element 6c + t is
     Kuhn type t of the cell (i, j, k) with flat index c = i + nx * (j + ny * k).
+    Each element of type t is a translate of the type-t element of cell 0, so
+    geometry is stored per type (element e reads row ``e % 6``) and per face
+    4 t + f of type t opposite local vertex f (read at ``4 (e % 6) + f``).
     Immutable after construction, so operators may share its arrays.
     Attributes:
 
     - ``vertices`` (nv, 3), ``tets`` (nt, 4) positively oriented
-    - ``interior_faces``: ``iface_verts`` (ni, 3), ``iface_elems`` (ni, 2)
-      with the smaller element index first, ``iface_local`` (ni, 2) int8 the
-      local vertex of each element that the face is opposite,
-      ``iface_normals`` unit vectors pointing from the first to the second
-      element, ``iface_areas``
-    - ``boundary_faces``: ``bface_verts``, ``bface_elem``, ``bface_local``,
-      ``bface_normals`` (outward), ``bface_areas``
+    - ``type_det_jacobians`` (6,), ``type_jac_invs`` (6, 3, 3) of the affine
+      map x = vertices[tets[e, 0]] + J r; ``face_normals`` (24, 3) outward
+      unit normals, ``face_areas`` (24,); ``h`` the largest type diameter
+    - ``centroids`` (nt, 3): each element's cell corner plus its type's offset
     - ``neighbours`` (nt, 5): each element, then the element across its face
       opposite local vertex 0..3, or the ghost index nt for a boundary face
+    - ``iface_elems`` (ni, 2), the smaller element first, and ``iface_local``
+      (ni, 2) int8, the local vertex each interior face is opposite; the
+      first side's normal points into the second.  Boundary faces likewise:
+      ``bface_elem``, ``bface_local``
     - ``ghost_classes`` (nc,): the sorted codes 16 t + m of the elements with
       a boundary face, t the Kuhn type and m the mask with bit f set where
       the face opposite local vertex f is on the boundary;
       ``boundary_elements`` those elements in class order, class i taking
       rows ``class_bounds[i]:class_bounds[i + 1]``
-    - ``det_jacobians``, ``jac_invs``: determinant and inverse of each
-      element's affine map x = vertices[tets[e, 0]] + J r
-    - ``h``: max element diameter
     """
 
     def __init__(self, domain, n):
@@ -87,85 +121,61 @@ class Mesh:
         self.domain, self.n = domain, n
         self._build_lattice()
         self._build_geometry()
-        self._build_faces()
         self._build_neighbours()
+        self._build_faces()
 
     # -- construction helpers -------------------------------------------------
 
     def _build_lattice(self):
-        def lattice(*axes):  # every point of the tensor grid, the first axis fastest
-            return np.column_stack([g.ravel(order="F") for g in np.meshgrid(*axes, indexing="ij")])
-
         (nx, ny, _), domain = self.n, self.domain
-        self.vertices = lattice(*(np.linspace(domain.lo[d], domain.hi[d], self.n[d] + 1)
-                                  for d in range(3)))
-        corners = lattice(*map(np.arange, self.n))[:, None, None, :] + _KUHN_OFFSETS  # (c, 6, 4, 3)
-        self.tets = (corners @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])).reshape(-1, 4)
+        axes = np.meshgrid(*(np.linspace(domain.lo[d], domain.hi[d], self.n[d] + 1)
+                             for d in range(3)), indexing="ij")
+        self.vertices = np.column_stack([g.ravel(order="F") for g in axes])  # first axis fastest
+        strides = np.array([1, nx + 1, (nx + 1) * (ny + 1)])
+        i, j, k = (np.arange(v) for v in self.n)
+        corner = (i + (nx + 1) * (j[:, None] + (ny + 1) * k[:, None, None])).ravel()  # of cell c
+        self.tets = (corner[:, None, None] + _KUHN_OFFSETS @ strides).reshape(-1, 4)
 
     def _build_geometry(self):
-        tc = self.tet_coords()
-        _, self.det_jacobians, self.jac_invs = _basis.tet_jacobian(tc)
-        self.volumes = self.det_jacobians / 6.0
-        self.centroids = tc.mean(axis=1)
-        # diameter = longest of the 6 edges
+        tc = self.tet_coords(np.arange(6))  # the types in cell 0
+        _, self.type_det_jacobians, self.type_jac_invs = _basis.tet_jacobian(tc)
         a, b = np.triu_indices(4, 1)
-        diff = tc[:, a] - tc[:, b]
-        self.diameters = np.sqrt((diff ** 2).sum(-1)).max(axis=1)
-        self.h = float(self.diameters.max())
-
-    def _build_faces(self):
-        # row 4e + f is the face of element e opposite its local vertex f
-        local = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-        all_faces = self.tets[:, local].reshape(-1, 3)
-        key = np.sort(all_faces, axis=1)
-        order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
-        key_sorted = key[order]
-        owners_sorted, local_sorted = np.divmod(order, 4)
-        local_sorted = local_sorted.astype(np.int8)
-        faces_sorted = all_faces[order]
-        new_group = np.any(np.diff(key_sorted, axis=0) != 0, axis=1)
-        group_id = np.concatenate([[0], np.cumsum(new_group)])
-        counts = np.bincount(group_id)  # 1 or 2: the Kuhn grid is conforming
-        first = np.searchsorted(group_id, np.arange(counts.size))
-
-        bnd = first[counts == 1]
-        self.bface_verts = faces_sorted[bnd]
-        self.bface_elem = owners_sorted[bnd]
-        self.bface_local = local_sorted[bnd]
-
-        ints = first[counts == 2]
-        pair = np.column_stack([ints, ints + 1])
-        swap = owners_sorted[ints] > owners_sorted[ints + 1]
-        pair[swap] = pair[swap, ::-1]
-        self.iface_verts = faces_sorted[ints]
-        self.iface_elems = owners_sorted[pair]
-        self.iface_local = local_sorted[pair]
-        e1, e2 = self.iface_elems.T
-
-        self.iface_areas, self.iface_normals = self._face_geometry(
-            self.iface_verts, toward=self.centroids[e2] - self.centroids[e1]
-        )
-        fc = self.vertices[self.bface_verts].mean(axis=1)
-        self.bface_areas, self.bface_normals = self._face_geometry(
-            self.bface_verts, toward=fc - self.centroids[self.bface_elem]
-        )
-
-    def _face_geometry(self, face_verts, toward):
-        coords = self.vertices[face_verts]
-        areas, normals = face_area_and_normal(coords)
-        return areas, normals * np.sign(np.einsum("ij,ij->i", normals, toward))[:, None]
+        self.h = float(np.linalg.norm(tc[:, a] - tc[:, b], axis=-1).max())
+        faces = tc[:, FACE_VERTICES].reshape(24, 3, 3)
+        self.face_areas, normals = face_area_and_normal(faces)
+        outward = faces.mean(axis=1) - np.repeat(tc.mean(axis=1), 4, axis=0)
+        self.face_normals = normals * np.sign(np.einsum("ij,ij->i", normals, outward))[:, None]
+        offsets = tc.mean(axis=1) - tc[0, 0]  # every type starts at the cell corner
+        self.centroids = (self.vertices[self.tets[::6, 0], None] + offsets).reshape(-1, 3)
 
     def _build_neighbours(self):
-        ne = self.n_elements
-        table = np.full((ne, 5), ne)
-        table[:, 0] = np.arange(ne)
-        for s in (0, 1):
-            table[self.iface_elems[:, s], 1 + self.iface_local[:, s]] = self.iface_elems[:, 1 - s]
+        ne, (nx, ny, nz) = self.n_elements, self.n
+        table = np.empty((nz, ny, nx, 6, 5), dtype=np.int64)
+        table[..., 0] = np.arange(ne).reshape(nz, ny, nx, 6)
+        # the element across the face minus the first element of its own cell
+        steps = 6 * FACE_SHIFTS @ [1, nx, nx * ny] + FACE_ACROSS // 4
+        for row, shift in enumerate(FACE_SHIFTS):
+            t, f = divmod(row, 4)
+            across = table[..., t, 1 + f]
+            across[...] = table[..., t, 0] + (steps[row] - t)
+            for d in np.flatnonzero(shift):  # no cell beyond the last layer along d
+                edge = [slice(None)] * 3
+                edge[2 - d] = -1 if shift[d] > 0 else 0
+                across[tuple(edge)] = ne
+        table = table.reshape(ne, 5)
         codes = np.arange(ne) % 6 * 16 + (table[:, 1:] == ne) @ (1 << np.arange(4))
         order = np.argsort(codes, kind="stable")
         self.neighbours, self.boundary_elements = table, order[codes[order] % 16 > 0]
         self.ghost_classes, counts = np.unique(codes[self.boundary_elements], return_counts=True)
         self.class_bounds = np.cumsum([0, *counts])
+
+    def _build_faces(self):
+        ne, across = self.n_elements, self.neighbours[:, 1:]
+        e, f = np.nonzero(across == ne)
+        self.bface_elem, self.bface_local = e, f.astype(np.int8)
+        e, f = np.nonzero((across > np.arange(ne)[:, None]) & (across < ne))
+        self.iface_elems = np.column_stack([e, across[e, f]])
+        self.iface_local = np.column_stack([f, FACE_ACROSS[4 * (e % 6) + f] % 4]).astype(np.int8)
 
     # -- queries ---------------------------------------------------------------
 
@@ -173,9 +183,7 @@ class Mesh:
     def n_elements(self):
         return self.tets.shape[0]
 
-    def tet_coords(self, elements=None):
-        if elements is None:
-            return self.vertices[self.tets]
+    def tet_coords(self, elements=slice(None)):
         return self.vertices[self.tets[elements]]
 
     def map_points(self, ref_points, elements=slice(None)):
@@ -183,7 +191,7 @@ class Mesh:
         elements, as barycentric combinations of their vertices."""
         rp = np.asarray(ref_points, dtype=float)
         bary = np.column_stack([1.0 - rp.sum(axis=1), rp])  # (q, 4)
-        return bary @ self.vertices[self.tets[elements]]
+        return bary @ self.tet_coords(elements)
 
     @property
     def cell_size(self):
@@ -217,26 +225,16 @@ class Mesh:
         return base + np.arange(6, dtype=np.int64)[None, :]
 
     def find_elements(self, points):
-        """Containing element per point (first match, deterministic).
+        """Containing element per point (first match, deterministic), or -1.
 
-        Points outside the domain (beyond 1e-10 relative to h) get -1.
+        The 6 tets of each point's grid cell are tested at once, in reference
+        coordinates to 1e-10: about 1e-10 h outside the domain, on any box.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cells = self.cell_index(pts)
-        cand = self.cell_tets(self.cell_flat_index(cells))  # (m, 6)
-        out = np.full(pts.shape[0], -1, dtype=np.int64)
-        eps = 1e-10 * max(self.h, 1.0)
-        for local in range(6):
-            todo = out < 0
-            if not np.any(todo):
-                break
-            elems = cand[todo, local]
-            origin = self.vertices[self.tets[elems, 0]]
-            ref = np.einsum("nde,ne->nd", self.jac_invs[elems], pts[todo] - origin)
-            ok = np.all(ref >= -eps, axis=1) & (ref.sum(axis=1) <= 1.0 + eps)
-            idx = np.flatnonzero(todo)[ok]
-            out[idx] = elems[ok]
-        return out
+        first = 6 * self.cell_flat_index(self.cell_index(pts))
+        ref = np.einsum("tde,ne->ntd", self.type_jac_invs, pts - self.vertices[self.tets[first, 0]])
+        inside = np.all(ref >= -1e-10, axis=2) & (ref.sum(axis=2) <= 1.0 + 1e-10)
+        return np.where(inside.any(axis=1), first + inside.argmax(axis=1), -1)
 
     def coarsen(self):
         """Coarser mesh of the same box: every grid count halved (h exactly doubled).

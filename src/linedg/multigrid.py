@@ -82,9 +82,8 @@ class Transfer:
         a, b, c = np.arange(8) >> np.arange(3)[:, None] & 1  # child a + 2b + 4c
         children = fine.cell_tets(a + nx * (b + ny * c)).ravel()
         parent = coarse.find_elements(fine.centroids[children])  # one of 0..5, coarse cell 0
-        origin = coarse.vertices[coarse.tets[parent, 0]]
-        ref = np.einsum("emd,evd->evm", coarse.jac_invs[parent],
-                        fine.tet_coords(children) - origin[:, None])
+        ref = np.einsum("emd,evd->evm", coarse.type_jac_invs[parent],
+                        fine.tet_coords(children) - coarse.vertices[0])  # the corner of cell 0
         # in its parent's reference coordinates a fine vertex is a multiple of 1/2
         bary = np.column_stack([1.0 - basis.nodes.sum(axis=1), basis.nodes])  # (nb, 4)
         nodes = bary @ (np.rint(2.0 * ref) / 2.0)  # (48, nb, 3): fine nodes in the parent

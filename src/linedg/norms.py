@@ -77,7 +77,7 @@ def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
         v2 = v2.sum(-1) if grad else v2
         if alpha is not None:
             v2 *= d ** (2.0 * alpha)
-        total += float(mesh.det_jacobians[block] @ (v2 @ rule.weights))
+        total += float(mesh.type_det_jacobians[block % 6] @ (v2 @ rule.weights))
     return total
 
 

@@ -130,7 +130,7 @@ def test_mass_matrix_closed_form():
     ones = np.ones(M.ndof)
     assert abs(ones @ (M.matrix @ ones) - SLAB.volume) < 1e-12
     # first element block against the classical P1 tet mass matrix
-    vol = mesh.volumes[0]
+    vol = mesh.type_det_jacobians[0] / 6.0
     block = M.matrix.tocsr()[:4, :4].toarray()
     expected = (vol / 20.0) * (np.ones((4, 4)) + np.eye(4))
     assert np.allclose(block, expected, atol=1e-14)
@@ -210,13 +210,15 @@ def test_face_traces_match_pointwise_evaluation(k):
     """Reference-table traces equal the basis mapped back from each face point."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(k)
-    for boundary, normals in ((False, mesh.iface_normals), (True, mesh.bface_normals)):
+    rows = (4 * (mesh.iface_elems[:, 0] % 6) + mesh.iface_local[:, 0],
+            4 * (mesh.bface_elem % 6) + mesh.bface_local)
+    for boundary, normals in zip((False, True), (mesh.face_normals[r] for r in rows)):
         x, w, sides = _face_traces(mesh, basis, fb.tri_quadrature(2 * k + 2), boundary)
         assert len(sides) == (1 if boundary else 2)
         for elems, V, Gn in sides:
             for f, e in enumerate(elems):
-                ref = (x[f] - mesh.vertices[mesh.tets[e, 0]]) @ mesh.jac_invs[e].T
-                grads = basis.grad(ref) @ mesh.jac_invs[e]
+                ref = (x[f] - mesh.vertices[mesh.tets[e, 0]]) @ mesh.type_jac_invs[e % 6].T
+                grads = basis.grad(ref) @ mesh.type_jac_invs[e % 6]
                 assert np.allclose(V[f], basis.eval(ref), rtol=0, atol=1e-12)
                 assert np.allclose(Gn[f], grads @ normals[f], rtol=0, atol=1e-12)
 
@@ -260,14 +262,14 @@ def test_replica_gather_matches_full_mesh_scatter(domain, n, k):
     equals the form scattered directly on every face of the mesh."""
     mesh = build_box_mesh(domain, n)
     basis = fb.make_basis(k)
-    h = mesh.grid_spacing
-    grad = _volume_grad_gram(mesh, basis)
+    h, types = mesh.grid_spacing, np.arange(mesh.n_elements) % 6
+    grad = _volume_grad_gram(mesh, basis)[types]
     cases = []
     for eps in (-1, 0, 1):
         spec = DGSpec.default(k, eps)
         penalty = spec.sigma / h ** spec.beta
         cases.append((assemble_stiffness(mesh, spec, basis), grad, (1.0, eps, penalty)))
-    mass = reference_mass(basis)[None] * mesh.det_jacobians[:, None, None]
+    mass = reference_mass(basis)[None] * mesh.type_det_jacobians[types, None, None]
     cases.append((assemble_mass(mesh, basis), mass, None))
     cases.append((_blocked_system(mesh, basis, face_form=(0.0, 0.0, 3.0)), None, (0.0, 0.0, 3.0)))
     cases.append((assemble_dg_norm_gram(mesh, basis, 7.0), grad, (0.0, 0.0, 7.0 / h)))
@@ -288,8 +290,9 @@ def test_stencil_apply_matches_full_mesh_scatter(domain, n, k):
     mesh = build_box_mesh(domain, n)
     basis = fb.make_basis(k)
     ne, nb, h = mesh.n_elements, basis.dim, mesh.grid_spacing
-    grad = _volume_grad_gram(mesh, basis)
-    mass = reference_mass(basis)[None] * mesh.det_jacobians[:, None, None]
+    types = np.arange(ne) % 6
+    grad = _volume_grad_gram(mesh, basis)[types]
+    mass = reference_mass(basis)[None] * mesh.type_det_jacobians[types, None, None]
     indptr, indices, data_m = _full_mesh_reference(mesh, basis, mass, None)
     cases = [(assemble_mass(mesh, basis), data_m)]
     gram = _full_mesh_reference(mesh, basis, grad, (0.0, 0.0, 7.0 / h))[2]

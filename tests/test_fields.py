@@ -67,7 +67,7 @@ def test_grad_in_elements_matches_pushed_basis_gradients(k):
     field = FieldFunction.from_vector(mesh, basis, rng.standard_normal(mesh.n_elements * basis.dim))
     ref = fb.tet_quadrature(2 * k).points
     elems = rng.permutation(mesh.n_elements)
-    phys = basis.grad(ref)[None] @ mesh.jac_invs[elems][:, None]
+    phys = basis.grad(ref)[None] @ mesh.type_jac_invs[elems % 6][:, None]
     expected = np.einsum("ni,nqid->nqd", field.coeffs[elems], phys)
     got = field.grad_in_elements(elems, ref)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
