@@ -14,7 +14,7 @@ the quasi-uniform grids built here.
 On the Kuhn grid of a ``Mesh`` a volume block depends only on the Kuhn type
 of its element, and a face block only on the type, the local face and
 whether the face is interior, so each operator evaluates one element per
-type and one interior and one boundary face per (type, local face)
+type and one face per (type, local face), read off the face table
 (``_blocked_system``).  The Nitsche and volume loads vary in space and use
 all faces.
 """
@@ -118,18 +118,22 @@ class SparseSystem:
     def ndof(self):
         return self.n_blocks * self.block_size
 
+    def _per_type(self, weights, rows):
+        """Each element's row of ``rows`` (ne, m nb) times its type's ``weights`` (m nb, nb)."""
+        ne, nb = self.n_blocks, self.block_size
+        y, rows = np.empty((ne // 6, 6, nb)), rows.reshape(ne // 6, 6, -1)
+        np.matmul(rows.transpose(1, 0, 2), weights, out=y.transpose(1, 0, 2))
+        return y.reshape(ne, nb)
+
     def _stencil(self, weights, x):
         """x with its zero ghost row (ne + 1, nb), and the (ne, nb) product of
-        each element neighbourhood of x with its type's ``weights`` (m nb, nb):
-        the element and its neighbours, or with m = 1 the element alone."""
+        each element neighbourhood of x (the element and its 4 neighbours)
+        with its type's ``weights`` (5 nb, nb)."""
         ne, nb = self.n_blocks, self.block_size
         xe = np.empty((ne + 1, nb))
         xe[:ne] = np.reshape(x, (ne, nb))
         xe[ne] = 0.0
-        gathered = np.take(xe, self.neighbours[:, :len(weights[0]) // nb], 0).reshape(ne // 6, 6, -1)
-        y = np.empty((ne // 6, 6, nb))
-        np.matmul(gathered.transpose(1, 0, 2), weights, out=y.transpose(1, 0, 2))
-        return xe, y.reshape(ne, nb)
+        return xe, self._per_type(weights, np.take(xe, self.neighbours, 0))
 
     def _per_class(self, blocks, v):
         """Rows of v, one per element of ``fixed``, times their class's block
@@ -204,8 +208,9 @@ class BlockJacobi:
 
     def __call__(self, x):
         A = self.system
-        xe, y = A._stencil(self.inverse, x)
-        y[A.fixed] = A._per_class(self.fixed_inverse, np.take(xe, A.fixed, 0))
+        x = np.reshape(x, (A.n_blocks, A.block_size))
+        y = A._per_type(self.inverse, x)
+        y[A.fixed] = A._per_class(self.fixed_inverse, np.take(x, A.fixed, 0))
         return y.ravel()
 
     def scaled(self, x):
@@ -306,8 +311,9 @@ def _blocked_system(mesh, basis, volume=None, face_form=None, symmetric=True):
     penalty) of ``_face_term_blocks`` or None.  On the Kuhn grid a volume
     block depends only on the Kuhn type t of its element, and a face block
     only on t, the local face f and whether the face is interior.  So the
-    volume form is evaluated once per type, and the face form on one
-    interior and one boundary face per (t, f), taken from the mesh.  Type
+    volume form is evaluated once per type, and the face form on faces picked
+    from the 24-row face table: one boundary face per shifted row 4 t + f,
+    and the interior faces of cell 0, one per pair of rows that meet.  Type
     t's diagonal block is its volume block plus its 4 interior-face terms;
     a local face that is interior nowhere (on a grid one cell thick) adds
     its boundary term instead, so the block is always that of some element.
@@ -321,18 +327,21 @@ def _blocked_system(mesh, basis, volume=None, face_form=None, symmetric=True):
     if volume is not None:
         stencil[:, 0] = volume(mesh, basis)
     if face_form is not None:
-        outer, first = np.unique(mesh.bface_elem % 6 * 4 + mesh.bface_local, return_index=True)
+        # a shifted row is a boundary face in the first or last cell along it (sorted by 4 e + f)
+        outer = np.flatnonzero(_mesh.FACE_SHIFTS.any(axis=1))
+        e = 6 * mesh.cell_flat_index((_mesh.FACE_SHIFTS[outer] > 0) * (np.array(mesh.n) - 1))
+        first = np.searchsorted(4 * mesh.bface_elem + mesh.bface_local, 4 * e + outer)
         boundary = _face_term_blocks(mesh, basis, face_form, True, first)[0][0]
         inner = np.zeros((24, nb, nb))
         inner[outer] = boundary
-        key = (mesh.iface_elems % 6 * 4 + mesh.iface_local).T.ravel()  # side 0, then side 1
-        tf, first = np.unique(key, return_index=True)
-        side, face = np.divmod(first, len(mesh.iface_elems))
-        blocks = _face_term_blocks(mesh, basis, face_form, sel=face)
-        for s in (0, 1):
-            at = side == s
-            inner[tf[at]] = blocks[s][s][at]
-            stencil[tf[at] // 4, 1 + tf[at] % 4] = blocks[s][1 - s][at]
+        # every interior row pair has a face in cell 0, whose faces open the interior list
+        across = mesh.neighbours[:6, 1:]
+        rows = np.flatnonzero((across > np.arange(6)[:, None]) & (across < mesh.n_elements))
+        other = _mesh.FACE_ACROSS[rows]
+        blocks = _face_term_blocks(mesh, basis, face_form, sel=np.arange(rows.size))
+        inner[rows], inner[other] = blocks[0][0], blocks[1][1]
+        stencil[rows // 4, 1 + rows % 4] = blocks[0][1]
+        stencil[other // 4, 1 + other % 4] = blocks[1][0]
         stencil[:, 0] += inner.reshape(6, 4, nb, nb).sum(axis=1)
         excess[outer] = boundary - inner[outer]
     classes = mesh.ghost_classes

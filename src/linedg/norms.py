@@ -3,7 +3,9 @@
 Regions are open mesh-aligned boxes; element membership is decided by the
 barycenter, and a face contributes to a region norm only when both adjacent
 elements are inside (for the whole domain, boundary faces contribute with
-one-sided jumps).
+one-sided jumps).  Two exact rules prune the integrals: with no exact solution
+to subtract, elements and faces whose coefficients all vanish are skipped, and
+distances to the curve are measured only where read (``_volume_sq``).
 """
 
 import numpy as np
@@ -21,12 +23,13 @@ _VOLUME_BLOCK = 4096  # elements per block of a volume integral
 def _guard_points(points, curve, h):
     """Nudge quadrature points off the curve so singular integrands stay finite.
 
-    Points within 1e-12 of the curve move by 1e-10 * h orthogonally to their
-    nearest segment (the lowest index on a tie, such as a shared vertex),
-    far below reported precision.  The direction does not depend on the
-    curve's orientation: the coordinate axis least aligned with the segment,
-    projected onto the segment's normal plane.  Returns the guarded points
-    and their distances to the curve.
+    Measures only the points given (``_volume_sq`` gives those that may need
+    it).  Points within 1e-12 of the curve move by 1e-10 * h orthogonally to
+    their nearest segment (the lowest index on a tie, such as a shared
+    vertex), far below reported precision.  The direction does not depend on
+    the curve's orientation: the coordinate axis least aligned with the
+    segment, projected onto the segment's normal plane.  Returns the guarded
+    points and their distances to the curve.
     """
     flat = points.reshape(-1, 3)
     d, seg = nearest_segments(flat, curve)
@@ -55,14 +58,19 @@ def _minus(values, exact, points):
 
 def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
     """Integral over ``elements`` of |v - exact|^2, with v the field, or its
-    broken gradient when ``grad``, at the fixed 2k+2 rule.
-
-    Given a ``curve``, the points are guarded off it (``_guard_points``);
-    given also ``alpha``, the integrand is weighted by dist(x, curve)^(2 alpha).
-    The elements are taken in blocks of ``_VOLUME_BLOCK``, so the temporaries
-    do not grow with the mesh.
+    broken gradient when ``grad``, at the fixed 2k+2 rule, in blocks of
+    ``_VOLUME_BLOCK`` elements (the temporaries do not grow with the mesh).
+    Given ``alpha``, weighted by dist(x, curve)^(2 alpha) at points guarded off
+    ``curve`` (``_guard_points``); given only ``curve``, the points of elements
+    with centroid within h + 1e-12 of it are guarded: no other point can need
+    it, as every point is within h of its centroid.  With ``exact`` None or 0,
+    elements of zero coefficients (integrand 0) are dropped.  Both are exact.
     """
     mesh = field.mesh
+    if not (callable(exact) or exact):
+        elements = elements[field.coeffs[elements].any(axis=1)]
+    if curve is not None and alpha is None:
+        near = distance_to_curve(mesh.centroids[elements], curve) <= mesh.h + _SINGULAR_SNAP
     rule = _basis.tet_quadrature(2 * field.degree + 2)
     values = field.grad_in_elements if grad else field.eval_in_elements
     at_points = curve is not None or callable(exact)
@@ -71,8 +79,11 @@ def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
         block = elements[start : start + _VOLUME_BLOCK]
         v = values(block, rule.points)
         pts = mesh.map_points(rule.points, block) if at_points else None
-        if curve is not None:
+        if alpha is not None:
             pts, d = _guard_points(pts, curve, mesh.h)
+        elif curve is not None:
+            at = near[start : start + _VOLUME_BLOCK]
+            pts[at] = _guard_points(pts[at], curve, mesh.h)[0]
         v2 = _minus(v, exact, pts) ** 2  # (n, q) or (n, q, 3)
         v2 = v2.sum(-1) if grad else v2
         if alpha is not None:
@@ -85,7 +96,11 @@ def _face_sq(field, sel, boundary=False, exact=None, curve=None, alpha=None):
     """Integral over the selected faces of the squared interior jump of the
     field, or on boundary faces of its trace minus ``exact``, at the fixed
     2k+2 rule; weighted by dist(x, curve)^(2 alpha) given ``curve`` and ``alpha``.
+    With ``exact`` None or 0, faces of zero coefficients (jump 0) are dropped.
     """
+    if not (callable(exact) or exact):
+        owners = field.mesh.bface_elem[:, None] if boundary else field.mesh.iface_elems
+        sel = np.arange(len(owners))[sel][field.coeffs[owners[sel]].any(axis=(1, 2))]
     rule = _basis.tri_quadrature(2 * field.degree + 2)
     x, w, sides = _face_traces(field.mesh, field.basis, rule, boundary, sel)
     traces = [np.einsum("fi,fqi->fq", field.coeffs[e], V) for e, V, _ in sides]

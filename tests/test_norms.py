@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import linedg.curve
+import linedg.norms
+import unpruned_norms as ref
 from linedg import basis as fb
 from linedg.assembly import DGSpec, assemble_dirichlet_rhs, assemble_stiffness
-from linedg.curve import Curve, assemble_line_rhs, distance_to_curve
+from linedg.curve import Curve, assemble_line_rhs, compute_fh_field, distance_to_curve
 from linedg.fields import Box, FieldFunction, interpolate
 from linedg.mesh import BoxDomain, build_box_mesh
 from linedg.norms import (
@@ -243,3 +246,126 @@ def test_weighted_gradient_error_decreases_under_refinement():
             )
         )
     assert vals[0] > vals[1] > vals[2]
+
+
+def oblique_polyline():
+    """A seeded polyline of 5 oblique segments inside the slab."""
+    rng = np.random.default_rng(20)
+    return Curve(rng.uniform([0.05, 0.05, 0.02], [0.95, 0.95, 0.23], size=(6, 3)))
+
+
+def lattice_edge_polyline():
+    """Mesh edges of the 8x8x2 slab grid: along x, a face diagonal, a cell
+    diagonal, then down along z; no quadrature point lies on them."""
+    return Curve(np.array([[2, 2, 1], [4, 2, 1], [5, 3, 1], [6, 4, 2], [6, 4, 1]]) / 8.0)
+
+
+def polyline_through_quadrature_point(mesh, rule):
+    """A segment through the quadrature point farthest from its element's
+    centroid, normal to the offset, so that the point lies on the curve while
+    the centroid stays about 0.44 h away: the element needs a prune radius
+    close to h."""
+    e = 6 * mesh.cell_flat_index(np.array([[3, 4, 1]]))[0] + 2
+    pts = mesh.map_points(rule.points, np.array([e]))[0]
+    offset = pts - mesh.centroids[e]
+    q = pts[np.argmax(np.linalg.norm(offset, axis=1))]
+    u = np.cross(q - mesh.centroids[e], [0.3, 0.2, 1.0])
+    u /= np.linalg.norm(u)
+    return Curve([q - 0.1 * u, q, q + 0.1 * u])
+
+
+def log_distance(curve):
+    return lambda p: np.log(distance_to_curve(p, curve))
+
+
+def smooth(p):
+    return 1.0 + p[:, 0] - 2.0 * p[:, 1] * p[:, 2]
+
+
+def smooth_grad(p):
+    return np.column_stack([np.ones(len(p)), -2.0 * p[:, 2], -2.0 * p[:, 1]])
+
+
+@pytest.mark.parametrize("shape", ["oblique", "lattice_edges", "through_points"])
+def test_pruned_norms_match_the_unpruned_reference(shape):
+    """Skipping vanishing elements and faces, and guarding only the elements
+    near the curve, changes each norm by summation order only."""
+    mesh = build_box_mesh(SLAB, (8, 8, 2))
+    basis = fb.make_basis(2)
+    rule = fb.tet_quadrature(2 * basis.degree + 2)
+    curve = {"oblique": oblique_polyline, "lattice_edges": lattice_edge_polyline,
+             "through_points": lambda: polyline_through_quadrature_point(mesh, rule)}[shape]()
+    fh = compute_fh_field(curve, 1.0, mesh, basis)
+    support = np.flatnonzero(fh.coeffs.any(axis=1))
+    assert 0 < support.size < mesh.n_elements // 4
+    sigma = 12.0
+    guarded = _guard_points(mesh.map_points(rule.points), curve, mesh.h)[1] < 1e-9
+    assert guarded.any() == (shape == "through_points")
+
+    def close(value, reference):
+        assert abs(value - reference) <= 1e-13 * reference
+
+    close(l2_error(fh, 0.0), ref.l2(fh))
+    close(l2_error(fh, None, singular_curve=curve), ref.l2(fh, curve=curve))
+    for alpha in (-0.5, 0.5):
+        close(weighted_l2_norm(fh, curve, alpha), ref.l2(fh, curve=curve, alpha=alpha))
+    close(dg_norm(fh, sigma), ref.dg(fh, sigma))
+    close(weighted_dg_norm(fh, curve, 0.5, sigma), ref.dg(fh, sigma, curve=curve, alpha=0.5))
+    # an error field: the exact solution is nonzero off the support, so nothing is skipped
+    exact = log_distance(curve)
+    close(l2_error(fh, exact, singular_curve=curve), ref.l2(fh, exact, curve=curve))
+    close(weighted_l2_norm(fh, curve, 0.5, exact=exact),
+          ref.l2(fh, exact, curve=curve, alpha=0.5))
+    close(dg_energy_error(fh, smooth, smooth_grad, sigma),
+          ref.dg(fh, sigma, smooth, smooth_grad))
+    zero = FieldFunction(mesh, basis, np.zeros_like(fh.coeffs))
+    close(l2_error(zero, smooth), ref.l2(zero, smooth))
+    assert l2_error(zero, smooth) > 0.0
+
+
+def test_norms_of_the_zero_field_are_zero():
+    mesh = build_box_mesh(SLAB, (4, 4, 1))
+    curve = oblique_polyline()
+    zero = FieldFunction(mesh, fb.make_basis(1), np.zeros((mesh.n_elements, 4)))
+    assert l2_error(zero, 0.0) == 0.0
+    assert l2_error(zero, None, singular_curve=curve) == 0.0
+    assert weighted_l2_norm(zero, curve, -0.5) == 0.0
+    assert dg_norm(zero, 5.0) == 0.0
+    assert weighted_dg_norm(zero, curve, 0.5, 5.0) == 0.0
+
+
+def test_distances_are_measured_only_near_the_curve(monkeypatch):
+    """The weighted norm of f_h measures the points of its support only, and
+    the guarded L2 error one centroid per element plus the points of the
+    elements within h of the curve: the count falls against ne * q."""
+    measured = []
+
+    def spy(points, curve):
+        measured.append(len(np.atleast_2d(points)))
+        return nearest(points, curve)
+
+    nearest = linedg.curve.nearest_segments
+    monkeypatch.setattr(linedg.curve, "nearest_segments", spy)
+    monkeypatch.setattr(linedg.norms, "nearest_segments", spy)
+    basis = fb.make_basis(1)
+    curve = vertical_line()
+    exact = LogLineSolution.from_curve(curve, SLAB)
+    shares = []
+    for n in [(8, 8, 2), (16, 16, 4)]:
+        mesh = build_box_mesh(SLAB, n)
+        ne, q = mesh.n_elements, fb.tet_quadrature(2 * basis.degree + 2).n
+        fh = compute_fh_field(curve, 1.0, mesh, basis)
+        support = np.count_nonzero(fh.coeffs.any(axis=1))
+        measured.clear()
+        weighted_l2_norm(fh, curve, 0.5)
+        assert sum(measured) == q * support
+        weighted = sum(measured) / (ne * q)
+
+        near = np.count_nonzero(
+            np.linalg.norm(mesh.centroids[:, :2] - [2 / 3, 1 / 3], axis=1) <= mesh.h + 1e-12)
+        uh = interpolate(exact, mesh, basis)
+        measured.clear()
+        l2_error(uh, exact, singular_curve=curve)
+        assert sum(measured) <= ne + q * near
+        shares.append((weighted, (sum(measured) - ne) / (ne * q)))
+    assert shares[1][0] <= shares[0][0] / 3 and shares[1][1] <= shares[0][1] / 3
