@@ -6,7 +6,7 @@ operator is a Kuhn-stencil ``SparseSystem``: per Kuhn type one weight
 block (its diagonal block and the blocks of its 4 face neighbours), and per
 ghost class (a Kuhn type with the set of its faces on the boundary) one
 correction to the diagonal block, over the neighbour table and class layout
-that the mesh holds and every operator on it shares.  No matrix is stored;
+of the mesh the operator holds.  No matrix is stored;
 ``SparseSystem.matrix`` builds the BSR form on demand.  The jump penalty
 scales with the smallest grid pitch ``mesh.grid_spacing``, which matches
 the quasi-uniform grids built here.
@@ -72,36 +72,32 @@ class DGSpec:
 
 @dataclass(eq=False)
 class SparseSystem:
-    """Kuhn-stencil operator over element-blocked DoFs (block size nb).
+    """Kuhn-stencil operator over element-blocked DoFs (block size nb) on ``mesh``.
 
     Element e = 6 c + t, of grid cell c and Kuhn type t, couples with the 5
-    elements ``neighbours[e]`` (the mesh's table): itself, then the element
-    across the face opposite each of its 4 local vertices, or ``n_blocks``
-    (a zero ghost row) for a boundary face.  On the Kuhn grid these blocks
-    depend only on t, so ``weights[t]`` (5 nb, nb) stacks the 5 transposed
-    blocks once per type; ``system @ x`` gathers x per element neighbourhood
-    and multiplies by its type's weights.  Only the diagonal blocks of the
-    elements with a boundary face differ from their type's, by a block that
-    depends only on the element's ghost class (its type and which of its
-    faces are on the boundary): ``fixed`` lists those elements in class
-    order, class i taking rows ``bounds[i]:bounds[i + 1]``, and adds
-    ``corrections[i]`` (nb, nb).  ``neighbours``, ``fixed`` and ``bounds``
-    are the mesh's arrays, shared by every operator on it.  ``matrix``
-    builds the same operator as a BSR matrix, on first access and at its
-    full size.
+    elements ``mesh.neighbours[e]``: itself, then the element across the face
+    opposite each of its 4 local vertices, or ``n_blocks`` (a zero ghost row)
+    for a boundary face.  On the Kuhn grid these blocks depend only on t, so
+    ``weights[t]`` (5 nb, nb) stacks the 5 transposed blocks once per type;
+    ``system @ x`` gathers x per element neighbourhood and multiplies by its
+    type's weights.  Only the diagonal blocks of the elements with a boundary
+    face differ from their type's, by a block that depends only on the
+    element's ghost class (``Mesh.ghost_classes``: its type and which of its
+    faces are on the boundary): ``corrections[i]`` (nb, nb) adds to the
+    diagonal blocks of class i, the mesh's ``boundary_elements`` in rows
+    ``class_bounds[i]:class_bounds[i + 1]``.  ``matrix`` builds the same
+    operator as a BSR matrix, on first access and at its full size, and
+    ``dense()`` as a dense array.
 
     ``symmetric`` selects CG in ``solver.solve`` (BiCGStab otherwise); the
     assembly sets it for the epsilon = -1 stiffness and for the mass and
-    Gram operators.  ``discretization`` is the (mesh, spec, basis) an
-    assembled stiffness operator came from, which the multigrid
-    preconditioner rediscretises on coarser meshes; None for every other
-    operator.
+    Gram operators.  ``discretization`` is the (spec, basis) an assembled
+    stiffness operator came from, which the multigrid preconditioner
+    rediscretises on coarser meshes; None for every other operator.
     """
 
+    mesh: _mesh.Mesh
     weights: np.ndarray
-    neighbours: np.ndarray
-    fixed: np.ndarray
-    bounds: np.ndarray
     corrections: np.ndarray
     symmetric: bool = False
     discretization: tuple | None = None
@@ -112,7 +108,7 @@ class SparseSystem:
 
     @property
     def n_blocks(self):
-        return self.neighbours.shape[0]
+        return self.mesh.n_elements
 
     @property
     def ndof(self):
@@ -133,29 +129,30 @@ class SparseSystem:
         xe = np.empty((ne + 1, nb))
         xe[:ne] = np.reshape(x, (ne, nb))
         xe[ne] = 0.0
-        return xe, self._per_type(weights, np.take(xe, self.neighbours, 0))
+        return xe, self._per_type(weights, np.take(xe, self.mesh.neighbours, 0))
 
     def _per_class(self, blocks, v):
-        """Rows of v, one per element of ``fixed``, times their class's block
-        of ``blocks`` (one per ghost class), in place."""
-        for block, start, end in zip(blocks, self.bounds, self.bounds[1:]):
+        """Rows of v, one per boundary element of the mesh, times their ghost
+        class's block of ``blocks``, in place."""
+        bounds = self.mesh.class_bounds
+        for block, start, end in zip(blocks, bounds, bounds[1:]):
             v[start:end] = v[start:end] @ block.T
         return v
 
     def __matmul__(self, x):
+        fixed = self.mesh.boundary_elements
         xe, y = self._stencil(self.weights, x)
-        correction = self._per_class(self.corrections, np.take(xe, self.fixed, 0))
-        y[self.fixed] = np.take(y, self.fixed, 0) + correction  # take: faster than y[fixed]
+        correction = self._per_class(self.corrections, np.take(xe, fixed, 0))
+        y[fixed] = np.take(y, fixed, 0) + correction  # take: faster than y[fixed]
         return y.ravel()
 
     def _with(self, weights, corrections, symmetric):
-        """Another operator on the same mesh: same layout, other blocks."""
-        return SparseSystem(weights, self.neighbours, self.fixed, self.bounds, corrections,
-                            symmetric)
+        """Another operator on the same mesh: other blocks."""
+        return SparseSystem(self.mesh, weights, corrections, symmetric)
 
     def __add__(self, other):
-        """Sum of two operators on one mesh."""
-        if not np.array_equal(self.neighbours, other.neighbours):
+        """Sum of two operators on one Kuhn layout: meshes of equal cell counts."""
+        if self.mesh.n != other.mesh.n:
             raise ValueError("operators on different meshes cannot be added")
         return self._with(self.weights + other.weights, self.corrections + other.corrections,
                           self.symmetric and other.symmetric)
@@ -174,17 +171,29 @@ class SparseSystem:
         row e holds its diagonal block and one per interior face, columns sorted."""
         import scipy.sparse as sp
 
-        ne, nb = self.n_blocks, self.block_size
-        order = np.argsort(self.neighbours, axis=1)
-        cols = np.take_along_axis(self.neighbours, order, axis=1)
+        mesh, ne, nb = self.mesh, self.n_blocks, self.block_size
+        order = np.argsort(mesh.neighbours, axis=1)
+        cols = np.take_along_axis(mesh.neighbours, order, axis=1)
         inner = cols < ne  # the ghost sorts last
         order += (np.arange(ne) % 6)[:, None] * 5
         blocks = np.ascontiguousarray(self.weights.reshape(30, nb, nb).transpose(0, 2, 1))
         data = blocks[order[inner]]
         indptr = np.concatenate([[0], np.cumsum(inner.sum(axis=1))])
-        at = indptr[self.fixed] + (self.neighbours[self.fixed] < self.fixed[:, None]).sum(axis=1)
-        data[at] += np.repeat(self.corrections, np.diff(self.bounds), axis=0)
+        fixed = mesh.boundary_elements
+        at = indptr[fixed] + (mesh.neighbours[fixed] < fixed[:, None]).sum(axis=1)
+        data[at] += np.repeat(self.corrections, np.diff(mesh.class_bounds), axis=0)
         return sp.bsr_matrix((data, cols[inner], indptr), shape=(ne * nb, ne * nb))
+
+    def dense(self):
+        """The operator as a dense (ndof, ndof) array: its type blocks by the
+        neighbour table (the ghost column dropped), plus each class's correction."""
+        mesh, ne, nb = self.mesh, self.n_blocks, self.block_size
+        dense, rows = np.zeros((ne, nb, ne + 1, nb)), np.arange(ne)
+        blocks = self.weights.reshape(6, 5, nb, nb).transpose(0, 1, 3, 2)
+        dense[rows[:, None], :, mesh.neighbours] = blocks[rows % 6]
+        fixed = mesh.boundary_elements
+        dense[fixed, :, fixed] += np.repeat(self.corrections, np.diff(mesh.class_bounds), axis=0)
+        return dense[:, :, :ne].reshape(ne * nb, ne * nb)
 
 
 class BlockJacobi:
@@ -197,7 +206,7 @@ class BlockJacobi:
     def __init__(self, system):
         self.system = system
         diagonal = system.weights[:, :system.block_size].transpose(0, 2, 1)
-        types = system.fixed[system.bounds[:-1]] % 6  # of each ghost class
+        types = system.mesh.ghost_classes // 16
         try:
             self.inverse = np.linalg.inv(diagonal).transpose(0, 2, 1)
             self.fixed_inverse = np.linalg.inv(diagonal[types] + system.corrections)
@@ -207,17 +216,17 @@ class BlockJacobi:
         self.fixups = self.fixed_inverse @ system.corrections  # D_c^{-1} C_c
 
     def __call__(self, x):
-        A = self.system
+        A, fixed = self.system, self.system.mesh.boundary_elements
         x = np.reshape(x, (A.n_blocks, A.block_size))
         y = A._per_type(self.inverse, x)
-        y[A.fixed] = A._per_class(self.fixed_inverse, np.take(x, A.fixed, 0))
+        y[fixed] = A._per_class(self.fixed_inverse, np.take(x, fixed, 0))
         return y.ravel()
 
     def scaled(self, x):
-        A = self.system
+        A, fixed = self.system, self.system.mesh.boundary_elements
         xe, y = A._stencil(self.scaled_weights, x)
-        yf = np.take(y, A.fixed, 0)
-        y[A.fixed] = yf + A._per_class(self.fixups, np.take(xe, A.fixed, 0) - yf)
+        yf = np.take(y, fixed, 0)
+        y[fixed] = yf + A._per_class(self.fixups, np.take(xe, fixed, 0) - yf)
         return y.ravel()
 
 
@@ -233,34 +242,35 @@ def _volume_grad_gram(mesh, basis):
     return np.einsum("emn,mnij->eij", C, S) * mesh.type_det_jacobians[:, None, None]
 
 
-def _face_traces(mesh, basis, rule, boundary=False, sel=slice(None)):
-    """Basis traces at the points of a triangle rule on the selected interior
-    (or boundary) faces.
+def _face_traces(mesh, basis, rule, elements, local):
+    """Basis traces at the points of a triangle rule on the faces opposite
+    local vertex ``local`` of ``elements``, the faces' first side.
 
     Returns (x, w, sides): quadrature points x (f, q, 3), physical weights
-    w (f, q) absorbing the face area, and per adjacent side (first and
-    second element of an interior face, the owner of a boundary face) a
-    tuple (elements, V, Gn) of basis values V (f, q, nb) and normal
-    derivatives Gn (f, q, nb) along the normal of the first side, which
-    points from the first element to the second (outward on the boundary).
+    w (f, q) absorbing the face area, and per side a tuple (elements, V, Gn)
+    of basis values V (f, q, nb) and normal derivatives Gn (f, q, nb) along
+    the first side's outward normal.  The second side, the element across
+    each face in ``mesh.neighbours``, follows when every face is interior and
+    is absent when every face is on the boundary; a mix raises ValueError.
 
     Every trace depends only on the row 4 t + f of the first side (Kuhn type
     t, local face f): it fixes the second side's row and the face's local
     vertices in both elements (``FACE_ACROSS``, ``FACE_MATCH`` of ``mesh``).
     So the basis and J_t^{-1} n are evaluated once per row and side.
     """
-    if boundary:
-        elems, local = mesh.bface_elem[sel][None], mesh.bface_local[sel][None]
-    else:
-        elems, local = mesh.iface_elems[sel].T, mesh.iface_local[sel].T
-    rows = 4 * (elems[0] % 6) + local[0]
+    across = mesh.neighbours[elements, 1 + local]
+    interior = across < mesh.n_elements
+    if interior.any() and not interior.all():
+        raise ValueError("faces must be all interior or all on the boundary")
+    rows = 4 * (elements % 6) + local
     bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])  # (q, 3)
-    corners = mesh.tets[elems[0][:, None], _mesh.FACE_VERTICES[local[0]]]  # (f, 3)
+    corners = mesh.tets[elements[:, None], _mesh.FACE_VERTICES[local]]  # (f, 3)
     x = np.einsum("qk,fkd->fqd", bary, mesh.vertices[corners])
     w = rule.weights[None, :] * (2.0 * mesh.face_areas[rows])[:, None]
     nb, own = basis.dim, np.arange(24)
     sides = []
-    for e, triples, types in zip(elems, (_mesh.FACE_VERTICES[own % 4], _mesh.FACE_MATCH),
+    for e, triples, types in zip((elements, across) if interior.all() else (elements,),
+                                 (_mesh.FACE_VERTICES[own % 4], _mesh.FACE_MATCH),
                                  (own // 4, _mesh.FACE_ACROSS // 4)):
         ref = np.einsum("qk,rkd->rqd", bary, _basis.REF_TET_VERTICES[triples]).reshape(-1, 3)
         V = basis.eval(ref).reshape(24, rule.n, nb)
@@ -271,9 +281,10 @@ def _face_traces(mesh, basis, rule, boundary=False, sel=slice(None)):
     return x, w, sides
 
 
-def _face_term_blocks(mesh, basis, face_form, boundary=False, sel=slice(None)):
+def _face_term_blocks(mesh, basis, face_form, elements, local):
     """Element blocks of the face part of a penalized bilinear form on the
-    selected interior (or boundary) faces.
+    faces opposite local vertex ``local`` of ``elements``, all interior or
+    all on the boundary (``_face_traces``).
 
     ``face_form`` is (consistency, epsilon, penalty):
       - consistency  -consistency ({grad u}.n) [v]
@@ -284,9 +295,9 @@ def _face_term_blocks(mesh, basis, face_form, boundary=False, sel=slice(None)):
     second element), boundary faces side 0 only, with one-sided traces.
     """
     consistency, epsilon, penalty = face_form
-    signs, factors = ((1.0,), (1.0,)) if boundary else ((1.0, -1.0), (0.5, 0.5))
     rule = _basis.tri_quadrature(2 * basis.degree + 1)
-    _, w, sides = _face_traces(mesh, basis, rule, boundary, sel)
+    _, w, sides = _face_traces(mesh, basis, rule, elements, local)
+    signs, factors = ((1.0, -1.0), (0.5, 0.5)) if len(sides) == 2 else ((1.0,), (1.0,))
     root = np.sqrt(w)[:, :, None]  # the weights are positive; each product carries one
     for _, V, Gn in sides:
         V *= root
@@ -327,18 +338,17 @@ def _blocked_system(mesh, basis, volume=None, face_form=None, symmetric=True):
     if volume is not None:
         stencil[:, 0] = volume(mesh, basis)
     if face_form is not None:
-        # a shifted row is a boundary face in the first or last cell along it (sorted by 4 e + f)
+        # a shifted row is a boundary face in the first or last cell along its shift
         outer = np.flatnonzero(_mesh.FACE_SHIFTS.any(axis=1))
         e = 6 * mesh.cell_flat_index((_mesh.FACE_SHIFTS[outer] > 0) * (np.array(mesh.n) - 1))
-        first = np.searchsorted(4 * mesh.bface_elem + mesh.bface_local, 4 * e + outer)
-        boundary = _face_term_blocks(mesh, basis, face_form, True, first)[0][0]
+        boundary = _face_term_blocks(mesh, basis, face_form, e + outer // 4, outer % 4)[0][0]
         inner = np.zeros((24, nb, nb))
         inner[outer] = boundary
-        # every interior row pair has a face in cell 0, whose faces open the interior list
+        # every interior row pair meets in cell 0, on the side whose neighbour comes later
         across = mesh.neighbours[:6, 1:]
         rows = np.flatnonzero((across > np.arange(6)[:, None]) & (across < mesh.n_elements))
         other = _mesh.FACE_ACROSS[rows]
-        blocks = _face_term_blocks(mesh, basis, face_form, sel=np.arange(rows.size))
+        blocks = _face_term_blocks(mesh, basis, face_form, rows // 4, rows % 4)
         inner[rows], inner[other] = blocks[0][0], blocks[1][1]
         stencil[rows // 4, 1 + rows % 4] = blocks[0][1]
         stencil[other // 4, 1 + other % 4] = blocks[1][0]
@@ -348,8 +358,7 @@ def _blocked_system(mesh, basis, volume=None, face_form=None, symmetric=True):
     bits = (classes[:, None] >> np.arange(4)) & 1
     corrections = np.einsum("cf,cfij->cij", bits, excess.reshape(6, 4, nb, nb)[classes // 16])
     weights = stencil.transpose(0, 1, 3, 2).reshape(6, 5 * nb, nb)
-    return SparseSystem(weights, mesh.neighbours, mesh.boundary_elements, mesh.class_bounds,
-                        corrections, symmetric)
+    return SparseSystem(mesh, weights, corrections, symmetric)
 
 
 def assemble_stiffness(mesh, spec, basis):
@@ -360,7 +369,7 @@ def assemble_stiffness(mesh, spec, basis):
     system = _blocked_system(
         mesh, basis, _volume_grad_gram, (1.0, spec.epsilon, penalty), spec.epsilon == -1
     )
-    system.discretization = (mesh, spec, basis)
+    system.discretization = (spec, basis)
     return system
 
 
@@ -411,7 +420,7 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g):
         g = lambda pts: np.full(pts.shape[0], g_val)
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
     rule = _basis.tri_quadrature(2 * basis.degree + 2)
-    x, w, [(e, V, Gn)] = _face_traces(mesh, basis, rule, boundary=True)
+    x, w, [(e, V, Gn)] = _face_traces(mesh, basis, rule, mesh.bface_elem, mesh.bface_local)
     wg = w * np.asarray(g(x.reshape(-1, 3)), dtype=float).reshape(w.shape)
     contrib = spec.epsilon * np.einsum("fq,fqi->fi", wg, Gn)
     contrib += penalty * np.einsum("fq,fqi->fi", wg, V)

@@ -67,18 +67,14 @@ class LineRestriction:
         return float(self.lengths.sum())
 
 
-def clip_segment_tets(p0, p1, origins, jac_invs):
-    """Parameter intervals of segment p0->p1 inside many closed tetrahedra.
-
-    Each tetrahedron is given by its first vertex (``origins``, (n, 3)) and
-    the inverse of its affine map (``jac_invs``, (n, 3, 3), as stored per
-    Kuhn type in ``Mesh.type_jac_invs``).  Returns (t0, t1, hit): ``hit``
+def clip_segment_tets(ref):
+    """Parameter intervals of a segment inside many closed tetrahedra, given
+    its end points in the reference coordinates of each (``ref`` (n, 2, 3),
+    as ``Mesh.to_reference`` maps them).  Returns (t0, t1, hit): ``hit``
     marks the tets whose intersection with the segment has positive
     parameter length, and for those 0 <= t0 < t1 <= 1.  Constraints are the
     four barycentric inequalities, so the clip is exact up to roundoff.
     """
-    ends = np.stack([np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)])
-    ref = (ends[None] - origins[:, None, :]) @ np.swapaxes(jac_invs, 1, 2)
     r0, r1 = ref[:, 0], ref[:, 1]
     # barycentric coordinates affine in t: lam_i(t) = alpha_i + beta_i t >= 0
     alpha = np.column_stack([r0, 1.0 - r0.sum(axis=1)])
@@ -127,9 +123,7 @@ def build_restrictions(curve, mesh):
         seg_len = curve.seg_lengths[si]
         s_off = curve.cum_lengths[si]
         cand = np.unique(_candidate_elements(mesh, p0, p1))
-        t0s, t1s, hit = clip_segment_tets(
-            p0, p1, mesh.vertices[mesh.tets[cand, 0]], mesh.type_jac_invs[cand % 6]
-        )
+        t0s, t1s, hit = clip_segment_tets(mesh.to_reference(np.stack([p0, p1]), cand))
         keep = hit & ((t1s - t0s) * seg_len >= drop)
         t0s, t1s, cand = t0s[keep], t1s[keep], cand[keep]
         # deterministic overlap resolution: sweep by (t0, t1, element)
@@ -243,9 +237,7 @@ def assemble_line_rhs(curve, f, mesh, basis, restrictions=None):
     arcs = np.concatenate([r.arclengths for r in restrictions])
     x = starts[:, None, :] + tq[None, :, None] * (ends - starts)[:, None, :]
     s = arcs[:, :1] + tq[None, :] * (arcs[:, 1] - arcs[:, 0])[:, None]
-    rel = x - mesh.vertices[mesh.tets[elems, 0]][:, None, :]
-    ref = rel @ np.swapaxes(mesh.type_jac_invs[elems % 6], 1, 2)
-    vals = basis.eval(ref.reshape(-1, 3)).reshape(*s.shape, basis.dim)
+    vals = basis.eval(mesh.to_reference(x, elems).reshape(-1, 3)).reshape(*s.shape, basis.dim)
     fw = np.asarray(f(s), dtype=float) * rule.weights[None, :] * lengths[:, None]
     # one quadrature term at a time: each element sums its terms in (sub-segment, point) order
     b = np.zeros((mesh.n_elements, basis.dim))

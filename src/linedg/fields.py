@@ -55,8 +55,7 @@ class FieldFunction:
         elems = self.mesh.find_elements(pts)
         if np.any(elems < 0):
             raise ValueError("point outside the mesh")
-        origin = self.mesh.vertices[self.mesh.tets[elems, 0]]
-        ref = np.einsum("nde,ne->nd", self.mesh.type_jac_invs[elems % 6], pts - origin)
+        ref = self.mesh.to_reference(pts[:, None], elems)[:, 0]
         return np.einsum("ni,ni->n", self.coeffs[elems], self.basis.eval(ref))
 
 

@@ -93,7 +93,7 @@ class Mesh:
     Each element of type t is a translate of the type-t element of cell 0, so
     geometry is stored per type (element e reads row ``e % 6``) and per face
     4 t + f of type t opposite local vertex f (read at ``4 (e % 6) + f``).
-    Immutable after construction, so operators may share its arrays.
+    Immutable after construction, so operators may hold it.
     Attributes:
 
     - ``vertices`` (nv, 3), ``tets`` (nt, 4) positively oriented
@@ -193,6 +193,14 @@ class Mesh:
         bary = np.column_stack([1.0 - rp.sum(axis=1), rp])  # (q, 4)
         return bary @ self.tet_coords(elements)
 
+    def to_reference(self, points, elements):
+        """Reference coordinates (..., q, 3) of points (..., q, 3) in the given
+        elements (...), the inverse of ``map_points``: (x - x_0) J_t^{-T}, x_0
+        the element's first vertex and t its Kuhn type."""
+        elements = np.asarray(elements)
+        origin = self.vertices[self.tets[elements, 0]][..., None, :]
+        return (points - origin) @ np.swapaxes(self.type_jac_invs[elements % 6], -1, -2)
+
     @property
     def cell_size(self):
         return self.domain.extent / np.asarray(self.n, dtype=float)
@@ -232,7 +240,7 @@ class Mesh:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         first = 6 * self.cell_flat_index(self.cell_index(pts))
-        ref = np.einsum("tde,ne->ntd", self.type_jac_invs, pts - self.vertices[self.tets[first, 0]])
+        ref = self.to_reference(pts[:, None, None], first[:, None] + np.arange(6))[:, :, 0]
         inside = np.all(ref >= -1e-10, axis=2) & (ref.sum(axis=2) <= 1.0 + 1e-10)
         return np.where(inside.any(axis=1), first + inside.argmax(axis=1), -1)
 

@@ -14,7 +14,7 @@ transpose.  Pre- and post-smoothing apply the same Chebyshev polynomial in
 D^{-1} A, D the block-Jacobi diagonal (Adams, Brezina, Hu & Tuminaro, JCP
 2003), so the cycle is symmetric; it carries D^{-1} r and applies D^{-1} A
 as one stencil product (``BlockJacobi.scaled``).  The coarsest level applies
-the dense inverse of its matrix, scattered from the stencil, not scipy.
+the inverse of its ``SparseSystem.dense()`` matrix, not scipy.
 
 The smoothing interval needs an upper bound for the spectrum of D^{-1} A,
 and on the Kuhn grid 2 is one, for every degree and epsilon.  Colour element
@@ -53,18 +53,6 @@ def level_grids(n, block_size=4):
     return grids
 
 
-def dense_matrix(system):
-    """A ``SparseSystem`` as a dense (ndof, ndof) array: its type blocks by the
-    neighbour table (the ghost column dropped), plus each ghost class's correction."""
-    ne, nb = system.n_blocks, system.block_size
-    dense, rows = np.zeros((ne, nb, ne + 1, nb)), np.arange(ne)
-    blocks = system.weights.reshape(6, 5, nb, nb).transpose(0, 1, 3, 2)
-    dense[rows[:, None], :, system.neighbours] = blocks[rows % 6]
-    fixed = system.fixed
-    dense[fixed, :, fixed] += np.repeat(system.corrections, np.diff(system.bounds), axis=0)
-    return dense[:, :, :ne].reshape(ne * nb, ne * nb)
-
-
 class Transfer:
     """Injection of coarse dG fields into the nested fine mesh, and its transpose.
 
@@ -82,8 +70,7 @@ class Transfer:
         a, b, c = np.arange(8) >> np.arange(3)[:, None] & 1  # child a + 2b + 4c
         children = fine.cell_tets(a + nx * (b + ny * c)).ravel()
         parent = coarse.find_elements(fine.centroids[children])  # one of 0..5, coarse cell 0
-        ref = np.einsum("emd,evd->evm", coarse.type_jac_invs[parent],
-                        fine.tet_coords(children) - coarse.vertices[0])  # the corner of cell 0
+        ref = coarse.to_reference(fine.tet_coords(children), parent)  # (48, 4, 3)
         # in its parent's reference coordinates a fine vertex is a multiple of 1/2
         bary = np.column_stack([1.0 - basis.nodes.sum(axis=1), basis.nodes])  # (nb, 4)
         nodes = bary @ (np.rint(2.0 * ref) / 2.0)  # (48, nb, 3): fine nodes in the parent
@@ -123,15 +110,15 @@ class VCycle:
         if system.discretization is None:
             raise ValueError(
                 "multigrid needs an operator built by assemble_stiffness; "
-                "this one carries no mesh to coarsen"
+                "this one carries no form to assemble on coarser meshes"
             )
-        mesh, spec, basis = system.discretization
+        (spec, basis), mesh = system.discretization, system.mesh
         self.A, self.grids, self.coarse = system, level_grids(mesh.n, basis.dim), coarse
         if coarse is None and len(self.grids) == 1:
-            self.coarse_inverse = np.linalg.inv(dense_matrix(system))
+            self.coarse_inverse = np.linalg.inv(system.dense())
             return
         self.coarse = coarse or VCycle(assemble_stiffness(mesh.coarsen(), spec, basis))
-        self.transfer = Transfer(mesh, self.coarse.A.discretization[0], basis)
+        self.transfer = Transfer(mesh, self.coarse.A.mesh, basis)
         self.dinv = system.block_jacobi()
 
     def smooth(self, z, x=None):

@@ -92,17 +92,20 @@ def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
     return total
 
 
-def _face_sq(field, sel, boundary=False, exact=None, curve=None, alpha=None):
-    """Integral over the selected faces of the squared interior jump of the
-    field, or on boundary faces of its trace minus ``exact``, at the fixed
-    2k+2 rule; weighted by dist(x, curve)^(2 alpha) given ``curve`` and ``alpha``.
-    With ``exact`` None or 0, faces of zero coefficients (jump 0) are dropped.
+def _face_sq(field, elements, local, exact=None, curve=None, alpha=None):
+    """Integral over the faces opposite local vertex ``local`` of ``elements``
+    (``_face_traces``) of the squared jump of the field, or on boundary faces
+    of its trace minus ``exact``, at the fixed 2k+2 rule; weighted by
+    dist(x, curve)^(2 alpha) given ``curve`` and ``alpha``.  With ``exact``
+    None or 0, faces of zero coefficients on every side (jump 0) are dropped.
     """
+    mesh = field.mesh
     if not (callable(exact) or exact):
-        owners = field.mesh.bface_elem[:, None] if boundary else field.mesh.iface_elems
-        sel = np.arange(len(owners))[sel][field.coeffs[owners[sel]].any(axis=(1, 2))]
+        nonzero = np.append(field.coeffs.any(axis=1), False)  # False at the ghost index
+        keep = nonzero[elements] | nonzero[mesh.neighbours[elements, 1 + local]]
+        elements, local = elements[keep], local[keep]
     rule = _basis.tri_quadrature(2 * field.degree + 2)
-    x, w, sides = _face_traces(field.mesh, field.basis, rule, boundary, sel)
+    x, w, sides = _face_traces(mesh, field.basis, rule, elements, local)
     traces = [np.einsum("fi,fqi->fq", field.coeffs[e], V) for e, V, _ in sides]
     jump2 = _minus(traces[0] - traces[1] if len(traces) == 2 else traces[0], exact, x) ** 2
     if alpha is None:
@@ -117,11 +120,11 @@ def _dg_sq(field, exact, exact_grad, sigma, region, curve=None, alpha=None):
     mask = region_element_mask(mesh, region)
     total = _volume_sq(field, np.flatnonzero(mask), exact_grad, grad=True, curve=curve, alpha=alpha)
     w_jump = sigma / mesh.grid_spacing
-    faces = np.flatnonzero(mask[mesh.iface_elems[:, 0]] & mask[mesh.iface_elems[:, 1]])
-    if faces.size:
-        total += w_jump * _face_sq(field, faces, curve=curve, alpha=alpha)
+    faces = mask[mesh.iface_elems[:, 0]] & mask[mesh.iface_elems[:, 1]]
+    total += w_jump * _face_sq(field, mesh.iface_elems[faces, 0], mesh.iface_local[faces, 0],
+                               curve=curve, alpha=alpha)
     if region is None:
-        total += w_jump * _face_sq(field, slice(None), True, exact, curve=curve, alpha=alpha)
+        total += w_jump * _face_sq(field, mesh.bface_elem, mesh.bface_local, exact, curve, alpha)
     return total
 
 

@@ -210,10 +210,10 @@ def test_face_traces_match_pointwise_evaluation(k):
     """Reference-table traces equal the basis mapped back from each face point."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(k)
-    rows = (4 * (mesh.iface_elems[:, 0] % 6) + mesh.iface_local[:, 0],
-            4 * (mesh.bface_elem % 6) + mesh.bface_local)
-    for boundary, normals in zip((False, True), (mesh.face_normals[r] for r in rows)):
-        x, w, sides = _face_traces(mesh, basis, fb.tri_quadrature(2 * k + 2), boundary)
+    faces = ((mesh.iface_elems[:, 0], mesh.iface_local[:, 0]), (mesh.bface_elem, mesh.bface_local))
+    for boundary, (elements, local) in zip((False, True), faces):
+        normals = mesh.face_normals[4 * (elements % 6) + local]
+        x, w, sides = _face_traces(mesh, basis, fb.tri_quadrature(2 * k + 2), elements, local)
         assert len(sides) == (1 if boundary else 2)
         for elems, V, Gn in sides:
             for f, e in enumerate(elems):
@@ -235,8 +235,9 @@ def _full_mesh_reference(mesh, basis, volume, face_form):
     if volume is not None:
         data[slot[:ne]] = volume
     if face_form is not None:
-        for boundary, sides in ((False, mesh.iface_elems.T), (True, [mesh.bface_elem])):
-            blocks = _face_term_blocks(mesh, basis, face_form, boundary)
+        for boundary, sides, local in ((False, mesh.iface_elems.T, mesh.iface_local[:, 0]),
+                                       (True, [mesh.bface_elem], mesh.bface_local)):
+            blocks = _face_term_blocks(mesh, basis, face_form, sides[0], local)
             for b, eb in enumerate(sides):
                 np.add.at(data, slot[eb], blocks[b][b])
                 if not boundary:
@@ -326,14 +327,51 @@ def test_operators_store_blocks_per_type_and_per_class_only():
         mesh = build_box_mesh(SLAB, n)
         A = assemble_stiffness(mesh, DGSpec.default(2), basis)
         M, G = assemble_mass(mesh, basis), assemble_dg_norm_gram(mesh, basis, 7.0)
-        assert A.neighbours is M.neighbours is G.neighbours is mesh.neighbours
-        assert A.fixed is M.fixed is G.fixed is mesh.boundary_elements
+        assert A.mesh is M.mesh is G.mesh is mesh
         assert A.corrections.shape == (18, basis.dim, basis.dim)
         shapes.append([{name: np.shape(value) for name, value in vars(S).items()
-                        if isinstance(value, np.ndarray) and name not in ("neighbours", "fixed")}
-                       for S in (A, M, G)])
+                        if isinstance(value, np.ndarray)} for S in (A, M, G)])
     assert shapes[0] == shapes[1]
-    assert set(shapes[0][0]) == {"weights", "bounds", "corrections"}
+    assert set(shapes[0][0]) == {"weights", "corrections"}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_operators_do_not_read_the_order_of_the_face_lists(k):
+    """Stiffness (every epsilon), mass and Gram operators on 4x4x2 take their
+    faces from the Kuhn layout, not from the mesh's face lists: permuting the
+    interior and boundary face lists leaves them bitwise unchanged."""
+    mesh = build_box_mesh(SLAB, (4, 4, 2))
+    basis = fb.make_basis(k)
+
+    def operators():
+        ops = [assemble_stiffness(mesh, DGSpec.default(k, eps), basis) for eps in (-1, 0, 1)]
+        return ops + [assemble_mass(mesh, basis), assemble_dg_norm_gram(mesh, basis, 7.0)]
+
+    before = operators()
+    rng = np.random.default_rng(k)
+    inner, outer = rng.permutation(len(mesh.iface_elems)), rng.permutation(len(mesh.bface_elem))
+    mesh.iface_elems, mesh.iface_local = mesh.iface_elems[inner], mesh.iface_local[inner]
+    mesh.bface_elem, mesh.bface_local = mesh.bface_elem[outer], mesh.bface_local[outer]
+    for old, new in zip(before, operators()):
+        assert np.array_equal(old.weights, new.weights)
+        assert np.array_equal(old.corrections, new.corrections)
+
+
+def test_operators_add_on_one_kuhn_layout():
+    """Operators add when their meshes have the same cell counts, also when
+    the meshes were built separately, and the sum holds the first operand's
+    mesh; meshes of other counts raise, even with as many elements."""
+    basis = fb.make_basis(1)
+    A = assemble_stiffness(build_box_mesh(SLAB, (4, 4, 2)), DGSpec.default(1), basis)
+    M = assemble_mass(build_box_mesh(SLAB, (4, 4, 2)), basis)
+    S = M + 0.01 * A
+    assert S.mesh is M.mesh and S.symmetric
+    x = np.random.default_rng(0).standard_normal(S.ndof)
+    expected = M @ x + 0.01 * (A @ x)
+    assert np.abs(S @ x - expected).max() <= 1e-13 * np.abs(expected).max()
+    for n in ((4, 4, 1), (4, 2, 4), (2, 4, 4)):
+        with pytest.raises(ValueError, match="different meshes"):
+            M + assemble_mass(build_box_mesh(SLAB, n), basis)
 
 
 def test_stiffness_evaluates_few_faces(monkeypatch):
@@ -343,9 +381,9 @@ def test_stiffness_evaluates_few_faces(monkeypatch):
     counts = {False: 0, True: 0}
     traces = assembly._face_traces
 
-    def counting(mesh, basis, rule, boundary=False, sel=slice(None)):
-        out = traces(mesh, basis, rule, boundary, sel)
-        counts[boundary] += len(out[1])
+    def counting(mesh, basis, rule, elements, local):
+        out = traces(mesh, basis, rule, elements, local)
+        counts[len(out[2]) == 1] += len(out[1])
         return out
 
     monkeypatch.setattr(assembly, "_face_traces", counting)

@@ -250,10 +250,11 @@ def test_nested_study_shares_one_hierarchy(tmp_path, monkeypatch):
     built and inverted once.  Starting from the prolonged coarser solution
     takes no more CG iterations than a solve from zero with a fresh hierarchy."""
     from linedg import cli, multigrid
+    from linedg.assembly import SparseSystem
     from linedg.solver import solve
 
     calls = {"assemble": 0, "dense": 0}
-    assemble, dense = multigrid.assemble_stiffness, multigrid.dense_matrix
+    assemble, dense = multigrid.assemble_stiffness, SparseSystem.dense
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -262,7 +263,7 @@ def test_nested_study_shares_one_hierarchy(tmp_path, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(multigrid, "assemble_stiffness", counting("assemble", assemble))
-    monkeypatch.setattr(multigrid, "dense_matrix", counting("dense", dense))
+    monkeypatch.setattr(SparseSystem, "dense", counting("dense", dense))
     solved = []
 
     def recording(system, b, config, **kwargs):

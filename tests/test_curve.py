@@ -46,7 +46,7 @@ def clip_reference(p0, p1):
     """(t0, t1) of segment p0->p1 inside the reference tet, or None."""
     tet = fb.REF_TET_VERTICES
     _, _, jinv = fb.tet_jacobian(tet)
-    t0, t1, hit = clip_segment_tets(p0, p1, tet[None, 0], jinv[None])
+    t0, t1, hit = clip_segment_tets(((np.stack([p0, p1]) - tet[0]) @ jinv.T)[None])
     return (t0[0], t1[0]) if hit[0] else None
 
 

@@ -198,6 +198,19 @@ def test_map_points_matches_pointwise_affine_map():
     assert np.array_equal(m.map_points(ref, some), m.map_points(ref)[some])
 
 
+def test_to_reference_inverts_map_points():
+    """Reference points mapped into every element, or into an (m, k) array of
+    elements, map back to themselves."""
+    m = build_box_mesh(BoxDomain(lo=[-0.5, 0.2, 0.1], hi=[0.5, 1.5, 0.5]), (5, 7, 2))
+    ref = np.vstack([fb.tet_quadrature(6).points, fb.make_basis(2).nodes])
+    every = np.arange(m.n_elements)
+    assert np.abs(m.to_reference(m.map_points(ref), every) - ref).max() <= 1e-13
+    some = np.array([[0, 17, 5], [m.n_elements - 1, 40, 3]])
+    back = m.to_reference(m.map_points(ref, some), some)
+    assert back.shape == (2, 3, len(ref), 3)
+    assert np.abs(back - ref).max() <= 1e-13
+
+
 def lexsort_faces(m):
     """Reference face matching: the 4 ne faces, row 4 e + f the face of element
     e opposite its local vertex f, paired by a lexsort of their sorted vertex

@@ -112,7 +112,7 @@ def test_face_graph_two_coloured(n, form):
         k, epsilon = form
         system = assemble_stiffness(mesh, DGSpec.default(k, epsilon), fb.make_basis(k))
     colour = kuhn_colours(mesh)
-    faces = system.neighbours[:, 1:]
+    faces = system.mesh.neighbours[:, 1:]
     rows, slots = np.nonzero(faces < mesh.n_elements)
     assert len(rows) == 2 * len(mesh.iface_elems)
     assert np.all(colour[rows] != colour[faces[rows, slots]])
@@ -158,7 +158,7 @@ def test_scaled_block_jacobi_is_dinv_of_the_product(n, k, epsilon):
 def test_dense_coarse_matrix_is_the_operator(k):
     for n, epsilon in (((4, 4, 1), -1), ((3, 2, 1), 1)):
         A = assemble_stiffness(build_box_mesh(SLAB, n), DGSpec.default(k, epsilon), fb.make_basis(k))
-        assert np.array_equal(multigrid.dense_matrix(A), A.matrix.toarray())
+        assert np.array_equal(A.dense(), A.matrix.toarray())
 
 
 def reference_vcycle(level, r):
@@ -217,7 +217,7 @@ def test_multigrid_cg_iterations_bounded(n, k):
 
 def test_multigrid_needs_a_stiffness_hierarchy():
     A = stiffness((4, 4, 2), 1)
-    mass = assemble_mass(A.discretization[0], A.discretization[2])
+    mass = assemble_mass(A.mesh, A.discretization[1])
     copy = CsrSystem(A.matrix, A.block_size, A.symmetric)
     for system in (mass, copy):
         with pytest.raises(ValueError, match="assemble_stiffness"):
@@ -247,7 +247,7 @@ def test_multigrid_refuses_large_coarsest_grid(monkeypatch):
     def no_dense(*args, **kwargs):
         raise AssertionError("the dense coarse matrix must not be built")
 
-    monkeypatch.setattr(multigrid, "dense_matrix", no_dense)
+    monkeypatch.setattr(SparseSystem, "dense", no_dense)
     A = stiffness((13, 13, 3), 1)
     with pytest.raises(ValueError, match=r"\(13, 13, 3\)"):
         make_preconditioner(A, "multigrid")

@@ -39,7 +39,10 @@ def face_sq(field, boundary, exact=None, curve=None, alpha=None):
     """Sum over all interior (or boundary) faces of the integral of the squared
     jump (or trace minus ``exact``), weighted by d^(2 alpha) given ``alpha``."""
     rule = fb.tri_quadrature(2 * field.degree + 2)
-    x, w, sides = _face_traces(field.mesh, field.basis, rule, boundary)
+    mesh = field.mesh
+    faces = (mesh.bface_elem, mesh.bface_local) if boundary else (mesh.iface_elems[:, 0],
+                                                                  mesh.iface_local[:, 0])
+    x, w, sides = _face_traces(mesh, field.basis, rule, *faces)
     traces = [np.einsum("fi,fqi->fq", field.coeffs[e], V) for e, V, _ in sides]
     jump = traces[0] - traces[1] if len(traces) == 2 else _minus(traces[0], exact, x)
     if alpha is not None:
