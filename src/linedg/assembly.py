@@ -87,7 +87,9 @@ class SparseSystem:
     diagonal blocks of class i, the mesh's ``boundary_elements`` in rows
     ``class_bounds[i]:class_bounds[i + 1]``.  ``matrix`` builds the same
     operator as a BSR matrix, on first access and at its full size, and
-    ``dense()`` as a dense array.
+    ``dense()`` as a dense array.  Products compute in the dtype of the
+    weights: ``astype(dtype)`` casts the blocks, so that the multigrid
+    preconditioner can smooth with a float32 copy of a float64 operator.
 
     ``symmetric`` selects CG in ``solver.solve`` (BiCGStab otherwise); the
     assembly sets it for the epsilon = -1 stiffness and for the mass and
@@ -117,7 +119,7 @@ class SparseSystem:
     def _per_type(self, weights, rows):
         """Each element's row of ``rows`` (ne, m nb) times its type's ``weights`` (m nb, nb)."""
         ne, nb = self.n_blocks, self.block_size
-        y, rows = np.empty((ne // 6, 6, nb)), rows.reshape(ne // 6, 6, -1)
+        y, rows = np.empty((ne // 6, 6, nb), weights.dtype), rows.reshape(ne // 6, 6, -1)
         np.matmul(rows.transpose(1, 0, 2), weights, out=y.transpose(1, 0, 2))
         return y.reshape(ne, nb)
 
@@ -126,7 +128,7 @@ class SparseSystem:
         each element neighbourhood of x (the element and its 4 neighbours)
         with its type's ``weights`` (5 nb, nb)."""
         ne, nb = self.n_blocks, self.block_size
-        xe = np.empty((ne + 1, nb))
+        xe = np.empty((ne + 1, nb), weights.dtype)
         xe[:ne] = np.reshape(x, (ne, nb))
         xe[ne] = 0.0
         return xe, self._per_type(weights, np.take(xe, self.mesh.neighbours, 0))
@@ -150,10 +152,20 @@ class SparseSystem:
         """Another operator on the same mesh: other blocks."""
         return SparseSystem(self.mesh, weights, corrections, symmetric)
 
+    def astype(self, dtype):
+        """This operator with its blocks cast to ``dtype``: same mesh, symmetry
+        and discretization; its products compute in ``dtype``."""
+        return SparseSystem(self.mesh, self.weights.astype(dtype), self.corrections.astype(dtype),
+                             self.symmetric, self.discretization)
+
     def __add__(self, other):
-        """Sum of two operators on one Kuhn layout: meshes of equal cell counts."""
-        if self.mesh.n != other.mesh.n:
+        """Sum of two operators in one dtype on one Kuhn layout: meshes of equal
+        cell counts on one box."""
+        if self.mesh.n != other.mesh.n or self.mesh.domain != other.mesh.domain:
             raise ValueError("operators on different meshes cannot be added")
+        if self.weights.dtype != other.weights.dtype:
+            raise ValueError(f"operators in {self.weights.dtype} and {other.weights.dtype} "
+                             "cannot be added")
         return self._with(self.weights + other.weights, self.corrections + other.corrections,
                           self.symmetric and other.symmetric)
 
@@ -201,19 +213,25 @@ class BlockJacobi:
     = D^{-1} A x; ValueError on a singular block.  Inverts D_t per Kuhn type and
     D_c = D_t + C_c per ghost class c, C_c its correction.  ``scaled`` is one
     stencil product with the weights W_t D_t^{-T}, y' = D_t^{-1} (A x - C_c x_e),
-    then on fixed elements D_c^{-1} (D_t y' + C_c x_e) = y' + D_c^{-1} C_c (x_e - y')."""
+    then on fixed elements D_c^{-1} (D_t y' + C_c x_e) = y' + D_c^{-1} C_c (x_e - y').
+    The blocks are inverted and multiplied in float64 and stored in the dtype
+    of the operator, the dtype its products compute in."""
 
     def __init__(self, system):
-        self.system = system
-        diagonal = system.weights[:, :system.block_size].transpose(0, 2, 1)
+        self.system, dtype = system, system.weights.dtype
+        weights = system.weights.astype(float, copy=False)
+        corrections = system.corrections.astype(float, copy=False)
+        diagonal = weights[:, :system.block_size].transpose(0, 2, 1)
         types = system.mesh.ghost_classes // 16
         try:
-            self.inverse = np.linalg.inv(diagonal).transpose(0, 2, 1)
-            self.fixed_inverse = np.linalg.inv(diagonal[types] + system.corrections)
+            inverse = np.linalg.inv(diagonal).transpose(0, 2, 1)
+            fixed_inverse = np.linalg.inv(diagonal[types] + corrections)
         except np.linalg.LinAlgError as err:
             raise ValueError("singular diagonal block; cannot form block-Jacobi") from err
-        self.scaled_weights = system.weights @ self.inverse
-        self.fixups = self.fixed_inverse @ system.corrections  # D_c^{-1} C_c
+        self.inverse = inverse.astype(dtype, copy=False)
+        self.fixed_inverse = fixed_inverse.astype(dtype, copy=False)
+        self.scaled_weights = (weights @ inverse).astype(dtype, copy=False)
+        self.fixups = (fixed_inverse @ corrections).astype(dtype, copy=False)  # D_c^{-1} C_c
 
     def __call__(self, x):
         A, fixed = self.system, self.system.mesh.boundary_elements

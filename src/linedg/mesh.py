@@ -29,6 +29,10 @@ class BoxDomain:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    def __eq__(self, other):
+        return (isinstance(other, BoxDomain) and np.array_equal(self.lo, other.lo)
+                and np.array_equal(self.hi, other.hi))
+
     @property
     def extent(self):
         return self.hi - self.lo

@@ -16,6 +16,17 @@ D^{-1} A, D the block-Jacobi diagonal (Adams, Brezina, Hu & Tuminaro, JCP
 as one stencil product (``BlockJacobi.scaled``).  The coarsest level applies
 the inverse of its ``SparseSystem.dense()`` matrix, not scipy.
 
+The smoothing levels compute in the dtype a ``VCycle`` is given, and a solve
+gives ``CYCLE_DTYPE``, float32: each level streams its stencil weights and
+ndof-sized vectors several times, so float32 halves the bytes of the cycle
+while CG keeps its iterates, its products and its true-residual check in
+float64 (the split of Kronbichler & Wall, SISC 2018).  Every level is
+assembled, and its transfer and block-Jacobi blocks are built and inverted,
+in float64, then cast where applied.  The coarsest level keeps its float64 inverse and
+applies it in float64: alone on a grid that does not coarsen it is the
+whole preconditioner, and the inverse of the float32-rounded matrix costs
+CG a second iteration there.
+
 The smoothing interval needs an upper bound for the spectrum of D^{-1} A,
 and on the Kuhn grid 2 is one, for every degree and epsilon.  Colour element
 6c + t of cell (i, j, k) by i + j + k plus the parity of the axis order of
@@ -35,6 +46,7 @@ from .assembly import assemble_stiffness
 CHEBYSHEV_DEGREE = 3
 CHEBYSHEV_RATIO = 8.0  # upper over lower end of the smoothing interval
 COARSEST_MAX_DOF = 2048  # largest coarse matrix inverted densely (32 MiB)
+CYCLE_DTYPE = np.float32  # the smoothing levels of a solve's V-cycle
 
 
 def level_grids(n, block_size=4):
@@ -60,11 +72,11 @@ class Transfer:
     a + 2b + 4c.  ``blocks[t]`` (nb, 8 nb) injects a coarse element of Kuhn
     type t into its 8 fine ones, alike in every cell; ``order`` reads the fine
     elements, in mesh order, off the products of all cells grouped by type.
+    The blocks are float64; both maps compute in the dtype of x.
     """
 
     def __init__(self, fine, coarse, basis):
-        boxes = (fine.domain.lo, fine.domain.hi), (coarse.domain.lo, coarse.domain.hi)
-        if not all(map(np.array_equal, *boxes)) or fine.n != tuple(2 * v for v in coarse.n):
+        if fine.domain != coarse.domain or fine.n != tuple(2 * v for v in coarse.n):
             raise ValueError(f"grid {fine.n} is not nested in grid {coarse.n}")
         nx, ny, _ = fine.n
         a, b, c = np.arange(8) >> np.arange(3)[:, None] & 1  # child a + 2b + 4c
@@ -84,29 +96,32 @@ class Transfer:
         self.order = rows.reshape(*coarse.n[::-1], 2, 2, 2, 6).transpose(0, 3, 1, 4, 2, 5, 6).ravel()
 
     def prolong(self, x):
-        nb = self.blocks.shape[1]
-        y = np.matmul(np.reshape(x, (-1, 6, nb)).transpose(1, 0, 2), self.blocks)
+        nb, blocks = self.blocks.shape[1], self.blocks.astype(x.dtype, copy=False)
+        y = np.matmul(np.reshape(x, (-1, 6, nb)).transpose(1, 0, 2), blocks)
         return np.take(y.reshape(-1, nb), self.order, axis=0).ravel()
 
     def restrict(self, x):
-        nb = self.blocks.shape[1]
-        grouped = np.empty((len(self.order), nb))
+        nb, blocks = self.blocks.shape[1], self.blocks.astype(x.dtype, copy=False)
+        grouped = np.empty((len(self.order), nb), x.dtype)
         grouped[self.order] = np.reshape(x, (-1, nb))
-        y = np.matmul(grouped.reshape(6, -1, 8 * nb), self.blocks.transpose(0, 2, 1))
+        y = np.matmul(grouped.reshape(6, -1, 8 * nb), blocks.transpose(0, 2, 1))
         return y.transpose(1, 0, 2).ravel()
 
 
 class VCycle:
     """Symmetric V-cycle y = B r for an operator built by ``assemble_stiffness``.
 
-    A level smooths with ``A`` and corrects by ``coarse``, the V-cycle of the
-    halved grid (coarsened and assembled here unless given; ValueError unless
-    nested); the coarsest level, ``coarse`` None, applies the dense inverse
-    of its matrix.  ``grids`` lists the cell counts of the levels, finest
-    first.  It keeps no work vectors, so it may run in several threads.
+    A level smooths with ``A``, ``system`` cast to ``dtype`` (default: the
+    system's own), and corrects by ``coarse``, the V-cycle of the halved grid
+    (coarsened, assembled in float64 and run in ``dtype`` here unless given;
+    ValueError unless nested); the coarsest level, ``coarse`` None, applies
+    the float64 inverse of its matrix in float64.  A level casts r to its
+    ``dtype`` and its correction back to r's.  ``grids`` lists the cell
+    counts of the levels, finest first.  Its work vectors are allocated per
+    call, not kept, so one V-cycle may run in several threads.
     """
 
-    def __init__(self, system, coarse=None):
+    def __init__(self, system, coarse=None, dtype=None):
         if system.discretization is None:
             raise ValueError(
                 "multigrid needs an operator built by assemble_stiffness; "
@@ -116,32 +131,43 @@ class VCycle:
         self.A, self.grids, self.coarse = system, level_grids(mesh.n, basis.dim), coarse
         if coarse is None and len(self.grids) == 1:
             self.coarse_inverse = np.linalg.inv(system.dense())
+            self.dtype = self.coarse_inverse.dtype
             return
-        self.coarse = coarse or VCycle(assemble_stiffness(mesh.coarsen(), spec, basis))
+        self.dtype = system.weights.dtype if dtype is None else np.dtype(dtype)
+        self.A = system.astype(self.dtype)
+        if coarse is None:
+            self.coarse = VCycle(assemble_stiffness(mesh.coarsen(), spec, basis), dtype=self.dtype)
         self.transfer = Transfer(mesh, self.coarse.A.mesh, basis)
-        self.dinv = system.block_jacobi()
+        self.dinv = self.A.block_jacobi()
 
-    def smooth(self, z, x=None):
+    def smooth(self, z, x, work, zero=False):
         """Chebyshev iteration of degree ``CHEBYSHEV_DEGREE`` for A x = b, z = D^{-1} b,
-        from x (updated in place) or zero, on the interval of the module docstring."""
+        on the interval of the module docstring: from x, or from zero with ``zero``,
+        updated in place.  ``work`` holds three vectors of the size of x."""
         theta, delta = 1.0 + 1.0 / CHEBYSHEV_RATIO, 1.0 - 1.0 / CHEBYSHEV_RATIO  # [2/ratio, 2]
         sigma, rho = theta / delta, delta / theta
-        z = z if x is None else z - self.dinv.scaled(x)
-        d = z / theta
-        x = d.copy() if x is None else np.add(x, d, out=x)
+        w, d, t = work  # w: D^{-1} times the residual
+        if zero:
+            x.fill(0.0)
+            w[:] = z
+        else:
+            np.subtract(z, self.dinv.scaled(x), out=w)
+        x += np.divide(w, theta, out=d)
         for _ in range(CHEBYSHEV_DEGREE - 1):
-            z = z - self.dinv.scaled(d)
+            w -= self.dinv.scaled(d)
             rho_new = 1.0 / (2.0 * sigma - rho)
             d *= rho_new * rho
-            d += (2.0 * rho_new / delta) * z
+            d += np.multiply(w, 2.0 * rho_new / delta, out=t)
             x += d
             rho = rho_new
         return x
 
     def __call__(self, r):
         if self.coarse is None:
-            return self.coarse_inverse @ r
-        z = self.dinv(r)
-        x = self.smooth(z)
-        x += self.transfer.prolong(self.coarse(self.transfer.restrict(r - self.A @ x)))
-        return self.smooth(z, x)
+            return (self.coarse_inverse @ r).astype(r.dtype, copy=False)
+        b = r.astype(self.dtype, copy=False)
+        z = self.dinv(b)
+        x, work = np.empty(len(z), self.dtype), np.empty((3, len(z)), self.dtype)
+        self.smooth(z, x, work, zero=True)
+        x += self.transfer.prolong(self.coarse(self.transfer.restrict(b - self.A @ x)))
+        return self.smooth(z, x, work).astype(r.dtype, copy=False)

@@ -41,14 +41,14 @@ class SolveResult(NamedTuple):
 def make_preconditioner(system, kind):
     """Return y = M^{-1} x as a callable for the requested preconditioner.
 
-    ``block_jacobi`` is ``system.block_jacobi()``; ``multigrid`` needs an
-    assembled stiffness operator (see ``multigrid.VCycle``); any other
-    operator raises ValueError.
+    ``block_jacobi`` is ``system.block_jacobi()``; ``multigrid`` is a
+    ``multigrid.VCycle`` that smooths in ``multigrid.CYCLE_DTYPE`` and needs
+    an assembled stiffness operator; any other operator raises ValueError.
     """
     if kind == "none":
         return lambda x: x
     if kind == "multigrid":
-        return multigrid.VCycle(system)
+        return multigrid.VCycle(system, dtype=multigrid.CYCLE_DTYPE)
     if kind != "block_jacobi":
         raise ValueError(f"unknown preconditioner {kind!r}")
     return system.block_jacobi()

@@ -374,6 +374,37 @@ def test_operators_add_on_one_kuhn_layout():
             M + assemble_mass(build_box_mesh(SLAB, n), basis)
 
 
+def test_operators_of_other_boxes_or_dtypes_do_not_add():
+    """Equal cell counts are not enough: a 4x4x2 mass on the slab and one on
+    [0, 2]^3 raise, and so do two operators in different dtypes."""
+    basis = fb.make_basis(1)
+    M = assemble_mass(build_box_mesh(SLAB, (4, 4, 2)), basis)
+    cube = build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[2, 2, 2]), (4, 4, 2))
+    with pytest.raises(ValueError, match="different meshes"):
+        M + assemble_mass(cube, basis)
+    with pytest.raises(ValueError, match="float64 and float32"):
+        M + M.astype(np.float32)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_astype_keeps_the_operator_and_computes_in_its_dtype(k):
+    """A float32 copy keeps mesh, symmetry and discretization; its product and
+    block-Jacobi (inverted in float64, stored in float32) return float32 and
+    agree with the float64 ones to float32 rounding."""
+    A = assemble_stiffness(build_box_mesh(SLAB, (4, 4, 2)), DGSpec.default(k), fb.make_basis(k))
+    A32 = A.astype(np.float32)
+    assert A32.mesh is A.mesh and A32.symmetric and A32.discretization is A.discretization
+    assert A32.weights.dtype == A32.corrections.dtype == np.float32
+    dinv, dinv32 = A.block_jacobi(), A32.block_jacobi()
+    x = np.random.default_rng(k).standard_normal(A.ndof)
+    tol = 10 * np.finfo(np.float32).eps
+    for got, expected in ((A32 @ x.astype(np.float32), A @ x),
+                          (dinv32(x.astype(np.float32)), dinv(x)),
+                          (dinv32.scaled(x.astype(np.float32)), dinv.scaled(x))):
+        assert got.dtype == np.float32
+        assert np.linalg.norm(got - expected) <= tol * np.linalg.norm(expected)
+
+
 def test_stiffness_evaluates_few_faces(monkeypatch):
     """On 8x6x3 the stiffness evaluates its face form on a few faces per
     (Kuhn type, local face) pair, of which there are 24: at most 48 of the

@@ -240,8 +240,10 @@ def test_metadata_records_the_preconditioner(tmp_path, preconditioner):
     if preconditioner == "multigrid":
         assert [r["multigrid_levels"] for r in runs] == [1, 2]
         assert [r["coarsest_grid"] for r in runs] == [[4, 4, 1], [4, 4, 1]]
+        # one level is its float64 dense inverse alone; two smooth in float32
+        assert [r["multigrid_dtype"] for r in runs] == ["float64", "float32"]
     else:
-        assert all("multigrid_levels" not in r for r in runs)
+        assert all("multigrid_levels" not in r and "multigrid_dtype" not in r for r in runs)
 
 
 def test_nested_study_shares_one_hierarchy(tmp_path, monkeypatch):
@@ -278,6 +280,7 @@ def test_nested_study_shares_one_hierarchy(tmp_path, monkeypatch):
     assert calls == {"assemble": 0, "dense": 1}
     runs = yaml.safe_load((tmp_path / "metadata.yaml").read_text())["runs"]
     assert [r["multigrid_levels"] for r in runs] == [1, 2, 3]
+    assert [r["multigrid_dtype"] for r in runs] == ["float64", "float32", "float32"]
     from_zero = [solve(system, b, cfg.solver).iterations for system, b in solved]
     assert len(from_zero) == 3
     assert all(r["iterations"] <= i for r, i in zip(runs, from_zero))

@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -140,6 +142,67 @@ def test_vcycle_symmetric_positive(k):
         assert x @ B(x) > 0.0
 
 
+FLOAT32_TOL = 10 * np.finfo(np.float32).eps
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_float32_vcycle_symmetric_positive(k):
+    """The cycle a solve builds smooths in float32 and returns float64; it is
+    symmetric up to float32 rounding of B y, |x.By - y.Bx| <= tol |x| |By|."""
+    A = stiffness((8, 8, 2), k)
+    B = make_preconditioner(A, "multigrid")
+    assert B.dtype == np.float32 and B.A.weights.dtype == np.float32
+    assert B.coarse.dtype == np.float64  # the coarsest inverse
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, A.ndof))
+        by = B(y)
+        assert by.dtype == np.float64
+        assert abs(x @ by - y @ B(x)) <= FLOAT32_TOL * np.linalg.norm(x) * np.linalg.norm(by)
+        assert x @ B(x) > 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_float32_vcycle_matches_the_float64_cycle(k):
+    A = stiffness((16, 16, 4), k)
+    B32, B64 = make_preconditioner(A, "multigrid"), VCycle(A)
+    assert [B32.dtype, B32.coarse.dtype, B32.coarse.coarse.dtype] == [np.float32] * 2 + [np.float64]
+    assert B64.dtype == B64.coarse.dtype == np.float64
+    r = np.random.default_rng(7).standard_normal(A.ndof)
+    expected = B64(r)
+    assert np.linalg.norm(B32(r) - expected) <= 1e-5 * np.linalg.norm(expected)
+
+
+def test_one_vcycle_runs_in_two_threads():
+    """Work vectors are allocated per call: two threads applying one cycle to
+    different vectors get bitwise what serial calls return."""
+    A = stiffness((8, 8, 2), 2)
+    B = make_preconditioner(A, "multigrid")
+    rs = np.random.default_rng(4).standard_normal((2, A.ndof))
+    serial = [B(r) for r in rs]
+    barrier, results = threading.Barrier(2), [[], []]
+
+    def run(i):
+        barrier.wait(timeout=30)
+        for _ in range(10):
+            results[i].append(B(rs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(2):
+        assert len(results[i]) == 10
+        assert all(np.array_equal(y, serial[i]) for y in results[i])
+
+
 @pytest.mark.parametrize("epsilon", [-1, 0, 1])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [(3, 2, 1), (4, 4, 2)], ids=["3x2x1", "4x4x2"])
@@ -205,14 +268,34 @@ def test_multigrid_cg_iterations_bounded(n, k):
     A = stiffness(n, k)
     b = np.random.default_rng(2).standard_normal(A.ndof)
     rel_tol = 1e-11
-    mg = solve(A, b, SolverConfig(rel_tol=rel_tol, preconditioner="multigrid"))
+    config = SolverConfig(rel_tol=rel_tol, preconditioner="multigrid")
+    mg = solve(A, b, config)
     bj = solve(A, b, SolverConfig(rel_tol=rel_tol, preconditioner="block_jacobi"))
     assert mg.iterations <= 25
+    # the float32 cycle of a solve takes as many iterations as the float64 one
+    assert mg.iterations == solve(A, b, config, precond=VCycle(A)).iterations
     assert mg.iterations < bj.iterations
     # both residuals are below rel_tol * |b|; so the solutions differ by at
     # most 2 rel_tol |b| / lambda_min(A) in norm
     diff = A.matrix @ (mg.x - bj.x)
     assert np.linalg.norm(diff) <= 2 * rel_tol * np.linalg.norm(b)
+
+
+# BiCGStab iterations of the README table (beta = 1, sigma doubled, random b,
+# rel_tol 1e-10) on 8x8x2 and 16x16x4, degree 2 on 8x8x2
+NONSYMMETRIC_ITERATIONS = {(1, 0): [8, 10], (1, 1): [7, 10], (2, 0): [11], (2, 1): [11]}
+
+
+@pytest.mark.parametrize("k, epsilon", list(NONSYMMETRIC_ITERATIONS))
+def test_float32_cycle_keeps_the_nonsymmetric_iterations(k, epsilon):
+    for n, bound in zip([(8, 8, 2), (16, 16, 4)], NONSYMMETRIC_ITERATIONS[k, epsilon]):
+        spec = DGSpec(k=k, epsilon=epsilon, sigma=2 * DGSpec.default(k).sigma, beta=1.0)
+        A = assemble_stiffness(build_box_mesh(SLAB, n), spec, fb.make_basis(k))
+        assert not A.symmetric
+        b = np.random.default_rng(0).standard_normal(A.ndof)
+        res = solve(A, b, SolverConfig(rel_tol=1e-10, preconditioner="multigrid"))
+        assert res.iterations <= bound, n
+        assert res.residual <= 1e-10 * np.linalg.norm(b)
 
 
 def test_multigrid_needs_a_stiffness_hierarchy():
@@ -267,8 +350,8 @@ def test_hierarchy_freed_when_solve_returns(monkeypatch):
     refs = []
 
     class Recording(VCycle):
-        def __init__(self, system, coarse=None):
-            super().__init__(system, coarse)
+        def __init__(self, system, coarse=None, dtype=None):
+            super().__init__(system, coarse, dtype)
             if self.coarse is not None:  # the finest level; the coarsest has no dinv
                 refs.append(weakref.ref(self.dinv))
 
