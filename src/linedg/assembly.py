@@ -33,6 +33,10 @@ from .errors import AssemblyError
 # coercivity probe in the test suite guards the rest
 SIGMA_FLOOR = {-1: 1.0, 0: 1.0, 1: 0.0}
 
+# grid cells per neighbourhood gather in ``SparseSystem._stencil``; at 32x32x8
+# 128 cells were slower at k = 1 and 512 cells slower at k = 3
+STENCIL_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class DGSpec:
@@ -80,10 +84,11 @@ class SparseSystem:
     for a boundary face.  On the Kuhn grid these blocks depend only on t, so
     ``weights[t]`` (5 nb, nb) stacks the 5 transposed blocks once per type;
     ``system @ x`` gathers x per element neighbourhood and multiplies by its
-    type's weights.  Only the diagonal blocks of the elements with a boundary
-    face differ from their type's, by a block that depends only on the
-    element's ghost class (``Mesh.ghost_classes``: its type and which of its
-    faces are on the boundary): ``corrections[i]`` (nb, nb) adds to the
+    type's weights, a chunk of cells at a time (``_stencil``).  Only the
+    diagonal blocks of the elements with a boundary face differ from their
+    type's, by a block that depends only on the element's ghost class
+    (``Mesh.ghost_classes``: its type and which of its faces are on the
+    boundary): ``corrections[i]`` (nb, nb) adds to the
     diagonal blocks of class i, the mesh's ``boundary_elements`` in rows
     ``class_bounds[i]:class_bounds[i + 1]``.  ``matrix`` builds the same
     operator as a BSR matrix, on first access and at its full size, and
@@ -116,22 +121,30 @@ class SparseSystem:
     def ndof(self):
         return self.n_blocks * self.block_size
 
-    def _per_type(self, weights, rows):
-        """Each element's row of ``rows`` (ne, m nb) times its type's ``weights`` (m nb, nb)."""
-        ne, nb = self.n_blocks, self.block_size
-        y, rows = np.empty((ne // 6, 6, nb), weights.dtype), rows.reshape(ne // 6, 6, -1)
-        np.matmul(rows.transpose(1, 0, 2), weights, out=y.transpose(1, 0, 2))
-        return y.reshape(ne, nb)
+    def _per_type(self, weights, rows, out=None):
+        """Each element's row of ``rows`` (n, m nb), whole cells of 6 elements,
+        times its type's ``weights`` (m nb, nb), into ``out`` (n, nb) or a new array."""
+        if out is None:
+            out = np.empty((len(rows), self.block_size), weights.dtype)
+        np.matmul(rows.reshape(len(rows) // 6, 6, -1).transpose(1, 0, 2), weights,
+                  out=out.reshape(-1, 6, self.block_size).transpose(1, 0, 2))
+        return out
 
     def _stencil(self, weights, x):
         """x with its zero ghost row (ne + 1, nb), and the (ne, nb) product of
         each element neighbourhood of x (the element and its 4 neighbours)
-        with its type's ``weights`` (5 nb, nb)."""
+        with its type's ``weights`` (5 nb, nb).  The neighbourhoods are gathered
+        ``STENCIL_CHUNK`` cells at a time into a buffer allocated per call, so
+        the transient beyond xe and the product scales with the chunk, not the
+        mesh, and one operator may be applied in several threads."""
         ne, nb = self.n_blocks, self.block_size
         xe = np.empty((ne + 1, nb), weights.dtype)
         xe[:ne] = np.reshape(x, (ne, nb))
         xe[ne] = 0.0
-        return xe, self._per_type(weights, np.take(xe, self.mesh.neighbours, 0))
+        y, step = np.empty((ne, nb), weights.dtype), 6 * STENCIL_CHUNK
+        for s in range(0, ne, step):
+            self._per_type(weights, np.take(xe, self.mesh.neighbours[s:s + step], 0), y[s:s + step])
+        return xe, y
 
     def _per_class(self, blocks, v):
         """Rows of v, one per boundary element of the mesh, times their ghost

@@ -68,6 +68,9 @@ def solve(system, b, config=None, x0=None, debug=False, precond=None):
     ``precond`` is a prebuilt ``make_preconditioner`` callable for this
     operator, so that repeated solves with one operator build it once; by
     default it is built from ``config.preconditioner``.
+    Both methods update their vectors in place and drop each once read: CG
+    holds x, r, the best iterate and p across a product (BiCGStab also r_hat,
+    v and the preconditioned direction), plus the product's own transients.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -102,6 +105,7 @@ def _pcg(A, b, precond, tol, max_iter, x0, debug):
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)
+    del z
     for it in range(1, max_iter + 1):
         q = A @ p
         pq = float(p @ q)
@@ -111,6 +115,7 @@ def _pcg(A, b, precond, tol, max_iter, x0, debug):
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
+        del q
         if debug:
             monitor.append(0.5 * float(x @ (A @ x)) - float(b @ x))
         rnorm = float(np.linalg.norm(r))
@@ -127,7 +132,9 @@ def _pcg(A, b, precond, tol, max_iter, x0, debug):
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
             _fail(best_x, A, b, it, "cg breakdown: NaN in inner product")
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz  # then p += z: bitwise z + beta * p, in place
+        p += z
+        del z
         rz = rz_new
     _fail(best_x, A, b, max_iter, f"cg did not converge in {max_iter} iterations")
 
@@ -147,26 +154,29 @@ def _bicgstab(A, b, precond, tol, max_iter, x0):
         if abs(rho_new) < 1e-300 or not np.isfinite(rho_new):
             _fail(best_x, A, b, it, "bicgstab breakdown (rho ~ 0)")
         beta = (rho_new / rho) * (alpha / omega)
-        p = r + beta * (p - omega * v)
+        p -= omega * v  # in place, in the order of r + beta * (p - omega * v)
+        p *= beta
+        p += r
+        del v
         ph = precond(p)
         v = A @ ph
         denom = float(r_hat @ v)
         if abs(denom) < 1e-300:
             _fail(best_x, A, b, it, "bicgstab breakdown (r_hat . v ~ 0)")
         alpha = rho_new / denom
-        s = r - alpha * v
-        if np.linalg.norm(s) <= tol:
-            x = x + alpha * ph
-            r = s
-        else:
-            sh = precond(s)
+        r -= alpha * v  # r is now s
+        x += alpha * ph
+        del ph
+        if np.linalg.norm(r) > tol:
+            sh = precond(r)
             t = A @ sh
             tt = float(t @ t)
             if tt == 0.0 or not np.isfinite(tt):
                 _fail(best_x, A, b, it, "bicgstab breakdown (t = 0)")
-            omega = float(t @ s) / tt
-            x = x + alpha * ph + omega * sh
-            r = s - omega * t
+            omega = float(t @ r) / tt
+            x += omega * sh
+            r -= omega * t
+            del sh, t
         rho = rho_new
         rnorm = float(np.linalg.norm(r))
         if rnorm <= tol:

@@ -1,6 +1,4 @@
 import gc
-import sys
-import threading
 import weakref
 
 import numpy as np
@@ -16,6 +14,7 @@ from linedg.multigrid import Transfer, VCycle, level_grids
 from linedg.solver import SolverConfig, make_preconditioner, solve
 
 from csr_system import CsrSystem
+from two_threads import apply_in_two_threads
 
 SLAB = BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25])
 
@@ -180,24 +179,7 @@ def test_one_vcycle_runs_in_two_threads():
     B = make_preconditioner(A, "multigrid")
     rs = np.random.default_rng(4).standard_normal((2, A.ndof))
     serial = [B(r) for r in rs]
-    barrier, results = threading.Barrier(2), [[], []]
-
-    def run(i):
-        barrier.wait(timeout=30)
-        for _ in range(10):
-            results[i].append(B(rs[i]))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    results = apply_in_two_threads(B, rs, 10)
     for i in range(2):
         assert len(results[i]) == 10
         assert all(np.array_equal(y, serial[i]) for y in results[i])

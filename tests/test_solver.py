@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -153,6 +155,24 @@ def test_elliptic_system_converges_with_block_jacobi():
     res = solve(system, b, SolverConfig(rel_tol=1e-10))
     assert res.residual <= 1e-10 * np.linalg.norm(b)
     assert res.iterations < system.ndof
+
+
+@pytest.mark.parametrize("epsilon,vectors", [(-1, 8), (0, 11)])
+def test_solve_allocates_a_few_vectors(epsilon, vectors):
+    """A block-Jacobi solve at 16x16x4, k=2, allocates at most 8 ndof vectors
+    by CG (x, r, the best iterate and p, plus one ``A @ p``) and 11 by BiCGStab
+    (also r_hat, v and the preconditioned direction): no iteration keeps a
+    stale vector alive across the next product."""
+    system = assemble_stiffness(build_box_mesh(SLAB, (16, 16, 4)), DGSpec.default(2, epsilon),
+                                fb.make_basis(2))
+    b = np.random.default_rng(0).standard_normal(system.ndof)
+    tracemalloc.start()
+    try:
+        solve(system, b, SolverConfig(rel_tol=1e-2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vectors * b.nbytes
 
 
 def test_debug_monitor_energy_monotone():
