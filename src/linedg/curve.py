@@ -73,15 +73,18 @@ def clip_segment_tets(ref):
     as ``Mesh.to_reference`` maps them).  Returns (t0, t1, hit): ``hit``
     marks the tets whose intersection with the segment has positive
     parameter length, and for those 0 <= t0 < t1 <= 1.  Constraints are the
-    four barycentric inequalities, so the clip is exact up to roundoff.
+    four barycentric inequalities, so the clip is exact up to roundoff.  A
+    constraint that changes by at most 1e-12 along the segment (the tolerance
+    of "outside") is parallel: it keeps the whole segment or none of it, so a
+    segment lying in a face is not cut to nothing by the roundoff of its
+    barycentric coordinates there.
     """
     r0, r1 = ref[:, 0], ref[:, 1]
     # barycentric coordinates affine in t: lam_i(t) = alpha_i + beta_i t >= 0
     alpha = np.column_stack([r0, 1.0 - r0.sum(axis=1)])
     beta = np.column_stack([r1 - r0, -(r1 - r0).sum(axis=1)])
-    enter = beta >= 1e-300
-    leave = beta <= -1e-300
-    # |beta| < 1e-300: the segment is parallel to that face
+    enter = beta > 1e-12
+    leave = beta < -1e-12
     parallel_outside = ~(enter | leave) & (alpha < -1e-12)
     t_cross = -alpha / np.where(enter | leave, beta, 1.0)
     t0 = np.where(enter, t_cross, 0.0).max(axis=1)
@@ -89,26 +92,45 @@ def clip_segment_tets(ref):
     return t0, t1, (t0 < t1) & ~parallel_outside.any(axis=1)
 
 
-def _candidate_elements(mesh, p0, p1):
-    """Tets whose grid cells overlap the segment bounding box."""
-    lo = np.minimum(p0, p1)
-    hi = np.maximum(p0, p1)
-    pad = 1e-9 * max(mesh.h, 1.0)
-    c_lo = mesh.cell_index((lo - pad)[None, :])[0]
-    c_hi = mesh.cell_index((hi + pad)[None, :])[0]
-    ix = np.arange(c_lo[0], c_hi[0] + 1)
-    iy = np.arange(c_lo[1], c_hi[1] + 1)
-    iz = np.arange(c_lo[2], c_hi[2] + 1)
-    IX, IY, IZ = np.meshgrid(ix, iy, iz, indexing="ij")
-    cells = np.column_stack([IX.ravel(), IY.ravel(), IZ.ravel()])
-    return mesh.cell_tets(mesh.cell_flat_index(cells)).ravel()
+def _walked_cells(mesh, p0, p1):
+    """The grid cells that the segments p0 -> p1 (ns, 3) walk through, as
+    sorted unique (segment, flat cell) pairs.  The grid planes a segment
+    crosses cut it into intervals, each inside one closed cell: the cell of
+    each interval's midpoint is taken, and along any axis where that midpoint
+    lies within 1e-9 max(h, 1) of a grid plane, the cell across it too."""
+    size, n, pad = mesh.cell_size, np.asarray(mesh.n), 1e-9 * max(mesh.h, 1.0)
+    r0, r1 = (p0 - mesh.domain.lo) / size, (p1 - mesh.domain.lo) / size  # in cells
+    # one row 3 s + axis per grid plane that segment s crosses along that axis
+    lo, hi = np.minimum(r0, r1), np.maximum(r0, r1)
+    first = np.ceil(lo)
+    count = np.where(lo < hi, np.floor(hi) - first + 1, 0).astype(np.int64).ravel()
+    rows = np.repeat(np.arange(count.size), count)
+    plane = first.ravel()[rows] + np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    t = (plane - r0.ravel()[rows]) / (r1 - r0).ravel()[rows]
+    seg = np.concatenate([rows // 3, np.repeat(np.arange(len(p0)), 2)])
+    t = np.concatenate([t, np.tile([0.0, 1.0], len(p0))])
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    inner = seg[1:] == seg[:-1]
+    seg, mid = seg[1:][inner], 0.5 * (t[1:] + t[:-1])[inner]
+    rel = r0[seg] + mid[:, None] * (r1 - r0)[seg]
+    near, below = np.rint(rel), np.floor(rel)
+    on_plane = np.abs(rel - near) * size <= pad
+    sides = np.stack([np.where(on_plane, near - 1, below), np.where(on_plane, near, below)], 1)
+    corner = (np.arange(8)[:, None] >> np.arange(3)) & 1  # (8, 3): which side per axis
+    cells = np.clip(sides[:, corner, np.arange(3)], 0, n - 1).astype(np.int64).reshape(-1, 3)
+    key = np.repeat(seg, 8) * n.prod() + mesh.cell_flat_index(cells)
+    key.sort()  # not np.unique, which imports numpy.ma on its first call
+    return np.divmod(key[np.append(True, key[1:] != key[:-1])], n.prod())
 
 
 def build_restrictions(curve, mesh):
     """Clip the curve against every element it crosses.
 
-    Intervals are normalized per segment so overlaps at shared faces are
-    assigned once (lower element index wins), which makes the per-element
+    All segments are clipped at once against the tets of the grid cells they
+    walk through (``_walked_cells``), so a segment of length L costs O(L/h)
+    cells.  Intervals are normalized per segment so overlaps at shared faces
+    are assigned once (lower element index wins), which makes the per-element
     lengths an exact partition of the curve length; pieces shorter than
     1e-12 h are dropped.  Warns if an element carries more than 2h of
     curve, which breaks the short-intersection assumption behind the load
@@ -116,45 +138,41 @@ def build_restrictions(curve, mesh):
     """
     curve.check_inside(mesh.domain)
     drop = 1e-12 * mesh.h
-    per_element = {}
-    for si in range(curve.n_segments):
-        p0 = curve.points[si]
-        p1 = curve.points[si + 1]
-        seg_len = curve.seg_lengths[si]
-        s_off = curve.cum_lengths[si]
-        cand = np.unique(_candidate_elements(mesh, p0, p1))
-        t0s, t1s, hit = clip_segment_tets(mesh.to_reference(np.stack([p0, p1]), cand))
-        keep = hit & ((t1s - t0s) * seg_len >= drop)
-        t0s, t1s, cand = t0s[keep], t1s[keep], cand[keep]
-        # deterministic overlap resolution: sweep by (t0, t1, element)
-        order = np.lexsort((cand, t1s, t0s))
-        cursor = 0.0
-        for t0, t1, e in zip(t0s[order].tolist(), t1s[order].tolist(), cand[order].tolist()):
-            t0 = max(t0, cursor)
-            if (t1 - t0) * seg_len < drop:
-                continue
+    p0, p1, seg_len = curve.points[:-1], curve.points[1:], curve.seg_lengths
+    seg, cells = _walked_cells(mesh, p0, p1)
+    seg, elems = np.repeat(seg, 6), mesh.cell_tets(cells).ravel()
+    t0s, t1s, hit = clip_segment_tets(mesh.to_reference(np.stack([p0[seg], p1[seg]], 1), elems))
+    keep = np.flatnonzero(hit & ((t1s - t0s) * seg_len[seg] >= drop))
+    # deterministic overlap resolution: sweep each segment by (t0, t1, element)
+    keep = keep[np.lexsort((elems[keep], t1s[keep], t0s[keep], seg[keep]))]
+    rows, row_t0, current, lens = [], [], -1, seg_len.tolist()
+    for i, s, t0, t1 in zip(keep.tolist(), seg[keep].tolist(), t0s[keep].tolist(),
+                            t1s[keep].tolist()):
+        if s != current:
+            current, cursor = s, 0.0
+        t0 = max(t0, cursor)
+        if (t1 - t0) * lens[s] >= drop:
             cursor = t1
-            a = p0 + t0 * (p1 - p0)
-            b = p0 + t1 * (p1 - p0)
-            per_element.setdefault(e, []).append(
-                (a, b, (t1 - t0) * seg_len, s_off + t0 * seg_len, s_off + t1 * seg_len)
-            )
-
-    out = []
-    for e in sorted(per_element):
-        rows = per_element[e]
-        starts = np.array([r[0] for r in rows])
-        ends = np.array([r[1] for r in rows])
-        lengths = np.array([r[2] for r in rows])
-        arcs = np.array([[r[3], r[4]] for r in rows])
-        out.append(LineRestriction(e, starts, ends, lengths, arcs))
-
-    covered = sum(r.total_length for r in out)
+            rows.append(i)
+            row_t0.append(t0)
+    by_element = np.argsort(elems[rows], kind="stable")
+    rows, t0 = np.array(rows, dtype=np.int64)[by_element], np.array(row_t0)[by_element]
+    seg, t1, elems = seg[rows], t1s[rows], elems[rows]
+    lengths = (t1 - t0) * seg_len[seg]
+    firsts = np.flatnonzero(np.diff(elems, prepend=-1))  # each element's first row
+    per_element = np.add.reduceat(lengths, firsts).tolist()
+    covered = sum(per_element)
     if abs(covered - curve.length) > 1e-9 * curve.length:
         raise AssemblyError(
             f"curve clipping lost length: covered {covered}, curve {curve.length}"
         )
-    longest = max((r.total_length for r in out), default=0.0)
+    starts = p0[seg] + t0[:, None] * (p1 - p0)[seg]
+    ends = p0[seg] + t1[:, None] * (p1 - p0)[seg]
+    arcs = curve.cum_lengths[seg, None] + np.column_stack([t0, t1]) * seg_len[seg, None]
+    bounds = np.append(firsts, elems.size).tolist()
+    out = [LineRestriction(e, starts[i:j], ends[i:j], lengths[i:j], arcs[i:j])
+           for e, i, j in zip(elems[firsts].tolist(), bounds, bounds[1:])]
+    longest = max(per_element)
     if longest > 2.0 * mesh.h:
         warnings.warn(
             f"an element carries {longest:.3g} of curve (> 2h = {2 * mesh.h:.3g}); "

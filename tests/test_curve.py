@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from linedg import basis as fb
+from linedg import curve as curve_module
 from linedg.curve import (
     _DISTANCE_BLOCK,
     Curve,
@@ -184,6 +185,86 @@ def test_lattice_polyline_partition_and_reversal(vertices):
     basis = fb.make_basis(2)
     b = assemble_line_rhs(curve, 1.0, mesh, basis)
     assert np.abs(assemble_line_rhs(reverse, 1.0, mesh, basis) - b).max() <= tol
+
+
+# an oblique segment in each of the six boundary faces of the slab
+FACE_SEGMENTS = [
+    [[0.0, 0.1, 0.02], [0.0, 0.8, 0.23]], [[1.0, 0.1, 0.02], [1.0, 0.8, 0.23]],
+    [[0.1, 0.0, 0.02], [0.9, 0.0, 0.23]], [[0.1, 1.0, 0.02], [0.9, 1.0, 0.23]],
+    [[0.1, 0.1, 0.0], [0.9, 0.8, 0.0]], [[0.1, 0.1, 0.25], [0.9, 0.8, 0.25]],
+]
+
+
+@pytest.mark.parametrize("n", [(3, 3, 3), (8, 8, 2), (5, 7, 2)], ids=["3x3x3", "8x8x2", "5x7x2"])
+def test_segments_in_boundary_faces_clip_to_their_length(n):
+    """No element lies across a boundary face to take up a piece that the
+    roundoff of the barycentric coordinates cuts off there."""
+    mesh = build_box_mesh(SLAB, n)
+    for points in FACE_SEGMENTS:
+        curve = Curve(points)
+        covered = sum(r.total_length for r in build_restrictions(curve, mesh))
+        assert abs(covered - curve.length) <= 1e-12 * curve.length
+
+
+def _every_cell(mesh, p0, p1):
+    """Every (segment, cell) pair, in the order ``_walked_cells`` returns them."""
+    cells = np.prod(mesh.n)
+    return np.repeat(np.arange(len(p0)), cells), np.tile(np.arange(cells), len(p0))
+
+
+@st.composite
+def polylines(draw):
+    """Random points in the slab, points on the 1/8 lattice, or random points
+    in one boundary face."""
+    kind = draw(st.sampled_from(["random", "lattice", "face"]))
+    m = draw(st.integers(2, 4))
+    if kind == "lattice":
+        ijk = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2))
+        pts = np.array(draw(st.lists(ijk, min_size=m, max_size=m)), dtype=float) / 8.0
+    else:
+        unit = st.tuples(*[st.floats(0.0, 1.0)] * 3)
+        pts = SLAB.lo + np.array(draw(st.lists(unit, min_size=m, max_size=m))) * SLAB.extent
+        if kind == "face":
+            axis, side = draw(st.integers(0, 2)), draw(st.sampled_from([SLAB.lo, SLAB.hi]))
+            pts[:, axis] = side[axis]
+    assume(np.all(np.linalg.norm(np.diff(pts, axis=0), axis=1) > 0))
+    return pts
+
+
+def _restriction_bytes(curve, mesh):
+    return [(r.element, r.starts.tobytes(), r.ends.tobytes(), r.lengths.tobytes(),
+             r.arclengths.tobytes()) for r in build_restrictions(curve, mesh)]
+
+
+@pytest.mark.filterwarnings("ignore:an element carries")
+@settings(max_examples=150, deadline=None)
+@given(polylines(), st.sampled_from([(4, 4, 1), (8, 8, 2), (5, 7, 2), (3, 3, 3)]))
+def test_walked_cells_clip_like_every_element(points, n):
+    """The cells a curve walks through hold every element it crosses: the
+    restrictions equal, bitwise, those clipped against every element."""
+    curve, mesh = Curve(points), build_box_mesh(SLAB, n)
+    walked = _restriction_bytes(curve, mesh)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curve_module, "_walked_cells", _every_cell)
+        assert _restriction_bytes(curve, mesh) == walked
+
+
+def test_clipping_grows_with_the_curve_not_its_bounding_box(monkeypatch):
+    """The slab's diagonal passes through grid vertices, where the walk takes
+    all 8 cells around; at 32x32x8 its bounding box holds every one of the
+    49,152 elements."""
+    rows = []
+
+    def counted(ref):
+        rows.append(ref.shape[0])
+        return clip_segment_tets(ref)
+
+    monkeypatch.setattr(curve_module, "clip_segment_tets", counted)
+    mesh = build_box_mesh(SLAB, (32, 32, 8))
+    curve = Curve([[0.0, 0.0, 0.0], [1.0, 1.0, 0.25]])
+    covered = sum(r.total_length for r in build_restrictions(curve, mesh))
+    assert abs(covered - curve.length) <= 1e-12 * curve.length
+    assert sum(rows) <= 6 * 8 * (sum(mesh.n) + 1)
 
 
 def nearest_reference(points, curve):

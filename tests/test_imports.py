@@ -6,9 +6,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs in a fresh interpreter: every path below, multigrid solves and a
-# multigrid study included, must finish without loading scipy; reading
-# ``SparseSystem.matrix`` at the end must load it, so the check cannot pass
-# on a process that never could.
+# multigrid study included, must finish without loading scipy or numpy.ma
+# (which ``np.unique`` without a ``return_*`` option imports); reading
+# ``SparseSystem.matrix`` at the end must load scipy, so the check cannot
+# pass on a process that never could.
 GUARD = """
 import contextlib
 import io
@@ -68,6 +69,7 @@ assert cfg.solver.preconditioner == "multigrid" and cfg.levels == ((4, 4, 1), (8
 with contextlib.redirect_stdout(io.StringIO()):  # the study prints its table
     linedg.cli.run_study(cfg, Path(sys.argv[1]) / "study")
 assert scipy_modules() == [], scipy_modules()
+assert "numpy.ma" not in sys.modules  # scipy imports it, so check before reading the matrix
 
 system.matrix
 assert "scipy.sparse" in scipy_modules(), scipy_modules()
