@@ -90,9 +90,9 @@ class SparseSystem:
     (``Mesh.ghost_classes``: its type and which of its faces are on the
     boundary): ``corrections[i]`` (nb, nb) adds to the
     diagonal blocks of class i, the mesh's ``boundary_elements`` in rows
-    ``class_bounds[i]:class_bounds[i + 1]``.  ``matrix`` builds the same
-    operator as a BSR matrix, on first access and at its full size, and
-    ``dense()`` as a dense array.  Products compute in the dtype of the
+    ``class_bounds[i]:class_bounds[i + 1]``.  ``matrix`` (a BSR matrix, built
+    on first access) and ``dense()`` hold the same operator at its full size,
+    both from one block table.  Products compute in the dtype of the
     weights: ``astype(dtype)`` casts the blocks, so that the multigrid
     preconditioner can smooth with a float32 copy of a float64 operator.
 
@@ -189,13 +189,10 @@ class SparseSystem:
         """y = D^{-1} x, D the block diagonal, as a ``BlockJacobi`` callable."""
         return BlockJacobi(self)
 
-    @cached_property
-    def matrix(self):
-        """The operator as a canonical ``scipy.sparse.bsr_matrix`` at full size, built
-        on first access for the tests and the benchmark (no solve reads it): block
-        row e holds its diagonal block and one per interior face, columns sorted."""
-        import scipy.sparse as sp
-
+    def _bsr(self):
+        """The operator's canonical BSR arrays at full size (blocks, columns, row
+        pointers): block row e holds its diagonal block and one per interior face,
+        columns sorted, and each ghost class's correction is added to its diagonal."""
         mesh, ne, nb = self.mesh, self.n_blocks, self.block_size
         order = np.argsort(mesh.neighbours, axis=1)
         cols = np.take_along_axis(mesh.neighbours, order, axis=1)
@@ -207,18 +204,24 @@ class SparseSystem:
         fixed = mesh.boundary_elements
         at = indptr[fixed] + (mesh.neighbours[fixed] < fixed[:, None]).sum(axis=1)
         data[at] += np.repeat(self.corrections, np.diff(mesh.class_bounds), axis=0)
-        return sp.bsr_matrix((data, cols[inner], indptr), shape=(ne * nb, ne * nb))
+        return data, cols[inner], indptr
+
+    @cached_property
+    def matrix(self):
+        """The operator as a canonical ``scipy.sparse.bsr_matrix``, built on first
+        access for the tests and the benchmark (no solve reads it)."""
+        import scipy.sparse as sp
+
+        return sp.bsr_matrix(self._bsr(), shape=(self.ndof, self.ndof))
 
     def dense(self):
-        """The operator as a dense (ndof, ndof) array: its type blocks by the
-        neighbour table (the ghost column dropped), plus each class's correction."""
-        mesh, ne, nb = self.mesh, self.n_blocks, self.block_size
-        dense, rows = np.zeros((ne, nb, ne + 1, nb)), np.arange(ne)
-        blocks = self.weights.reshape(6, 5, nb, nb).transpose(0, 1, 3, 2)
-        dense[rows[:, None], :, mesh.neighbours] = blocks[rows % 6]
-        fixed = mesh.boundary_elements
-        dense[fixed, :, fixed] += np.repeat(self.corrections, np.diff(mesh.class_bounds), axis=0)
-        return dense[:, :, :ne].reshape(ne * nb, ne * nb)
+        """The operator as a dense (ndof, ndof) array, scattered from the blocks of
+        ``matrix``."""
+        data, cols, indptr = self._bsr()
+        ne, nb = self.n_blocks, self.block_size
+        dense = np.zeros((ne, nb, ne, nb))
+        dense[np.repeat(np.arange(ne), np.diff(indptr)), :, cols] = data
+        return dense.reshape(self.ndof, self.ndof)
 
 
 class BlockJacobi:

@@ -64,32 +64,20 @@ class BasisSet:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((pts.shape[0], self.dim, 3))
         for d in range(3):
-            dmono = _monomial_derivs(pts, self.exponents, d)
-            out[:, :, d] = dmono @ self.coeffs
+            out[:, :, d] = _monomials(pts, self.exponents, d) @ self.coeffs
         return out
 
 
-def _monomials(pts, exponents):
-    npts = pts.shape[0]
-    vals = np.ones((npts, exponents.shape[0]))
+def _monomials(pts, exponents, axis=None):
+    """The monomials x^exponents at ``pts``, (npts, len(exponents)), or with
+    ``axis`` their derivatives along it: that factor becomes e x^max(e-1, 0)."""
+    vals = np.ones((pts.shape[0], exponents.shape[0]))
     for d in range(3):
         e = exponents[:, d]
-        if e.max(initial=0) > 0:
-            vals *= pts[:, d][:, None] ** e[None, :]
-    return vals
-
-
-def _monomial_derivs(pts, exponents, axis):
-    npts = pts.shape[0]
-    vals = np.ones((npts, exponents.shape[0]))
-    for d in range(3):
-        e = exponents[:, d].astype(float).copy()
         if d == axis:
-            coef = e.copy()
-            e = np.maximum(e - 1.0, 0.0)
-            vals *= coef[None, :] * pts[:, d][:, None] ** e[None, :]
-        else:
-            vals *= pts[:, d][:, None] ** e[None, :]
+            vals *= e * pts[:, d][:, None] ** np.maximum(e - 1, 0)
+        elif e.max(initial=0) > 0:
+            vals *= pts[:, d][:, None] ** e
     return vals
 
 
@@ -167,43 +155,42 @@ def _check_exactness(min_exactness):
     return max(int(min_exactness), 0)
 
 
+def _conical(dim, min_exactness):
+    """Conical-product rule on the reference simplex of dimension ``dim``
+    (weights sum to 1/dim!): Gauss-Jacobi rules in u_0..u_{dim-2} for the
+    weights (1-u)^(dim-1), ..., (1-u), then Gauss-Legendre, collapsed onto
+    the simplex by x_i = u_i (1-u_0) ... (1-u_{i-1})."""
+    m = _check_exactness(min_exactness) // 2 + 1
+    rules = [_jacobi_01(m, float(dim - 1 - i)) for i in range(dim - 1)] + [_gauss_01(m)]
+    u = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+    points = []
+    for i in range(dim):
+        x = u[i]
+        for j in range(i):
+            x = x * (1.0 - u[j])
+        points.append(x.ravel())
+    weights = rules[0][1]
+    for _, w in rules[1:]:
+        weights = np.multiply.outer(weights, w)
+    return QuadRule(points=np.column_stack(points), weights=weights.ravel())
+
+
 @lru_cache(maxsize=None)
 def segment_quadrature(min_exactness):
     """Gauss rule on [0,1] exact for polynomials of the given degree."""
-    d = _check_exactness(min_exactness)
-    m = d // 2 + 1
-    x, w = _gauss_01(m)
-    return QuadRule(points=x[:, None], weights=w)
+    return _conical(1, min_exactness)
 
 
 @lru_cache(maxsize=None)
 def tri_quadrature(min_exactness):
     """Conical-product rule on the reference triangle (weights sum to 1/2)."""
-    d = _check_exactness(min_exactness)
-    m = d // 2 + 1
-    xu, wu = _jacobi_01(m, 1.0)
-    xv, wv = _gauss_01(m)
-    U, V = np.meshgrid(xu, xv, indexing="ij")
-    x = U.ravel()
-    y = (V * (1.0 - U)).ravel()
-    w = np.outer(wu, wv).ravel()
-    return QuadRule(points=np.column_stack([x, y]), weights=w)
+    return _conical(2, min_exactness)
 
 
 @lru_cache(maxsize=None)
 def tet_quadrature(min_exactness):
     """Conical-product rule on the reference tetrahedron (weights sum to 1/6)."""
-    d = _check_exactness(min_exactness)
-    m = d // 2 + 1
-    xu, wu = _jacobi_01(m, 2.0)
-    xv, wv = _jacobi_01(m, 1.0)
-    xw, ww = _gauss_01(m)
-    U, V, W = np.meshgrid(xu, xv, xw, indexing="ij")
-    x = U.ravel()
-    y = (V * (1.0 - U)).ravel()
-    z = (W * (1.0 - U) * (1.0 - V)).ravel()
-    wts = (wu[:, None, None] * wv[None, :, None] * ww[None, None, :]).ravel()
-    return QuadRule(points=np.column_stack([x, y, z]), weights=wts)
+    return _conical(3, min_exactness)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import yaml
 from .assembly import DGSpec
 from .curve import Curve
 from .errors import ConfigError
-from .fields import Box, check_region_aligned
+from .fields import check_region_aligned
 from .mesh import BoxDomain
 from .multigrid import level_grids
 from .parabolic import TimeGrid
@@ -320,7 +320,7 @@ class StudyConfig:
     source: SourceSpec
     scheme: DGSpec
     levels: tuple              # (nx, ny, nz) per level
-    regions: dict              # name -> Box
+    regions: dict              # name -> BoxDomain
     exact: str                 # log_line | none
     solver: SolverConfig
     mode: str                  # elliptic | parabolic
@@ -381,7 +381,7 @@ def _parse(tree, base_dir):
     regions = {}
     for name, box in values["regions"].items():
         node = nodes["regions"].value[name]
-        regions[name] = _make(node, Box, **box)
+        regions[name] = _make(node, BoxDomain, **box)
         for n in levels:
             _make(node, check_region_aligned, domain, n, regions[name])
 
@@ -405,11 +405,20 @@ def _parse(tree, base_dir):
         if "tau" in t and not 0 < t["tau"] <= t["final"]:
             _fail(node, f"time.tau must lie in (0, final]; got {t['tau']}")
         steps = t["steps"] if "steps" in t else round(t["final"] / t["tau"])
+        if "tau" in t and abs(t["final"] / t["tau"] - steps) > 1e-9 * steps:
+            _fail(node, f"time.tau must divide time.final; {t['final']} / {t['tau']} "
+                        f"= {t['final'] / t['tau']:.6g} steps")
         time = _make(node, TimeGrid, t["final"], steps)
+    # a rate is asserted only on a column the study writes
     for i, rate in enumerate(values["assert_rates"]):
+        node = nodes["assert_rates"].value[i]
+        if values["exact"] == "none":
+            _fail(node, "assert_rates needs exact: log_line; with exact: none no error "
+                        "column is measured")
+        if rate["region"] == "global" and rate["norm"] == "dg":
+            _fail(node, "no global dg error column is measured; assert a dg rate on a region")
         if rate["region"] != "global" and rate["region"] not in regions:
-            _fail(nodes["assert_rates"].value[i],
-                  f"assert_rates region {rate['region']!r} is not defined")
+            _fail(node, f"assert_rates region {rate['region']!r} is not defined")
 
     # neither empty sections nor those of parabolic mode in elliptic mode are recorded
     unused = {"n"} | ({"initial", "snapshot_every"} if time is None else set())

@@ -155,6 +155,9 @@ def build_restrictions(curve, mesh):
             cursor = t1
             rows.append(i)
             row_t0.append(t0)
+    if not rows:
+        raise AssemblyError(f"curve of length {curve.length:.3g} is below the clipping "
+                            f"resolution: no piece in an element reaches 1e-12 h = {drop:.3g}")
     by_element = np.argsort(elems[rows], kind="stable")
     rows, t0 = np.array(rows, dtype=np.int64)[by_element], np.array(row_t0)[by_element]
     seg, t1, elems = seg[rows], t1s[rows], elems[rows]

@@ -1,7 +1,5 @@
 """Discrete broken-polynomial fields and measurement regions."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -66,24 +64,8 @@ def interpolate(fn, mesh, basis):
     return FieldFunction(mesh, basis, vals)
 
 
-@dataclass(frozen=True)
-class Box:
-    """Open axis-aligned sub-box used for local error measurement."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float).reshape(3)
-        hi = np.asarray(self.hi, dtype=float).reshape(3)
-        if not np.all(hi > lo):
-            raise ValueError("region box requires hi > lo componentwise")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-
 def check_region_aligned(domain, n, region):
-    """Validate that a Box region lies in ``domain`` with its faces on the
+    """Validate that a ``BoxDomain`` region lies in ``domain`` with its faces on the
     planes of the (nx, ny, nz) grid ``n`` (to 1e-9 of a cell)."""
     tol = 1e-9
     cell = domain.extent / np.asarray(n, dtype=float)
@@ -99,8 +81,8 @@ def check_region_aligned(domain, n, region):
 
 
 def region_element_mask(mesh, region):
-    """Boolean element mask of a Box region, or of the whole domain for None;
-    membership decided by the barycenter."""
+    """Boolean element mask of a ``BoxDomain`` region, or of the whole domain for
+    None; an element belongs when its barycenter lies strictly inside."""
     if region is None:
         return np.ones(mesh.n_elements, dtype=bool)
     check_region_aligned(mesh.domain, mesh.n, region)

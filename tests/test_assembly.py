@@ -91,6 +91,39 @@ def test_coercivity_probe():
         assert w @ (A @ w) >= 0.5 * energy - 1e-10 * energy
 
 
+def coercivity_threshold(mesh, k):
+    """sigma*, the smallest sigma at which the symmetric stiffness is positive
+    definite, to within the bracket left by 20 bisections on a Cholesky
+    of A(sigma) = A0 + sigma P, split from the assemblies at sigma 2 and the
+    default.  P holds the jump penalty, so definiteness grows with sigma."""
+    basis, default = fb.make_basis(k), DGSpec.default(k)
+    A2 = assemble_stiffness(mesh, DGSpec(k=k, sigma=2.0), basis).dense()
+    P = (assemble_stiffness(mesh, default, basis).dense() - A2) / (default.sigma - 2.0)
+    A0 = A2 - 2.0 * P
+
+    def definite(sigma):
+        try:
+            np.linalg.cholesky(A0 + sigma * P)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    lo, hi = 0.0, default.sigma
+    assert definite(hi) and not definite(lo)
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if definite(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_default_penalty_clears_the_coercivity_threshold(k):
+    """DGSpec.default(k) keeps sigma at least 1.2 sigma* on the slab grids one
+    cell thick, where the margin is smallest."""
+    for n in ((2, 2, 1), (4, 4, 1)):
+        assert DGSpec.default(k).sigma >= 1.2 * coercivity_threshold(build_box_mesh(SLAB, n), k)
+
+
 def test_penalty_scaling_isolated():
     """Doubling sigma changes exactly the jump-penalty part."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))

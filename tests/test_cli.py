@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from linedg.cli import main, run_elliptic, run_parabolic, run_study
-from linedg.config import parse_config
+from linedg.config import load_config, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -194,9 +194,13 @@ SINE = "  kind: sine\n  amplitude: 0.05\n  periods: 1\n"
     (NO_EXACT.replace("0.3333333333333333, 0.25]", "0.3333333333333333, 0.3]"), "  kind:"),
     (SMALL_STUDY.replace("lo: [0.25, 0.5", "lo: [0.3, 0.5"), "  boxA:"),
     (NO_EXACT.replace("lo: [0.25, 0.5", "lo: [0.3, 0.5"), "  boxA:"),
+    (SMALL_STUDY + "assert_rates:\n  - {norm: l2, min: 0.5, max: 2.0}\n"
+                   "  - {norm: dg, min: 0.5, max: 2.0}\n", "  - {norm: dg"),
+    (NO_EXACT + "assert_rates:\n  - {norm: l2, region: boxA, min: 1.5, max: 2.5}\n",
+     "  - {norm: l2"),
 ], ids=["n_not_integer", "n_zero", "sine_axis_w", "sine_axis_5", "sine_one_sample",
         "curve_file_missing", "curve_outside_domain", "region_unaligned_log_line",
-        "region_unaligned_no_exact"])
+        "region_unaligned_no_exact", "rate_on_global_dg", "rate_without_exact"])
 def test_bad_value_fails_at_load(tmp_path, capsys, text, at):
     """Values no run can use stop the run when the configuration loads."""
     path = tmp_path / "cfg.yaml"
@@ -298,6 +302,31 @@ def test_multigrid_parabolic_config_exits_1(tmp_path, capsys):
     assert code == 1
     line = text.splitlines().index("  preconditioner: multigrid") + 1
     assert f"error: {path}:{line}: preconditioner multigrid" in capsys.readouterr().err
+
+
+SINGLE_RUNS = [p for p in sorted(CONFIG_DIR.glob("*.yaml")) if len(load_config(p).levels) == 1]
+
+
+@pytest.mark.parametrize("path", SINGLE_RUNS, ids=lambda p: p.stem)
+def test_shipped_single_run_configs(tmp_path, path):
+    """Every shipped config that is not a study runs through its subcommand."""
+    cfg = load_config(path)
+    if cfg.mode == "parabolic":
+        command, table = "solve-parabolic", "history.csv"
+        header = ["n", "t", "l2_norm", "dg_norm", "increment_sq_sum"]
+        n_rows = cfg.time.steps + 1
+    else:
+        command, table = "solve-elliptic", "errors.csv"
+        header = ["k", "h", "n_dof"]
+        if cfg.exact != "none":
+            header += ["err_L2_global"] + [f"err_{norm}_{name}" for norm in ("L2", "DG")
+                                           for name in cfg.regions]
+        n_rows = 1
+    assert main([command, str(path), "--out-dir", str(tmp_path), "--no-vtk"]) == 0
+    rows = read_csv(tmp_path / table)
+    assert rows[0] == header and len(rows) == n_rows + 1
+    assert all(len(row) == len(header) for row in rows)
+    assert not list(tmp_path.glob("*.vtk"))
 
 
 def test_shipped_sine_demo_runs(tmp_path):

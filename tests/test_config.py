@@ -97,6 +97,22 @@ def test_time_section_validation():
         parse_config(MINIMAL + "time: {final: 1.0, steps: 2}\n")
 
 
+def test_tau_that_does_not_divide_final_rejected_with_line():
+    """Steps are final / tau, so a tau that leaves a remainder would silently
+    run with another step."""
+    base = MINIMAL + "mode: parabolic\n"
+    with pytest.raises(ConfigError, match=r"<config>:10: time.tau must divide time.final"):
+        parse_config(base + "time: {final: 0.2, tau: 0.03}\n")
+    assert parse_config(base + "time: {final: 0.2, tau: 0.05}\n").time.steps == 4
+
+
+def test_parsed_regions_compare_equal():
+    path = Path(__file__).parent.parent / "configs" / "study_k1.yaml"
+    first, second = load_config(path), load_config(path)
+    assert first.regions == second.regions
+    assert first.regions["boxA"] != second.regions["boxB"]
+
+
 def test_expression_source():
     cfg = parse_config(
         MINIMAL + "source: {kind: expression, expr: '1 + 0.5*sin(2*pi*s) + t'}\n"

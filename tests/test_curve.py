@@ -15,6 +15,7 @@ from linedg.curve import (
     distance_to_curve,
     nearest_segments,
 )
+from linedg.errors import AssemblyError
 from linedg.mesh import BoxDomain, build_box_mesh
 
 SLAB = BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25])
@@ -231,9 +232,13 @@ def polylines(draw):
     return pts
 
 
-def _restriction_bytes(curve, mesh):
-    return [(r.element, r.starts.tobytes(), r.ends.tobytes(), r.lengths.tobytes(),
-             r.arclengths.tobytes()) for r in build_restrictions(curve, mesh)]
+def _clip_outcome(curve, mesh):
+    """The restrictions as bytes, or the type and message of the clipping error."""
+    try:
+        return [(r.element, r.starts.tobytes(), r.ends.tobytes(), r.lengths.tobytes(),
+                 r.arclengths.tobytes()) for r in build_restrictions(curve, mesh)]
+    except AssemblyError as err:
+        return type(err), str(err)
 
 
 @pytest.mark.filterwarnings("ignore:an element carries")
@@ -241,12 +246,20 @@ def _restriction_bytes(curve, mesh):
 @given(polylines(), st.sampled_from([(4, 4, 1), (8, 8, 2), (5, 7, 2), (3, 3, 3)]))
 def test_walked_cells_clip_like_every_element(points, n):
     """The cells a curve walks through hold every element it crosses: the
-    restrictions equal, bitwise, those clipped against every element."""
+    restrictions equal, bitwise, those clipped against every element, and a
+    curve that cannot be clipped fails alike on both paths."""
     curve, mesh = Curve(points), build_box_mesh(SLAB, n)
-    walked = _restriction_bytes(curve, mesh)
+    walked = _clip_outcome(curve, mesh)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(curve_module, "_walked_cells", _every_cell)
-        assert _restriction_bytes(curve, mesh) == walked
+        assert _clip_outcome(curve, mesh) == walked
+
+
+def test_curve_below_clipping_resolution_is_named():
+    mesh = build_box_mesh(SLAB, (4, 4, 1))
+    curve = Curve([[0.3, 0.3, 0.1], [0.3, 0.3, 0.1 + 2.5e-15]])
+    with pytest.raises(AssemblyError, match="below the clipping resolution"):
+        build_restrictions(curve, mesh)
 
 
 def test_clipping_grows_with_the_curve_not_its_bounding_box(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linedg import basis as fb
-from linedg.fields import Box, FieldFunction, interpolate, region_element_mask
+from linedg.fields import FieldFunction, interpolate, region_element_mask
 from linedg.mesh import BoxDomain, build_box_mesh
 
 SLAB = BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25])
@@ -32,7 +32,7 @@ def test_vector_round_trip():
 
 def test_region_masks():
     mesh = build_box_mesh(SLAB, (4, 4, 1))
-    box = Box(lo=[0.25, 0.5, 0.0], hi=[0.5, 0.75, 0.25])
+    box = BoxDomain(lo=[0.25, 0.5, 0.0], hi=[0.5, 0.75, 0.25])
     mask = region_element_mask(mesh, box)
     # one cell of 6 tets
     assert mask.sum() == 6
@@ -42,9 +42,9 @@ def test_region_masks():
 def test_region_alignment_rejected():
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     with pytest.raises(ValueError):
-        region_element_mask(mesh, Box(lo=[0.26, 0.5, 0.0], hi=[0.5, 0.75, 0.25]))
+        region_element_mask(mesh, BoxDomain(lo=[0.26, 0.5, 0.0], hi=[0.5, 0.75, 0.25]))
     with pytest.raises(ValueError):
-        region_element_mask(mesh, Box(lo=[0.25, 0.5, 0.0], hi=[1.25, 0.75, 0.25]))
+        region_element_mask(mesh, BoxDomain(lo=[0.25, 0.5, 0.0], hi=[1.25, 0.75, 0.25]))
 
 
 def test_gradients_of_field():

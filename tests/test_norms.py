@@ -7,7 +7,7 @@ import unpruned_norms as ref
 from linedg import basis as fb
 from linedg.assembly import DGSpec, assemble_dirichlet_rhs, assemble_stiffness
 from linedg.curve import Curve, assemble_line_rhs, compute_fh_field, distance_to_curve
-from linedg.fields import Box, FieldFunction, interpolate
+from linedg.fields import FieldFunction, interpolate
 from linedg.mesh import BoxDomain, build_box_mesh
 from linedg.norms import (
     _guard_points,
@@ -22,8 +22,8 @@ from linedg.problems import LogLineSolution
 from linedg.solver import SolverConfig, solve
 
 SLAB = BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25])
-C1 = Box(lo=[0.25, 0.5, 0.0], hi=[0.5, 0.75, 0.25])
-C2 = Box(lo=[0.0, 0.75, 0.0], hi=[0.25, 1.0, 0.25])
+C1 = BoxDomain(lo=[0.25, 0.5, 0.0], hi=[0.5, 0.75, 0.25])
+C2 = BoxDomain(lo=[0.0, 0.75, 0.0], hi=[0.25, 1.0, 0.25])
 
 
 def vertical_line():
@@ -112,7 +112,7 @@ def test_norms_vanish_on_box_without_element_centroids():
     basis = fb.make_basis(1)
     rng = np.random.default_rng(8)
     f = FieldFunction.from_vector(mesh, basis, rng.standard_normal(mesh.n_elements * 4))
-    thin = Box(lo=[0.25, 0.0, 0.0], hi=[0.25 + 1e-12, 1.0, 0.25])
+    thin = BoxDomain(lo=[0.25, 0.0, 0.0], hi=[0.25 + 1e-12, 1.0, 0.25])
     exact = lambda p: 1.0 + p[:, 0]
     grad = lambda p: np.tile([1.0, 0.0, 0.0], (len(p), 1))
     assert l2_error(f, exact, region=thin) == 0.0
