@@ -42,21 +42,26 @@ STENCIL_CHUNK = 256
 class DGSpec:
     """Discretization parameters of the penalized bilinear form.
 
-    ``epsilon``: -1 symmetric, 0 incomplete, +1 nonsymmetric variant.
-    Defaults used by the built-in studies: sigma 5 for degree 1, 12 for
-    degree 2, epsilon -1, beta 1.
+    ``epsilon``: -1 symmetric, 0 incomplete, +1 nonsymmetric variant.  An
+    omitted ``sigma`` is 5 at degree 1 and 12 + 6 (k - 2) above, and an
+    omitted ``beta`` is 1 for the symmetric variant and 2 for the others;
+    ``DGSpec.default`` is the scheme with both omitted.
     """
 
     k: int
     epsilon: int = -1
-    sigma: float = 5.0
-    beta: float = 1.0
+    sigma: float | None = None
+    beta: float | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("degree k must be >= 1")
         if self.epsilon not in (-1, 0, 1):
             raise ValueError("epsilon must be one of -1, 0, +1")
+        if self.sigma is None:
+            object.__setattr__(self, "sigma", 5.0 if self.k == 1 else 12.0 + 6.0 * (self.k - 2))
+        if self.beta is None:
+            object.__setattr__(self, "beta", 1.0 if self.epsilon == -1 else 2.0)
         if self.sigma <= SIGMA_FLOOR[self.epsilon]:
             raise ValueError(
                 f"sigma={self.sigma} is at or below the coercivity floor "
@@ -69,9 +74,7 @@ class DGSpec:
 
     @classmethod
     def default(cls, k, epsilon=-1):
-        sigma = {1: 5.0, 2: 12.0}.get(k, 12.0 + 6.0 * (k - 2))
-        beta = 1.0 if epsilon == -1 else 2.0
-        return cls(k=k, epsilon=epsilon, sigma=sigma, beta=beta)
+        return cls(k=k, epsilon=epsilon)
 
 
 @dataclass(eq=False)

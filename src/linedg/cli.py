@@ -25,28 +25,25 @@ from .mesh import build_box_mesh
 from .multigrid import CYCLE_DTYPE, VCycle
 from .norms import convergence_rates, dg_energy_error, l2_error
 from .parabolic import run_backward_euler, step_diagnostics
-from .problems import LogLineSolution
 from .solver import solve
 from .vtk_io import field_cell_values, write_vtk
 
 FLOAT_FMT = "%.12e"
 
 
-def _solve_level(cfg, n, curve, exact, previous):
+def _solve_level(cfg, n, basis, density, previous):
     """Assemble and solve one elliptic level; returns (mesh, field, info, V-cycle).
 
     ``previous`` is the (V-cycle, field) of the level before, or None; on this
     grid halved, the V-cycle is built on it and CG starts from the prolonged field.
     """
     mesh = build_box_mesh(cfg.domain, n)
-    basis = _basis.make_basis(cfg.degree)
     t0 = time.perf_counter()
     system = assemble_stiffness(mesh, cfg.scheme, basis)
-    f_fn, _ = cfg.source.build()
-    restrictions = build_restrictions(curve, mesh)
-    rhs = assemble_line_rhs(curve, lambda s: f_fn(0.0, s), mesh, basis, restrictions=restrictions)
-    if exact is not None:
-        rhs = rhs + assemble_dirichlet_rhs(mesh, cfg.scheme, basis, exact)
+    restrictions = build_restrictions(cfg.curve, mesh)
+    rhs = assemble_line_rhs(cfg.curve, density, mesh, basis, restrictions=restrictions)
+    if cfg.exact is not None:
+        rhs = rhs + assemble_dirichlet_rhs(mesh, cfg.scheme, basis, cfg.exact)
     t_assembly = time.perf_counter() - t0
     t0 = time.perf_counter()
     vcycle = x0 = None
@@ -73,36 +70,31 @@ def _solve_level(cfg, n, curve, exact, previous):
     return mesh, field, info, vcycle
 
 
-def _error_columns(cfg, field, curve, exact):
-    """Ordered (name, value) error measurements for one level."""
-    cols = []
-    if exact is None:
-        return cols
-    cols.append(("err_L2_global", l2_error(field, exact, singular_curve=curve)))
-    for name, box in cfg.regions.items():
-        cols.append((f"err_L2_{name}", l2_error(field, exact, region=box)))
-    for name, box in cfg.regions.items():
-        cols.append(
-            (f"err_DG_{name}",
-             dg_energy_error(field, exact, exact.gradient, sigma=cfg.scheme.sigma, region=box))
-        )
-    return cols
+def _error(cfg, column, field):
+    """The error of ``field`` in ``column``, one of ``cfg.columns``."""
+    if column.norm == "dg":
+        return dg_energy_error(field, cfg.exact, cfg.exact.gradient, sigma=cfg.scheme.sigma,
+                               region=column.region)
+    if column.region is None:  # the whole domain holds the curve: guard the points on it
+        return l2_error(field, cfg.exact, singular_curve=cfg.curve)
+    return l2_error(field, cfg.exact, region=column.region)
 
 
 def _solve_levels(cfg, levels, out, vtk):
     """Solve and measure each of ``levels`` in turn, writing its solution to VTK
-    if ``vtk``; yields (mesh, field, info, error columns) per level.  Each
-    level's V-cycle and CG start are built on the level before."""
-    curve = cfg.build_curve()
-    exact = None if cfg.exact == "none" else LogLineSolution.from_curve(curve, cfg.domain)
+    if ``vtk``; yields (mesh, field, info, errors) per level, the errors in the
+    order of ``cfg.columns``.  Each level's V-cycle and CG start are built on
+    the level before."""
+    basis = _basis.make_basis(cfg.degree)
+    f_fn, _ = cfg.source.build()
     previous = None
     for n in levels:
-        mesh, field, info, vcycle = _solve_level(cfg, n, curve, exact, previous)
+        mesh, field, info, vcycle = _solve_level(cfg, n, basis, lambda s: f_fn(0.0, s), previous)
         previous = vcycle, field
-        cols = _error_columns(cfg, field, curve, exact)
+        errors = [_error(cfg, column, field) for column in cfg.columns]
         if vtk:
             _write_field(out / f"solution_k{cfg.degree}_n{n[0]}x{n[1]}x{n[2]}.vtk", field)
-        yield mesh, field, info, cols
+        yield mesh, field, info, errors
 
 
 def _write_csv(path, header, rows):
@@ -130,12 +122,12 @@ def run_elliptic(cfg, out_dir, vtk=True):
     """Single elliptic solve on the first configured level."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    [(mesh, field, info, cols)] = _solve_levels(cfg, cfg.levels[:1], out, vtk)
-    header = ["k", "h", "n_dof"] + [name for name, _ in cols]
-    row = [cfg.degree, mesh.h, info["n_dof"]] + [v for _, v in cols]
-    _write_csv(out / "errors.csv", header, [row])
+    [(mesh, field, info, errors)] = _solve_levels(cfg, cfg.levels[:1], out, vtk)
+    names = [column.name for column in cfg.columns]
+    _write_csv(out / "errors.csv", ["k", "h", "n_dof"] + names,
+               [[cfg.degree, mesh.h, info["n_dof"]] + errors])
     _write_metadata(out / "metadata.yaml", cfg, {"run": info, "mode": "elliptic"})
-    return {"mesh": mesh, "field": field, "info": info, "errors": dict(cols)}
+    return {"mesh": mesh, "field": field, "info": info, "errors": dict(zip(names, errors))}
 
 
 def run_study(cfg, out_dir, vtk=False):
@@ -147,31 +139,21 @@ def run_study(cfg, out_dir, vtk=False):
         raise ConfigError("refinement levels must strictly decrease the mesh size")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    hs, level_cols, infos = [], [], []
-    for mesh, _, info, cols in _solve_levels(cfg, cfg.levels, out, vtk):
-        hs.append(mesh.h)
-        level_cols.append(cols)
-        infos.append(info)
-
-    names = [name for name, _ in level_cols[0]]
-    rates = {}
-    for j, name in enumerate(names):
-        errs = [cols[j][1] for cols in level_cols]
-        rates[name] = (
-            convergence_rates(errs, hs) if all(e > 0 for e in errs) else [float("nan")] * (len(hs) - 1)
-        )
-
-    header = ["k", "h", "n_dof"] + names + [f"rate_{n[4:]}" for n in names]
-    rows = []
-    for i, n in enumerate(cfg.levels):
-        row = [cfg.degree, hs[i], infos[i]["n_dof"]]
-        row += [level_cols[i][j][1] for j in range(len(names))]
-        row += ["" if i == 0 else rates[name][i - 1] for name in names]
-        rows.append(row)
+    solved = [(m.h, info, errs) for m, _, info, errs in _solve_levels(cfg, cfg.levels, out, vtk)]
+    hs, infos, errors = map(list, zip(*solved))
+    table = np.array(errors).reshape(len(hs), len(cfg.columns))  # levels x columns
+    names = [column.name for column in cfg.columns]
+    rates = {
+        name: convergence_rates(errs, hs) if (errs > 0).all() else [float("nan")] * (len(hs) - 1)
+        for name, errs in zip(names, table.T)
+    }
+    header = ["k", "h", "n_dof"] + names + [column.rate for column in cfg.columns]
+    rows = [[cfg.degree, h, info["n_dof"], *level]
+            + ["" if i == 0 else rates[name][i - 1] for name in names]
+            for i, (h, info, level) in enumerate(zip(hs, infos, table))]
     _write_csv(out / "study.csv", header, rows)
 
-    lines = [_pretty_table(header, rows)]
-    text = "\n".join(lines)
+    text = _pretty_table(header, rows)
     (out / "study.txt").write_text(text + "\n")
     print(text)
 
@@ -182,41 +164,26 @@ def run_study(cfg, out_dir, vtk=False):
     )
     for v in violations:
         print(f"RATE ASSERTION FAILED: {v}", file=sys.stderr)
-    return {"hs": hs, "names": names, "columns": level_cols, "rates": rates,
-            "violations": violations}
+    return {"hs": hs, "names": names, "rates": rates, "violations": violations,
+            "columns": [list(zip(names, level)) for level in errors]}
 
 
 def _check_rate_assertions(cfg, rates):
-    violations = []
-    for a in cfg.assert_rates:
-        col = f"err_{'L2' if a.norm == 'l2' else 'DG'}_{a.region}"
-        finest = rates[col][-1]
-        if not (a.min <= finest <= a.max):
-            violations.append(
-                f"{col}: finest-pair rate {finest:.3f} outside [{a.min}, {a.max}]"
-            )
-    return violations
+    finest = [(a, rates[a.column][-1]) for a in cfg.assert_rates]
+    return [f"{a.column}: finest-pair rate {rate:.3f} outside [{a.min}, {a.max}]"
+            for a, rate in finest if not a.min <= rate <= a.max]
 
 
 def _pretty_table(header, rows):
-    def fmt(v):
-        if isinstance(v, float):
-            return f"{v:.3e}"
-        return str(v)
-
-    cells = [[fmt(v) for v in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(header)]
-    out = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    for r in cells:
-        out.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
-    return "\n".join(out)
+    cells = [header] + [[f"{v:.3e}" if isinstance(v, float) else str(v) for v in r] for r in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells)
 
 
 def run_parabolic(cfg, out_dir, vtk=True):
     """Backward Euler run with per-step diagnostics CSV."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    curve = cfg.build_curve()
     n = cfg.levels[0]
     mesh = build_box_mesh(cfg.domain, n)
     basis = _basis.make_basis(cfg.degree)
@@ -225,7 +192,7 @@ def run_parabolic(cfg, out_dir, vtk=True):
     u0 = cfg.initial.build()
     t0 = time.perf_counter()
     series = run_backward_euler(
-        mesh, cfg.scheme, curve, f_fn, u0, grid, cfg.solver, basis=basis,
+        mesh, cfg.scheme, cfg.curve, f_fn, u0, grid, cfg.solver, basis=basis,
         f_time_dependent=f_dep,
     )
     wall = time.perf_counter() - t0

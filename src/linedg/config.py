@@ -1,17 +1,18 @@
 """Run configuration: YAML schema, validation with line numbers, round-trip.
 
 Each section's keys are stated once, in a table key -> (kind, default).  The
-schema is strict: unknown keys are rejected, and every error reports the
-file line it came from.  The typed objects a run uses are built from the
-normalised values the tables give, and those values, kept as
-``StudyConfig.record``, are the configuration's plain-dict form.
+schema is strict: unknown and repeated keys are rejected, and every error
+reports the file line it came from.  The typed objects a run uses are built
+from the normalised values the tables give, and those values, kept as
+``StudyConfig.record``, are the configuration's plain-dict form.  A study's
+error columns are named here only, in ``StudyConfig.columns``.
 """
 
 import ast
 import copy
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,23 +95,30 @@ def _fail(node, message):
     raise ConfigError(f"{node.line}: {message}")
 
 
-def _build(node, loader):
-    line = node.start_mark.line + 1
-    if isinstance(node, yaml.MappingNode):
-        return _Node({k.value: _build(v, loader) for k, v in node.value}, line)
-    if isinstance(node, yaml.SequenceNode):
-        return _Node([_build(v, loader) for v in node.value], line)
-    # the tag resolved from the source decides the type: a quoted "2" is a string
-    return _Node(loader.construct_object(node), line)
-
-
 def _load_tree(text, source):
+    """The document as nested _Nodes; a key repeated in a mapping is rejected
+    at the line of the repeat."""
     loader = yaml.SafeLoader(text)
+
+    def build(node):
+        line = node.start_mark.line + 1
+        if isinstance(node, yaml.MappingNode):
+            out = {}
+            for k, v in node.value:
+                if k.value in out:
+                    raise ConfigError(f"{source}:{k.start_mark.line + 1}: repeated key {k.value!r}")
+                out[k.value] = build(v)
+            return _Node(out, line)
+        if isinstance(node, yaml.SequenceNode):
+            return _Node([build(v) for v in node.value], line)
+        # the tag resolved from the source decides the type: a quoted "2" is a string
+        return _Node(loader.construct_object(node), line)
+
     try:
         root = loader.get_single_node()
         if root is None:
             raise ConfigError(f"{source}: empty configuration")
-        return _build(root, loader)
+        return build(root)
     except yaml.YAMLError as err:
         raise ConfigError(f"{source}: YAML syntax error: {err}") from err
     finally:
@@ -247,7 +255,7 @@ _CURVES = {
 _SOURCES = {"constant": {"value": (_float, 1.0)},
             "expression": {"expr": (_expression("s", "t"), ...)}}
 _INITIALS = {"zero": {}, "expression": {"expr": (_expression("x", "y", "z"), ...)}}
-# absent keys take the defaults of DGSpec.default(degree, epsilon) and SolverConfig
+# absent keys take the defaults of DGSpec and SolverConfig
 _SCHEME = {"epsilon": (_int, None), "sigma": (_float, None), "beta": (_float, None)}
 _SOLVER = {"rel_tol": (_float, None), "max_iter": (_typed((int, type(None))), None),
            "preconditioner": (_str, None)}
@@ -303,9 +311,26 @@ class InitialSpec:
 
 
 @dataclass(frozen=True)
+class ErrorColumn:
+    """The ``norm`` of u - u_h over ``region`` (None: the whole domain), written
+    as ``name``; its observed rates in ``study.csv`` are named ``rate``."""
+
+    name: str                 # err_<L2|DG>_<global | region name>
+    norm: str                 # l2 | dg
+    region: BoxDomain | None
+
+    @property
+    def rate(self):
+        return "rate" + self.name.removeprefix("err")
+
+
+def _column_name(norm, region):
+    return f"err_{norm.upper()}_{region}"
+
+
+@dataclass(frozen=True)
 class RateAssertion:
-    norm: str      # l2 | dg
-    region: str    # global | region name
+    column: str    # an ErrorColumn name, e.g. err_L2_boxA
     min: float
     max: float
 
@@ -321,7 +346,8 @@ class StudyConfig:
     scheme: DGSpec
     levels: tuple              # (nx, ny, nz) per level
     regions: dict              # name -> BoxDomain
-    exact: str                 # log_line | none
+    exact: LogLineSolution | None
+    columns: tuple             # of ErrorColumn, in the order the CSV files write them
     solver: SolverConfig
     mode: str                  # elliptic | parabolic
     time: TimeGrid | None      # parabolic mode only
@@ -359,20 +385,15 @@ def _curve(base_dir, domain, kind, path=None, **params):
     return curve
 
 
-def _scheme(degree, **given):
-    """``DGSpec.default(degree, epsilon)`` with the given sigma and beta."""
-    variant = {"epsilon": given.pop("epsilon")} if "epsilon" in given else {}
-    return replace(DGSpec.default(degree, **variant), **given)
-
-
 def _parse(tree, base_dir):
     values = _CONFIG(tree, None)
     nodes = tree.value
     domain = _make(nodes["domain"], BoxDomain, **values["domain"])
     curve = _make(nodes["curve"], _curve, base_dir, domain, **values["curve"])
+    exact = None
     if values["exact"] == "log_line":
-        _make(nodes["curve"], LogLineSolution.from_curve, curve, domain)
-    scheme = _make(nodes.get("scheme", nodes["degree"]), _scheme, values["degree"],
+        exact = _make(nodes["curve"], LogLineSolution.from_curve, curve, domain)
+    scheme = _make(nodes.get("scheme", nodes["degree"]), DGSpec, values["degree"],
                    **values["scheme"])
 
     levels = ([values["n"]] if "n" in values else []) + values.get("levels", [])
@@ -384,6 +405,14 @@ def _parse(tree, base_dir):
         regions[name] = _make(node, BoxDomain, **box)
         for n in levels:
             _make(node, check_region_aligned, domain, n, regions[name])
+    columns = {}  # name -> ErrorColumn; a region may not reuse a name, even with no exact
+    for norm, region, box in [("l2", "global", None)] + [
+            (norm, *item) for norm in ("l2", "dg") for item in regions.items()]:
+        name = _column_name(norm, region)
+        if name in columns:
+            _fail(nodes["regions"].value[region], f"region {region!r} writes a second {name}")
+        columns[name] = ErrorColumn(name, norm, box)
+    columns = columns if exact is not None else {}
 
     solver = _make(nodes.get("solver", tree), SolverConfig, **values["solver"])
     if solver.preconditioner == "multigrid":
@@ -410,15 +439,14 @@ def _parse(tree, base_dir):
                         f"= {t['final'] / t['tau']:.6g} steps")
         time = _make(node, TimeGrid, t["final"], steps)
     # a rate is asserted only on a column the study writes
+    assert_rates = []
     for i, rate in enumerate(values["assert_rates"]):
-        node = nodes["assert_rates"].value[i]
-        if values["exact"] == "none":
-            _fail(node, "assert_rates needs exact: log_line; with exact: none no error "
-                        "column is measured")
-        if rate["region"] == "global" and rate["norm"] == "dg":
-            _fail(node, "no global dg error column is measured; assert a dg rate on a region")
-        if rate["region"] != "global" and rate["region"] not in regions:
-            _fail(node, f"assert_rates region {rate['region']!r} is not defined")
+        name = _column_name(rate["norm"], rate["region"])
+        if name not in columns:
+            _fail(nodes["assert_rates"].value[i],
+                  f"assert_rates: the study writes no {name} column; it writes "
+                  f"{', '.join(columns) or 'none, as exact is none'}")
+        assert_rates.append(RateAssertion(name, rate["min"], rate["max"]))
 
     # neither empty sections nor those of parabolic mode in elliptic mode are recorded
     unused = {"n"} | ({"initial", "snapshot_every"} if time is None else set())
@@ -429,10 +457,11 @@ def _parse(tree, base_dir):
         record["time"] = {"final": time.final_time, "steps": time.steps}
     return StudyConfig(
         domain=domain, curve=curve, source=SourceSpec(**values["source"]), scheme=scheme,
-        levels=tuple(map(tuple, levels)), regions=regions, exact=values["exact"],
+        levels=tuple(map(tuple, levels)), regions=regions, exact=exact,
+        columns=tuple(columns.values()),
         solver=solver, mode=values["mode"], time=time, initial=InitialSpec(**values["initial"]),
         snapshot_every=values["snapshot_every"],
-        assert_rates=tuple(RateAssertion(**rate) for rate in values["assert_rates"]),
+        assert_rates=tuple(assert_rates),
         record=record,
     )
 

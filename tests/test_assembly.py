@@ -40,6 +40,16 @@ def test_spec_validation():
     assert DGSpec.default(2).sigma == 12.0
 
 
+def test_omitted_sigma_and_beta_are_the_defaults():
+    """A spec that gives only the degree and variant is ``DGSpec.default``: the
+    field defaults once gave sigma 5 at every degree, an indefinite symmetric
+    stiffness for k >= 2, and beta 1 for the nonsymmetric variants."""
+    for k in (1, 2, 3):
+        for epsilon in (-1, 0, 1):
+            assert DGSpec(k=k, epsilon=epsilon) == DGSpec.default(k, epsilon)
+    assert DGSpec(k=1, epsilon=1).beta == 2.0 and DGSpec(k=3).sigma == 18.0
+
+
 def test_symmetry_at_minus_one():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)

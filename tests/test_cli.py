@@ -212,6 +212,21 @@ def test_bad_value_fails_at_load(tmp_path, capsys, text, at):
     assert not (tmp_path / "out").exists()
 
 
+def test_region_named_global_fails_at_its_line(tmp_path, capsys):
+    """err_L2_global is the whole domain's column; a region named global would
+    write a second column of that name."""
+    region = "  global: {lo: [0.5, 0.0, 0.0], hi: [0.75, 0.25, 0.25]}"
+    text = SMALL_STUDY.replace("regions:\n", f"regions:\n{region}\n")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    line = text.splitlines().index(region) + 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ") and "err_L2_global" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_deterministic_study_csv(tmp_path):
     cfg = parse_config(SMALL_STUDY)
     run_study(cfg, tmp_path / "a")
@@ -318,7 +333,7 @@ def test_shipped_single_run_configs(tmp_path, path):
     else:
         command, table = "solve-elliptic", "errors.csv"
         header = ["k", "h", "n_dof"]
-        if cfg.exact != "none":
+        if cfg.exact is not None:
             header += ["err_L2_global"] + [f"err_{norm}_{name}" for norm in ("L2", "DG")
                                            for name in cfg.regions]
         n_rows = 1

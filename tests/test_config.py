@@ -26,7 +26,7 @@ def test_minimal_config():
     assert cfg.levels == ((4, 4, 1),)
     assert cfg.scheme.epsilon == -1 and cfg.scheme.sigma == 5.0 and cfg.scheme.beta == 1.0
     assert cfg.mode == "elliptic"
-    assert cfg.exact == "none"
+    assert cfg.exact is None
     curve = cfg.build_curve()
     assert abs(curve.length - 0.25) < 1e-15
 
@@ -194,6 +194,44 @@ def test_round_trip_through_dict():
     emitted = yaml.safe_dump(config_to_dict(cfg))
     cfg2 = parse_config(emitted)
     assert config_to_dict(cfg) == config_to_dict(cfg2)
+
+
+WITH_REGION = (MINIMAL + "regions:\n  boxA: {lo: [0.25, 0.5, 0.0], hi: [0.5, 0.75, 0.25]}\n"
+               + "exact: log_line\n")
+
+
+@pytest.mark.parametrize("norm,region,column", [
+    ("dg", "boxB", "err_DG_boxB"), ("dg", "global", "err_DG_global"),
+    ("l2", "boxC", "err_L2_boxC"),
+])
+def test_rate_on_a_column_not_written_names_it_and_the_written_ones(norm, region, column):
+    text = WITH_REGION + f"assert_rates:\n  - {{norm: {norm}, region: {region}, min: 1, max: 2}}\n"
+    line = len(text.splitlines())
+    written = "err_L2_global, err_L2_boxA, err_DG_boxA"
+    with pytest.raises(ConfigError, match=rf"<config>:{line}: .*\b{column}\b.* writes {written}$"):
+        parse_config(text)
+
+
+def test_study_columns_follow_the_regions():
+    cfg = parse_config(WITH_REGION + "assert_rates:\n  - {norm: dg, region: boxA, min: 1, max: 2}\n")
+    assert [(c.name, c.norm, c.region) for c in cfg.columns] == [
+        ("err_L2_global", "l2", None), ("err_L2_boxA", "l2", cfg.regions["boxA"]),
+        ("err_DG_boxA", "dg", cfg.regions["boxA"])]
+    assert [c.rate for c in cfg.columns] == ["rate_L2_global", "rate_L2_boxA", "rate_DG_boxA"]
+    assert [a.column for a in cfg.assert_rates] == ["err_DG_boxA"]
+    assert parse_config(WITH_REGION.replace("exact: log_line", "exact: none")).columns == ()
+
+
+@pytest.mark.parametrize("text,key", [
+    (MINIMAL + "degree: 2\n", "degree"),
+    (MINIMAL + "regions:\n  boxA: {lo: [0.25, 0.5, 0.0], hi: [0.5, 0.75, 0.25]}\n"
+               "  boxA: {lo: [0.5, 0.5, 0.0], hi: [0.75, 0.75, 0.25]}\n", "boxA"),
+    (MINIMAL + "solver:\n  rel_tol: 1.0e-8\n  max_iter: 50\n  rel_tol: 1.0e-6\n", "rel_tol"),
+], ids=["top_level", "region", "nested"])
+def test_repeated_key_fails_at_the_repeat(text, key):
+    """A repeated key is rejected, not silently overwritten by its last value."""
+    with pytest.raises(ConfigError, match=rf"^<config>:{len(text.splitlines())}: repeated key '{key}'$"):
+        parse_config(text)
 
 
 def test_load_config_reports_path(tmp_path):
