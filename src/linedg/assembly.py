@@ -44,8 +44,7 @@ class DGSpec:
 
     ``epsilon``: -1 symmetric, 0 incomplete, +1 nonsymmetric variant.  An
     omitted ``sigma`` is 5 at degree 1 and 12 + 6 (k - 2) above, and an
-    omitted ``beta`` is 1 for the symmetric variant and 2 for the others;
-    ``DGSpec.default`` is the scheme with both omitted.
+    omitted ``beta`` is 1 for the symmetric variant and 2 for the others.
     """
 
     k: int
@@ -71,10 +70,6 @@ class DGSpec:
             raise ValueError("beta must be >= 1")
         if self.epsilon == -1 and self.beta != 1.0:
             raise ValueError("the symmetric variant uses beta = 1")
-
-    @classmethod
-    def default(cls, k, epsilon=-1):
-        return cls(k=k, epsilon=epsilon)
 
 
 @dataclass(eq=False)

@@ -22,7 +22,7 @@ from .curve import assemble_line_rhs, build_restrictions
 from .errors import ConfigError
 from .fields import FieldFunction
 from .mesh import build_box_mesh
-from .multigrid import CYCLE_DTYPE, VCycle
+from .multigrid import VCycle
 from .norms import convergence_rates, dg_energy_error, l2_error
 from .parabolic import run_backward_euler, step_diagnostics
 from .solver import solve
@@ -49,7 +49,7 @@ def _solve_level(cfg, n, basis, density, previous):
     vcycle = x0 = None
     if cfg.solver.preconditioner == "multigrid":
         nested = previous is not None and tuple(2 * v for v in previous[1].mesh.n) == mesh.n
-        vcycle = VCycle(system, previous[0] if nested else None, CYCLE_DTYPE)
+        vcycle = VCycle(system, previous[0] if nested else None)
         if nested:
             x0 = vcycle.transfer.prolong(previous[1].coeffs.ravel())
     res = solve(system, rhs, cfg.solver, x0=x0, precond=vcycle)

@@ -1,6 +1,7 @@
 """Run configuration: YAML schema, validation with line numbers, round-trip.
 
-Each section's keys are stated once, in a table key -> (kind, default).  The
+Each section's keys are stated once, in a table key -> (kind, default), one
+per ``kind`` of a curve or source and per ``mode`` of the configuration.  The
 schema is strict: unknown and repeated keys are rejected, and every error
 reports the file line it came from.  The typed objects a run uses are built
 from the normalised values the tables give, and those values, kept as
@@ -81,13 +82,15 @@ def _compile_expr(text, variables):
 
 
 class _Node:
-    """A parsed YAML value plus the line it starts on."""
+    """A parsed YAML value plus the line it starts on; a mapping's ``keys``
+    hold its keys as _Nodes, each at its own line."""
 
-    __slots__ = ("value", "line")
+    __slots__ = ("value", "line", "keys")
 
-    def __init__(self, value, line):
+    def __init__(self, value, line, keys=None):
         self.value = value
         self.line = line
+        self.keys = keys
 
 
 def _fail(node, message):
@@ -96,19 +99,22 @@ def _fail(node, message):
 
 
 def _load_tree(text, source):
-    """The document as nested _Nodes; a key repeated in a mapping is rejected
-    at the line of the repeat."""
+    """The document as nested _Nodes; a key that is not a scalar, or is
+    repeated in its mapping, is rejected at its line."""
     loader = yaml.SafeLoader(text)
 
     def build(node):
         line = node.start_mark.line + 1
         if isinstance(node, yaml.MappingNode):
-            out = {}
+            out, keys = {}, {}
             for k, v in node.value:
+                at = f"{source}:{k.start_mark.line + 1}"
+                if not isinstance(k, yaml.ScalarNode):
+                    raise ConfigError(f"{at}: a key must be a plain name, not a {k.id}")
                 if k.value in out:
-                    raise ConfigError(f"{source}:{k.start_mark.line + 1}: repeated key {k.value!r}")
-                out[k.value] = build(v)
-            return _Node(out, line)
+                    raise ConfigError(f"{at}: repeated key {k.value!r}")
+                out[k.value], keys[k.value] = build(v), _Node(k.value, k.start_mark.line + 1)
+            return _Node(out, line, keys)
         if isinstance(node, yaml.SequenceNode):
             return _Node([build(v) for v in node.value], line)
         # the tag resolved from the source decides the type: a quoted "2" is a string
@@ -210,15 +216,16 @@ def _mapping_of(item):
 def _section(table):
     """Kind of a mapping whose keys ``table`` gives as key -> (kind, default).
 
-    Unknown keys and missing required ones (default ``...``) are rejected.
-    An absent key reads its default through its kind; one whose default is
-    None is left out, for the typed object built from the values to fill in.
+    Unknown keys, reported at the first one's line, and missing required
+    ones (default ``...``) are rejected.  An absent key reads its default
+    through its kind; one whose default is None is left out, for the typed
+    object built from the values to fill in.
     """
     def read(node, key):
         given = _mapping(node, key or "configuration")
-        unknown = set(given) - set(table)
+        unknown = [name for name in given if name not in table]
         if unknown:
-            _fail(node, f"unknown key(s) in {key or 'configuration'}: {sorted(unknown)}")
+            _fail(node.keys[unknown[0]], f"unknown key(s) in {key or 'configuration'}: {unknown}")
         out = {}
         for name, (kind, default) in table.items():
             dotted = f"{key}.{name}" if key else name
@@ -232,15 +239,17 @@ def _section(table):
     return read
 
 
-def _kinded(tables):
-    """Kind of a section whose keys depend on its ``kind``: kind -> key table.
-    The first kind is the default."""
+def _kinded(tables, by="kind"):
+    """Kind of a section whose keys depend on the value of its key ``by``:
+    value -> key table, the first value the default.  A key of another
+    value's table is an unknown key."""
     choose = _choice(*tables)
 
     def read(node, key):
-        given = _mapping(node, key)
-        kind = choose(given["kind"], f"{key}.kind") if "kind" in given else next(iter(tables))
-        return _section({"kind": (choose, kind), **tables[kind]})(node, key)
+        given = _mapping(node, key or "configuration")
+        dotted = f"{key}.{by}" if key else by
+        kind = choose(given[by], dotted) if by in given else next(iter(tables))
+        return _section({by: (choose, kind), **tables[kind]})(node, key)
     return read
 
 
@@ -262,23 +271,23 @@ _SOLVER = {"rel_tol": (_float, None), "max_iter": (_typed((int, type(None))), No
 _TIME = {"final": (_float, ...), "steps": (_int, None), "tau": (_float, None)}
 _RATE = {"norm": (_choice("l2", "dg"), "l2"), "region": (_str, "global"),
          "min": (_float, ...), "max": (_float, ...)}
-_CONFIG = _section({
+_COMMON = {
     "domain": (_section(_BOX), ...),
     "curve": (_kinded(_CURVES), ...),
     "source": (_kinded(_SOURCES), {}),
     "degree": (_int, ...),
     "scheme": (_section(_SCHEME), {}),
     "n": (_cells, None),
-    "levels": (_list_of(_cells), None),
-    "regions": (_mapping_of(_section(_BOX)), {}),
-    "exact": (_choice("log_line", "none"), "none"),
+    "levels": (_list_of(_cells), None),  # parabolic mode runs one grid: n or one level
     "solver": (_section(_SOLVER), {}),
-    "mode": (_choice("elliptic", "parabolic"), "elliptic"),
-    "time": (_section(_TIME), None),
-    "initial": (_kinded(_INITIALS), {}),
-    "snapshot_every": (_at_least(0), 0),
-    "assert_rates": (_list_of(_section(_RATE)), []),
-})
+}
+_CONFIG = _kinded({
+    "elliptic": {**_COMMON, "regions": (_mapping_of(_section(_BOX)), {}),
+                 "exact": (_choice("log_line", "none"), "none"),
+                 "assert_rates": (_list_of(_section(_RATE)), [])},
+    "parabolic": {**_COMMON, "time": (_section(_TIME), ...),
+                  "initial": (_kinded(_INITIALS), {}), "snapshot_every": (_at_least(0), 0)},
+}, "mode")
 
 
 # -- typed objects -----------------------------------------------------------
@@ -344,16 +353,15 @@ class StudyConfig:
     curve: Curve
     source: SourceSpec
     scheme: DGSpec
-    levels: tuple              # (nx, ny, nz) per level
-    regions: dict              # name -> BoxDomain
-    exact: LogLineSolution | None
+    levels: tuple              # (nx, ny, nz) per level; one in parabolic mode
+    exact: LogLineSolution | None  # elliptic mode only
     columns: tuple             # of ErrorColumn, in the order the CSV files write them
     solver: SolverConfig
     mode: str                  # elliptic | parabolic
     time: TimeGrid | None      # parabolic mode only
-    initial: InitialSpec
-    snapshot_every: int
-    assert_rates: tuple        # of RateAssertion
+    initial: InitialSpec       # parabolic mode only; zero in elliptic mode
+    snapshot_every: int        # parabolic mode only; 0 in elliptic mode
+    assert_rates: tuple        # of RateAssertion; elliptic mode only
     record: dict
 
     @property
@@ -390,17 +398,18 @@ def _parse(tree, base_dir):
     nodes = tree.value
     domain = _make(nodes["domain"], BoxDomain, **values["domain"])
     curve = _make(nodes["curve"], _curve, base_dir, domain, **values["curve"])
-    exact = None
-    if values["exact"] == "log_line":
-        exact = _make(nodes["curve"], LogLineSolution.from_curve, curve, domain)
+    exact = (_make(nodes["curve"], LogLineSolution.from_curve, curve, domain)
+             if values.get("exact") == "log_line" else None)
     scheme = _make(nodes.get("scheme", nodes["degree"]), DGSpec, values["degree"],
                    **values["scheme"])
 
     levels = ([values["n"]] if "n" in values else []) + values.get("levels", [])
     if not levels:
         _fail(nodes.get("levels", tree), "one of 'n' or 'levels' is required")
+    if values["mode"] == "parabolic" and len(levels) > 1:
+        _fail(tree.keys["levels"], f"parabolic mode runs one grid; got {len(levels)} levels")
     regions = {}
-    for name, box in values["regions"].items():
+    for name, box in values.get("regions", {}).items():
         node = nodes["regions"].value[name]
         regions[name] = _make(node, BoxDomain, **box)
         for n in levels:
@@ -423,9 +432,6 @@ def _parse(tree, base_dir):
         for n in levels:
             _make(pc_node, level_grids, n, math.comb(values["degree"] + 3, 3))
 
-    if ("time" in values) != (values["mode"] == "parabolic"):
-        _fail(nodes.get("time", tree), "a 'time' section is required in parabolic mode, "
-                                       "and only valid in parabolic mode")
     time = None
     if "time" in values:
         t, node = values["time"], nodes["time"]
@@ -440,7 +446,7 @@ def _parse(tree, base_dir):
         time = _make(node, TimeGrid, t["final"], steps)
     # a rate is asserted only on a column the study writes
     assert_rates = []
-    for i, rate in enumerate(values["assert_rates"]):
+    for i, rate in enumerate(values.get("assert_rates", [])):
         name = _column_name(rate["norm"], rate["region"])
         if name not in columns:
             _fail(nodes["assert_rates"].value[i],
@@ -448,21 +454,18 @@ def _parse(tree, base_dir):
                   f"{', '.join(columns) or 'none, as exact is none'}")
         assert_rates.append(RateAssertion(name, rate["min"], rate["max"]))
 
-    # neither empty sections nor those of parabolic mode in elliptic mode are recorded
-    unused = {"n"} | ({"initial", "snapshot_every"} if time is None else set())
-    record = {key: v for key, v in values.items() if key not in unused and v not in ({}, [], 0)}
+    # empty sections are not recorded, nor n, which leads the levels
+    record = {key: v for key, v in values.items() if key != "n" and v not in ({}, [], 0)}
     record.update(levels=levels, scheme={key: getattr(scheme, key) for key in _SCHEME},
                   solver={key: getattr(solver, key) for key in _SOLVER})
     if time is not None:
         record["time"] = {"final": time.final_time, "steps": time.steps}
     return StudyConfig(
         domain=domain, curve=curve, source=SourceSpec(**values["source"]), scheme=scheme,
-        levels=tuple(map(tuple, levels)), regions=regions, exact=exact,
-        columns=tuple(columns.values()),
-        solver=solver, mode=values["mode"], time=time, initial=InitialSpec(**values["initial"]),
-        snapshot_every=values["snapshot_every"],
-        assert_rates=tuple(assert_rates),
-        record=record,
+        levels=tuple(map(tuple, levels)), exact=exact, columns=tuple(columns.values()),
+        solver=solver, mode=values["mode"], time=time, assert_rates=tuple(assert_rates),
+        initial=InitialSpec(**values.get("initial", {"kind": "zero"})),
+        snapshot_every=values.get("snapshot_every", 0), record=record,
     )
 
 

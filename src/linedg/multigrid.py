@@ -16,8 +16,8 @@ D^{-1} A, D the block-Jacobi diagonal (Adams, Brezina, Hu & Tuminaro, JCP
 as one stencil product (``BlockJacobi.scaled``).  The coarsest level applies
 the inverse of its ``SparseSystem.dense()`` matrix, not scipy.
 
-The smoothing levels compute in the dtype a ``VCycle`` is given, and a solve
-gives ``CYCLE_DTYPE``, float32: each level streams its stencil weights and
+The smoothing levels compute in the dtype a ``VCycle`` is given, by default
+``CYCLE_DTYPE``, float32: each level streams its stencil weights and
 ndof-sized vectors several times, so float32 halves the bytes of the cycle
 while CG keeps its iterates, its products and its true-residual check in
 float64 (the split of Kronbichler & Wall, SISC 2018).  Every level is
@@ -111,8 +111,8 @@ class Transfer:
 class VCycle:
     """Symmetric V-cycle y = B r for an operator built by ``assemble_stiffness``.
 
-    A level smooths with ``A``, ``system`` cast to ``dtype`` (default: the
-    system's own), and corrects by ``coarse``, the V-cycle of the halved grid
+    A level smooths with ``A``, ``system`` cast to ``dtype`` (float64 gives
+    the reference cycle), and corrects by ``coarse``, the V-cycle of the halved grid
     (coarsened, assembled in float64 and run in ``dtype`` here unless given;
     ValueError unless nested); the coarsest level, ``coarse`` None, applies
     the float64 inverse of its matrix in float64.  A level casts r to its
@@ -121,7 +121,7 @@ class VCycle:
     call, not kept, so one V-cycle may run in several threads.
     """
 
-    def __init__(self, system, coarse=None, dtype=None):
+    def __init__(self, system, coarse=None, dtype=CYCLE_DTYPE):
         if system.discretization is None:
             raise ValueError(
                 "multigrid needs an operator built by assemble_stiffness; "
@@ -133,7 +133,7 @@ class VCycle:
             self.coarse_inverse = np.linalg.inv(system.dense())
             self.dtype = self.coarse_inverse.dtype
             return
-        self.dtype = system.weights.dtype if dtype is None else np.dtype(dtype)
+        self.dtype = np.dtype(dtype)
         self.A = system.astype(self.dtype)
         if coarse is None:
             self.coarse = VCycle(assemble_stiffness(mesh.coarsen(), spec, basis), dtype=self.dtype)

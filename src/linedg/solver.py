@@ -42,13 +42,13 @@ def make_preconditioner(system, kind):
     """Return y = M^{-1} x as a callable for the requested preconditioner.
 
     ``block_jacobi`` is ``system.block_jacobi()``; ``multigrid`` is a
-    ``multigrid.VCycle`` that smooths in ``multigrid.CYCLE_DTYPE`` and needs
-    an assembled stiffness operator; any other operator raises ValueError.
+    ``multigrid.VCycle`` in its default precision, which needs an assembled
+    stiffness operator; any other operator raises ValueError.
     """
     if kind == "none":
         return lambda x: x
     if kind == "multigrid":
-        return multigrid.VCycle(system, dtype=multigrid.CYCLE_DTYPE)
+        return multigrid.VCycle(system)
     if kind != "block_jacobi":
         raise ValueError(f"unknown preconditioner {kind!r}")
     return system.block_jacobi()

@@ -209,7 +209,7 @@ def test_criterion_6e_distance_lipschitz():
 def test_criterion_6f_parabolic_properties():
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     basis = fb.make_basis(1)
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     curve = vertical_line()
     from linedg.assembly import assemble_mass
     from linedg.curve import assemble_line_rhs

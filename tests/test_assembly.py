@@ -37,23 +37,24 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         DGSpec(k=1, epsilon=-1, beta=2.0)
     DGSpec(k=1, epsilon=1, sigma=4.0, beta=2.0)
-    assert DGSpec.default(2).sigma == 12.0
+    assert DGSpec(2).sigma == 12.0
 
 
 def test_omitted_sigma_and_beta_are_the_defaults():
-    """A spec that gives only the degree and variant is ``DGSpec.default``: the
-    field defaults once gave sigma 5 at every degree, an indefinite symmetric
+    """An omitted sigma is 5 at k = 1 and 12 + 6 (k - 2) above, and an omitted
+    beta is 1 for the symmetric variant and 2 for the others: the field
+    defaults once gave sigma 5 at every degree, an indefinite symmetric
     stiffness for k >= 2, and beta 1 for the nonsymmetric variants."""
-    for k in (1, 2, 3):
-        for epsilon in (-1, 0, 1):
-            assert DGSpec(k=k, epsilon=epsilon) == DGSpec.default(k, epsilon)
-    assert DGSpec(k=1, epsilon=1).beta == 2.0 and DGSpec(k=3).sigma == 18.0
+    for k, sigma in ((1, 5.0), (2, 12.0), (3, 18.0), (4, 24.0)):
+        for epsilon, beta in ((-1, 1.0), (0, 2.0), (1, 2.0)):
+            spec = DGSpec(k=k, epsilon=epsilon)
+            assert (spec.sigma, spec.beta) == (sigma, beta)
 
 
 def test_symmetry_at_minus_one():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
-    A = assemble_stiffness(mesh, DGSpec.default(1), basis).matrix
+    A = assemble_stiffness(mesh, DGSpec(1), basis).matrix
     diff = abs(A - A.T).max()
     assert diff < 1e-12 * abs(A).max()
 
@@ -62,14 +63,14 @@ def test_nonsymmetric_variants_assemble():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
     for eps in (0, 1):
-        A = assemble_stiffness(mesh, DGSpec.default(1, epsilon=eps), basis).matrix
+        A = assemble_stiffness(mesh, DGSpec(1, epsilon=eps), basis).matrix
         assert abs(A - A.T).max() > 1e-8  # genuinely nonsymmetric
 
 
 def test_positive_diagonal():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     for k in (1, 2):
-        sys_ = assemble_stiffness(mesh, DGSpec.default(k), fb.make_basis(k))
+        sys_ = assemble_stiffness(mesh, DGSpec(k), fb.make_basis(k))
         assert np.all(sys_.matrix.diagonal() > 0)
 
 
@@ -77,7 +78,7 @@ def test_constant_vector_rows():
     """A applied to the global constant acts only near the boundary."""
     mesh = build_box_mesh(SLAB, (4, 4, 2))
     basis = fb.make_basis(1)
-    A = assemble_stiffness(mesh, DGSpec.default(1), basis).matrix
+    A = assemble_stiffness(mesh, DGSpec(1), basis).matrix
     ones = np.ones(A.shape[0])
     r = (A @ ones).reshape(mesh.n_elements, basis.dim)
     touches = np.zeros(mesh.n_elements, dtype=bool)
@@ -106,7 +107,7 @@ def coercivity_threshold(mesh, k):
     definite, to within the bracket left by 20 bisections on a Cholesky
     of A(sigma) = A0 + sigma P, split from the assemblies at sigma 2 and the
     default.  P holds the jump penalty, so definiteness grows with sigma."""
-    basis, default = fb.make_basis(k), DGSpec.default(k)
+    basis, default = fb.make_basis(k), DGSpec(k)
     A2 = assemble_stiffness(mesh, DGSpec(k=k, sigma=2.0), basis).dense()
     P = (assemble_stiffness(mesh, default, basis).dense() - A2) / (default.sigma - 2.0)
     A0 = A2 - 2.0 * P
@@ -128,10 +129,10 @@ def coercivity_threshold(mesh, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_default_penalty_clears_the_coercivity_threshold(k):
-    """DGSpec.default(k) keeps sigma at least 1.2 sigma* on the slab grids one
+    """DGSpec(k) keeps sigma at least 1.2 sigma* on the slab grids one
     cell thick, where the margin is smallest."""
     for n in ((2, 2, 1), (4, 4, 1)):
-        assert DGSpec.default(k).sigma >= 1.2 * coercivity_threshold(build_box_mesh(SLAB, n), k)
+        assert DGSpec(k).sigma >= 1.2 * coercivity_threshold(build_box_mesh(SLAB, n), k)
 
 
 def test_penalty_scaling_isolated():
@@ -149,7 +150,7 @@ def test_operators_are_element_blocked_bsr(k):
     """Each block row holds its diagonal block and one block per interior face."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(k)
-    systems = [assemble_stiffness(mesh, DGSpec.default(k, eps), basis) for eps in (-1, 0, 1)]
+    systems = [assemble_stiffness(mesh, DGSpec(k, eps), basis) for eps in (-1, 0, 1)]
     systems += [
         _blocked_system(mesh, basis, face_form=(0.0, 0.0, 1.0)),
         assemble_dg_norm_gram(mesh, basis, 12.0),
@@ -193,7 +194,7 @@ def test_mass_blocks_spd():
 def test_dirichlet_zero_data():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
-    r = assemble_dirichlet_rhs(mesh, DGSpec.default(1), basis, 0.0)
+    r = assemble_dirichlet_rhs(mesh, DGSpec(1), basis, 0.0)
     assert np.all(r == 0)
 
 
@@ -201,7 +202,7 @@ def test_constant_solution_exact():
     """g = 1, f = 0 reproduces the constant one."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     system = assemble_stiffness(mesh, spec, basis)
     rhs = assemble_dirichlet_rhs(mesh, spec, basis, 1.0)
     res = solve(system, rhs, SolverConfig(rel_tol=1e-12))
@@ -312,7 +313,7 @@ def test_replica_gather_matches_full_mesh_scatter(domain, n, k):
     grad = _volume_grad_gram(mesh, basis)[types]
     cases = []
     for eps in (-1, 0, 1):
-        spec = DGSpec.default(k, eps)
+        spec = DGSpec(k, eps)
         penalty = spec.sigma / h ** spec.beta
         cases.append((assemble_stiffness(mesh, spec, basis), grad, (1.0, eps, penalty)))
     mass = reference_mass(basis)[None] * mesh.type_det_jacobians[types, None, None]
@@ -344,7 +345,7 @@ def test_stencil_apply_matches_full_mesh_scatter(domain, n, k):
     gram = _full_mesh_reference(mesh, basis, grad, (0.0, 0.0, 7.0 / h))[2]
     cases.append((assemble_dg_norm_gram(mesh, basis, 7.0), gram))
     for eps in (-1, 0, 1):
-        spec = DGSpec.default(k, eps)
+        spec = DGSpec(k, eps)
         face_form = (1.0, eps, spec.sigma / h ** spec.beta)
         data = _full_mesh_reference(mesh, basis, grad, face_form)[2]
         cases.append((assemble_stiffness(mesh, spec, basis), data))
@@ -376,7 +377,7 @@ def test_chunked_stencil_matches_full_mesh_scatter(k):
     ne = mesh.n_elements
     assert 6 * assembly.STENCIL_CHUNK < ne < 12 * assembly.STENCIL_CHUNK
     basis = fb.make_basis(k)
-    nb, h, spec = basis.dim, mesh.grid_spacing, DGSpec.default(k)
+    nb, h, spec = basis.dim, mesh.grid_spacing, DGSpec(k)
     grad = _volume_grad_gram(mesh, basis)[np.arange(ne) % 6]
     face_form = (1.0, spec.epsilon, spec.sigma / h ** spec.beta)
     indptr, indices, data = _full_mesh_reference(mesh, basis, grad, face_form)
@@ -399,7 +400,7 @@ def test_stencil_apply_runs_in_two_threads():
     """Buffers are allocated per call: two threads applying one operator across
     chunk boundaries to different vectors get bitwise what serial calls return."""
     mesh = build_box_mesh(*CHUNKED_GRID)
-    A = assemble_stiffness(mesh, DGSpec.default(2), fb.make_basis(2))
+    A = assemble_stiffness(mesh, DGSpec(2), fb.make_basis(2))
     xs = np.random.default_rng(5).standard_normal((2, A.ndof))
     serial = [A @ x for x in xs]
     results = apply_in_two_threads(A.__matmul__, xs, 20)
@@ -413,7 +414,7 @@ def test_stencil_apply_allocates_a_chunk_not_the_mesh():
     ghost row, the product, and one chunk's neighbourhood gather (1.25 vectors
     here, a fixed size on any finer mesh), where the whole-mesh gather alone
     took 5."""
-    A = assemble_stiffness(build_box_mesh(SLAB, (16, 16, 4)), DGSpec.default(2), fb.make_basis(2))
+    A = assemble_stiffness(build_box_mesh(SLAB, (16, 16, 4)), DGSpec(2), fb.make_basis(2))
     x = np.random.default_rng(0).standard_normal(A.ndof)
     A @ x
     tracemalloc.start()
@@ -433,7 +434,7 @@ def test_operators_store_blocks_per_type_and_per_class_only():
     shapes = []
     for n in ((4, 4, 2), (8, 8, 4)):
         mesh = build_box_mesh(SLAB, n)
-        A = assemble_stiffness(mesh, DGSpec.default(2), basis)
+        A = assemble_stiffness(mesh, DGSpec(2), basis)
         M, G = assemble_mass(mesh, basis), assemble_dg_norm_gram(mesh, basis, 7.0)
         assert A.mesh is M.mesh is G.mesh is mesh
         assert A.corrections.shape == (18, basis.dim, basis.dim)
@@ -452,7 +453,7 @@ def test_operators_do_not_read_the_order_of_the_face_lists(k):
     basis = fb.make_basis(k)
 
     def operators():
-        ops = [assemble_stiffness(mesh, DGSpec.default(k, eps), basis) for eps in (-1, 0, 1)]
+        ops = [assemble_stiffness(mesh, DGSpec(k, eps), basis) for eps in (-1, 0, 1)]
         return ops + [assemble_mass(mesh, basis), assemble_dg_norm_gram(mesh, basis, 7.0)]
 
     before = operators()
@@ -470,7 +471,7 @@ def test_operators_add_on_one_kuhn_layout():
     the meshes were built separately, and the sum holds the first operand's
     mesh; meshes of other counts raise, even with as many elements."""
     basis = fb.make_basis(1)
-    A = assemble_stiffness(build_box_mesh(SLAB, (4, 4, 2)), DGSpec.default(1), basis)
+    A = assemble_stiffness(build_box_mesh(SLAB, (4, 4, 2)), DGSpec(1), basis)
     M = assemble_mass(build_box_mesh(SLAB, (4, 4, 2)), basis)
     S = M + 0.01 * A
     assert S.mesh is M.mesh and S.symmetric
@@ -499,7 +500,7 @@ def test_astype_keeps_the_operator_and_computes_in_its_dtype(k):
     """A float32 copy keeps mesh, symmetry and discretization; its product and
     block-Jacobi (inverted in float64, stored in float32) return float32 and
     agree with the float64 ones to float32 rounding."""
-    A = assemble_stiffness(build_box_mesh(SLAB, (4, 4, 2)), DGSpec.default(k), fb.make_basis(k))
+    A = assemble_stiffness(build_box_mesh(SLAB, (4, 4, 2)), DGSpec(k), fb.make_basis(k))
     A32 = A.astype(np.float32)
     assert A32.mesh is A.mesh and A32.symmetric and A32.discretization is A.discretization
     assert A32.weights.dtype == A32.corrections.dtype == np.float32
@@ -527,7 +528,7 @@ def test_stiffness_evaluates_few_faces(monkeypatch):
 
     monkeypatch.setattr(assembly, "_face_traces", counting)
     mesh = build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.3]), (8, 6, 3))
-    assemble_stiffness(mesh, DGSpec.default(2), fb.make_basis(2))
+    assemble_stiffness(mesh, DGSpec(2), fb.make_basis(2))
     assert 0 < counts[False] <= 48
     assert 0 < counts[True] <= 24
 
@@ -536,7 +537,7 @@ def test_stiffness_allocation_peak_near_matrix_size():
     """Assembly allocates at most 1.25x the bytes of the matrix it returns."""
     mesh = build_box_mesh(SLAB, (16, 16, 4))
     basis = fb.make_basis(2)
-    spec = DGSpec.default(2)
+    spec = DGSpec(2)
     tracemalloc.start()
     try:
         A = assemble_stiffness(mesh, spec, basis).matrix
@@ -553,7 +554,7 @@ def test_stiffness_allocates_a_small_fraction_of_its_matrix():
     bsr_bytes = (mesh.n_elements + 2 * len(mesh.iface_elems)) * basis.dim ** 2 * 8
     tracemalloc.start()
     try:
-        assemble_stiffness(mesh, DGSpec.default(2), basis)
+        assemble_stiffness(mesh, DGSpec(2), basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -57,7 +57,7 @@ def test_multigrid_preconditioner_builds_on_its_own():
 
     child = load_child()
     mesh = build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25]), (8, 8, 2))
-    system = assemble_stiffness(mesh, DGSpec.default(1), basis.make_basis(1))
+    system = assemble_stiffness(mesh, DGSpec(1), basis.make_basis(1))
     precond = child.make_preconditioner(system, "multigrid")
     r = np.random.default_rng(0).standard_normal(system.ndof)
     y = precond(r)

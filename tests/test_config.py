@@ -5,8 +5,10 @@ import pytest
 import yaml
 
 from linedg.assembly import DGSpec
+from linedg.cli import main
 from linedg.config import config_to_dict, load_config, parse_config
 from linedg.errors import ConfigError
+from linedg.mesh import BoxDomain
 from linedg.problems import sine_curve
 
 MINIMAL = """
@@ -36,7 +38,7 @@ def test_minimal_config():
 )
 def test_omitted_scheme_values_follow_dgspec_default(degree, scheme):
     cfg = parse_config(MINIMAL.replace("degree: 1", f"degree: {degree}") + scheme)
-    default = DGSpec.default(degree, cfg.scheme.epsilon)
+    default = DGSpec(degree, cfg.scheme.epsilon)
     assert cfg.scheme.sigma == (30.0 if "sigma" in scheme else default.sigma)
     assert cfg.scheme.beta == default.beta
 
@@ -93,7 +95,8 @@ def test_time_section_validation():
         parse_config(base + "time: {final: 1.0, tau: 0.1, steps: 5}\n")
     cfg = parse_config(base + "time: {final: 1.0, tau: 0.25}\n")
     assert cfg.time.steps == 4
-    with pytest.raises(ConfigError, match="only valid in parabolic"):
+    unknown = r"<config>:9: unknown key\(s\) in configuration: \['time'\]"
+    with pytest.raises(ConfigError, match=unknown):
         parse_config(MINIMAL + "time: {final: 1.0, steps: 2}\n")
 
 
@@ -109,8 +112,9 @@ def test_tau_that_does_not_divide_final_rejected_with_line():
 def test_parsed_regions_compare_equal():
     path = Path(__file__).parent.parent / "configs" / "study_k1.yaml"
     first, second = load_config(path), load_config(path)
-    assert first.regions == second.regions
-    assert first.regions["boxA"] != second.regions["boxB"]
+    assert first.columns == second.columns
+    boxes = {column.name: column.region for column in first.columns}
+    assert boxes["err_L2_boxA"] != boxes["err_L2_boxB"]
 
 
 def test_expression_source():
@@ -196,6 +200,7 @@ def test_round_trip_through_dict():
     assert config_to_dict(cfg) == config_to_dict(cfg2)
 
 
+BOX_A = BoxDomain([0.25, 0.5, 0.0], [0.5, 0.75, 0.25])
 WITH_REGION = (MINIMAL + "regions:\n  boxA: {lo: [0.25, 0.5, 0.0], hi: [0.5, 0.75, 0.25]}\n"
                + "exact: log_line\n")
 
@@ -215,8 +220,8 @@ def test_rate_on_a_column_not_written_names_it_and_the_written_ones(norm, region
 def test_study_columns_follow_the_regions():
     cfg = parse_config(WITH_REGION + "assert_rates:\n  - {norm: dg, region: boxA, min: 1, max: 2}\n")
     assert [(c.name, c.norm, c.region) for c in cfg.columns] == [
-        ("err_L2_global", "l2", None), ("err_L2_boxA", "l2", cfg.regions["boxA"]),
-        ("err_DG_boxA", "dg", cfg.regions["boxA"])]
+        ("err_L2_global", "l2", None), ("err_L2_boxA", "l2", BOX_A),
+        ("err_DG_boxA", "dg", BOX_A)]
     assert [c.rate for c in cfg.columns] == ["rate_L2_global", "rate_L2_boxA", "rate_DG_boxA"]
     assert [a.column for a in cfg.assert_rates] == ["err_DG_boxA"]
     assert parse_config(WITH_REGION.replace("exact: log_line", "exact: none")).columns == ()
@@ -299,6 +304,66 @@ def test_keys_of_another_kind_rejected(old, new, key):
     assert text != MINIMAL
     with pytest.raises(ConfigError, match=rf"unknown key\(s\) in (curve|source): \[.*'{key}'"):
         parse_config(text)
+
+
+
+PARABOLIC = MINIMAL + "mode: parabolic\ntime: {final: 0.1, steps: 2}\n"
+
+
+def _exit_code_and_error(tmp_path, capsys, text):
+    """``main``'s exit code and standard error for ``text``, run by the
+    subcommand of its mode."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    command = "solve-parabolic" if "mode: parabolic" in text else "solve-elliptic"
+    code = main([command, str(path), "--out-dir", str(tmp_path / "out"), "--no-vtk"])
+    assert not (tmp_path / "out").exists()
+    return code, capsys.readouterr().err.replace(str(path), "cfg.yaml")
+
+
+@pytest.mark.parametrize("text,key", [
+    (PARABOLIC + "exact: log_line\n", "exact"),
+    (PARABOLIC + "regions:\n  boxA: {lo: [0.25, 0.5, 0.0], hi: [0.5, 0.75, 0.25]}\n", "regions"),
+    (PARABOLIC + "assert_rates:\n  - {norm: l2, min: 5, max: 6}\n", "assert_rates"),
+    (PARABOLIC.replace("n: [4, 4, 1]\n", "levels:\n  - [4, 4, 1]\n  - [8, 8, 2]\n"), "levels"),
+    (MINIMAL + "initial:\n  kind: zero\n", "initial"),
+    (MINIMAL + "snapshot_every: 10\n", "snapshot_every"),
+], ids=["parabolic_exact", "parabolic_regions", "parabolic_assert_rates", "parabolic_two_levels",
+        "elliptic_initial", "elliptic_snapshot_every"])
+def test_keys_of_another_mode_rejected_at_their_line(tmp_path, capsys, text, key):
+    """A mode takes only its own keys, and parabolic mode runs one grid; a
+    key the run would not read fails at load, not silently recorded."""
+    line = [row.split(":")[0] for row in text.splitlines()].index(key) + 1
+    code, err = _exit_code_and_error(tmp_path, capsys, text)
+    assert code == 1
+    if key == "levels":
+        assert err == f"error: cfg.yaml:{line}: parabolic mode runs one grid; got 2 levels\n"
+    else:
+        assert err == f"error: cfg.yaml:{line}: unknown key(s) in configuration: ['{key}']\n"
+
+
+def test_record_holds_the_keys_of_its_mode():
+    """Each mode records its own keys only, and its record reparses to itself."""
+    own = {"elliptic": {"regions", "exact", "assert_rates"},
+           "parabolic": {"time", "initial", "snapshot_every"}}
+    for text in (WITH_REGION + "assert_rates:\n  - {norm: dg, region: boxA, min: 1, max: 2}\n",
+                 PARABOLIC + "initial: {kind: expression, expr: 'x * y'}\nsnapshot_every: 1\n"):
+        record = config_to_dict(parse_config(text))
+        other = own["parabolic" if record["mode"] == "elliptic" else "elliptic"]
+        assert own[record["mode"]] <= set(record) and not other & set(record)
+        assert config_to_dict(parse_config(yaml.safe_dump(record))) == record
+    assert "exact" not in config_to_dict(parse_config(PARABOLIC))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("? [a, b]\n: 1\n" + MINIMAL, 1),
+    (MINIMAL + "solver:\n  ? {rel_tol: 1.0e-8}\n  : 1\n", 10),
+], ids=["sequence_top_level", "mapping_nested"])
+def test_non_scalar_key_fails_at_its_line(tmp_path, capsys, text, line):
+    code, err = _exit_code_and_error(tmp_path, capsys, text)
+    assert code == 1
+    kind = "sequence" if line == 1 else "mapping"
+    assert err == f"error: cfg.yaml:{line}: a key must be a plain name, not a {kind}\n"
 
 
 def test_sine_curve_records_its_sample_count():

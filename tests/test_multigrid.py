@@ -20,7 +20,7 @@ SLAB = BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25])
 
 
 def stiffness(n, k):
-    return assemble_stiffness(build_box_mesh(SLAB, n), DGSpec.default(k), fb.make_basis(k))
+    return assemble_stiffness(build_box_mesh(SLAB, n), DGSpec(k), fb.make_basis(k))
 
 
 def test_coarsen_inverts_refine():
@@ -108,10 +108,10 @@ def test_face_graph_two_coloured(n, form):
     mesh = build_box_mesh(SLAB, n)
     if form == "heat":  # the backward Euler operator M + tau A
         basis = fb.make_basis(1)
-        system = assemble_mass(mesh, basis) + 0.01 * assemble_stiffness(mesh, DGSpec.default(1), basis)
+        system = assemble_mass(mesh, basis) + 0.01 * assemble_stiffness(mesh, DGSpec(1), basis)
     else:
         k, epsilon = form
-        system = assemble_stiffness(mesh, DGSpec.default(k, epsilon), fb.make_basis(k))
+        system = assemble_stiffness(mesh, DGSpec(k, epsilon), fb.make_basis(k))
     colour = kuhn_colours(mesh)
     faces = system.mesh.neighbours[:, 1:]
     rows, slots = np.nonzero(faces < mesh.n_elements)
@@ -131,7 +131,7 @@ def test_face_graph_two_coloured(n, form):
 @pytest.mark.parametrize("k", [1, 2])
 def test_vcycle_symmetric_positive(k):
     A = stiffness((8, 8, 2), k)
-    B = VCycle(A)
+    B = VCycle(A, dtype=np.float64)
     assert B.grids == [(8, 8, 2), (4, 4, 1)]
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -164,7 +164,7 @@ def test_float32_vcycle_symmetric_positive(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_float32_vcycle_matches_the_float64_cycle(k):
     A = stiffness((16, 16, 4), k)
-    B32, B64 = make_preconditioner(A, "multigrid"), VCycle(A)
+    B32, B64 = make_preconditioner(A, "multigrid"), VCycle(A, dtype=np.float64)
     assert [B32.dtype, B32.coarse.dtype, B32.coarse.coarse.dtype] == [np.float32] * 2 + [np.float64]
     assert B64.dtype == B64.coarse.dtype == np.float64
     r = np.random.default_rng(7).standard_normal(A.ndof)
@@ -192,7 +192,7 @@ def test_scaled_block_jacobi_is_dinv_of_the_product(n, k, epsilon):
     """``scaled(x)`` = D^{-1} (A x) on every element.  4x4x2 holds all 18
     (type, boundary faces) classes; on 3x2x1 some local faces are interior
     nowhere, so the type blocks themselves carry boundary terms."""
-    A = assemble_stiffness(build_box_mesh(SLAB, n), DGSpec.default(k, epsilon), fb.make_basis(k))
+    A = assemble_stiffness(build_box_mesh(SLAB, n), DGSpec(k, epsilon), fb.make_basis(k))
     dinv = A.block_jacobi()
     x = np.random.default_rng(k).standard_normal(A.ndof)
     expected = dinv(A @ x)
@@ -202,7 +202,7 @@ def test_scaled_block_jacobi_is_dinv_of_the_product(n, k, epsilon):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_dense_coarse_matrix_is_the_operator(k):
     for n, epsilon in (((4, 4, 1), -1), ((3, 2, 1), 1)):
-        A = assemble_stiffness(build_box_mesh(SLAB, n), DGSpec.default(k, epsilon), fb.make_basis(k))
+        A = assemble_stiffness(build_box_mesh(SLAB, n), DGSpec(k, epsilon), fb.make_basis(k))
         assert np.array_equal(A.dense(), A.matrix.toarray())
 
 
@@ -237,7 +237,7 @@ def reference_vcycle(level, r):
 @pytest.mark.parametrize("k", [1, 2])
 def test_vcycle_matches_the_residual_smoother(k):
     A = stiffness((16, 16, 4), k)
-    B = VCycle(A)
+    B = VCycle(A, dtype=np.float64)
     assert len(B.grids) == 3
     r = np.random.default_rng(7).standard_normal(A.ndof)
     expected = reference_vcycle(B, r)
@@ -255,7 +255,7 @@ def test_multigrid_cg_iterations_bounded(n, k):
     bj = solve(A, b, SolverConfig(rel_tol=rel_tol, preconditioner="block_jacobi"))
     assert mg.iterations <= 25
     # the float32 cycle of a solve takes as many iterations as the float64 one
-    assert mg.iterations == solve(A, b, config, precond=VCycle(A)).iterations
+    assert mg.iterations == solve(A, b, config, precond=VCycle(A, dtype=np.float64)).iterations
     assert mg.iterations < bj.iterations
     # both residuals are below rel_tol * |b|; so the solutions differ by at
     # most 2 rel_tol |b| / lambda_min(A) in norm
@@ -271,7 +271,7 @@ NONSYMMETRIC_ITERATIONS = {(1, 0): [8, 10], (1, 1): [7, 10], (2, 0): [11], (2, 1
 @pytest.mark.parametrize("k, epsilon", list(NONSYMMETRIC_ITERATIONS))
 def test_float32_cycle_keeps_the_nonsymmetric_iterations(k, epsilon):
     for n, bound in zip([(8, 8, 2), (16, 16, 4)], NONSYMMETRIC_ITERATIONS[k, epsilon]):
-        spec = DGSpec(k=k, epsilon=epsilon, sigma=2 * DGSpec.default(k).sigma, beta=1.0)
+        spec = DGSpec(k=k, epsilon=epsilon, sigma=2 * DGSpec(k).sigma, beta=1.0)
         A = assemble_stiffness(build_box_mesh(SLAB, n), spec, fb.make_basis(k))
         assert not A.symmetric
         b = np.random.default_rng(0).standard_normal(A.ndof)

@@ -33,7 +33,7 @@ def vertical_line():
 def solve_reference_problem(n, k, sigma=None, rel_tol=1e-11):
     mesh = build_box_mesh(SLAB, n)
     basis = fb.make_basis(k)
-    spec = DGSpec.default(k) if sigma is None else DGSpec(k=k, sigma=sigma)
+    spec = DGSpec(k) if sigma is None else DGSpec(k=k, sigma=sigma)
     curve = vertical_line()
     exact = LogLineSolution.from_curve(curve, SLAB)
     system = assemble_stiffness(mesh, spec, basis)

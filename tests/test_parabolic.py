@@ -87,7 +87,7 @@ def test_projection_identities():
 
 def test_zero_everything_stays_zero():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     grid = TimeGrid(final_time=0.5, steps=5)
     series = run_backward_euler(mesh, spec, vertical_line(), 0.0, None, grid)
     assert np.all(series.snapshots == 0)
@@ -95,7 +95,7 @@ def test_zero_everything_stays_zero():
 
 def test_reconstruction_indexing():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     grid = TimeGrid(final_time=1.0, steps=4)
     series = run_backward_euler(mesh, spec, vertical_line(), 1.0, None, grid)
     assert step_of(series.grid, 0.0) == 0
@@ -109,7 +109,7 @@ def test_decay_toward_elliptic_steady_state():
     geometrically (ratio of successive gaps below one)."""
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     basis = fb.make_basis(1)
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     curve = vertical_line()
     u_inf = elliptic_solution(mesh, basis, spec, curve)
     grid = TimeGrid(final_time=0.05, steps=10)
@@ -127,7 +127,7 @@ def test_decay_toward_elliptic_steady_state():
 def test_steady_state_reached_for_large_time():
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     basis = fb.make_basis(1)
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     curve = vertical_line()
     rel_tol = 1e-10
     u_inf = elliptic_solution(mesh, basis, spec, curve, rel_tol=rel_tol)
@@ -144,7 +144,7 @@ def test_steady_state_reached_for_large_time():
 def test_unconditional_decay_without_source():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     M = assemble_mass(mesh, basis).matrix
     rng = np.random.default_rng(31)
     grid = TimeGrid(final_time=0.5, steps=10)
@@ -159,7 +159,7 @@ def test_step_halving_first_order():
     """Halving tau changes the final snapshot at first order in tau."""
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     basis = fb.make_basis(1)
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     curve = vertical_line()
     u0 = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
     T = 0.02  # inside the transient; much later the state is steady to roundoff
@@ -184,7 +184,7 @@ def test_stability_bound_constant_is_stable():
     for n in [(2, 2, 1), (4, 4, 1), (8, 8, 2)]:
         mesh = build_box_mesh(SLAB, n)
         basis = fb.make_basis(1)
-        spec = DGSpec.default(1)
+        spec = DGSpec(1)
         u0 = lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1]
         grid = TimeGrid(final_time=0.25, steps=8)
         series = run_backward_euler(
@@ -205,7 +205,7 @@ def test_stability_bound_constant_is_stable():
 def test_spacetime_error_zero_cases():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     grid = TimeGrid(final_time=0.5, steps=4)
     series = run_backward_euler(mesh, spec, None, None, None, grid, basis=basis)
     assert spacetime_l2_error(series, lambda t, p: np.zeros(len(p))) == 0.0
@@ -221,7 +221,7 @@ def test_spacetime_error_zero_cases():
 
 def test_manufactured_heat_equation_rates():
     """Volume-load manufactured solution: integrator sanity at first order."""
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
 
     def exact(t, p):
         return np.exp(-t) * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]) * p[:, 2] * (
@@ -259,7 +259,7 @@ def test_tau_h2_coupling_dominated_by_spatial_error():
     """Refining tau below tau = h^2 changes the answer by less than the
     spatial error level."""
     curve = vertical_line()
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     basis = fb.make_basis(1)
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     h2 = mesh.grid_spacing ** 2
@@ -291,7 +291,7 @@ def test_tau_h2_coupling_dominated_by_spatial_error():
 def test_solver_failure_reports_step():
     """The step label is added and the failed solve's best iterate kept."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     grid = TimeGrid(final_time=1.0, steps=3)
     with pytest.raises(NonconvergenceError, match="time step 1") as info:
         run_backward_euler(
@@ -350,7 +350,7 @@ def test_nonsymmetric_variant_keeps_the_warm_start():
     the same per-step iteration counts as the plain loop."""
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     basis = fb.make_basis(1)
-    spec = DGSpec.default(1, epsilon=1)
+    spec = DGSpec(1, epsilon=1)
     grid = TimeGrid(final_time=0.05, steps=8)
     config = SolverConfig(rel_tol=1e-10)
     f = lambda t, s: 1.0 + 0 * s
@@ -367,7 +367,7 @@ def test_projected_start_with_a_time_dependent_source():
     and matches the plain loop."""
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     basis = fb.make_basis(1)
-    spec = DGSpec.default(1)
+    spec = DGSpec(1)
     curve = vertical_line()
     grid = TimeGrid(final_time=0.1, steps=12)
     config = SolverConfig(rel_tol=1e-10)
@@ -400,7 +400,7 @@ def test_preconditioner_built_once_per_run(monkeypatch):
     monkeypatch.setattr(solver, "make_preconditioner", counting)
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     grid = TimeGrid(final_time=0.1, steps=5)
-    series = run_backward_euler(mesh, DGSpec.default(1), vertical_line(), 1.0, None, grid,
+    series = run_backward_euler(mesh, DGSpec(1), vertical_line(), 1.0, None, grid,
                                 SolverConfig(rel_tol=1e-10))
     assert calls == ["block_jacobi"]
     assert np.all(np.isfinite(series.snapshots)) and np.any(series.snapshots[-1] != 0)
@@ -422,7 +422,7 @@ def test_time_dependent_line_density(monkeypatch, dependent, builds):
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
     grid = TimeGrid(final_time=0.2, steps=4)
-    run_backward_euler(mesh, DGSpec.default(1), vertical_line(), lambda t, s: (1 + t) * np.cos(s),
+    run_backward_euler(mesh, DGSpec(1), vertical_line(), lambda t, s: (1 + t) * np.cos(s),
                        None, grid, basis=basis, f_time_dependent=dependent)
     assert len(loads) == builds
     t_last = grid.final_time if dependent else 0.0
@@ -434,7 +434,7 @@ def test_one_argument_ufunc_density_rejected():
     """np.cos(t, s) would write cos(t) into s; a one-argument ufunc is no f(t, s)."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     with pytest.raises(TypeError, match="f must be f\\(t, s\\)"):
-        run_backward_euler(mesh, DGSpec.default(1), vertical_line(), np.cos, None,
+        run_backward_euler(mesh, DGSpec(1), vertical_line(), np.cos, None,
                            TimeGrid(final_time=0.1, steps=2))
 
 
@@ -442,5 +442,5 @@ def test_multigrid_rejected_for_parabolic_operator():
     mesh = build_box_mesh(SLAB, (4, 4, 2))
     grid = TimeGrid(final_time=0.1, steps=2)
     with pytest.raises(ValueError, match="assemble_stiffness"):
-        run_backward_euler(mesh, DGSpec.default(1), vertical_line(), 1.0, None, grid,
+        run_backward_euler(mesh, DGSpec(1), vertical_line(), 1.0, None, grid,
                            SolverConfig(preconditioner="multigrid"))

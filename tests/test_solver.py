@@ -149,7 +149,7 @@ def test_elliptic_system_converges_with_block_jacobi():
     """Residual contract holds on a real discretized system."""
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     basis = fb.make_basis(1)
-    system = assemble_stiffness(mesh, DGSpec.default(1), basis)
+    system = assemble_stiffness(mesh, DGSpec(1), basis)
     curve = Curve([[2 / 3, 1 / 3, 0.0], [2 / 3, 1 / 3, 0.25]])
     b = assemble_line_rhs(curve, 1.0, mesh, basis)
     res = solve(system, b, SolverConfig(rel_tol=1e-10))
@@ -163,7 +163,7 @@ def test_solve_allocates_a_few_vectors(epsilon, vectors):
     by CG (x, r, the best iterate and p, plus one ``A @ p``) and 11 by BiCGStab
     (also r_hat, v and the preconditioned direction): no iteration keeps a
     stale vector alive across the next product."""
-    system = assemble_stiffness(build_box_mesh(SLAB, (16, 16, 4)), DGSpec.default(2, epsilon),
+    system = assemble_stiffness(build_box_mesh(SLAB, (16, 16, 4)), DGSpec(2, epsilon),
                                 fb.make_basis(2))
     b = np.random.default_rng(0).standard_normal(system.ndof)
     tracemalloc.start()
@@ -179,7 +179,7 @@ def test_debug_monitor_energy_monotone():
     """CG decreases the energy functional (A-norm of the error) monotonically."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
-    system = assemble_stiffness(mesh, DGSpec.default(1), basis)
+    system = assemble_stiffness(mesh, DGSpec(1), basis)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(system.ndof)
     res = solve(system, b, SolverConfig(rel_tol=1e-11), debug=True)
@@ -192,7 +192,7 @@ def test_permutation_equivariance():
     """Symmetric permutation of the DoFs permutes the solution."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
-    system = assemble_stiffness(mesh, DGSpec.default(1), basis)
+    system = assemble_stiffness(mesh, DGSpec(1), basis)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(system.ndof)
     cfg = SolverConfig(rel_tol=1e-12, preconditioner="block_jacobi")  # 1 x 1 blocks: point Jacobi
@@ -211,7 +211,7 @@ def test_permutation_equivariance():
 def test_block_jacobi_block_permutation_equivariance():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(1)
-    system = assemble_stiffness(mesh, DGSpec.default(1), basis)
+    system = assemble_stiffness(mesh, DGSpec(1), basis)
     rng = np.random.default_rng(6)
     b = rng.standard_normal(system.ndof)
     cfg = SolverConfig(rel_tol=1e-12, preconditioner="block_jacobi")
@@ -232,7 +232,7 @@ def test_block_jacobi_block_permutation_equivariance():
 def test_preconditioners_agree():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(2)
-    system = assemble_stiffness(mesh, DGSpec.default(2), basis)
+    system = assemble_stiffness(mesh, DGSpec(2), basis)
     rng = np.random.default_rng(7)
     b = rng.standard_normal(system.ndof)
     sols = [
@@ -246,7 +246,7 @@ def test_preconditioners_agree():
 def test_block_jacobi_speeds_up():
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     basis = fb.make_basis(2)
-    system = assemble_stiffness(mesh, DGSpec.default(2), basis)
+    system = assemble_stiffness(mesh, DGSpec(2), basis)
     rng = np.random.default_rng(9)
     b = rng.standard_normal(system.ndof)
     plain = solve(system, b, SolverConfig(rel_tol=1e-10, preconditioner="none"))
@@ -258,7 +258,7 @@ def test_block_jacobi_speeds_up():
 def test_block_jacobi_same_on_bsr_and_csr(k):
     """Block-Jacobi of the stencil operator and of its CSR copy solve the dense diagonal blocks."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))
-    system = assemble_stiffness(mesh, DGSpec.default(k), fb.make_basis(k))
+    system = assemble_stiffness(mesh, DGSpec(k), fb.make_basis(k))
     nb = system.block_size
     csr = CsrSystem(system.matrix, nb, system.symmetric)
     on_stencil = make_preconditioner(system, "block_jacobi")
