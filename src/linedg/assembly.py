@@ -96,9 +96,11 @@ class SparseSystem:
 
     ``symmetric`` selects CG in ``solver.solve`` (BiCGStab otherwise); the
     assembly sets it for the epsilon = -1 stiffness and for the mass and
-    Gram operators.  ``discretization`` is the (spec, basis) an assembled
-    stiffness operator came from, which the multigrid preconditioner
-    rediscretises on coarser meshes; None for every other operator.
+    Gram operators.  ``discretization`` is the operator's rule for rebuilding
+    itself on another mesh, (basis, form) with ``form(mesh)`` the operator
+    assembled there, which the multigrid preconditioner applies to coarser
+    meshes: the stiffness and mass assemblies set it, and sums and scalar
+    multiples of operators that all carry one compose it; None otherwise.
     """
 
     mesh: _mesh.Mesh
@@ -159,10 +161,6 @@ class SparseSystem:
         y[fixed] = np.take(y, fixed, 0) + correction  # take: faster than y[fixed]
         return y.ravel()
 
-    def _with(self, weights, corrections, symmetric):
-        """Another operator on the same mesh: other blocks."""
-        return SparseSystem(self.mesh, weights, corrections, symmetric)
-
     def astype(self, dtype):
         """This operator with its blocks cast to ``dtype``: same mesh, symmetry
         and discretization; its products compute in ``dtype``."""
@@ -177,11 +175,21 @@ class SparseSystem:
         if self.weights.dtype != other.weights.dtype:
             raise ValueError(f"operators in {self.weights.dtype} and {other.weights.dtype} "
                              "cannot be added")
-        return self._with(self.weights + other.weights, self.corrections + other.corrections,
-                          self.symmetric and other.symmetric)
+        rule = None
+        if self.discretization and other.discretization:
+            (basis, form), (_, other_form) = self.discretization, other.discretization
+            rule = basis, lambda mesh: form(mesh) + other_form(mesh)
+        return SparseSystem(self.mesh, self.weights + other.weights,
+                            self.corrections + other.corrections,
+                            self.symmetric and other.symmetric, rule)
 
     def __rmul__(self, scale):
-        return self._with(scale * self.weights, scale * self.corrections, self.symmetric)
+        rule = None
+        if self.discretization:
+            basis, form = self.discretization
+            rule = basis, lambda mesh: scale * form(mesh)
+        return SparseSystem(self.mesh, scale * self.weights, scale * self.corrections,
+                            self.symmetric, rule)
 
     def block_jacobi(self):
         """y = D^{-1} x, D the block diagonal, as a ``BlockJacobi`` callable."""
@@ -401,7 +409,7 @@ def assemble_stiffness(mesh, spec, basis):
     system = _blocked_system(
         mesh, basis, _volume_grad_gram, (1.0, spec.epsilon, penalty), spec.epsilon == -1
     )
-    system.discretization = (spec, basis)
+    system.discretization = basis, lambda other: assemble_stiffness(other, spec, basis)
     return system
 
 
@@ -426,9 +434,11 @@ def local_projection(mesh, basis, moments, elements=slice(None)):
 
 def assemble_mass(mesh, basis):
     """Broken mass matrix: det J times the reference block; face blocks stay zero."""
-    return _blocked_system(
+    system = _blocked_system(
         mesh, basis, lambda m, b: reference_mass(b)[None] * m.type_det_jacobians[:, None, None]
     )
+    system.discretization = basis, lambda other: assemble_mass(other, basis)
+    return system
 
 
 def assemble_dg_norm_gram(mesh, basis, sigma):

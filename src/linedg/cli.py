@@ -64,10 +64,14 @@ def _solve_level(cfg, n, basis, density, previous):
         "preconditioner": cfg.solver.preconditioner,
     }
     if vcycle is not None:
-        info["multigrid_levels"] = len(vcycle.grids)
-        info["multigrid_dtype"] = vcycle.dtype.name
-        info["coarsest_grid"] = list(vcycle.grids[-1])
+        info.update(_multigrid_info(vcycle))
     return mesh, field, info, vcycle
+
+
+def _multigrid_info(vcycle):
+    """The ``metadata.yaml`` entries that describe a run's V-cycle."""
+    return {"multigrid_levels": len(vcycle.grids), "multigrid_dtype": vcycle.dtype.name,
+            "coarsest_grid": list(vcycle.grids[-1])}
 
 
 def _error(cfg, column, field):
@@ -205,14 +209,13 @@ def run_parabolic(cfg, out_dir, vtk=True):
     if vtk and cfg.snapshot_every:
         for m in range(0, grid.steps + 1, cfg.snapshot_every):
             _write_field(out / f"snapshot_{m:05d}.vtk", series.field(m))
-    _write_metadata(
-        out / "metadata.yaml", cfg,
-        {"mode": "parabolic", "run": {"n_dof": mesh.n_elements * basis.dim,
-                                      "wall_seconds": round(wall, 3),
-                                      "preconditioner": cfg.solver.preconditioner,
-                                      "cg_iterations": list(series.step_iterations),
-                                      "cg_iterations_total": sum(series.step_iterations)}},
-    )
+    info = {"n_dof": mesh.n_elements * basis.dim, "wall_seconds": round(wall, 3),
+            "preconditioner": cfg.solver.preconditioner,
+            "cg_iterations": list(series.step_iterations),
+            "cg_iterations_total": sum(series.step_iterations)}
+    if isinstance(series.preconditioner, VCycle):
+        info.update(_multigrid_info(series.preconditioner))
+    _write_metadata(out / "metadata.yaml", cfg, {"mode": "parabolic", "run": info})
     return {"series": series, "history": rows}
 
 

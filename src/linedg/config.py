@@ -359,8 +359,8 @@ class StudyConfig:
     solver: SolverConfig
     mode: str                  # elliptic | parabolic
     time: TimeGrid | None      # parabolic mode only
-    initial: InitialSpec       # parabolic mode only; zero in elliptic mode
-    snapshot_every: int        # parabolic mode only; 0 in elliptic mode
+    initial: InitialSpec | None  # parabolic mode only
+    snapshot_every: int | None   # parabolic mode only
     assert_rates: tuple        # of RateAssertion; elliptic mode only
     record: dict
 
@@ -425,12 +425,9 @@ def _parse(tree, base_dir):
 
     solver = _make(nodes.get("solver", tree), SolverConfig, **values["solver"])
     if solver.preconditioner == "multigrid":
-        pc_node = nodes["solver"].value["preconditioner"]
-        if values["mode"] == "parabolic":
-            _fail(pc_node, "preconditioner multigrid needs the elliptic stiffness "
-                           "operator; M + tau A of parabolic mode has no coarse hierarchy")
         for n in levels:
-            _make(pc_node, level_grids, n, math.comb(values["degree"] + 3, 3))
+            _make(nodes["solver"].value["preconditioner"], level_grids, n,
+                  math.comb(values["degree"] + 3, 3))
 
     time = None
     if "time" in values:
@@ -464,8 +461,8 @@ def _parse(tree, base_dir):
         domain=domain, curve=curve, source=SourceSpec(**values["source"]), scheme=scheme,
         levels=tuple(map(tuple, levels)), exact=exact, columns=tuple(columns.values()),
         solver=solver, mode=values["mode"], time=time, assert_rates=tuple(assert_rates),
-        initial=InitialSpec(**values.get("initial", {"kind": "zero"})),
-        snapshot_every=values.get("snapshot_every", 0), record=record,
+        initial=InitialSpec(**values["initial"]) if "initial" in values else None,
+        snapshot_every=values.get("snapshot_every"), record=record,
     )
 
 

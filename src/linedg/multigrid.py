@@ -1,10 +1,13 @@
-"""Nested h-multigrid V-cycle for the interior-penalty stiffness operator.
+"""Nested h-multigrid V-cycle for operators that can rebuild themselves.
 
 The hierarchy halves the box grid (``Mesh.coarsen``) while every cell count
-is even and assembles the same ``DGSpec`` on each level, i.e. non-inherited
-coarse forms, which give h-uniform V-cycles for interior-penalty dG
-(Gopalakrishnan & Kanschat, Numer. Math. 2003).  A ``VCycle`` is one level
-holding the next coarser one, so a study can build each level on the last.
+is even and rebuilds the operator on each level by its own rule,
+``SparseSystem.discretization``: the interior-penalty stiffness, or the
+M + tau A of a time step, assembled anew on the coarser mesh, i.e.
+non-inherited coarse forms, which give h-uniform V-cycles for
+interior-penalty dG (Gopalakrishnan & Kanschat, Numer. Math. 2003).  A
+``VCycle`` is one level holding the next coarser one, so a study can build
+each level on the last.
 Prolongation is exact dG injection: a coarse polynomial restricted to a fine
 element lies in the fine space, so its L2 projection there is itself, and on
 the nodal basis its coefficients are its values at the fine nodes.  Every
@@ -37,11 +40,11 @@ face neighbours couple, so with S = +-1 by colour S A S = 2D - A: D^{-1} A
 and 2 - D^{-1} A are similar, and the eigenvalues pair as lambda, 2 - lambda.
 For the symmetric form A and D are positive definite, so 0 < lambda, hence
 lambda < 2.  The nonsymmetric spectra are symmetric about 1 the same way.
+The same holds for M + tau A: the mass M is block diagonal, so M + tau A
+couples only face neighbours too, and is positive definite when A is.
 """
 
 import numpy as np
-
-from .assembly import assemble_stiffness
 
 CHEBYSHEV_DEGREE = 3
 CHEBYSHEV_RATIO = 8.0  # upper over lower end of the smoothing interval
@@ -109,11 +112,12 @@ class Transfer:
 
 
 class VCycle:
-    """Symmetric V-cycle y = B r for an operator built by ``assemble_stiffness``.
+    """Symmetric V-cycle y = B r for an operator that can rebuild itself on a
+    coarser mesh (``SparseSystem.discretization``); ValueError for any other.
 
     A level smooths with ``A``, ``system`` cast to ``dtype`` (float64 gives
     the reference cycle), and corrects by ``coarse``, the V-cycle of the halved grid
-    (coarsened, assembled in float64 and run in ``dtype`` here unless given;
+    (coarsened, rebuilt in float64 and run in ``dtype`` here unless given;
     ValueError unless nested); the coarsest level, ``coarse`` None, applies
     the float64 inverse of its matrix in float64.  A level casts r to its
     ``dtype`` and its correction back to r's.  ``grids`` lists the cell
@@ -123,12 +127,10 @@ class VCycle:
 
     def __init__(self, system, coarse=None, dtype=CYCLE_DTYPE):
         if system.discretization is None:
-            raise ValueError(
-                "multigrid needs an operator built by assemble_stiffness; "
-                "this one carries no form to assemble on coarser meshes"
-            )
-        (spec, basis), mesh = system.discretization, system.mesh
-        self.A, self.grids, self.coarse = system, level_grids(mesh.n, basis.dim), coarse
+            raise ValueError("multigrid needs an operator that can rebuild itself on a "
+                             "coarser mesh; this one carries no discretization")
+        (basis, form), mesh = system.discretization, system.mesh
+        self.A, self.grids, self.coarse = system, level_grids(mesh.n, system.block_size), coarse
         if coarse is None and len(self.grids) == 1:
             self.coarse_inverse = np.linalg.inv(system.dense())
             self.dtype = self.coarse_inverse.dtype
@@ -136,7 +138,7 @@ class VCycle:
         self.dtype = np.dtype(dtype)
         self.A = system.astype(self.dtype)
         if coarse is None:
-            self.coarse = VCycle(assemble_stiffness(mesh.coarsen(), spec, basis), dtype=self.dtype)
+            self.coarse = VCycle(form(mesh.coarsen()), dtype=self.dtype)
         self.transfer = Transfer(mesh, self.coarse.A.mesh, basis)
         self.dinv = self.A.block_jacobi()
 

@@ -3,7 +3,9 @@
 Each step solves S u^n = M u^{n-1} + tau b(t^n), S = M + tau A, with the
 homogeneous weak Dirichlet condition built into A; S is formed once per run
 as one stencil, its preconditioner built once, and the line load rebuilt
-per step only when the source depends on time.
+per step only when the source depends on time.  S carries its own rule,
+mesh -> M + tau A there, so the multigrid V-cycle rebuilds it on the halved
+grids as it does a stiffness operator.
 
 When S is symmetric (CG) each solve starts from the projected start of
 Fischer (CMAME 163, 1998): the run keeps an S-orthonormal basis Q of the
@@ -12,10 +14,10 @@ the S-norm-best correction of the warm start over span(Q), so never worse
 than u^{n-1} in the energy norm.  Each solution is orthogonalised against Q
 by two Gram-Schmidt passes and kept only when more than 1e-10 of its S-norm
 is new, in rows of one array preallocated for at most one vector per step.
-On the demo config at 8x8x2 this takes the 40 steps from 759 CG
-iterations to about 360, and at 16x16x4 from 1389 to about 720.  A
-nonsymmetric S (epsilon = 0, +1, solved by BiCGStab) starts each step from
-u^{n-1}.
+On the demo config with block-Jacobi this takes the 40 steps from 759 CG
+iterations to 357 at 8x8x2, and from 1389 to 719 at 16x16x4; with the
+demo's multigrid they take 65 and 88.  A nonsymmetric S (epsilon = 0, +1,
+solved by BiCGStab) starts each step from u^{n-1}.
 """
 
 from dataclasses import dataclass
@@ -59,14 +61,18 @@ class TimeSeries:
     """Snapshots u^0..u^N plus the piecewise-constant-in-time reconstruction.
 
     ``mass`` is the stepper's mass operator (a ``SparseSystem``) on ``mesh``;
-    ``step_iterations`` holds the Krylov iteration count of each step's solve.
+    ``step_iterations`` holds the Krylov iteration count of each step's solve,
+    and ``preconditioner`` the one preconditioner those solves shared (a
+    ``multigrid.VCycle`` with ``preconditioner: multigrid``).
     """
 
-    def __init__(self, mesh, basis, grid, snapshots, mass, step_iterations=()):
+    def __init__(self, mesh, basis, grid, snapshots, mass, step_iterations=(),
+                 preconditioner=None):
         self.mesh = mesh
         self.basis = basis
         self.grid = grid
         self.mass = mass
+        self.preconditioner = preconditioner
         # not ``iterations``: bench/child.py reads that name on any result as one count
         self.step_iterations = tuple(step_iterations)
         self.snapshots = np.asarray(snapshots, dtype=float)  # (N+1, ndof)
@@ -186,7 +192,7 @@ def run_backward_euler(
         if Q is not None and n < grid.steps:
             Su = S @ u
             m = _extend_basis(S, Q, m, u, Su)
-    return TimeSeries(mesh, basis, grid, snapshots, M, step_iterations)
+    return TimeSeries(mesh, basis, grid, snapshots, M, step_iterations, precond)
 
 
 def step_diagnostics(series, sigma):

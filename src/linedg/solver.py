@@ -42,8 +42,9 @@ def make_preconditioner(system, kind):
     """Return y = M^{-1} x as a callable for the requested preconditioner.
 
     ``block_jacobi`` is ``system.block_jacobi()``; ``multigrid`` is a
-    ``multigrid.VCycle`` in its default precision, which needs an assembled
-    stiffness operator; any other operator raises ValueError.
+    ``multigrid.VCycle`` in its default precision, which needs an operator
+    that can rebuild itself on a coarser mesh (the stiffness, the mass, and
+    their sums and multiples such as M + tau A); any other raises ValueError.
     """
     if kind == "none":
         return lambda x: x

@@ -272,12 +272,28 @@ def test_multigrid_grid_too_large_rejected_at_load():
         parse_config(bad)
 
 
+def test_parabolic_multigrid_grid_checked_at_load():
+    """Parabolic mode takes multigrid; its one grid is checked as a study level is."""
+    text = PARABOLIC + "solver: {preconditioner: multigrid}\n"
+    assert parse_config(text).solver.preconditioner == "multigrid"
+    line = text.splitlines().index("solver: {preconditioner: multigrid}") + 1
+    with pytest.raises(ConfigError, match=rf"<config>:{line}: multigrid: grid \(13, 13, 3\)"):
+        parse_config(text.replace("[4, 4, 1]", "[13, 13, 3]"))
+
+
+def test_keys_of_the_other_mode_are_none():
+    elliptic, parabolic = parse_config(MINIMAL), parse_config(PARABOLIC)
+    assert elliptic.time is None and elliptic.initial is None and elliptic.snapshot_every is None
+    assert parabolic.exact is None and parabolic.columns == () and parabolic.assert_rates == ()
+    assert parabolic.initial.kind == "zero" and parabolic.snapshot_every == 0
+
+
 def test_shipped_configs_load():
     for path in sorted((Path(__file__).parent.parent / "configs").glob("*.yaml")):
         cfg = load_config(path)
         if cfg.source.kind == "expression":
             cfg.source.build()
-        if cfg.initial.kind == "expression":
+        if cfg.mode == "parabolic" and cfg.initial.kind == "expression":
             cfg.initial.build()
 
 

@@ -5,9 +5,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs in a fresh interpreter: every path below, multigrid solves and a
-# multigrid study included, must finish without loading scipy or numpy.ma
-# (which ``np.unique`` without a ``return_*`` option imports); reading
+# Runs in a fresh interpreter: every path below, multigrid solves, a
+# multigrid time-stepping run and a multigrid study included, must finish
+# without loading scipy or numpy.ma (which ``np.unique`` without a
+# ``return_*`` option imports); reading
 # ``SparseSystem.matrix`` at the end must load scipy, so the check cannot
 # pass on a process that never could.
 GUARD = """
@@ -40,12 +41,12 @@ for path in configs:
 
 demo = Path("configs/parabolic_demo.yaml")
 text = demo.read_text()
-for old, new in (("n: [8, 8, 2]", "n: [2, 2, 1]"), ("steps: 40", "steps: 4"),
+for old, new in (("n: [8, 8, 2]", "n: [4, 4, 2]"), ("steps: 40", "steps: 4"),
                  ("snapshot_every: 10", "snapshot_every: 2")):
     assert old in text, old
     text = text.replace(old, new)
 cfg = parse_config(text, source=str(demo), base_dir=demo.parent)
-assert cfg.solver.preconditioner == "block_jacobi"
+assert cfg.solver.preconditioner == "multigrid"
 linedg.cli.run_parabolic(cfg, sys.argv[1])
 
 mesh = build_box_mesh(cfg.domain, (4, 4, 1))

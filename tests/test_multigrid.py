@@ -7,7 +7,9 @@ from scipy.linalg import eigh
 
 from linedg import basis as fb
 from linedg import multigrid
-from linedg.assembly import DGSpec, SparseSystem, assemble_mass, assemble_stiffness
+from linedg.assembly import (
+    DGSpec, SparseSystem, assemble_dg_norm_gram, assemble_mass, assemble_stiffness,
+)
 from linedg.fields import FieldFunction
 from linedg.mesh import _KUHN_CORNERS, BoxDomain, build_box_mesh
 from linedg.multigrid import Transfer, VCycle, level_grids
@@ -281,12 +283,31 @@ def test_float32_cycle_keeps_the_nonsymmetric_iterations(k, epsilon):
 
 
 def test_multigrid_needs_a_stiffness_hierarchy():
+    """Operators with no rule to rebuild themselves on a coarser mesh, a Gram
+    operator and a plain sparse matrix, are refused."""
     A = stiffness((4, 4, 2), 1)
-    mass = assemble_mass(A.mesh, A.discretization[1])
+    gram = assemble_dg_norm_gram(A.mesh, A.discretization[0], 5.0)
     copy = CsrSystem(A.matrix, A.block_size, A.symmetric)
-    for system in (mass, copy):
-        with pytest.raises(ValueError, match="assemble_stiffness"):
+    for system in (gram, copy):
+        with pytest.raises(ValueError, match="rebuild itself on a coarser mesh"):
             make_preconditioner(system, "multigrid")
+
+
+def test_parabolic_operator_rebuilds_itself_on_a_coarser_mesh():
+    """M + tau A carries the rule mesh -> M + tau A assembled on that mesh,
+    bitwise, and keeps it through a float32 cast."""
+    mesh, basis, spec, tau = build_box_mesh(SLAB, (4, 4, 2)), fb.make_basis(2), DGSpec(2), 0.005
+    S = assemble_mass(mesh, basis) + tau * assemble_stiffness(mesh, spec, basis)
+    coarse = mesh.coarsen()
+    expected = assemble_mass(coarse, basis) + tau * assemble_stiffness(coarse, spec, basis)
+    for system in (S, S.astype(np.float32)):
+        rule_basis, form = system.discretization
+        assert rule_basis is basis
+        rebuilt = form(coarse)
+        assert rebuilt.mesh is coarse and rebuilt.symmetric
+        assert np.array_equal(rebuilt.weights, expected.weights)
+        assert np.array_equal(rebuilt.corrections, expected.corrections)
+        assert rebuilt.discretization is not None
 
 
 def test_no_solve_reads_the_bsr_matrix(monkeypatch):
