@@ -28,6 +28,8 @@ from . import basis as _basis
 from . import mesh as _mesh
 from .errors import AssemblyError
 
+_BLOCK = 4096  # elements or faces per block of an integral over the mesh
+
 # configurations with a minus/zero symmetrizing term are only coercive for a
 # large enough penalty; this floor rejects obviously unusable values and the
 # coercivity probe in the test suite guards the rest
@@ -451,7 +453,10 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g):
 
     r_i = eps * int_e g grad(phi_i).n + sigma/h^beta * int_e g phi_i.
     g is a callable over points (n, 3) or a constant; g == 0 gives the zero
-    vector of the homogeneous problem.
+    vector of the homogeneous problem.  The traces are evaluated in blocks of
+    ``_BLOCK // nb`` boundary faces, whose (f, q, nb) arrays hold as many
+    values as a volume block's (``_BLOCK``, q): the temporaries do not grow
+    with the mesh.
     """
     nb = basis.dim
     b = np.zeros(mesh.n_elements * nb)
@@ -462,11 +467,14 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g):
         g = lambda pts: np.full(pts.shape[0], g_val)
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
     rule = _basis.tri_quadrature(2 * basis.degree + 2)
-    x, w, [(e, V, Gn)] = _face_traces(mesh, basis, rule, mesh.bface_elem, mesh.bface_local)
-    wg = w * np.asarray(g(x.reshape(-1, 3)), dtype=float).reshape(w.shape)
-    contrib = spec.epsilon * np.einsum("fq,fqi->fi", wg, Gn)
-    contrib += penalty * np.einsum("fq,fqi->fi", wg, V)
-    np.add.at(b.reshape(mesh.n_elements, nb), e, contrib)
+    for start in range(0, mesh.bface_elem.size, _BLOCK // nb):
+        faces = slice(start, start + _BLOCK // nb)
+        x, w, [(e, V, Gn)] = _face_traces(mesh, basis, rule, mesh.bface_elem[faces],
+                                          mesh.bface_local[faces])
+        wg = w * np.asarray(g(x.reshape(-1, 3)), dtype=float).reshape(w.shape)
+        contrib = spec.epsilon * np.einsum("fq,fqi->fi", wg, Gn)
+        contrib += penalty * np.einsum("fq,fqi->fi", wg, V)
+        np.add.at(b.reshape(mesh.n_elements, nb), e, contrib)
     return b
 
 

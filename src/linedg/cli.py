@@ -24,7 +24,8 @@ from .fields import FieldFunction
 from .mesh import build_box_mesh
 from .multigrid import VCycle
 from .norms import convergence_rates, dg_energy_error, l2_error
-from .parabolic import run_backward_euler, step_diagnostics
+# unused here, ``run_backward_euler`` stays importable: bench/child.py wraps it by name in this module
+from .parabolic import BackwardEuler, run_backward_euler, step_diagnostics  # noqa: F401
 from .solver import solve
 from .vtk_io import field_cell_values, write_vtk
 
@@ -185,38 +186,51 @@ def _pretty_table(header, rows):
 
 
 def run_parabolic(cfg, out_dir, vtk=True):
-    """Backward Euler run with per-step diagnostics CSV."""
+    """Backward Euler run, streamed: as each step is solved, its row of
+    ``history.csv`` is computed and, when due, its snapshot written.  The run
+    holds u^{n-1}, u^n and the stepper's projection basis, never the series.
+
+    ``history.csv`` and ``metadata.yaml`` are written after the last step.
+    A failed step raises ``NonconvergenceError`` with its step label; the
+    snapshots due before it stay on disk.  Returns the final state
+    (``final``, a ``FieldFunction``), the Krylov iterations of each step
+    (``step_iterations``) and the history rows.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n = cfg.levels[0]
-    mesh = build_box_mesh(cfg.domain, n)
+    mesh = build_box_mesh(cfg.domain, cfg.levels[0])
     basis = _basis.make_basis(cfg.degree)
-    grid = cfg.time
     f_fn, f_dep = cfg.source.build()
-    u0 = cfg.initial.build()
+    stepper = BackwardEuler(mesh, cfg.scheme, cfg.curve, f_fn, cfg.initial.build(), cfg.time,
+                            cfg.solver, basis, f_time_dependent=f_dep)
+    every = cfg.snapshot_every if vtk else 0
+    step_iterations, final = [], None
+
+    def streamed():
+        nonlocal final
+        for step in stepper:
+            if every and step.n % every == 0:
+                _write_field(out / f"snapshot_{step.n:05d}.vtk", step.field)
+            if step.n:
+                step_iterations.append(step.iterations)
+            final = step.field
+            yield step
+
     t0 = time.perf_counter()
-    series = run_backward_euler(
-        mesh, cfg.scheme, cfg.curve, f_fn, u0, grid, cfg.solver, basis=basis,
-        f_time_dependent=f_dep,
-    )
+    rows = step_diagnostics(streamed(), sigma=cfg.scheme.sigma)
     wall = time.perf_counter() - t0
-    rows = step_diagnostics(series, sigma=cfg.scheme.sigma)
     _write_csv(
         out / "history.csv",
         ["n", "t", "l2_norm", "dg_norm", "increment_sq_sum"],
         [[r["n"], r["t"], r["l2"], r["dg"], r["increment_sq_sum"]] for r in rows],
     )
-    if vtk and cfg.snapshot_every:
-        for m in range(0, grid.steps + 1, cfg.snapshot_every):
-            _write_field(out / f"snapshot_{m:05d}.vtk", series.field(m))
     info = {"n_dof": mesh.n_elements * basis.dim, "wall_seconds": round(wall, 3),
             "preconditioner": cfg.solver.preconditioner,
-            "cg_iterations": list(series.step_iterations),
-            "cg_iterations_total": sum(series.step_iterations)}
-    if isinstance(series.preconditioner, VCycle):
-        info.update(_multigrid_info(series.preconditioner))
+            "cg_iterations": step_iterations, "cg_iterations_total": sum(step_iterations)}
+    if isinstance(stepper.preconditioner, VCycle):
+        info.update(_multigrid_info(stepper.preconditioner))
     _write_metadata(out / "metadata.yaml", cfg, {"mode": "parabolic", "run": info})
-    return {"series": series, "history": rows}
+    return {"final": final, "step_iterations": step_iterations, "history": rows}
 
 
 # subcommand -> (help, required mode, runner, VTK output by default)

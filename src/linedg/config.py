@@ -313,8 +313,10 @@ class InitialSpec:
     expr: str | None = None
 
     def build(self):
+        """The ``u0`` of ``run_backward_euler``: None (the zero start, nothing
+        to project) or a point function."""
         if self.kind == "zero":
-            return lambda p: np.zeros(p.shape[0])
+            return None
         expr, _ = _compile_expr(self.expr, ("x", "y", "z"))
         return lambda p: expr((len(p),), **dict(zip("xyz", np.asarray(p, dtype=float).T)))
 

@@ -74,7 +74,8 @@ class Transfer:
     Coarse cell (I, J, K) holds the fine cells (2I + a, 2J + b, 2K + c), child
     a + 2b + 4c.  ``blocks[t]`` (nb, 8 nb) injects a coarse element of Kuhn
     type t into its 8 fine ones, alike in every cell; ``order`` reads the fine
-    elements, in mesh order, off the products of all cells grouped by type.
+    elements, in mesh order, off the products of all cells grouped by type,
+    and ``grouping``, its inverse, groups them back.
     The blocks are float64; both maps compute in the dtype of x.
     """
 
@@ -97,6 +98,7 @@ class Transfer:
         rows = (slot // 8 * cells + np.arange(cells)[:, None]) * 8 + slot % 8  # (cells, 48)
         # flat cell I + NX (J + NY K) is index (K, J, I); child a + 2b + 4c is (c, b, a)
         self.order = rows.reshape(*coarse.n[::-1], 2, 2, 2, 6).transpose(0, 3, 1, 4, 2, 5, 6).ravel()
+        self.grouping = np.argsort(self.order)  # the inverse of ``order``: products by type
 
     def prolong(self, x):
         nb, blocks = self.blocks.shape[1], self.blocks.astype(x.dtype, copy=False)
@@ -105,8 +107,7 @@ class Transfer:
 
     def restrict(self, x):
         nb, blocks = self.blocks.shape[1], self.blocks.astype(x.dtype, copy=False)
-        grouped = np.empty((len(self.order), nb), x.dtype)
-        grouped[self.order] = np.reshape(x, (-1, nb))
+        grouped = np.take(np.reshape(x, (-1, nb)), self.grouping, axis=0)
         y = np.matmul(grouped.reshape(6, -1, 8 * nb), blocks.transpose(0, 2, 1))
         return y.transpose(1, 0, 2).ravel()
 

@@ -11,13 +11,12 @@ distances to the curve are measured only where read (``_volume_sq``).
 import numpy as np
 
 from . import basis as _basis
-from .assembly import _face_traces
+from .assembly import _BLOCK, _face_traces
 from .curve import distance_to_curve, nearest_segments
 from .fields import region_element_mask
 
 _SINGULAR_SNAP = 1e-12
 _SINGULAR_PUSH = 1e-10
-_VOLUME_BLOCK = 4096  # elements per block of a volume integral
 
 
 def _guard_points(points, curve, h):
@@ -59,7 +58,7 @@ def _minus(values, exact, points):
 def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
     """Integral over ``elements`` of |v - exact|^2, with v the field, or its
     broken gradient when ``grad``, at the fixed 2k+2 rule, in blocks of
-    ``_VOLUME_BLOCK`` elements (the temporaries do not grow with the mesh).
+    ``_BLOCK`` elements (the temporaries do not grow with the mesh).
     Given ``alpha``, weighted by dist(x, curve)^(2 alpha) at points guarded off
     ``curve`` (``_guard_points``); given only ``curve``, the points of elements
     with centroid within h + 1e-12 of it are guarded: no other point can need
@@ -75,14 +74,14 @@ def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
     values = field.grad_in_elements if grad else field.eval_in_elements
     at_points = curve is not None or callable(exact)
     total = 0.0
-    for start in range(0, elements.size, _VOLUME_BLOCK):
-        block = elements[start : start + _VOLUME_BLOCK]
+    for start in range(0, elements.size, _BLOCK):
+        block = elements[start : start + _BLOCK]
         v = values(block, rule.points)
         pts = mesh.map_points(rule.points, block) if at_points else None
         if alpha is not None:
             pts, d = _guard_points(pts, curve, mesh.h)
         elif curve is not None:
-            at = near[start : start + _VOLUME_BLOCK]
+            at = near[start : start + _BLOCK]
             pts[at] = _guard_points(pts[at], curve, mesh.h)[0]
         v2 = _minus(v, exact, pts) ** 2  # (n, q) or (n, q, 3)
         v2 = v2.sum(-1) if grad else v2

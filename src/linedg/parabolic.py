@@ -18,9 +18,15 @@ On the demo config with block-Jacobi this takes the 40 steps from 759 CG
 iterations to 357 at 8x8x2, and from 1389 to 719 at 16x16x4; with the
 demo's multigrid they take 65 and 88.  A nonsymmetric S (epsilon = 0, +1,
 solved by BiCGStab) starts each step from u^{n-1}.
+
+The one stepping loop is ``BackwardEuler``, which yields each ``Step`` as it
+is solved and holds u^{n-1}, u^n and Q.  ``run_backward_euler`` collects the
+steps into a ``TimeSeries`` of (N+1) x ndof; ``step_diagnostics`` reads
+either, one step at a time.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,13 +63,24 @@ class TimeGrid:
         return np.linspace(0.0, self.final_time, self.steps + 1)
 
 
+class Step(NamedTuple):
+    """One time level of a march: index n, time t = n tau, the state u^n as a
+    ``FieldFunction``, and the Krylov iterations of its solve (0 at n = 0)."""
+
+    n: int
+    t: float
+    field: FieldFunction
+    iterations: int
+
+
 class TimeSeries:
     """Snapshots u^0..u^N plus the piecewise-constant-in-time reconstruction.
 
-    ``mass`` is the stepper's mass operator (a ``SparseSystem``) on ``mesh``;
-    ``step_iterations`` holds the Krylov iteration count of each step's solve,
-    and ``preconditioner`` the one preconditioner those solves shared (a
-    ``multigrid.VCycle`` with ``preconditioner: multigrid``).
+    The collected form of a march, one (N+1) x ndof array; iterating it yields
+    its ``Step``s.  ``mass`` is the stepper's mass operator (a ``SparseSystem``)
+    on ``mesh``; ``step_iterations`` holds the Krylov iteration count of each
+    step's solve, and ``preconditioner`` the one preconditioner those solves
+    shared (a ``multigrid.VCycle`` with ``preconditioner: multigrid``).
     """
 
     def __init__(self, mesh, basis, grid, snapshots, mass, step_iterations=(),
@@ -81,6 +98,11 @@ class TimeSeries:
 
     def field(self, n):
         return FieldFunction.from_vector(self.mesh, self.basis, self.snapshots[n])
+
+    def __iter__(self):
+        iterations = (0,) + (self.step_iterations or (0,) * self.grid.steps)
+        for n, its in enumerate(iterations):
+            yield Step(n, n * self.grid.tau, self.field(n), its)
 
 
 def project_initial(u0, mesh, basis):
@@ -115,6 +137,71 @@ def _extend_basis(S, Q, m, u, Su):
     return m + 1
 
 
+class BackwardEuler:
+    """The implicit Euler scheme on one mesh and time grid.
+
+    Construction assembles S = M + tau A, M, S's preconditioner and, for a
+    line density fixed in time, the line load.  Iterating marches from u^0
+    and yields each ``Step`` as it is solved.  A march holds u^{n-1}, u^n
+    and the projection basis Q, never the series; each iteration marches
+    anew.  The arguments are those of ``run_backward_euler``.
+    """
+
+    def __init__(self, mesh, spec, curve, f, u0, grid, solver_config=None, basis=None,
+                 volume_source=None, f_time_dependent=True):
+        if isinstance(f, np.ufunc) and f.nin == 1:  # f(t, s) would pass s as ``out``
+            raise TypeError(f"line density {f.__name__} takes one argument; f must be f(t, s)")
+        self.mesh, self.grid, self.u0, self.volume_source = mesh, grid, u0, volume_source
+        self.basis = _basis.make_basis(spec.k) if basis is None else basis
+        self.solver_config = solver_config or SolverConfig()
+        A = assemble_stiffness(mesh, spec, self.basis)
+        self.mass = assemble_mass(mesh, self.basis)
+        self.system = self.mass + grid.tau * A
+        self.preconditioner = make_preconditioner(self.system, self.solver_config.preconditioner)
+        self.line_load = None  # t -> the line load at time t
+        if f is not None and curve is not None:
+            restrictions = build_restrictions(curve, mesh)
+
+            def line_load(t):
+                density = (lambda s: f(t, s)) if callable(f) else f
+                return assemble_line_rhs(curve, density, mesh, self.basis,
+                                         restrictions=restrictions)
+
+            if f_time_dependent and callable(f):
+                self.line_load = line_load
+            else:
+                b_line = line_load(0.0)
+                self.line_load = lambda t: b_line
+
+    def __iter__(self):
+        mesh, basis, S, M, tau = self.mesh, self.basis, self.system, self.mass, self.grid.tau
+        u = _initial_vector(self.u0, mesh, basis)
+        yield Step(0, 0.0, FieldFunction.from_vector(mesh, basis, u), 0)
+        # S-orthonormal rows spanning u^1..u^{N-1}; the last solution starts no solve
+        Q = np.empty((self.grid.steps - 1, u.size)) if S.symmetric else None
+        m = 0
+        for n in range(1, self.grid.steps + 1):
+            t_n = n * tau
+            rhs = M @ u
+            if self.line_load is not None:
+                rhs = rhs + tau * self.line_load(t_n)
+            if self.volume_source is not None:
+                rhs = rhs + tau * assemble_volume_rhs(
+                    mesh, basis, lambda p: self.volume_source(t_n, p)
+                )
+            x0 = u + (Q[:m] @ (rhs - Su)) @ Q[:m] if m else u
+            try:
+                result = solve(S, rhs, self.solver_config, x0=x0, precond=self.preconditioner)
+            except NonconvergenceError as err:
+                raise NonconvergenceError(f"time step {n} (t = {t_n:.6g}): {err}", err.best_x,
+                                          err.residual, err.iterations) from err
+            u = result.x
+            yield Step(n, t_n, FieldFunction.from_vector(mesh, basis, u), result.iterations)
+            if Q is not None and n < self.grid.steps:
+                Su = S @ u
+                m = _extend_basis(S, Q, m, u, Su)
+
+
 def run_backward_euler(
     mesh,
     spec,
@@ -127,7 +214,7 @@ def run_backward_euler(
     volume_source=None,
     f_time_dependent=True,
 ):
-    """March the implicit Euler scheme and return the snapshot series.
+    """March the implicit Euler scheme and return the collected ``TimeSeries``.
 
     ``f`` is the line density: None, a number, or f(t, s) of time and
     arclength.  A callable ``f`` is evaluated at every step's time when
@@ -137,84 +224,45 @@ def run_backward_euler(
     load, used by manufactured smooth tests.  A solver failure raises
     ``NonconvergenceError`` with the step index in its message and the failed
     solve's ``best_x``, ``residual`` and ``iterations``.
+
+    The steps are those of ``BackwardEuler``, copied into one (N+1) x ndof
+    array; a caller that reads each step once iterates ``BackwardEuler``.
     """
-    if basis is None:
-        basis = _basis.make_basis(spec.k)
-    solver_config = solver_config or SolverConfig()
-    tau = grid.tau
-
-    A = assemble_stiffness(mesh, spec, basis)
-    M = assemble_mass(mesh, basis)
-    S = M + tau * A
-    precond = make_preconditioner(S, solver_config.preconditioner)
-
-    if isinstance(f, np.ufunc) and f.nin == 1:  # f(t, s) would pass s as ``out``
-        raise TypeError(f"line density {f.__name__} takes one argument; f must be f(t, s)")
-    line = f is not None and curve is not None
-    if line:
-        restrictions = build_restrictions(curve, mesh)
-
-        def line_load(t):
-            density = (lambda s: f(t, s)) if callable(f) else f
-            return assemble_line_rhs(curve, density, mesh, basis, restrictions=restrictions)
-
-        rebuild = f_time_dependent and callable(f)
-        if not rebuild:
-            b_line = line_load(0.0)
-
-    u = _initial_vector(u0, mesh, basis)
-    snapshots = np.empty((grid.steps + 1, u.size))
-    snapshots[0] = u
-    step_iterations = []
-    # S-orthonormal rows spanning u^1..u^{N-1}; the last solution starts no solve
-    Q = np.empty((grid.steps - 1, u.size)) if S.symmetric else None
-    m = 0
-    for n in range(1, grid.steps + 1):
-        t_n = n * tau
-        rhs = M @ u
-        if line:
-            if rebuild:
-                b_line = line_load(t_n)
-            rhs = rhs + tau * b_line
-        if volume_source is not None:
-            rhs = rhs + tau * assemble_volume_rhs(
-                mesh, basis, lambda p: volume_source(t_n, p)
-            )
-        x0 = u + (Q[:m] @ (rhs - Su)) @ Q[:m] if m else u
-        try:
-            result = solve(S, rhs, solver_config, x0=x0, precond=precond)
-        except NonconvergenceError as err:
-            raise NonconvergenceError(f"time step {n} (t = {t_n:.6g}): {err}", err.best_x,
-                                      err.residual, err.iterations) from err
-        u = result.x
-        step_iterations.append(result.iterations)
-        snapshots[n] = u
-        if Q is not None and n < grid.steps:
-            Su = S @ u
-            m = _extend_basis(S, Q, m, u, Su)
-    return TimeSeries(mesh, basis, grid, snapshots, M, step_iterations, precond)
+    stepper = BackwardEuler(mesh, spec, curve, f, u0, grid, solver_config, basis, volume_source,
+                            f_time_dependent)
+    snapshots = np.empty((grid.steps + 1, mesh.n_elements * stepper.basis.dim))
+    iterations = []
+    for step in stepper:
+        snapshots[step.n] = step.field.coeffs.ravel()
+        iterations.append(step.iterations)
+    return TimeSeries(mesh, stepper.basis, grid, snapshots, stepper.mass, iterations[1:],
+                      stepper.preconditioner)
 
 
-def step_diagnostics(series, sigma):
+def step_diagnostics(steps, sigma):
     """Per-step L2 and energy norms plus the increment accumulator.
 
-    Returns a list of dict rows (n, t, l2, dg, increment_sq_sum) where the
-    accumulator is sum_{m<=n} ||u^m - u^{m-1}||_{L2}^2.
+    ``steps`` is any iterable of ``Step``s on one mesh, a ``TimeSeries`` or a
+    live ``BackwardEuler`` march.  It is read one step at a time, holding
+    only the previous state.  Returns a list of dict rows (n, t, l2, dg,
+    increment_sq_sum) where the accumulator is
+    sum_{m<=n} ||u^m - u^{m-1}||_{L2}^2.
     """
-    M = series.mass
-    G = assemble_dg_norm_gram(series.mesh, series.basis, sigma)
     rows = []
     acc = 0.0
     prev = None
-    for n, t in enumerate(series.grid.times):
-        v = series.snapshots[n]
-        if prev is not None:
+    for step in steps:
+        v = step.field.coeffs.ravel()
+        if prev is None:
+            M = assemble_mass(step.field.mesh, step.field.basis)
+            G = assemble_dg_norm_gram(step.field.mesh, step.field.basis, sigma)
+        else:
             d = v - prev
             acc += float(d @ (M @ d))
         rows.append(
             {
-                "n": n,
-                "t": float(t),
+                "n": step.n,
+                "t": float(step.t),
                 "l2": float(np.sqrt(max(v @ (M @ v), 0.0))),
                 "dg": float(np.sqrt(max(v @ (G @ v), 0.0))),
                 "increment_sq_sum": acc,

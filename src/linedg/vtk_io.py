@@ -3,37 +3,36 @@
 import numpy as np
 
 
+def _write_rows(fh, fmt, rows):
+    """Write ``fmt.format(*row)`` for each row of ``rows`` (n, c), formatted
+    4096 rows at a time, so the text held does not grow with the mesh."""
+    for start in range(0, len(rows), 4096):
+        fh.write("".join(map(fmt.format, *rows[start : start + 4096].T.tolist())))
+
+
 def write_vtk(path, mesh, cell_data=None):
     """Write the mesh and optional scalar fields as a legacy VTK file.
 
     ``cell_data``: dict name -> array of per-element scalars.
     """
-    cell_data = cell_data or {}
     nt = mesh.n_elements
     nv = mesh.vertices.shape[0]
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "linedg output",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {nv} double",
-    ]
-    lines.extend(map("{:.12g} {:.12g} {:.12g}".format, *mesh.vertices.T.tolist()))
-    lines.append(f"CELLS {nt} {5 * nt}")
-    lines.extend(map("4 {} {} {} {}".format, *mesh.tets.T.tolist()))
-    lines.append(f"CELL_TYPES {nt}")
-    lines.extend(["10"] * nt)
-    if cell_data:
-        lines.append(f"CELL_DATA {nt}")
-        for name, values in cell_data.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != (nt,):
-                raise ValueError(f"cell data {name!r} must have shape ({nt},)")
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(map("{:.12e}".format, values.tolist()))
+    cell_data = {name: np.asarray(values, dtype=float) for name, values in (cell_data or {}).items()}
+    for name, values in cell_data.items():
+        if values.shape != (nt,):
+            raise ValueError(f"cell data {name!r} must have shape ({nt},)")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# vtk DataFile Version 3.0\nlinedg output\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {nv} double\n")
+        _write_rows(fh, "{:.12g} {:.12g} {:.12g}\n", mesh.vertices)
+        fh.write(f"CELLS {nt} {5 * nt}\n")
+        _write_rows(fh, "4 {} {} {} {}\n", mesh.tets)
+        fh.write(f"CELL_TYPES {nt}\n" + "10\n" * nt)
+        if cell_data:
+            fh.write(f"CELL_DATA {nt}\n")
+        for name, values in cell_data.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            _write_rows(fh, "{:.12e}\n", values[:, None])
 
 
 def field_cell_values(field):

@@ -198,6 +198,32 @@ def test_dirichlet_zero_data():
     assert np.all(r == 0)
 
 
+def test_dirichlet_lift_in_blocks_of_faces(monkeypatch):
+    """The Nitsche lift is evaluated a block of boundary faces at a time: in
+    blocks of 2 faces it is bitwise the lift in one block, and its temporaries
+    do not grow with the number of boundary faces."""
+    basis, spec = fb.make_basis(2), DGSpec(2)
+    g = lambda p: np.log(1.0 + p[:, 0] + 2.0 * p[:, 1] * p[:, 2])
+    mesh = build_box_mesh(SLAB, (4, 4, 2))
+    monkeypatch.setattr(assembly, "_BLOCK", 2 * basis.dim)
+    small = assemble_dirichlet_rhs(mesh, spec, basis, g)
+    monkeypatch.setattr(assembly, "_BLOCK", 10 ** 9)
+    assert np.array_equal(small, assemble_dirichlet_rhs(mesh, spec, basis, g))
+    monkeypatch.undo()
+
+    extra = []
+    for n in [(16, 16, 4), (32, 32, 8)]:  # 1,536 and 6,144 boundary faces
+        mesh = build_box_mesh(SLAB, n)
+        assemble_dirichlet_rhs(mesh, spec, basis, g)  # the mesh's cached tables
+        tracemalloc.start()
+        try:
+            b = assemble_dirichlet_rhs(mesh, spec, basis, g)
+            extra.append(tracemalloc.get_traced_memory()[1] - b.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert extra[1] <= 1.25 * extra[0], extra
+
+
 def test_constant_solution_exact():
     """g = 1, f = 0 reproduces the constant one."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))

@@ -333,6 +333,59 @@ def test_multigrid_parabolic_config_runs(tmp_path):
     assert 0 < run["cg_iterations_total"]
 
 
+def test_zero_initial_state_is_not_projected(tmp_path, monkeypatch):
+    """``initial: zero`` builds no function, so the demo starts from the zero
+    vector without projecting zeros through a volume integral."""
+    import linedg.parabolic
+
+    path = CONFIG_DIR / "parabolic_demo.yaml"
+    assert load_config(path).initial.build() is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assemble_volume_rhs called")
+
+    monkeypatch.setattr(linedg.parabolic, "assemble_volume_rhs", refuse)
+    assert main(["solve-parabolic", str(path), "--out-dir", str(tmp_path), "--no-vtk"]) == 0
+
+
+def test_parabolic_run_memory_does_not_grow_with_the_series(tmp_path):
+    """A streamed run holds u^{n-1}, u^n and the projection basis (one row per
+    step), not the series: from 20 to 80 steps its tracemalloc peak grows by at
+    most the basis's 60 more rows plus two ndof vectors.  Collecting the
+    series would add another 60 rows."""
+    import tracemalloc
+
+    def config(steps):
+        return parse_config(PARABOLIC.replace("n: [4, 4, 1]", "n: [8, 8, 2]")
+                            .replace("steps: 4", f"steps: {steps}") + "snapshot_every: 10\n")
+
+    run_parabolic(config(20), tmp_path / "warm", vtk=True)  # the caches of rules and bases
+    peaks = {}
+    for steps in (20, 80):
+        tracemalloc.start()
+        try:
+            run_parabolic(config(steps), tmp_path / str(steps), vtk=True)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    vector = 8 * 6 * (8 * 8 * 2) * 4  # bytes of one float64 vector: 6 tets per cell, 4 dofs each
+    assert len(list((tmp_path / "80").glob("snapshot_*.vtk"))) == 9
+    assert peaks[80] - peaks[20] <= (60 + 2) * vector, (peaks, vector)
+
+
+def test_failed_step_leaves_the_snapshots_due_before_it(tmp_path):
+    """A streamed run that fails at step 1 raises with the step label, has
+    written the snapshot of step 0 and writes no history or metadata."""
+    from linedg.errors import NonconvergenceError
+
+    cfg = parse_config(PARABOLIC.replace("solver: {rel_tol: 1.0e-10}",
+                                         "solver: {rel_tol: 1.0e-14, max_iter: 1}")
+                       + "snapshot_every: 1\n")
+    with pytest.raises(NonconvergenceError, match="time step 1"):
+        run_parabolic(cfg, tmp_path, vtk=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshot_00000.vtk"]
+
+
 SINGLE_RUNS = [p for p in sorted(CONFIG_DIR.glob("*.yaml")) if len(load_config(p).levels) == 1]
 
 
@@ -374,7 +427,7 @@ def test_shipped_sine_demo_runs(tmp_path):
 def test_parabolic_zero_run_all_zero(tmp_path):
     cfg = parse_config(PARABOLIC + "source: {kind: constant, value: 0.0}\n")
     result = run_parabolic(cfg, tmp_path, vtk=False)
-    assert np.all(result["series"].snapshots == 0)
+    assert np.all(result["final"].coeffs == 0)
     rows = read_csv(tmp_path / "history.csv")
     assert rows[0] == ["n", "t", "l2_norm", "dg_norm", "increment_sq_sum"]
     assert all(float(r[2]) == 0.0 for r in rows[1:])
@@ -392,7 +445,6 @@ def test_parabolic_steady_state_vs_elliptic(tmp_path):
     cfg = parse_config(PARABOLIC.replace("time: {final: 0.1, steps: 4}",
                                          "time: {final: 5.0, steps: 50}"))
     result = run_parabolic(cfg, tmp_path, vtk=False)
-    series = result["series"]
 
     mesh = build_box_mesh(cfg.domain, cfg.levels[0])
     basis = fb.make_basis(1)
@@ -400,7 +452,7 @@ def test_parabolic_steady_state_vs_elliptic(tmp_path):
     system = assemble_stiffness(mesh, spec, basis)
     b = assemble_line_rhs(cfg.build_curve(), 1.0, mesh, basis)
     x = solve(system, b, SolverConfig(rel_tol=1e-12)).x
-    gap = FieldFunction.from_vector(mesh, basis, series.snapshots[-1] - x)
+    gap = FieldFunction.from_vector(mesh, basis, result["final"].coeffs.ravel() - x)
     assert l2_error(gap, 0.0) < 1e-9
 
 
@@ -416,7 +468,7 @@ def test_parabolic_metadata_records_iterations(tmp_path):
     result = run_parabolic(cfg, tmp_path, vtk=False)
     run = yaml.safe_load((tmp_path / "metadata.yaml").read_text())["run"]
     assert len(run["cg_iterations"]) == cfg.time.steps
-    assert run["cg_iterations"] == list(result["series"].step_iterations)
+    assert run["cg_iterations"] == list(result["step_iterations"])
     assert all(isinstance(i, int) and i >= 0 for i in run["cg_iterations"])
     assert run["cg_iterations_total"] == sum(run["cg_iterations"]) > 0
     assert run["preconditioner"] == "block_jacobi" and "multigrid_levels" not in run

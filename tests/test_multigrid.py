@@ -75,6 +75,25 @@ def test_restriction_is_transpose_of_prolongation(k):
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs), n
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_restriction_gathers_the_exact_transpose(k):
+    """``restrict`` gathers by the inverse of ``order``: bitwise the scatter
+    ``grouped[order] = x`` it replaces, and exactly the transpose of ``prolong``."""
+    basis = fb.make_basis(k)
+    fine = build_box_mesh(SLAB, (4, 4, 2))
+    transfer = Transfer(fine, fine.coarsen(), basis)
+    nb, blocks = basis.dim, transfer.blocks
+    for dtype in (np.float64, np.float32):
+        x = np.random.default_rng(k).standard_normal(fine.n_elements * nb).astype(dtype)
+        grouped = np.empty((len(transfer.order), nb), dtype)
+        grouped[transfer.order] = x.reshape(-1, nb)
+        scattered = np.matmul(grouped.reshape(6, -1, 8 * nb), blocks.astype(dtype).transpose(0, 2, 1))
+        assert np.array_equal(transfer.restrict(x), scattered.transpose(1, 0, 2).ravel())
+    P = np.column_stack([transfer.prolong(e) for e in np.eye(fine.n_elements // 8 * nb)])
+    R = np.column_stack([transfer.restrict(e) for e in np.eye(fine.n_elements * nb)])
+    assert np.array_equal(R, P.T)
+
+
 def test_transfer_rejects_a_pair_that_is_not_nested():
     basis = fb.make_basis(1)
     fine = build_box_mesh(SLAB, (4, 4, 2))

@@ -64,11 +64,20 @@ def _write_vtk_rowwise(path, mesh, cell_data):
         fh.write("\n".join(lines) + "\n")
 
 
-def test_vtk_bytes_match_rowwise_format(tmp_path):
-    mesh = build_box_mesh(BoxDomain(lo=[-0.3, 0, 1e-3], hi=[1, 1.0 / 3.0, 7]), (2, 2, 1))
+def _assert_bytes_match_rowwise_format(tmp_path, n):
+    mesh = build_box_mesh(BoxDomain(lo=[-0.3, 0, 1e-3], hi=[1, 1.0 / 3.0, 7]), n)
     rng = np.random.default_rng(5)
     cell_data = {"u": rng.standard_normal(mesh.n_elements) * 1e5,
                  "rank": np.arange(mesh.n_elements, dtype=float)}
     write_vtk(tmp_path / "fast.vtk", mesh, cell_data=cell_data)
     _write_vtk_rowwise(tmp_path / "rows.vtk", mesh, cell_data)
     assert (tmp_path / "fast.vtk").read_bytes() == (tmp_path / "rows.vtk").read_bytes()
+
+
+def test_vtk_bytes_match_rowwise_format(tmp_path):
+    _assert_bytes_match_rowwise_format(tmp_path, (2, 2, 1))
+
+
+def test_vtk_bytes_match_rowwise_format_over_several_blocks(tmp_path):
+    """5,184 cells: the writer formats them in more than one block of rows."""
+    _assert_bytes_match_rowwise_format(tmp_path, (12, 12, 6))
