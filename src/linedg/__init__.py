@@ -9,7 +9,7 @@ from .fields import FieldFunction, interpolate
 from .mesh import BoxDomain, Mesh, build_box_mesh
 from .norms import convergence_rates, dg_energy_error, dg_norm, l2_error, weighted_dg_norm, weighted_l2_norm
 from .parabolic import (
-    BackwardEuler, TimeGrid, TimeSeries, project_initial, run_backward_euler, spacetime_l2_error,
+    BackwardEuler, Step, TimeGrid, project_initial, run_backward_euler, spacetime_l2_error,
 )
 from .problems import LogLineSolution, sine_curve
 from .solver import SolverConfig, SolveResult, solve
@@ -21,7 +21,7 @@ __all__ = [
     "SolverConfig", "SolveResult", "solve",
     "FieldFunction", "interpolate",
     "l2_error", "dg_energy_error", "dg_norm", "weighted_l2_norm", "weighted_dg_norm", "convergence_rates",
-    "BackwardEuler", "TimeGrid", "TimeSeries", "project_initial", "run_backward_euler",
+    "BackwardEuler", "Step", "TimeGrid", "project_initial", "run_backward_euler",
     "spacetime_l2_error",
     "LogLineSolution", "sine_curve",
 ]

@@ -223,8 +223,9 @@ class SparseSystem:
         return sp.bsr_matrix(self._bsr(), shape=(self.ndof, self.ndof))
 
     def dense(self):
-        """The operator as a dense (ndof, ndof) array, scattered from the blocks of
-        ``matrix``."""
+        """The operator as a dense (ndof, ndof) array, scattered from the block
+        table ``_bsr()`` that ``matrix`` also reads.  It builds no scipy matrix,
+        so the coarsest level of a ``VCycle`` inverts it without scipy."""
         data, cols, indptr = self._bsr()
         ne, nb = self.n_blocks, self.block_size
         dense = np.zeros((ne, nb, ne, nb))

@@ -313,8 +313,8 @@ class InitialSpec:
     expr: str | None = None
 
     def build(self):
-        """The ``u0`` of ``run_backward_euler``: None (the zero start, nothing
-        to project) or a point function."""
+        """The ``u0`` of ``BackwardEuler``: None (the zero start, nothing to
+        project) or a point function."""
         if self.kind == "zero":
             return None
         expr, _ = _compile_expr(self.expr, ("x", "y", "z"))

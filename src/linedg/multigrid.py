@@ -4,10 +4,12 @@ The hierarchy halves the box grid (``Mesh.coarsen``) while every cell count
 is even and rebuilds the operator on each level by its own rule,
 ``SparseSystem.discretization``: the interior-penalty stiffness, or the
 M + tau A of a time step, assembled anew on the coarser mesh, i.e.
-non-inherited coarse forms, which give h-uniform V-cycles for
-interior-penalty dG (Gopalakrishnan & Kanschat, Numer. Math. 2003).  A
-``VCycle`` is one level holding the next coarser one, so a study can build
-each level on the last.
+non-inherited coarse forms, as in the interior-penalty dG V-cycle of
+Gopalakrishnan & Kanschat (Numer. Math. 2003).  Measured, it is h-uniform
+at k = 2 (CG 13/13/14 on the finer levels of ``study_k2``) but not yet at
+k = 1 (1/13/15/17 on ``study_k1``, 19 at 64x64x16); the smoothing interval
+that would fix k = 1 is ROADMAP item 15.  A ``VCycle`` is one level
+holding the next coarser one, so a study can build each level on the last.
 Prolongation is exact dG injection: a coarse polynomial restricted to a fine
 element lies in the fine space, so its L2 projection there is itself, and on
 the nodal basis its coefficients are its values at the fine nodes.  Every

@@ -19,10 +19,10 @@ iterations to 357 at 8x8x2, and from 1389 to 719 at 16x16x4; with the
 demo's multigrid they take 65 and 88.  A nonsymmetric S (epsilon = 0, +1,
 solved by BiCGStab) starts each step from u^{n-1}.
 
-The one stepping loop is ``BackwardEuler``, which yields each ``Step`` as it
-is solved and holds u^{n-1}, u^n and Q.  ``run_backward_euler`` collects the
-steps into a ``TimeSeries`` of (N+1) x ndof; ``step_diagnostics`` reads
-either, one step at a time.
+A march has one form: the ``Step``s that iterating ``BackwardEuler`` yields,
+each as it is solved, while the stepper holds u^{n-1}, u^n and Q.
+``run_backward_euler`` collects them in a list; ``step_diagnostics`` and
+``spacetime_l2_error`` read either, one step at a time.
 """
 
 from dataclasses import dataclass
@@ -65,44 +65,14 @@ class TimeGrid:
 
 class Step(NamedTuple):
     """One time level of a march: index n, time t = n tau, the state u^n as a
-    ``FieldFunction``, and the Krylov iterations of its solve (0 at n = 0)."""
+    ``FieldFunction``, and the Krylov iterations of its solve (0 at n = 0).
+    A march is its steps: a live ``BackwardEuler`` yields them as each is
+    solved, and ``run_backward_euler`` returns them in a list."""
 
     n: int
     t: float
     field: FieldFunction
     iterations: int
-
-
-class TimeSeries:
-    """Snapshots u^0..u^N plus the piecewise-constant-in-time reconstruction.
-
-    The collected form of a march, one (N+1) x ndof array; iterating it yields
-    its ``Step``s.  ``mass`` is the stepper's mass operator (a ``SparseSystem``)
-    on ``mesh``; ``step_iterations`` holds the Krylov iteration count of each
-    step's solve, and ``preconditioner`` the one preconditioner those solves
-    shared (a ``multigrid.VCycle`` with ``preconditioner: multigrid``).
-    """
-
-    def __init__(self, mesh, basis, grid, snapshots, mass, step_iterations=(),
-                 preconditioner=None):
-        self.mesh = mesh
-        self.basis = basis
-        self.grid = grid
-        self.mass = mass
-        self.preconditioner = preconditioner
-        # not ``iterations``: bench/child.py reads that name on any result as one count
-        self.step_iterations = tuple(step_iterations)
-        self.snapshots = np.asarray(snapshots, dtype=float)  # (N+1, ndof)
-        if self.snapshots.shape[0] != grid.steps + 1:
-            raise ValueError("snapshot count must be steps + 1")
-
-    def field(self, n):
-        return FieldFunction.from_vector(self.mesh, self.basis, self.snapshots[n])
-
-    def __iter__(self):
-        iterations = (0,) + (self.step_iterations or (0,) * self.grid.steps)
-        for n, its in enumerate(iterations):
-            yield Step(n, n * self.grid.tau, self.field(n), its)
 
 
 def project_initial(u0, mesh, basis):
@@ -144,7 +114,16 @@ class BackwardEuler:
     line density fixed in time, the line load.  Iterating marches from u^0
     and yields each ``Step`` as it is solved.  A march holds u^{n-1}, u^n
     and the projection basis Q, never the series; each iteration marches
-    anew.  The arguments are those of ``run_backward_euler``.
+    anew.
+
+    ``f`` is the line density: None, a number, or f(t, s) of time and
+    arclength.  A callable ``f`` is evaluated at every step's time when
+    ``f_time_dependent`` is set, else once at t = 0.  ``u0`` is None (zero),
+    a coefficient vector, or a point function, projected by
+    ``project_initial``.  ``volume_source(t, points)`` adds a distributed
+    load, used by manufactured smooth tests.  A solver failure raises
+    ``NonconvergenceError`` with the step index in its message and the failed
+    solve's ``best_x``, ``residual`` and ``iterations``.
     """
 
     def __init__(self, mesh, spec, curve, f, u0, grid, solver_config=None, basis=None,
@@ -202,48 +181,16 @@ class BackwardEuler:
                 m = _extend_basis(S, Q, m, u, Su)
 
 
-def run_backward_euler(
-    mesh,
-    spec,
-    curve,
-    f,
-    u0,
-    grid,
-    solver_config=None,
-    basis=None,
-    volume_source=None,
-    f_time_dependent=True,
-):
-    """March the implicit Euler scheme and return the collected ``TimeSeries``.
-
-    ``f`` is the line density: None, a number, or f(t, s) of time and
-    arclength.  A callable ``f`` is evaluated at every step's time when
-    ``f_time_dependent`` is set, else once at t = 0.  ``u0`` is None (zero),
-    a coefficient vector, or a point function, projected by
-    ``project_initial``.  ``volume_source(t, points)`` adds a distributed
-    load, used by manufactured smooth tests.  A solver failure raises
-    ``NonconvergenceError`` with the step index in its message and the failed
-    solve's ``best_x``, ``residual`` and ``iterations``.
-
-    The steps are those of ``BackwardEuler``, copied into one (N+1) x ndof
-    array; a caller that reads each step once iterates ``BackwardEuler``.
-    """
-    stepper = BackwardEuler(mesh, spec, curve, f, u0, grid, solver_config, basis, volume_source,
-                            f_time_dependent)
-    snapshots = np.empty((grid.steps + 1, mesh.n_elements * stepper.basis.dim))
-    iterations = []
-    for step in stepper:
-        snapshots[step.n] = step.field.coeffs.ravel()
-        iterations.append(step.iterations)
-    return TimeSeries(mesh, stepper.basis, grid, snapshots, stepper.mass, iterations[1:],
-                      stepper.preconditioner)
+def run_backward_euler(*args, **kwargs):
+    """The steps u^0..u^N of ``BackwardEuler(*args, **kwargs)``, collected in a list."""
+    return list(BackwardEuler(*args, **kwargs))
 
 
 def step_diagnostics(steps, sigma):
     """Per-step L2 and energy norms plus the increment accumulator.
 
-    ``steps`` is any iterable of ``Step``s on one mesh, a ``TimeSeries`` or a
-    live ``BackwardEuler`` march.  It is read one step at a time, holding
+    ``steps`` is any iterable of ``Step``s on one mesh, a list or a live
+    ``BackwardEuler`` march.  It is read one step at a time, holding
     only the previous state.  Returns a list of dict rows (n, t, l2, dg,
     increment_sq_sum) where the accumulator is
     sum_{m<=n} ||u^m - u^{m-1}||_{L2}^2.
@@ -272,18 +219,21 @@ def step_diagnostics(steps, sigma):
     return rows
 
 
-def spacetime_l2_error(series, exact):
+def spacetime_l2_error(steps, exact):
     """L2(0,T; L2) distance between the reconstruction and ``exact(t, points)``.
 
-    Two-point Gauss rule per time interval and ``norms.l2_error`` in space;
-    the reconstruction is the right-endpoint snapshot on each interval.
+    ``steps`` is any iterable of ``Step``s, a list or a live ``BackwardEuler``
+    march, read one step at a time.  On the interval (t^{n-1}, t^n] of two
+    consecutive steps the reconstruction is u^n; a two-point Gauss rule there
+    and ``norms.l2_error`` in space.
     """
     rule_t = _basis.segment_quadrature(3)
-    tau = series.grid.tau
-    total = 0.0
-    for n in range(1, series.grid.steps + 1):
-        uh = series.field(n)
-        for tq, wq in zip(rule_t.points[:, 0], rule_t.weights):
-            t = (n - 1 + tq) * tau
-            total += wq * tau * l2_error(uh, lambda p: exact(t, p)) ** 2
+    total, t_prev = 0.0, None
+    for step in steps:
+        if t_prev is not None:
+            tau = step.t - t_prev
+            for tq, wq in zip(rule_t.points[:, 0], rule_t.weights):
+                t = t_prev + tq * tau
+                total += wq * tau * l2_error(step.field, lambda p: exact(t, p)) ** 2
+        t_prev = step.t
     return float(np.sqrt(total))

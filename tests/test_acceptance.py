@@ -219,10 +219,10 @@ def test_criterion_6f_parabolic_properties():
     # monotone decay without forcing
     rng = np.random.default_rng(5)
     u0 = rng.standard_normal(mesh.n_elements * basis.dim)
-    series = run_backward_euler(
+    march = run_backward_euler(
         mesh, spec, None, None, u0, TimeGrid(0.5, 10), SolverConfig(rel_tol=1e-12), basis=basis
     )
-    norms = [np.sqrt(v @ (M @ v)) for v in series.snapshots]
+    norms = [np.sqrt(v @ (M @ v)) for v in (step.field.coeffs.ravel() for step in march)]
     decay_ok = all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
     # long-horizon steady state agrees with the elliptic solution
@@ -230,10 +230,10 @@ def test_criterion_6f_parabolic_properties():
     system = assemble_stiffness(mesh, spec, basis)
     b = assemble_line_rhs(curve, 1.0, mesh, basis)
     u_inf = solve(system, b, SolverConfig(rel_tol=rel_tol)).x
-    series = run_backward_euler(
+    march = run_backward_euler(
         mesh, spec, curve, 1.0, None, TimeGrid(50.0, 100), SolverConfig(rel_tol=1e-13), basis=basis
     )
-    gap_vec = series.snapshots[-1] - u_inf
+    gap_vec = march[-1].field.coeffs.ravel() - u_inf
     gap = np.sqrt(gap_vec @ (M @ gap_vec))
     steady_ok = gap <= 10 * rel_tol * np.linalg.norm(b) + 1e-13
 
@@ -245,7 +245,7 @@ def test_criterion_6f_parabolic_properties():
             mesh, spec, curve, 1.0, u0_fn, TimeGrid(0.02, steps),
             SolverConfig(rel_tol=1e-13), basis=basis,
         )
-        finals[steps] = s.snapshots[-1]
+        finals[steps] = s[-1].field.coeffs.ravel()
     d1 = finals[4] - finals[8]
     d2 = finals[8] - finals[16]
     ratio = np.sqrt((d1 @ (M @ d1)) / (d2 @ (M @ d2)))

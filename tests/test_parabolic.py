@@ -14,6 +14,7 @@ from linedg.mesh import BoxDomain, build_box_mesh
 from linedg.multigrid import VCycle
 from linedg.norms import l2_error
 from linedg.parabolic import (
+    BackwardEuler,
     TimeGrid,
     project_initial,
     run_backward_euler,
@@ -37,9 +38,14 @@ def step_of(grid, t):
     return min(int(np.ceil(t / grid.tau - 1e-12)), grid.steps)
 
 
-def at_time(series, t):
-    """The piecewise-constant reconstruction: the right-endpoint snapshot."""
-    return series.field(step_of(series.grid, t))
+def at_time(steps, grid, t):
+    """The piecewise-constant reconstruction: the right-endpoint state."""
+    return steps[step_of(grid, t)].field
+
+
+def snapshots(steps):
+    """The states u^0..u^N of a march, one row each."""
+    return np.array([step.field.coeffs.ravel() for step in steps])
 
 
 def elliptic_solution(mesh, basis, spec, curve, rel_tol=1e-12):
@@ -91,19 +97,20 @@ def test_zero_everything_stays_zero():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     spec = DGSpec(1)
     grid = TimeGrid(final_time=0.5, steps=5)
-    series = run_backward_euler(mesh, spec, vertical_line(), 0.0, None, grid)
-    assert np.all(series.snapshots == 0)
+    steps = run_backward_euler(mesh, spec, vertical_line(), 0.0, None, grid)
+    assert np.all(snapshots(steps) == 0)
 
 
 def test_reconstruction_indexing():
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     spec = DGSpec(1)
     grid = TimeGrid(final_time=1.0, steps=4)
-    series = run_backward_euler(mesh, spec, vertical_line(), 1.0, None, grid)
-    assert step_of(series.grid, 0.0) == 0
-    assert step_of(series.grid, 0.25) == 1
-    assert step_of(series.grid, 0.2500001) == 2
-    assert step_of(series.grid, 1.0) == 4
+    steps = run_backward_euler(mesh, spec, vertical_line(), 1.0, None, grid)
+    assert [step.t for step in steps] == list(grid.times)
+    assert step_of(grid, 0.0) == 0
+    assert step_of(grid, 0.25) == 1
+    assert step_of(grid, 0.2500001) == 2
+    assert step_of(grid, 1.0) == 4
 
 
 def test_decay_toward_elliptic_steady_state():
@@ -115,12 +122,12 @@ def test_decay_toward_elliptic_steady_state():
     curve = vertical_line()
     u_inf = elliptic_solution(mesh, basis, spec, curve)
     grid = TimeGrid(final_time=0.05, steps=10)
-    series = run_backward_euler(
+    u = snapshots(run_backward_euler(
         mesh, spec, curve, 1.0, None, grid, SolverConfig(rel_tol=1e-13), basis=basis
-    )
+    ))
     diffs = []
     for n in (2, 4, 6):
-        d = FieldFunction.from_vector(mesh, basis, series.snapshots[n] - u_inf)
+        d = FieldFunction.from_vector(mesh, basis, u[n] - u_inf)
         diffs.append(l2_error(d, 0.0))
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[2] / diffs[1] < 1.0
@@ -134,10 +141,10 @@ def test_steady_state_reached_for_large_time():
     rel_tol = 1e-10
     u_inf = elliptic_solution(mesh, basis, spec, curve, rel_tol=rel_tol)
     grid = TimeGrid(final_time=50.0, steps=100)
-    series = run_backward_euler(
+    steps = run_backward_euler(
         mesh, spec, curve, 1.0, None, grid, SolverConfig(rel_tol=1e-12), basis=basis
     )
-    d = FieldFunction.from_vector(mesh, basis, series.snapshots[-1] - u_inf)
+    d = FieldFunction.from_vector(mesh, basis, steps[-1].field.coeffs.ravel() - u_inf)
     gap = l2_error(d, 0.0)
     b = assemble_line_rhs(curve, 1.0, mesh, basis)
     assert gap <= 10 * rel_tol * np.linalg.norm(b) + 1e-12
@@ -152,8 +159,8 @@ def test_unconditional_decay_without_source():
     grid = TimeGrid(final_time=0.5, steps=10)
     for _ in range(3):
         u0 = rng.standard_normal(mesh.n_elements * basis.dim)
-        series = run_backward_euler(mesh, spec, None, None, u0, grid, basis=basis)
-        norms = [np.sqrt(v @ (M @ v)) for v in series.snapshots]
+        steps = run_backward_euler(mesh, spec, None, None, u0, grid, basis=basis)
+        norms = [np.sqrt(v @ (M @ v)) for v in snapshots(steps)]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
@@ -168,10 +175,10 @@ def test_step_halving_first_order():
     finals = {}
     for steps in (4, 8, 16):
         grid = TimeGrid(final_time=T, steps=steps)
-        series = run_backward_euler(
+        march = run_backward_euler(
             mesh, spec, curve, 1.0, u0, grid, SolverConfig(rel_tol=1e-13), basis=basis
         )
-        finals[steps] = series.snapshots[-1]
+        finals[steps] = march[-1].field.coeffs.ravel()
     M = assemble_mass(mesh, basis).matrix
     d1 = finals[4] - finals[8]
     d2 = finals[8] - finals[16]
@@ -189,10 +196,10 @@ def test_stability_bound_constant_is_stable():
         spec = DGSpec(1)
         u0 = lambda p: np.sin(np.pi * p[:, 0]) * p[:, 1]
         grid = TimeGrid(final_time=0.25, steps=8)
-        series = run_backward_euler(
+        steps = run_backward_euler(
             mesh, spec, curve, 1.0, u0, grid, SolverConfig(rel_tol=1e-12), basis=basis
         )
-        rows = step_diagnostics(series, sigma=spec.sigma)
+        rows = step_diagnostics(steps, sigma=spec.sigma)
         m = grid.steps
         lhs = rows[m]["increment_sq_sum"] + grid.tau * rows[m]["dg"] ** 2
         u0f = project_initial(u0, mesh, basis)
@@ -209,16 +216,16 @@ def test_spacetime_error_zero_cases():
     basis = fb.make_basis(1)
     spec = DGSpec(1)
     grid = TimeGrid(final_time=0.5, steps=4)
-    series = run_backward_euler(mesh, spec, None, None, None, grid, basis=basis)
-    assert spacetime_l2_error(series, lambda t, p: np.zeros(len(p))) == 0.0
+    steps = run_backward_euler(mesh, spec, None, None, None, grid, basis=basis)
+    assert spacetime_l2_error(steps, lambda t, p: np.zeros(len(p))) == 0.0
 
-    # the reconstruction of the series itself gives zero
-    series2 = run_backward_euler(mesh, spec, vertical_line(), 1.0, None, grid, basis=basis)
+    # the reconstruction of the march itself gives zero
+    steps2 = run_backward_euler(mesh, spec, vertical_line(), 1.0, None, grid, basis=basis)
 
     def reconstruct(t, pts):
-        return at_time(series2, t).evaluate(pts)
+        return at_time(steps2, grid, t).evaluate(pts)
 
-    assert spacetime_l2_error(series2, reconstruct) < 1e-12
+    assert spacetime_l2_error(steps2, reconstruct) < 1e-12
 
 
 def test_manufactured_heat_equation_rates():
@@ -241,7 +248,7 @@ def test_manufactured_heat_equation_rates():
         mesh = build_box_mesh(SLAB, n)
         basis = fb.make_basis(1)
         grid = TimeGrid(final_time=0.25, steps=steps)
-        series = run_backward_euler(
+        march = run_backward_euler(
             mesh,
             spec,
             None,
@@ -252,9 +259,38 @@ def test_manufactured_heat_equation_rates():
             basis=basis,
             volume_source=volume_source,
         )
-        errs.append(spacetime_l2_error(series, exact))
+        errs.append(spacetime_l2_error(march, exact))
     # with tau ~ h^2 the space-time error should drop at least linearly in h
     assert errs[1] < 0.6 * errs[0]
+
+
+def test_spacetime_error_reads_a_live_march():
+    """A ``BackwardEuler`` march is read as it is solved: bitwise the value of
+    the collected steps, and from 8 to 32 steps the tracemalloc peak grows by
+    at most two ndof vectors.  epsilon = +1 keeps no projection basis;
+    collecting the steps would add 24 rows."""
+    import tracemalloc
+
+    mesh = build_box_mesh(SLAB, (8, 8, 2))
+    basis = fb.make_basis(1)
+    exact = lambda t, p: t * np.sin(np.pi * p[:, 0])
+
+    def arguments(steps):
+        return (mesh, DGSpec(1, epsilon=1), vertical_line(), 1.0, None,
+                TimeGrid(final_time=0.1, steps=steps), SolverConfig(rel_tol=1e-10), basis)
+
+    collected = spacetime_l2_error(run_backward_euler(*arguments(8)), exact)
+    assert spacetime_l2_error(BackwardEuler(*arguments(8)), exact) == collected
+    peaks = {}
+    for steps in (8, 32):
+        tracemalloc.start()
+        try:
+            spacetime_l2_error(BackwardEuler(*arguments(steps)), exact)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    vector = 8 * mesh.n_elements * basis.dim  # bytes of one float64 vector
+    assert peaks[32] - peaks[8] <= 2 * vector, (peaks, vector)
 
 
 def test_tau_h2_coupling_dominated_by_spatial_error():
@@ -266,17 +302,18 @@ def test_tau_h2_coupling_dominated_by_spatial_error():
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     h2 = mesh.grid_spacing ** 2
     T = 0.25
-    runs = {}
+    runs, grids = {}, {}
     for tau_target in (h2, h2 / 4):
         steps = max(1, int(round(T / tau_target)))
-        grid = TimeGrid(final_time=T, steps=steps)
+        grids[tau_target] = TimeGrid(final_time=T, steps=steps)
         runs[tau_target] = run_backward_euler(
-            mesh, spec, curve, 1.0, None, grid, SolverConfig(rel_tol=1e-12), basis=basis
+            mesh, spec, curve, 1.0, None, grids[tau_target], SolverConfig(rel_tol=1e-12),
+            basis=basis
         )
     coarse, fine = runs[h2], runs[h2 / 4]
 
     def reconstruct(t, pts):
-        return at_time(fine, t).evaluate(pts)
+        return at_time(fine, grids[h2 / 4], t).evaluate(pts)
 
     temporal_gap = spacetime_l2_error(coarse, reconstruct)
 
@@ -338,14 +375,15 @@ def test_projected_start_halves_demo_iterations():
     curve = cfg.build_curve()
     f, _ = cfg.source.build()
     config = replace(cfg.solver, preconditioner="block_jacobi")
-    series = run_backward_euler(mesh, cfg.scheme, curve, f, None, cfg.time, config,
-                                basis=basis)
-    assert len(series.step_iterations) == cfg.time.steps
-    assert sum(series.step_iterations) <= 400
+    steps = run_backward_euler(mesh, cfg.scheme, curve, f, None, cfg.time, config,
+                               basis=basis)
+    step_iterations = [step.iterations for step in steps[1:]]
+    assert len(step_iterations) == cfg.time.steps
+    assert sum(step_iterations) <= 400
     plain, plain_iterations = warm_start_loop(mesh, cfg.scheme, basis, curve, f, cfg.time,
                                               config)
     assert sum(plain_iterations) > 700
-    assert relative_gap(series.snapshots, plain) <= 1e-9
+    assert relative_gap(snapshots(steps), plain) <= 1e-9
 
 
 def test_nonsymmetric_variant_keeps_the_warm_start():
@@ -357,11 +395,11 @@ def test_nonsymmetric_variant_keeps_the_warm_start():
     grid = TimeGrid(final_time=0.05, steps=8)
     config = SolverConfig(rel_tol=1e-10)
     f = lambda t, s: 1.0 + 0 * s
-    series = run_backward_euler(mesh, spec, vertical_line(), f, None, grid, config, basis=basis)
+    steps = run_backward_euler(mesh, spec, vertical_line(), f, None, grid, config, basis=basis)
     plain, plain_iterations = warm_start_loop(mesh, spec, basis, vertical_line(), f, grid,
                                               config)
-    assert list(series.step_iterations) == plain_iterations
-    assert relative_gap(series.snapshots, plain) <= 1e-12
+    assert [step.iterations for step in steps[1:]] == plain_iterations
+    assert relative_gap(snapshots(steps), plain) <= 1e-12
 
 
 def test_projected_start_with_a_time_dependent_source():
@@ -375,16 +413,16 @@ def test_projected_start_with_a_time_dependent_source():
     grid = TimeGrid(final_time=0.1, steps=12)
     config = SolverConfig(rel_tol=1e-10)
     f = lambda t, s: np.cos(30 * t) * (1 + 4 * s)
-    series = run_backward_euler(mesh, spec, curve, f, None, grid, config, basis=basis)
+    u = snapshots(run_backward_euler(mesh, spec, curve, f, None, grid, config, basis=basis))
     plain, _ = warm_start_loop(mesh, spec, basis, curve, f, grid, config)
-    assert relative_gap(series.snapshots, plain) <= 1e-9
+    assert relative_gap(u, plain) <= 1e-9
 
     M = assemble_mass(mesh, basis)
     S = M + grid.tau * assemble_stiffness(mesh, spec, basis)
     for n in range(1, grid.steps + 1):
         b_line = assemble_line_rhs(curve, lambda s: f(n * grid.tau, s), mesh, basis)
-        rhs = M @ series.snapshots[n - 1] + grid.tau * b_line
-        residual = np.linalg.norm(S @ series.snapshots[n] - rhs)
+        rhs = M @ u[n - 1] + grid.tau * b_line
+        residual = np.linalg.norm(S @ u[n] - rhs)
         assert residual <= 1.01 * config.rel_tol * np.linalg.norm(rhs)
 
 
@@ -403,10 +441,10 @@ def test_preconditioner_built_once_per_run(monkeypatch):
     monkeypatch.setattr(solver, "make_preconditioner", counting)
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     grid = TimeGrid(final_time=0.1, steps=5)
-    series = run_backward_euler(mesh, DGSpec(1), vertical_line(), 1.0, None, grid,
-                                SolverConfig(rel_tol=1e-10))
+    u = snapshots(run_backward_euler(mesh, DGSpec(1), vertical_line(), 1.0, None, grid,
+                                     SolverConfig(rel_tol=1e-10)))
     assert calls == ["block_jacobi"]
-    assert np.all(np.isfinite(series.snapshots)) and np.any(series.snapshots[-1] != 0)
+    assert np.all(np.isfinite(u)) and np.any(u[-1] != 0)
 
 
 @pytest.mark.parametrize("dependent,builds", [(True, 4), (False, 1)])
@@ -447,12 +485,12 @@ def test_multigrid_preconditions_the_parabolic_operator():
     mesh = build_box_mesh(SLAB, (4, 4, 2))
     grid = TimeGrid(final_time=0.1, steps=2)
     config = SolverConfig(rel_tol=1e-10, preconditioner="multigrid")
-    series = run_backward_euler(mesh, DGSpec(1), vertical_line(), 1.0, None, grid, config)
-    assert isinstance(series.preconditioner, VCycle)
-    assert series.preconditioner.grids == [(4, 4, 2), (2, 2, 1)]
-    plain, _ = warm_start_loop(mesh, DGSpec(1), series.basis, vertical_line(),
+    stepper = BackwardEuler(mesh, DGSpec(1), vertical_line(), 1.0, None, grid, config)
+    assert isinstance(stepper.preconditioner, VCycle)
+    assert stepper.preconditioner.grids == [(4, 4, 2), (2, 2, 1)]
+    plain, _ = warm_start_loop(mesh, DGSpec(1), stepper.basis, vertical_line(),
                                lambda t, s: 1.0 + 0 * s, grid, SolverConfig(rel_tol=1e-12))
-    assert relative_gap(series.snapshots, plain) <= 1e-9
+    assert relative_gap(snapshots(stepper), plain) <= 1e-9
 
 
 def test_demo_multigrid_matches_block_jacobi():
@@ -463,10 +501,10 @@ def test_demo_multigrid_matches_block_jacobi():
     mesh = build_box_mesh(cfg.domain, (8, 8, 2))
     curve, (f, _) = cfg.build_curve(), cfg.source.build()
     multigrid, jacobi = (
-        run_backward_euler(mesh, cfg.scheme, curve, f, None, cfg.time,
-                           replace(cfg.solver, preconditioner=kind))
+        snapshots(run_backward_euler(mesh, cfg.scheme, curve, f, None, cfg.time,
+                                     replace(cfg.solver, preconditioner=kind)))
         for kind in ("multigrid", "block_jacobi"))
-    assert relative_gap(multigrid.snapshots, jacobi.snapshots) <= 1e-9
+    assert relative_gap(multigrid, jacobi) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [(8, 8, 2), (16, 16, 4)])
@@ -475,9 +513,9 @@ def test_multigrid_step_iterations_do_not_grow(n):
     8x8x2 nor at 16x16x4 (measured 10 and 13; block-Jacobi: 55 and 109)."""
     cfg = load_config(CONFIG_DIR / "parabolic_demo.yaml")
     f, _ = cfg.source.build()
-    series = run_backward_euler(build_box_mesh(cfg.domain, n), cfg.scheme, cfg.build_curve(),
-                                f, None, cfg.time, cfg.solver)
-    assert max(series.step_iterations) <= 16
+    steps = run_backward_euler(build_box_mesh(cfg.domain, n), cfg.scheme, cfg.build_curve(),
+                               f, None, cfg.time, cfg.solver)
+    assert max(step.iterations for step in steps[1:]) <= 16
 
 
 def test_multigrid_nonsymmetric_parabolic_operator():
@@ -485,12 +523,13 @@ def test_multigrid_nonsymmetric_parabolic_operator():
     mesh = build_box_mesh(SLAB, (4, 4, 2))
     grid = TimeGrid(final_time=0.05, steps=4)
     config = SolverConfig(rel_tol=1e-10, preconditioner="multigrid")
-    series = run_backward_euler(mesh, DGSpec(1, epsilon=1), vertical_line(), 1.0, None, grid,
-                                config)
-    assert isinstance(series.preconditioner, VCycle) and len(series.preconditioner.grids) == 2
-    A = assemble_stiffness(mesh, DGSpec(1, epsilon=1), series.basis)
-    S = series.mass + grid.tau * A
-    b = assemble_line_rhs(vertical_line(), 1.0, mesh, series.basis)
-    for u, v in zip(series.snapshots[1:], series.snapshots):
-        rhs = series.mass @ v + grid.tau * b
+    stepper = BackwardEuler(mesh, DGSpec(1, epsilon=1), vertical_line(), 1.0, None, grid,
+                            config)
+    assert isinstance(stepper.preconditioner, VCycle) and len(stepper.preconditioner.grids) == 2
+    A = assemble_stiffness(mesh, DGSpec(1, epsilon=1), stepper.basis)
+    S = stepper.mass + grid.tau * A
+    b = assemble_line_rhs(vertical_line(), 1.0, mesh, stepper.basis)
+    march = snapshots(stepper)
+    for u, v in zip(march[1:], march):
+        rhs = stepper.mass @ v + grid.tau * b
         assert np.linalg.norm(S @ u - rhs) <= 1e-10 * np.linalg.norm(rhs)
