@@ -80,9 +80,7 @@ def _error(cfg, column, field):
     if column.norm == "dg":
         return dg_energy_error(field, cfg.exact, cfg.exact.gradient, sigma=cfg.scheme.sigma,
                                region=column.region)
-    if column.region is None:  # the whole domain holds the curve: guard the points on it
-        return l2_error(field, cfg.exact, singular_curve=cfg.curve)
-    return l2_error(field, cfg.exact, region=column.region)
+    return l2_error(field, cfg.exact, region=column.region, singular_curve=cfg.curve)
 
 
 def _solve_levels(cfg, levels, out, vtk):

@@ -1,12 +1,13 @@
 """Run configuration: YAML schema, validation with line numbers, round-trip.
 
 Each section's keys are stated once, in a table key -> (kind, default), one
-per ``kind`` of a curve or source and per ``mode`` of the configuration.  The
-schema is strict: unknown and repeated keys are rejected, and every error
-reports the file line it came from.  The typed objects a run uses are built
-from the normalised values the tables give, and those values, kept as
-``StudyConfig.record``, are the configuration's plain-dict form.  A study's
-error columns are named here only, in ``StudyConfig.columns``.
+per ``kind`` of a curve or source and per ``mode`` of the configuration, whose
+table names its grid key: ``n`` or ``levels``.  Each value has one spelling,
+and unknown and repeated keys are rejected, each error at its file line.  The
+typed objects a run uses are built from the values the tables give; those
+values as given, ``scheme`` and ``solver`` filled in, are kept as
+``StudyConfig.record``, the configuration's plain-dict form.  A study's error
+columns are named here only, in ``StudyConfig.columns``.
 """
 
 import ast
@@ -174,10 +175,8 @@ _cells = _triple(_at_least(1), "integers")
 
 def _choice(*options):
     def read(node, key):
-        # compared along with the type: YAML true is not the option 1, nor is 1.0
-        if (type(node.value), node.value) not in [(type(o), o) for o in options]:
-            _fail(node, f"{key} must be one of {', '.join(map(str, options))} "
-                        f"(got {node.value!r})")
+        if node.value not in options:
+            _fail(node, f"{key} must be one of {', '.join(options)} (got {node.value!r})")
         return node.value
     return read
 
@@ -207,6 +206,12 @@ def _list_of(item):
     return read
 
 
+def _grids(node, key):
+    if node.value == []:
+        _fail(node, f"{key} must list at least one grid")
+    return _list_of(_cells)(node, key)
+
+
 def _mapping_of(item):
     def read(node, key):
         return {name: item(v, f"{key}.{name}") for name, v in _mapping(node, key).items()}
@@ -217,8 +222,10 @@ def _section(table):
     """Kind of a mapping whose keys ``table`` gives as key -> (kind, default).
 
     Unknown keys, reported at the first one's line, and missing required
-    ones (default ``...``) are rejected.  An absent key reads its default
-    through its kind; one whose default is None is left out, for the typed
+    ones (default ``...``) are rejected.  A default that is a tuple of keys
+    names a group the mapping takes exactly one of: none is rejected at the
+    mapping, a second at its line.  An absent key reads its default through
+    its kind; one whose default is None or a group is left out, for the typed
     object built from the values to fill in.
     """
     def read(node, key):
@@ -233,8 +240,13 @@ def _section(table):
                 out[name] = kind(given[name], dotted)
             elif default is ...:
                 _fail(node, f"{dotted} is required")
-            elif default is not None:
+            elif default is not None and type(default) is not tuple:
                 out[name] = kind(_Node(default, node.line), dotted)
+            if type(default) is tuple:
+                present = [other for other in given if other in default]
+                if len(present) != 1:
+                    _fail(node.keys[present[1]] if present else node,
+                          f"give exactly one of {' or '.join(map(repr, default))}")
         return out
     return read
 
@@ -268,7 +280,7 @@ _INITIALS = {"zero": {}, "expression": {"expr": (_expression("x", "y", "z"), ...
 _SCHEME = {"epsilon": (_int, None), "sigma": (_float, None), "beta": (_float, None)}
 _SOLVER = {"rel_tol": (_float, None), "max_iter": (_typed((int, type(None))), None),
            "preconditioner": (_str, None)}
-_TIME = {"final": (_float, ...), "steps": (_int, None), "tau": (_float, None)}
+_TIME = {"final": (_float, ...), "steps": (_int, ...)}
 _RATE = {"norm": (_choice("l2", "dg"), "l2"), "region": (_str, "global"),
          "min": (_float, ...), "max": (_float, ...)}
 _COMMON = {
@@ -277,15 +289,15 @@ _COMMON = {
     "source": (_kinded(_SOURCES), {}),
     "degree": (_int, ...),
     "scheme": (_section(_SCHEME), {}),
-    "n": (_cells, None),
-    "levels": (_list_of(_cells), None),  # parabolic mode runs one grid: n or one level
     "solver": (_section(_SOLVER), {}),
 }
 _CONFIG = _kinded({
-    "elliptic": {**_COMMON, "regions": (_mapping_of(_section(_BOX)), {}),
+    "elliptic": {**_COMMON, "n": (_cells, ("n", "levels")),
+                 "levels": (_grids, ("n", "levels")),
+                 "regions": (_mapping_of(_section(_BOX)), {}),
                  "exact": (_choice("log_line", "none"), "none"),
                  "assert_rates": (_list_of(_section(_RATE)), [])},
-    "parabolic": {**_COMMON, "time": (_section(_TIME), ...),
+    "parabolic": {**_COMMON, "n": (_cells, ...), "time": (_section(_TIME), ...),
                   "initial": (_kinded(_INITIALS), {}), "snapshot_every": (_at_least(0), 0)},
 }, "mode")
 
@@ -405,11 +417,7 @@ def _parse(tree, base_dir):
     scheme = _make(nodes.get("scheme", nodes["degree"]), DGSpec, values["degree"],
                    **values["scheme"])
 
-    levels = ([values["n"]] if "n" in values else []) + values.get("levels", [])
-    if not levels:
-        _fail(nodes.get("levels", tree), "one of 'n' or 'levels' is required")
-    if values["mode"] == "parabolic" and len(levels) > 1:
-        _fail(tree.keys["levels"], f"parabolic mode runs one grid; got {len(levels)} levels")
+    levels = [values["n"]] if "n" in values else values["levels"]
     regions = {}
     for name, box in values.get("regions", {}).items():
         node = nodes["regions"].value[name]
@@ -431,18 +439,8 @@ def _parse(tree, base_dir):
             _make(nodes["solver"].value["preconditioner"], level_grids, n,
                   math.comb(values["degree"] + 3, 3))
 
-    time = None
-    if "time" in values:
-        t, node = values["time"], nodes["time"]
-        if ("steps" in t) == ("tau" in t):
-            _fail(node, "give exactly one of time.steps or time.tau")
-        if "tau" in t and not 0 < t["tau"] <= t["final"]:
-            _fail(node, f"time.tau must lie in (0, final]; got {t['tau']}")
-        steps = t["steps"] if "steps" in t else round(t["final"] / t["tau"])
-        if "tau" in t and abs(t["final"] / t["tau"] - steps) > 1e-9 * steps:
-            _fail(node, f"time.tau must divide time.final; {t['final']} / {t['tau']} "
-                        f"= {t['final'] / t['tau']:.6g} steps")
-        time = _make(node, TimeGrid, t["final"], steps)
+    time = (_make(nodes["time"], TimeGrid, values["time"]["final"], values["time"]["steps"])
+            if "time" in values else None)
     # a rate is asserted only on a column the study writes
     assert_rates = []
     for i, rate in enumerate(values.get("assert_rates", [])):
@@ -453,12 +451,10 @@ def _parse(tree, base_dir):
                   f"{', '.join(columns) or 'none, as exact is none'}")
         assert_rates.append(RateAssertion(name, rate["min"], rate["max"]))
 
-    # empty sections are not recorded, nor n, which leads the levels
-    record = {key: v for key, v in values.items() if key != "n" and v not in ({}, [], 0)}
-    record.update(levels=levels, scheme={key: getattr(scheme, key) for key in _SCHEME},
+    # the values as given, empty sections dropped and the defaults of scheme and solver filled in
+    record = {key: v for key, v in values.items() if v not in ({}, [], 0)}
+    record.update(scheme={key: getattr(scheme, key) for key in _SCHEME},
                   solver={key: getattr(solver, key) for key in _SOLVER})
-    if time is not None:
-        record["time"] = {"final": time.final_time, "steps": time.steps}
     return StudyConfig(
         domain=domain, curve=curve, source=SourceSpec(**values["source"]), scheme=scheme,
         levels=tuple(map(tuple, levels)), exact=exact, columns=tuple(columns.values()),

@@ -36,10 +36,6 @@ class Curve:
         self.cum_lengths = np.concatenate([[0.0], np.cumsum(lengths)])
         self.length = float(self.cum_lengths[-1])
 
-    @property
-    def n_segments(self):
-        return self.points.shape[0] - 1
-
     def check_inside(self, domain):
         """Require every curve point in the closed domain box."""
         ok = domain.contains(self.points)

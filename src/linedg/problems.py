@@ -1,8 +1,6 @@
 """Built-in problem ingredients: the log-potential reference solution and
 curve generators used by the command-line studies."""
 
-import numbers
-
 import numpy as np
 
 from .curve import Curve
@@ -53,27 +51,23 @@ class LogLineSolution:
         return cls(p[0, 0], p[0, 1])
 
 
-# displacement directions of ``sine_curve``, compared with their type: not True, 1.0 or "Y"
-SINE_AXES = ("x", "y", "z", 0, 1, 2)
+# displacement directions of ``sine_curve``
+SINE_AXES = ("x", "y", "z")
 
 
 def sine_curve(start, end, amplitude, periods, axis, samples):
     """Sinusoidal polyline: a straight run plus a sine displacement.
 
-    ``axis`` is the displacement direction, one of ``SINE_AXES``; a NumPy
-    integer counts as the int it holds, a bool does not;
+    ``axis`` is the displacement direction, one of ``SINE_AXES``;
     ``samples`` is the number of polyline points.
     """
-    if isinstance(axis, numbers.Integral) and not isinstance(axis, bool):
-        axis = int(axis)
-    if (type(axis), axis) not in [(type(a), a) for a in SINE_AXES]:
-        raise ValueError(f"axis must be one of {', '.join(map(str, SINE_AXES))} (got {axis!r})")
-    axis = SINE_AXES.index(axis) % 3
+    if axis not in SINE_AXES:
+        raise ValueError(f"axis must be one of {', '.join(SINE_AXES)} (got {axis!r})")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
     t = np.linspace(0.0, 1.0, int(samples))
     pts = start[None, :] + t[:, None] * (end - start)[None, :]
-    pts[:, axis] += amplitude * np.sin(2.0 * np.pi * periods * t)
+    pts[:, SINE_AXES.index(axis)] += amplitude * np.sin(2.0 * np.pi * periods * t)
     return Curve(pts)

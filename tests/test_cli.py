@@ -201,6 +201,7 @@ SINE = "  kind: sine\n  amplitude: 0.05\n  periods: 1\n"
     (NO_EXACT.replace("levels:\n  - [4, 4, 1]\n  - [8, 8, 2]", "n: [0, 4, 1]"), "n:"),
     (NO_EXACT.replace("  kind: line\n", SINE + "  axis: w\n"), "  axis:"),
     (NO_EXACT.replace("  kind: line\n", SINE + "  axis: 5\n"), "  axis:"),
+    (NO_EXACT.replace("  kind: line\n", SINE + "  axis: 1\n"), "  axis:"),
     (NO_EXACT.replace("  kind: line\n", SINE + "  samples: 1\n"), "  samples:"),
     (NO_EXACT.replace(LINE, "  kind: file\n  path: missing.txt\n"), "  kind:"),
     (NO_EXACT.replace("0.3333333333333333, 0.25]", "0.3333333333333333, 0.3]"), "  kind:"),
@@ -210,7 +211,7 @@ SINE = "  kind: sine\n  amplitude: 0.05\n  periods: 1\n"
                    "  - {norm: dg, min: 0.5, max: 2.0}\n", "  - {norm: dg"),
     (NO_EXACT + "assert_rates:\n  - {norm: l2, region: boxA, min: 1.5, max: 2.5}\n",
      "  - {norm: l2"),
-], ids=["n_not_integer", "n_zero", "sine_axis_w", "sine_axis_5", "sine_one_sample",
+], ids=["n_not_integer", "n_zero", "sine_axis_w", "sine_axis_5", "sine_axis_1", "sine_one_sample",
         "curve_file_missing", "curve_outside_domain", "region_unaligned_log_line",
         "region_unaligned_no_exact", "rate_on_global_dg", "rate_without_exact"])
 def test_bad_value_fails_at_load(tmp_path, capsys, text, at):
@@ -222,6 +223,20 @@ def test_bad_value_fails_at_load(tmp_path, capsys, text, at):
     line = next(i for i, l in enumerate(text.splitlines(), 1) if l.startswith(at))
     assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_region_l2_column_guards_points_on_the_curve(tmp_path):
+    """A line through a quadrature point of a region's element leaves that
+    region's L2 column finite, as the whole domain's is: every L2 column
+    guards the points on the curve."""
+    x0, y0 = 0.31258386794457677, 0.5443353619262894  # on a 2k+2 point of a boxA element
+    text = SMALL_STUDY.replace("0.6666666666666666, 0.3333333333333333", f"{x0!r}, {y0!r}")
+    cfg = parse_config(text.replace("levels:\n  - [4, 4, 1]\n  - [8, 8, 2]", "n: [4, 4, 1]"))
+    assert cfg.columns[1].region.contains(np.array([[x0, y0, 0.1]])).all()
+    with np.errstate(invalid="ignore"):  # the DG columns do not guard the curve
+        errors = run_elliptic(cfg, tmp_path, vtk=False)["errors"]
+    assert np.isfinite([errors["err_L2_global"], errors["err_L2_boxA"]]).all()
+    assert 0 < errors["err_L2_boxA"] < errors["err_L2_global"]
 
 
 def test_region_named_global_fails_at_its_line(tmp_path, capsys):

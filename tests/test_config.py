@@ -86,27 +86,34 @@ def test_bad_domain_reported():
 
 
 def test_time_section_validation():
+    """time takes final and steps, both required; tau is no key of it."""
     base = MINIMAL + "mode: parabolic\n"
     with pytest.raises(ConfigError, match="time"):
         parse_config(base)
-    with pytest.raises(ConfigError, match="tau"):
-        parse_config(base + "time: {final: 1.0, tau: 2.0}\n")  # tau > final
-    with pytest.raises(ConfigError, match="exactly one"):
-        parse_config(base + "time: {final: 1.0, tau: 0.1, steps: 5}\n")
-    cfg = parse_config(base + "time: {final: 1.0, tau: 0.25}\n")
-    assert cfg.time.steps == 4
+    with pytest.raises(ConfigError, match=r"<config>:10: time.steps is required"):
+        parse_config(base + "time: {final: 1.0}\n")
+    for time in ("{final: 1.0, tau: 0.25}", "{final: 1.0, tau: 0.1, steps: 5}"):
+        with pytest.raises(ConfigError, match=r"<config>:10: unknown key\(s\) in time: \['tau'\]"):
+            parse_config(base + f"time: {time}\n")
+    with pytest.raises(ConfigError, match=r"<config>:10: final_time must be positive"):
+        parse_config(base + "time: {final: 0.0, steps: 4}\n")
+    with pytest.raises(ConfigError, match=r"<config>:10: need at least one time step"):
+        parse_config(base + "time: {final: 1.0, steps: 0}\n")
+    assert parse_config(base + "time: {final: 1.0, steps: 4}\n").time.tau == 0.25
     unknown = r"<config>:9: unknown key\(s\) in configuration: \['time'\]"
     with pytest.raises(ConfigError, match=unknown):
         parse_config(MINIMAL + "time: {final: 1.0, steps: 2}\n")
 
 
-def test_tau_that_does_not_divide_final_rejected_with_line():
-    """Steps are final / tau, so a tau that leaves a remainder would silently
-    run with another step."""
+def test_tau_that_does_not_divide_final_rejected_with_line(tmp_path, capsys):
+    """The step count is given, never derived from a step size: a tau, whether
+    or not it divides final, is rejected at its line and the run exits 1."""
     base = MINIMAL + "mode: parabolic\n"
-    with pytest.raises(ConfigError, match=r"<config>:10: time.tau must divide time.final"):
-        parse_config(base + "time: {final: 0.2, tau: 0.03}\n")
-    assert parse_config(base + "time: {final: 0.2, tau: 0.05}\n").time.steps == 4
+    for tau in ("0.03", "0.05"):
+        text = base + f"time:\n  final: 0.2\n  tau: {tau}\n"
+        code, err = _exit_code_and_error(tmp_path, capsys, text)
+        assert code == 1
+        assert err == "error: cfg.yaml:12: unknown key(s) in time: ['tau']\n"
 
 
 def test_parsed_regions_compare_equal():
@@ -138,29 +145,29 @@ def test_sine_curve_config():
     )
     cfg = parse_config(text)
     curve = cfg.build_curve()
-    assert curve.n_segments == 15
+    assert len(curve.points) == 16
 
 
 def test_sine_axis_accepted_by_library_and_config_alike():
-    """sine_curve and the config take exactly x, y, z, 0, 1, 2 (the library
-    also a NumPy integer 0-2); both refuse the rest with a ValueError (the
-    config's carries its line)."""
+    """sine_curve and the config take exactly the letters x, y and z; both
+    refuse the rest, integers included, with a ValueError (the config's
+    carries its line)."""
     args = ([0.1, 0.5, 0.1], [0.9, 0.5, 0.1], 0.05, 1.0)
     straight = sine_curve(*args[:2], 0.0, 1.0, "x", 9).points
     text = MINIMAL.replace("kind: line", "kind: sine\n  amplitude: 0.05\n  periods: 1\n  axis: AXIS")
-    for good, axis in (("x", 0), ("y", 1), ("z", 2), (0, 0), (1, 1), (2, 2)):
+    line = text.splitlines().index("  axis: AXIS") + 1
+    for good, axis in (("x", 0), ("y", 1), ("z", 2)):
         moved = sine_curve(*args, good, 9).points != straight
         assert moved[:, axis].any() and not np.delete(moved, axis, axis=1).any()
-        parse_config(text.replace("AXIS", str(good)))
-    # library callers may pass an axis read from an array
-    assert np.array_equal(sine_curve(*args, np.int64(1), 9).points, sine_curve(*args, 1, 9).points)
-    for bad in (np.int64(3), np.bool_(True)):
-        with pytest.raises(ValueError):
+        parse_config(text.replace("AXIS", good))
+    for bad in (np.int64(1), np.bool_(True)):
+        with pytest.raises(ValueError, match="axis must be one of x, y, z"):
             sine_curve(*args, bad, 9)
-    for bad, yaml_text in (("w", "w"), (5, "5"), ("Y", "Y"), (True, "true"), (1.0, "1.0"), (-1, "-1")):
-        with pytest.raises(ValueError):
+    for bad, yaml_text in (("w", "w"), (5, "5"), ("Y", "Y"), (True, "true"), (1.0, "1.0"),
+                           (-1, "-1"), (0, "0"), (1, "1"), (2, "2")):
+        with pytest.raises(ValueError, match="axis must be one of x, y, z"):
             sine_curve(*args, bad, 9)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=rf"^<config>:{line}: curve.axis must be one of x, y, "):
             parse_config(text.replace("AXIS", yaml_text))
 
 
@@ -347,15 +354,12 @@ def _exit_code_and_error(tmp_path, capsys, text):
 ], ids=["parabolic_exact", "parabolic_regions", "parabolic_assert_rates", "parabolic_two_levels",
         "elliptic_initial", "elliptic_snapshot_every"])
 def test_keys_of_another_mode_rejected_at_their_line(tmp_path, capsys, text, key):
-    """A mode takes only its own keys, and parabolic mode runs one grid; a
-    key the run would not read fails at load, not silently recorded."""
+    """A mode takes only its own keys, and parabolic mode takes its one grid
+    as n; a key the run would not read fails at load, not silently recorded."""
     line = [row.split(":")[0] for row in text.splitlines()].index(key) + 1
     code, err = _exit_code_and_error(tmp_path, capsys, text)
     assert code == 1
-    if key == "levels":
-        assert err == f"error: cfg.yaml:{line}: parabolic mode runs one grid; got 2 levels\n"
-    else:
-        assert err == f"error: cfg.yaml:{line}: unknown key(s) in configuration: ['{key}']\n"
+    assert err == f"error: cfg.yaml:{line}: unknown key(s) in configuration: ['{key}']\n"
 
 
 def test_record_holds_the_keys_of_its_mode():
@@ -387,3 +391,41 @@ def test_sine_curve_records_its_sample_count():
     record = config_to_dict(parse_config(text))["curve"]
     assert record == {"kind": "sine", "start": [0.5, 0.5, 0.0], "end": [0.5, 0.5, 0.25],
                       "amplitude": 0.1, "periods": 2.0, "axis": "y", "samples": 48}
+
+
+@pytest.mark.parametrize("grids", [
+    "n: [4, 4, 1]\nlevels:\n  - [8, 8, 2]\n", "levels:\n  - [8, 8, 2]\nn: [4, 4, 1]\n",
+], ids=["n_first", "levels_first"])
+def test_elliptic_grid_is_n_or_levels_never_both(tmp_path, capsys, grids):
+    """An elliptic configuration takes exactly one grid key; the second one
+    given fails at its line, and no run starts on a joined list."""
+    text = MINIMAL.replace("n: [4, 4, 1]\n", grids)
+    second = "levels:" if grids.startswith("n") else "n: [4, 4, 1]"
+    line = text.splitlines().index(second) + 1
+    code, err = _exit_code_and_error(tmp_path, capsys, text)
+    assert code == 1
+    assert err == f"error: cfg.yaml:{line}: give exactly one of 'n' or 'levels'\n"
+
+
+def test_grid_key_rejected_without_a_grid():
+    """An empty levels list names no grid; parabolic mode requires its n."""
+    text = MINIMAL.replace("n: [4, 4, 1]", "levels: []")
+    with pytest.raises(ConfigError, match=r"^<config>:8: levels must list at least one grid$"):
+        parse_config(text)
+    text = PARABOLIC.replace("n: [4, 4, 1]\n", "")
+    with pytest.raises(ConfigError, match=r"^<config>:2: n is required$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.yaml")),
+                         ids=lambda p: p.stem)
+def test_shipped_config_records_its_own_spellings(path):
+    """The record keeps the grid key the file gives, n or levels, with its
+    value, and reparses to itself."""
+    given = yaml.safe_load(path.read_text())
+    record = config_to_dict(load_config(path))
+    grid = "n" if "n" in given else "levels"
+    assert record[grid] == given[grid] and ({"n", "levels"} - {grid}).isdisjoint(record)
+    assert record["time"] == given["time"] if "time" in given else "time" not in record
+    reparsed = parse_config(yaml.safe_dump(record), base_dir=path.parent)
+    assert config_to_dict(reparsed) == record
