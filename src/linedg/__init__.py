@@ -7,7 +7,7 @@ from .assembly import DGSpec, SparseSystem, assemble_dirichlet_rhs, assemble_mas
 from .curve import Curve, assemble_line_rhs, build_restrictions, compute_fh_field, distance_to_curve
 from .fields import FieldFunction, interpolate
 from .mesh import BoxDomain, Mesh, build_box_mesh
-from .norms import convergence_rates, dg_energy_error, dg_norm, l2_error, weighted_dg_norm, weighted_l2_norm
+from .norms import convergence_rates, dg_energy_error, l2_error, weighted_dg_norm, weighted_l2_norm
 from .parabolic import (
     BackwardEuler, Step, TimeGrid, project_initial, run_backward_euler, spacetime_l2_error,
 )
@@ -20,7 +20,7 @@ __all__ = [
     "DGSpec", "SparseSystem", "assemble_stiffness", "assemble_mass", "assemble_dirichlet_rhs",
     "SolverConfig", "SolveResult", "solve",
     "FieldFunction", "interpolate",
-    "l2_error", "dg_energy_error", "dg_norm", "weighted_l2_norm", "weighted_dg_norm", "convergence_rates",
+    "l2_error", "dg_energy_error", "weighted_l2_norm", "weighted_dg_norm", "convergence_rates",
     "BackwardEuler", "Step", "TimeGrid", "project_initial", "run_backward_euler",
     "spacetime_l2_error",
     "LogLineSolution", "sine_curve",

@@ -16,7 +16,10 @@ of its element, and a face block only on the type, the local face and
 whether the face is interior, so each operator evaluates one element per
 type and one face per (type, local face), read off the face table
 (``_blocked_system``).  The Nitsche and volume loads vary in space and use
-all faces.
+all faces and elements.  Every integral over the mesh, these loads and the
+norms of ``norms``, walks it in blocks: elements in blocks of ``_BLOCK``,
+faces in blocks of ``_BLOCK // nb`` (``_face_traces``), so that its
+temporaries do not grow with the mesh.
 """
 
 from dataclasses import dataclass
@@ -289,29 +292,28 @@ def _face_traces(mesh, basis, rule, elements, local):
     """Basis traces at the points of a triangle rule on the faces opposite
     local vertex ``local`` of ``elements``, the faces' first side.
 
-    Returns (x, w, sides): quadrature points x (f, q, 3), physical weights
-    w (f, q) absorbing the face area, and per side a tuple (elements, V, Gn)
-    of basis values V (f, q, nb) and normal derivatives Gn (f, q, nb) along
-    the first side's outward normal.  The second side, the element across
-    each face in ``mesh.neighbours``, follows when every face is interior and
-    is absent when every face is on the boundary; a mix raises ValueError.
+    Yields, per block of ``_BLOCK // nb`` faces, (x, w, sides): quadrature
+    points x (f, q, 3), physical weights w (f, q) absorbing the face area,
+    and per side a tuple (elements, V, Gn) of basis values V (f, q, nb) and
+    normal derivatives Gn (f, q, nb) along the first side's outward normal.
+    A block's (f, q, nb) arrays hold as many values as a volume block's
+    (``_BLOCK``, q), so the temporaries do not grow with the mesh.  The
+    second side, the element across each face in ``mesh.neighbours``, follows
+    when every face is interior and is absent when every face is on the
+    boundary; a mix raises ValueError.
 
     Every trace depends only on the row 4 t + f of the first side (Kuhn type
     t, local face f): it fixes the second side's row and the face's local
     vertices in both elements (``FACE_ACROSS``, ``FACE_MATCH`` of ``mesh``).
-    So the basis and J_t^{-1} n are evaluated once per row and side.
+    So the basis and J_t^{-1} n are evaluated once per call, row and side.
     """
     across = mesh.neighbours[elements, 1 + local]
     interior = across < mesh.n_elements
     if interior.any() and not interior.all():
         raise ValueError("faces must be all interior or all on the boundary")
-    rows = 4 * (elements % 6) + local
     bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])  # (q, 3)
-    corners = mesh.tets[elements[:, None], _mesh.FACE_VERTICES[local]]  # (f, 3)
-    x = np.einsum("qk,fkd->fqd", bary, mesh.vertices[corners])
-    w = rule.weights[None, :] * (2.0 * mesh.face_areas[rows])[:, None]
     nb, own = basis.dim, np.arange(24)
-    sides = []
+    tables = []  # per side: its elements and the (24, q, nb) traces V and Gn
     for e, triples, types in zip((elements, across) if interior.all() else (elements,),
                                  (_mesh.FACE_VERTICES[own % 4], _mesh.FACE_MATCH),
                                  (own // 4, _mesh.FACE_ACROSS // 4)):
@@ -320,14 +322,20 @@ def _face_traces(mesh, basis, rule, elements, local):
         G = basis.grad(ref).reshape(24, rule.n, nb, 3)
         # grad_x . n = grad_ref . (Jinv n)
         jn = np.einsum("rmd,rd->rm", mesh.type_jac_invs[types], mesh.face_normals)
-        sides.append((e, V[rows], np.einsum("rqim,rm->rqi", G, jn)[rows]))
-    return x, w, sides
+        tables.append((e, V, np.einsum("rqim,rm->rqi", G, jn)))
+    for start in range(0, elements.size, _BLOCK // nb):
+        at = slice(start, start + _BLOCK // nb)
+        rows = 4 * (elements[at] % 6) + local[at]
+        corners = mesh.tets[elements[at, None], _mesh.FACE_VERTICES[local[at]]]  # (f, 3)
+        x = np.einsum("qk,fkd->fqd", bary, mesh.vertices[corners])
+        w = rule.weights[None, :] * (2.0 * mesh.face_areas[rows])[:, None]
+        yield x, w, [(e[at], V[rows], Gn[rows]) for e, V, Gn in tables]
 
 
 def _face_term_blocks(mesh, basis, face_form, elements, local):
     """Element blocks of the face part of a penalized bilinear form on the
-    faces opposite local vertex ``local`` of ``elements``, all interior or
-    all on the boundary (``_face_traces``).
+    faces opposite local vertex ``local`` of ``elements``: one block of
+    ``_face_traces``, all interior or all on the boundary.
 
     ``face_form`` is (consistency, epsilon, penalty):
       - consistency  -consistency ({grad u}.n) [v]
@@ -339,7 +347,7 @@ def _face_term_blocks(mesh, basis, face_form, elements, local):
     """
     consistency, epsilon, penalty = face_form
     rule = _basis.tri_quadrature(2 * basis.degree + 1)
-    _, w, sides = _face_traces(mesh, basis, rule, elements, local)
+    [(_, w, sides)] = _face_traces(mesh, basis, rule, elements, local)
     signs, factors = ((1.0, -1.0), (0.5, 0.5)) if len(sides) == 2 else ((1.0,), (1.0,))
     root = np.sqrt(w)[:, :, None]  # the weights are positive; each product carries one
     for _, V, Gn in sides:
@@ -454,10 +462,8 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g):
 
     r_i = eps * int_e g grad(phi_i).n + sigma/h^beta * int_e g phi_i.
     g is a callable over points (n, 3) or a constant; g == 0 gives the zero
-    vector of the homogeneous problem.  The traces are evaluated in blocks of
-    ``_BLOCK // nb`` boundary faces, whose (f, q, nb) arrays hold as many
-    values as a volume block's (``_BLOCK``, q): the temporaries do not grow
-    with the mesh.
+    vector of the homogeneous problem.  The boundary faces are walked in the
+    blocks of ``_face_traces``.
     """
     nb = basis.dim
     b = np.zeros(mesh.n_elements * nb)
@@ -468,10 +474,7 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g):
         g = lambda pts: np.full(pts.shape[0], g_val)
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
     rule = _basis.tri_quadrature(2 * basis.degree + 2)
-    for start in range(0, mesh.bface_elem.size, _BLOCK // nb):
-        faces = slice(start, start + _BLOCK // nb)
-        x, w, [(e, V, Gn)] = _face_traces(mesh, basis, rule, mesh.bface_elem[faces],
-                                          mesh.bface_local[faces])
+    for x, w, [(e, V, Gn)] in _face_traces(mesh, basis, rule, mesh.bface_elem, mesh.bface_local):
         wg = w * np.asarray(g(x.reshape(-1, 3)), dtype=float).reshape(w.shape)
         contrib = spec.epsilon * np.einsum("fq,fqi->fi", wg, Gn)
         contrib += penalty * np.einsum("fq,fqi->fi", wg, V)
@@ -481,10 +484,14 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g):
 
 def assemble_volume_rhs(mesh, basis, F):
     """Volume load vector (F, phi_i) for a callable F over points (n, 3),
-    by the 2k+2 rule."""
+    by the 2k+2 rule, in blocks of ``_BLOCK`` elements (the temporaries do
+    not grow with the mesh)."""
     rule = _basis.tet_quadrature(2 * basis.degree + 2)
     vals = basis.eval(rule.points)  # (q, nb)
-    phys = mesh.map_points(rule.points)  # (nt, q, 3)
-    Fv = np.asarray(F(phys.reshape(-1, 3)), dtype=float).reshape(mesh.n_elements, rule.n)
-    contrib = np.einsum("q,eq,qi->ei", rule.weights, Fv, vals).reshape(-1, 6, basis.dim)
-    return (contrib * mesh.type_det_jacobians[:, None]).ravel()
+    b = np.empty((mesh.n_elements, basis.dim))
+    for start in range(0, mesh.n_elements, _BLOCK):
+        block = np.arange(start, min(start + _BLOCK, mesh.n_elements))
+        Fv = np.asarray(F(mesh.map_points(rule.points, block).reshape(-1, 3)), dtype=float)
+        contrib = np.einsum("q,eq,qi->ei", rule.weights, Fv.reshape(block.size, rule.n), vals)
+        b[start:start + _BLOCK] = contrib * mesh.type_det_jacobians[block % 6, None]
+    return b.ravel()

@@ -21,6 +21,7 @@ import numpy as np
 import yaml
 
 from .assembly import DGSpec
+from .basis import make_basis
 from .curve import Curve
 from .errors import ConfigError
 from .fields import check_region_aligned
@@ -416,6 +417,7 @@ def _parse(tree, base_dir):
              if values.get("exact") == "log_line" else None)
     scheme = _make(nodes.get("scheme", nodes["degree"]), DGSpec, values["degree"],
                    **values["scheme"])
+    basis = _make(nodes["degree"], make_basis, values["degree"])
 
     levels = [values["n"]] if "n" in values else values["levels"]
     regions = {}
@@ -436,8 +438,7 @@ def _parse(tree, base_dir):
     solver = _make(nodes.get("solver", tree), SolverConfig, **values["solver"])
     if solver.preconditioner == "multigrid":
         for n in levels:
-            _make(nodes["solver"].value["preconditioner"], level_grids, n,
-                  math.comb(values["degree"] + 3, 3))
+            _make(nodes["solver"].value["preconditioner"], level_grids, n, basis.dim)
 
     time = (_make(nodes["time"], TimeGrid, values["time"]["final"], values["time"]["steps"])
             if "time" in values else None)

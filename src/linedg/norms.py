@@ -3,9 +3,14 @@
 Regions are open mesh-aligned boxes; element membership is decided by the
 barycenter, and a face contributes to a region norm only when both adjacent
 elements are inside (for the whole domain, boundary faces contribute with
-one-sided jumps).  Two exact rules prune the integrals: with no exact solution
-to subtract, elements and faces whose coefficients all vanish are skipped, and
-distances to the curve are measured only where read (``_volume_sq``).
+one-sided jumps).  Every integral walks the mesh in blocks, elements in
+blocks of ``_BLOCK`` and faces in the blocks of ``assembly._face_traces``, so
+its temporaries do not grow with the mesh, and applies one integrand rule per
+block (``_sq``): subtract the exact solution, guard points off the curve,
+weight by distance, square.  Two exact rules prune the integrals: with no
+exact solution to subtract, elements and faces whose coefficients all vanish
+are skipped, and distances to the curve are measured only where read
+(``_volume_sq``).
 """
 
 import numpy as np
@@ -22,10 +27,11 @@ _SINGULAR_PUSH = 1e-10
 def _guard_points(points, curve, h):
     """Nudge quadrature points off the curve so singular integrands stay finite.
 
-    Measures only the points given (``_volume_sq`` gives those that may need
-    it).  Points within 1e-12 of the curve move by 1e-10 * h orthogonally to
-    their nearest segment (the lowest index on a tie, such as a shared
-    vertex), far below reported precision.  The direction does not depend on
+    Measures only the points given (``_sq`` gives those it weights,
+    ``_volume_sq`` those that may need it).  Points within 1e-12 of the
+    curve move by 1e-10 * h orthogonally to their nearest segment (the
+    lowest index on a tie, such as a shared vertex), far below reported
+    precision.  The direction does not depend on
     the curve's orientation: the coordinate axis least aligned with the
     segment, projected onto the segment's normal plane.  Returns the guarded
     points and their distances to the curve.
@@ -48,22 +54,32 @@ def _guard_points(points, curve, h):
     return flat.reshape(points.shape), d.reshape(points.shape[:-1])
 
 
-def _minus(values, exact, points):
-    """values - exact at the points; ``exact`` is a callable over points, a number or None."""
+def _sq(values, exact, points, curve, alpha, h):
+    """The integrand of every norm at ``points`` (n, q, 3) of a block:
+    |values - exact|^2, summed over the last axis of gradient values
+    (n, q, 3).  ``exact`` is a callable over points, a number or None.  Given
+    ``alpha``, the points are guarded off ``curve`` (``_guard_points``) before
+    ``exact`` is read, and the square is weighted by dist(x, curve)^(2 alpha).
+    """
+    if alpha is not None:
+        points, d = _guard_points(points, curve, h)
     if callable(exact):
-        return values - np.asarray(exact(points.reshape(-1, 3)), dtype=float).reshape(values.shape)
-    return values - float(exact) if exact else values
+        values = values - np.asarray(exact(points.reshape(-1, 3)), dtype=float).reshape(values.shape)
+    elif exact:
+        values = values - float(exact)
+    v2 = values ** 2
+    v2 = v2.sum(-1) if v2.ndim == 3 else v2
+    return v2 * d ** (2.0 * alpha) if alpha is not None else v2
 
 
 def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
-    """Integral over ``elements`` of |v - exact|^2, with v the field, or its
-    broken gradient when ``grad``, at the fixed 2k+2 rule, in blocks of
-    ``_BLOCK`` elements (the temporaries do not grow with the mesh).
-    Given ``alpha``, weighted by dist(x, curve)^(2 alpha) at points guarded off
-    ``curve`` (``_guard_points``); given only ``curve``, the points of elements
-    with centroid within h + 1e-12 of it are guarded: no other point can need
-    it, as every point is within h of its centroid.  With ``exact`` None or 0,
-    elements of zero coefficients (integrand 0) are dropped.  Both are exact.
+    """Integral over ``elements`` of the integrand ``_sq`` of the field, or of
+    its broken gradient when ``grad``, at the fixed 2k+2 rule, in blocks of
+    ``_BLOCK`` elements (the temporaries do not grow with the mesh).  Given
+    only ``curve``, the points of elements with centroid within h + 1e-12 of
+    it are guarded off it: no other point can need it, as every point is
+    within h of its centroid.  With ``exact`` None or 0, elements of zero
+    coefficients (integrand 0) are dropped.  Both are exact.
     """
     mesh = field.mesh
     if not (callable(exact) or exact):
@@ -76,27 +92,21 @@ def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
     total = 0.0
     for start in range(0, elements.size, _BLOCK):
         block = elements[start : start + _BLOCK]
-        v = values(block, rule.points)
         pts = mesh.map_points(rule.points, block) if at_points else None
-        if alpha is not None:
-            pts, d = _guard_points(pts, curve, mesh.h)
-        elif curve is not None:
+        if curve is not None and alpha is None:
             at = near[start : start + _BLOCK]
             pts[at] = _guard_points(pts[at], curve, mesh.h)[0]
-        v2 = _minus(v, exact, pts) ** 2  # (n, q) or (n, q, 3)
-        v2 = v2.sum(-1) if grad else v2
-        if alpha is not None:
-            v2 *= d ** (2.0 * alpha)
+        v2 = _sq(values(block, rule.points), exact, pts, curve, alpha, mesh.h)
         total += float(mesh.type_det_jacobians[block % 6] @ (v2 @ rule.weights))
     return total
 
 
 def _face_sq(field, elements, local, exact=None, curve=None, alpha=None):
-    """Integral over the faces opposite local vertex ``local`` of ``elements``
-    (``_face_traces``) of the squared jump of the field, or on boundary faces
-    of its trace minus ``exact``, at the fixed 2k+2 rule; weighted by
-    dist(x, curve)^(2 alpha) given ``curve`` and ``alpha``.  With ``exact``
-    None or 0, faces of zero coefficients on every side (jump 0) are dropped.
+    """Integral over the faces opposite local vertex ``local`` of ``elements``,
+    in the blocks of ``_face_traces``, of the integrand ``_sq`` of the jump of
+    the field, or on boundary faces of its trace, at the fixed 2k+2 rule.
+    With ``exact`` None or 0, faces of zero coefficients on every side (jump
+    0) are dropped.
     """
     mesh = field.mesh
     if not (callable(exact) or exact):
@@ -104,13 +114,12 @@ def _face_sq(field, elements, local, exact=None, curve=None, alpha=None):
         keep = nonzero[elements] | nonzero[mesh.neighbours[elements, 1 + local]]
         elements, local = elements[keep], local[keep]
     rule = _basis.tri_quadrature(2 * field.degree + 2)
-    x, w, sides = _face_traces(mesh, field.basis, rule, elements, local)
-    traces = [np.einsum("fi,fqi->fq", field.coeffs[e], V) for e, V, _ in sides]
-    jump2 = _minus(traces[0] - traces[1] if len(traces) == 2 else traces[0], exact, x) ** 2
-    if alpha is None:
-        return float(np.einsum("fq,fq->", jump2, w))
-    d = distance_to_curve(x.reshape(-1, 3), curve).reshape(w.shape)
-    return float(np.einsum("fq,fq,fq->", jump2, d ** (2.0 * alpha), w))
+    total = 0.0
+    for x, w, sides in _face_traces(mesh, field.basis, rule, elements, local):
+        traces = [np.einsum("fi,fqi->fq", field.coeffs[e], V) for e, V, _ in sides]
+        jump = traces[0] - traces[1] if len(traces) == 2 else traces[0]
+        total += float(np.einsum("fq,fq->", _sq(jump, exact, x, curve, alpha, mesh.h), w))
+    return total
 
 
 def _dg_sq(field, exact, exact_grad, sigma, region, curve=None, alpha=None):
@@ -148,11 +157,6 @@ def dg_energy_error(field, exact, exact_grad, sigma, region=None):
     add the one-sided trace (u_h - u).
     """
     return float(np.sqrt(_dg_sq(field, exact, exact_grad, sigma, region)))
-
-
-def dg_norm(field, sigma, region=None):
-    """Broken energy norm of a discrete field."""
-    return dg_energy_error(field, 0, 0, sigma, region=region)
 
 
 def weighted_l2_norm(field, curve, alpha, exact=None, region=None):

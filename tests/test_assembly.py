@@ -21,7 +21,7 @@ from linedg.assembly import (
 )
 from linedg.fields import FieldFunction
 from linedg.mesh import BoxDomain, build_box_mesh
-from linedg.norms import dg_norm
+from linedg.norms import dg_energy_error
 from linedg.solver import SolverConfig, solve
 
 from two_threads import apply_in_two_threads
@@ -98,7 +98,7 @@ def test_coercivity_probe():
     for _ in range(20):
         w = rng.standard_normal(A.shape[0])
         field = FieldFunction.from_vector(mesh, basis, w)
-        energy = dg_norm(field, sigma=spec.sigma) ** 2
+        energy = dg_energy_error(field, 0, 0, sigma=spec.sigma) ** 2
         assert w @ (A @ w) >= 0.5 * energy - 1e-10 * energy
 
 
@@ -261,8 +261,6 @@ def test_patch_test(k, epsilon):
     res = solve(system, rhs, SolverConfig(rel_tol=1e-13))
     uh = FieldFunction.from_vector(mesh, basis, res.x)
 
-    from linedg.norms import dg_energy_error
-
     err = dg_energy_error(uh, exact, grad, sigma=spec.sigma)
     assert err < 1e-8
 
@@ -274,7 +272,7 @@ def test_dg_norm_gram_matches_quadrature_norm():
     rng = np.random.default_rng(9)
     v = rng.standard_normal(G.ndof)
     field = FieldFunction.from_vector(mesh, basis, v)
-    assert abs(np.sqrt(v @ (G.matrix @ v)) - dg_norm(field, sigma=12.0)) < 1e-10
+    assert abs(np.sqrt(v @ (G.matrix @ v)) - dg_energy_error(field, 0, 0, sigma=12.0)) < 1e-10
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -285,19 +283,25 @@ def test_face_traces_match_pointwise_evaluation(k):
     faces = ((mesh.iface_elems[:, 0], mesh.iface_local[:, 0]), (mesh.bface_elem, mesh.bface_local))
     for boundary, (elements, local) in zip((False, True), faces):
         normals = mesh.face_normals[4 * (elements % 6) + local]
-        x, w, sides = _face_traces(mesh, basis, fb.tri_quadrature(2 * k + 2), elements, local)
-        assert len(sides) == (1 if boundary else 2)
-        for elems, V, Gn in sides:
-            for f, e in enumerate(elems):
-                ref = (x[f] - mesh.vertices[mesh.tets[e, 0]]) @ mesh.type_jac_invs[e % 6].T
-                grads = basis.grad(ref) @ mesh.type_jac_invs[e % 6]
-                assert np.allclose(V[f], basis.eval(ref), rtol=0, atol=1e-12)
-                assert np.allclose(Gn[f], grads @ normals[f], rtol=0, atol=1e-12)
+        start = 0
+        for x, w, sides in _face_traces(mesh, basis, fb.tri_quadrature(2 * k + 2), elements, local):
+            assert len(sides) == (1 if boundary else 2)
+            for elems, V, Gn in sides:
+                for f, e in enumerate(elems):
+                    ref = (x[f] - mesh.vertices[mesh.tets[e, 0]]) @ mesh.type_jac_invs[e % 6].T
+                    grads = basis.grad(ref) @ mesh.type_jac_invs[e % 6]
+                    assert np.allclose(V[f], basis.eval(ref), rtol=0, atol=1e-12)
+                    assert np.allclose(Gn[f], grads @ normals[start + f], rtol=0, atol=1e-12)
+            start += len(x)
+        assert start == len(elements)
 
 
 def _full_mesh_reference(mesh, basis, volume, face_form):
-    """(indptr, indices, data) of a form scattered directly on every face of the mesh."""
+    """(indptr, indices, data) of a form scattered directly on every face of the
+    mesh, evaluated a block of ``_BLOCK // nb`` faces (one ``_face_traces``
+    block) at a time."""
     ne, nf, nb = mesh.n_elements, mesh.iface_elems.shape[0], basis.dim
+    step = assembly._BLOCK // nb
     e, (e0, e1) = np.arange(ne), mesh.iface_elems.T
     rows, cols = np.concatenate([e, e0, e1]), np.concatenate([e, e1, e0])
     order = np.lexsort((cols, rows))
@@ -309,11 +313,12 @@ def _full_mesh_reference(mesh, basis, volume, face_form):
     if face_form is not None:
         for boundary, sides, local in ((False, mesh.iface_elems.T, mesh.iface_local[:, 0]),
                                        (True, [mesh.bface_elem], mesh.bface_local)):
-            blocks = _face_term_blocks(mesh, basis, face_form, sides[0], local)
-            for b, eb in enumerate(sides):
-                np.add.at(data, slot[eb], blocks[b][b])
-                if not boundary:
-                    data[slot[ne + b * nf : ne + (b + 1) * nf]] = blocks[b][1 - b]
+            for at in (slice(s, s + step) for s in range(0, local.size, step)):
+                blocks = _face_term_blocks(mesh, basis, face_form, sides[0][at], local[at])
+                for b, eb in enumerate(sides):
+                    np.add.at(data, slot[eb[at]], blocks[b][b])
+                    if not boundary:
+                        data[slot[ne + b * nf : ne + (b + 1) * nf][at]] = blocks[b][1 - b]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ne))])
     return indptr, cols[order], data
 
@@ -548,9 +553,9 @@ def test_stiffness_evaluates_few_faces(monkeypatch):
     traces = assembly._face_traces
 
     def counting(mesh, basis, rule, elements, local):
-        out = traces(mesh, basis, rule, elements, local)
-        counts[len(out[2]) == 1] += len(out[1])
-        return out
+        for out in traces(mesh, basis, rule, elements, local):
+            counts[len(out[2]) == 1] += len(out[1])
+            yield out
 
     monkeypatch.setattr(assembly, "_face_traces", counting)
     mesh = build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.3]), (8, 6, 3))

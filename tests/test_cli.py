@@ -119,6 +119,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unsupported_degree_exits_at_load(tmp_path, capsys):
+    """An unsupported degree is a configuration error at its line, exit 1,
+    before any mesh is built."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(SMALL_STUDY.replace("degree: 1", "degree: 5"))
+    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    line = SMALL_STUDY.splitlines().index("degree: 1") + 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: degree 5 not supported")
+
+
 @pytest.mark.parametrize("scheme", ["epsilon: 2", "sigma: 0.5"])
 def test_study_invalid_scheme_is_config_error(tmp_path, capsys, scheme):
     path = tmp_path / "cfg.yaml"

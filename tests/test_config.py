@@ -315,6 +315,15 @@ def test_quoted_degree_rejected_with_line():
         parse_config(MINIMAL.replace("degree: 1", 'degree: "1"'))
 
 
+@pytest.mark.parametrize("degree,message", [
+    (5, "degree 5 not supported"), (0, "degree k must be >= 1")])
+def test_degree_without_a_basis_rejected_with_line(degree, message):
+    """A degree the basis does not provide fails at load, at its line; a
+    degree below 1 keeps the message of the scheme check."""
+    with pytest.raises(ConfigError, match=rf"^<config>:7: {message}"):
+        parse_config(MINIMAL.replace("degree: 1", f"degree: {degree}"))
+
+
 @pytest.mark.parametrize("old,new,key", [
     ("kind: line", "kind: line\n  amplitude: 0.1", "amplitude"),
     ("kind: line\n  start: [0.5, 0.5, 0.0]", "kind: file\n  path: c.txt\n  start: [0.5, 0.5, 0.0]",

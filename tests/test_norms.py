@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import linedg.assembly
 import linedg.curve
 import linedg.norms
 import unpruned_norms as ref
@@ -13,7 +16,6 @@ from linedg.norms import (
     _guard_points,
     convergence_rates,
     dg_energy_error,
-    dg_norm,
     l2_error,
     weighted_dg_norm,
     weighted_l2_norm,
@@ -81,7 +83,7 @@ def test_triangle_inequality_for_norms():
     curve = vertical_line()
     for norm in (
         lambda f: l2_error(f, 0.0),
-        lambda f: dg_norm(f, sigma=5.0),
+        lambda f: dg_energy_error(f, 0, 0, sigma=5.0),
         lambda f: weighted_l2_norm(f, curve, 0.5),
         lambda f: weighted_dg_norm(f, curve, 0.7, sigma=5.0),
     ):
@@ -102,7 +104,7 @@ def test_weighted_dg_norm_small_alpha_matches_plain():
     basis = fb.make_basis(2)
     rng = np.random.default_rng(4)
     f = FieldFunction.from_vector(mesh, basis, rng.standard_normal(mesh.n_elements * basis.dim))
-    plain = dg_norm(f, sigma=12.0)
+    plain = dg_energy_error(f, 0, 0, sigma=12.0)
     assert abs(weighted_dg_norm(f, vertical_line(), 1e-6, sigma=12.0) - plain) <= 1e-5 * plain
 
 
@@ -309,7 +311,7 @@ def test_pruned_norms_match_the_unpruned_reference(shape):
     close(l2_error(fh, None, singular_curve=curve), ref.l2(fh, curve=curve))
     for alpha in (-0.5, 0.5):
         close(weighted_l2_norm(fh, curve, alpha), ref.l2(fh, curve=curve, alpha=alpha))
-    close(dg_norm(fh, sigma), ref.dg(fh, sigma))
+    close(dg_energy_error(fh, 0, 0, sigma), ref.dg(fh, sigma))
     close(weighted_dg_norm(fh, curve, 0.5, sigma), ref.dg(fh, sigma, curve=curve, alpha=0.5))
     # an error field: the exact solution is nonzero off the support, so nothing is skipped
     exact = log_distance(curve)
@@ -330,7 +332,7 @@ def test_norms_of_the_zero_field_are_zero():
     assert l2_error(zero, 0.0) == 0.0
     assert l2_error(zero, None, singular_curve=curve) == 0.0
     assert weighted_l2_norm(zero, curve, -0.5) == 0.0
-    assert dg_norm(zero, 5.0) == 0.0
+    assert dg_energy_error(zero, 0, 0, 5.0) == 0.0
     assert weighted_dg_norm(zero, curve, 0.5, 5.0) == 0.0
 
 
@@ -369,3 +371,76 @@ def test_distances_are_measured_only_near_the_curve(monkeypatch):
         assert sum(measured) <= ne + q * near
         shares.append((weighted, (sum(measured) - ne) / (ne * q)))
     assert shares[1][0] <= shares[0][0] / 3 and shares[1][1] <= shares[0][1] / 3
+
+
+def whole_domain_dg_norms(field, curve):
+    """The whole-domain DG error and weighted DG error against ``log_line``, as
+    callables."""
+    exact = LogLineSolution.from_curve(curve, SLAB)
+    return [lambda: dg_energy_error(field, exact, exact.gradient, sigma=12.0),
+            lambda: weighted_dg_norm(field, curve, 0.5, 12.0, exact=exact,
+                                     exact_grad=exact.gradient)]
+
+
+def test_dg_norms_in_blocks_of_two_faces_match_one_block(monkeypatch):
+    """Walked in blocks of 2 faces, the whole-domain DG norms match their values
+    from one block of faces to 1e-13 relative."""
+    mesh, basis = build_box_mesh(SLAB, (4, 4, 2)), fb.make_basis(2)
+    field = FieldFunction(mesh, basis, np.random.default_rng(6).standard_normal(
+        (mesh.n_elements, basis.dim)))
+    monkeypatch.setattr(linedg.assembly, "_BLOCK", 10 ** 9)
+    whole = [norm() for norm in whole_domain_dg_norms(field, vertical_line())]
+    sizes, traces = [], linedg.assembly._face_traces
+
+    def spy(*args):
+        for block in traces(*args):
+            sizes.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(linedg.norms, "_face_traces", spy)
+    monkeypatch.setattr(linedg.assembly, "_BLOCK", 2 * basis.dim)
+    blocked = [norm() for norm in whole_domain_dg_norms(field, vertical_line())]
+    assert max(sizes) == 2 and sum(sizes) == 2 * (len(mesh.iface_elems) + len(mesh.bface_elem))
+    for value, reference in zip(blocked, whole):
+        assert abs(value - reference) <= 1e-13 * reference
+
+
+def test_whole_domain_dg_norms_allocate_a_block_not_the_mesh(monkeypatch):
+    """With blocks of 384 elements and 38 faces at k=2, the allocation peak of
+    the whole-domain DG norms grows by at most 1.25x from 8x8x2 to 16x16x4,
+    8x the elements and faces: their faces are walked in blocks as their
+    elements are."""
+    monkeypatch.setattr(linedg.assembly, "_BLOCK", 384)
+    monkeypatch.setattr(linedg.norms, "_BLOCK", 384)
+    basis, curve = fb.make_basis(2), vertical_line()
+    peaks = []
+    for n in [(8, 8, 2), (16, 16, 4)]:
+        mesh = build_box_mesh(SLAB, n)
+        field = FieldFunction(mesh, basis, np.random.default_rng(7).standard_normal(
+            (mesh.n_elements, basis.dim)))
+        for norm in whole_domain_dg_norms(field, curve):
+            norm()  # the mesh's cached tables
+            tracemalloc.start()
+            try:
+                norm()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[2] <= 1.25 * peaks[0] and peaks[3] <= 1.25 * peaks[1], peaks
+
+
+def test_a_boundary_face_pierced_at_a_quadrature_point_is_guarded():
+    """A vertical line through a quadrature point of a bottom face: the weighted
+    DG error of the zero field reads the exact solution at points guarded
+    off the line, so it is finite."""
+    mesh, basis = build_box_mesh(SLAB, (4, 4, 1)), fb.make_basis(1)
+    curve = Curve([[0.45217359641941746, 0.22432058629759344, 0.0],
+                   [0.45217359641941746, 0.22432058629759344, 0.25]])
+    rule = fb.tri_quadrature(2 * basis.degree + 2)
+    points = np.concatenate([x.reshape(-1, 3) for x, _, _ in linedg.assembly._face_traces(
+        mesh, basis, rule, mesh.bface_elem, mesh.bface_local)])
+    assert distance_to_curve(points, curve).min() < 1e-12
+    exact = LogLineSolution.from_curve(curve, SLAB)
+    zero = FieldFunction(mesh, basis, np.zeros((mesh.n_elements, basis.dim)))
+    value = weighted_dg_norm(zero, curve, 0.5, 5.0, exact=exact, exact_grad=exact.gradient)
+    assert np.isfinite(value) and abs(value - 0.6386) < 1e-4, value

@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linedg.assembly
 from linedg import basis as fb
 from linedg.assembly import DGSpec, assemble_mass, assemble_stiffness
 from linedg.config import load_config
@@ -62,6 +64,25 @@ def test_time_grid_validation():
     g = TimeGrid(final_time=1.0, steps=4)
     assert g.tau == 0.25
     assert np.allclose(g.times, [0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_projection_allocates_a_block_not_the_mesh(monkeypatch):
+    """With blocks of 384 elements at k=2, the allocation peak of the initial
+    projection beyond its result grows by at most 1.5x from 8x8x2 to
+    16x16x4, 8x the elements: its load is integrated in blocks."""
+    monkeypatch.setattr(linedg.assembly, "_BLOCK", 384)
+    basis, u0 = fb.make_basis(2), lambda p: np.sin(3.0 * p[:, 0]) * p[:, 1]
+    extra = []
+    for n in [(8, 8, 2), (16, 16, 4)]:
+        mesh = build_box_mesh(SLAB, n)
+        project_initial(u0, mesh, basis)  # the mesh's cached tables
+        tracemalloc.start()
+        try:
+            field = project_initial(u0, mesh, basis)
+            extra.append(tracemalloc.get_traced_memory()[1] - field.coeffs.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert extra[1] <= 1.5 * extra[0], extra
 
 
 def test_projection_identities():

@@ -7,7 +7,6 @@ import numpy as np
 
 from linedg import basis as fb
 from linedg.assembly import _face_traces
-from linedg.curve import distance_to_curve
 from linedg.norms import _guard_points
 
 
@@ -42,12 +41,16 @@ def face_sq(field, boundary, exact=None, curve=None, alpha=None):
     mesh = field.mesh
     faces = (mesh.bface_elem, mesh.bface_local) if boundary else (mesh.iface_elems[:, 0],
                                                                   mesh.iface_local[:, 0])
-    x, w, sides = _face_traces(mesh, field.basis, rule, *faces)
-    traces = [np.einsum("fi,fqi->fq", field.coeffs[e], V) for e, V, _ in sides]
-    jump = traces[0] - traces[1] if len(traces) == 2 else _minus(traces[0], exact, x)
-    if alpha is not None:
-        w = w * distance_to_curve(x.reshape(-1, 3), curve).reshape(w.shape) ** (2.0 * alpha)
-    return float((jump ** 2 * w).sum())
+    total = 0.0
+    for x, w, sides in _face_traces(mesh, field.basis, rule, *faces):
+        traces = [np.einsum("fi,fqi->fq", field.coeffs[e], V) for e, V, _ in sides]
+        if curve is not None:
+            x, d = _guard_points(x, curve, mesh.h)
+        jump = traces[0] - traces[1] if len(traces) == 2 else _minus(traces[0], exact, x)
+        if alpha is not None:
+            w = w * d ** (2.0 * alpha)
+        total += float((jump ** 2 * w).sum())
+    return total
 
 
 def l2(field, exact=None, curve=None, alpha=None):
