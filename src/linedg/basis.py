@@ -20,26 +20,6 @@ REF_TET_VERTICES = np.array(
 )
 
 
-def _lattice_exponents(k, dim):
-    """Multi-indices (a_1..a_dim) with sum <= k, graded lexicographic."""
-    out = []
-    for total in range(k + 1):
-        for combo in _compositions(total, dim):
-            out.append(combo)
-    return np.array(out, dtype=np.int64)
-
-
-def _compositions(total, dim):
-    # descending first coordinate so the degree-1 lattice lists the
-    # reference vertices in their conventional order
-    if dim == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, dim - 1):
-            yield (head,) + rest
-
-
 @dataclass(frozen=True)
 class BasisSet:
     """Nodal Lagrange basis of degree ``k`` on the reference tetrahedron."""
@@ -93,8 +73,11 @@ def make_basis(k):
         raise CapabilityError(
             f"degree {k} not supported (equispaced nodal basis capped at {MAX_DEGREE})"
         )
-    expo = _lattice_exponents(k, 3)
-    # lattice nodes (a/k, b/k, c/k) reuse the exponent enumeration
+    # multi-indices (a, b, c) with a + b + c <= k, graded, each grade with a
+    # then b descending so that k=1 lists the reference vertices in order;
+    # the lattice nodes (a/k, b/k, c/k) reuse the enumeration
+    expo = np.array([(a, b, t - a - b) for t in range(k + 1) for a in range(t, -1, -1)
+                     for b in range(t - a, -1, -1)], dtype=np.int64)
     nodes = expo.astype(float) / float(k)
     vander = _monomials(nodes, expo)
     coeffs = np.linalg.inv(vander)

@@ -78,9 +78,8 @@ def _multigrid_info(vcycle):
 def _error(cfg, column, field):
     """The error of ``field`` in ``column``, one of ``cfg.columns``."""
     if column.norm == "dg":
-        return dg_energy_error(field, cfg.exact, cfg.exact.gradient, sigma=cfg.scheme.sigma,
-                               region=column.region)
-    return l2_error(field, cfg.exact, region=column.region, singular_curve=cfg.curve)
+        return dg_energy_error(field, cfg.exact, sigma=cfg.scheme.sigma, region=column.region)
+    return l2_error(field, cfg.exact, region=column.region)
 
 
 def _solve_levels(cfg, levels, out, vtk):

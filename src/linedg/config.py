@@ -413,7 +413,7 @@ def _parse(tree, base_dir):
     nodes = tree.value
     domain = _make(nodes["domain"], BoxDomain, **values["domain"])
     curve = _make(nodes["curve"], _curve, base_dir, domain, **values["curve"])
-    exact = (_make(nodes["curve"], LogLineSolution.from_curve, curve, domain)
+    exact = (_make(nodes["curve"], LogLineSolution, curve, domain)
              if values.get("exact") == "log_line" else None)
     scheme = _make(nodes.get("scheme", nodes["degree"]), DGSpec, values["degree"],
                    **values["scheme"])

@@ -3,13 +3,17 @@
 Regions are open mesh-aligned boxes; element membership is decided by the
 barycenter, and a face contributes to a region norm only when both adjacent
 elements are inside (for the whole domain, boundary faces contribute with
-one-sided jumps).  Every integral walks the mesh in blocks, elements in
-blocks of ``_BLOCK`` and faces in the blocks of ``assembly._face_traces``, so
-its temporaries do not grow with the mesh, and applies one integrand rule per
-block (``_sq``): subtract the exact solution, guard points off the curve,
-weight by distance, square.  Two exact rules prune the integrals: with no
-exact solution to subtract, elements and faces whose coefficients all vanish
-are skipped, and distances to the curve are measured only where read
+one-sided jumps).  The exact solution is one object: a number, or a
+callable over points that carries its ``gradient`` for the energy norms
+and, when it is singular on a line, that line as its ``curve``
+(``problems.LogLineSolution`` does both); the norms read both from it.
+Every integral walks the mesh in blocks, elements in blocks of ``_BLOCK``
+and faces in the blocks of ``assembly._face_traces``, so its temporaries
+do not grow with the mesh, and applies one integrand rule per block
+(``_sq``): subtract the exact solution, guard points off the curve, weight
+by distance, square.  Two exact rules prune the integrals: with no exact
+solution to subtract, elements and faces whose coefficients all vanish are
+skipped, and distances to the curve are measured only where read
 (``_volume_sq``).
 """
 
@@ -122,11 +126,12 @@ def _face_sq(field, elements, local, exact=None, curve=None, alpha=None):
     return total
 
 
-def _dg_sq(field, exact, exact_grad, sigma, region, curve=None, alpha=None):
+def _dg_sq(field, exact, sigma, region, curve=None, alpha=None):
     """Squared broken energy norm of field - exact; see ``dg_energy_error``."""
     mesh = field.mesh
     mask = region_element_mask(mesh, region)
-    total = _volume_sq(field, np.flatnonzero(mask), exact_grad, grad=True, curve=curve, alpha=alpha)
+    gradient = exact.gradient if callable(exact) else None  # a number's gradient is 0
+    total = _volume_sq(field, np.flatnonzero(mask), gradient, grad=True, curve=curve, alpha=alpha)
     w_jump = sigma / mesh.grid_spacing
     faces = mask[mesh.iface_elems[:, 0]] & mask[mesh.iface_elems[:, 1]]
     total += w_jump * _face_sq(field, mesh.iface_elems[faces, 0], mesh.iface_local[faces, 0],
@@ -136,27 +141,33 @@ def _dg_sq(field, exact, exact_grad, sigma, region, curve=None, alpha=None):
     return total
 
 
-def l2_error(field, exact, region=None, singular_curve=None):
+def l2_error(field, exact, region=None):
     """sqrt(sum over region elements of (u_h - u)^2) by quadrature.
 
     ``exact`` is a callable over points (n, 3) or a number (pass ``0`` for
     the plain norm of the field); ``region`` None is the whole domain.
-    Given ``singular_curve``, quadrature points on it are guarded off it.
+    When ``exact`` is singular on a line it names (its ``curve``, as
+    ``problems.LogLineSolution`` does), quadrature points on the line are
+    guarded off it.
     """
     elements = np.flatnonzero(region_element_mask(field.mesh, region))
-    return float(np.sqrt(_volume_sq(field, elements, exact, curve=singular_curve)))
+    return float(np.sqrt(_volume_sq(field, elements, exact, curve=getattr(exact, "curve", None))))
 
 
-def dg_energy_error(field, exact, exact_grad, sigma, region=None):
+def dg_energy_error(field, exact, sigma, region=None):
     """Broken energy norm of (u_h - u) over a region (None: the whole domain).
 
-    ``exact`` / ``exact_grad`` are callables over points (pass 0 / 0 for the
-    plain energy norm); the jump weight is sigma / ``mesh.grid_spacing``.
-    Since the exact solution is continuous inside the region, interior-face
-    jumps use the discrete field only; for the whole domain, boundary faces
-    add the one-sided trace (u_h - u).
+    ``exact`` is a number (pass ``0`` for the plain energy norm) or a
+    callable over points that carries its ``gradient``, as
+    ``problems.LogLineSolution`` does; the jump weight is
+    sigma / ``mesh.grid_spacing``.  Since the exact solution is continuous
+    inside the region, interior-face jumps use the discrete field only; for
+    the whole domain, boundary faces add the one-sided trace (u_h - u).
+    No point is guarded off a line: the gradient of a solution singular on
+    it is not square-integrable there, so the norm is meaningful only on
+    regions away from the line.
     """
-    return float(np.sqrt(_dg_sq(field, exact, exact_grad, sigma, region)))
+    return float(np.sqrt(_dg_sq(field, exact, sigma, region)))
 
 
 def weighted_l2_norm(field, curve, alpha, exact=None, region=None):
@@ -170,18 +181,18 @@ def weighted_l2_norm(field, curve, alpha, exact=None, region=None):
     return float(np.sqrt(_volume_sq(field, elements, exact, curve=curve, alpha=alpha)))
 
 
-def weighted_dg_norm(field, curve, alpha, sigma, exact=None, exact_grad=None):
+def weighted_dg_norm(field, curve, alpha, sigma, exact=None):
     """Distance-weighted energy norm over the whole domain; alpha in (0, 1).
 
     Volume part weights the broken gradient by d^(2 alpha); the jump part is
     (sigma / ``mesh.grid_spacing``) * ||d^alpha [v]||^2 over all faces.  For
-    an error field, pass ``exact``/``exact_grad``: interior jumps of a
-    continuous exact solution vanish, but its boundary trace must be
-    subtracted.
+    an error field, pass ``exact``, which carries its ``gradient`` as in
+    ``dg_energy_error``: interior jumps of a continuous exact solution
+    vanish, but its boundary trace must be subtracted.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    return float(np.sqrt(_dg_sq(field, exact, exact_grad, sigma, None, curve, alpha)))
+    return float(np.sqrt(_dg_sq(field, exact, sigma, None, curve, alpha)))
 
 
 def convergence_rates(errors, hs):

@@ -10,13 +10,28 @@ class LogLineSolution:
     """Reference solution of the unit line load on a vertical line.
 
     u(x, y, z) = -log(r) / (2 pi) with r the horizontal distance to the
-    axis (x0, y0); the corresponding line density is f = 1 and u is
-    z-independent.  Singular on the axis itself.
+    line ``curve``; the corresponding line density is f = 1 and u is
+    z-independent.  Singular on the line, which it keeps in ``curve`` for
+    the norms to guard their points off.  ``curve`` must be vertical and
+    straight and run once from the domain's bottom to its top face (to
+    1e-9), the only line for which u solves the problem there; anything
+    else raises ValueError.
     """
 
-    def __init__(self, x0, y0):
-        self.x0 = float(x0)
-        self.y0 = float(y0)
+    def __init__(self, curve, domain):
+        tol = 1e-9
+        p = curve.points
+        z, lo, hi = p[:, 2], domain.lo[2], domain.hi[2]
+        ok = np.allclose(p[:, 0], p[0, 0], atol=tol) and np.allclose(p[:, 1], p[0, 1], atol=tol)
+        ok = ok and np.all(np.diff(z) * (z[-1] - z[0]) > 0)
+        if not (ok and np.allclose(sorted((z[0], z[-1])), (lo, hi), atol=tol)):
+            raise ValueError(
+                f"the built-in reference solution needs a vertical straight line "
+                f"from z = {lo:g} to z = {hi:g}"
+            )
+        self.curve = curve
+        self.x0 = float(p[0, 0])
+        self.y0 = float(p[0, 1])
 
     def __call__(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
@@ -32,23 +47,6 @@ class LogLineSolution:
         g[:, 0] = -dx / (2.0 * np.pi * r2)
         g[:, 1] = -dy / (2.0 * np.pi * r2)
         return g
-
-    @classmethod
-    def from_curve(cls, curve, domain):
-        """Build from a vertical straight curve that runs once from the
-        domain's bottom to its top face (to 1e-9), the only curve for which
-        u solves the problem there; rejects anything else."""
-        tol = 1e-9
-        p = curve.points
-        z, lo, hi = p[:, 2], domain.lo[2], domain.hi[2]
-        ok = np.allclose(p[:, 0], p[0, 0], atol=tol) and np.allclose(p[:, 1], p[0, 1], atol=tol)
-        ok = ok and np.all(np.diff(z) * (z[-1] - z[0]) > 0)
-        if not (ok and np.allclose(sorted((z[0], z[-1])), (lo, hi), atol=tol)):
-            raise ValueError(
-                f"the built-in reference solution needs a vertical straight line "
-                f"from z = {lo:g} to z = {hi:g}"
-            )
-        return cls(p[0, 0], p[0, 1])
 
 
 # displacement directions of ``sine_curve``

@@ -4,7 +4,9 @@ Hand-rolled CG / BiCGStab so the result contract (best iterate on failure,
 iteration count, achieved residual) and the debug energy monitor are under
 our control; matrix-vector products are ``system @ x`` with the Kuhn-stencil
 ``assembly.SparseSystem``, block-Jacobi is its ``block_jacobi()`` and multigrid
-a ``multigrid.VCycle``: numpy only, no solve imports scipy.
+a ``multigrid.VCycle``: numpy only, no solve imports scipy.  The two
+methods share one start (``solve``) and one convergence and best-iterate
+rule (``_settle``).
 """
 
 from dataclasses import dataclass
@@ -63,6 +65,9 @@ def solve(system, b, config=None, x0=None, debug=False, precond=None):
     residual ||Ax - b||_2 <= rel_tol * ||b||_2, or raises NonconvergenceError
     carrying the iterate with the smallest residual norm seen (judged by the
     recurrence residual; the error's ``residual`` is its true residual).
+    Both methods start from x0 (default 0) and its residual, and after each
+    iteration apply ``_settle``: a recurrence residual within tolerance is
+    confirmed by the true one, or, if that has drifted, replaced by it.
     With ``debug``, CG fills ``monitor`` with the quadratic-form values
     0.5 x^T A x - b^T x per iteration; they decrease monotonically exactly
     when the energy-norm error does (BiCGStab leaves ``monitor`` empty).
@@ -86,23 +91,43 @@ def solve(system, b, config=None, x0=None, debug=False, precond=None):
         return SolveResult(np.zeros_like(b), 0, 0.0)
     tol = config.rel_tol * bnorm
 
-    if system.symmetric:
-        return _pcg(system, b, precond, tol, max_iter, x0, debug)
-    return _bicgstab(system, b, precond, tol, max_iter, x0)
-
-
-def _fail(best_x, A, b, it, message):
-    res = float(np.linalg.norm(b - A @ best_x))
-    raise NonconvergenceError(message, best_x=best_x, residual=res, iterations=it)
-
-
-def _pcg(A, b, precond, tol, max_iter, x0, debug):
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x
+    r = b - system @ x
+    best = [x.copy(), float(np.linalg.norm(r))]  # the best iterate and its residual norm
+    if best[1] <= tol:
+        return SolveResult(x, 0, best[1])
+    if system.symmetric:
+        return _pcg(system, b, precond, tol, max_iter, x, r, best, debug)
+    return _bicgstab(system, b, precond, tol, max_iter, x, r, best)
+
+
+def _fail(best, A, b, it, message):
+    res = float(np.linalg.norm(b - A @ best[0]))
+    raise NonconvergenceError(message, best_x=best[0], residual=res, iterations=it)
+
+
+def _settle(A, b, x, r, tol, best):
+    """The convergence and best-iterate rule of both methods, after each
+    iteration: once the recurrence residual ``r`` reaches ``tol``, the true
+    residual b - A x decides; if it has drifted above ``tol``, it replaces
+    ``r`` in place and the iteration continues from it.  Records ``x`` in
+    ``best`` when its residual norm is the smallest yet.  Returns the true
+    residual norm once converged, else None."""
+    rnorm = float(np.linalg.norm(r))
+    if rnorm <= tol:
+        true_r = b - A @ x
+        rnorm = float(np.linalg.norm(true_r))
+        if rnorm <= tol:
+            return rnorm
+        r[:] = true_r  # recurrence drifted; continue from the true residual
+    if rnorm < best[1]:
+        best[0][:] = x
+        best[1] = rnorm
+    return None
+
+
+def _pcg(A, b, precond, tol, max_iter, x, r, best, debug):
     monitor = []
-    best_x, best_res = x.copy(), float(np.linalg.norm(r))
-    if best_res <= tol:
-        return SolveResult(x, 0, best_res)
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)
@@ -111,41 +136,29 @@ def _pcg(A, b, precond, tol, max_iter, x0, debug):
         q = A @ p
         pq = float(p @ q)
         if not np.isfinite(pq) or pq <= 0.0:
-            _fail(best_x, A, b, it, "cg breakdown: non-positive curvature "
-                                    "(matrix indefinite or penalty too small)")
+            _fail(best, A, b, it, "cg breakdown: non-positive curvature "
+                                  "(matrix indefinite or penalty too small)")
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
         del q
         if debug:
             monitor.append(0.5 * float(x @ (A @ x)) - float(b @ x))
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= tol:
-            true_res = float(np.linalg.norm(b - A @ x))
-            if true_res <= tol:
-                return SolveResult(x, it, true_res, tuple(monitor))
-            r = b - A @ x  # recurrence drifted; refresh and continue
-            rnorm = true_res
-        if rnorm < best_res:
-            best_x[:] = x
-            best_res = rnorm
+        res = _settle(A, b, x, r, tol, best)
+        if res is not None:
+            return SolveResult(x, it, res, tuple(monitor))
         z = precond(r)
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
-            _fail(best_x, A, b, it, "cg breakdown: NaN in inner product")
+            _fail(best, A, b, it, "cg breakdown: NaN in inner product")
         p *= rz_new / rz  # then p += z: bitwise z + beta * p, in place
         p += z
         del z
         rz = rz_new
-    _fail(best_x, A, b, max_iter, f"cg did not converge in {max_iter} iterations")
+    _fail(best, A, b, max_iter, f"cg did not converge in {max_iter} iterations")
 
 
-def _bicgstab(A, b, precond, tol, max_iter, x0):
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x
-    best_x, best_res = x.copy(), float(np.linalg.norm(r))
-    if best_res <= tol:
-        return SolveResult(x, 0, best_res)
+def _bicgstab(A, b, precond, tol, max_iter, x, r, best):
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
@@ -153,7 +166,7 @@ def _bicgstab(A, b, precond, tol, max_iter, x0):
     for it in range(1, max_iter + 1):
         rho_new = float(r_hat @ r)
         if abs(rho_new) < 1e-300 or not np.isfinite(rho_new):
-            _fail(best_x, A, b, it, "bicgstab breakdown (rho ~ 0)")
+            _fail(best, A, b, it, "bicgstab breakdown (rho ~ 0)")
         beta = (rho_new / rho) * (alpha / omega)
         p -= omega * v  # in place, in the order of r + beta * (p - omega * v)
         p *= beta
@@ -163,7 +176,7 @@ def _bicgstab(A, b, precond, tol, max_iter, x0):
         v = A @ ph
         denom = float(r_hat @ v)
         if abs(denom) < 1e-300:
-            _fail(best_x, A, b, it, "bicgstab breakdown (r_hat . v ~ 0)")
+            _fail(best, A, b, it, "bicgstab breakdown (r_hat . v ~ 0)")
         alpha = rho_new / denom
         r -= alpha * v  # r is now s
         x += alpha * ph
@@ -173,20 +186,13 @@ def _bicgstab(A, b, precond, tol, max_iter, x0):
             t = A @ sh
             tt = float(t @ t)
             if tt == 0.0 or not np.isfinite(tt):
-                _fail(best_x, A, b, it, "bicgstab breakdown (t = 0)")
+                _fail(best, A, b, it, "bicgstab breakdown (t = 0)")
             omega = float(t @ r) / tt
             x += omega * sh
             r -= omega * t
             del sh, t
         rho = rho_new
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= tol:
-            true_res = float(np.linalg.norm(b - A @ x))
-            if true_res <= tol:
-                return SolveResult(x, it, true_res)
-            r = b - A @ x
-            rnorm = true_res
-        if rnorm < best_res:
-            best_x[:] = x
-            best_res = rnorm
-    _fail(best_x, A, b, max_iter, f"bicgstab did not converge in {max_iter} iterations")
+        res = _settle(A, b, x, r, tol, best)
+        if res is not None:
+            return SolveResult(x, it, res)
+    _fail(best, A, b, max_iter, f"bicgstab did not converge in {max_iter} iterations")

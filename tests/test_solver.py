@@ -138,6 +138,28 @@ def test_nonconvergence_returns_best_iterate(n, decades, seed, skew, caps):
         assert np.allclose(residuals, best, rtol=1e-9, atol=0)
 
 
+class OffsetProducts(CsrSystem):
+    """Every product carries a fixed offset, so the recurrence residual drifts
+    from the true one; counts the products."""
+
+    products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return super().__matmul__(x) + 3e-11
+
+
+def test_drift_continuation_applies_the_operator_once():
+    """The recurrence residual of CG reaches the tolerance before the true one:
+    the iteration continues from the true residual it has just checked, so the
+    solve takes one product per iteration plus three (the start, the check that
+    finds the drift, the final check)."""
+    A = OffsetProducts(np.diag(np.linspace(1.0, 10.0, 50)))
+    res = solve(A, np.ones(50), SolverConfig(rel_tol=1e-10, preconditioner="none"))
+    assert res.iterations == 41
+    assert A.products == res.iterations + 3
+
+
 def test_indefinite_matrix_reports_breakdown():
     A = np.diag([1.0, -1.0, 2.0])
     with pytest.raises(NonconvergenceError):
