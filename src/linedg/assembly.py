@@ -467,15 +467,13 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g):
     """
     nb = basis.dim
     b = np.zeros(mesh.n_elements * nb)
-    if not callable(g):
-        if float(g) == 0.0:
-            return b
-        g_val = float(g)
-        g = lambda pts: np.full(pts.shape[0], g_val)
+    if not callable(g) and float(g) == 0.0:
+        return b
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
     rule = _basis.tri_quadrature(2 * basis.degree + 2)
     for x, w, [(e, V, Gn)] in _face_traces(mesh, basis, rule, mesh.bface_elem, mesh.bface_local):
-        wg = w * np.asarray(g(x.reshape(-1, 3)), dtype=float).reshape(w.shape)
+        wg = w * (np.asarray(g(x.reshape(-1, 3)), dtype=float).reshape(w.shape)
+                  if callable(g) else float(g))
         contrib = spec.epsilon * np.einsum("fq,fqi->fi", wg, Gn)
         contrib += penalty * np.einsum("fq,fqi->fi", wg, V)
         np.add.at(b.reshape(mesh.n_elements, nb), e, contrib)

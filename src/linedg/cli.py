@@ -32,43 +32,6 @@ from .vtk_io import field_cell_values, write_vtk
 FLOAT_FMT = "%.12e"
 
 
-def _solve_level(cfg, n, basis, density, previous):
-    """Assemble and solve one elliptic level; returns (mesh, field, info, V-cycle).
-
-    ``previous`` is the (V-cycle, field) of the level before, or None; on this
-    grid halved, the V-cycle is built on it and CG starts from the prolonged field.
-    """
-    mesh = build_box_mesh(cfg.domain, n)
-    t0 = time.perf_counter()
-    system = assemble_stiffness(mesh, cfg.scheme, basis)
-    restrictions = build_restrictions(cfg.curve, mesh)
-    rhs = assemble_line_rhs(cfg.curve, density, mesh, basis, restrictions=restrictions)
-    if cfg.exact is not None:
-        rhs = rhs + assemble_dirichlet_rhs(mesh, cfg.scheme, basis, cfg.exact)
-    t_assembly = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    vcycle = x0 = None
-    if cfg.solver.preconditioner == "multigrid":
-        nested = previous is not None and tuple(2 * v for v in previous[1].mesh.n) == mesh.n
-        vcycle = VCycle(system, previous[0] if nested else None)
-        if nested:
-            x0 = vcycle.transfer.prolong(previous[1].coeffs.ravel())
-    res = solve(system, rhs, cfg.solver, x0=x0, precond=vcycle)
-    t_solve = time.perf_counter() - t0
-    field = FieldFunction.from_vector(mesh, basis, res.x)
-    info = {
-        "n_dof": system.ndof,
-        "iterations": res.iterations,
-        "residual": res.residual,
-        "assembly_seconds": round(t_assembly, 3),
-        "solve_seconds": round(t_solve, 3),
-        "preconditioner": cfg.solver.preconditioner,
-    }
-    if vcycle is not None:
-        info.update(_multigrid_info(vcycle))
-    return mesh, field, info, vcycle
-
-
 def _multigrid_info(vcycle):
     """The ``metadata.yaml`` entries that describe a run's V-cycle."""
     return {"multigrid_levels": len(vcycle.grids), "multigrid_dtype": vcycle.dtype.name,
@@ -83,16 +46,45 @@ def _error(cfg, column, field):
 
 
 def _solve_levels(cfg, levels, out, vtk):
-    """Solve and measure each of ``levels`` in turn, writing its solution to VTK
-    if ``vtk``; yields (mesh, field, info, errors) per level, the errors in the
-    order of ``cfg.columns``.  Each level's V-cycle and CG start are built on
-    the level before."""
+    """Assemble, solve and measure each of ``levels`` in turn, writing its
+    solution to VTK if ``vtk``; yields (mesh, field, info, errors) per level,
+    the errors in the order of ``cfg.columns``.  With multigrid, a level whose
+    grid is the last level's doubled builds its V-cycle on the last one and
+    starts CG from the prolonged last field; any other level builds a fresh
+    V-cycle and starts from zero."""
     basis = _basis.make_basis(cfg.degree)
     f_fn, _ = cfg.source.build()
-    previous = None
+    vcycle = field = None
     for n in levels:
-        mesh, field, info, vcycle = _solve_level(cfg, n, basis, lambda s: f_fn(0.0, s), previous)
-        previous = vcycle, field
+        mesh = build_box_mesh(cfg.domain, n)
+        t0 = time.perf_counter()
+        system = assemble_stiffness(mesh, cfg.scheme, basis)
+        restrictions = build_restrictions(cfg.curve, mesh)
+        rhs = assemble_line_rhs(cfg.curve, lambda s: f_fn(0.0, s), mesh, basis,
+                                restrictions=restrictions)
+        if cfg.exact is not None:
+            rhs = rhs + assemble_dirichlet_rhs(mesh, cfg.scheme, basis, cfg.exact)
+        t_assembly = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        x0 = None
+        if cfg.solver.preconditioner == "multigrid":
+            nested = field is not None and tuple(2 * v for v in field.mesh.n) == mesh.n
+            vcycle = VCycle(system, vcycle if nested else None)
+            if nested:
+                x0 = vcycle.transfer.prolong(field.coeffs.ravel())
+        res = solve(system, rhs, cfg.solver, x0=x0, precond=vcycle)
+        t_solve = time.perf_counter() - t0
+        field = FieldFunction.from_vector(mesh, basis, res.x)
+        info = {
+            "n_dof": system.ndof,
+            "iterations": res.iterations,
+            "residual": res.residual,
+            "assembly_seconds": round(t_assembly, 3),
+            "solve_seconds": round(t_solve, 3),
+            "preconditioner": cfg.solver.preconditioner,
+        }
+        if vcycle is not None:
+            info.update(_multigrid_info(vcycle))
         errors = [_error(cfg, column, field) for column in cfg.columns]
         if vtk:
             _write_field(out / f"solution_k{cfg.degree}_n{n[0]}x{n[1]}x{n[2]}.vtk", field)

@@ -149,7 +149,10 @@ _int, _str, _number = _typed(int), _typed(str), _typed((int, float))
 
 
 def _float(node, key):
-    return float(_number(node, key))
+    value = float(_number(node, key))
+    if not math.isfinite(value):
+        _fail(node, f"{key} must be a finite number (got {value})")
+    return value
 
 
 def _triple(item, what):

@@ -228,13 +228,6 @@ def distance_to_curve(points, curve):
     return best if np.ndim(points) > 1 else float(best[0])
 
 
-def _as_arclength_fn(f):
-    if callable(f):
-        return f
-    value = float(f)
-    return lambda s: np.full_like(np.asarray(s, dtype=float), value)
-
-
 def assemble_line_rhs(curve, f, mesh, basis, restrictions=None):
     """Global vector b_i = integral over the curve of f(s) * phi_i ds.
 
@@ -243,7 +236,6 @@ def assemble_line_rhs(curve, f, mesh, basis, restrictions=None):
     """
     if restrictions is None:
         restrictions = build_restrictions(curve, mesh)
-    f = _as_arclength_fn(f)
     rule = _basis.segment_quadrature(2 * basis.degree + 2)
     tq = rule.points[:, 0]
     # every sub-segment of every restriction, with its element
@@ -255,7 +247,7 @@ def assemble_line_rhs(curve, f, mesh, basis, restrictions=None):
     x = starts[:, None, :] + tq[None, :, None] * (ends - starts)[:, None, :]
     s = arcs[:, :1] + tq[None, :] * (arcs[:, 1] - arcs[:, 0])[:, None]
     vals = basis.eval(mesh.to_reference(x, elems).reshape(-1, 3)).reshape(*s.shape, basis.dim)
-    fw = np.asarray(f(s), dtype=float) * rule.weights[None, :] * lengths[:, None]
+    fw = np.asarray(f(s) if callable(f) else f, dtype=float) * rule.weights[None, :] * lengths[:, None]
     # one quadrature term at a time: each element sums its terms in (sub-segment, point) order
     b = np.zeros((mesh.n_elements, basis.dim))
     np.add.at(b, np.repeat(elems, tq.size), (fw[:, :, None] * vals).reshape(-1, basis.dim))

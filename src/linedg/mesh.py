@@ -220,13 +220,6 @@ class Mesh:
         """
         return float(self.cell_size.min())
 
-    def cell_index(self, points):
-        """Grid cell (ix, iy, iz) per point, clipped into range."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = (pts - self.domain.lo) / self.cell_size
-        idx = np.floor(rel).astype(np.int64)
-        return np.clip(idx, 0, np.asarray(self.n) - 1)
-
     def cell_flat_index(self, cells):
         nx, ny, _ = self.n
         return cells[:, 0] + nx * (cells[:, 1] + ny * cells[:, 2])
@@ -243,7 +236,8 @@ class Mesh:
         coordinates to 1e-10: about 1e-10 h outside the domain, on any box.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        first = 6 * self.cell_flat_index(self.cell_index(pts))
+        cells = np.floor((pts - self.domain.lo) / self.cell_size).astype(np.int64)
+        first = 6 * self.cell_flat_index(np.clip(cells, 0, np.asarray(self.n) - 1))
         ref = self.to_reference(pts[:, None, None], first[:, None] + np.arange(6))[:, :, 0]
         inside = np.all(ref >= -1e-10, axis=2) & (ref.sum(axis=2) <= 1.0 + 1e-10)
         return np.where(inside.any(axis=1), first + inside.argmax(axis=1), -1)

@@ -170,14 +170,15 @@ def dg_energy_error(field, exact, sigma, region=None):
     return float(np.sqrt(_dg_sq(field, exact, sigma, region)))
 
 
-def weighted_l2_norm(field, curve, alpha, exact=None, region=None):
-    """L2 norm weighted by dist(x, curve)^(2 alpha); alpha in (-1, 1).
+def weighted_l2_norm(field, curve, alpha, exact=None):
+    """L2 norm over the whole domain weighted by dist(x, curve)^(2 alpha);
+    alpha in (-1, 1).
 
     Measures ``field - exact`` when ``exact`` is given.
     """
     if not -1.0 < alpha < 1.0:
         raise ValueError("alpha must be in (-1, 1)")
-    elements = np.flatnonzero(region_element_mask(field.mesh, region))
+    elements = np.arange(field.mesh.n_elements)
     return float(np.sqrt(_volume_sq(field, elements, exact, curve=curve, alpha=alpha)))
 
 

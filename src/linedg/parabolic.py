@@ -140,16 +140,11 @@ class BackwardEuler:
         self.line_load = None  # t -> the line load at time t
         if f is not None and curve is not None:
             restrictions = build_restrictions(curve, mesh)
-
-            def line_load(t):
-                density = (lambda s: f(t, s)) if callable(f) else f
-                return assemble_line_rhs(curve, density, mesh, self.basis,
-                                         restrictions=restrictions)
-
-            if f_time_dependent and callable(f):
-                self.line_load = line_load
-            else:
-                b_line = line_load(0.0)
+            self.line_load = lambda t: assemble_line_rhs(
+                curve, (lambda s: f(t, s)) if callable(f) else f, mesh, self.basis,
+                restrictions=restrictions)
+            if not (f_time_dependent and callable(f)):
+                b_line = self.line_load(0.0)
                 self.line_load = lambda t: b_line
 
     def __iter__(self):

@@ -1,12 +1,11 @@
 """Preconditioned Krylov solvers for the element-blocked systems.
 
 Hand-rolled CG / BiCGStab so the result contract (best iterate on failure,
-iteration count, achieved residual) and the debug energy monitor are under
-our control; matrix-vector products are ``system @ x`` with the Kuhn-stencil
-``assembly.SparseSystem``, block-Jacobi is its ``block_jacobi()`` and multigrid
-a ``multigrid.VCycle``: numpy only, no solve imports scipy.  The two
-methods share one start (``solve``) and one convergence and best-iterate
-rule (``_settle``).
+iteration count, achieved residual) is under our control; matrix-vector
+products are ``system @ x`` with the Kuhn-stencil ``assembly.SparseSystem``,
+block-Jacobi is its ``block_jacobi()`` and multigrid a ``multigrid.VCycle``:
+numpy only, no solve imports scipy.  The two methods share one start
+(``solve``) and one convergence and best-iterate rule (``_settle``).
 """
 
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ class SolveResult(NamedTuple):
     x: np.ndarray
     iterations: int
     residual: float
-    monitor: tuple = ()  # CG energy values per iteration, filled with ``debug``
 
 
 def make_preconditioner(system, kind):
@@ -57,20 +55,17 @@ def make_preconditioner(system, kind):
     return system.block_jacobi()
 
 
-def solve(system, b, config=None, x0=None, debug=False, precond=None):
+def solve(system, b, config=None, x0=None, precond=None):
     """Solve system @ x = b: by CG when ``system.symmetric`` is set,
     by BiCGStab otherwise.
 
-    Returns SolveResult(x, iterations, residual, monitor) with the true
+    Returns SolveResult(x, iterations, residual) with the true
     residual ||Ax - b||_2 <= rel_tol * ||b||_2, or raises NonconvergenceError
     carrying the iterate with the smallest residual norm seen (judged by the
     recurrence residual; the error's ``residual`` is its true residual).
     Both methods start from x0 (default 0) and its residual, and after each
     iteration apply ``_settle``: a recurrence residual within tolerance is
     confirmed by the true one, or, if that has drifted, replaced by it.
-    With ``debug``, CG fills ``monitor`` with the quadratic-form values
-    0.5 x^T A x - b^T x per iteration; they decrease monotonically exactly
-    when the energy-norm error does (BiCGStab leaves ``monitor`` empty).
     ``precond`` is a prebuilt ``make_preconditioner`` callable for this
     operator, so that repeated solves with one operator build it once; by
     default it is built from ``config.preconditioner``.
@@ -97,7 +92,7 @@ def solve(system, b, config=None, x0=None, debug=False, precond=None):
     if best[1] <= tol:
         return SolveResult(x, 0, best[1])
     if system.symmetric:
-        return _pcg(system, b, precond, tol, max_iter, x, r, best, debug)
+        return _pcg(system, b, precond, tol, max_iter, x, r, best)
     return _bicgstab(system, b, precond, tol, max_iter, x, r, best)
 
 
@@ -126,8 +121,7 @@ def _settle(A, b, x, r, tol, best):
     return None
 
 
-def _pcg(A, b, precond, tol, max_iter, x, r, best, debug):
-    monitor = []
+def _pcg(A, b, precond, tol, max_iter, x, r, best):
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)
@@ -142,11 +136,9 @@ def _pcg(A, b, precond, tol, max_iter, x, r, best, debug):
         x += alpha * p
         r -= alpha * q
         del q
-        if debug:
-            monitor.append(0.5 * float(x @ (A @ x)) - float(b @ x))
         res = _settle(A, b, x, r, tol, best)
         if res is not None:
-            return SolveResult(x, it, res, tuple(monitor))
+            return SolveResult(x, it, res)
         z = precond(r)
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):

@@ -344,6 +344,35 @@ def test_nested_study_shares_one_hierarchy(tmp_path, monkeypatch):
     assert all(r["iterations"] <= i for r, i in zip(runs, from_zero))
 
 
+def test_study_whose_levels_do_not_halve_builds_each_v_cycle_afresh(tmp_path, monkeypatch):
+    """A multigrid level whose grid is not the last one's doubled (8x8x1 after
+    4x4x1: z stays 1) builds its own V-cycle, with its own coarsest matrix,
+    and CG starts from zero."""
+    from linedg import cli
+    from linedg.assembly import SparseSystem
+    from linedg.solver import solve
+
+    dense, densified, starts = SparseSystem.dense, [], []
+
+    def counting(system):
+        densified.append(system.ndof)
+        return dense(system)
+
+    def recording(system, b, config, x0=None, **kwargs):
+        starts.append(x0)
+        return solve(system, b, config, x0=x0, **kwargs)
+
+    monkeypatch.setattr(SparseSystem, "dense", counting)
+    monkeypatch.setattr(cli, "solve", recording)
+    text = SMALL_STUDY.replace("  - [8, 8, 2]\n", "  - [8, 8, 1]\n").replace(
+        "solver: {rel_tol: 1.0e-10}", "solver: {rel_tol: 1.0e-10, preconditioner: multigrid}")
+    run_study(parse_config(text), tmp_path)
+    runs = yaml.safe_load((tmp_path / "metadata.yaml").read_text())["runs"]
+    assert [r["multigrid_levels"] for r in runs] == [1, 1]
+    assert len(densified) == 2
+    assert starts == [None, None]
+
+
 def test_multigrid_parabolic_config_runs(tmp_path):
     """solve-parabolic with multigrid exits 0 and records the V-cycle it used."""
     text = PARABOLIC.replace("solver: {rel_tol: 1.0e-10}",

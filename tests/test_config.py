@@ -438,3 +438,22 @@ def test_shipped_config_records_its_own_spellings(path):
     assert record["time"] == given["time"] if "time" in given else "time" not in record
     reparsed = parse_config(yaml.safe_dump(record), base_dir=path.parent)
     assert config_to_dict(reparsed) == record
+
+
+@pytest.mark.parametrize("text,key,value", [
+    (PARABOLIC.replace("final: 0.1", "final: .inf"), "time.final", "inf"),
+    (PARABOLIC.replace("final: 0.1", "final: .nan"), "time.final", "nan"),
+    (MINIMAL + "scheme: {sigma: .inf}\n", "scheme.sigma", "inf"),
+    (MINIMAL + "source: {kind: constant, value: .nan}\n", "source.value", "nan"),
+], ids=["final_inf", "final_nan", "sigma_inf", "value_nan"])
+def test_non_finite_number_rejected_at_its_line(tmp_path, capsys, text, key, value):
+    """YAML's .inf and .nan are numbers to the loader, but no key takes one:
+    each fails at its line at load, and the run exits 1, not in its first solve."""
+    line = len(text.splitlines())
+    message = f"{line}: {key} must be a finite number (got {value})"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == f"<config>:{message}"
+    code, err = _exit_code_and_error(tmp_path, capsys, text)
+    assert code == 1
+    assert err == f"error: cfg.yaml:{message}\n"

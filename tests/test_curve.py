@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from linedg import basis as fb
 from linedg import curve as curve_module
+from linedg.assembly import DGSpec, assemble_dirichlet_rhs
 from linedg.curve import (
     _DISTANCE_BLOCK,
     Curve,
@@ -392,6 +393,22 @@ def test_line_rhs_zero_and_affine_oracle():
             ref = (mesh.type_jac_invs[e % 6] @ (mid - mesh.vertices[mesh.tets[e, 0]]))[None]
             expected += length * basis.eval(ref)[0]
         assert np.allclose(block, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_number_and_its_constant_function_give_bitwise_equal_loads(k):
+    """A constant line density or Dirichlet value is multiplied into the
+    quadrature weights as a number; the loads equal, bit for bit, those of the
+    function that returns it at every point."""
+    mesh, basis, curve = LATTICE_MESH, fb.make_basis(k), vertical_line()
+    density = lambda s: np.full_like(s, 2.0)
+    assert np.array_equal(assemble_line_rhs(curve, 2.0, mesh, basis),
+                          assemble_line_rhs(curve, density, mesh, basis))
+    assert np.array_equal(compute_fh_field(curve, 2.0, mesh, basis).coeffs,
+                          compute_fh_field(curve, density, mesh, basis).coeffs)
+    assert np.array_equal(assemble_dirichlet_rhs(mesh, DGSpec(k), basis, 2.0),
+                          assemble_dirichlet_rhs(mesh, DGSpec(k), basis,
+                                                 lambda p: np.full(len(p), 2.0)))
 
 
 def test_fh_zero_for_zero_f():

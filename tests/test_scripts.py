@@ -37,3 +37,16 @@ def test_line_load_scaling_script_prints_the_unpruned_norm():
     for n, value in zip(levels, printed):
         fh = compute_fh_field(curve, 1.0, build_box_mesh(domain, n), fb.make_basis(1))
         assert abs(value - ref.l2(fh)) <= 0.5e-5 + 1e-12
+
+
+def test_code_lines_script_counts_only_code(tmp_path):
+    """A module docstring, a comment and a blank line are not code lines; the
+    two statements are.  The raw count holds every line."""
+    module = tmp_path / "fixture.py"
+    module.write_text('"""A docstring\nover two lines."""\n\n# a comment\nx = 1\ny = x + 1\n')
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py"), str(module)],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    code, raw = map(int, out.splitlines()[-1].split()[:2])
+    assert (code, raw) == (2, 6)
