@@ -1,4 +1,8 @@
-"""Command-line front end: single solves, convergence studies, time stepping.
+"""Command-line front end: ``linedg CONFIG`` runs what the configuration
+names.  A parabolic configuration is a backward-Euler march
+(``run_parabolic``); an elliptic one is a single solve when it gives ``n``
+(``run_elliptic``) and a refinement study when it gives ``levels``
+(``run_study``).
 
 Outputs per run: CSV error tables with a fixed float format (byte-identical
 across reruns of the same config), legacy VTK fields, and a YAML metadata
@@ -128,9 +132,6 @@ def run_study(cfg, out_dir, vtk=False):
     """Refinement study over all configured levels with pairwise rates."""
     if len(cfg.levels) < 2:
         raise ConfigError("a study needs at least two refinement levels")
-    diagonals = [np.linalg.norm(cfg.domain.extent / np.asarray(n, dtype=float)) for n in cfg.levels]
-    if any(b >= a for a, b in zip(diagonals, diagonals[1:])):
-        raise ConfigError("refinement levels must strictly decrease the mesh size")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     solved = [(m.h, info, errs) for m, _, info, errs in _solve_levels(cfg, cfg.levels, out, vtk)]
@@ -222,40 +223,27 @@ def run_parabolic(cfg, out_dir, vtk=True):
     return {"final": final, "step_iterations": step_iterations, "history": rows}
 
 
-# subcommand -> (help, required mode, runner, VTK output by default)
-_COMMANDS = {
-    "solve-elliptic": ("single steady solve", "elliptic", run_elliptic, True),
-    "solve-parabolic": ("backward Euler time stepping", "parabolic", run_parabolic, True),
-    "study": ("refinement study with rate table", "elliptic", run_study, False),
-}
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="linedg",
         description="Interior penalty DG solver for problems with a line source",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, _, _, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("config", help="YAML configuration file")
-        p.add_argument("--out-dir", default="out", help="output directory")
-        vtk = p.add_mutually_exclusive_group()
-        vtk.add_argument("--vtk", dest="vtk", action="store_true", default=None)
-        vtk.add_argument("--no-vtk", dest="vtk", action="store_false")
+    parser.add_argument("config", help="YAML configuration file")
+    parser.add_argument("--out-dir", default="out", help="output directory")
+    vtk = parser.add_mutually_exclusive_group()
+    vtk.add_argument("--vtk", dest="vtk", action="store_true", default=None)
+    vtk.add_argument("--no-vtk", dest="vtk", action="store_false")
     args = parser.parse_args(argv)
-    _, mode, run, vtk_default = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        if cfg.mode != mode:
-            raise ConfigError(f"{args.command} needs mode: {mode}")
-        result = run(cfg, args.out_dir, vtk=vtk_default if args.vtk is None else args.vtk)
-        if result.get("violations"):
-            return 2
+        run = (run_parabolic if cfg.mode == "parabolic"
+               else run_study if len(cfg.levels) > 1 else run_elliptic)
+        # without a flag each runner keeps its own VTK default
+        result = run(cfg, args.out_dir, **({} if args.vtk is None else {"vtk": args.vtk}))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    return 0
+    return 2 if result.get("violations") else 0
 
 
 if __name__ == "__main__":

@@ -49,7 +49,8 @@ def _compile_expr(text, variables):
     Only numbers, + - * / **, the given variables, the constants of
     ``_EXPR_NAMES`` and calls to its functions are accepted, so an
     expression reaches no other Python object; anything else raises
-    ConfigError.
+    ConfigError.  So does an evaluation whose value is not finite at every
+    point, or that divides by zero or overflows.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -59,7 +60,7 @@ def _compile_expr(text, variables):
 
     def build(node):
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return lambda env: node.value
+            return lambda env: np.float64(node.value)  # so 1 / 0 is inf, not an exception
         if isinstance(node, ast.Name) and node.id in names:
             return lambda env: env[node.id]
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
@@ -77,8 +78,10 @@ def _compile_expr(text, variables):
     body = build(tree.body)
 
     def evaluate(shape, **env):
-        out = body(dict(_EXPR_NAMES, **env))
-        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+        out = np.broadcast_to(np.asarray(body(dict(_EXPR_NAMES, **env)), dtype=float), shape)
+        if not np.isfinite(out).all():
+            raise ConfigError(f"expression {text!r} takes a value that is not finite")
+        return out.copy()
 
     return evaluate, {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
@@ -211,8 +214,8 @@ def _list_of(item):
 
 
 def _grids(node, key):
-    if node.value == []:
-        _fail(node, f"{key} must list at least one grid")
+    if isinstance(node.value, list) and len(node.value) < 2:
+        _fail(node, f"{key} must list at least two grids; one grid is n")
     return _list_of(_cells)(node, key)
 
 
@@ -423,6 +426,10 @@ def _parse(tree, base_dir):
     basis = _make(nodes["degree"], make_basis, values["degree"])
 
     levels = [values["n"]] if "n" in values else values["levels"]
+    diagonals = [np.linalg.norm(domain.extent / np.asarray(n, dtype=float)) for n in levels]
+    for i, (coarse, fine) in enumerate(zip(diagonals, diagonals[1:]), 1):
+        if fine >= coarse:
+            _fail(nodes["levels"].value[i], "levels must strictly decrease the mesh size")
     regions = {}
     for name, box in values.get("regions", {}).items():
         node = nodes["regions"].value[name]
@@ -445,7 +452,9 @@ def _parse(tree, base_dir):
 
     time = (_make(nodes["time"], TimeGrid, values["time"]["final"], values["time"]["steps"])
             if "time" in values else None)
-    # a rate is asserted only on a column the study writes
+    # a rate is asserted only on a column the study writes, over its levels
+    if "assert_rates" in nodes and "levels" not in values:
+        _fail(tree.keys["assert_rates"], "assert_rates needs levels; n is one grid")
     assert_rates = []
     for i, rate in enumerate(values.get("assert_rates", [])):
         name = _column_name(rate["norm"], rate["region"])

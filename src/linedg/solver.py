@@ -59,6 +59,8 @@ def solve(system, b, config=None, x0=None, precond=None):
     """Solve system @ x = b: by CG when ``system.symmetric`` is set,
     by BiCGStab otherwise.
 
+    A right-hand side with an entry that is not finite raises ValueError
+    before the operator is applied.
     Returns SolveResult(x, iterations, residual) with the true
     residual ||Ax - b||_2 <= rel_tol * ||b||_2, or raises NonconvergenceError
     carrying the iterate with the smallest residual norm seen (judged by the
@@ -77,6 +79,8 @@ def solve(system, b, config=None, x0=None, precond=None):
     b = np.asarray(b, dtype=float)
     if b.shape[0] != system.ndof:
         raise ValueError("dimension mismatch between matrix and right-hand side")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side has entries that are not finite")
     max_iter = config.max_iter or max(10 * system.ndof, 50)
     if precond is None:
         precond = make_preconditioner(system, config.preconditioner)

@@ -84,28 +84,36 @@ def test_study_rates_and_csv(tmp_path):
 
 
 def test_study_needs_two_levels(tmp_path):
-    cfg = parse_config(SMALL_STUDY.replace("\n  - [8, 8, 2]", ""))
+    """A library caller can still pass ``run_study`` a single-grid config."""
+    cfg = parse_config(SMALL_STUDY.replace("levels:\n  - [4, 4, 1]\n  - [8, 8, 2]", "n: [4, 4, 1]"))
     with pytest.raises(Exception, match="two refinement levels"):
         run_study(cfg, tmp_path)
 
 
-def test_study_rejects_non_decreasing_levels(tmp_path, monkeypatch):
+def test_study_rejects_non_decreasing_levels(tmp_path, capsys, monkeypatch):
+    """A level no finer than the last fails at its line when the config
+    loads, before any level is assembled."""
     import linedg.cli as cli
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("a level was assembled before the level order was checked")
 
     monkeypatch.setattr(cli, "assemble_stiffness", no_assembly)
-    cfg = parse_config(SMALL_STUDY.replace("[8, 8, 2]", "[4, 4, 1]"))
-    with pytest.raises(Exception, match="strictly decrease"):
-        run_study(cfg, tmp_path)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(SMALL_STUDY.replace("[8, 8, 2]", "[4, 4, 1]"))
+    code = main([str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    line = SMALL_STUDY.splitlines().index("  - [8, 8, 2]") + 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:{line}: levels must strictly decrease the mesh size\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_study_rate_assertion_exit_code(tmp_path, capsys):
     bad = SMALL_STUDY + "assert_rates:\n  - {norm: l2, region: boxA, min: 3.5, max: 4.0}\n"
     path = tmp_path / "cfg.yaml"
     path.write_text(bad)
-    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    code = main([str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert "RATE ASSERTION FAILED" in err
@@ -114,7 +122,7 @@ def test_study_rate_assertion_exit_code(tmp_path, capsys):
 def test_cli_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "cfg.yaml"
     path.write_text("nonsense: true\n")
-    code = main(["solve-elliptic", str(path)])
+    code = main([str(path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
@@ -124,7 +132,7 @@ def test_unsupported_degree_exits_at_load(tmp_path, capsys):
     before any mesh is built."""
     path = tmp_path / "cfg.yaml"
     path.write_text(SMALL_STUDY.replace("degree: 1", "degree: 5"))
-    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    code = main([str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     line = SMALL_STUDY.splitlines().index("degree: 1") + 1
     assert capsys.readouterr().err.startswith(f"error: {path}:{line}: degree 5 not supported")
@@ -134,7 +142,7 @@ def test_unsupported_degree_exits_at_load(tmp_path, capsys):
 def test_study_invalid_scheme_is_config_error(tmp_path, capsys, scheme):
     path = tmp_path / "cfg.yaml"
     path.write_text(SMALL_STUDY + f"scheme:\n  {scheme}\n")
-    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    code = main([str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     line = SMALL_STUDY.count("\n") + 2  # the scheme mapping starts below "scheme:"
     assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
@@ -143,27 +151,19 @@ def test_study_invalid_scheme_is_config_error(tmp_path, capsys, scheme):
 def test_incomplete_variant_solves_with_bicgstab(tmp_path):
     """epsilon = 0 gives a nonsymmetric operator; the solve picks BiCGStab itself."""
     path = tmp_path / "cfg.yaml"
-    path.write_text(SMALL_STUDY + "scheme: {epsilon: 0, sigma: 10, beta: 2}\n")
-    code = main(["solve-elliptic", str(path), "--out-dir", str(tmp_path / "out"), "--no-vtk"])
+    text = SMALL_STUDY.replace("levels:\n  - [4, 4, 1]\n  - [8, 8, 2]", "n: [4, 4, 1]")
+    path.write_text(text + "scheme: {epsilon: 0, sigma: 10, beta: 2}\n")
+    code = main([str(path), "--out-dir", str(tmp_path / "out"), "--no-vtk"])
     assert code == 0
     run = yaml.safe_load((tmp_path / "out" / "metadata.yaml").read_text())["run"]
     assert run["iterations"] > 0
     assert float(read_csv(tmp_path / "out" / "errors.csv")[1][3]) > 0
 
 
-def test_study_rejects_parabolic_mode(tmp_path, capsys):
-    path = tmp_path / "cfg.yaml"
-    path.write_text(PARABOLIC)
-    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
-    assert code == 1
-    assert capsys.readouterr().err == "error: study needs mode: elliptic\n"
-    assert not (tmp_path / "out").exists()
-
-
 def test_log_line_rejects_oblique_line_at_load(tmp_path, capsys):
     path = tmp_path / "cfg.yaml"
     path.write_text(SMALL_STUDY.replace("end: [0.6666666666666666", "end: [0.5"))
-    code = main(["solve-elliptic", str(path), "--out-dir", str(tmp_path / "out")])
+    code = main([str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:4: ") and "vertical straight line" in err
@@ -179,7 +179,7 @@ def test_log_line_rejects_line_through_part_of_slab_at_load(tmp_path, capsys):
         SMALL_STUDY[SMALL_STUDY.index("  kind: line"):SMALL_STUDY.index("degree:")],
         "  kind: file\n  path: line.txt\n",
     ))
-    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    code = main([str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:4: ") and "from z = 0 to z = 0.25" in err
@@ -195,7 +195,7 @@ def test_yaml_boolean_for_number_is_config_error(tmp_path, capsys, old, new):
     path = tmp_path / "cfg.yaml"
     text = SMALL_STUDY.replace(old, new)
     path.write_text(text)
-    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    code = main([str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     line = text[: text.index(new.splitlines()[-1])].count("\n") + 1
     err = capsys.readouterr().err
@@ -229,7 +229,7 @@ def test_bad_value_fails_at_load(tmp_path, capsys, text, at):
     """Values no run can use stop the run when the configuration loads."""
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
-    code = main(["solve-elliptic", str(path), "--out-dir", str(tmp_path / "out")])
+    code = main([str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     line = next(i for i, l in enumerate(text.splitlines(), 1) if l.startswith(at))
     assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
@@ -257,7 +257,7 @@ def test_region_named_global_fails_at_its_line(tmp_path, capsys):
     text = SMALL_STUDY.replace("regions:\n", f"regions:\n{region}\n")
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
-    code = main(["study", str(path), "--out-dir", str(tmp_path / "out")])
+    code = main([str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     line = text.splitlines().index(region) + 1
     err = capsys.readouterr().err
@@ -374,13 +374,13 @@ def test_study_whose_levels_do_not_halve_builds_each_v_cycle_afresh(tmp_path, mo
 
 
 def test_multigrid_parabolic_config_runs(tmp_path):
-    """solve-parabolic with multigrid exits 0 and records the V-cycle it used."""
+    """A parabolic config with multigrid exits 0 and records the V-cycle it used."""
     text = PARABOLIC.replace("solver: {rel_tol: 1.0e-10}",
                              "solver:\n  rel_tol: 1.0e-10\n  preconditioner: multigrid")
     text = text.replace("n: [4, 4, 1]", "n: [4, 4, 2]")
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
-    assert main(["solve-parabolic", str(path), "--out-dir", str(tmp_path / "out"), "--no-vtk"]) == 0
+    assert main([str(path), "--out-dir", str(tmp_path / "out"), "--no-vtk"]) == 0
     run = yaml.safe_load((tmp_path / "out" / "metadata.yaml").read_text())["run"]
     assert run["preconditioner"] == "multigrid"
     assert run["multigrid_levels"] == 2 and run["coarsest_grid"] == [2, 2, 1]
@@ -400,7 +400,7 @@ def test_zero_initial_state_is_not_projected(tmp_path, monkeypatch):
         raise AssertionError("assemble_volume_rhs called")
 
     monkeypatch.setattr(linedg.parabolic, "assemble_volume_rhs", refuse)
-    assert main(["solve-parabolic", str(path), "--out-dir", str(tmp_path), "--no-vtk"]) == 0
+    assert main([str(path), "--out-dir", str(tmp_path), "--no-vtk"]) == 0
 
 
 def test_parabolic_run_memory_does_not_grow_with_the_series(tmp_path):
@@ -441,37 +441,49 @@ def test_failed_step_leaves_the_snapshots_due_before_it(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshot_00000.vtk"]
 
 
-SINGLE_RUNS = [p for p in sorted(CONFIG_DIR.glob("*.yaml")) if len(load_config(p).levels) == 1]
-
-
-@pytest.mark.parametrize("path", SINGLE_RUNS, ids=lambda p: p.stem)
-def test_shipped_single_run_configs(tmp_path, path):
-    """Every shipped config that is not a study runs through its subcommand."""
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_configs_write_their_tables(tmp_path, path):
+    """Every shipped config runs as its mode and grid key name it: a march
+    writes history.csv, an n config errors.csv and a levels config study.csv."""
     cfg = load_config(path)
     if cfg.mode == "parabolic":
-        command, table = "solve-parabolic", "history.csv"
-        header = ["n", "t", "l2_norm", "dg_norm", "increment_sq_sum"]
+        table, header = "history.csv", ["n", "t", "l2_norm", "dg_norm", "increment_sq_sum"]
         n_rows = cfg.time.steps + 1
     else:
-        command, table = "solve-elliptic", "errors.csv"
+        table = "study.csv" if len(cfg.levels) > 1 else "errors.csv"
         header = ["k", "h", "n_dof"]
         if cfg.exact is not None:
             regions = [c.name.removeprefix("err_DG_") for c in cfg.columns if c.norm == "dg"]
             header += ["err_L2_global"] + [f"err_{norm}_{name}" for norm in ("L2", "DG")
                                            for name in regions]
-        n_rows = 1
-    assert main([command, str(path), "--out-dir", str(tmp_path), "--no-vtk"]) == 0
+        if table == "study.csv":
+            header += [column.rate for column in cfg.columns]
+        n_rows = len(cfg.levels)
+    assert main([str(path), "--out-dir", str(tmp_path), "--no-vtk"]) == 0
     rows = read_csv(tmp_path / table)
     assert rows[0] == header and len(rows) == n_rows + 1
     assert all(len(row) == len(header) for row in rows)
+    assert {"history.csv", "errors.csv", "study.csv"} & {p.name for p in tmp_path.iterdir()} == {table}
     assert not list(tmp_path.glob("*.vtk"))
 
 
+@pytest.mark.parametrize("text,vtks", [
+    (SMALL_STUDY.replace("levels:\n  - [4, 4, 1]\n  - [8, 8, 2]", "n: [4, 4, 1]"),
+     ["solution_k1_n4x4x1.vtk"]),
+    (PARABOLIC + "snapshot_every: 2\n", ["snapshot_00000.vtk", "snapshot_00002.vtk",
+                                         "snapshot_00004.vtk"]),
+    (SMALL_STUDY, []),
+], ids=["single", "parabolic", "study"])
+def test_vtk_default_follows_the_run(tmp_path, text, vtks):
+    """Without --vtk or --no-vtk a single solve and a march write VTK, a study does not."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert main([str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.vtk")) == vtks
+
+
 def test_shipped_sine_demo_runs(tmp_path):
-    code = main([
-        "solve-elliptic", str(CONFIG_DIR / "sine_demo.yaml"),
-        "--out-dir", str(tmp_path), "--vtk",
-    ])
+    code = main([str(CONFIG_DIR / "sine_demo.yaml"), "--out-dir", str(tmp_path), "--vtk"])
     assert code == 0
     vtks = list(tmp_path.glob("*.vtk"))
     assert vtks

@@ -22,6 +22,9 @@ n: [4, 4, 1]
 """
 
 
+STUDY = MINIMAL.replace("n: [4, 4, 1]", "levels: [[4, 4, 1], [8, 8, 2]]")
+
+
 def test_minimal_config():
     cfg = parse_config(MINIMAL)
     assert cfg.degree == 1
@@ -196,7 +199,7 @@ def test_exact_requires_vertical_line():
 
 def test_round_trip_through_dict():
     text = (
-        MINIMAL
+        STUDY
         + "regions:\n  boxA: {lo: [0.25, 0.5, 0.0], hi: [0.5, 0.75, 0.25]}\n"
         + "exact: log_line\n"
         + "assert_rates:\n  - {norm: l2, region: boxA, min: 1.5, max: 2.5}\n"
@@ -208,7 +211,7 @@ def test_round_trip_through_dict():
 
 
 BOX_A = BoxDomain([0.25, 0.5, 0.0], [0.5, 0.75, 0.25])
-WITH_REGION = (MINIMAL + "regions:\n  boxA: {lo: [0.25, 0.5, 0.0], hi: [0.5, 0.75, 0.25]}\n"
+WITH_REGION = (STUDY + "regions:\n  boxA: {lo: [0.25, 0.5, 0.0], hi: [0.5, 0.75, 0.25]}\n"
                + "exact: log_line\n")
 
 
@@ -343,12 +346,11 @@ PARABOLIC = MINIMAL + "mode: parabolic\ntime: {final: 0.1, steps: 2}\n"
 
 
 def _exit_code_and_error(tmp_path, capsys, text):
-    """``main``'s exit code and standard error for ``text``, run by the
-    subcommand of its mode."""
+    """``main``'s exit code and standard error for ``text``, which must fail
+    before the run makes its output directory."""
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
-    command = "solve-parabolic" if "mode: parabolic" in text else "solve-elliptic"
-    code = main([command, str(path), "--out-dir", str(tmp_path / "out"), "--no-vtk"])
+    code = main([str(path), "--out-dir", str(tmp_path / "out"), "--no-vtk"])
     assert not (tmp_path / "out").exists()
     return code, capsys.readouterr().err.replace(str(path), "cfg.yaml")
 
@@ -419,7 +421,8 @@ def test_elliptic_grid_is_n_or_levels_never_both(tmp_path, capsys, grids):
 def test_grid_key_rejected_without_a_grid():
     """An empty levels list names no grid; parabolic mode requires its n."""
     text = MINIMAL.replace("n: [4, 4, 1]", "levels: []")
-    with pytest.raises(ConfigError, match=r"^<config>:8: levels must list at least one grid$"):
+    with pytest.raises(ConfigError,
+                       match=r"^<config>:8: levels must list at least two grids; one grid is n$"):
         parse_config(text)
     text = PARABOLIC.replace("n: [4, 4, 1]\n", "")
     with pytest.raises(ConfigError, match=r"^<config>:2: n is required$"):
@@ -457,3 +460,48 @@ def test_non_finite_number_rejected_at_its_line(tmp_path, capsys, text, key, val
     code, err = _exit_code_and_error(tmp_path, capsys, text)
     assert code == 1
     assert err == f"error: cfg.yaml:{message}\n"
+
+
+@pytest.mark.parametrize("text,at,message", [
+    (MINIMAL.replace("n: [4, 4, 1]", "levels:\n  - [4, 4, 1]"), "  - [4, 4, 1]",
+     "levels must list at least two grids; one grid is n"),
+    (MINIMAL.replace("n: [4, 4, 1]", "levels:\n  - [8, 8, 2]\n  - [4, 4, 1]"), "  - [4, 4, 1]",
+     "levels must strictly decrease the mesh size"),
+    (MINIMAL + "exact: log_line\nassert_rates: [{norm: l2, min: 50, max: 60}]\n", "assert_rates:",
+     "assert_rates needs levels; n is one grid"),
+], ids=["one_grid_levels", "level_not_finer", "rates_without_levels"])
+def test_study_rule_fails_at_its_line_before_any_mesh(tmp_path, capsys, monkeypatch, text, at,
+                                                     message):
+    """A study's rules are checked where they are written: a levels list of
+    one grid, a level no finer than the last and a rate window on a single
+    grid exit 1 at their line, before any mesh is built."""
+    import linedg.cli
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before the study rules were checked")
+
+    monkeypatch.setattr(linedg.cli, "build_box_mesh", no_mesh)
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith(at))
+    code, err = _exit_code_and_error(tmp_path, capsys, text)
+    assert code == 1
+    assert err == f"error: cfg.yaml:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("text,expr,table", [
+    (MINIMAL + 'source: {kind: expression, expr: "log(s - s)"}\n', "log(s - s)", "errors.csv"),
+    (MINIMAL + 'source: {kind: expression, expr: "s + 1 / 0"}\n', "s + 1 / 0", "errors.csv"),
+    (PARABOLIC + 'initial: {kind: expression, expr: "1 / (x - x)"}\n', "1 / (x - x)",
+     "history.csv"),
+], ids=["source_log_zero", "source_number_over_zero", "initial_over_zero"])
+def test_non_finite_expression_value_stops_the_run(tmp_path, capsys, text, expr, table):
+    """An expression that takes a value that is not finite stops the run with
+    an error that names it, exit 1, and no table is written; the load it would
+    have made is not handed to the solver."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with np.errstate(all="ignore"):
+        code = main([str(path), "--out-dir", str(tmp_path / "out"), "--no-vtk"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: expression {expr!r} takes a value that is not finite\n"
+    assert not (tmp_path / "out" / table).exists()
+

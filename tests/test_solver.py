@@ -159,6 +159,18 @@ def test_drift_continuation_applies_the_operator_once():
     assert A.products == res.iterations + 3
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_right_hand_side_raises_before_any_product(value):
+    """A load that is not finite is the caller's error, not the matrix's: it is
+    rejected before the operator is applied."""
+    A = OffsetProducts(np.diag(np.linspace(1.0, 10.0, 50)))
+    b = np.ones(50)
+    b[7] = value
+    with pytest.raises(ValueError, match="right-hand side has entries that are not finite"):
+        solve(A, b, SolverConfig(preconditioner="none"))
+    assert A.products == 0
+
+
 def test_indefinite_matrix_reports_breakdown():
     A = np.diag([1.0, -1.0, 2.0])
     with pytest.raises(NonconvergenceError):
