@@ -6,7 +6,8 @@ operator is a Kuhn-stencil ``SparseSystem``: per Kuhn type one weight
 block (its diagonal block and the blocks of its 4 face neighbours), and per
 ghost class (a Kuhn type with the set of its faces on the boundary) one
 correction to the diagonal block, over the neighbour table and class layout
-of the mesh the operator holds.  No matrix is stored;
+of the mesh the operator holds, applied in one batched product over the
+mesh's boundary pages.  No matrix is stored;
 ``SparseSystem.matrix`` builds the BSR form on demand.  The jump penalty
 scales with the smallest grid pitch ``mesh.grid_spacing``, which matches
 the quasi-uniform grids built here.
@@ -91,12 +92,18 @@ class SparseSystem:
     diagonal blocks of the elements with a boundary face differ from their
     type's, by a block that depends only on the element's ghost class
     (``Mesh.ghost_classes``: its type and which of its faces are on the
-    boundary): ``corrections[i]`` (nb, nb) adds to the
-    diagonal blocks of class i, the mesh's ``boundary_elements`` in rows
-    ``class_bounds[i]:class_bounds[i + 1]``.  ``matrix`` (a BSR matrix, built
-    on first access) and ``dense()`` hold the same operator at its full size,
-    both from one block table.  Products compute in the dtype of the
-    weights: ``astype(dtype)`` casts the blocks, so that the multigrid
+    boundary): ``corrections[i]`` (nb, nb) adds to the diagonal blocks of
+    class i.  The mesh holds those elements in ``boundary_pages`` of one class
+    each, so a product applies every correction at once: one gather of the
+    pages' rows of x, one batched matrix product with their classes'
+    blocks, and one write back (``_pages``), in groups of pages of at most
+    one stencil chunk of rows.  An operator whose neighbour blocks and
+    corrections are all zero, as the mass, is read off its blocks as block
+    diagonal and applies as one per-type block product, with no
+    neighbourhood gather.  ``matrix`` (a BSR matrix, built on first access)
+    and ``dense()`` hold the same operator at its full size, both from one
+    block table.  Products compute in the dtype of the weights:
+    ``astype(dtype)`` casts the blocks, so that the multigrid
     preconditioner can smooth with a float32 copy of a float64 operator.
 
     ``symmetric`` selects CG in ``solver.solve`` (BiCGStab otherwise); the
@@ -136,9 +143,10 @@ class SparseSystem:
         return out
 
     def _stencil(self, weights, x):
-        """x with its zero ghost row (ne + 1, nb), and the (ne, nb) product of
-        each element neighbourhood of x (the element and its 4 neighbours)
-        with its type's ``weights`` (5 nb, nb).  The neighbourhoods are gathered
+        """x with its zero ghost row (ne + 1, nb), and the product of each
+        element neighbourhood of x (the element and its 4 neighbours) with its
+        type's ``weights`` (5 nb, nb), in rows 0..ne-1 of an (ne + 1, nb) array
+        whose ghost row is zero too.  The neighbourhoods are gathered
         ``STENCIL_CHUNK`` cells at a time into a buffer allocated per call, so
         the transient beyond xe and the product scales with the chunk, not the
         mesh, and one operator may be applied in several threads."""
@@ -146,25 +154,49 @@ class SparseSystem:
         xe = np.empty((ne + 1, nb), weights.dtype)
         xe[:ne] = np.reshape(x, (ne, nb))
         xe[ne] = 0.0
-        y, step = np.empty((ne, nb), weights.dtype), 6 * STENCIL_CHUNK
+        y, step = np.empty((ne + 1, nb), weights.dtype), 6 * STENCIL_CHUNK
+        y[ne] = 0.0
         for s in range(0, ne, step):
-            self._per_type(weights, np.take(xe, self.mesh.neighbours[s:s + step], 0), y[s:s + step])
+            at = slice(s, min(s + step, ne))
+            self._per_type(weights, np.take(xe, self.mesh.neighbours[at], 0), y[at])
         return xe, y
 
-    def _per_class(self, blocks, v):
-        """Rows of v, one per boundary element of the mesh, times their ghost
-        class's block of ``blocks``, in place."""
-        bounds = self.mesh.class_bounds
-        for block, start, end in zip(blocks, bounds, bounds[1:]):
-            v[start:end] = v[start:end] @ block.T
-        return v
+    def _pages(self, blocks):
+        """The mesh's ``boundary_pages`` in groups of at most one stencil chunk
+        of rows: per group its pages (p, page) and their classes' blocks of
+        ``blocks`` transposed (p, nb, nb), so that the rows gathered at the
+        pages (p, page, nb) times these blocks are the per-class products.
+        The padding, the ghost index, gathers and writes back a ghost row."""
+        pages, classes = self.mesh.boundary_pages, self.mesh.page_classes
+        step = 6 * STENCIL_CHUNK // pages.shape[1]
+        for s in range(0, len(pages), step):
+            yield pages[s:s + step], blocks[classes[s:s + step]].transpose(0, 2, 1)
+
+    @staticmethod
+    def _put_rows(y, pages, rows):
+        """y[pages] = rows for y (n, nb) and rows (p, page, nb), each row copied
+        as one opaque item: numpy's fancy-index assignment copies an item at a
+        time but a sub-array entry by entry, several times slower."""
+        item = np.dtype((np.void, y.itemsize * y.shape[1]))
+        y.view(item).reshape(-1)[pages] = rows.view(item).reshape(pages.shape)
+
+    @cached_property
+    def _block_diagonal(self):
+        """Whether every neighbour block and correction is zero (the mass)."""
+        nb = self.block_size
+        return not (self.weights[:, nb:].any() or self.corrections.any())
 
     def __matmul__(self, x):
-        fixed = self.mesh.boundary_elements
+        ne, nb = self.n_blocks, self.block_size
+        if self._block_diagonal:
+            rows = np.reshape(x, (ne, nb)).astype(self.weights.dtype, copy=False)
+            return self._per_type(self.weights[:, :nb], rows).ravel()
         xe, y = self._stencil(self.weights, x)
-        correction = self._per_class(self.corrections, np.take(xe, fixed, 0))
-        y[fixed] = np.take(y, fixed, 0) + correction  # take: faster than y[fixed]
-        return y.ravel()
+        for pages, blocks in self._pages(self.corrections):
+            rows = np.matmul(np.take(xe, pages, 0), blocks)
+            rows += np.take(y, pages, 0)
+            self._put_rows(y, pages, rows)
+        return y[:ne].ravel()
 
     def astype(self, dtype):
         """This operator with its blocks cast to ``dtype``: same mesh, symmetry
@@ -212,9 +244,10 @@ class SparseSystem:
         blocks = np.ascontiguousarray(self.weights.reshape(30, nb, nb).transpose(0, 2, 1))
         data = blocks[order[inner]]
         indptr = np.concatenate([[0], np.cumsum(inner.sum(axis=1))])
-        fixed = mesh.boundary_elements
+        pages = mesh.boundary_pages
+        fixed, real = pages[pages < ne], (pages < ne).ravel()
         at = indptr[fixed] + (mesh.neighbours[fixed] < fixed[:, None]).sum(axis=1)
-        data[at] += np.repeat(self.corrections, np.diff(mesh.class_bounds), axis=0)
+        data[at] += self.corrections[np.repeat(mesh.page_classes, pages.shape[1])[real]]
         return data, cols[inner], indptr
 
     @cached_property
@@ -242,6 +275,8 @@ class BlockJacobi:
     D_c = D_t + C_c per ghost class c, C_c its correction.  ``scaled`` is one
     stencil product with the weights W_t D_t^{-T}, y' = D_t^{-1} (A x - C_c x_e),
     then on fixed elements D_c^{-1} (D_t y' + C_c x_e) = y' + D_c^{-1} C_c (x_e - y').
+    Both apply their per-class blocks, D_c^{-1} and D_c^{-1} C_c, as the
+    operator's product applies C_c: batched over the mesh's boundary pages.
     The blocks are inverted and multiplied in float64 and stored in the dtype
     of the operator, the dtype its products compute in."""
 
@@ -262,18 +297,24 @@ class BlockJacobi:
         self.fixups = (fixed_inverse @ corrections).astype(dtype, copy=False)  # D_c^{-1} C_c
 
     def __call__(self, x):
-        A, fixed = self.system, self.system.mesh.boundary_elements
-        x = np.reshape(x, (A.n_blocks, A.block_size))
-        y = A._per_type(self.inverse, x)
-        y[fixed] = A._per_class(self.fixed_inverse, np.take(x, fixed, 0))
-        return y.ravel()
+        A, ne, nb = self.system, self.system.n_blocks, self.system.block_size
+        x = np.reshape(x, (ne, nb))
+        y = np.empty((ne + 1, nb), self.inverse.dtype)
+        A._per_type(self.inverse, x, y[:ne])
+        for pages, blocks in A._pages(self.fixed_inverse):
+            # x has no ghost row: the padding reads row ne - 1, and writes to y's ghost row
+            A._put_rows(y, pages, np.matmul(np.take(x, pages, 0, mode="clip"), blocks))
+        return y[:ne].ravel()
 
     def scaled(self, x):
-        A, fixed = self.system, self.system.mesh.boundary_elements
+        A, ne = self.system, self.system.n_blocks
         xe, y = A._stencil(self.scaled_weights, x)
-        yf = np.take(y, fixed, 0)
-        y[fixed] = yf + A._per_class(self.fixups, np.take(xe, fixed, 0) - yf)
-        return y.ravel()
+        for pages, blocks in A._pages(self.fixups):
+            rows, own = np.take(y, pages, 0), np.take(xe, pages, 0)
+            own -= rows
+            rows += np.matmul(own, blocks)
+            A._put_rows(y, pages, rows)
+        return y[:ne].ravel()
 
 
 def _volume_grad_gram(mesh, basis):

@@ -78,7 +78,8 @@ def _compile_expr(text, variables):
     body = build(tree.body)
 
     def evaluate(shape, **env):
-        out = np.broadcast_to(np.asarray(body(dict(_EXPR_NAMES, **env)), dtype=float), shape)
+        with np.errstate(all="ignore"):  # a value that is not finite is reported below
+            out = np.broadcast_to(np.asarray(body(dict(_EXPR_NAMES, **env)), dtype=float), shape)
         if not np.isfinite(out).all():
             raise ConfigError(f"expression {text!r} takes a value that is not finite")
         return out.copy()

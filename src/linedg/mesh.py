@@ -56,6 +56,11 @@ _KUHN_CORNERS = np.array(
 _KUHN_OFFSETS = (_KUHN_CORNERS[..., None] >> np.arange(3)) & 1  # (6, 4, 3)
 FACE_VERTICES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])  # of the face opposite f
 
+# boundary elements per page of ``Mesh.boundary_pages``: at 8x8x2 and 16x16x4
+# (k = 1) 16 and 64 took the time of 32 to within noise, at 32x32x8 (k = 2) 16
+# was slower and 64 no faster
+BOUNDARY_PAGE = 32
+
 
 def _kuhn_face_table():
     """The neighbour across each of the 24 faces of the Kuhn cell, row 4 t + f
@@ -113,9 +118,12 @@ class Mesh:
       ``bface_elem``, ``bface_local``
     - ``ghost_classes`` (nc,): the sorted codes 16 t + m of the elements with
       a boundary face, t the Kuhn type and m the mask with bit f set where
-      the face opposite local vertex f is on the boundary;
-      ``boundary_elements`` those elements in class order, class i taking
-      rows ``class_bounds[i]:class_bounds[i + 1]``
+      the face opposite local vertex f is on the boundary
+    - ``boundary_pages`` (np, ``BOUNDARY_PAGE``): those elements, each once,
+      in pages of one ghost class each, ``page_classes`` (np,) its index in
+      ``ghost_classes``; classes in order, elements ascending, and each
+      class's last page padded with the ghost index nt.  An operator applies
+      its per-class diagonal blocks as one batched product over the pages.
     """
 
     def __init__(self, domain, n):
@@ -169,9 +177,17 @@ class Mesh:
         table = table.reshape(ne, 5)
         codes = np.arange(ne) % 6 * 16 + (table[:, 1:] == ne) @ (1 << np.arange(4))
         order = np.argsort(codes, kind="stable")
-        self.neighbours, self.boundary_elements = table, order[codes[order] % 16 > 0]
-        self.ghost_classes, counts = np.unique(codes[self.boundary_elements], return_counts=True)
-        self.class_bounds = np.cumsum([0, *counts])
+        boundary = order[codes[order] % 16 > 0]
+        self.neighbours = table
+        self.ghost_classes, counts = np.unique(codes[boundary], return_counts=True)
+        # a class of c elements fills ceil(c / page) pages from its first
+        # page on: element j of the boundary (in class order) lands at j plus
+        # the padding of the pages of the classes before it
+        pages = -(-counts // BOUNDARY_PAGE)
+        first = np.cumsum([0, *pages[:-1]]) * BOUNDARY_PAGE - np.cumsum([0, *counts[:-1]])
+        self.boundary_pages = np.full((pages.sum(), BOUNDARY_PAGE), ne)
+        self.boundary_pages.flat[np.arange(boundary.size) + np.repeat(first, counts)] = boundary
+        self.page_classes = np.repeat(np.arange(counts.size), pages)
 
     def _build_faces(self):
         ne, across = self.n_elements, self.neighbours[:, 1:]

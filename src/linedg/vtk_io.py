@@ -1,13 +1,34 @@
 """Legacy ASCII VTK writer (unstructured grid, tetrahedra)."""
 
+from functools import lru_cache
+
 import numpy as np
 
 
-def _write_rows(fh, fmt, rows):
-    """Write ``fmt.format(*row)`` for each row of ``rows`` (n, c), formatted
-    4096 rows at a time, so the text held does not grow with the mesh."""
+def _format_rows(fmt, rows):
+    """``fmt.format(*row)`` for each row of ``rows`` (n, c), joined 4096 rows
+    at a time, so the Python values made for formatting do not grow with the
+    mesh."""
     for start in range(0, len(rows), 4096):
-        fh.write("".join(map(fmt.format, *rows[start : start + 4096].T.tolist())))
+        yield "".join(map(fmt.format, *rows[start : start + 4096].T.tolist()))
+
+
+@lru_cache(maxsize=1)
+def _mesh_text(mesh):
+    """The file up to its cell data: header, POINTS, CELLS and CELL_TYPES.
+
+    Formatted once per mesh, as every snapshot of a march shares its mesh,
+    and held for the last mesh written only: 158,858 bytes at 16x16x4, where
+    ``mesh.tets`` takes 196,608."""
+    nt, nv = mesh.n_elements, mesh.vertices.shape[0]
+    return "".join([
+        "# vtk DataFile Version 3.0\nlinedg output\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+        f"POINTS {nv} double\n",
+        *_format_rows("{:.12g} {:.12g} {:.12g}\n", mesh.vertices),
+        f"CELLS {nt} {5 * nt}\n",
+        *_format_rows("4 {} {} {} {}\n", mesh.tets),
+        f"CELL_TYPES {nt}\n" + "10\n" * nt,
+    ])
 
 
 def write_vtk(path, mesh, cell_data=None):
@@ -16,23 +37,17 @@ def write_vtk(path, mesh, cell_data=None):
     ``cell_data``: dict name -> array of per-element scalars.
     """
     nt = mesh.n_elements
-    nv = mesh.vertices.shape[0]
     cell_data = {name: np.asarray(values, dtype=float) for name, values in (cell_data or {}).items()}
     for name, values in cell_data.items():
         if values.shape != (nt,):
             raise ValueError(f"cell data {name!r} must have shape ({nt},)")
     with open(path, "w") as fh:
-        fh.write(f"# vtk DataFile Version 3.0\nlinedg output\nASCII\nDATASET UNSTRUCTURED_GRID\n"
-                 f"POINTS {nv} double\n")
-        _write_rows(fh, "{:.12g} {:.12g} {:.12g}\n", mesh.vertices)
-        fh.write(f"CELLS {nt} {5 * nt}\n")
-        _write_rows(fh, "4 {} {} {} {}\n", mesh.tets)
-        fh.write(f"CELL_TYPES {nt}\n" + "10\n" * nt)
+        fh.write(_mesh_text(mesh))
         if cell_data:
             fh.write(f"CELL_DATA {nt}\n")
         for name, values in cell_data.items():
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            _write_rows(fh, "{:.12e}\n", values[:, None])
+            fh.writelines(_format_rows("{:.12e}\n", values[:, None]))
 
 
 def field_cell_values(field):

@@ -398,16 +398,12 @@ def test_stencil_apply_matches_full_mesh_scatter(domain, n, k):
 CHUNKED_GRID = (BoxDomain(lo=[0, 0, 0], hi=[1, 0.8, 0.6]), (9, 7, 5))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_chunked_stencil_matches_full_mesh_scatter(k):
-    """On 9x7x5 (315 cells: one full chunk of ``STENCIL_CHUNK`` cells and a
-    partial one) ``@``, block-Jacobi and ``scaled`` equal the product with,
-    the diagonal block solves of, and D^{-1} times the product with the
+def _assert_products_match_scatter(mesh, k, seed):
+    """``@``, block-Jacobi and ``scaled`` of the stiffness equal the product
+    with, the diagonal block solves of, and D^{-1} times the product with the
     directly scattered matrix, in float64 to 1e-12 and in float32 to float32
     rounding."""
-    mesh = build_box_mesh(*CHUNKED_GRID)
     ne = mesh.n_elements
-    assert 6 * assembly.STENCIL_CHUNK < ne < 12 * assembly.STENCIL_CHUNK
     basis = fb.make_basis(k)
     nb, h, spec = basis.dim, mesh.grid_spacing, DGSpec(k)
     grad = _volume_grad_gram(mesh, basis)[np.arange(ne) % 6]
@@ -416,7 +412,7 @@ def test_chunked_stencil_matches_full_mesh_scatter(k):
     matrix = sp.bsr_matrix((data, indices, indptr), shape=(ne * nb,) * 2)
     diagonal = data[indices == np.repeat(np.arange(ne), np.diff(indptr))]
     A = assemble_stiffness(mesh, spec, basis)
-    x = np.random.default_rng(k).standard_normal(A.ndof)
+    x = np.random.default_rng(seed).standard_normal(A.ndof)
     y = matrix @ x
     expected = (y, np.linalg.solve(diagonal, x.reshape(ne, nb, 1)).ravel(),
                 np.linalg.solve(diagonal, y.reshape(ne, nb, 1)).ravel())
@@ -426,6 +422,59 @@ def test_chunked_stencil_matches_full_mesh_scatter(k):
         for got, ref in zip((system @ xd, dinv(xd), dinv.scaled(xd)), expected):
             assert got.dtype == dtype
             assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chunked_stencil_matches_full_mesh_scatter(k):
+    """On 9x7x5 (315 cells: one full chunk of ``STENCIL_CHUNK`` cells and a
+    partial one) ``@``, block-Jacobi and ``scaled`` equal the directly
+    scattered matrix (``_assert_products_match_scatter``)."""
+    mesh = build_box_mesh(*CHUNKED_GRID)
+    assert 6 * assembly.STENCIL_CHUNK < mesh.n_elements < 12 * assembly.STENCIL_CHUNK
+    _assert_products_match_scatter(mesh, k, k)
+
+
+@pytest.mark.parametrize("n", [(1, 1, 1), (16, 16, 4)], ids=["1x1x1", "16x16x4"])
+def test_paged_corrections_match_full_mesh_scatter(n):
+    """The boundary corrections of ``@``, block-Jacobi and ``scaled``, batched
+    over the mesh's boundary pages, equal the directly scattered matrix
+    (``_assert_products_match_scatter``) on 1x1x1, where every element is on
+    the boundary and every page is padded, and on 16x16x4, where the largest
+    ghost class (240 elements) fills several pages and the pages hold more
+    rows than one stencil chunk, so they are applied in two groups."""
+    mesh = build_box_mesh(SLAB, n)
+    pages = mesh.boundary_pages
+    if n == (16, 16, 4):
+        assert np.bincount(mesh.page_classes).max() == 240 // pages.shape[1] + 1
+        assert 6 * assembly.STENCIL_CHUNK < pages.size < 12 * assembly.STENCIL_CHUNK
+    else:
+        assert np.all(pages[:, -1] == mesh.n_elements)
+    _assert_products_match_scatter(mesh, 1, 7)
+
+
+def test_block_diagonal_product_gathers_no_neighbourhood():
+    """An operator whose neighbour blocks and corrections are all zero, read off
+    its blocks, applies as one per-type block product: at 16x16x4, k=2, the
+    mass (and M + 0 A) allocates its result and no neighbourhood gather, and
+    equals the stencil product; M + tau A and the Gram operator stay
+    stencil products."""
+    mesh, basis = build_box_mesh(SLAB, (16, 16, 4)), fb.make_basis(2)
+    M, A = assemble_mass(mesh, basis), assemble_stiffness(mesh, DGSpec(2), basis)
+    x = np.random.default_rng(0).standard_normal(M.ndof)
+    stencil = M._stencil(M.weights, x)[1][:mesh.n_elements].ravel()
+    for system in (M, M + 0.0 * A):
+        assert system._block_diagonal
+        assert np.abs(system @ x - stencil).max() <= 1e-14 * np.abs(stencil).max()
+        system @ x
+        tracemalloc.start()
+        try:
+            system @ x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * x.nbytes
+    assert not (M + 0.01 * A)._block_diagonal
+    assert not assemble_dg_norm_gram(mesh, basis, 7.0)._block_diagonal
 
 
 def test_stencil_apply_runs_in_two_threads():

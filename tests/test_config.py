@@ -1,4 +1,5 @@
 from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -496,10 +497,12 @@ def test_study_rule_fails_at_its_line_before_any_mesh(tmp_path, capsys, monkeypa
 def test_non_finite_expression_value_stops_the_run(tmp_path, capsys, text, expr, table):
     """An expression that takes a value that is not finite stops the run with
     an error that names it, exit 1, and no table is written; the load it would
-    have made is not handed to the solver."""
+    have made is not handed to the solver.  Run with warnings as errors: the
+    error is linedg's alone, with no numpy RuntimeWarning before it."""
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main([str(path), "--out-dir", str(tmp_path / "out"), "--no-vtk"])
     assert code == 1
     assert capsys.readouterr().err == f"error: expression {expr!r} takes a value that is not finite\n"

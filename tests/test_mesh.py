@@ -6,8 +6,8 @@ import pytest
 
 from linedg import basis as fb
 from linedg.mesh import (
-    FACE_ACROSS, FACE_MATCH, FACE_SHIFTS, FACE_VERTICES, BoxDomain, Mesh, build_box_mesh,
-    face_area_and_normal,
+    BOUNDARY_PAGE, FACE_ACROSS, FACE_MATCH, FACE_SHIFTS, FACE_VERTICES, BoxDomain, Mesh,
+    build_box_mesh, face_area_and_normal,
 )
 from linedg.errors import GeometryError
 
@@ -102,15 +102,27 @@ def test_neighbour_table_matches_the_faces(n):
 
 
 def test_ghost_classes_group_the_boundary_elements():
-    """``boundary_elements`` holds each element with a boundary face once, in
-    class order, and every element of class i has code ``ghost_classes[i]``."""
-    m = build_box_mesh(slab_domain(), (4, 4, 2))
-    ghost = m.neighbours[:, 1:] == m.n_elements
-    assert np.array_equal(np.sort(m.boundary_elements), np.flatnonzero(ghost.any(axis=1)))
-    codes = m.boundary_elements % 6 * 16 + ghost[m.boundary_elements] @ (1 << np.arange(4))
-    per_row = np.repeat(m.ghost_classes, np.diff(m.class_bounds))
-    assert np.array_equal(codes, per_row) and np.all(np.diff(m.ghost_classes) > 0)
-    assert len(m.ghost_classes) == 18
+    """``boundary_pages`` holds each element with a boundary face once, in
+    pages of one class each, classes in order: every element of a page of
+    class i has code ``ghost_classes[i]``, and only a class's last page is
+    padded, at its end, with the ghost index.  On 4x4x2 and 16x16x4, where
+    the largest class (240 elements) fills 8 pages."""
+    for n, most in (((4, 4, 2), 1), ((16, 16, 4), 8)):
+        m = build_box_mesh(slab_domain(), n)
+        ne, pages, classes = m.n_elements, m.boundary_pages, m.page_classes
+        ghost = m.neighbours[:, 1:] == ne
+        real = pages < ne
+        assert pages.shape == (len(classes), BOUNDARY_PAGE)
+        assert np.array_equal(np.sort(pages[real]), np.flatnonzero(ghost.any(axis=1)))
+        codes = pages[real] % 6 * 16 + ghost[pages[real]] @ (1 << np.arange(4))
+        per_page = np.broadcast_to(m.ghost_classes[classes][:, None], pages.shape)
+        assert np.array_equal(codes, per_page[real])
+        assert np.all(np.diff(m.ghost_classes) > 0) and len(m.ghost_classes) == 18
+        assert np.array_equal(np.unique(classes), np.arange(18)) and np.all(np.diff(classes) >= 0)
+        last = np.append(np.diff(classes) > 0, True)  # each class's last page
+        assert np.all(real[~last]) and np.all(real[:, 0])
+        assert np.all((np.diff(pages, axis=1) > 0) | ~real[:, 1:])  # ascending, then padding
+        assert np.bincount(classes).max() == most
 
 
 def test_face_area_and_normal():
@@ -226,7 +238,8 @@ def lexsort_faces(m):
 
 
 def reference_layout(m):
-    """Neighbour table and ghost classes scattered from the lexsorted faces."""
+    """Neighbour table and ghost classes scattered from the lexsorted faces,
+    and the boundary pages filled one class and one page at a time."""
     pairs, _ = lexsort_faces(m)
     ne = m.n_elements
     table = np.full((ne, 5), ne)
@@ -235,10 +248,16 @@ def reference_layout(m):
         e, f = np.divmod(pairs[:, s], 4)
         table[e, 1 + f] = pairs[:, 1 - s] // 4
     codes = np.arange(ne) % 6 * 16 + (table[:, 1:] == ne) @ (1 << np.arange(4))
-    order = np.argsort(codes, kind="stable")
-    boundary = order[codes[order] % 16 > 0]
-    classes, counts = np.unique(codes[boundary], return_counts=True)
-    return table, boundary, classes, np.cumsum([0, *counts])
+    classes = np.unique(codes[codes % 16 > 0])
+    pages, page_classes = [], []
+    for i, code in enumerate(classes):
+        members = np.flatnonzero(codes == code)
+        for start in range(0, members.size, BOUNDARY_PAGE):
+            page = np.full(BOUNDARY_PAGE, ne)
+            page[:members[start:start + BOUNDARY_PAGE].size] = members[start:start + BOUNDARY_PAGE]
+            pages.append(page)
+            page_classes.append(i)
+    return table, np.array(pages), classes, np.array(page_classes)
 
 
 ANISOTROPIC = BoxDomain(lo=[-0.5, 0.2, 0.1], hi=[0.5, 1.5, 0.4])
@@ -251,10 +270,11 @@ def test_closed_form_build_matches_the_lexsorted_faces(n):
     and the per-type geometry equals the per-element and per-face geometry
     computed from each element's own vertices."""
     m = Mesh(ANISOTROPIC, n)
-    table, boundary, classes, bounds = reference_layout(m)
+    table, pages, classes, page_classes = reference_layout(m)
     assert np.array_equal(m.neighbours, table)
-    assert np.array_equal(m.boundary_elements, boundary)
-    assert np.array_equal(m.ghost_classes, classes) and np.array_equal(m.class_bounds, bounds)
+    assert np.array_equal(m.boundary_pages, pages)
+    assert np.array_equal(m.ghost_classes, classes)
+    assert np.array_equal(m.page_classes, page_classes)
 
     pairs, bfaces = lexsort_faces(m)
     mine = 4 * m.iface_elems + m.iface_local

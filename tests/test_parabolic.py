@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import linedg.assembly
+import linedg.parabolic
 from linedg import basis as fb
 from linedg.assembly import DGSpec, assemble_mass, assemble_stiffness
 from linedg.config import load_config
@@ -314,6 +315,25 @@ def test_spacetime_error_reads_a_live_march():
     assert peaks[32] - peaks[8] <= 2 * vector, (peaks, vector)
 
 
+def test_spacetime_error_matches_two_l2_errors_per_step():
+    """Evaluating u^n once per step gives the value of the definition, two
+    ``l2_error`` calls per step, one per temporal Gauss point, to 1e-12
+    relative: at 16x16x4, over two blocks of elements."""
+    mesh = build_box_mesh(SLAB, (16, 16, 4))
+    assert linedg.assembly._BLOCK < mesh.n_elements
+    steps = run_backward_euler(mesh, DGSpec(1), vertical_line(), 1.0, None,
+                               TimeGrid(final_time=0.05, steps=4), SolverConfig(rel_tol=1e-10))
+    exact = lambda t, p: 40 * t * np.sin(np.pi * p[:, 0]) * p[:, 2]
+    rule_t, total = fb.segment_quadrature(3), 0.0
+    for previous, step in zip(steps, steps[1:]):
+        tau = step.t - previous.t
+        for tq, wq in zip(rule_t.points[:, 0], rule_t.weights):
+            t = previous.t + tq * tau
+            total += wq * tau * l2_error(step.field, lambda p: exact(t, p)) ** 2
+    value = spacetime_l2_error(steps, exact)
+    assert value > 0 and abs(value - np.sqrt(total)) <= 1e-12 * np.sqrt(total)
+
+
 def test_tau_h2_coupling_dominated_by_spatial_error():
     """Refining tau below tau = h^2 changes the answer by less than the
     spatial error level."""
@@ -405,6 +425,37 @@ def test_projected_start_halves_demo_iterations():
                                               config)
     assert sum(plain_iterations) > 700
     assert relative_gap(snapshots(steps), plain) <= 1e-9
+
+
+def test_extend_basis_makes_one_product_and_keeps_q_orthonormal(monkeypatch):
+    """Over the 8x8x2 demo march each basis extension applies S once, and
+    the kept rows stay S-orthonormal: ||Q S Q^T - I|| <= 1e-10."""
+    cfg = load_config(CONFIG_DIR / "parabolic_demo.yaml")
+    extend, products, kept = linedg.parabolic._extend_basis, [], {}
+
+    class Counted:
+        def __init__(self, S):
+            self.S, self.count = S, 0
+
+        def __matmul__(self, x):
+            self.count += 1
+            return self.S @ x
+
+    def counted(S, Q, m, u, Su):
+        counting = Counted(S)
+        kept["S"], kept["Q"], kept["m"] = S, Q, extend(counting, Q, m, u, Su)
+        products.append(counting.count)
+        return kept["m"]
+
+    monkeypatch.setattr(linedg.parabolic, "_extend_basis", counted)
+    f, _ = cfg.source.build()
+    run_backward_euler(build_box_mesh(cfg.domain, (8, 8, 2)), cfg.scheme, cfg.build_curve(), f,
+                       None, cfg.time, cfg.solver)
+    assert products == [1] * (cfg.time.steps - 1)
+    Q = kept["Q"][:kept["m"]]
+    assert len(Q) > 10
+    gram = Q @ np.array([kept["S"] @ q for q in Q]).T
+    assert np.linalg.norm(gram - np.eye(len(Q))) <= 1e-10
 
 
 def test_nonsymmetric_variant_keeps_the_warm_start():

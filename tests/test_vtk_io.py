@@ -4,6 +4,7 @@ import pytest
 from linedg import basis as fb
 from linedg.fields import interpolate
 from linedg.mesh import BoxDomain, build_box_mesh
+from linedg import vtk_io
 from linedg.vtk_io import field_cell_values, write_vtk
 
 
@@ -81,3 +82,21 @@ def test_vtk_bytes_match_rowwise_format(tmp_path):
 def test_vtk_bytes_match_rowwise_format_over_several_blocks(tmp_path):
     """5,184 cells: the writer formats them in more than one block of rows."""
     _assert_bytes_match_rowwise_format(tmp_path, (12, 12, 6))
+
+
+def test_mesh_text_is_formatted_once_per_mesh(tmp_path):
+    """Snapshots of one mesh format its POINTS, CELLS and CELL_TYPES once and
+    write only their cell data anew; each file stays byte-identical to the
+    row-wise format, and a second mesh is formatted for itself."""
+    meshes = [build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25]), n)
+              for n in ((16, 16, 4), (2, 2, 1))]
+    rng = np.random.default_rng(3)
+    vtk_io._mesh_text.cache_clear()
+    for i, mesh in enumerate([meshes[0]] * 3 + [meshes[1]]):
+        cell_data = {"u": rng.standard_normal(mesh.n_elements)}
+        write_vtk(tmp_path / f"snap{i}.vtk", mesh, cell_data=cell_data)
+        _write_vtk_rowwise(tmp_path / f"rows{i}.vtk", mesh, cell_data)
+        assert (tmp_path / f"snap{i}.vtk").read_bytes() == (tmp_path / f"rows{i}.vtk").read_bytes()
+    info = vtk_io._mesh_text.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    assert len(vtk_io._mesh_text(meshes[1])) < len((tmp_path / "snap3.vtk").read_text())
