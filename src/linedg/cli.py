@@ -11,6 +11,7 @@ sidecar whose ``config`` block reparses to the original configuration.
 
 import argparse
 import csv
+import resource
 import sys
 import time
 from pathlib import Path
@@ -42,6 +43,12 @@ def _multigrid_info(vcycle):
             "coarsest_grid": list(vcycle.grids[-1])}
 
 
+def _peak_rss_mib():
+    """The process's peak resident set size so far, in MiB (``ru_maxrss`` is
+    in KiB on Linux)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 2)
+
+
 def _error(cfg, column, field):
     """The error of ``field`` in ``column``, one of ``cfg.columns``."""
     if column.norm == "dg":
@@ -52,7 +59,8 @@ def _error(cfg, column, field):
 def _solve_levels(cfg, levels, out, vtk):
     """Assemble, solve and measure each of ``levels`` in turn, writing its
     solution to VTK if ``vtk``; yields (mesh, field, info, errors) per level,
-    the errors in the order of ``cfg.columns``.  With multigrid, a level whose
+    the errors in the order of ``cfg.columns``, and ``info`` with the
+    process's peak RSS once the level is done.  With multigrid, a level whose
     grid is the last level's doubled builds its V-cycle on the last one and
     starts CG from the prolonged last field; any other level builds a fresh
     V-cycle and starts from zero."""
@@ -70,13 +78,13 @@ def _solve_levels(cfg, levels, out, vtk):
             rhs = rhs + assemble_dirichlet_rhs(mesh, cfg.scheme, basis, cfg.exact)
         t_assembly = time.perf_counter() - t0
         t0 = time.perf_counter()
-        x0 = None
+        nested = False
         if cfg.solver.preconditioner == "multigrid":
             nested = field is not None and tuple(2 * v for v in field.mesh.n) == mesh.n
             vcycle = VCycle(system, vcycle if nested else None)
-            if nested:
-                x0 = vcycle.transfer.prolong(field.coeffs.ravel())
-        res = solve(system, rhs, cfg.solver, x0=x0, precond=vcycle)
+        # the start is passed inline, so that solve holds its only reference
+        res = solve(system, rhs, cfg.solver, precond=vcycle,
+                    x0=vcycle.transfer.prolong(field.coeffs.ravel()) if nested else None)
         t_solve = time.perf_counter() - t0
         field = FieldFunction.from_vector(mesh, basis, res.x)
         info = {
@@ -92,6 +100,7 @@ def _solve_levels(cfg, levels, out, vtk):
         errors = [_error(cfg, column, field) for column in cfg.columns]
         if vtk:
             _write_field(out / f"solution_k{cfg.degree}_n{n[0]}x{n[1]}x{n[2]}.vtk", field)
+        info["peak_rss_mib"] = _peak_rss_mib()
         yield mesh, field, info, errors
 
 
@@ -215,6 +224,7 @@ def run_parabolic(cfg, out_dir, vtk=True):
         [[r["n"], r["t"], r["l2"], r["dg"], r["increment_sq_sum"]] for r in rows],
     )
     info = {"n_dof": mesh.n_elements * basis.dim, "wall_seconds": round(wall, 3),
+            "peak_rss_mib": _peak_rss_mib(),
             "preconditioner": cfg.solver.preconditioner,
             "cg_iterations": step_iterations, "cg_iterations_total": sum(step_iterations)}
     if isinstance(stepper.preconditioner, VCycle):

@@ -7,6 +7,7 @@ hold with constants independent of the refinement level.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,7 +103,9 @@ class Mesh:
     Each element of type t is a translate of the type-t element of cell 0, so
     geometry is stored per type (element e reads row ``e % 6``) and per face
     4 t + f of type t opposite local vertex f (read at ``4 (e % 6) + f``).
-    Immutable after construction, so operators may hold it.
+    Immutable after construction, so operators may hold it; only the face
+    tables are built later, on first read: no operator reads them, so the
+    mesh of a V-cycle level never builds them.
     Attributes:
 
     - ``vertices`` (nv, 3), ``tets`` (nt, 4) positively oriented
@@ -115,7 +118,9 @@ class Mesh:
     - ``iface_elems`` (ni, 2), the smaller element first, and ``iface_local``
       (ni, 2) int8, the local vertex each interior face is opposite; the
       first side's normal points into the second.  Boundary faces likewise:
-      ``bface_elem``, ``bface_local``
+      ``bface_elem``, ``bface_local``.  Each kind's two tables are built
+      together, by the first read of either (``_build_faces``), and may be
+      reassigned
     - ``ghost_classes`` (nc,): the sorted codes 16 t + m of the elements with
       a boundary face, t the Kuhn type and m the mask with bit f set where
       the face opposite local vertex f is on the boundary
@@ -134,7 +139,6 @@ class Mesh:
         self._build_lattice()
         self._build_geometry()
         self._build_neighbours()
-        self._build_faces()
 
     # -- construction helpers -------------------------------------------------
 
@@ -189,13 +193,24 @@ class Mesh:
         self.boundary_pages.flat[np.arange(boundary.size) + np.repeat(first, counts)] = boundary
         self.page_classes = np.repeat(np.arange(counts.size), pages)
 
-    def _build_faces(self):
+    def _build_faces(self, interior):
+        """Store the interior face tables, or the boundary ones, on the mesh
+        and return them by name."""
         ne, across = self.n_elements, self.neighbours[:, 1:]
-        e, f = np.nonzero(across == ne)
-        self.bface_elem, self.bface_local = e, f.astype(np.int8)
-        e, f = np.nonzero((across > np.arange(ne)[:, None]) & (across < ne))
-        self.iface_elems = np.column_stack([e, across[e, f]])
-        self.iface_local = np.column_stack([f, FACE_ACROSS[4 * (e % 6) + f] % 4]).astype(np.int8)
+        if interior:
+            e, f = np.nonzero((across > np.arange(ne)[:, None]) & (across < ne))
+            local = np.column_stack([f, FACE_ACROSS[4 * (e % 6) + f] % 4]).astype(np.int8)
+            tables = {"iface_elems": np.column_stack([e, across[e, f]]), "iface_local": local}
+        else:
+            e, f = np.nonzero(across == ne)
+            tables = {"bface_elem": e, "bface_local": f.astype(np.int8)}
+        vars(self).update(tables)
+        return tables
+
+    bface_elem = cached_property(lambda self: self._build_faces(False)["bface_elem"])
+    bface_local = cached_property(lambda self: self._build_faces(False)["bface_local"])
+    iface_elems = cached_property(lambda self: self._build_faces(True)["iface_elems"])
+    iface_local = cached_property(lambda self: self._build_faces(True)["iface_local"])
 
     # -- queries ---------------------------------------------------------------
 

@@ -26,11 +26,13 @@ The smoothing levels compute in the dtype a ``VCycle`` is given, by default
 ndof-sized vectors several times, so float32 halves the bytes of the cycle
 while CG keeps its iterates, its products and its true-residual check in
 float64 (the split of Kronbichler & Wall, SISC 2018).  Every level is
-assembled, and its transfer and block-Jacobi blocks are built and inverted,
-in float64, then cast where applied.  The coarsest level keeps its float64 inverse and
-applies it in float64: alone on a grid that does not coarsen it is the
-whole preconditioner, and the inverse of the float32-rounded matrix costs
-CG a second iteration there.
+assembled, and its transfer and block-Jacobi blocks and the coarsest dense
+inverse are built and inverted, in float64, then cast where applied: a
+level holds its coarser level in its own dtype (``VCycle.astype``), so in a
+float32 cycle the coarsest level too applies its inverse in float32.  Only
+a coarsest level that is the whole preconditioner, alone on a grid that
+does not coarsen, keeps its inverse in float64: the inverse of the
+float32-rounded matrix costs CG a second iteration there.
 
 The smoothing interval needs an upper bound for the spectrum of D^{-1} A,
 and on the Kuhn grid 2 is one, for every degree and epsilon.  Colour element
@@ -45,6 +47,8 @@ lambda < 2.  The nonsymmetric spectra are symmetric about 1 the same way.
 The same holds for M + tau A: the mass M is block diagonal, so M + tau A
 couples only face neighbours too, and is positive definite when A is.
 """
+
+import copy
 
 import numpy as np
 
@@ -120,12 +124,14 @@ class VCycle:
 
     A level smooths with ``A``, ``system`` cast to ``dtype`` (float64 gives
     the reference cycle), and corrects by ``coarse``, the V-cycle of the halved grid
-    (coarsened, rebuilt in float64 and run in ``dtype`` here unless given;
-    ValueError unless nested); the coarsest level, ``coarse`` None, applies
-    the float64 inverse of its matrix in float64.  A level casts r to its
-    ``dtype`` and its correction back to r's.  ``grids`` lists the cell
-    counts of the levels, finest first.  Its work vectors are allocated per
-    call, not kept, so one V-cycle may run in several threads.
+    (coarsened and rebuilt in float64 unless given; ValueError unless nested),
+    which it holds cast to its own ``dtype`` (``astype``); the coarsest level,
+    ``coarse`` None, applies the float64 inverse of its matrix, in float64
+    while it is the whole preconditioner.  A level casts r to its ``dtype``
+    and its correction back to r's.  ``grids`` lists the cell counts of the
+    levels, finest first.  One application allocates its vectors per call,
+    not kept, so one V-cycle may run in several threads: the cast of r, its
+    D^{-1} r, the iterate and two work vectors, plus each product's own.
     """
 
     def __init__(self, system, coarse=None, dtype=CYCLE_DTYPE):
@@ -133,25 +139,42 @@ class VCycle:
             raise ValueError("multigrid needs an operator that can rebuild itself on a "
                              "coarser mesh; this one carries no discretization")
         (basis, form), mesh = system.discretization, system.mesh
-        self.A, self.grids, self.coarse = system, level_grids(mesh.n, system.block_size), coarse
+        self.A, self.grids = system, level_grids(mesh.n, system.block_size)
         if coarse is None and len(self.grids) == 1:
-            self.coarse_inverse = np.linalg.inv(system.dense())
+            self.coarse, self.coarse_inverse = None, np.linalg.inv(system.dense())
             self.dtype = self.coarse_inverse.dtype
             return
-        self.dtype = np.dtype(dtype)
-        self.A = system.astype(self.dtype)
         if coarse is None:
-            self.coarse = VCycle(form(mesh.coarsen()), dtype=self.dtype)
+            coarse = VCycle(form(mesh.coarsen()), dtype=dtype)
+        self.dtype = np.dtype(dtype)
+        self.A, self.coarse = system.astype(self.dtype), coarse.astype(self.dtype)
         self.transfer = Transfer(mesh, self.coarse.A.mesh, basis)
         self.dinv = self.A.block_jacobi()
+
+    def astype(self, dtype):
+        """This V-cycle computing in ``dtype`` on every level, as
+        ``SparseSystem.astype`` casts an operator: the same levels, with each
+        operator, its block-Jacobi blocks and the coarsest inverse cast; itself
+        when it computes in ``dtype`` already, as its coarser levels then do."""
+        dtype = np.dtype(dtype)
+        if dtype == self.dtype:
+            return self
+        cast = copy.copy(self)
+        cast.dtype, cast.A = dtype, self.A.astype(dtype)
+        if self.coarse is None:
+            cast.coarse_inverse = self.coarse_inverse.astype(dtype)
+        else:
+            cast.coarse, cast.dinv = self.coarse.astype(dtype), cast.A.block_jacobi()
+        return cast
 
     def smooth(self, z, x, work, zero=False):
         """Chebyshev iteration of degree ``CHEBYSHEV_DEGREE`` for A x = b, z = D^{-1} b,
         on the interval of the module docstring: from x, or from zero with ``zero``,
-        updated in place.  ``work`` holds three vectors of the size of x."""
+        updated in place.  ``work`` holds two vectors of the size of x; the
+        output of each scaled product is the third."""
         theta, delta = 1.0 + 1.0 / CHEBYSHEV_RATIO, 1.0 - 1.0 / CHEBYSHEV_RATIO  # [2/ratio, 2]
         sigma, rho = theta / delta, delta / theta
-        w, d, t = work  # w: D^{-1} times the residual
+        w, d = work  # w: D^{-1} times the residual
         if zero:
             x.fill(0.0)
             w[:] = z
@@ -159,12 +182,14 @@ class VCycle:
             np.subtract(z, self.dinv.scaled(x), out=w)
         x += np.divide(w, theta, out=d)
         for _ in range(CHEBYSHEV_DEGREE - 1):
-            w -= self.dinv.scaled(d)
+            t = self.dinv.scaled(d)
+            w -= t
             rho_new = 1.0 / (2.0 * sigma - rho)
             d *= rho_new * rho
             d += np.multiply(w, 2.0 * rho_new / delta, out=t)
             x += d
             rho = rho_new
+            del t
         return x
 
     def __call__(self, r):
@@ -172,7 +197,11 @@ class VCycle:
             return (self.coarse_inverse @ r).astype(r.dtype, copy=False)
         b = r.astype(self.dtype, copy=False)
         z = self.dinv(b)
-        x, work = np.empty(len(z), self.dtype), np.empty((3, len(z)), self.dtype)
+        x, work = np.empty(len(z), self.dtype), np.empty((2, len(z)), self.dtype)
         self.smooth(z, x, work, zero=True)
-        x += self.transfer.prolong(self.coarse(self.transfer.restrict(b - self.A @ x)))
-        return self.smooth(z, x, work).astype(r.dtype, copy=False)
+        np.subtract(b, self.A @ x, out=work[0])  # the residual, in a free work vector
+        del b
+        x += self.transfer.prolong(self.coarse(self.transfer.restrict(work[0])))
+        self.smooth(z, x, work)
+        del z, work
+        return x.astype(r.dtype, copy=False)

@@ -65,8 +65,11 @@ def solve(system, b, config=None, x0=None, precond=None):
     residual ||Ax - b||_2 <= rel_tol * ||b||_2, or raises NonconvergenceError
     carrying the iterate with the smallest residual norm seen (judged by the
     recurrence residual; the error's ``residual`` is its true residual).
-    Both methods start from x0 (default 0) and its residual, and after each
-    iteration apply ``_settle``: a recurrence residual within tolerance is
+    Both methods start from a copy of x0 (default 0) and its residual, and
+    ``solve`` releases x0 once copied: a start passed inline, as
+    ``solve(A, b, x0=P @ u)``, is then freed before the first product on
+    CPython 3.11 and later, where the callee owns such arguments.  After each
+    iteration both apply ``_settle``: a recurrence residual within tolerance is
     confirmed by the true one, or, if that has drifted, replaced by it.
     ``precond`` is a prebuilt ``make_preconditioner`` callable for this
     operator, so that repeated solves with one operator build it once; by
@@ -91,6 +94,7 @@ def solve(system, b, config=None, x0=None, precond=None):
     tol = config.rel_tol * bnorm
 
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    del x0
     r = b - system @ x
     best = [x.copy(), float(np.linalg.norm(r))]  # the best iterate and its residual norm
     if best[1] <= tol:

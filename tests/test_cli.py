@@ -303,6 +303,18 @@ def test_metadata_records_the_preconditioner(tmp_path, preconditioner):
         assert all("multigrid_levels" not in r and "multigrid_dtype" not in r for r in runs)
 
 
+def test_metadata_records_the_peak_rss_after_every_level_and_march(tmp_path):
+    """Each study level and each march records the process's peak RSS after
+    it, in MiB: positive, and never lower than an earlier record."""
+    run_study(parse_config(SMALL_STUDY), tmp_path / "study")
+    runs = yaml.safe_load((tmp_path / "study" / "metadata.yaml").read_text())["runs"]
+    peaks = [r["peak_rss_mib"] for r in runs]
+    assert len(peaks) == 2 and 0 < peaks[0] <= peaks[1]
+    run_parabolic(parse_config(PARABOLIC), tmp_path / "march", vtk=False)
+    run = yaml.safe_load((tmp_path / "march" / "metadata.yaml").read_text())["run"]
+    assert run["peak_rss_mib"] >= peaks[1]
+
+
 def test_nested_study_shares_one_hierarchy(tmp_path, monkeypatch):
     """A multigrid study builds each level's V-cycle on the previous level's:
     no stiffness is rebuilt by the V-cycle and the coarse matrix is

@@ -342,3 +342,31 @@ def test_find_elements_rejects_points_just_outside(extent):
     out[rows, axis] += (2 * side - 1) * 1.2e-9 * m.h
     assert np.all(m.find_elements(on) >= 0)
     assert np.all(m.find_elements(out) == -1)
+
+
+FACE_TABLES = ("bface_elem", "bface_local", "iface_elems", "iface_local")
+
+
+def test_face_tables_are_built_on_first_read():
+    """A 16x16x4 mesh holds no face table until one is read (building them
+    took about 40% of ``build_box_mesh`` at 32x32x8), and reading the
+    boundary tables builds no interior one.  Built, they equal a walk over
+    the neighbour table in elements, local faces and order: element by
+    element, its faces by local vertex, an interior face from its smaller
+    element."""
+    m = build_box_mesh(slab_domain(), (16, 16, 4))
+    assert not set(FACE_TABLES) & set(vars(m))
+    ne, bfaces, ifaces = m.n_elements, [], []
+    for e, across in enumerate(m.neighbours[:, 1:].tolist()):
+        for f, other in enumerate(across):
+            if other == ne:
+                bfaces.append((e, f))
+            elif other > e:
+                ifaces.append(((e, other), (f, m.neighbours[other, 1:].tolist().index(e))))
+    assert m.bface_elem.tolist() == [e for e, _ in bfaces]
+    assert m.bface_local.tolist() == [f for _, f in bfaces] and m.bface_local.dtype == np.int8
+    assert not {"iface_elems", "iface_local"} & set(vars(m))
+    assert m.iface_elems.tolist() == [list(pair) for pair, _ in ifaces]
+    assert m.iface_local.tolist() == [list(local) for _, local in ifaces]
+    assert m.iface_local.dtype == np.int8
+    assert set(FACE_TABLES) <= set(vars(m))

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -167,12 +168,13 @@ FLOAT32_TOL = 10 * np.finfo(np.float32).eps
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_float32_vcycle_symmetric_positive(k):
-    """The cycle a solve builds smooths in float32 and returns float64; it is
-    symmetric up to float32 rounding of B y, |x.By - y.Bx| <= tol |x| |By|."""
+    """The cycle a solve builds computes in float32 on every level, the
+    coarsest included, and returns float64; it is symmetric up to float32
+    rounding of B y, |x.By - y.Bx| <= tol |x| |By|."""
     A = stiffness((8, 8, 2), k)
     B = make_preconditioner(A, "multigrid")
     assert B.dtype == np.float32 and B.A.weights.dtype == np.float32
-    assert B.coarse.dtype == np.float64  # the coarsest inverse
+    assert B.coarse.dtype == B.coarse.coarse_inverse.dtype == np.float32  # the coarsest, cast
     rng = np.random.default_rng(11)
     for _ in range(3):
         x, y = rng.standard_normal((2, A.ndof))
@@ -186,11 +188,66 @@ def test_float32_vcycle_symmetric_positive(k):
 def test_float32_vcycle_matches_the_float64_cycle(k):
     A = stiffness((16, 16, 4), k)
     B32, B64 = make_preconditioner(A, "multigrid"), VCycle(A, dtype=np.float64)
-    assert [B32.dtype, B32.coarse.dtype, B32.coarse.coarse.dtype] == [np.float32] * 2 + [np.float64]
+    assert [B32.dtype, B32.coarse.dtype, B32.coarse.coarse.dtype] == [np.float32] * 3
     assert B64.dtype == B64.coarse.dtype == np.float64
     r = np.random.default_rng(7).standard_normal(A.ndof)
     expected = B64(r)
     assert np.linalg.norm(B32(r) - expected) <= 1e-5 * np.linalg.norm(expected)
+
+
+def test_float32_cycle_computes_in_float32_on_every_level():
+    """In a float32 cycle every level computes in float32, the coarsest
+    included: it applies its float64 inverse cast to float32 and receives and
+    returns float32.  A single-level cycle is the whole preconditioner and
+    stays float64, and solves the 4x4x1, k = 2 system in one CG iteration; a
+    level built on it adopts it cast, and its float64 inverse is freed with it."""
+    B = make_preconditioner(stiffness((16, 16, 4), 2), "multigrid")
+    levels = [B, B.coarse, B.coarse.coarse]
+    assert levels[-1].coarse is None
+    assert all(level.dtype == level.A.weights.dtype == np.float32 for level in levels)
+    assert levels[-1].coarse_inverse.dtype == np.float32
+    received = []
+    for level in levels[:-1]:
+        def recording(r, coarse=level.coarse):
+            received.append(r.dtype)
+            y = coarse(r)
+            received.append(y.dtype)
+            return y
+        level.coarse = recording
+    assert B(np.ones(B.A.ndof)).dtype == np.float64
+    assert received == [np.float32] * 4
+
+    A1 = stiffness((4, 4, 1), 2)
+    B1 = make_preconditioner(A1, "multigrid")
+    assert B1.coarse is None and B1.dtype == B1.coarse_inverse.dtype == np.float64
+    b = np.random.default_rng(5).standard_normal(A1.ndof)
+    assert solve(A1, b, SolverConfig(rel_tol=1e-11), precond=B1).iterations == 1
+    inverse, dead = B1.coarse_inverse, weakref.ref(B1.coarse_inverse)
+    B2 = VCycle(stiffness((8, 8, 2), 2), B1)
+    assert B2.coarse.dtype == np.float32 and B1.dtype == np.float64
+    assert np.array_equal(B2.coarse.coarse_inverse, inverse.astype(np.float32))
+    del B1, inverse
+    assert dead() is None
+
+
+def test_one_vcycle_application_allocates_a_fixed_set_of_vectors():
+    """One application of the float32 cycle at 16x16x4, k = 2, to a float64
+    r peaks at 8.26 float32 vectors of the finest size under tracemalloc:
+    during the pre-smoothing, its cast of r, D^{-1} r, the iterate, two work
+    vectors and a scaled product's padded operand and output, plus its
+    gather of 256 cells (1.25 vectors here).  Before the smoother's
+    temporary reused the product's output it was 9.26."""
+    A = stiffness((16, 16, 4), 2)
+    B = make_preconditioner(A, "multigrid")
+    r = np.random.default_rng(6).standard_normal(A.ndof)
+    B(r)
+    tracemalloc.start()
+    try:
+        B(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * A.ndof * np.dtype(np.float32).itemsize
 
 
 def test_one_vcycle_runs_in_two_threads():

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,29 @@ def test_solve_allocates_a_few_vectors(epsilon, vectors):
     finally:
         tracemalloc.stop()
     assert peak <= vectors * b.nbytes
+
+
+def test_solve_holds_no_reference_to_its_start():
+    """``solve`` copies x0 and releases it before it iterates: inside every
+    preconditioner call the named start has as many references as inside a
+    call from a function that deletes its x0 at once.  Before, ``solve`` kept
+    one more, so a start passed inline lived through the whole solve."""
+    system = assemble_stiffness(build_box_mesh(SLAB, (4, 4, 1)), DGSpec(1), fb.make_basis(1))
+    b = np.random.default_rng(3).standard_normal(system.ndof)
+    x0, jacobi, counts = np.zeros(system.ndof), system.block_jacobi(), []
+
+    def probe(r):
+        counts.append(sys.getrefcount(x0))
+        return jacobi(r)
+
+    def dropping(x0=None, precond=None):
+        del x0
+        precond(b)
+
+    dropping(x0=x0, precond=probe)
+    res = solve(system, b, SolverConfig(rel_tol=1e-10), x0=x0, precond=probe)
+    assert res.iterations >= 2 and len(counts) == res.iterations + 1
+    assert counts[1:] == [counts[0]] * res.iterations
 
 
 def test_cg_energy_monotone():
