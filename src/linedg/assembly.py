@@ -512,7 +512,7 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g):
         return b
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
     rule = _basis.tri_quadrature(2 * basis.degree + 2)
-    for x, w, [(e, V, Gn)] in _face_traces(mesh, basis, rule, mesh.bface_elem, mesh.bface_local):
+    for x, w, [(e, V, Gn)] in _face_traces(mesh, basis, rule, *mesh.faces(False)):
         wg = w * (np.asarray(g(x.reshape(-1, 3)), dtype=float).reshape(w.shape)
                   if callable(g) else float(g))
         contrib = spec.epsilon * np.einsum("fq,fqi->fi", wg, Gn)

@@ -422,6 +422,9 @@ def _parse(tree, base_dir):
     curve = _make(nodes["curve"], _curve, base_dir, domain, **values["curve"])
     exact = (_make(nodes["curve"], LogLineSolution, curve, domain)
              if values.get("exact") == "log_line" else None)
+    if exact is not None and values["source"] != {"kind": "constant", "value": 1.0}:
+        _fail(tree.keys["source"], "exact: log_line solves the problem of the unit line "
+              "density only; source must be constant 1")
     scheme = _make(nodes.get("scheme", nodes["degree"]), DGSpec, values["degree"],
                    **values["scheme"])
     basis = _make(nodes["degree"], make_basis, values["degree"])
@@ -463,6 +466,9 @@ def _parse(tree, base_dir):
             _fail(nodes["assert_rates"].value[i],
                   f"assert_rates: the study writes no {name} column; it writes "
                   f"{', '.join(columns) or 'none, as exact is none'}")
+        if rate["min"] > rate["max"]:
+            _fail(nodes["assert_rates"].value[i],
+                  f"assert_rates: min {rate['min']} exceeds max {rate['max']} for {name}")
         assert_rates.append(RateAssertion(name, rate["min"], rate["max"]))
 
     # the values as given, empty sections dropped and the defaults of scheme and solver filled in

@@ -7,7 +7,6 @@ hold with constants independent of the refinement level.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -103,9 +102,7 @@ class Mesh:
     Each element of type t is a translate of the type-t element of cell 0, so
     geometry is stored per type (element e reads row ``e % 6``) and per face
     4 t + f of type t opposite local vertex f (read at ``4 (e % 6) + f``).
-    Immutable after construction, so operators may hold it; only the face
-    tables are built later, on first read: no operator reads them, so the
-    mesh of a V-cycle level never builds them.
+    Immutable after construction, so operators may hold it.
     Attributes:
 
     - ``vertices`` (nv, 3), ``tets`` (nt, 4) positively oriented
@@ -115,12 +112,6 @@ class Mesh:
     - ``centroids`` (nt, 3): each element's cell corner plus its type's offset
     - ``neighbours`` (nt, 5): each element, then the element across its face
       opposite local vertex 0..3, or the ghost index nt for a boundary face
-    - ``iface_elems`` (ni, 2), the smaller element first, and ``iface_local``
-      (ni, 2) int8, the local vertex each interior face is opposite; the
-      first side's normal points into the second.  Boundary faces likewise:
-      ``bface_elem``, ``bface_local``.  Each kind's two tables are built
-      together, by the first read of either (``_build_faces``), and may be
-      reassigned
     - ``ghost_classes`` (nc,): the sorted codes 16 t + m of the elements with
       a boundary face, t the Kuhn type and m the mask with bit f set where
       the face opposite local vertex f is on the boundary
@@ -193,30 +184,21 @@ class Mesh:
         self.boundary_pages.flat[np.arange(boundary.size) + np.repeat(first, counts)] = boundary
         self.page_classes = np.repeat(np.arange(counts.size), pages)
 
-    def _build_faces(self, interior):
-        """Store the interior face tables, or the boundary ones, on the mesh
-        and return them by name."""
-        ne, across = self.n_elements, self.neighbours[:, 1:]
-        if interior:
-            e, f = np.nonzero((across > np.arange(ne)[:, None]) & (across < ne))
-            local = np.column_stack([f, FACE_ACROSS[4 * (e % 6) + f] % 4]).astype(np.int8)
-            tables = {"iface_elems": np.column_stack([e, across[e, f]]), "iface_local": local}
-        else:
-            e, f = np.nonzero(across == ne)
-            tables = {"bface_elem": e, "bface_local": f.astype(np.int8)}
-        vars(self).update(tables)
-        return tables
-
-    bface_elem = cached_property(lambda self: self._build_faces(False)["bface_elem"])
-    bface_local = cached_property(lambda self: self._build_faces(False)["bface_local"])
-    iface_elems = cached_property(lambda self: self._build_faces(True)["iface_elems"])
-    iface_local = cached_property(lambda self: self._build_faces(True)["iface_local"])
-
     # -- queries ---------------------------------------------------------------
 
     @property
     def n_elements(self):
         return self.tets.shape[0]
+
+    def faces(self, interior):
+        """First sides (elements, local faces) of the interior faces, or of the
+        boundary ones, computed from ``neighbours``: element by element, its
+        faces by local vertex.  An interior face counts once, from its smaller
+        element, whose outward normal points into the other; a boundary face
+        is one across which ``neighbours`` names the ghost index."""
+        ne, across = self.n_elements, self.neighbours[:, 1:]
+        first = (across > np.arange(ne)[:, None]) & (across < ne) if interior else across == ne
+        return np.nonzero(first)
 
     def tet_coords(self, elements=slice(None)):
         return self.vertices[self.tets[elements]]

@@ -133,11 +133,11 @@ def _dg_sq(field, exact, sigma, region, curve=None, alpha=None):
     gradient = exact.gradient if callable(exact) else None  # a number's gradient is 0
     total = _volume_sq(field, np.flatnonzero(mask), gradient, grad=True, curve=curve, alpha=alpha)
     w_jump = sigma / mesh.grid_spacing
-    faces = mask[mesh.iface_elems[:, 0]] & mask[mesh.iface_elems[:, 1]]
-    total += w_jump * _face_sq(field, mesh.iface_elems[faces, 0], mesh.iface_local[faces, 0],
-                               curve=curve, alpha=alpha)
+    e, f = mesh.faces(True)
+    inside = mask[e] & mask[mesh.neighbours[e, 1 + f]]
+    total += w_jump * _face_sq(field, e[inside], f[inside], curve=curve, alpha=alpha)
     if region is None:
-        total += w_jump * _face_sq(field, mesh.bface_elem, mesh.bface_local, exact, curve, alpha)
+        total += w_jump * _face_sq(field, *mesh.faces(False), exact, curve, alpha)
     return total
 
 

@@ -82,7 +82,7 @@ def test_constant_vector_rows():
     ones = np.ones(A.shape[0])
     r = (A @ ones).reshape(mesh.n_elements, basis.dim)
     touches = np.zeros(mesh.n_elements, dtype=bool)
-    touches[mesh.bface_elem] = True
+    touches[mesh.faces(False)[0]] = True
     interior = ~touches
     assert np.abs(r[interior]).max() < 1e-12 * abs(A).max()
     assert np.abs(r[touches]).max() > 0
@@ -157,7 +157,8 @@ def test_operators_are_element_blocked_bsr(k):
         assemble_mass(mesh, basis),
     ]
     columns = [[e] for e in range(mesh.n_elements)]
-    for e0, e1 in mesh.iface_elems:
+    e, f = mesh.faces(True)
+    for e0, e1 in zip(e, mesh.neighbours[e, 1 + f]):
         columns[e0].append(e1)
         columns[e1].append(e0)
     for system in systems:
@@ -281,8 +282,8 @@ def test_face_traces_match_pointwise_evaluation(k):
     """Reference-table traces equal the basis mapped back from each face point."""
     mesh = build_box_mesh(SLAB, (2, 2, 1))
     basis = fb.make_basis(k)
-    faces = ((mesh.iface_elems[:, 0], mesh.iface_local[:, 0]), (mesh.bface_elem, mesh.bface_local))
-    for boundary, (elements, local) in zip((False, True), faces):
+    for boundary in (False, True):
+        elements, local = mesh.faces(not boundary)
         normals = mesh.face_normals[4 * (elements % 6) + local]
         start = 0
         for x, w, sides in _face_traces(mesh, basis, fb.tri_quadrature(2 * k + 2), elements, local):
@@ -301,9 +302,10 @@ def _full_mesh_reference(mesh, basis, volume, face_form):
     """(indptr, indices, data) of a form scattered directly on every face of the
     mesh, evaluated a block of ``_BLOCK // nb`` faces (one ``_face_traces``
     block) at a time."""
-    ne, nf, nb = mesh.n_elements, mesh.iface_elems.shape[0], basis.dim
+    (e0, f0), (be, bf) = mesh.faces(True), mesh.faces(False)
+    ne, nf, nb = mesh.n_elements, e0.size, basis.dim
     step = assembly._BLOCK // nb
-    e, (e0, e1) = np.arange(ne), mesh.iface_elems.T
+    e, e1 = np.arange(ne), mesh.neighbours[e0, 1 + f0]
     rows, cols = np.concatenate([e, e0, e1]), np.concatenate([e, e1, e0])
     order = np.lexsort((cols, rows))
     slot = np.empty_like(order)
@@ -312,8 +314,7 @@ def _full_mesh_reference(mesh, basis, volume, face_form):
     if volume is not None:
         data[slot[:ne]] = volume
     if face_form is not None:
-        for boundary, sides, local in ((False, mesh.iface_elems.T, mesh.iface_local[:, 0]),
-                                       (True, [mesh.bface_elem], mesh.bface_local)):
+        for boundary, sides, local in ((False, (e0, e1), f0), (True, [be], bf)):
             for at in (slice(s, s + step) for s in range(0, local.size, step)):
                 blocks = _face_term_blocks(mesh, basis, face_form, sides[0][at], local[at])
                 for b, eb in enumerate(sides):
@@ -525,28 +526,6 @@ def test_operators_store_blocks_per_type_and_per_class_only():
     assert set(shapes[0][0]) == {"weights", "corrections"}
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_operators_do_not_read_the_order_of_the_face_lists(k):
-    """Stiffness (every epsilon), mass and Gram operators on 4x4x2 take their
-    faces from the Kuhn layout, not from the mesh's face lists: permuting the
-    interior and boundary face lists leaves them bitwise unchanged."""
-    mesh = build_box_mesh(SLAB, (4, 4, 2))
-    basis = fb.make_basis(k)
-
-    def operators():
-        ops = [assemble_stiffness(mesh, DGSpec(k, eps), basis) for eps in (-1, 0, 1)]
-        return ops + [assemble_mass(mesh, basis), assemble_dg_norm_gram(mesh, basis, 7.0)]
-
-    before = operators()
-    rng = np.random.default_rng(k)
-    inner, outer = rng.permutation(len(mesh.iface_elems)), rng.permutation(len(mesh.bface_elem))
-    mesh.iface_elems, mesh.iface_local = mesh.iface_elems[inner], mesh.iface_local[inner]
-    mesh.bface_elem, mesh.bface_local = mesh.bface_elem[outer], mesh.bface_local[outer]
-    for old, new in zip(before, operators()):
-        assert np.array_equal(old.weights, new.weights)
-        assert np.array_equal(old.corrections, new.corrections)
-
-
 def test_operators_add_on_one_kuhn_layout():
     """Operators add when their meshes have the same cell counts, also when
     the meshes were built separately, and the sum holds the first operand's
@@ -632,7 +611,7 @@ def test_stiffness_allocates_a_small_fraction_of_its_matrix():
     """The stencil assembly allocates under a tenth of the BSR matrix it stands for."""
     mesh = build_box_mesh(SLAB, (16, 16, 4))
     basis = fb.make_basis(2)
-    bsr_bytes = (mesh.n_elements + 2 * len(mesh.iface_elems)) * basis.dim ** 2 * 8
+    bsr_bytes = (mesh.n_elements + 2 * mesh.faces(True)[0].size) * basis.dim ** 2 * 8
     tracemalloc.start()
     try:
         assemble_stiffness(mesh, DGSpec(2), basis)

@@ -463,6 +463,10 @@ def test_non_finite_number_rejected_at_its_line(tmp_path, capsys, text, key, val
     assert err == f"error: cfg.yaml:{message}\n"
 
 
+UNIT_SOURCE = ("exact: log_line solves the problem of the unit line density only; "
+               "source must be constant 1")
+
+
 @pytest.mark.parametrize("text,at,message", [
     (MINIMAL.replace("n: [4, 4, 1]", "levels:\n  - [4, 4, 1]"), "  - [4, 4, 1]",
      "levels must list at least two grids; one grid is n"),
@@ -470,12 +474,21 @@ def test_non_finite_number_rejected_at_its_line(tmp_path, capsys, text, key, val
      "levels must strictly decrease the mesh size"),
     (MINIMAL + "exact: log_line\nassert_rates: [{norm: l2, min: 50, max: 60}]\n", "assert_rates:",
      "assert_rates needs levels; n is one grid"),
-], ids=["one_grid_levels", "level_not_finer", "rates_without_levels"])
+    (STUDY + "exact: log_line\nassert_rates:\n  - {norm: l2, min: 1.5, max: 2.5}\n"
+     "  - {norm: l2, region: global, min: 2.0, max: 1.0}\n", "  - {norm: l2, region",
+     "assert_rates: min 2.0 exceeds max 1.0 for err_L2_global"),
+    (MINIMAL + "exact: log_line\nsource: {kind: constant, value: 2.0}\n", "source:", UNIT_SOURCE),
+    (MINIMAL + "source:\n  kind: expression\n  expr: \"1 + 0 * s\"\nexact: log_line\n",
+     "source:", UNIT_SOURCE),
+], ids=["one_grid_levels", "level_not_finer", "rates_without_levels", "rate_min_above_max",
+        "log_line_source_two", "log_line_source_expression"])
 def test_study_rule_fails_at_its_line_before_any_mesh(tmp_path, capsys, monkeypatch, text, at,
                                                      message):
     """A study's rules are checked where they are written: a levels list of
-    one grid, a level no finer than the last and a rate window on a single
-    grid exit 1 at their line, before any mesh is built."""
+    one grid, a level no finer than the last, a rate window on a single grid
+    or with min above max, and ``exact: log_line`` with a source other than
+    the unit density it is the potential of (even an expression equal to 1)
+    exit 1 at their line, before any mesh is built."""
     import linedg.cli
 
     def no_mesh(*args, **kwargs):

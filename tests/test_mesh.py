@@ -9,6 +9,8 @@ from linedg.mesh import (
     BOUNDARY_PAGE, FACE_ACROSS, FACE_MATCH, FACE_SHIFTS, FACE_VERTICES, BoxDomain, Mesh,
     build_box_mesh, face_area_and_normal,
 )
+from linedg.cli import _solve_levels
+from linedg.config import parse_config
 from linedg.errors import GeometryError
 
 
@@ -23,6 +25,14 @@ def slab_domain():
 def face_rows(elements, local):
     """Rows 4 t + f of the per-(type, local face) tables."""
     return 4 * (elements % 6) + local
+
+
+def interior_sides(m):
+    """Both sides of each interior face, ((e0, f0), (e1, f1)): the first side
+    from ``Mesh.faces``, the second across it in ``neighbours`` and, by the
+    face table, opposite the local vertex ``FACE_ACROSS % 4``."""
+    e0, f0 = m.faces(True)
+    return (e0, f0), (m.neighbours[e0, 1 + f0], FACE_ACROSS[face_rows(e0, f0)] % 4)
 
 
 def diameters(m):
@@ -41,8 +51,8 @@ def test_single_cell_counts():
     m = build_box_mesh(unit_cube(), (1, 1, 1))
     assert m.n_elements == 6
     assert abs(m.type_det_jacobians.sum() / 6.0 - 1.0) < 1e-12
-    assert m.bface_elem.shape[0] == 12
-    assert m.iface_elems.shape[0] == 6
+    assert m.faces(False)[0].shape[0] == 12
+    assert m.faces(True)[0].shape[0] == 6
 
 
 def test_unit_cell_is_the_kuhn_table():
@@ -82,8 +92,8 @@ def test_conformity_face_counts():
     tripled = np.sort(m.tets[:, local].reshape(-1, 3), axis=1)
     _, counts = np.unique(tripled, axis=0, return_counts=True)
     assert set(counts.tolist()) <= {1, 2}
-    assert (counts == 1).sum() == m.bface_elem.shape[0]
-    assert (counts == 2).sum() == m.iface_elems.shape[0]
+    assert (counts == 1).sum() == m.faces(False)[0].shape[0]
+    assert (counts == 2).sum() == m.faces(True)[0].shape[0]
 
 
 @pytest.mark.parametrize("n", [(3, 2, 1), (4, 4, 2)], ids=["3x2x1", "4x4x2"])
@@ -94,10 +104,11 @@ def test_neighbour_table_matches_the_faces(n):
     m = Mesh(slab_domain(), n)
     ne, table = m.n_elements, m.neighbours
     assert table.shape == (ne, 5) and np.array_equal(table[:, 0], np.arange(ne))
-    (e0, e1), (f0, f1) = m.iface_elems.T, m.iface_local.T
-    assert np.array_equal(table[e0, 1 + f0], e1) and np.array_equal(table[e1, 1 + f1], e0)
-    assert np.all(table[m.bface_elem, 1 + m.bface_local] == ne)
-    pairs = np.concatenate([4 * e0 + f0, 4 * e1 + f1, 4 * m.bface_elem + m.bface_local])
+    (e0, f0), (e1, f1) = interior_sides(m)
+    be, bf = m.faces(False)
+    assert np.all(e1 < ne) and np.array_equal(table[e1, 1 + f1], e0)
+    assert np.all(table[be, 1 + bf] == ne)
+    pairs = np.concatenate([4 * e0 + f0, 4 * e1 + f1, 4 * be + bf])
     assert np.array_equal(np.sort(pairs), np.arange(4 * ne))
 
 
@@ -143,17 +154,19 @@ def test_face_area_and_normal():
 
 def test_interior_normal_orientation():
     m = build_box_mesh(unit_cube(), (1, 1, 1))
-    offset = m.centroids[m.iface_elems[:, 1]] - m.centroids[m.iface_elems[:, 0]]
-    normals = m.face_normals[face_rows(m.iface_elems[:, 0], m.iface_local[:, 0])]
+    (e0, f0), (e1, _) = interior_sides(m)
+    offset = m.centroids[e1] - m.centroids[e0]
+    normals = m.face_normals[face_rows(e0, f0)]
     assert np.all(np.einsum("ij,ij->i", normals, offset) > 0)
     assert np.allclose(np.linalg.norm(m.face_normals, axis=1), 1.0, atol=1e-14)
 
 
 def test_boundary_normals_outward():
     m = build_box_mesh(slab_domain(), (2, 2, 1))
-    fc = m.vertices[m.tets[m.bface_elem[:, None], FACE_VERTICES[m.bface_local]]].mean(axis=1)
-    out = fc - m.centroids[m.bface_elem]
-    normals = m.face_normals[face_rows(m.bface_elem, m.bface_local)]
+    e, f = m.faces(False)
+    fc = m.vertices[m.tets[e[:, None], FACE_VERTICES[f]]].mean(axis=1)
+    out = fc - m.centroids[e]
+    normals = m.face_normals[face_rows(e, f)]
     assert np.all(np.einsum("ij,ij->i", normals, out) > 0)
 
 
@@ -172,7 +185,7 @@ def test_find_elements():
 def test_face_areas_total():
     m = build_box_mesh(slab_domain(), (4, 4, 1))
     # boundary area of the box: 2*(1*1) + 4*(1*0.25)
-    areas = m.face_areas[face_rows(m.bface_elem, m.bface_local)]
+    areas = m.face_areas[face_rows(*m.faces(False))]
     assert abs(areas.sum() - (2 * 1.0 + 4 * 0.25)) < 1e-12
 
 
@@ -260,6 +273,17 @@ def reference_layout(m):
     return table, np.array(pages), classes, np.array(page_classes)
 
 
+ONE_LEVEL = """
+domain: {lo: [0, 0, 0], hi: [1, 1, 0.25]}
+curve: {kind: line, start: [0.3, 0.6, 0.0], end: [0.3, 0.6, 0.25]}
+degree: 1
+n: [4, 4, 1]
+regions:
+  boxA: {lo: [0.5, 0.5, 0.0], hi: [1.0, 1.0, 0.25]}
+exact: log_line
+mode: elliptic
+"""
+
 ANISOTROPIC = BoxDomain(lo=[-0.5, 0.2, 0.1], hi=[0.5, 1.5, 0.4])
 
 
@@ -277,10 +301,12 @@ def test_closed_form_build_matches_the_lexsorted_faces(n):
     assert np.array_equal(m.page_classes, page_classes)
 
     pairs, bfaces = lexsort_faces(m)
-    mine = 4 * m.iface_elems + m.iface_local
-    assert np.all(m.iface_elems[:, 0] < m.iface_elems[:, 1])
+    (e0, f0), (e1, f1) = interior_sides(m)
+    mine = np.column_stack([4 * e0 + f0, 4 * e1 + f1])
+    assert np.all(e0 < e1)
     assert np.array_equal(mine[np.argsort(mine[:, 0])], pairs[np.argsort(pairs[:, 0])])
-    assert np.array_equal(np.sort(4 * m.bface_elem + m.bface_local), np.sort(bfaces))
+    e, f = m.faces(False)
+    assert np.array_equal(np.sort(4 * e + f), np.sort(bfaces))
 
     tc = m.tet_coords()
     _, det, jinv = fb.tet_jacobian(tc)
@@ -344,29 +370,26 @@ def test_find_elements_rejects_points_just_outside(extent):
     assert np.all(m.find_elements(out) == -1)
 
 
-FACE_TABLES = ("bface_elem", "bface_local", "iface_elems", "iface_local")
+def test_faces_are_first_sides_computed_at_each_call():
+    """A study level's Nitsche lift and norms (global and in a region) leave
+    its mesh as built: no face table is stored on it.  The first sides name
+    every face once, an interior one from its smaller element, and equal a
+    lexsort matching of the faces in elements, local faces and order."""
+    cfg = parse_config(ONE_LEVEL)
+    built = set(vars(Mesh(cfg.domain, cfg.levels[0])))
+    [(m, *_)] = _solve_levels(cfg, cfg.levels, None, vtk=False)
+    assert {"dg", "l2"} == {column.norm for column in cfg.columns}
+    assert any(column.region is not None for column in cfg.columns)
+    assert set(vars(m)) == built
 
-
-def test_face_tables_are_built_on_first_read():
-    """A 16x16x4 mesh holds no face table until one is read (building them
-    took about 40% of ``build_box_mesh`` at 32x32x8), and reading the
-    boundary tables builds no interior one.  Built, they equal a walk over
-    the neighbour table in elements, local faces and order: element by
-    element, its faces by local vertex, an interior face from its smaller
-    element."""
-    m = build_box_mesh(slab_domain(), (16, 16, 4))
-    assert not set(FACE_TABLES) & set(vars(m))
-    ne, bfaces, ifaces = m.n_elements, [], []
-    for e, across in enumerate(m.neighbours[:, 1:].tolist()):
-        for f, other in enumerate(across):
-            if other == ne:
-                bfaces.append((e, f))
-            elif other > e:
-                ifaces.append(((e, other), (f, m.neighbours[other, 1:].tolist().index(e))))
-    assert m.bface_elem.tolist() == [e for e, _ in bfaces]
-    assert m.bface_local.tolist() == [f for _, f in bfaces] and m.bface_local.dtype == np.int8
-    assert not {"iface_elems", "iface_local"} & set(vars(m))
-    assert m.iface_elems.tolist() == [list(pair) for pair, _ in ifaces]
-    assert m.iface_local.tolist() == [list(local) for _, local in ifaces]
-    assert m.iface_local.dtype == np.int8
-    assert set(FACE_TABLES) <= set(vars(m))
+    for n in [(1, 1, 1), (3, 2, 1), (4, 4, 2)]:
+        m = Mesh(ANISOTROPIC, n)
+        (e, f), (be, bf) = m.faces(True), m.faces(False)
+        assert 2 * e.size + be.size == 4 * m.n_elements
+        assert np.all(e < m.neighbours[e, 1 + f])
+        assert np.all(m.neighbours[be, 1 + bf] == m.n_elements)
+        pairs, bfaces = lexsort_faces(m)
+        first = np.divmod(np.sort(pairs[:, 0]), 4)  # the smaller row is the smaller element's
+        assert np.array_equal(e, first[0]) and np.array_equal(f, first[1])
+        last = np.divmod(np.sort(bfaces), 4)
+        assert np.array_equal(be, last[0]) and np.array_equal(bf, last[1])

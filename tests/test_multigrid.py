@@ -137,7 +137,7 @@ def test_face_graph_two_coloured(n, form):
     colour = kuhn_colours(mesh)
     faces = system.mesh.neighbours[:, 1:]
     rows, slots = np.nonzero(faces < mesh.n_elements)
-    assert len(rows) == 2 * len(mesh.iface_elems)
+    assert len(rows) == 2 * mesh.faces(True)[0].size
     assert np.all(colour[rows] != colour[faces[rows, slots]])
 
     A = system.matrix.toarray()

@@ -404,7 +404,8 @@ def test_dg_norms_in_blocks_of_two_faces_match_one_block(monkeypatch):
     monkeypatch.setattr(linedg.norms, "_face_traces", spy)
     monkeypatch.setattr(linedg.assembly, "_BLOCK", 2 * basis.dim)
     blocked = [norm() for norm in whole_domain_dg_norms(field, vertical_line())]
-    assert max(sizes) == 2 and sum(sizes) == 2 * (len(mesh.iface_elems) + len(mesh.bface_elem))
+    faces = mesh.faces(True)[0].size + mesh.faces(False)[0].size
+    assert max(sizes) == 2 and sum(sizes) == 2 * faces
     for value, reference in zip(blocked, whole):
         assert abs(value - reference) <= 1e-13 * reference
 
@@ -423,7 +424,7 @@ def test_whole_domain_dg_norms_allocate_a_block_not_the_mesh(monkeypatch):
         field = FieldFunction(mesh, basis, np.random.default_rng(7).standard_normal(
             (mesh.n_elements, basis.dim)))
         for norm in whole_domain_dg_norms(field, curve):
-            norm()  # the mesh's cached tables
+            norm()  # once first, to fill the caches of the quadrature rules
             tracemalloc.start()
             try:
                 norm()
@@ -442,7 +443,7 @@ def test_a_boundary_face_pierced_at_a_quadrature_point_is_guarded():
                    [0.45217359641941746, 0.22432058629759344, 0.25]])
     rule = fb.tri_quadrature(2 * basis.degree + 2)
     points = np.concatenate([x.reshape(-1, 3) for x, _, _ in linedg.assembly._face_traces(
-        mesh, basis, rule, mesh.bface_elem, mesh.bface_local)])
+        mesh, basis, rule, *mesh.faces(False))])
     assert distance_to_curve(points, curve).min() < 1e-12
     exact = LogLineSolution(curve, SLAB)
     zero = FieldFunction(mesh, basis, np.zeros((mesh.n_elements, basis.dim)))

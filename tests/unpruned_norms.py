@@ -39,10 +39,8 @@ def face_sq(field, boundary, exact=None, curve=None, alpha=None):
     jump (or trace minus ``exact``), weighted by d^(2 alpha) given ``alpha``."""
     rule = fb.tri_quadrature(2 * field.degree + 2)
     mesh = field.mesh
-    faces = (mesh.bface_elem, mesh.bface_local) if boundary else (mesh.iface_elems[:, 0],
-                                                                  mesh.iface_local[:, 0])
     total = 0.0
-    for x, w, sides in _face_traces(mesh, field.basis, rule, *faces):
+    for x, w, sides in _face_traces(mesh, field.basis, rule, *mesh.faces(not boundary)):
         traces = [np.einsum("fi,fqi->fq", field.coeffs[e], V) for e, V, _ in sides]
         if curve is not None:
             x, d = _guard_points(x, curve, mesh.h)
