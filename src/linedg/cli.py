@@ -38,9 +38,15 @@ FLOAT_FMT = "%.12e"
 
 
 def _multigrid_info(vcycle):
-    """The ``metadata.yaml`` entries that describe a run's V-cycle."""
+    """The ``metadata.yaml`` entries that describe a run's V-cycle;
+    ``coarsest_degree`` is the degree its bottom level inverts densely: k on
+    the coarsest grid, or 0 where that grid drops to its piecewise constants."""
+    bottom = vcycle
+    while bottom.coarse is not None:
+        bottom = bottom.coarse
     return {"multigrid_levels": len(vcycle.grids), "multigrid_dtype": vcycle.dtype.name,
-            "coarsest_grid": list(vcycle.grids[-1])}
+            "coarsest_grid": list(vcycle.grids[-1]),
+            "coarsest_degree": vcycle.A.discretization[0].degree if bottom.A.block_size > 1 else 0}
 
 
 def _peak_rss_mib():

@@ -391,7 +391,8 @@ class StudyConfig:
         return self.scheme.k
 
     def build_curve(self):
-        """The source curve; built, and checked to lie in the domain, at load."""
+        """``curve``, the source curve, built and checked to lie in the domain at
+        load; kept only because ``bench/child.py`` reads it."""
         return self.curve
 
 
@@ -427,7 +428,7 @@ def _parse(tree, base_dir):
               "density only; source must be constant 1")
     scheme = _make(nodes.get("scheme", nodes["degree"]), DGSpec, values["degree"],
                    **values["scheme"])
-    basis = _make(nodes["degree"], make_basis, values["degree"])
+    _make(nodes["degree"], make_basis, values["degree"])  # a degree the basis supports
 
     levels = [values["n"]] if "n" in values else values["levels"]
     diagonals = [np.linalg.norm(domain.extent / np.asarray(n, dtype=float)) for n in levels]
@@ -452,7 +453,7 @@ def _parse(tree, base_dir):
     solver = _make(nodes.get("solver", tree), SolverConfig, **values["solver"])
     if solver.preconditioner == "multigrid":
         for n in levels:
-            _make(nodes["solver"].value["preconditioner"], level_grids, n, basis.dim)
+            _make(nodes["solver"].value["preconditioner"], level_grids, n)
 
     time = (_make(nodes["time"], TimeGrid, values["time"]["final"], values["time"]["steps"])
             if "time" in values else None)

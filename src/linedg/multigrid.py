@@ -6,7 +6,7 @@ is even and rebuilds the operator on each level by its own rule,
 M + tau A of a time step, assembled anew on the coarser mesh, i.e.
 non-inherited coarse forms, as in the interior-penalty dG V-cycle of
 Gopalakrishnan & Kanschat (Numer. Math. 2003).  Measured, it is h-uniform
-at k = 2 (CG 13/13/14 on the finer levels of ``study_k2``) but not yet at
+at k = 2 (CG 12/13/13/14 on the levels of ``study_k2``) but not yet at
 k = 1 (1/13/15/17 on ``study_k1``, 19 at 64x64x16); the smoothing interval
 that would fix k = 1 is ROADMAP item 15.  A ``VCycle`` is one level
 holding the next coarser one, so a study can build each level on the last.
@@ -18,8 +18,19 @@ element to its 8 fine ones, serves all cells.  Restriction is the exact
 transpose.  Pre- and post-smoothing apply the same Chebyshev polynomial in
 D^{-1} A, D the block-Jacobi diagonal (Adams, Brezina, Hu & Tuminaro, JCP
 2003), so the cycle is symmetric; it carries D^{-1} r and applies D^{-1} A
-as one stencil product (``BlockJacobi.scaled``).  The coarsest level applies
-the inverse of its ``SparseSystem.dense()`` matrix, not scipy.
+as one stencil product (``BlockJacobi.scaled``).  The coarsest grid is
+inverted at degree k, by the inverse of its ``SparseSystem.dense()`` matrix,
+not scipy, when that matrix has at most ``COARSEST_MAX_DOF`` DoF: 384 on
+4x4x1 at k = 1.  A larger one (960 at k = 2) smooths like any other level
+and is corrected by one more level on the same mesh at degree 0, the
+p-coarsening end point of dG multigrid (Antonietti, Sarti & Verani, SINUM
+2015): the Galerkin product P^T A P, P the constants of the nodal basis (a
+column of ones per element), prolonged by repetition and restricted by the
+per-element sum (``Constants``).  On the Kuhn stencil P^T A P sums the
+entries of each block, so it is again a stencil of block size 1, for the
+stiffness as for M + tau A, and its 6 DoF per cell (96 on 4x4x1) are
+inverted densely.  That level costs ``study_k2`` 12 CG iterations on 4x4x1
+instead of 1, and saves the 7 MiB float64 inverse of the 960-DoF matrix.
 
 The smoothing levels compute in the dtype a ``VCycle`` is given, by default
 ``CYCLE_DTYPE``, float32: each level streams its stencil weights and
@@ -52,26 +63,53 @@ import copy
 
 import numpy as np
 
+from .assembly import SparseSystem
+
 CHEBYSHEV_DEGREE = 3
 CHEBYSHEV_RATIO = 8.0  # upper over lower end of the smoothing interval
-COARSEST_MAX_DOF = 2048  # largest coarse matrix inverted densely (32 MiB)
+COARSEST_MAX_DOF = 512  # largest coarse matrix inverted densely (2 MiB)
 CYCLE_DTYPE = np.float32  # the smoothing levels of a solve's V-cycle
 
 
-def level_grids(n, block_size=4):
+def level_grids(n):
     """Cell counts of the hierarchy, finest first: halved while all are even.
 
-    Raises ValueError when the coarsest grid, at ``block_size`` DoF per
-    element (4: degree 1), exceeds the DoF cap of the dense coarse solve.
+    Raises ValueError when even the piecewise constants of the coarsest grid,
+    6 DoF per cell, exceed the DoF cap of the dense coarse solve.
     """
     grids = [tuple(int(v) for v in n)]
     while all(v % 2 == 0 for v in grids[-1]):
         grids.append(tuple(v // 2 for v in grids[-1]))
-    dof = 6 * int(np.prod(grids[-1])) * block_size
+    dof = 6 * int(np.prod(grids[-1]))
     if dof > COARSEST_MAX_DOF:
-        raise ValueError(f"multigrid: grid {grids[0]} coarsens only to {grids[-1]} ({dof} DoF), "
-                         f"above the {COARSEST_MAX_DOF}-DoF cap of the dense coarse solve")
+        raise ValueError(f"multigrid: grid {grids[0]} coarsens only to {grids[-1]} ({dof} DoF "
+                         f"at degree 0), above the {COARSEST_MAX_DOF}-DoF cap of the dense "
+                         "coarse solve")
     return grids
+
+
+class Constants:
+    """The piecewise constants under a level of ``nb`` DoF per element, on its
+    own mesh.  P, a column of ones per element (the constant 1 on the nodal
+    basis), prolongs by repetition and restricts by the per-element sum, its
+    transpose; both compute in the dtype of x.  ``galerkin(A)`` is P^T A P."""
+
+    def __init__(self, nb):
+        self.nb = nb
+
+    def prolong(self, x):
+        return np.repeat(x, self.nb)
+
+    def restrict(self, x):
+        return np.reshape(x, (-1, self.nb)).sum(axis=1)
+
+    def galerkin(self, system):
+        """P^T A P for A = ``system``: each block of its stencil, neighbour or
+        correction, summed over its entries, so a ``SparseSystem`` of block
+        size 1 on the same mesh, which carries no rule to rebuild itself."""
+        weights = system.weights.reshape(6, 5, self.nb * self.nb).sum(axis=2, keepdims=True)
+        return SparseSystem(system.mesh, weights, system.corrections.sum(axis=(1, 2), keepdims=True),
+                            system.symmetric)
 
 
 class Transfer:
@@ -125,13 +163,17 @@ class VCycle:
     A level smooths with ``A``, ``system`` cast to ``dtype`` (float64 gives
     the reference cycle), and corrects by ``coarse``, the V-cycle of the halved grid
     (coarsened and rebuilt in float64 unless given; ValueError unless nested),
-    which it holds cast to its own ``dtype`` (``astype``); the coarsest level,
-    ``coarse`` None, applies the float64 inverse of its matrix, in float64
-    while it is the whole preconditioner.  A level casts r to its ``dtype``
-    and its correction back to r's.  ``grids`` lists the cell counts of the
-    levels, finest first.  One application allocates its vectors per call,
-    not kept, so one V-cycle may run in several threads: the cast of r, its
-    D^{-1} r, the iterate and two work vectors, plus each product's own.
+    which it holds cast to its own ``dtype`` (``astype``); on a grid that
+    does not coarsen and has more than ``COARSEST_MAX_DOF`` DoF, ``coarse``
+    is the level of its piecewise constants, through ``transfer``, a
+    ``Constants``.  The coarsest level, ``coarse`` None, applies the float64
+    inverse of its matrix, in float64 while it is the whole preconditioner.
+    A level casts r to its ``dtype`` and its correction back to r's.
+    ``grids`` lists the cell counts of this level's grid and the coarser
+    ones, finest first; the constants level shares its grid and adds none.
+    One application allocates its vectors per call, not kept, so one
+    V-cycle may run in several threads: the cast of r, its D^{-1} r, the
+    iterate and two work vectors, plus each product's own.
     """
 
     def __init__(self, system, coarse=None, dtype=CYCLE_DTYPE):
@@ -139,17 +181,28 @@ class VCycle:
             raise ValueError("multigrid needs an operator that can rebuild itself on a "
                              "coarser mesh; this one carries no discretization")
         (basis, form), mesh = system.discretization, system.mesh
-        self.A, self.grids = system, level_grids(mesh.n, system.block_size)
+        self.grids = level_grids(mesh.n)
         if coarse is None and len(self.grids) == 1:
-            self.coarse, self.coarse_inverse = None, np.linalg.inv(system.dense())
-            self.dtype = self.coarse_inverse.dtype
-            return
-        if coarse is None:
-            coarse = VCycle(form(mesh.coarsen()), dtype=dtype)
+            if system.ndof <= COARSEST_MAX_DOF:
+                self._invert(system)
+                return
+            self.transfer = Constants(system.block_size)  # too large to invert at degree k
+            coarse = object.__new__(VCycle)._invert(self.transfer.galerkin(system))
+        else:
+            if coarse is None:
+                coarse = VCycle(form(mesh.coarsen()), dtype=dtype)
+            self.transfer = Transfer(mesh, coarse.A.mesh, basis)
         self.dtype = np.dtype(dtype)
         self.A, self.coarse = system.astype(self.dtype), coarse.astype(self.dtype)
-        self.transfer = Transfer(mesh, self.coarse.A.mesh, basis)
         self.dinv = self.A.block_jacobi()
+
+    def _invert(self, system):
+        """This level as the coarsest one of ``system``, which needs no rule to
+        rebuild itself: the float64 inverse of its dense matrix.  Returns self."""
+        self.A, self.grids, self.coarse = system, [system.mesh.n], None
+        self.coarse_inverse = np.linalg.inv(system.dense())
+        self.dtype = self.coarse_inverse.dtype
+        return self
 
     def astype(self, dtype):
         """This V-cycle computing in ``dtype`` on every level, as

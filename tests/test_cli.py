@@ -299,6 +299,14 @@ def test_metadata_records_the_preconditioner(tmp_path, preconditioner):
         assert [r["coarsest_grid"] for r in runs] == [[4, 4, 1], [4, 4, 1]]
         # one level is its float64 dense inverse alone; two smooth in float32
         assert [r["multigrid_dtype"] for r in runs] == ["float64", "float32"]
+        assert [r["coarsest_degree"] for r in runs] == [1, 1]
+        # at k = 2 the 960 DoF of 4x4x1 exceed the cap: even one level smooths
+        # in float32, over the inverse of its piecewise constants
+        run_study(parse_config(text.replace("degree: 1", "degree: 2")), tmp_path / "k2")
+        runs = yaml.safe_load((tmp_path / "k2" / "metadata.yaml").read_text())["runs"]
+        assert [r["multigrid_levels"] for r in runs] == [1, 2]
+        assert [r["multigrid_dtype"] for r in runs] == ["float32", "float32"]
+        assert [r["coarsest_degree"] for r in runs] == [0, 0]
     else:
         assert all("multigrid_levels" not in r and "multigrid_dtype" not in r for r in runs)
 
@@ -396,7 +404,7 @@ def test_multigrid_parabolic_config_runs(tmp_path):
     run = yaml.safe_load((tmp_path / "out" / "metadata.yaml").read_text())["run"]
     assert run["preconditioner"] == "multigrid"
     assert run["multigrid_levels"] == 2 and run["coarsest_grid"] == [2, 2, 1]
-    assert run["multigrid_dtype"] == "float32"
+    assert run["multigrid_dtype"] == "float32" and run["coarsest_degree"] == 1
     assert 0 < run["cg_iterations_total"]
 
 
@@ -529,7 +537,7 @@ def test_parabolic_steady_state_vs_elliptic(tmp_path):
     basis = fb.make_basis(1)
     spec = DGSpec(k=1, epsilon=-1, sigma=5.0, beta=1.0)
     system = assemble_stiffness(mesh, spec, basis)
-    b = assemble_line_rhs(cfg.build_curve(), 1.0, mesh, basis)
+    b = assemble_line_rhs(cfg.curve, 1.0, mesh, basis)
     x = solve(system, b, SolverConfig(rel_tol=1e-12)).x
     gap = FieldFunction.from_vector(mesh, basis, result["final"].coeffs.ravel() - x)
     assert l2_error(gap, 0.0) < 1e-9

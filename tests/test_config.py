@@ -33,7 +33,7 @@ def test_minimal_config():
     assert cfg.scheme.epsilon == -1 and cfg.scheme.sigma == 5.0 and cfg.scheme.beta == 1.0
     assert cfg.mode == "elliptic"
     assert cfg.exact is None
-    curve = cfg.build_curve()
+    curve = cfg.curve
     assert abs(curve.length - 0.25) < 1e-15
 
 
@@ -148,7 +148,7 @@ def test_sine_curve_config():
         "kind: sine\n  amplitude: 0.1\n  periods: 2\n  axis: y\n  samples: 16",
     )
     cfg = parse_config(text)
-    curve = cfg.build_curve()
+    curve = cfg.curve
     assert len(curve.points) == 16
 
 
@@ -185,7 +185,7 @@ def test_curve_file_loading(tmp_path):
         ),
         base_dir=tmp_path,
     )
-    curve = cfg.build_curve()
+    curve = cfg.curve
     assert abs(curve.length - 0.15) < 1e-12
 
 
@@ -277,6 +277,8 @@ def test_expression_syntax_error_reported_at_load(tmp_path):
 def test_multigrid_grid_too_large_rejected_at_load():
     text = MINIMAL.rstrip() + "\nsolver: {preconditioner: multigrid}\n"
     parse_config(text)
+    # 2,400 DoF at degree 3, above the cap: inverted through its 120 constants
+    parse_config(text.replace("degree: 1", "degree: 3").replace("[4, 4, 1]", "[5, 4, 1]"))
     bad = text.replace("[4, 4, 1]", "[13, 13, 3]")
     assert bad != text
     with pytest.raises(ConfigError, match=r":\d+: multigrid: grid \(13, 13, 3\)"):

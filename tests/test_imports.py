@@ -51,8 +51,8 @@ linedg.cli.run_parabolic(cfg, sys.argv[1])
 
 mesh = build_box_mesh(cfg.domain, (4, 4, 1))
 k1 = basis.make_basis(1)
-fh = compute_fh_field(cfg.build_curve(), 1.0, mesh, k1)
-assert weighted_l2_norm(fh, cfg.build_curve(), 0.5) > 0
+fh = compute_fh_field(cfg.curve, 1.0, mesh, k1)
+assert weighted_l2_norm(fh, cfg.curve, 0.5) > 0
 assert scipy_modules() == [], scipy_modules()
 
 system = assemble_stiffness(mesh, cfg.scheme, k1)

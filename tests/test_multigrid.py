@@ -166,6 +166,14 @@ def test_vcycle_symmetric_positive(k):
 FLOAT32_TOL = 10 * np.finfo(np.float32).eps
 
 
+def levels(B):
+    """The levels of V-cycle ``B``, finest first, down to the one that inverts."""
+    chain = [B]
+    while chain[-1].coarse is not None:
+        chain.append(chain[-1].coarse)
+    return chain
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_float32_vcycle_symmetric_positive(k):
     """The cycle a solve builds computes in float32 on every level, the
@@ -174,7 +182,8 @@ def test_float32_vcycle_symmetric_positive(k):
     A = stiffness((8, 8, 2), k)
     B = make_preconditioner(A, "multigrid")
     assert B.dtype == np.float32 and B.A.weights.dtype == np.float32
-    assert B.coarse.dtype == B.coarse.coarse_inverse.dtype == np.float32  # the coarsest, cast
+    bottom = levels(B)[-1]
+    assert bottom.dtype == bottom.coarse_inverse.dtype == np.float32  # the coarsest, cast
     rng = np.random.default_rng(11)
     for _ in range(3):
         x, y = rng.standard_normal((2, A.ndof))
@@ -198,16 +207,18 @@ def test_float32_vcycle_matches_the_float64_cycle(k):
 def test_float32_cycle_computes_in_float32_on_every_level():
     """In a float32 cycle every level computes in float32, the coarsest
     included: it applies its float64 inverse cast to float32 and receives and
-    returns float32.  A single-level cycle is the whole preconditioner and
-    stays float64, and solves the 4x4x1, k = 2 system in one CG iteration; a
-    level built on it adopts it cast, and its float64 inverse is freed with it."""
+    returns float32.  At k = 2 the 960 DoF of 4x4x1 exceed the cap, so its
+    piecewise constants are the bottom level.  A single-level cycle is the
+    whole preconditioner and stays float64, and solves the 4x4x1, k = 1
+    system (384 DoF) in one CG iteration; a level built on it adopts it cast,
+    and its float64 inverse is freed with it."""
     B = make_preconditioner(stiffness((16, 16, 4), 2), "multigrid")
-    levels = [B, B.coarse, B.coarse.coarse]
-    assert levels[-1].coarse is None
-    assert all(level.dtype == level.A.weights.dtype == np.float32 for level in levels)
-    assert levels[-1].coarse_inverse.dtype == np.float32
+    chain = levels(B)
+    assert len(chain) == 4 and chain[-1].A.block_size == 1 and chain[-1].A.mesh.n == (4, 4, 1)
+    assert all(level.dtype == level.A.weights.dtype == np.float32 for level in chain)
+    assert chain[-1].coarse_inverse.dtype == np.float32
     received = []
-    for level in levels[:-1]:
+    for level in chain[:-1]:
         def recording(r, coarse=level.coarse):
             received.append(r.dtype)
             y = coarse(r)
@@ -215,15 +226,15 @@ def test_float32_cycle_computes_in_float32_on_every_level():
             return y
         level.coarse = recording
     assert B(np.ones(B.A.ndof)).dtype == np.float64
-    assert received == [np.float32] * 4
+    assert received == [np.float32] * 6
 
-    A1 = stiffness((4, 4, 1), 2)
+    A1 = stiffness((4, 4, 1), 1)
     B1 = make_preconditioner(A1, "multigrid")
     assert B1.coarse is None and B1.dtype == B1.coarse_inverse.dtype == np.float64
     b = np.random.default_rng(5).standard_normal(A1.ndof)
     assert solve(A1, b, SolverConfig(rel_tol=1e-11), precond=B1).iterations == 1
     inverse, dead = B1.coarse_inverse, weakref.ref(B1.coarse_inverse)
-    B2 = VCycle(stiffness((8, 8, 2), 2), B1)
+    B2 = VCycle(stiffness((8, 8, 2), 1), B1)
     assert B2.coarse.dtype == np.float32 and B1.dtype == np.float64
     assert np.array_equal(B2.coarse.coarse_inverse, inverse.astype(np.float32))
     del B1, inverse
@@ -416,13 +427,62 @@ def test_multigrid_refuses_large_coarsest_grid(monkeypatch):
 
 
 def test_coarse_dof_cap_admits_the_shipped_hierarchies():
-    """Every degree up to 3 coarsens the shipped 32x32x8 grid to 4x4x1, at
-    most 1,920 DoF; a coarsest grid one cell wider passes the cap at degree 3."""
-    for block_size in (4, 10, 20):
-        assert level_grids((32, 32, 8), block_size)[-1] == (4, 4, 1)
-    assert level_grids((5, 4, 1), 10) == [(5, 4, 1)]
-    with pytest.raises(ValueError, match=r"\(5, 4, 1\) \(2400 DoF\)"):
-        level_grids((5, 4, 1), 20)
+    """Every degree coarsens the shipped 32x32x8 grid to 4x4x1, whose matrix
+    is inverted at degree 1 (384 DoF); at degrees 2 and 3 (960 and 1,920 DoF,
+    above the cap) its piecewise constants are (96).  A coarsest grid one cell
+    wider passes at degree 3 by its constants too; 13x13x3 does not (3,042)."""
+    assert level_grids((32, 32, 8))[-1] == (4, 4, 1)
+    for k, dof in ((1, 384), (2, 96), (3, 96)):
+        assert levels(VCycle(stiffness((4, 4, 1), k)))[-1].coarse_inverse.shape == (dof, dof)
+    assert level_grids((5, 4, 1)) == [(5, 4, 1)]
+    B = make_preconditioner(stiffness((5, 4, 1), 3), "multigrid")
+    assert B.A.ndof == 2400 and B.coarse.coarse_inverse.shape == (120, 120)
+    with pytest.raises(ValueError, match=r"\(13, 13, 3\) \(3042 DoF at degree 0\)"):
+        level_grids((13, 13, 3))
+
+
+@pytest.mark.parametrize("operator", ["stiffness", "heat"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [(4, 4, 1), (5, 4, 2)], ids=["4x4x1", "5x4x2"])
+def test_constants_level_is_the_galerkin_product(n, k, operator):
+    """The k = 0 level is P^T A P, P the constants of the nodal basis, for the
+    stiffness and for M + tau A; 5x4x2 does not coarsen, so its V-cycle takes it."""
+    mesh, basis = build_box_mesh(SLAB, n), fb.make_basis(k)
+    A = assemble_stiffness(mesh, DGSpec(k), basis)
+    if operator == "heat":
+        A = assemble_mass(mesh, basis) + 0.01 * A
+    constants = multigrid.Constants(basis.dim).galerkin(A)
+    assert constants.block_size == 1 and constants.mesh is mesh
+    assert constants.symmetric and constants.discretization is None
+    P = np.kron(np.eye(A.n_blocks), np.ones((basis.dim, 1)))  # a column of ones per element
+    expected = P.T @ A.dense() @ P
+    assert np.max(np.abs(constants.dense() - expected)) <= 1e-12 * np.max(np.abs(expected))
+    if n == (5, 4, 2):
+        bottom = levels(VCycle(A, dtype=np.float64))[-1]
+        assert np.max(np.abs(bottom.A.dense() - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_constants_restriction_is_the_transpose_of_prolongation():
+    transfer, ne = multigrid.Constants(10), 24
+    P = np.column_stack([transfer.prolong(e) for e in np.eye(ne)])
+    R = np.column_stack([transfer.restrict(e) for e in np.eye(10 * ne)])
+    assert np.array_equal(P, np.kron(np.eye(ne), np.ones((10, 1))))
+    assert np.array_equal(R, P.T)
+    x = np.arange(10 * ne, dtype=np.float32)
+    assert transfer.restrict(x).dtype == transfer.prolong(x[:ne]).dtype == np.float32
+
+
+def test_parabolic_operator_above_the_cap_converges_over_its_constants():
+    """M + tau A at k = 2 on 8x8x2 coarsens to 4x4x1, whose 960 DoF exceed
+    the cap: the V-cycle's bottom is its constants, and CG converges in 12
+    iterations (block-Jacobi: 87)."""
+    mesh, basis = build_box_mesh(SLAB, (8, 8, 2)), fb.make_basis(2)
+    S = assemble_mass(mesh, basis) + 0.005 * assemble_stiffness(mesh, DGSpec(2), basis)
+    B = make_preconditioner(S, "multigrid")
+    assert [level.A.block_size for level in levels(B)] == [10, 10, 1]
+    b = np.random.default_rng(8).standard_normal(S.ndof)
+    res = solve(S, b, SolverConfig(rel_tol=1e-10), precond=B)
+    assert res.residual <= 1e-10 * np.linalg.norm(b) and res.iterations <= 14
 
 
 def test_hierarchy_freed_when_solve_returns(monkeypatch):

@@ -413,7 +413,7 @@ def test_projected_start_halves_demo_iterations():
     cfg = load_config(CONFIG_DIR / "parabolic_demo.yaml")
     mesh = build_box_mesh(cfg.domain, (8, 8, 2))
     basis = fb.make_basis(cfg.degree)
-    curve = cfg.build_curve()
+    curve = cfg.curve
     f, _ = cfg.source.build()
     config = replace(cfg.solver, preconditioner="block_jacobi")
     steps = run_backward_euler(mesh, cfg.scheme, curve, f, None, cfg.time, config,
@@ -449,7 +449,7 @@ def test_extend_basis_makes_one_product_and_keeps_q_orthonormal(monkeypatch):
 
     monkeypatch.setattr(linedg.parabolic, "_extend_basis", counted)
     f, _ = cfg.source.build()
-    run_backward_euler(build_box_mesh(cfg.domain, (8, 8, 2)), cfg.scheme, cfg.build_curve(), f,
+    run_backward_euler(build_box_mesh(cfg.domain, (8, 8, 2)), cfg.scheme, cfg.curve, f,
                        None, cfg.time, cfg.solver)
     assert products == [1] * (cfg.time.steps - 1)
     Q = kept["Q"][:kept["m"]]
@@ -571,7 +571,7 @@ def test_demo_multigrid_matches_block_jacobi():
     cfg = load_config(CONFIG_DIR / "parabolic_demo.yaml")
     assert cfg.solver.preconditioner == "multigrid"
     mesh = build_box_mesh(cfg.domain, (8, 8, 2))
-    curve, (f, _) = cfg.build_curve(), cfg.source.build()
+    curve, (f, _) = cfg.curve, cfg.source.build()
     multigrid, jacobi = (
         snapshots(run_backward_euler(mesh, cfg.scheme, curve, f, None, cfg.time,
                                      replace(cfg.solver, preconditioner=kind)))
@@ -585,7 +585,7 @@ def test_multigrid_step_iterations_do_not_grow(n):
     8x8x2 nor at 16x16x4 (measured 10 and 13; block-Jacobi: 55 and 109)."""
     cfg = load_config(CONFIG_DIR / "parabolic_demo.yaml")
     f, _ = cfg.source.build()
-    steps = run_backward_euler(build_box_mesh(cfg.domain, n), cfg.scheme, cfg.build_curve(),
+    steps = run_backward_euler(build_box_mesh(cfg.domain, n), cfg.scheme, cfg.curve,
                                f, None, cfg.time, cfg.solver)
     assert max(step.iterations for step in steps[1:]) <= 16
 
