@@ -6,31 +6,34 @@ is even and rebuilds the operator on each level by its own rule,
 M + tau A of a time step, assembled anew on the coarser mesh, i.e.
 non-inherited coarse forms, as in the interior-penalty dG V-cycle of
 Gopalakrishnan & Kanschat (Numer. Math. 2003).  Measured, it is h-uniform
-at k = 2 (CG 12/13/13/14 on the levels of ``study_k2``) but not yet at
-k = 1 (1/13/15/17 on ``study_k1``, 19 at 64x64x16); the smoothing interval
-that would fix k = 1 is ROADMAP item 15.  A ``VCycle`` is one level
-holding the next coarser one, so a study can build each level on the last.
+at k = 1 and 2: nested CG takes 8/8/9/9 iterations on the levels of
+``study_k2``, and 1/7/8/9 on ``study_k1`` and 9 again at 64x64x16.  A
+``VCycle`` is one level holding the next coarser one, so a study can build
+each level on the last.
 Prolongation is exact dG injection: a coarse polynomial restricted to a fine
 element lies in the fine space, so its L2 projection there is itself, and on
 the nodal basis its coefficients are its values at the fine nodes.  Every
 coarse cell is refined alike, so one block per Kuhn type, from a coarse
 element to its 8 fine ones, serves all cells.  Restriction is the exact
-transpose.  Pre- and post-smoothing apply the same Chebyshev polynomial in
-D^{-1} A, D the block-Jacobi diagonal (Adams, Brezina, Hu & Tuminaro, JCP
-2003), so the cycle is symmetric; it carries D^{-1} r and applies D^{-1} A
-as one stencil product (``BlockJacobi.scaled``).  The coarsest grid is
-inverted at degree k, by the inverse of its ``SparseSystem.dense()`` matrix,
-not scipy, when that matrix has at most ``COARSEST_MAX_DOF`` DoF: 384 on
-4x4x1 at k = 1.  A larger one (960 at k = 2) smooths like any other level
-and is corrected by one more level on the same mesh at degree 0, the
-p-coarsening end point of dG multigrid (Antonietti, Sarti & Verani, SINUM
-2015): the Galerkin product P^T A P, P the constants of the nodal basis (a
-column of ones per element), prolonged by repetition and restricted by the
-per-element sum (``Constants``).  On the Kuhn stencil P^T A P sums the
-entries of each block, so it is again a stencil of block size 1, for the
-stiffness as for M + tau A, and its 6 DoF per cell (96 on 4x4x1) are
-inverted densely.  That level costs ``study_k2`` 12 CG iterations on 4x4x1
-instead of 1, and saves the 7 MiB float64 inverse of the 960-DoF matrix.
+transpose.  Pre- and post-smoothing apply the same polynomial in D^{-1} A,
+D the block-Jacobi diagonal (Adams, Brezina, Hu & Tuminaro, JCP 2003), so
+the cycle is symmetric: the fourth-kind Chebyshev smoother of Lottes (NLAA
+2023; Phillips & Fischer, arXiv:2210.03179), which bounds the V-cycle's
+error from an upper bound of the spectrum alone, with no lower end to
+choose.  It carries D^{-1} r and applies D^{-1} A as one stencil product
+(``BlockJacobi.scaled``).  The coarsest grid is inverted at degree k, by
+the inverse of its ``SparseSystem.dense()`` matrix, not scipy, when that
+matrix has at most ``COARSEST_MAX_DOF`` DoF: 384 on 4x4x1 at k = 1.  A
+larger one (960 at k = 2) smooths like any other level and is corrected by
+one more level on the same mesh at degree 0, the p-coarsening end point of
+dG multigrid (Antonietti, Sarti & Verani, SINUM 2015): the Galerkin product
+P^T A P, P the constants of the nodal basis (a column of ones per element),
+prolonged by repetition and restricted by the per-element sum
+(``Constants``).  On the Kuhn stencil P^T A P sums the entries of each
+block, so it is again a stencil of block size 1, for the stiffness as for
+M + tau A, and its 6 DoF per cell (96 on 4x4x1) are inverted densely.
+That level costs ``study_k2`` 8 CG iterations on 4x4x1 instead of 1, and
+saves the 7 MiB float64 inverse of the 960-DoF matrix.
 
 The smoothing levels compute in the dtype a ``VCycle`` is given, by default
 ``CYCLE_DTYPE``, float32: each level streams its stencil weights and
@@ -45,8 +48,8 @@ a coarsest level that is the whole preconditioner, alone on a grid that
 does not coarsen, keeps its inverse in float64: the inverse of the
 float32-rounded matrix costs CG a second iteration there.
 
-The smoothing interval needs an upper bound for the spectrum of D^{-1} A,
-and on the Kuhn grid 2 is one, for every degree and epsilon.  Colour element
+The smoother needs an upper bound for the spectrum of D^{-1} A, and on
+the Kuhn grid 2 is one, for every degree and epsilon.  Colour element
 6c + t of cell (i, j, k) by i + j + k plus the parity of the axis order of
 Kuhn type t, mod 2.  Two types in one cell differ by one transposition, and
 across a cell face the axis order shifts cyclically while the cell parity
@@ -65,8 +68,7 @@ import numpy as np
 
 from .assembly import SparseSystem
 
-CHEBYSHEV_DEGREE = 3
-CHEBYSHEV_RATIO = 8.0  # upper over lower end of the smoothing interval
+CHEBYSHEV_DEGREE = 5
 COARSEST_MAX_DOF = 512  # largest coarse matrix inverted densely (2 MiB)
 CYCLE_DTYPE = np.float32  # the smoothing levels of a solve's V-cycle
 
@@ -221,27 +223,27 @@ class VCycle:
         return cast
 
     def smooth(self, z, x, work, zero=False):
-        """Chebyshev iteration of degree ``CHEBYSHEV_DEGREE`` for A x = b, z = D^{-1} b,
-        on the interval of the module docstring: from x, or from zero with ``zero``,
-        updated in place.  ``work`` holds two vectors of the size of x; the
-        output of each scaled product is the third."""
-        theta, delta = 1.0 + 1.0 / CHEBYSHEV_RATIO, 1.0 - 1.0 / CHEBYSHEV_RATIO  # [2/ratio, 2]
-        sigma, rho = theta / delta, delta / theta
-        w, d = work  # w: D^{-1} times the residual
+        """Fourth-kind Chebyshev iteration of degree ``CHEBYSHEV_DEGREE`` in
+        D^{-1} A for A x = b, z = D^{-1} b, with the upper bound rho = 2 of the
+        module docstring: from x, or from zero with ``zero``, updated in place.
+        With w_j = D^{-1} (b - A x_j), the step d_0 = 4 / (3 rho) w_0 and
+        d_j = (2j - 1) / (2j + 3) d_{j-1} + (8j + 4) / ((2j + 3) rho) w_j.
+        ``work`` holds w and d; the output of each scaled product is the
+        third vector."""
+        rho = 2.0
+        w, d = work
         if zero:
             x.fill(0.0)
             w[:] = z
         else:
             np.subtract(z, self.dinv.scaled(x), out=w)
-        x += np.divide(w, theta, out=d)
-        for _ in range(CHEBYSHEV_DEGREE - 1):
+        x += np.multiply(w, 4.0 / (3.0 * rho), out=d)
+        for j in range(1, CHEBYSHEV_DEGREE):
             t = self.dinv.scaled(d)
             w -= t
-            rho_new = 1.0 / (2.0 * sigma - rho)
-            d *= rho_new * rho
-            d += np.multiply(w, 2.0 * rho_new / delta, out=t)
+            d *= (2 * j - 1) / (2 * j + 3)
+            d += np.multiply(w, (8 * j + 4) / ((2 * j + 3) * rho), out=t)
             x += d
-            rho = rho_new
             del t
         return x
 

@@ -20,7 +20,7 @@ follows from the S-orthonormality of Q (``_extend_basis``).  The mass of
 the right-hand side applies as a block-diagonal product, with no neighbour
 gather.  On the demo config with block-Jacobi the projected start takes the
 40 steps from 759 CG iterations to 357 at 8x8x2, and from 1389 to 719 at
-16x16x4; with the demo's multigrid they take 65 and 88.  A nonsymmetric S
+16x16x4; with the demo's multigrid they take 44 and 56.  A nonsymmetric S
 (epsilon = 0, +1, solved by BiCGStab) starts each step from u^{n-1}.
 
 A march has one form: the ``Step``s that iterating ``BackwardEuler`` yields,

@@ -5,7 +5,8 @@ iteration count, achieved residual) is under our control; matrix-vector
 products are ``system @ x`` with the Kuhn-stencil ``assembly.SparseSystem``,
 block-Jacobi is its ``block_jacobi()`` and multigrid a ``multigrid.VCycle``:
 numpy only, no solve imports scipy.  The two methods share one start
-(``solve``) and one convergence and best-iterate rule (``_settle``).
+(``solve``) and one convergence and best-iterate rule (``_advance`` and
+``_settle``).
 """
 
 from dataclasses import dataclass
@@ -74,9 +75,12 @@ def solve(system, b, config=None, x0=None, precond=None):
     ``precond`` is a prebuilt ``make_preconditioner`` callable for this
     operator, so that repeated solves with one operator build it once; by
     default it is built from ``config.preconditioner``.
-    Both methods update their vectors in place and drop each once read: CG
-    holds x, r, the best iterate and p across a product (BiCGStab also r_hat,
-    v and the preconditioned direction), plus the product's own transients.
+    Both methods update their vectors in place and drop each once read, and
+    copy x only when it stops being the best iterate (``_advance``): a
+    converging CG holds x, r and p across a product, plus the product's own
+    transients.  BiCGStab, which learns its residual only after both
+    half-steps, copies x at each iteration that starts from the best one,
+    and also holds r_hat, v and the preconditioned direction.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -96,7 +100,7 @@ def solve(system, b, config=None, x0=None, precond=None):
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     del x0
     r = b - system @ x
-    best = [x.copy(), float(np.linalg.norm(r))]  # the best iterate and its residual norm
+    best = [x, float(np.linalg.norm(r))]  # the best iterate and its residual norm
     if best[1] <= tol:
         return SolveResult(x, 0, best[1])
     if system.symmetric:
@@ -109,23 +113,40 @@ def _fail(best, A, b, it, message):
     raise NonconvergenceError(message, best_x=best[0], residual=res, iterations=it)
 
 
-def _settle(A, b, x, r, tol, best):
+def _advance(x, step, r, rnorm, tol, best):
+    """Moves x by ``step`` in place, to an iterate whose recurrence residual
+    ``r`` has norm ``rnorm`` (inf while unknown).  ``best`` holds x itself
+    while x is best; x is copied first only when the new iterate may not
+    be: its residual does not beat the best, or reaches ``tol``, where the
+    true residual decides and the spent r takes the copy."""
+    if best[0] is x:
+        if rnorm <= tol:
+            best[0] = r
+            r[:] = x
+        elif not rnorm < best[1]:
+            best[0] = x.copy()
+    x += step
+
+
+def _settle(A, b, x, r, rnorm, tol, best):
     """The convergence and best-iterate rule of both methods, after each
-    iteration: once the recurrence residual ``r`` reaches ``tol``, the true
-    residual b - A x decides; if it has drifted above ``tol``, it replaces
-    ``r`` in place and the iteration continues from it.  Records ``x`` in
-    ``best`` when its residual norm is the smallest yet.  Returns the true
-    residual norm once converged, else None."""
-    rnorm = float(np.linalg.norm(r))
+    iteration has moved x by ``_advance``: once the recurrence residual ``r``,
+    of norm ``rnorm``, reaches ``tol``, the true residual b - A x decides; if
+    it has drifted above ``tol``, it replaces ``r`` in place and the iteration
+    continues from it.  Records x itself in ``best`` when its residual norm
+    is the smallest yet.  Returns the true residual norm once converged,
+    else None."""
     if rnorm <= tol:
-        true_r = b - A @ x
+        true_r = A @ x
+        np.subtract(b, true_r, out=true_r)
         rnorm = float(np.linalg.norm(true_r))
         if rnorm <= tol:
             return rnorm
+        if best[0] is r:  # r held the best iterate during the check
+            best[0] = r.copy()
         r[:] = true_r  # recurrence drifted; continue from the true residual
     if rnorm < best[1]:
-        best[0][:] = x
-        best[1] = rnorm
+        best[0], best[1] = x, rnorm
     return None
 
 
@@ -141,10 +162,11 @@ def _pcg(A, b, precond, tol, max_iter, x, r, best):
             _fail(best, A, b, it, "cg breakdown: non-positive curvature "
                                   "(matrix indefinite or penalty too small)")
         alpha = rz / pq
-        x += alpha * p
         r -= alpha * q
         del q
-        res = _settle(A, b, x, r, tol, best)
+        rnorm = float(np.linalg.norm(r))
+        _advance(x, alpha * p, r, rnorm, tol, best)
+        res = _settle(A, b, x, r, rnorm, tol, best)
         if res is not None:
             return SolveResult(x, it, res)
         z = precond(r)
@@ -179,7 +201,7 @@ def _bicgstab(A, b, precond, tol, max_iter, x, r, best):
             _fail(best, A, b, it, "bicgstab breakdown (r_hat . v ~ 0)")
         alpha = rho_new / denom
         r -= alpha * v  # r is now s
-        x += alpha * ph
+        _advance(x, alpha * ph, r, np.inf, tol, best)
         del ph
         if np.linalg.norm(r) > tol:
             sh = precond(r)
@@ -192,7 +214,7 @@ def _bicgstab(A, b, precond, tol, max_iter, x, r, best):
             r -= omega * t
             del sh, t
         rho = rho_new
-        res = _settle(A, b, x, r, tol, best)
+        res = _settle(A, b, x, r, float(np.linalg.norm(r)), tol, best)
         if res is not None:
             return SolveResult(x, it, res)
     _fail(best, A, b, max_iter, f"bicgstab did not converge in {max_iter} iterations")
