@@ -18,9 +18,10 @@ whether the face is interior, so each operator evaluates one element per
 type and one face per (type, local face), read off the face table
 (``_blocked_system``).  The Nitsche and volume loads vary in space and use
 all faces and elements.  Every integral over the mesh, these loads and the
-norms of ``norms``, walks it in blocks: elements in blocks of ``_BLOCK``,
-faces in blocks of ``_BLOCK // nb`` (``_face_traces``), so that its
-temporaries do not grow with the mesh.
+norms of ``norms``, walks it in blocks of about ``_BLOCK`` quadrature values:
+elements in blocks of ``_BLOCK // q`` for a rule of q points, faces in
+blocks of ``_BLOCK // (q nb)`` (``_face_traces``), so that its temporaries
+grow neither with the mesh nor with the degree.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from . import basis as _basis
 from . import mesh as _mesh
 from .errors import AssemblyError
 
-_BLOCK = 4096  # elements or faces per block of an integral over the mesh
+_BLOCK = 1 << 16  # quadrature values (times nb on faces) per block of an integral
 
 # configurations with a minus/zero symmetrizing term are only coercive for a
 # large enough penalty; this floor rejects obviously unusable values and the
@@ -84,23 +85,25 @@ class SparseSystem:
 
     Element e = 6 c + t, of grid cell c and Kuhn type t, couples with the 5
     elements ``mesh.neighbours[e]``: itself, then the element across the face
-    opposite each of its 4 local vertices, or ``n_blocks`` (a zero ghost row)
+    opposite each of its 4 local vertices, or ``n_blocks`` (the ghost index)
     for a boundary face.  On the Kuhn grid these blocks depend only on t, so
     ``weights[t]`` (5 nb, nb) stacks the 5 transposed blocks once per type;
     ``system @ x`` gathers x per element neighbourhood and multiplies by its
-    type's weights, a chunk of cells at a time (``_stencil``).  Only the
-    diagonal blocks of the elements with a boundary face differ from their
-    type's, by a block that depends only on the element's ghost class
+    type's weights, a chunk of cells at a time (``_stencil``).  The gather
+    reads x itself, the ghost index clipped to its last row, so an element
+    with a boundary face gains that row times a block of its ghost class
     (``Mesh.ghost_classes``: its type and which of its faces are on the
-    boundary): ``corrections[i]`` (nb, nb) adds to the diagonal blocks of
-    class i.  The mesh holds those elements in ``boundary_pages`` of one class
-    each, so a product applies every correction at once: one gather of the
-    pages' rows of x, one batched matrix product with their classes'
-    blocks, and one write back (``_pages``), in groups of pages of at most
-    one stencil chunk of rows.  An operator whose neighbour blocks and
-    corrections are all zero, as the mass, is read off its blocks as block
-    diagonal and applies as one per-type block product, with no
-    neighbourhood gather.  ``matrix`` (a BSR matrix, built on first access)
+    boundary, ``_clip_sums``).  Only the diagonal blocks of those elements
+    differ from their type's, by a block that depends only on the class too:
+    ``corrections[i]`` (nb, nb) adds to the diagonal blocks of class i.  The
+    mesh holds those elements in ``boundary_pages`` of one class each, so a
+    product mends them all at once: one gather of the pages' rows of x, each
+    beside the last row, one batched matrix product with their classes'
+    correction and clipped blocks, and one write back (``_pages``), in
+    groups of pages of at most one stencil chunk of rows.  An operator whose
+    neighbour blocks and corrections are all zero, as the mass, is read off
+    its blocks as block diagonal and applies as one per-type block product,
+    with no neighbourhood gather.  ``matrix`` (a BSR matrix, built on first access)
     and ``dense()`` hold the same operator at its full size, both from one
     block table.  Products compute in the dtype of the weights:
     ``astype(dtype)`` casts the blocks, so that the multigrid
@@ -143,34 +146,52 @@ class SparseSystem:
         return out
 
     def _stencil(self, weights, x):
-        """x with its zero ghost row (ne + 1, nb), and the product of each
-        element neighbourhood of x (the element and its 4 neighbours) with its
-        type's ``weights`` (5 nb, nb), in rows 0..ne-1 of an (ne + 1, nb) array
-        whose ghost row is zero too.  The neighbourhoods are gathered
-        ``STENCIL_CHUNK`` cells at a time into a buffer allocated per call, so
-        the transient beyond xe and the product scales with the chunk, not the
-        mesh, and one operator may be applied in several threads."""
+        """The product of each element neighbourhood of x (ne, nb), the element
+        and its 4 neighbours, with its type's ``weights`` (5 nb, nb), in rows
+        0..ne-1 of an (ne + 1, nb) array whose ghost row is zero.  The gather
+        reads x itself, with the ghost index clipped to row ne - 1, so an
+        element with a boundary face also gains x[ne - 1] times the sum of its
+        type's blocks over those faces, a block of its ghost class that the
+        page pass takes off again (``_clip_sums``).  The neighbourhoods are
+        gathered ``STENCIL_CHUNK`` cells at a time into a buffer allocated per
+        call, so the transient beyond the product scales with the chunk, not
+        the mesh, and one operator may be applied in several threads."""
         ne, nb = self.n_blocks, self.block_size
-        xe = np.empty((ne + 1, nb), weights.dtype)
-        xe[:ne] = np.reshape(x, (ne, nb))
-        xe[ne] = 0.0
         y, step = np.empty((ne + 1, nb), weights.dtype), 6 * STENCIL_CHUNK
         y[ne] = 0.0
         for s in range(0, ne, step):
             at = slice(s, min(s + step, ne))
-            self._per_type(weights, np.take(xe, self.mesh.neighbours[at], 0), y[at])
-        return xe, y
+            self._per_type(weights, np.take(x, self.mesh.neighbours[at], 0, mode="clip"), y[at])
+        return y
+
+    def _clip_sums(self, weights):
+        """Per ghost class of the mesh, the sum (nb, nb) of its type's neighbour
+        blocks of ``weights`` (6, 5 nb, nb) over its boundary faces: x[ne - 1]
+        times it is what the clipped gather of ``_stencil`` adds to each
+        element of the class."""
+        nb, classes = self.block_size, self.mesh.ghost_classes
+        bits = ((classes[:, None] >> np.arange(4)) & 1).astype(weights.dtype)
+        return np.einsum("cf,cfij->cij", bits, weights.reshape(6, 5, nb, nb)[classes // 16, 1:])
+
+    @cached_property
+    def _page_pairs(self):
+        """Each row of ``boundary_pages`` beside the ghost index (np, page, 2):
+        gathered with ``mode="clip"``, every element's row of an operand next
+        to the operand's last row."""
+        pages = self.mesh.boundary_pages
+        return np.stack([pages, np.full_like(pages, self.n_blocks)], axis=2)
 
     def _pages(self, blocks):
         """The mesh's ``boundary_pages`` in groups of at most one stencil chunk
-        of rows: per group its pages (p, page) and their classes' blocks of
-        ``blocks`` transposed (p, nb, nb), so that the rows gathered at the
-        pages (p, page, nb) times these blocks are the per-class products.
-        The padding, the ghost index, gathers and writes back a ghost row."""
-        pages, classes = self.mesh.boundary_pages, self.mesh.page_classes
+        of rows: per group its pages (p, page), their ``_page_pairs`` (p, page,
+        2) and their classes' blocks of ``blocks`` (p, m, nb), by which an
+        operand's rows gathered there are multiplied.  The padding, the ghost
+        index, gathers row ne - 1 of an operand (``mode="clip"``) and writes
+        back the ghost row of an output."""
+        pages, pairs, classes = self.mesh.boundary_pages, self._page_pairs, self.mesh.page_classes
         step = 6 * STENCIL_CHUNK // pages.shape[1]
         for s in range(0, len(pages), step):
-            yield pages[s:s + step], blocks[classes[s:s + step]].transpose(0, 2, 1)
+            yield pages[s:s + step], pairs[s:s + step], blocks[classes[s:s + step]]
 
     @staticmethod
     def _put_rows(y, pages, rows):
@@ -186,14 +207,22 @@ class SparseSystem:
         nb = self.block_size
         return not (self.weights[:, nb:].any() or self.corrections.any())
 
+    @cached_property
+    def _page_blocks(self):
+        """Per ghost class (nc, 2 nb, nb): its correction transposed over minus
+        its ``_clip_sums``, by which a page row and x[ne - 1] beside it are
+        multiplied."""
+        return np.concatenate([self.corrections.transpose(0, 2, 1),
+                               -self._clip_sums(self.weights)], axis=1)
+
     def __matmul__(self, x):
         ne, nb = self.n_blocks, self.block_size
+        x = np.reshape(x, (ne, nb)).astype(self.weights.dtype, copy=False)
         if self._block_diagonal:
-            rows = np.reshape(x, (ne, nb)).astype(self.weights.dtype, copy=False)
-            return self._per_type(self.weights[:, :nb], rows).ravel()
-        xe, y = self._stencil(self.weights, x)
-        for pages, blocks in self._pages(self.corrections):
-            rows = np.matmul(np.take(xe, pages, 0), blocks)
+            return self._per_type(self.weights[:, :nb], x).ravel()
+        y = self._stencil(self.weights, x)
+        for pages, pairs, blocks in self._pages(self._page_blocks):
+            rows = np.matmul(np.take(x, pairs, 0, mode="clip").reshape(*pages.shape, 2 * nb), blocks)
             rows += np.take(y, pages, 0)
             self._put_rows(y, pages, rows)
         return y[:ne].ravel()
@@ -275,44 +304,52 @@ class BlockJacobi:
     D_c = D_t + C_c per ghost class c, C_c its correction.  ``scaled`` is one
     stencil product with the weights W_t D_t^{-T}, y' = D_t^{-1} (A x - C_c x_e),
     then on fixed elements D_c^{-1} (D_t y' + C_c x_e) = y' + D_c^{-1} C_c (x_e - y').
-    Both apply their per-class blocks, D_c^{-1} and D_c^{-1} C_c, as the
-    operator's product applies C_c: batched over the mesh's boundary pages.
-    The blocks are inverted and multiplied in float64 and stored in the dtype
-    of the operator, the dtype its products compute in."""
+    Its clipped gather adds G_c x_l to y' (x_l the last row of x, G_c the
+    transposed ``_clip_sums`` of the scaled weights), so with F_c = D_c^{-1} C_c
+    a fixed element's result is F_c x_e - (I - F_c) G_c x_l + (I - F_c) y'.
+    Both apply their per-class blocks, D_c^{-1} and these three, as the
+    operator's product applies C_c: batched over the mesh's boundary pages.  The blocks are inverted and multiplied in float64 and stored in the
+    dtype of the operator, the dtype its products compute in."""
 
     def __init__(self, system):
         self.system, dtype = system, system.weights.dtype
         weights = system.weights.astype(float, copy=False)
         corrections = system.corrections.astype(float, copy=False)
-        diagonal = weights[:, :system.block_size].transpose(0, 2, 1)
+        nb = system.block_size
+        diagonal = weights[:, :nb].transpose(0, 2, 1)
         types = system.mesh.ghost_classes // 16
         try:
             inverse = np.linalg.inv(diagonal).transpose(0, 2, 1)
             fixed_inverse = np.linalg.inv(diagonal[types] + corrections)
         except np.linalg.LinAlgError as err:
             raise ValueError("singular diagonal block; cannot form block-Jacobi") from err
+        scaled_weights = weights @ inverse
+        fixups = (fixed_inverse @ corrections).transpose(0, 2, 1)  # F_c^T
+        keep = np.eye(nb) - fixups
         self.inverse = inverse.astype(dtype, copy=False)
-        self.fixed_inverse = fixed_inverse.astype(dtype, copy=False)
-        self.scaled_weights = (weights @ inverse).astype(dtype, copy=False)
-        self.fixups = (fixed_inverse @ corrections).astype(dtype, copy=False)  # D_c^{-1} C_c
+        self.fixed_inverse = fixed_inverse.transpose(0, 2, 1).astype(dtype)
+        self.scaled_weights = scaled_weights.astype(dtype, copy=False)
+        # per class, transposed for rows: the blocks of x_e, x_l and y' (nc, 3 nb, nb)
+        self.page_blocks = np.concatenate(
+            [fixups, -system._clip_sums(scaled_weights) @ keep, keep], axis=1).astype(dtype)
 
     def __call__(self, x):
         A, ne, nb = self.system, self.system.n_blocks, self.system.block_size
         x = np.reshape(x, (ne, nb))
         y = np.empty((ne + 1, nb), self.inverse.dtype)
         A._per_type(self.inverse, x, y[:ne])
-        for pages, blocks in A._pages(self.fixed_inverse):
-            # x has no ghost row: the padding reads row ne - 1, and writes to y's ghost row
+        for pages, _, blocks in A._pages(self.fixed_inverse):
             A._put_rows(y, pages, np.matmul(np.take(x, pages, 0, mode="clip"), blocks))
         return y[:ne].ravel()
 
     def scaled(self, x):
-        A, ne = self.system, self.system.n_blocks
-        xe, y = A._stencil(self.scaled_weights, x)
-        for pages, blocks in A._pages(self.fixups):
-            rows, own = np.take(y, pages, 0), np.take(xe, pages, 0)
-            own -= rows
-            rows += np.matmul(own, blocks)
+        A, ne, nb = self.system, self.system.n_blocks, self.system.block_size
+        x = np.reshape(x, (ne, nb)).astype(self.inverse.dtype, copy=False)
+        y = A._stencil(self.scaled_weights, x)
+        for pages, pairs, blocks in A._pages(self.page_blocks):
+            rows = np.take(x, pairs, 0, mode="clip").reshape(*pages.shape, 2 * nb)
+            rows = np.matmul(rows, blocks[:, :2 * nb])
+            rows += np.matmul(np.take(y, pages, 0), blocks[:, 2 * nb:])
             A._put_rows(y, pages, rows)
         return y[:ne].ravel()
 
@@ -333,12 +370,12 @@ def _face_traces(mesh, basis, rule, elements, local):
     """Basis traces at the points of a triangle rule on the faces opposite
     local vertex ``local`` of ``elements``, the faces' first side.
 
-    Yields, per block of ``_BLOCK // nb`` faces, (x, w, sides): quadrature
+    Yields, per block of ``_BLOCK // (q nb)`` faces, (x, w, sides): quadrature
     points x (f, q, 3), physical weights w (f, q) absorbing the face area,
     and per side a tuple (elements, V, Gn) of basis values V (f, q, nb) and
     normal derivatives Gn (f, q, nb) along the first side's outward normal.
-    A block's (f, q, nb) arrays hold as many values as a volume block's
-    (``_BLOCK``, q), so the temporaries do not grow with the mesh.  The
+    A block's (f, q, nb) arrays hold at most ``_BLOCK`` values, so the
+    temporaries grow neither with the mesh nor with the degree.  The
     second side, the element across each face in ``mesh.neighbours``, follows
     when every face is interior and is absent when every face is on the
     boundary; a mix raises ValueError.
@@ -364,8 +401,9 @@ def _face_traces(mesh, basis, rule, elements, local):
         # grad_x . n = grad_ref . (Jinv n)
         jn = np.einsum("rmd,rd->rm", mesh.type_jac_invs[types], mesh.face_normals)
         tables.append((e, V, np.einsum("rqim,rm->rqi", G, jn)))
-    for start in range(0, elements.size, _BLOCK // nb):
-        at = slice(start, start + _BLOCK // nb)
+    step = _BLOCK // (rule.n * nb)
+    for start in range(0, elements.size, step):
+        at = slice(start, start + step)
         rows = 4 * (elements[at] % 6) + local[at]
         corners = mesh.tets[elements[at, None], _mesh.FACE_VERTICES[local[at]]]  # (f, 3)
         x = np.einsum("qk,fkd->fqd", bary, mesh.vertices[corners])
@@ -523,14 +561,14 @@ def assemble_dirichlet_rhs(mesh, spec, basis, g):
 
 def assemble_volume_rhs(mesh, basis, F):
     """Volume load vector (F, phi_i) for a callable F over points (n, 3),
-    by the 2k+2 rule, in blocks of ``_BLOCK`` elements (the temporaries do
-    not grow with the mesh)."""
+    by the 2k+2 rule of q points, in blocks of ``_BLOCK // q`` elements (the
+    temporaries do not grow with the mesh)."""
     rule = _basis.tet_quadrature(2 * basis.degree + 2)
     vals = basis.eval(rule.points)  # (q, nb)
-    b = np.empty((mesh.n_elements, basis.dim))
-    for start in range(0, mesh.n_elements, _BLOCK):
-        block = np.arange(start, min(start + _BLOCK, mesh.n_elements))
+    b, step = np.empty((mesh.n_elements, basis.dim)), _BLOCK // rule.n
+    for start in range(0, mesh.n_elements, step):
+        block = np.arange(start, min(start + step, mesh.n_elements))
         Fv = np.asarray(F(mesh.map_points(rule.points, block).reshape(-1, 3)), dtype=float)
         contrib = np.einsum("q,eq,qi->ei", rule.weights, Fv.reshape(block.size, rule.n), vals)
-        b[start:start + _BLOCK] = contrib * mesh.type_det_jacobians[block % 6, None]
+        b[start:start + step] = contrib * mesh.type_det_jacobians[block % 6, None]
     return b.ravel()

@@ -174,8 +174,12 @@ class VCycle:
     ``grids`` lists the cell counts of this level's grid and the coarser
     ones, finest first; the constants level shares its grid and adds none.
     One application allocates its vectors per call, not kept, so one
-    V-cycle may run in several threads: the cast of r, its D^{-1} r, the
-    iterate and two work vectors, plus each product's own.
+    V-cycle may run in several threads.  It restricts the cast of r once,
+    before smoothing, and drops the cast; the coarse residual is then
+    restrict(r) - restrict(A x), since restriction is linear.  So it holds
+    at most 5 vectors of its level: D^{-1} r, the iterate and two work
+    vectors while smoothing, plus each product's output and gather chunk;
+    the work vectors are freed across the coarse correction.
     """
 
     def __init__(self, system, coarse=None, dtype=CYCLE_DTYPE):
@@ -251,12 +255,15 @@ class VCycle:
         if self.coarse is None:
             return (self.coarse_inverse @ r).astype(r.dtype, copy=False)
         b = r.astype(self.dtype, copy=False)
+        coarse_r = self.transfer.restrict(b)  # restrict(b - A x) = this - restrict(A x)
         z = self.dinv(b)
+        del b
         x, work = np.empty(len(z), self.dtype), np.empty((2, len(z)), self.dtype)
         self.smooth(z, x, work, zero=True)
-        np.subtract(b, self.A @ x, out=work[0])  # the residual, in a free work vector
-        del b
-        x += self.transfer.prolong(self.coarse(self.transfer.restrict(work[0])))
-        self.smooth(z, x, work)
-        del z, work
+        del work
+        coarse_r -= self.transfer.restrict(self.A @ x)
+        x += self.transfer.prolong(self.coarse(coarse_r))
+        del coarse_r
+        self.smooth(z, x, np.empty((2, len(z)), self.dtype))
+        del z
         return x.astype(r.dtype, copy=False)

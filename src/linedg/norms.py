@@ -7,9 +7,10 @@ one-sided jumps).  The exact solution is one object: a number, or a
 callable over points that carries its ``gradient`` for the energy norms
 and, when it is singular on a line, that line as its ``curve``
 (``problems.LogLineSolution`` does both); the norms read both from it.
-Every integral walks the mesh in blocks, elements in blocks of ``_BLOCK``
-and faces in the blocks of ``assembly._face_traces``, so its temporaries
-do not grow with the mesh, and applies one integrand rule per block
+Every integral walks the mesh in blocks of about ``_BLOCK`` quadrature
+values, elements in blocks of ``_BLOCK // q`` for a rule of q points and
+faces in the blocks of ``assembly._face_traces``, so its temporaries grow
+neither with the mesh nor with the degree, and applies one integrand rule per block
 (``_sq``): subtract the exact solution, guard points off the curve, weight
 by distance, square.  Two exact rules prune the integrals: with no exact
 solution to subtract, elements and faces whose coefficients all vanish are
@@ -78,8 +79,9 @@ def _sq(values, exact, points, curve, alpha, h):
 
 def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
     """Integral over ``elements`` of the integrand ``_sq`` of the field, or of
-    its broken gradient when ``grad``, at the fixed 2k+2 rule, in blocks of
-    ``_BLOCK`` elements (the temporaries do not grow with the mesh).  Given
+    its broken gradient when ``grad``, at the fixed 2k+2 rule of q points, in
+    blocks of ``_BLOCK // q`` elements (the temporaries do not grow with the
+    mesh).  Given
     only ``curve``, the points of elements with centroid within h + 1e-12 of
     it are guarded off it: no other point can need it, as every point is
     within h of its centroid.  With ``exact`` None or 0, elements of zero
@@ -93,12 +95,12 @@ def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
     rule = _basis.tet_quadrature(2 * field.degree + 2)
     values = field.grad_in_elements if grad else field.eval_in_elements
     at_points = curve is not None or callable(exact)
-    total = 0.0
-    for start in range(0, elements.size, _BLOCK):
-        block = elements[start : start + _BLOCK]
+    total, step = 0.0, _BLOCK // rule.n
+    for start in range(0, elements.size, step):
+        block = elements[start : start + step]
         pts = mesh.map_points(rule.points, block) if at_points else None
         if curve is not None and alpha is None:
-            at = near[start : start + _BLOCK]
+            at = near[start : start + step]
             pts[at] = _guard_points(pts[at], curve, mesh.h)[0]
         v2 = _sq(values(block, rule.points), exact, pts, curve, alpha, mesh.h)
         total += float(mesh.type_det_jacobians[block % 6] @ (v2 @ rule.weights))

@@ -238,8 +238,8 @@ def spacetime_l2_error(steps, exact):
         if t_prev is not None:
             field, tau = step.field, step.t - t_prev
             mesh, rule = field.mesh, _basis.tet_quadrature(2 * field.degree + 2)
-            for start in range(0, mesh.n_elements, _BLOCK):
-                block = np.arange(start, min(start + _BLOCK, mesh.n_elements))
+            for start in range(0, mesh.n_elements, _BLOCK // rule.n):
+                block = np.arange(start, min(start + _BLOCK // rule.n, mesh.n_elements))
                 values = field.eval_in_elements(block, rule.points)
                 points = mesh.map_points(rule.points, block).reshape(-1, 3)
                 volumes = mesh.type_det_jacobians[block % 6]

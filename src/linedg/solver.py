@@ -46,9 +46,11 @@ def make_preconditioner(system, kind):
     ``multigrid.VCycle`` in its default precision, which needs an operator
     that can rebuild itself on a coarser mesh (the stiffness, the mass, and
     their sums and multiples such as M + tau A); any other raises ValueError.
+    Every callable returns a new vector, ``none`` a copy of x, which the
+    solvers may scale in place.
     """
     if kind == "none":
-        return lambda x: x
+        return np.copy  # a new vector, as every other preconditioner returns
     if kind == "multigrid":
         return multigrid.VCycle(system)
     if kind != "block_jacobi":
@@ -78,9 +80,12 @@ def solve(system, b, config=None, x0=None, precond=None):
     Both methods update their vectors in place and drop each once read, and
     copy x only when it stops being the best iterate (``_advance``): a
     converging CG holds x, r and p across a product, plus the product's own
-    transients.  BiCGStab, which learns its residual only after both
-    half-steps, copies x at each iteration that starts from the best one,
-    and also holds r_hat, v and the preconditioned direction.
+    transients, and A p, scaled in place, then holds the step of x.
+    BiCGStab, which learns its residual only after both half-steps, copies x
+    at each iteration that starts from the best one, and also holds r_hat,
+    v and the preconditioned direction; it scales v, that direction and the
+    stabilizing pair in place where each is last read.  A ``precond`` must
+    return a new vector, which is overwritten.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -162,10 +167,11 @@ def _pcg(A, b, precond, tol, max_iter, x, r, best):
             _fail(best, A, b, it, "cg breakdown: non-positive curvature "
                                   "(matrix indefinite or penalty too small)")
         alpha = rz / pq
-        r -= alpha * q
-        del q
+        q *= alpha  # then r -= q: bitwise r - alpha * q, in place
+        r -= q
         rnorm = float(np.linalg.norm(r))
-        _advance(x, alpha * p, r, rnorm, tol, best)
+        _advance(x, np.multiply(p, alpha, out=q), r, rnorm, tol, best)
+        del q
         res = _settle(A, b, x, r, rnorm, tol, best)
         if res is not None:
             return SolveResult(x, it, res)
@@ -190,7 +196,8 @@ def _bicgstab(A, b, precond, tol, max_iter, x, r, best):
         if abs(rho_new) < 1e-300 or not np.isfinite(rho_new):
             _fail(best, A, b, it, "bicgstab breakdown (rho ~ 0)")
         beta = (rho_new / rho) * (alpha / omega)
-        p -= omega * v  # in place, in the order of r + beta * (p - omega * v)
+        v *= omega  # in place, in the order of r + beta * (p - omega * v)
+        p -= v
         p *= beta
         p += r
         del v
@@ -201,7 +208,8 @@ def _bicgstab(A, b, precond, tol, max_iter, x, r, best):
             _fail(best, A, b, it, "bicgstab breakdown (r_hat . v ~ 0)")
         alpha = rho_new / denom
         r -= alpha * v  # r is now s
-        _advance(x, alpha * ph, r, np.inf, tol, best)
+        ph *= alpha
+        _advance(x, ph, r, np.inf, tol, best)
         del ph
         if np.linalg.norm(r) > tol:
             sh = precond(r)
@@ -210,8 +218,10 @@ def _bicgstab(A, b, precond, tol, max_iter, x, r, best):
             if tt == 0.0 or not np.isfinite(tt):
                 _fail(best, A, b, it, "bicgstab breakdown (t = 0)")
             omega = float(t @ r) / tt
-            x += omega * sh
-            r -= omega * t
+            sh *= omega
+            x += sh
+            t *= omega
+            r -= t
             del sh, t
         rho = rho_new
         res = _settle(A, b, x, r, float(np.linalg.norm(r)), tol, best)

@@ -402,7 +402,7 @@ def test_dg_norms_in_blocks_of_two_faces_match_one_block(monkeypatch):
             yield block
 
     monkeypatch.setattr(linedg.norms, "_face_traces", spy)
-    monkeypatch.setattr(linedg.assembly, "_BLOCK", 2 * basis.dim)
+    monkeypatch.setattr(linedg.assembly, "_BLOCK", 2 * fb.tri_quadrature(6).n * basis.dim)
     blocked = [norm() for norm in whole_domain_dg_norms(field, vertical_line())]
     faces = mesh.faces(True)[0].size + mesh.faces(False)[0].size
     assert max(sizes) == 2 and sum(sizes) == 2 * faces
@@ -415,9 +415,9 @@ def test_whole_domain_dg_norms_allocate_a_block_not_the_mesh(monkeypatch):
     the whole-domain DG norms grows by at most 1.25x from 8x8x2 to 16x16x4,
     8x the elements and faces: their faces are walked in blocks as their
     elements are."""
-    monkeypatch.setattr(linedg.assembly, "_BLOCK", 384)
-    monkeypatch.setattr(linedg.norms, "_BLOCK", 384)
     basis, curve = fb.make_basis(2), vertical_line()
+    monkeypatch.setattr(linedg.assembly, "_BLOCK", 38 * fb.tri_quadrature(6).n * basis.dim)
+    monkeypatch.setattr(linedg.norms, "_BLOCK", 384 * fb.tet_quadrature(6).n)
     peaks = []
     for n in [(8, 8, 2), (16, 16, 4)]:
         mesh = build_box_mesh(SLAB, n)

@@ -71,7 +71,7 @@ def test_projection_allocates_a_block_not_the_mesh(monkeypatch):
     """With blocks of 384 elements at k=2, the allocation peak of the initial
     projection beyond its result grows by at most 1.5x from 8x8x2 to
     16x16x4, 8x the elements: its load is integrated in blocks."""
-    monkeypatch.setattr(linedg.assembly, "_BLOCK", 384)
+    monkeypatch.setattr(linedg.assembly, "_BLOCK", 384 * fb.tet_quadrature(6).n)
     basis, u0 = fb.make_basis(2), lambda p: np.sin(3.0 * p[:, 0]) * p[:, 1]
     extra = []
     for n in [(8, 8, 2), (16, 16, 4)]:
@@ -318,9 +318,9 @@ def test_spacetime_error_reads_a_live_march():
 def test_spacetime_error_matches_two_l2_errors_per_step():
     """Evaluating u^n once per step gives the value of the definition, two
     ``l2_error`` calls per step, one per temporal Gauss point, to 1e-12
-    relative: at 16x16x4, over two blocks of elements."""
+    relative: at 16x16x4, over three blocks of elements."""
     mesh = build_box_mesh(SLAB, (16, 16, 4))
-    assert linedg.assembly._BLOCK < mesh.n_elements
+    assert linedg.assembly._BLOCK // fb.tet_quadrature(4).n < mesh.n_elements
     steps = run_backward_euler(mesh, DGSpec(1), vertical_line(), 1.0, None,
                                TimeGrid(final_time=0.05, steps=4), SolverConfig(rel_tol=1e-10))
     exact = lambda t, p: 40 * t * np.sin(np.pi * p[:, 0]) * p[:, 2]

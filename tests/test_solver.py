@@ -252,14 +252,15 @@ def test_elliptic_system_converges_with_block_jacobi():
     assert res.iterations < system.ndof
 
 
-@pytest.mark.parametrize("epsilon,vectors", [(-1, 7), (0, 11)])
+@pytest.mark.parametrize("epsilon,vectors", [(-1, 6), (0, 10)])
 def test_solve_allocates_a_few_vectors(epsilon, vectors):
-    """A block-Jacobi solve at 16x16x4, k=2, allocates at most 7 ndof vectors
+    """A block-Jacobi solve at 16x16x4, k=2, allocates at most 6 ndof vectors
     by CG (x, r and p, the best iterate while the residual is above its
-    minimum, plus one ``A @ p``; 6.37 measured, 7.37 while CG kept a copy of
-    every best iterate) and 11 by BiCGStab (also r_hat, v and the
-    preconditioned direction): no iteration keeps a stale vector alive
-    across the next product."""
+    minimum, plus one ``A @ p``, which then holds the step; 5.45 measured,
+    6.37 while the step was a temporary of its own and 7.37 while CG kept a
+    copy of every best iterate) and 10 by BiCGStab (also r_hat, v and the
+    preconditioned direction, scaled in place; 9.44 measured, 10.38 before):
+    no iteration keeps a stale vector alive across the next product."""
     system = assemble_stiffness(build_box_mesh(SLAB, (16, 16, 4)), DGSpec(2, epsilon),
                                 fb.make_basis(2))
     b = np.random.default_rng(0).standard_normal(system.ndof)
@@ -275,10 +276,11 @@ def test_solve_allocates_a_few_vectors(epsilon, vectors):
 def test_converging_multigrid_cg_keeps_no_copy_of_its_iterate():
     """A multigrid CG solve at 16x16x4, k=2, whose every iterate is the best
     so far, holds x, r and p and no copy of x: under tracemalloc each V-cycle
-    application peaks at 7.13 ndof vectors, and so does the whole solve,
-    since its last iterate's copy, made for the true-residual check, goes
-    into the spent r.  While CG copied every best iterate it held one vector
-    more, and peaked at 8.13."""
+    application peaks at 6.23 ndof vectors (7.13 while the cycle kept its
+    cast of r and every product a padded copy of its operand), and so does
+    the whole solve, since its last iterate's copy, made for the
+    true-residual check, goes into the spent r.  While CG copied every best
+    iterate it held one vector more, and peaked at 8.13."""
     system = assemble_stiffness(build_box_mesh(SLAB, (16, 16, 4)), DGSpec(2), fb.make_basis(2))
     b = np.random.default_rng(0).standard_normal(system.ndof)
     vcycle, peaks = make_preconditioner(system, "multigrid"), []
@@ -297,7 +299,7 @@ def test_converging_multigrid_cg_keeps_no_copy_of_its_iterate():
     finally:
         tracemalloc.stop()
     assert res.iterations >= 5 and len(peaks) == res.iterations + 1
-    assert max(peaks) <= 7.5 * b.nbytes
+    assert max(peaks) <= 6.5 * b.nbytes
 
 
 def test_solve_holds_no_reference_to_its_start():
