@@ -252,10 +252,11 @@ def test_elliptic_system_converges_with_block_jacobi():
     assert res.iterations < system.ndof
 
 
-@pytest.mark.parametrize("epsilon,vectors", [(-1, 6), (0, 10)])
+@pytest.mark.parametrize("epsilon,vectors", [(-1, 7), (0, 11)])
 def test_solve_allocates_a_few_vectors(epsilon, vectors):
-    """A block-Jacobi solve at 16x16x4, k=2, allocates at most 6 ndof vectors
-    by CG (x, r and p, the best iterate while the residual is above its
+    """A block-Jacobi solve at 16x16x4, k=2, holds at most 7 ndof vectors
+    by CG and 11 by BiCGStab, the caller's b among them.  It allocates at
+    most 6 by CG (x, r and p, the best iterate while the residual is above its
     minimum, plus one ``A @ p``, which then holds the step; 5.45 measured,
     6.37 while the step was a temporary of its own and 7.37 while CG kept a
     copy of every best iterate) and 10 by BiCGStab (also r_hat, v and the
@@ -270,7 +271,7 @@ def test_solve_allocates_a_few_vectors(epsilon, vectors):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= vectors * b.nbytes
+    assert b.nbytes + peak <= vectors * b.nbytes
 
 
 def test_converging_multigrid_cg_keeps_no_copy_of_its_iterate():
