@@ -405,7 +405,7 @@ def _face_traces(mesh, basis, rule, elements, local):
     for start in range(0, elements.size, step):
         at = slice(start, start + step)
         rows = 4 * (elements[at] % 6) + local[at]
-        corners = mesh.tets[elements[at, None], _mesh.FACE_VERTICES[local[at]]]  # (f, 3)
+        corners = np.take_along_axis(mesh.tets(elements[at]), _mesh.FACE_VERTICES[local[at]], 1)
         x = np.einsum("qk,fkd->fqd", bary, mesh.vertices[corners])
         w = rule.weights[None, :] * (2.0 * mesh.face_areas[rows])[:, None]
         yield x, w, [(e[at], V[rows], Gn[rows]) for e, V, Gn in tables]

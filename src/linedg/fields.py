@@ -82,9 +82,14 @@ def check_region_aligned(domain, n, region):
 
 def region_element_mask(mesh, region):
     """Boolean element mask of a ``BoxDomain`` region, or of the whole domain for
-    None; an element belongs when its barycenter lies strictly inside."""
+    None; an element belongs when its barycenter lies strictly inside.  As the
+    region is a union of grid cells and every barycenter lies strictly inside
+    its cell, that is when its cell lies in the region."""
     if region is None:
         return np.ones(mesh.n_elements, dtype=bool)
     check_region_aligned(mesh.domain, mesh.n, region)
-    c = mesh.centroids
-    return np.all((c > region.lo) & (c < region.hi), axis=1)
+    lo, hi = (np.rint((v - mesh.domain.lo) / mesh.cell_size).astype(int)
+              for v in (region.lo, region.hi))
+    cells = np.zeros(mesh.n[::-1], dtype=bool)  # (nz, ny, nx): flat cell i + nx (j + ny k)
+    cells[lo[2]:hi[2], lo[1]:hi[1], lo[0]:hi[0]] = True
+    return np.repeat(cells.ravel(), 6)

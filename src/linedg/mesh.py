@@ -102,14 +102,16 @@ class Mesh:
     Each element of type t is a translate of the type-t element of cell 0, so
     geometry is stored per type (element e reads row ``e % 6``) and per face
     4 t + f of type t opposite local vertex f (read at ``4 (e % 6) + f``).
+    The only per-element table stored is ``neighbours``: an element's
+    vertices and centroid are computed, for the elements a caller names, by
+    ``tets(elements)`` and ``centroids(elements)``.
     Immutable after construction, so operators may hold it.
     Attributes:
 
-    - ``vertices`` (nv, 3), ``tets`` (nt, 4) positively oriented
+    - ``vertices`` (nv, 3)
     - ``type_det_jacobians`` (6,), ``type_jac_invs`` (6, 3, 3) of the affine
-      map x = vertices[tets[e, 0]] + J r; ``face_normals`` (24, 3) outward
+      map x = vertices[tets(e)[0]] + J r; ``face_normals`` (24, 3) outward
       unit normals, ``face_areas`` (24,); ``h`` the largest type diameter
-    - ``centroids`` (nt, 3): each element's cell corner plus its type's offset
     - ``neighbours`` (nt, 5): each element, then the element across its face
       opposite local vertex 0..3, or the ghost index nt for a boundary face
     - ``ghost_classes`` (nc,): the sorted codes 16 t + m of the elements with
@@ -138,10 +140,7 @@ class Mesh:
         axes = np.meshgrid(*(np.linspace(domain.lo[d], domain.hi[d], self.n[d] + 1)
                              for d in range(3)), indexing="ij")
         self.vertices = np.column_stack([g.ravel(order="F") for g in axes])  # first axis fastest
-        strides = np.array([1, nx + 1, (nx + 1) * (ny + 1)])
-        i, j, k = (np.arange(v) for v in self.n)
-        corner = (i + (nx + 1) * (j[:, None] + (ny + 1) * k[:, None, None])).ravel()  # of cell c
-        self.tets = (corner[:, None, None] + _KUHN_OFFSETS @ strides).reshape(-1, 4)
+        self._type_steps = _KUHN_OFFSETS @ [1, nx + 1, (nx + 1) * (ny + 1)]  # (6, 4), from corner
 
     def _build_geometry(self):
         tc = self.tet_coords(np.arange(6))  # the types in cell 0
@@ -152,8 +151,7 @@ class Mesh:
         self.face_areas, normals = face_area_and_normal(faces)
         outward = faces.mean(axis=1) - np.repeat(tc.mean(axis=1), 4, axis=0)
         self.face_normals = normals * np.sign(np.einsum("ij,ij->i", normals, outward))[:, None]
-        offsets = tc.mean(axis=1) - tc[0, 0]  # every type starts at the cell corner
-        self.centroids = (self.vertices[self.tets[::6, 0], None] + offsets).reshape(-1, 3)
+        self._type_centroids = tc.mean(axis=1) - tc[0, 0]  # every type starts at the cell corner
 
     def _build_neighbours(self):
         ne, (nx, ny, nz) = self.n_elements, self.n
@@ -169,12 +167,15 @@ class Mesh:
                 edge = [slice(None)] * 3
                 edge[2 - d] = -1 if shift[d] > 0 else 0
                 across[tuple(edge)] = ne
-        table = table.reshape(ne, 5)
-        codes = np.arange(ne) % 6 * 16 + (table[:, 1:] == ne) @ (1 << np.arange(4))
+        # the ghost mask m of every element, one byte each, then the codes
+        # 16 t + m of the elements with a boundary face only
+        ghost = (table[..., 1:] == ne) @ np.array([1, 2, 4, 8], dtype=np.uint8)
+        boundary = np.flatnonzero(ghost)
+        codes = boundary % 6 * 16 + ghost.ravel()[boundary]
         order = np.argsort(codes, kind="stable")
-        boundary = order[codes[order] % 16 > 0]
-        self.neighbours = table
-        self.ghost_classes, counts = np.unique(codes[boundary], return_counts=True)
+        boundary, codes = boundary[order], codes[order]
+        self.neighbours = table.reshape(ne, 5)
+        self.ghost_classes, counts = np.unique(codes, return_counts=True)
         # a class of c elements fills ceil(c / page) pages from its first
         # page on: element j of the boundary (in class order) lands at j plus
         # the padding of the pages of the classes before it
@@ -188,7 +189,8 @@ class Mesh:
 
     @property
     def n_elements(self):
-        return self.tets.shape[0]
+        nx, ny, nz = self.n
+        return 6 * nx * ny * nz
 
     def faces(self, interior):
         """First sides (elements, local faces) of the interior faces, or of the
@@ -200,8 +202,31 @@ class Mesh:
         first = (across > np.arange(ne)[:, None]) & (across < ne) if interior else across == ne
         return np.nonzero(first)
 
+    def _corners(self, elements):
+        """The corner vertices (...) of the cells of the given elements (an
+        integer array of any shape, or a slice), c + c // nx + (nx + 1)
+        (c // (nx ny)) for cell c, and the elements' Kuhn types (...)."""
+        if isinstance(elements, slice):
+            elements = np.arange(*elements.indices(self.n_elements))
+        nx, ny, _ = self.n
+        cells, types = np.divmod(elements, 6)
+        return cells + cells // nx + (nx + 1) * (cells // (nx * ny)), types
+
+    def tets(self, elements=slice(None)):
+        """Vertex indices (..., 4), positively oriented, of the given elements
+        (integer indices of any shape, or a slice): the corner vertex of the
+        element's cell plus the vertex steps of its Kuhn type."""
+        corners, types = self._corners(elements)
+        return corners[..., None] + self._type_steps[types]
+
+    def centroids(self, elements=slice(None)):
+        """Barycenters (..., 3) of the given elements: the coordinates of the
+        corner vertex of the element's cell plus its Kuhn type's offset."""
+        corners, types = self._corners(elements)
+        return self.vertices[corners] + self._type_centroids[types]
+
     def tet_coords(self, elements=slice(None)):
-        return self.vertices[self.tets[elements]]
+        return self.vertices[self.tets(elements)]
 
     def map_points(self, ref_points, elements=slice(None)):
         """Physical images (n, q, 3) of reference points (q, 3) in the given
@@ -213,10 +238,10 @@ class Mesh:
     def to_reference(self, points, elements):
         """Reference coordinates (..., q, 3) of points (..., q, 3) in the given
         elements (...), the inverse of ``map_points``: (x - x_0) J_t^{-T}, x_0
-        the element's first vertex and t its Kuhn type."""
-        elements = np.asarray(elements)
-        origin = self.vertices[self.tets[elements, 0]][..., None, :]
-        return (points - origin) @ np.swapaxes(self.type_jac_invs[elements % 6], -1, -2)
+        the element's first vertex, its cell's corner, and t its Kuhn type."""
+        corners, types = self._corners(elements)
+        origin = self.vertices[corners][..., None, :]
+        return (points - origin) @ np.swapaxes(self.type_jac_invs[types], -1, -2)
 
     @property
     def cell_size(self):

@@ -131,7 +131,7 @@ class Transfer:
         nx, ny, _ = fine.n
         a, b, c = np.arange(8) >> np.arange(3)[:, None] & 1  # child a + 2b + 4c
         children = fine.cell_tets(a + nx * (b + ny * c)).ravel()
-        parent = coarse.find_elements(fine.centroids[children])  # one of 0..5, coarse cell 0
+        parent = coarse.find_elements(fine.centroids(children))  # one of 0..5, coarse cell 0
         ref = coarse.to_reference(fine.tet_coords(children), parent)  # (48, 4, 3)
         # in its parent's reference coordinates a fine vertex is a multiple of 1/2
         bary = np.column_stack([1.0 - basis.nodes.sum(axis=1), basis.nodes])  # (nb, 4)

@@ -89,9 +89,7 @@ def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
     """
     mesh = field.mesh
     if not (callable(exact) or exact):
-        elements = elements[field.coeffs[elements].any(axis=1)]
-    if curve is not None and alpha is None:
-        near = distance_to_curve(mesh.centroids[elements], curve) <= mesh.h + _SINGULAR_SNAP
+        elements = elements[field.coeffs.any(axis=1)[elements]]
     rule = _basis.tet_quadrature(2 * field.degree + 2)
     values = field.grad_in_elements if grad else field.eval_in_elements
     at_points = curve is not None or callable(exact)
@@ -100,7 +98,7 @@ def _volume_sq(field, elements, exact=None, grad=False, curve=None, alpha=None):
         block = elements[start : start + step]
         pts = mesh.map_points(rule.points, block) if at_points else None
         if curve is not None and alpha is None:
-            at = near[start : start + step]
+            at = distance_to_curve(mesh.centroids(block), curve) <= mesh.h + _SINGULAR_SNAP
             pts[at] = _guard_points(pts[at], curve, mesh.h)[0]
         v2 = _sq(values(block, rule.points), exact, pts, curve, alpha, mesh.h)
         total += float(mesh.type_det_jacobians[block % 6] @ (v2 @ rule.weights))

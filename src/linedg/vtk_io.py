@@ -5,12 +5,12 @@ from functools import lru_cache
 import numpy as np
 
 
-def _format_rows(fmt, rows):
-    """``fmt.format(*row)`` for each row of ``rows`` (n, c), joined 4096 rows
-    at a time, so the Python values made for formatting do not grow with the
-    mesh."""
-    for start in range(0, len(rows), 4096):
-        yield "".join(map(fmt.format, *rows[start : start + 4096].T.tolist()))
+def _format_rows(fmt, n, rows):
+    """``fmt.format(*row)`` for each of the n rows (n, c) that ``rows(s)``
+    gives by slices s, read and joined 4096 rows at a time, so neither the
+    rows nor the Python values made for formatting grow with the mesh."""
+    for start in range(0, n, 4096):
+        yield "".join(map(fmt.format, *rows(slice(start, start + 4096)).T.tolist()))
 
 
 @lru_cache(maxsize=1)
@@ -18,15 +18,15 @@ def _mesh_text(mesh):
     """The file up to its cell data: header, POINTS, CELLS and CELL_TYPES.
 
     Formatted once per mesh, as every snapshot of a march shares its mesh,
-    and held for the last mesh written only: 158,858 bytes at 16x16x4, where
-    ``mesh.tets`` takes 196,608."""
+    and held for the last mesh written only: 158,858 bytes at 16x16x4.  The
+    element vertices are computed one chunk of rows at a time."""
     nt, nv = mesh.n_elements, mesh.vertices.shape[0]
     return "".join([
         "# vtk DataFile Version 3.0\nlinedg output\nASCII\nDATASET UNSTRUCTURED_GRID\n"
         f"POINTS {nv} double\n",
-        *_format_rows("{:.12g} {:.12g} {:.12g}\n", mesh.vertices),
+        *_format_rows("{:.12g} {:.12g} {:.12g}\n", nv, mesh.vertices.__getitem__),
         f"CELLS {nt} {5 * nt}\n",
-        *_format_rows("4 {} {} {} {}\n", mesh.tets),
+        *_format_rows("4 {} {} {} {}\n", nt, mesh.tets),
         f"CELL_TYPES {nt}\n" + "10\n" * nt,
     ])
 
@@ -47,7 +47,7 @@ def write_vtk(path, mesh, cell_data=None):
             fh.write(f"CELL_DATA {nt}\n")
         for name, values in cell_data.items():
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            fh.writelines(_format_rows("{:.12e}\n", values[:, None]))
+            fh.writelines(_format_rows("{:.12e}\n", nt, lambda s: values[s, None]))
 
 
 def field_cell_values(field):

@@ -291,7 +291,7 @@ def test_face_traces_match_pointwise_evaluation(k):
             assert len(sides) == (1 if boundary else 2)
             for elems, V, Gn in sides:
                 for f, e in enumerate(elems):
-                    ref = (x[f] - mesh.vertices[mesh.tets[e, 0]]) @ mesh.type_jac_invs[e % 6].T
+                    ref = (x[f] - mesh.vertices[mesh.tets(e)[0]]) @ mesh.type_jac_invs[e % 6].T
                     grads = basis.grad(ref) @ mesh.type_jac_invs[e % 6]
                     assert np.allclose(V[f], basis.eval(ref), rtol=0, atol=1e-12)
                     assert np.allclose(Gn[f], grads @ normals[start + f], rtol=0, atol=1e-12)

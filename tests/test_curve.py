@@ -106,7 +106,7 @@ def test_restriction_segments_short():
         assert np.all(r.lengths <= mesh.h + 1e-12)  # every Kuhn tet has diameter h
         # each sub-segment lies inside the closed element
         for pt in np.concatenate([r.starts, r.ends]):
-            ref = mesh.type_jac_invs[r.element % 6] @ (pt - mesh.vertices[mesh.tets[r.element, 0]])
+            ref = mesh.type_jac_invs[r.element % 6] @ (pt - mesh.vertices[mesh.tets(r.element)[0]])
             assert np.all(ref >= -1e-10) and ref.sum() <= 1 + 1e-10
 
 
@@ -390,7 +390,7 @@ def test_line_rhs_zero_and_affine_oracle():
         expected = np.zeros(4)
         for start, end, length in zip(r.starts, r.ends, r.lengths):
             mid = 0.5 * (start + end)
-            ref = (mesh.type_jac_invs[e % 6] @ (mid - mesh.vertices[mesh.tets[e, 0]]))[None]
+            ref = (mesh.type_jac_invs[e % 6] @ (mid - mesh.vertices[mesh.tets(e)[0]]))[None]
             expected += length * basis.eval(ref)[0]
         assert np.allclose(block, expected, atol=1e-12)
 

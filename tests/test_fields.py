@@ -39,6 +39,22 @@ def test_region_masks():
     assert region_element_mask(mesh, None).all()
 
 
+def test_region_masks_by_cell_are_the_barycenter_rule():
+    """An element is in an aligned region when its barycenter lies strictly
+    inside, on an anisotropic grid whose cell sizes are not dyadic."""
+    domain = BoxDomain(lo=[-0.5, 0.2, 0.1], hi=[0.5, 1.5, 0.4])
+    mesh = build_box_mesh(domain, (5, 7, 3))
+    centroids = mesh.centroids()
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        lo = rng.integers(0, mesh.n)
+        hi = lo + rng.integers(1, np.asarray(mesh.n) - lo + 1)
+        region = BoxDomain(lo=domain.lo + lo * mesh.cell_size, hi=domain.lo + hi * mesh.cell_size)
+        expected = np.all((centroids > region.lo) & (centroids < region.hi), axis=1)
+        assert np.array_equal(region_element_mask(mesh, region), expected)
+        assert expected.sum() == 6 * np.prod(hi - lo)
+
+
 def test_region_alignment_rejected():
     mesh = build_box_mesh(SLAB, (4, 4, 1))
     with pytest.raises(ValueError):

@@ -55,11 +55,14 @@ def test_single_cell_counts():
     assert m.faces(True)[0].shape[0] == 6
 
 
+# the Kuhn types as cube corners: bit d set on the far side along axis d
+KUHN = [[0, 1, 3, 7], [0, 1, 7, 5], [0, 2, 7, 3], [0, 2, 6, 7], [0, 4, 5, 7], [0, 4, 7, 6]]
+
+
 def test_unit_cell_is_the_kuhn_table():
-    """Vertex ids of a 1x1x1 grid are cube corners: bit d set on the far side along axis d."""
+    """Vertex ids of a 1x1x1 grid are cube corners."""
     m = build_box_mesh(unit_cube(), (1, 1, 1))
-    expected = [[0, 1, 3, 7], [0, 1, 7, 5], [0, 2, 7, 3], [0, 2, 6, 7], [0, 4, 5, 7], [0, 4, 7, 6]]
-    assert np.array_equal(m.tets, expected)
+    assert np.array_equal(m.tets(), KUHN)
 
 
 def test_zero_cells_rejected():
@@ -89,7 +92,7 @@ def test_refinement_halves_h():
 def test_conformity_face_counts():
     m = build_box_mesh(slab_domain(), (3, 2, 1))
     local = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-    tripled = np.sort(m.tets[:, local].reshape(-1, 3), axis=1)
+    tripled = np.sort(m.tets()[:, local].reshape(-1, 3), axis=1)
     _, counts = np.unique(tripled, axis=0, return_counts=True)
     assert set(counts.tolist()) <= {1, 2}
     assert (counts == 1).sum() == m.faces(False)[0].shape[0]
@@ -155,7 +158,7 @@ def test_face_area_and_normal():
 def test_interior_normal_orientation():
     m = build_box_mesh(unit_cube(), (1, 1, 1))
     (e0, f0), (e1, _) = interior_sides(m)
-    offset = m.centroids[e1] - m.centroids[e0]
+    offset = m.centroids(e1) - m.centroids(e0)
     normals = m.face_normals[face_rows(e0, f0)]
     assert np.all(np.einsum("ij,ij->i", normals, offset) > 0)
     assert np.allclose(np.linalg.norm(m.face_normals, axis=1), 1.0, atol=1e-14)
@@ -164,8 +167,8 @@ def test_interior_normal_orientation():
 def test_boundary_normals_outward():
     m = build_box_mesh(slab_domain(), (2, 2, 1))
     e, f = m.faces(False)
-    fc = m.vertices[m.tets[e[:, None], FACE_VERTICES[f]]].mean(axis=1)
-    out = fc - m.centroids[e]
+    fc = m.vertices[m.tets()[e[:, None], FACE_VERTICES[f]]].mean(axis=1)
+    out = fc - m.centroids(e)
     normals = m.face_normals[face_rows(e, f)]
     assert np.all(np.einsum("ij,ij->i", normals, out) > 0)
 
@@ -177,7 +180,7 @@ def test_find_elements():
     elems = m.find_elements(pts)
     assert np.all(elems >= 0)
     # each point must lie inside the closed reported element
-    ref = np.einsum("nmd,nd->nm", m.type_jac_invs[elems % 6], pts - m.vertices[m.tets[elems, 0]])
+    ref = np.einsum("nmd,nd->nm", m.type_jac_invs[elems % 6], pts - m.vertices[m.tets(elems)[:, 0]])
     assert np.all(ref >= -1e-9)
     assert np.all(ref.sum(axis=1) <= 1 + 1e-9)
 
@@ -217,7 +220,7 @@ def test_map_points_matches_pointwise_affine_map():
     m = build_box_mesh(BoxDomain(lo=[-0.5, 0.2, 0.1], hi=[0.5, 1.5, 0.5]), (5, 7, 2))
     ref = np.vstack([fb.tet_quadrature(6).points, fb.make_basis(2).nodes])
     J, _, _ = fb.tet_jacobian(m.tet_coords())
-    expected = m.vertices[m.tets[:, 0]][:, None] + np.einsum("nde,qe->nqd", J, ref)
+    expected = m.vertices[m.tets()[:, 0]][:, None] + np.einsum("nde,qe->nqd", J, ref)
     assert np.abs(m.map_points(ref) - expected).max() <= 1e-14
     some = np.array([0, 17, m.n_elements - 1])
     assert np.array_equal(m.map_points(ref, some), m.map_points(ref)[some])
@@ -241,7 +244,7 @@ def lexsort_faces(m):
     e opposite its local vertex f, paired by a lexsort of their sorted vertex
     keys.  Returns the interior pairs of rows (ni, 2), the smaller first, and
     the boundary rows."""
-    key = np.sort(m.tets[:, FACE_VERTICES].reshape(-1, 3), axis=1)
+    key = np.sort(m.tets()[:, FACE_VERTICES].reshape(-1, 3), axis=1)
     order = np.lexsort(key.T[::-1])
     group = np.concatenate([[0], np.cumsum(np.any(np.diff(key[order], axis=0) != 0, axis=1))])
     counts = np.bincount(group)
@@ -313,7 +316,7 @@ def test_closed_form_build_matches_the_lexsorted_faces(n):
     types = np.arange(m.n_elements) % 6
     assert np.abs(m.type_det_jacobians[types] - det).max() <= 1e-13
     assert np.abs(m.type_jac_invs[types] - jinv).max() <= 1e-13
-    assert np.abs(m.centroids - tc.mean(axis=1)).max() <= 1e-13
+    assert np.abs(m.centroids() - tc.mean(axis=1)).max() <= 1e-13
     assert abs(m.h - diameters(m).max()) <= 1e-13
     centroids = tc.mean(axis=1)
     for rows, toward in ((pairs[:, 0], centroids[pairs[:, 1] // 4]), (bfaces, None)):
@@ -341,6 +344,42 @@ def test_face_table_matches_a_search_of_the_neighbouring_cells():
         assert FACE_SHIFTS[row].tolist() == list(shift) and FACE_ACROSS[row] == other
         placed = (corners[other // 4] + shift).tolist()
         assert FACE_MATCH[row].tolist() == [placed.index(p) for p in faces[row].tolist()]
+
+
+def stored_tables(m):
+    """Every element's vertices and centroid as whole-mesh tables: each
+    cell's corner vertex plus the vertex steps and the centroid offset of
+    each Kuhn type, the types laid out from cell 0's corner."""
+    (nx, ny, _), offsets = m.n, (np.array(KUHN)[..., None] >> np.arange(3)) & 1
+    i, j, k = (np.arange(v) for v in m.n)
+    corner = (i + (nx + 1) * (j[:, None] + (ny + 1) * k[:, None, None])).ravel()
+    strides = np.array([1, nx + 1, (nx + 1) * (ny + 1)])
+    tets = (corner[:, None, None] + offsets @ strides).reshape(-1, 4)
+    tc = m.vertices[tets[:6]]
+    centroids = (m.vertices[tets[::6, 0], None] + (tc.mean(axis=1) - tc[0, 0])).reshape(-1, 3)
+    return tets, centroids
+
+
+@pytest.mark.parametrize("n", [(3, 2, 1), (2, 3, 2), (4, 2, 3)], ids=["3x2x1", "2x3x2", "4x2x3"])
+def test_computed_tets_and_centroids_equal_the_whole_mesh_tables(n):
+    """``tets(e)`` and ``centroids(e)`` equal the whole-mesh tables bitwise,
+    for every element, a slice, an (m, k) array of elements and one element,
+    on grids 1, 2 and 3 cells thick."""
+    m = Mesh(ANISOTROPIC, n)
+    tets, centroids = stored_tables(m)
+    some = np.array([[0, m.n_elements - 1, 17], [5, 6, 11]])
+    for elements in (slice(None), slice(3, None, 7), some, m.n_elements - 2):
+        assert m.tets(elements).dtype == tets.dtype
+        assert np.array_equal(m.tets(elements), tets[elements])
+        assert np.array_equal(m.centroids(elements), centroids[elements])
+
+
+@pytest.mark.parametrize("n", [(2, 3, 5), (16, 16, 4)], ids=["2x3x5", "16x16x4"])
+def test_the_neighbour_table_is_the_only_per_element_array_kept(n):
+    """Element vertices and centroids are computed per call, not stored."""
+    m = Mesh(slab_domain(), n)
+    rows = {name: v.shape[0] for name, v in vars(m).items() if isinstance(v, np.ndarray)}
+    assert [name for name, r in rows.items() if r == m.n_elements] == ["neighbours"]
 
 
 def test_mesh_build_allocates_at_most_twice_what_it_keeps():

@@ -37,7 +37,7 @@ def test_coarsen_inverts_refine():
     assert coarse.n == (2, 3, 1)
     again = build_box_mesh(SLAB, tuple(2 * v for v in coarse.n))
     assert again.n == mesh.n
-    assert np.array_equal(again.tets, mesh.tets)
+    assert np.array_equal(again.tets(), mesh.tets())
     assert np.allclose(again.vertices, mesh.vertices, rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="even"):
         coarse.coarsen()

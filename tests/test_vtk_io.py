@@ -41,7 +41,8 @@ def test_cell_values_are_barycenter_values():
     mesh = build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[1, 1, 1]), (2, 2, 2))
     field = interpolate(lambda p: 2 * p[:, 0] + p[:, 2], mesh, fb.make_basis(1))
     vals = field_cell_values(field)
-    expected = 2 * mesh.centroids[:, 0] + mesh.centroids[:, 2]
+    c = mesh.centroids()
+    expected = 2 * c[:, 0] + c[:, 2]
     assert np.allclose(vals, expected, atol=1e-12)
 
 
@@ -53,7 +54,7 @@ def _write_vtk_rowwise(path, mesh, cell_data):
     for p in mesh.vertices:
         lines.append(f"{p[0]:.12g} {p[1]:.12g} {p[2]:.12g}")
     lines.append(f"CELLS {nt} {5 * nt}")
-    for t in mesh.tets:
+    for t in mesh.tets():
         lines.append(f"4 {t[0]} {t[1]} {t[2]} {t[3]}")
     lines.append(f"CELL_TYPES {nt}")
     lines.extend(["10"] * nt)
