@@ -114,8 +114,8 @@ class SparseSystem:
     Gram operators.  ``discretization`` is the operator's rule for rebuilding
     itself on another mesh, (basis, form) with ``form(mesh)`` the operator
     assembled there, which the multigrid preconditioner applies to coarser
-    meshes: the stiffness and mass assemblies set it, and sums and scalar
-    multiples of operators that all carry one compose it; None otherwise.
+    meshes: the stiffness (M + tau A given ``tau``) and mass assemblies set
+    it; None otherwise.
     """
 
     mesh: _mesh.Mesh
@@ -232,30 +232,6 @@ class SparseSystem:
         and discretization; its products compute in ``dtype``."""
         return SparseSystem(self.mesh, self.weights.astype(dtype), self.corrections.astype(dtype),
                              self.symmetric, self.discretization)
-
-    def __add__(self, other):
-        """Sum of two operators in one dtype on one Kuhn layout: meshes of equal
-        cell counts on one box."""
-        if self.mesh.n != other.mesh.n or self.mesh.domain != other.mesh.domain:
-            raise ValueError("operators on different meshes cannot be added")
-        if self.weights.dtype != other.weights.dtype:
-            raise ValueError(f"operators in {self.weights.dtype} and {other.weights.dtype} "
-                             "cannot be added")
-        rule = None
-        if self.discretization and other.discretization:
-            (basis, form), (_, other_form) = self.discretization, other.discretization
-            rule = basis, lambda mesh: form(mesh) + other_form(mesh)
-        return SparseSystem(self.mesh, self.weights + other.weights,
-                            self.corrections + other.corrections,
-                            self.symmetric and other.symmetric, rule)
-
-    def __rmul__(self, scale):
-        rule = None
-        if self.discretization:
-            basis, form = self.discretization
-            rule = basis, lambda mesh: scale * form(mesh)
-        return SparseSystem(self.mesh, scale * self.weights, scale * self.corrections,
-                            self.symmetric, rule)
 
     def block_jacobi(self):
         """y = D^{-1} x, D the block diagonal, as a ``BlockJacobi`` callable."""
@@ -491,15 +467,20 @@ def _blocked_system(mesh, basis, volume=None, face_form=None, symmetric=True):
     return SparseSystem(mesh, weights, corrections, symmetric)
 
 
-def assemble_stiffness(mesh, spec, basis):
-    """Assemble the penalized broken Laplacian for the given parameters."""
+def assemble_stiffness(mesh, spec, basis, tau=None):
+    """Assemble the penalized broken Laplacian A for the given parameters, or,
+    given ``tau``, the backward Euler operator M + tau A: the mass weights
+    plus tau times A's, and tau times A's corrections (the mass has none)."""
     if basis.degree != spec.k:
         raise ValueError("basis degree and spec.k disagree")
     penalty = spec.sigma / mesh.grid_spacing ** spec.beta
     system = _blocked_system(
         mesh, basis, _volume_grad_gram, (1.0, spec.epsilon, penalty), spec.epsilon == -1
     )
-    system.discretization = basis, lambda other: assemble_stiffness(other, spec, basis)
+    if tau is not None:
+        system.weights = assemble_mass(mesh, basis).weights + tau * system.weights
+        system.corrections = tau * system.corrections
+    system.discretization = basis, lambda other: assemble_stiffness(other, spec, basis, tau)
     return system
 
 

@@ -3,13 +3,13 @@
 The hierarchy halves the box grid (``Mesh.coarsen``) while every cell count
 is even and rebuilds the operator on each level by its own rule,
 ``SparseSystem.discretization``: the interior-penalty stiffness, or the
-M + tau A of a time step, assembled anew on the coarser mesh, i.e.
-non-inherited coarse forms, as in the interior-penalty dG V-cycle of
-Gopalakrishnan & Kanschat (Numer. Math. 2003).  Measured, it is h-uniform
-at k = 1 and 2: nested CG takes 8/8/9/9 iterations on the levels of
-``study_k2``, and 1/7/8/9 on ``study_k1`` and 9 again at 64x64x16.  A
-``VCycle`` is one level holding the next coarser one, so a study can build
-each level on the last.
+M + tau A of a time step (``assemble_stiffness`` given tau), assembled anew
+on the coarser mesh, i.e. non-inherited coarse forms, as in the
+interior-penalty dG V-cycle of Gopalakrishnan & Kanschat (Numer. Math.
+2003).  Measured, it is h-uniform at k = 1 and 2: nested CG takes 8/8/9/9
+iterations on the levels of ``study_k2``, and 1/7/8/9 on ``study_k1`` and 9
+again at 64x64x16.  A ``VCycle`` is one level holding the next coarser one,
+so a study can build each level on the last.
 Prolongation is exact dG injection: a coarse polynomial restricted to a fine
 element lies in the fine space, so its L2 projection there is itself, and on
 the nodal basis its coefficients are its values at the fine nodes.  Every

@@ -1,11 +1,12 @@
 """Backward Euler time stepping for the line-source heat problem.
 
 Each step solves S u^n = M u^{n-1} + tau b(t^n), S = M + tau A, with the
-homogeneous weak Dirichlet condition built into A; S is formed once per run
-as one stencil, its preconditioner built once, and the line load rebuilt
-per step only when the source depends on time.  S carries its own rule,
-mesh -> M + tau A there, so the multigrid V-cycle rebuilds it on the halved
-grids as it does a stiffness operator.
+homogeneous weak Dirichlet condition built into A; S is assembled once per
+run as one stencil (``assemble_stiffness`` given tau), its preconditioner
+built once, and the line load rebuilt per step only when the source depends
+on time.  S carries its own rule, mesh -> M + tau A assembled there, so the
+multigrid V-cycle rebuilds it on the halved grids as it does a stiffness
+operator.
 
 When S is symmetric (CG) each solve starts from the projected start of
 Fischer (CMAME 163, 1998): the run keeps an S-orthonormal basis Q of the
@@ -36,12 +37,13 @@ import numpy as np
 
 from . import basis as _basis
 from .assembly import (
-    _BLOCK, assemble_dg_norm_gram, assemble_mass, assemble_stiffness, assemble_volume_rhs,
+    assemble_dg_norm_gram, assemble_mass, assemble_stiffness, assemble_volume_rhs,
     local_projection,
 )
 from .curve import assemble_line_rhs, build_restrictions
 from .errors import NonconvergenceError
 from .fields import FieldFunction
+from .norms import l2_error
 from .solver import SolverConfig, make_preconditioner, solve
 
 
@@ -124,12 +126,13 @@ class BackwardEuler:
     and the projection basis Q, never the series; each iteration marches
     anew.
 
-    ``f`` is the line density: None, a number, or f(t, s) of time and
-    arclength.  A callable ``f`` is evaluated at every step's time when
-    ``f_time_dependent`` is set, else once at t = 0.  ``u0`` is None (zero),
-    a coefficient vector, or a point function, projected by
-    ``project_initial``.  ``volume_source(t, points)`` adds a distributed
-    load, used by manufactured smooth tests.  A solver failure raises
+    ``f`` is the line density on ``curve``: None, a number, or f(t, s) of
+    time and arclength; ValueError if it is given with no curve.  A callable
+    ``f`` is evaluated at every step's time when ``f_time_dependent`` is
+    set, else once at t = 0.  ``u0`` is None (zero), a coefficient vector,
+    or a point function, projected by ``project_initial``.
+    ``volume_source(t, points)`` adds a distributed load, used by
+    manufactured smooth tests.  A solver failure raises
     ``NonconvergenceError`` with the step index in its message and the failed
     solve's ``best_x``, ``residual`` and ``iterations``.
     """
@@ -138,15 +141,16 @@ class BackwardEuler:
                  volume_source=None, f_time_dependent=True):
         if isinstance(f, np.ufunc) and f.nin == 1:  # f(t, s) would pass s as ``out``
             raise TypeError(f"line density {f.__name__} takes one argument; f must be f(t, s)")
+        if f is not None and curve is None:
+            raise ValueError("a line density f needs the curve it lives on; curve is None")
         self.mesh, self.grid, self.u0, self.volume_source = mesh, grid, u0, volume_source
         self.basis = _basis.make_basis(spec.k) if basis is None else basis
         self.solver_config = solver_config or SolverConfig()
-        A = assemble_stiffness(mesh, spec, self.basis)
+        self.system = assemble_stiffness(mesh, spec, self.basis, grid.tau)
         self.mass = assemble_mass(mesh, self.basis)
-        self.system = self.mass + grid.tau * A
         self.preconditioner = make_preconditioner(self.system, self.solver_config.preconditioner)
         self.line_load = None  # t -> the line load at time t
-        if f is not None and curve is not None:
+        if f is not None:
             restrictions = build_restrictions(curve, mesh)
             self.line_load = lambda t: assemble_line_rhs(
                 curve, (lambda s: f(t, s)) if callable(f) else f, mesh, self.basis,
@@ -228,24 +232,15 @@ def spacetime_l2_error(steps, exact):
     ``steps`` is any iterable of ``Step``s, a list or a live ``BackwardEuler``
     march, read one step at a time.  On the interval (t^{n-1}, t^n] of two
     consecutive steps the reconstruction is u^n; a two-point Gauss rule there
-    and the 2k+2 rule of ``norms.l2_error`` in space, in its blocks of
-    elements.  Each u^n is evaluated once per block at the spatial points and
-    compared with ``exact`` at both temporal points.
+    and ``norms.l2_error`` in space: the sum of w_q tau ||u^n - exact(t_q)||^2.
     """
     rule_t = _basis.segment_quadrature(3)
     total, t_prev = 0.0, None
     for step in steps:
         if t_prev is not None:
-            field, tau = step.field, step.t - t_prev
-            mesh, rule = field.mesh, _basis.tet_quadrature(2 * field.degree + 2)
-            for start in range(0, mesh.n_elements, _BLOCK // rule.n):
-                block = np.arange(start, min(start + _BLOCK // rule.n, mesh.n_elements))
-                values = field.eval_in_elements(block, rule.points)
-                points = mesh.map_points(rule.points, block).reshape(-1, 3)
-                volumes = mesh.type_det_jacobians[block % 6]
-                for tq, wq in zip(rule_t.points[:, 0], rule_t.weights):
-                    u = np.asarray(exact(t_prev + tq * tau, points), dtype=float)
-                    v2 = (values - u.reshape(values.shape)) ** 2
-                    total += wq * tau * float(volumes @ (v2 @ rule.weights))
+            tau = step.t - t_prev
+            for tq, wq in zip(rule_t.points[:, 0], rule_t.weights):
+                t = t_prev + tq * tau
+                total += wq * tau * l2_error(step.field, lambda p: exact(t, p)) ** 2
         t_prev = step.t
     return float(np.sqrt(total))

@@ -44,8 +44,9 @@ def make_preconditioner(system, kind):
 
     ``block_jacobi`` is ``system.block_jacobi()``; ``multigrid`` is a
     ``multigrid.VCycle`` in its default precision, which needs an operator
-    that can rebuild itself on a coarser mesh (the stiffness, the mass, and
-    their sums and multiples such as M + tau A); any other raises ValueError.
+    that can rebuild itself on a coarser mesh (the stiffness, the mass, or
+    the M + tau A that ``assemble_stiffness`` forms given tau); any other
+    raises ValueError.
     Every callable returns a new vector, ``none`` a copy of x, which the
     solvers may scale in place.
     """

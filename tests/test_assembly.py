@@ -384,7 +384,7 @@ def test_stencil_apply_matches_full_mesh_scatter(domain, n, k):
         data = _full_mesh_reference(mesh, basis, grad, face_form)[2]
         cases.append((assemble_stiffness(mesh, spec, basis), data))
     tau = 0.01
-    cases.append((cases[0][0] + tau * cases[2][0], data_m + tau * cases[2][1]))
+    cases.append((assemble_stiffness(mesh, DGSpec(k), basis, tau), data_m + tau * cases[2][1]))
     jumps = _full_mesh_reference(mesh, basis, None, (0.0, 0.0, 3.0))[2]
     cases.append((_blocked_system(mesh, basis, face_form=(0.0, 0.0, 3.0)), jumps))
     on_diagonal = indices == np.repeat(np.arange(ne), np.diff(indptr))
@@ -461,10 +461,10 @@ def test_block_diagonal_product_gathers_no_neighbourhood():
     equals the stencil product; M + tau A and the Gram operator stay
     stencil products."""
     mesh, basis = build_box_mesh(SLAB, (16, 16, 4)), fb.make_basis(2)
-    M, A = assemble_mass(mesh, basis), assemble_stiffness(mesh, DGSpec(2), basis)
+    M = assemble_mass(mesh, basis)
     x = np.random.default_rng(0).standard_normal(M.ndof)
     stencil = M._stencil(M.weights, x.reshape(mesh.n_elements, -1))[:mesh.n_elements].ravel()
-    for system in (M, M + 0.0 * A):
+    for system in (M, assemble_stiffness(mesh, DGSpec(2), basis, tau=0.0)):
         assert system._block_diagonal
         assert np.abs(system @ x - stencil).max() <= 1e-14 * np.abs(stencil).max()
         system @ x
@@ -475,7 +475,7 @@ def test_block_diagonal_product_gathers_no_neighbourhood():
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * x.nbytes
-    assert not (M + 0.01 * A)._block_diagonal
+    assert not assemble_stiffness(mesh, DGSpec(2), basis, tau=0.01)._block_diagonal
     assert not assemble_dg_norm_gram(mesh, basis, 7.0)._block_diagonal
 
 
@@ -552,33 +552,30 @@ def test_operators_store_blocks_per_type_and_per_class_only():
     assert set(shapes[0][0]) == {"weights", "corrections"}
 
 
-def test_operators_add_on_one_kuhn_layout():
-    """Operators add when their meshes have the same cell counts, also when
-    the meshes were built separately, and the sum holds the first operand's
-    mesh; meshes of other counts raise, even with as many elements."""
-    basis = fb.make_basis(1)
-    A = assemble_stiffness(build_box_mesh(SLAB, (4, 4, 2)), DGSpec(1), basis)
-    M = assemble_mass(build_box_mesh(SLAB, (4, 4, 2)), basis)
-    S = M + 0.01 * A
-    assert S.mesh is M.mesh and S.symmetric
-    x = np.random.default_rng(0).standard_normal(S.ndof)
-    expected = M @ x + 0.01 * (A @ x)
-    assert np.abs(S @ x - expected).max() <= 1e-13 * np.abs(expected).max()
-    for n in ((4, 4, 1), (4, 2, 4), (2, 4, 4)):
-        with pytest.raises(ValueError, match="different meshes"):
-            M + assemble_mass(build_box_mesh(SLAB, n), basis)
-
-
-def test_operators_of_other_boxes_or_dtypes_do_not_add():
-    """Equal cell counts are not enough: a 4x4x2 mass on the slab and one on
-    [0, 2]^3 raise, and so do two operators in different dtypes."""
-    basis = fb.make_basis(1)
-    M = assemble_mass(build_box_mesh(SLAB, (4, 4, 2)), basis)
-    cube = build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[2, 2, 2]), (4, 4, 2))
-    with pytest.raises(ValueError, match="different meshes"):
-        M + assemble_mass(cube, basis)
-    with pytest.raises(ValueError, match="float64 and float32"):
-        M + M.astype(np.float32)
+@pytest.mark.parametrize("epsilon", [-1, 1])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [(4, 4, 2), (8, 8, 2)], ids=["4x4x2", "8x8x2"])
+def test_backward_euler_operator_is_assembled(n, k, epsilon):
+    """Given tau, ``assemble_stiffness`` returns M + tau A: the mass weights
+    plus tau times the stiffness weights, and tau times its corrections,
+    symmetric exactly when A is (epsilon = -1); its rule rebuilds the same
+    arrays on the coarsened mesh."""
+    mesh, basis, spec, tau = build_box_mesh(SLAB, n), fb.make_basis(k), DGSpec(k, epsilon), 0.01
+    coarse = mesh.coarsen()
+    systems = []
+    for m in (mesh, coarse):
+        A = assemble_stiffness(m, spec, basis)
+        S = assemble_stiffness(m, spec, basis, tau)
+        assert S.mesh is m and S.symmetric == A.symmetric == (epsilon == -1)
+        assert np.array_equal(S.weights, assemble_mass(m, basis).weights + tau * A.weights)
+        assert np.array_equal(S.corrections, tau * A.corrections)
+        systems.append(S)
+    rule_basis, form = systems[0].discretization
+    rebuilt = form(coarse)
+    assert rule_basis is basis and rebuilt.mesh is coarse
+    assert rebuilt.symmetric == systems[1].symmetric
+    assert np.array_equal(rebuilt.weights, systems[1].weights)
+    assert np.array_equal(rebuilt.corrections, systems[1].corrections)
 
 
 @pytest.mark.parametrize("k", [1, 2])

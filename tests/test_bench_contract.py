@@ -39,6 +39,35 @@ def test_every_traced_layer_is_callable():
             assert callable(getattr(module, attr, None)), f"{mod_name}.{attr}"
 
 
+def test_a_march_calls_every_traced_parabolic_layer(monkeypatch):
+    """A tiny march calls each name that ``LAYERS["linedg.parabolic"]`` wraps
+    through that module's globals, so no parabolic span of ``heat_k1`` is
+    empty: S = M + tau A is assembled by ``assemble_stiffness`` and the mass
+    by ``assemble_mass``, once each."""
+    from linedg import parabolic
+    from linedg.assembly import DGSpec
+    from linedg.curve import Curve
+    from linedg.mesh import BoxDomain, build_box_mesh
+
+    calls = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    names = load_child().LAYERS["linedg.parabolic"]
+    for name in names:
+        monkeypatch.setattr(parabolic, name, counted(name, getattr(parabolic, name)))
+    mesh = build_box_mesh(BoxDomain(lo=[0, 0, 0], hi=[1, 1, 0.25]), (2, 2, 1))
+    curve = Curve([[2 / 3, 1 / 3, 0.0], [2 / 3, 1 / 3, 0.25]])
+    parabolic.run_backward_euler(mesh, DGSpec(1), curve, 1.0, None,
+                                 parabolic.TimeGrid(final_time=0.1, steps=2))
+    assert set(calls) == set(names)
+    assert calls["assemble_stiffness"] == calls["assemble_mass"] == 1
+
+
 def test_entry_points_bind():
     child = load_child()
     inspect.signature(child.make_preconditioner).bind(object(), "block_jacobi")

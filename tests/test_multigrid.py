@@ -135,7 +135,7 @@ def test_face_graph_two_coloured(n, form):
     mesh = build_box_mesh(SLAB, n)
     if form == "heat":  # the backward Euler operator M + tau A
         basis = fb.make_basis(1)
-        system = assemble_mass(mesh, basis) + 0.01 * assemble_stiffness(mesh, DGSpec(1), basis)
+        system = assemble_stiffness(mesh, DGSpec(1), basis, tau=0.01)
     else:
         k, epsilon = form
         system = assemble_stiffness(mesh, DGSpec(k, epsilon), fb.make_basis(k))
@@ -399,16 +399,16 @@ def test_parabolic_operator_rebuilds_itself_on_a_coarser_mesh():
     """M + tau A carries the rule mesh -> M + tau A assembled on that mesh,
     bitwise, and keeps it through a float32 cast."""
     mesh, basis, spec, tau = build_box_mesh(SLAB, (4, 4, 2)), fb.make_basis(2), DGSpec(2), 0.005
-    S = assemble_mass(mesh, basis) + tau * assemble_stiffness(mesh, spec, basis)
+    S = assemble_stiffness(mesh, spec, basis, tau)
     coarse = mesh.coarsen()
-    expected = assemble_mass(coarse, basis) + tau * assemble_stiffness(coarse, spec, basis)
+    M, A = assemble_mass(coarse, basis), assemble_stiffness(coarse, spec, basis)
     for system in (S, S.astype(np.float32)):
         rule_basis, form = system.discretization
         assert rule_basis is basis
         rebuilt = form(coarse)
         assert rebuilt.mesh is coarse and rebuilt.symmetric
-        assert np.array_equal(rebuilt.weights, expected.weights)
-        assert np.array_equal(rebuilt.corrections, expected.corrections)
+        assert np.array_equal(rebuilt.weights, M.weights + tau * A.weights)
+        assert np.array_equal(rebuilt.corrections, tau * A.corrections)
         assert rebuilt.discretization is not None
 
 
@@ -463,9 +463,7 @@ def test_constants_level_is_the_galerkin_product(n, k, operator):
     """The k = 0 level is P^T A P, P the constants of the nodal basis, for the
     stiffness and for M + tau A; 5x4x2 does not coarsen, so its V-cycle takes it."""
     mesh, basis = build_box_mesh(SLAB, n), fb.make_basis(k)
-    A = assemble_stiffness(mesh, DGSpec(k), basis)
-    if operator == "heat":
-        A = assemble_mass(mesh, basis) + 0.01 * A
+    A = assemble_stiffness(mesh, DGSpec(k), basis, 0.01 if operator == "heat" else None)
     constants = multigrid.Constants(basis.dim).galerkin(A)
     assert constants.block_size == 1 and constants.mesh is mesh
     assert constants.symmetric and constants.discretization is None
@@ -492,7 +490,7 @@ def test_parabolic_operator_above_the_cap_converges_over_its_constants():
     the cap: the V-cycle's bottom is its constants, and CG converges in 12
     iterations (block-Jacobi: 87)."""
     mesh, basis = build_box_mesh(SLAB, (8, 8, 2)), fb.make_basis(2)
-    S = assemble_mass(mesh, basis) + 0.005 * assemble_stiffness(mesh, DGSpec(2), basis)
+    S = assemble_stiffness(mesh, DGSpec(2), basis, tau=0.005)
     B = make_preconditioner(S, "multigrid")
     assert [level.A.block_size for level in levels(B)] == [10, 10, 1]
     b = np.random.default_rng(8).standard_normal(S.ndof)

@@ -386,9 +386,8 @@ def test_solver_failure_reports_step():
 
 def warm_start_loop(mesh, spec, basis, curve, f, grid, config):
     """Backward Euler by hand: each solve starts from the previous step."""
-    A = assemble_stiffness(mesh, spec, basis)
+    S = assemble_stiffness(mesh, spec, basis, grid.tau)
     M = assemble_mass(mesh, basis)
-    S = M + grid.tau * A
     u = np.zeros(M.ndof)
     snapshots, iterations = [u], []
     for n in range(1, grid.steps + 1):
@@ -490,7 +489,7 @@ def test_projected_start_with_a_time_dependent_source():
     assert relative_gap(u, plain) <= 1e-9
 
     M = assemble_mass(mesh, basis)
-    S = M + grid.tau * assemble_stiffness(mesh, spec, basis)
+    S = assemble_stiffness(mesh, spec, basis, grid.tau)
     for n in range(1, grid.steps + 1):
         b_line = assemble_line_rhs(curve, lambda s: f(n * grid.tau, s), mesh, basis)
         rhs = M @ u[n - 1] + grid.tau * b_line
@@ -551,6 +550,14 @@ def test_one_argument_ufunc_density_rejected():
                            TimeGrid(final_time=0.1, steps=2))
 
 
+def test_line_density_without_a_curve_rejected():
+    """A line density with no curve to carry it raises instead of marching
+    with no source."""
+    mesh = build_box_mesh(SLAB, (2, 2, 1))
+    with pytest.raises(ValueError, match="curve is None"):
+        BackwardEuler(mesh, DGSpec(1), None, 1.0, None, TimeGrid(final_time=0.1, steps=2))
+
+
 def test_multigrid_preconditions_the_parabolic_operator():
     """The stepper's V-cycle rebuilds M + tau A on the halved grid, and each
     step solves to the solver tolerance."""
@@ -598,8 +605,7 @@ def test_multigrid_nonsymmetric_parabolic_operator():
     stepper = BackwardEuler(mesh, DGSpec(1, epsilon=1), vertical_line(), 1.0, None, grid,
                             config)
     assert isinstance(stepper.preconditioner, VCycle) and len(stepper.preconditioner.grids) == 2
-    A = assemble_stiffness(mesh, DGSpec(1, epsilon=1), stepper.basis)
-    S = stepper.mass + grid.tau * A
+    S = assemble_stiffness(mesh, DGSpec(1, epsilon=1), stepper.basis, grid.tau)
     b = assemble_line_rhs(vertical_line(), 1.0, mesh, stepper.basis)
     march = snapshots(stepper)
     for u, v in zip(march[1:], march):
