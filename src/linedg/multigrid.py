@@ -20,7 +20,9 @@ D the block-Jacobi diagonal (Adams, Brezina, Hu & Tuminaro, JCP 2003), so
 the cycle is symmetric: the fourth-kind Chebyshev smoother of Lottes (NLAA
 2023; Phillips & Fischer, arXiv:2210.03179), which bounds the V-cycle's
 error from an upper bound of the spectrum alone, with no lower end to
-choose.  It carries D^{-1} r and applies D^{-1} A as one stencil product
+choose.  It iterates on w = D^{-1} (b - A x) in the buffer of D^{-1} b,
+which a level forms for each smoother rather than keep it across the
+coarse correction, and applies D^{-1} A as one stencil product
 (``BlockJacobi.scaled``).  The coarsest grid is inverted at degree k, by
 the inverse of its ``SparseSystem.dense()`` matrix, not scipy, when that
 matrix has at most ``COARSEST_MAX_DOF`` DoF: 384 on 4x4x1 at k = 1.  A
@@ -176,10 +178,12 @@ class VCycle:
     One application allocates its vectors per call, not kept, so one
     V-cycle may run in several threads.  It restricts the cast of r once,
     before smoothing, and drops the cast; the coarse residual is then
-    restrict(r) - restrict(A x), since restriction is linear.  So it holds
-    at most 5 vectors of its level: D^{-1} r, the iterate and two work
-    vectors while smoothing, plus each product's output and gather chunk;
-    the work vectors are freed across the coarse correction.
+    restrict(r) - restrict(A x), since restriction is linear.  Each smoother
+    starts from D^{-1} r, formed anew for the post-smoother from the same
+    float32 operations, and iterates in its buffer.  So it holds at most 4
+    vectors of its level: the iterate, w and one work vector while
+    smoothing, plus each product's output and gather chunk; w and the work
+    vector are freed across the coarse correction.
     """
 
     def __init__(self, system, coarse=None, dtype=CYCLE_DTYPE):
@@ -226,21 +230,20 @@ class VCycle:
             cast.coarse, cast.dinv = self.coarse.astype(dtype), cast.A.block_jacobi()
         return cast
 
-    def smooth(self, z, x, work, zero=False):
+    def smooth(self, w, x, d, zero=False):
         """Fourth-kind Chebyshev iteration of degree ``CHEBYSHEV_DEGREE`` in
-        D^{-1} A for A x = b, z = D^{-1} b, with the upper bound rho = 2 of the
-        module docstring: from x, or from zero with ``zero``, updated in place.
+        D^{-1} A for A x = b, with the upper bound rho = 2 of the module
+        docstring: from x, or from zero with ``zero``, updated in place.
         With w_j = D^{-1} (b - A x_j), the step d_0 = 4 / (3 rho) w_0 and
         d_j = (2j - 1) / (2j + 3) d_{j-1} + (8j + 4) / ((2j + 3) rho) w_j.
-        ``work`` holds w and d; the output of each scaled product is the
-        third vector."""
+        ``w`` holds D^{-1} b on entry and becomes the iteration's w, so it is
+        consumed; ``d`` is the one work vector, and the output of each scaled
+        product the third."""
         rho = 2.0
-        w, d = work
         if zero:
             x.fill(0.0)
-            w[:] = z
         else:
-            np.subtract(z, self.dinv.scaled(x), out=w)
+            w -= self.dinv.scaled(x)
         x += np.multiply(w, 4.0 / (3.0 * rho), out=d)
         for j in range(1, CHEBYSHEV_DEGREE):
             t = self.dinv.scaled(d)
@@ -256,14 +259,16 @@ class VCycle:
             return (self.coarse_inverse @ r).astype(r.dtype, copy=False)
         b = r.astype(self.dtype, copy=False)
         coarse_r = self.transfer.restrict(b)  # restrict(b - A x) = this - restrict(A x)
-        z = self.dinv(b)
+        w = self.dinv(b)
         del b
-        x, work = np.empty(len(z), self.dtype), np.empty((2, len(z)), self.dtype)
-        self.smooth(z, x, work, zero=True)
-        del work
+        x = np.empty(len(w), self.dtype)
+        self.smooth(w, x, np.empty(len(w), self.dtype), zero=True)
+        del w
         coarse_r -= self.transfer.restrict(self.A @ x)
         x += self.transfer.prolong(self.coarse(coarse_r))
         del coarse_r
-        self.smooth(z, x, np.empty((2, len(z)), self.dtype))
-        del z
+        # D^{-1} r formed again by the same float32 operations, bitwise, not kept
+        w = self.dinv(r.astype(self.dtype, copy=False))
+        self.smooth(w, x, np.empty(len(w), self.dtype))
+        del w
         return x.astype(r.dtype, copy=False)

@@ -277,11 +277,12 @@ def test_solve_allocates_a_few_vectors(epsilon, vectors):
 def test_converging_multigrid_cg_keeps_no_copy_of_its_iterate():
     """A multigrid CG solve at 16x16x4, k=2, whose every iterate is the best
     so far, holds x, r and p and no copy of x: under tracemalloc each V-cycle
-    application peaks at 6.23 ndof vectors (7.13 while the cycle kept its
-    cast of r and every product a padded copy of its operand), and so does
-    the whole solve, since its last iterate's copy, made for the
-    true-residual check, goes into the spent r.  While CG copied every best
-    iterate it held one vector more, and peaked at 8.13."""
+    application peaks at 5.81 ndof vectors (6.31 while the cycle kept
+    D^{-1} r across its coarse correction, 7.13 while it also kept its cast
+    of r and every product a padded copy of its operand), and so does the
+    whole solve, since its last iterate's copy, made for the true-residual
+    check, goes into the spent r.  While CG copied every best iterate it
+    held one vector more, and peaked at 8.13."""
     system = assemble_stiffness(build_box_mesh(SLAB, (16, 16, 4)), DGSpec(2), fb.make_basis(2))
     b = np.random.default_rng(0).standard_normal(system.ndof)
     vcycle, peaks = make_preconditioner(system, "multigrid"), []
@@ -300,7 +301,7 @@ def test_converging_multigrid_cg_keeps_no_copy_of_its_iterate():
     finally:
         tracemalloc.stop()
     assert res.iterations >= 5 and len(peaks) == res.iterations + 1
-    assert max(peaks) <= 6.5 * b.nbytes
+    assert max(peaks) <= 6.0 * b.nbytes
 
 
 def test_solve_holds_no_reference_to_its_start():
